@@ -138,10 +138,12 @@ func (s *Server) ServeSocket(path string) error {
 		if err != nil {
 			return err
 		}
-		quit, serr := s.session(conn, conn)
+		// A read error is the client hanging up mid-stream (ECONNRESET when
+		// it closes with our output unread); it ends that session only.
+		quit, _ := s.session(conn, conn)
 		conn.Close()
-		if quit || serr != nil {
-			return serr
+		if quit {
+			return nil
 		}
 	}
 }

@@ -60,10 +60,14 @@ func (u *UnsafeAllocator) Acquire(owner string, now sim.Time) (fabric.VNI, error
 
 	// Step 2: insert (separate critical section, no re-check).
 	db.mu.Lock()
-	db.rows[candidate] = &row{
-		vni: candidate, owner: owner, state: Allocated,
-		allocatedAt: now, users: make(map[string]bool),
+	if old := db.rows[candidate]; old != nil && old.state == Allocated {
+		// The lost race: another acquisition took candidate in the gap and
+		// is displaced from the table, so it leaves the owner index too.
+		db.ownerUnlink(old)
 	}
+	nr := &row{vni: candidate, owner: owner, state: Allocated, allocatedAt: now}
+	db.rows[candidate] = nr
+	db.ownerLink(nr, nil)
 	db.seq++
 	db.audit = append(db.audit, AuditEntry{Seq: db.seq, At: now, Op: OpAcquire, VNI: candidate, Owner: owner})
 	db.mu.Unlock()

@@ -15,6 +15,11 @@
 //	allocations(vni PRIMARY KEY, owner, state, allocated_at, released_at)
 //	users(vni, user)            -- jobs redeeming a claim's VNI
 //	audit(seq, at, op, vni, owner, user)
+//	INDEX allocations(owner) WHERE state = allocated
+//
+// The owner index is transactional state like the table itself: it changes
+// only where a row enters or leaves the Allocated state, and the undo log
+// restores it together with the row.
 package vnidb
 
 import (
@@ -120,17 +125,24 @@ type row struct {
 	state       State
 	allocatedAt sim.Time
 	releasedAt  sim.Time
-	users       map[string]bool
+	users       map[string]bool // nil until the first AddUser
+	// ownerNext chains the Allocated rows that share this row's owner,
+	// newest acquisition first; DB.byOwner holds the head.
+	ownerNext *row
 }
 
 // DB is the store. All access goes through View/Update transactions.
 type DB struct {
-	mu     sync.Mutex
-	opts   Options
-	rows   map[fabric.VNI]*row
-	audit  []AuditEntry
-	seq    uint64
-	closed bool
+	mu   sync.Mutex
+	opts Options
+	rows map[fabric.VNI]*row
+	// byOwner indexes exactly the Allocated rows of rows by owner. Nothing
+	// enforces that owners are unique, so an entry is the head of a chain
+	// through row.ownerNext. Only ownerLink and ownerUnlink touch it.
+	byOwner map[string]*row
+	audit   []AuditEntry
+	seq     uint64
+	closed  bool
 	// nextProbe rotates the allocation scan start so VNIs are handed out
 	// round-robin rather than always reusing the lowest, reducing reuse
 	// pressure on recently-released IDs.
@@ -142,7 +154,42 @@ func Open(opts Options) *DB {
 	if opts.MaxVNI < opts.MinVNI {
 		panic("vnidb: MaxVNI < MinVNI")
 	}
-	return &DB{opts: opts, rows: make(map[fabric.VNI]*row), nextProbe: opts.MinVNI}
+	return &DB{
+		opts:      opts,
+		rows:      make(map[fabric.VNI]*row),
+		byOwner:   make(map[string]*row),
+		nextProbe: opts.MinVNI,
+	}
+}
+
+// ownerLink enters r, which must be Allocated, into its owner's chain behind
+// pred, or at the head when pred is nil. A new acquisition links at the
+// head; an undo passes the pred that ownerUnlink returned to put the row
+// back exactly where it was.
+func (db *DB) ownerLink(r, pred *row) {
+	if pred == nil {
+		r.ownerNext = db.byOwner[r.owner]
+		db.byOwner[r.owner] = r
+		return
+	}
+	r.ownerNext = pred.ownerNext
+	pred.ownerNext = r
+}
+
+// ownerUnlink takes r out of its owner's chain as it leaves the Allocated
+// state or the table, and returns its predecessor (nil if r was the head).
+func (db *DB) ownerUnlink(r *row) (pred *row) {
+	if head := db.byOwner[r.owner]; head != r {
+		for pred = head; pred.ownerNext != r; pred = pred.ownerNext {
+		}
+		pred.ownerNext = r.ownerNext
+	} else if r.ownerNext != nil {
+		db.byOwner[r.owner] = r.ownerNext
+	} else {
+		delete(db.byOwner, r.owner)
+	}
+	r.ownerNext = nil
+	return pred
 }
 
 // Options returns the open options.
@@ -161,7 +208,7 @@ type Tx struct {
 	db       *DB
 	done     bool
 	readonly bool
-	undo     []func()
+	undo     []func(*DB) // take the DB as an argument so they need not capture it
 	walOps   []walRecord
 }
 
@@ -205,7 +252,7 @@ func (db *DB) View(fn func(*Tx) error) error {
 
 func (tx *Tx) rollback() {
 	for i := len(tx.undo) - 1; i >= 0; i-- {
-		tx.undo[i]()
+		tx.undo[i](tx.db)
 	}
 	tx.undo = nil
 	tx.walOps = nil
@@ -213,7 +260,7 @@ func (tx *Tx) rollback() {
 }
 
 func (tx *Tx) commit() {
-	if tx.db.opts.WAL != nil && len(tx.walOps) > 0 {
+	if len(tx.walOps) > 0 { // logOp collects them only when a WAL is attached
 		line, err := json.Marshal(tx.walOps)
 		if err == nil {
 			line = append(line, '\n')
@@ -238,11 +285,13 @@ func (tx *Tx) logOp(op AuditOp, vni fabric.VNI, owner, user string, at sim.Time)
 	db.seq++
 	seq := db.seq
 	db.audit = append(db.audit, AuditEntry{Seq: seq, At: at, Op: op, VNI: vni, Owner: owner, User: user})
-	tx.undo = append(tx.undo, func() {
+	tx.undo = append(tx.undo, func(db *DB) {
 		db.audit = db.audit[:len(db.audit)-1]
 		db.seq--
 	})
-	tx.walOps = append(tx.walOps, walRecord{Op: op, VNI: vni, Owner: owner, User: user, At: at})
+	if db.opts.WAL != nil {
+		tx.walOps = append(tx.walOps, walRecord{Op: op, VNI: vni, Owner: owner, User: user, At: at})
+	}
 }
 
 // Acquire atomically finds a VNI that is free (or whose quarantine has
@@ -267,23 +316,39 @@ func (tx *Tx) Acquire(owner string, now sim.Time) (fabric.VNI, error) {
 			}
 		}
 		// Allocate v.
-		prev := r
-		nr := &row{vni: v, owner: owner, state: Allocated, allocatedAt: now, users: make(map[string]bool)}
-		db.rows[v] = nr
-		oldProbe := db.nextProbe
-		db.nextProbe = db.opts.MinVNI + (v-db.opts.MinVNI+1)%n
-		tx.undo = append(tx.undo, func() {
-			db.nextProbe = oldProbe
-			if prev == nil {
-				delete(db.rows, v)
-			} else {
-				db.rows[v] = prev
-			}
-		})
-		tx.logOp(OpAcquire, v, owner, "", now)
+		tx.insertAllocated(v, owner, now)
 		return v, nil
 	}
 	return 0, ErrExhausted
+}
+
+// insertAllocated allocates v to owner over whatever non-Allocated row held
+// it: it enters the row into the table and the owner index, advances the
+// round-robin cursor past v and logs the acquisition. Acquire and WAL replay
+// share it so a recovered database is in the state the original was.
+func (tx *Tx) insertAllocated(v fabric.VNI, owner string, now sim.Time) {
+	db := tx.db
+	prev := db.rows[v]
+	nr := &row{vni: v, owner: owner, state: Allocated, allocatedAt: now}
+	db.rows[v] = nr
+	db.ownerLink(nr, nil)
+	oldProbe := db.nextProbe
+	// A replayed VNI from outside the pool (the bounds changed between
+	// runs) leaves the cursor alone.
+	if v >= db.opts.MinVNI && v <= db.opts.MaxVNI {
+		n := db.opts.MaxVNI - db.opts.MinVNI + 1
+		db.nextProbe = db.opts.MinVNI + (v-db.opts.MinVNI+1)%n
+	}
+	tx.undo = append(tx.undo, func(db *DB) {
+		db.nextProbe = oldProbe
+		db.ownerUnlink(nr)
+		if prev == nil {
+			delete(db.rows, nr.vni)
+		} else {
+			db.rows[nr.vni] = prev
+		}
+	})
+	tx.logOp(OpAcquire, v, owner, "", now)
 }
 
 // Release moves an allocated VNI to quarantine, clearing its users. After
@@ -297,12 +362,14 @@ func (tx *Tx) Release(vni fabric.VNI, now sim.Time) error {
 	if !ok || r.state != Allocated {
 		return fmt.Errorf("%w: %d", ErrNotAllocated, vni)
 	}
-	prevState, prevReleased, prevUsers := r.state, r.releasedAt, r.users
+	prevReleased, prevUsers := r.releasedAt, r.users
+	pred := db.ownerUnlink(r)
 	r.state = Quarantined
 	r.releasedAt = now
-	r.users = make(map[string]bool)
-	tx.undo = append(tx.undo, func() {
-		r.state, r.releasedAt, r.users = prevState, prevReleased, prevUsers
+	r.users = nil
+	tx.undo = append(tx.undo, func(db *DB) {
+		r.state, r.releasedAt, r.users = Allocated, prevReleased, prevUsers
+		db.ownerLink(r, pred)
 	})
 	tx.logOp(OpRelease, vni, r.owner, "", now)
 	return nil
@@ -320,8 +387,11 @@ func (tx *Tx) AddUser(vni fabric.VNI, user string, now sim.Time) error {
 	if r.users[user] {
 		return fmt.Errorf("%w: %q on vni %d", ErrUserExists, user, vni)
 	}
+	if r.users == nil {
+		r.users = make(map[string]bool)
+	}
 	r.users[user] = true
-	tx.undo = append(tx.undo, func() { delete(r.users, user) })
+	tx.undo = append(tx.undo, func(*DB) { delete(r.users, user) })
 	tx.logOp(OpAddUser, vni, r.owner, user, now)
 	return nil
 }
@@ -339,7 +409,7 @@ func (tx *Tx) RemoveUser(vni fabric.VNI, user string, now sim.Time) error {
 		return fmt.Errorf("%w: %q on vni %d", ErrNoSuchUser, user, vni)
 	}
 	delete(r.users, user)
-	tx.undo = append(tx.undo, func() { r.users[user] = true })
+	tx.undo = append(tx.undo, func(*DB) { r.users[user] = true })
 	tx.logOp(OpRemoveUser, vni, r.owner, user, now)
 	return nil
 }
@@ -368,19 +438,20 @@ func (tx *Tx) Get(vni fabric.VNI) (Row, bool) {
 	return exportRow(r), true
 }
 
-// FindByOwner returns the allocated VNI owned by owner, if any. Owners are
-// unique per allocation by construction (the VNI service derives them from
-// object UIDs).
+// FindByOwner returns the allocated VNI owned by owner, if any: one lookup in
+// the owner index. Owners are unique per allocation by construction (the VNI
+// service derives them from object UIDs) but the database does not enforce
+// it; when several allocated rows share an owner, the most recently acquired
+// one is returned.
 func (tx *Tx) FindByOwner(owner string) (Row, bool) {
 	if tx.done {
 		return Row{}, false
 	}
-	for _, r := range tx.db.rows {
-		if r.state == Allocated && r.owner == owner {
-			return exportRow(r), true
-		}
+	r := tx.db.byOwner[owner]
+	if r == nil {
+		return Row{}, false
 	}
-	return Row{}, false
+	return exportRow(r), true
 }
 
 // List returns all non-free rows sorted by VNI.

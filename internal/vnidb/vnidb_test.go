@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -645,5 +646,244 @@ func TestQuickWALRecoveryEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(22))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A recovered database must continue the round-robin where the original
+// stood, or the first Acquire after a restart restarts at MinVNI and hands
+// out the most recently released VNI.
+func TestRecoveredDBHandsOutSameNextVNI(t *testing.T) {
+	var wal bytes.Buffer
+	opts := Options{MinVNI: 10, MaxVNI: 20, Quarantine: sim.Duration(30 * time.Second), WAL: &wal}
+	db := Open(opts)
+	db.Update(func(tx *Tx) error {
+		for _, o := range []string{"a", "b", "c"} {
+			if _, err := tx.Acquire(o, at(0)); err != nil {
+				return err
+			}
+		}
+		return tx.Release(10, at(1))
+	})
+	opts.WAL = nil
+	re, err := Recover(bytes.NewReader(wal.Bytes()), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func(db *DB) (v fabric.VNI) {
+		if err := db.Update(func(tx *Tx) (err error) {
+			v, err = tx.Acquire("d", at(60)) // 10's quarantine has expired
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if orig, rec := next(db), next(re); orig != 13 || rec != orig {
+		t.Errorf("next VNI: original %d, recovered %d, want 13 from both", orig, rec)
+	}
+}
+
+// scanByOwner answers FindByOwner's question the way it was answered before
+// the owner index existed, by scanning the table. It is the oracle the
+// index is checked against.
+func scanByOwner(db *DB, owner string) bool {
+	for _, r := range db.rows {
+		if r.state == Allocated && r.owner == owner {
+			return true
+		}
+	}
+	return false
+}
+
+// checkOwnerIndex fails the test unless FindByOwner agrees with the scan for
+// every owner and the index holds exactly the table's Allocated rows.
+func checkOwnerIndex(t *testing.T, db *DB, owners []string, step string) {
+	t.Helper()
+	db.View(func(tx *Tx) error {
+		for _, o := range owners {
+			r, ok := tx.FindByOwner(o)
+			if want := scanByOwner(db, o); ok != want {
+				t.Fatalf("%s: FindByOwner(%q) found=%v, scan found=%v", step, o, ok, want)
+			}
+			if !ok {
+				continue
+			}
+			if r.State != Allocated || r.Owner != o {
+				t.Fatalf("%s: FindByOwner(%q) = %+v", step, o, r)
+			}
+			if g, ok := tx.Get(r.VNI); !ok || !reflect.DeepEqual(g, r) {
+				t.Fatalf("%s: FindByOwner(%q) = %+v but Get(%d) = %+v, %v", step, o, r, r.VNI, g, ok)
+			}
+		}
+		return nil
+	})
+	indexed := 0
+	for owner, r := range db.byOwner {
+		for ; r != nil; r = r.ownerNext {
+			indexed++
+			if db.rows[r.vni] != r || r.state != Allocated || r.owner != owner {
+				t.Fatalf("%s: chain of %q holds %+v, table has %+v", step, owner, r, db.rows[r.vni])
+			}
+		}
+	}
+	if n := db.Stats().Allocated; indexed != n {
+		t.Fatalf("%s: %d rows indexed, %d allocated", step, indexed, n)
+	}
+}
+
+// ownerVNIs is what FindByOwner returns for each owner (0 when not found):
+// the observable state of the index, tie-break included.
+func ownerVNIs(db *DB, owners []string) []fabric.VNI {
+	out := make([]fabric.VNI, len(owners))
+	db.View(func(tx *Tx) error {
+		for i, o := range owners {
+			if r, ok := tx.FindByOwner(o); ok {
+				out[i] = r.VNI
+			}
+		}
+		return nil
+	})
+	return out
+}
+
+// Property: under random operation sequences with repeated owners, rolled-
+// back transactions, the unsafe allocator displacing live rows and WAL
+// recovery, the owner index stays equivalent to the table. Odd seeds use the
+// unsafe allocator, whose insertions bypass the WAL; even seeds recover.
+func TestOwnerIndexMatchesScan(t *testing.T) {
+	owners := []string{"o0", "o1", "o2", "o3", "o4", "o5"}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		displace := seed%2 == 1
+		var wal bytes.Buffer
+		opts := Options{MinVNI: 10, MaxVNI: 29, Quarantine: sim.Duration(2 * time.Second), WAL: &wal}
+		db := Open(opts)
+		now := sim.Time(0)
+		owner := func() string { return owners[rng.Intn(len(owners))] }
+		// mutate applies one random operation inside tx; its error, if
+		// any (exhausted pool, duplicate user), is part of the sequence.
+		mutate := func(tx *Tx) error {
+			var live []fabric.VNI
+			for _, r := range tx.List() {
+				if r.State == Allocated {
+					live = append(live, r.VNI)
+				}
+			}
+			k := rng.Intn(7)
+			if k < 3 || len(live) == 0 {
+				_, err := tx.Acquire(owner(), now)
+				return err
+			}
+			v := live[rng.Intn(len(live))]
+			user := fmt.Sprintf("u%d", rng.Intn(3))
+			switch k {
+			case 3, 4:
+				return tx.Release(v, now)
+			case 5:
+				return tx.AddUser(v, user, now)
+			default:
+				return tx.RemoveUser(v, user, now)
+			}
+		}
+		for i := 0; i < 300; i++ {
+			now = now.Add(sim.Duration(rng.Intn(1000)) * time.Millisecond)
+			step := fmt.Sprintf("seed %d step %d", seed, i)
+			switch k := rng.Intn(10); {
+			case k < 6:
+				db.Update(mutate)
+			case k < 8: // a transaction that fails half-way leaves no trace
+				var before []Row
+				db.View(func(tx *Tx) error { before = tx.List(); return nil })
+				found := ownerVNIs(db, owners)
+				db.Update(func(tx *Tx) error {
+					for n := 1 + rng.Intn(3); n > 0; n-- {
+						mutate(tx)
+					}
+					return errors.New("roll back")
+				})
+				var after []Row
+				db.View(func(tx *Tx) error { after = tx.List(); return nil })
+				if !reflect.DeepEqual(before, after) || !reflect.DeepEqual(found, ownerVNIs(db, owners)) {
+					t.Fatalf("%s: rollback changed the table or the index", step)
+				}
+			case displace: // both allocators settle on one VNI; the outer displaces the inner's live row
+				inner := NewUnsafeAllocator(db, nil)
+				outer := NewUnsafeAllocator(db, func() { inner.Acquire(owner(), now) })
+				outer.Acquire(owner(), now)
+			default:
+				ropts := opts
+				ropts.WAL = nil
+				if k == 9 {
+					ropts.WAL = &wal // carry on from the recovered database
+				}
+				re, err := Recover(bytes.NewReader(bytes.Clone(wal.Bytes())), ropts)
+				if err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				checkOwnerIndex(t, re, owners, step+" (recovered)")
+				if !reflect.DeepEqual(ownerVNIs(db, owners), ownerVNIs(re, owners)) || re.nextProbe != db.nextProbe {
+					t.Fatalf("%s: recovered database answers differently from the original", step)
+				}
+				if k == 9 {
+					db = re
+				}
+			}
+			checkOwnerIndex(t, db, owners, step)
+		}
+	}
+}
+
+// A lookup costs the read transaction and nothing per row.
+func TestFindByOwnerAllocs(t *testing.T) {
+	db, owners := filledDB(t, 2000)
+	found := false
+	lookup := func(tx *Tx) error {
+		_, found = tx.FindByOwner(owners[1234])
+		return nil
+	}
+	allocs := testing.AllocsPerRun(100, func() { db.View(lookup) })
+	if !found || allocs > 1 {
+		t.Errorf("View+FindByOwner: found=%v, %.0f allocations per run, want at most the Tx", found, allocs)
+	}
+}
+
+// filledDB returns a database holding one allocation per returned owner.
+func filledDB(tb testing.TB, rows int) (*DB, []string) {
+	db := Open(DefaultOptions())
+	owners := make([]string, rows)
+	if err := db.Update(func(tx *Tx) error {
+		for i := range owners {
+			owners[i] = fmt.Sprintf("owner-%05d", i)
+			if _, err := tx.Acquire(owners[i], 0); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return db, owners
+}
+
+// BenchmarkFindByOwner is one read transaction looking up an allocated owner,
+// the shape of the benchmarks/ isolate vnidb.find_owner_ns_rows*: ns/op must
+// not grow with the table.
+func BenchmarkFindByOwner(b *testing.B) {
+	for _, rows := range []int{500, 5000, 50000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			db, owners := filledDB(b, rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				found := false
+				db.View(func(tx *Tx) error {
+					_, found = tx.FindByOwner(owners[i%rows])
+					return nil
+				})
+				if !found {
+					b.Fatalf("owner %s not found", owners[i%rows])
+				}
+			}
+		})
 	}
 }
