@@ -525,7 +525,7 @@ func BenchmarkControlPlane_ListVsLister(b *testing.B) {
 	informer.AddIndex(k8s.IndexPodJob, k8s.PodJobIndex)
 	lister := informer.Lister()
 	for i := 0; i < pods; i++ {
-		api.Create(&k8s.Pod{Meta: k8s.Meta{
+		cli.Create(&k8s.Pod{Meta: k8s.Meta{
 			Kind: k8s.KindPod, Namespace: "fleet", Name: fmt.Sprintf("p-%05d", i),
 			Labels: map[string]string{"job-name": fmt.Sprintf("job-%04d", i%500)},
 		}})

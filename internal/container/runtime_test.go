@@ -51,14 +51,14 @@ func (e *rtEnv) storePod(t *testing.T, name string, annotations map[string]strin
 			Annotations: annotations,
 			Labels:      map[string]string{"job-name": "job-" + name}},
 	}
-	e.api.Create(pod)
+	e.api.Client().Create(pod)
 	e.eng.RunFor(time.Second)
 	return pod
 }
 
 func (e *rtEnv) storeVNICRD(t *testing.T, jobName string, vni fabric.VNI) {
 	t.Helper()
-	e.api.Create(&k8s.Custom{
+	e.api.Client().Create(&k8s.Custom{
 		Meta: k8s.Meta{Kind: vniapi.KindVNI, Namespace: "ns", Name: "vni-" + jobName},
 		Spec: map[string]string{vniapi.SpecVNI: fmt.Sprint(vni), vniapi.SpecJob: jobName},
 	})
@@ -181,7 +181,7 @@ func TestHostNetworkPodSkipsCNI(t *testing.T) {
 		Meta: k8s.Meta{Kind: k8s.KindPod, Namespace: "ns", Name: "hostpod"},
 		Spec: k8s.PodSpec{HostNetwork: true},
 	}
-	e.api.Create(pod)
+	e.api.Client().Create(pod)
 	e.eng.RunFor(time.Second)
 	if err := e.setup(t, pod); err != nil {
 		t.Fatal(err)

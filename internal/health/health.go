@@ -334,7 +334,7 @@ func (d *Daemon) overDetail(st *nodeState, portDown bool) string {
 func (d *Daemon) cordon(st *nodeState, reason string) {
 	st.state = NodeCordonedState
 	name := st.info.Name
-	d.cli.UpdateWithRetry(k8s.KindNode, "", name, func(obj k8s.Object) bool {
+	d.cli.Patch(k8s.KindNode, "", name, func(obj k8s.Object) bool {
 		n := obj.(*k8s.Node)
 		if n.Spec.Unschedulable {
 			return false

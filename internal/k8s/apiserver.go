@@ -16,30 +16,24 @@ var (
 	ErrTerminating   = errors.New("k8s: object is terminating")
 	// ErrConflict is returned by Update when the caller's ResourceVersion
 	// is non-zero and no longer matches the stored object: another writer
-	// committed in between. Re-read and retry (Client.UpdateWithRetry).
+	// committed in between. Re-read and retry (Client.Patch).
 	ErrConflict = errors.New("k8s: resource version conflict")
 	// ErrPending is returned by Response.Err while the request is still in
 	// flight in virtual time.
 	ErrPending = errors.New("k8s: request still in flight")
 	// ErrUnavailable is returned by writes while the apiserver is in a full
 	// outage, and with the configured per-request probability while it is
-	// degraded. Retriable: the retrying client helpers back off and reissue.
+	// degraded. Transient: the client's attempt loop backs off and reissues.
 	ErrUnavailable = errors.New("k8s: apiserver unavailable")
 	// ErrTimeout is returned when a request's client-side deadline fires
 	// before the server commits; the pending commit is cancelled, so a timed
-	// out request is dropped, never half-applied. Retriable.
+	// out request is dropped, never half-applied. Transient.
 	ErrTimeout = errors.New("k8s: request deadline exceeded")
-	// ErrRetriesExhausted is returned by the retrying client helpers when
-	// the conflict cap or the unavailability retry budget is spent. It wraps
+	// ErrRetriesExhausted is returned by every client write when the
+	// conflict cap or the transient-failure retry budget is spent. It wraps
 	// the final underlying error, so errors.Is works on both.
 	ErrRetriesExhausted = errors.New("k8s: retries exhausted")
 )
-
-// retriable reports whether err is a transient control-plane failure the
-// retry layer should back off and reissue on.
-func retriable(err error) bool {
-	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrTimeout)
-}
 
 // Response is the handle returned by every API write. The request completes
 // after the API round-trip latency in virtual time; callbacks registered
@@ -48,29 +42,6 @@ type Response struct {
 	err       error
 	completed bool
 	cbs       []func(error)
-	// pending is the queued server-side commit event, tracked so a
-	// client-side deadline can drop the request while it is on the wire.
-	pending    sim.Event
-	hasPending bool
-}
-
-// track records the queued server commit so abandon can cancel it.
-func (r *Response) track(ev sim.Event) *Response {
-	r.pending, r.hasPending = ev, true
-	return r
-}
-
-// abandon fails an in-flight request with err, cancelling the pending
-// server commit if it has not run yet — the client-deadline path. A request
-// that already completed is left untouched.
-func (r *Response) abandon(err error) {
-	if r.completed {
-		return
-	}
-	if r.hasPending {
-		r.pending.Cancel()
-	}
-	r.complete(err)
 }
 
 func (r *Response) complete(err error) {
@@ -305,11 +276,6 @@ func (a *APIServer) Availability() Availability {
 	return a.faults.state
 }
 
-// FaultsArmed reports whether any fault call has armed the layer. Client
-// deadlines and resync probing key off this so fault-free runs schedule
-// nothing extra.
-func (a *APIServer) FaultsArmed() bool { return a.faults != nil }
-
 // BreakWatch silently severs every current watch stream on kind: the
 // watchers stay registered but their deliveries are dropped (not queued)
 // until the stream is repaired — for informers, by the automatic
@@ -441,35 +407,6 @@ func (a *APIServer) watch(kind Kind, handler func(Event)) *watcher {
 	return w
 }
 
-// Create stores a new object, assigning its UID, creation time and first
-// resource version. The returned Response completes after the API round
-// trip.
-func (a *APIServer) Create(obj Object) *Response {
-	resp := &Response{}
-	resp.track(a.eng.After(a.reqDelay(), func() {
-		if err := a.admitWrite(); err != nil {
-			resp.complete(err)
-			return
-		}
-		m := obj.GetMeta()
-		s := a.store(m.Kind)
-		if _, exists := s[m.Key()]; exists {
-			resp.complete(fmt.Errorf("%w: %s %s", ErrAlreadyExists, m.Kind, m.Key()))
-			return
-		}
-		a.nextUID++
-		m.UID = UID(fmt.Sprintf("uid-%06d", a.nextUID))
-		m.Created = a.eng.Now()
-		a.rev++
-		m.ResourceVersion = a.rev
-		stored := obj.DeepCopy()
-		s[m.Key()] = stored
-		a.notify(EventAdded, stored)
-		resp.complete(nil)
-	}))
-	return resp
-}
-
 // Get returns a copy of the object, synchronously (a live quorum read; for
 // cached, index-capable reads use a Lister).
 func (a *APIServer) Get(kind Kind, namespace, name string) (Object, bool) {
@@ -500,79 +437,119 @@ func (a *APIServer) List(kind Kind, namespace string) []Object {
 	return out
 }
 
-// Update replaces the stored object (by kind/namespace/name), preserving
-// UID and creation time. When the caller's ResourceVersion is non-zero and
-// stale the update fails with ErrConflict; zero skips the precondition.
-func (a *APIServer) Update(obj Object) *Response {
-	resp := &Response{}
-	cp := obj.DeepCopy()
-	resp.track(a.eng.After(a.reqDelay(), func() {
-		if err := a.admitWrite(); err != nil {
-			resp.complete(err)
-			return
-		}
-		m := cp.GetMeta()
-		s := a.store(m.Kind)
-		old, ok := s[m.Key()]
-		if !ok {
-			resp.complete(fmt.Errorf("%w: %s %s", ErrNotFound, m.Kind, m.Key()))
-			return
-		}
-		oldMeta := old.GetMeta()
-		if m.ResourceVersion != 0 && m.ResourceVersion != oldMeta.ResourceVersion {
-			resp.complete(fmt.Errorf("%w: %s %s (update at %d, stored %d)",
-				ErrConflict, m.Kind, m.Key(), m.ResourceVersion, oldMeta.ResourceVersion))
-			return
-		}
-		m.UID = oldMeta.UID
-		m.Created = oldMeta.Created
-		a.rev++
-		m.ResourceVersion = a.rev
-		s[m.Key()] = cp
-		a.notify(EventModified, cp)
-		resp.complete(nil)
-		// Finalizer removal may allow a pending deletion to complete.
-		if m.Deleting && len(m.Finalizers) == 0 {
-			a.finalizeDelete(m.Kind, m.Key())
-		}
-	}))
-	return resp
+// submit queues r's commit one request delay out: the single engine event
+// and the single RNG draw a write costs on a healthy server.
+func (a *APIServer) submit(r *request) {
+	r.pending = a.eng.AfterCall(a.reqDelay(), commitCall, r)
 }
 
-// Delete begins deletion. With finalizers present the object enters the
-// terminating state and watchers see a MODIFIED event; once the last
+// commitCall is submit's event body; arg is the *request.
+func commitCall(arg any) {
+	r := arg.(*request)
+	r.settle(r.c.api.commit(r))
+}
+
+// commit applies one client write to the store: the availability model
+// admits or fails it, then the verb's commit function runs. A failed write
+// leaves the store untouched.
+func (a *APIServer) commit(r *request) error {
+	if err := a.admitWrite(); err != nil {
+		return err
+	}
+	switch r.verb {
+	case verbCreate:
+		return a.commitCreate(r.obj)
+	case verbUpdate, verbPatch:
+		return a.commitUpdate(r.obj)
+	case verbDelete:
+		return a.commitDelete(r.kind, r.ns, r.name)
+	case verbRemoveFinalizer:
+		return a.commitRemoveFinalizer(r.kind, r.ns, r.name, r.fin)
+	default:
+		return a.commitStatus(r.kind, r.ns, r.name, r.fn)
+	}
+}
+
+func notFound(kind Kind, namespace, name string) error {
+	return fmt.Errorf("%w: %s %s/%s", ErrNotFound, kind, namespace, name)
+}
+
+// commitCreate stores a new object, assigning its UID, creation time and
+// first resource version (on the caller's obj too, so the creator can link
+// children to it).
+func (a *APIServer) commitCreate(obj Object) error {
+	m := obj.GetMeta()
+	s := a.store(m.Kind)
+	if _, exists := s[m.Key()]; exists {
+		return fmt.Errorf("%w: %s %s", ErrAlreadyExists, m.Kind, m.Key())
+	}
+	a.nextUID++
+	m.UID = UID(fmt.Sprintf("uid-%06d", a.nextUID))
+	m.Created = a.eng.Now()
+	a.rev++
+	m.ResourceVersion = a.rev
+	stored := obj.DeepCopy()
+	s[m.Key()] = stored
+	a.notify(EventAdded, stored)
+	return nil
+}
+
+// commitUpdate replaces the stored object (by kind/namespace/name) with
+// cp, which the store keeps, preserving UID and creation time. When cp's
+// ResourceVersion is non-zero and stale the update fails with ErrConflict;
+// zero skips the precondition. Like RemoveFinalizer, an update that drains
+// a terminating object's finalizers completes its deletion.
+func (a *APIServer) commitUpdate(cp Object) error {
+	m := cp.GetMeta()
+	s := a.store(m.Kind)
+	old, ok := s[m.Key()]
+	if !ok {
+		return notFound(m.Kind, m.Namespace, m.Name)
+	}
+	oldMeta := old.GetMeta()
+	if m.ResourceVersion != 0 && m.ResourceVersion != oldMeta.ResourceVersion {
+		return fmt.Errorf("%w: %s %s (update at %d, stored %d)",
+			ErrConflict, m.Kind, m.Key(), m.ResourceVersion, oldMeta.ResourceVersion)
+	}
+	m.UID = oldMeta.UID
+	m.Created = oldMeta.Created
+	a.rev++
+	m.ResourceVersion = a.rev
+	s[m.Key()] = cp
+	a.notify(EventModified, cp)
+	a.reapIfDrained(m)
+	return nil
+}
+
+// commitDelete begins deletion. With finalizers present the object enters
+// the terminating state and watchers see a MODIFIED event; once the last
 // finalizer is removed it disappears with a DELETED event. Without
 // finalizers it is removed immediately. Children owned via OwnerUID are
 // garbage-collected after the owner vanishes.
-func (a *APIServer) Delete(kind Kind, namespace, name string) *Response {
-	resp := &Response{}
-	resp.track(a.eng.After(a.reqDelay(), func() {
-		if err := a.admitWrite(); err != nil {
-			resp.complete(err)
-			return
-		}
-		s := a.store(kind)
-		key := namespace + "/" + name
-		obj, ok := s[key]
-		if !ok {
-			resp.complete(fmt.Errorf("%w: %s %s", ErrNotFound, kind, key))
-			return
-		}
-		m := obj.GetMeta()
-		if len(m.Finalizers) > 0 {
-			if !m.Deleting {
-				m.Deleting = true
-				a.rev++
-				m.ResourceVersion = a.rev
-				a.notify(EventModified, obj)
-			}
-			resp.complete(nil)
-			return
-		}
+func (a *APIServer) commitDelete(kind Kind, namespace, name string) error {
+	key := namespace + "/" + name
+	obj, ok := a.store(kind)[key]
+	if !ok {
+		return notFound(kind, namespace, name)
+	}
+	m := obj.GetMeta()
+	if len(m.Finalizers) == 0 {
 		a.finalizeDelete(kind, key)
-		resp.complete(nil)
-	}))
-	return resp
+	} else if !m.Deleting {
+		m.Deleting = true
+		a.rev++
+		m.ResourceVersion = a.rev
+		a.notify(EventModified, obj)
+	}
+	return nil
+}
+
+// reapIfDrained completes a pending deletion once the stored object's
+// finalizer list has drained.
+func (a *APIServer) reapIfDrained(m *Meta) {
+	if m.Deleting && len(m.Finalizers) == 0 {
+		a.finalizeDelete(m.Kind, m.Key())
+	}
 }
 
 // finalizeDelete removes the object and garbage-collects its children.
@@ -589,7 +566,10 @@ func (a *APIServer) finalizeDelete(kind Kind, key string) {
 
 // collectOrphans deletes every object owned by the vanished UID. Orphans
 // are deleted in sorted (kind, key) order so the garbage collector's event
-// stream is deterministic; each Delete carries exactly one request delay.
+// stream is deterministic. Each deletion is a server-internal write: it
+// carries exactly one request delay like any delete, but bypasses the
+// availability model — nobody is listening for its outcome, so a GC write
+// failed by an outage would leak the child forever.
 func (a *APIServer) collectOrphans(owner UID) {
 	if owner == "" {
 		return
@@ -601,8 +581,7 @@ func (a *APIServer) collectOrphans(owner UID) {
 	var orphans []orphan
 	for kind, s := range a.stores {
 		for _, obj := range s {
-			if obj.GetMeta().OwnerUID == owner {
-				m := obj.GetMeta()
+			if m := obj.GetMeta(); m.OwnerUID == owner {
 				orphans = append(orphans, orphan{kind, m.Namespace, m.Name})
 			}
 		}
@@ -617,69 +596,48 @@ func (a *APIServer) collectOrphans(owner UID) {
 		return orphans[i].name < orphans[j].name
 	})
 	for _, o := range orphans {
-		a.Delete(o.kind, o.ns, o.name)
+		a.eng.After(a.reqDelay(), func() {
+			// ErrNotFound is the only failure: something else already
+			// deleted the child.
+			_ = a.commitDelete(o.kind, o.ns, o.name)
+		})
 	}
 }
 
-// RemoveFinalizer removes f from the object and triggers completion of a
-// pending delete when the finalizer list drains.
-func (a *APIServer) RemoveFinalizer(kind Kind, namespace, name, f string) *Response {
-	resp := &Response{}
-	resp.track(a.eng.After(a.reqDelay(), func() {
-		if err := a.admitWrite(); err != nil {
-			resp.complete(err)
-			return
+// commitRemoveFinalizer removes f from the object and completes a pending
+// delete when the finalizer list drains.
+func (a *APIServer) commitRemoveFinalizer(kind Kind, namespace, name, f string) error {
+	obj, ok := a.store(kind)[namespace+"/"+name]
+	if !ok {
+		return notFound(kind, namespace, name)
+	}
+	m := obj.GetMeta()
+	kept := m.Finalizers[:0]
+	for _, x := range m.Finalizers {
+		if x != f {
+			kept = append(kept, x)
 		}
-		s := a.store(kind)
-		key := namespace + "/" + name
-		obj, ok := s[key]
-		if !ok {
-			resp.complete(fmt.Errorf("%w: %s %s", ErrNotFound, kind, key))
-			return
-		}
-		m := obj.GetMeta()
-		kept := m.Finalizers[:0]
-		for _, x := range m.Finalizers {
-			if x != f {
-				kept = append(kept, x)
-			}
-		}
-		m.Finalizers = kept
-		a.rev++
-		m.ResourceVersion = a.rev
-		a.notify(EventModified, obj)
-		if m.Deleting && len(m.Finalizers) == 0 {
-			a.finalizeDelete(m.Kind, key)
-		}
-		resp.complete(nil)
-	}))
-	return resp
+	}
+	m.Finalizers = kept
+	a.rev++
+	m.ResourceVersion = a.rev
+	a.notify(EventModified, obj)
+	a.reapIfDrained(m)
+	return nil
 }
 
-// UpdateStatus applies fn to the live stored object synchronously (status
-// writes from node agents are modelled as cheap). Watchers are notified
-// when fn reports a change.
-func (a *APIServer) UpdateStatus(kind Kind, namespace, name string, fn func(Object) bool) bool {
-	s := a.store(kind)
-	obj, ok := s[namespace+"/"+name]
+// commitStatus applies fn to the live stored object (status writes from
+// node agents are modelled as cheap: no copy, no request delay). Watchers
+// are notified when fn reports a change.
+func (a *APIServer) commitStatus(kind Kind, namespace, name string, fn func(Object) bool) error {
+	obj, ok := a.store(kind)[namespace+"/"+name]
 	if !ok {
-		return false
+		return notFound(kind, namespace, name)
 	}
 	if fn(obj) {
 		a.rev++
 		obj.GetMeta().ResourceVersion = a.rev
 		a.notify(EventModified, obj)
 	}
-	return true
-}
-
-// TryUpdateStatus is UpdateStatus with the availability model applied: it
-// returns ErrUnavailable instead of committing while the apiserver is down
-// (or when a degraded-mode error is drawn). UpdateStatus itself stays
-// fault-oblivious — the privileged path harnesses and tests use.
-func (a *APIServer) TryUpdateStatus(kind Kind, namespace, name string, fn func(Object) bool) (bool, error) {
-	if err := a.admitWrite(); err != nil {
-		return false, err
-	}
-	return a.UpdateStatus(kind, namespace, name, fn), nil
+	return nil
 }

@@ -394,50 +394,31 @@ func sortedValues(src map[string]Object) []Object {
 type Client struct {
 	api       *APIServer
 	informers map[Kind]*Informer
-	retry     RetryConfig
 	stats     CPStats
-	// prober is the fault-recovery resync tick (EnableFaultRecovery).
-	prober   sim.Event
-	proberOn bool
+	// prober is the pending fault-recovery resync tick (ArmFaults); the
+	// handle is live exactly while the prober runs.
+	prober sim.Event
 }
 
 func newClient(api *APIServer) *Client {
-	return &Client{
-		api:       api,
-		informers: make(map[Kind]*Informer),
-		retry:     DefaultRetryConfig(),
-	}
+	return &Client{api: api, informers: make(map[Kind]*Informer)}
 }
 
-// RetryConfig governs the client-side fault handling: the jittered
-// exponential backoff the *WithRetry helpers apply on unavailability, and
-// the per-attempt deadline armed once the fault layer is armed.
-type RetryConfig struct {
-	// Budget is how many times a request is reissued after transient
-	// failures before ErrRetriesExhausted.
-	Budget int
-	// BaseBackoff is the first retry delay; it doubles per retry up to
-	// MaxBackoff, each draw jittered by Jitter (uniform fraction).
-	BaseBackoff sim.Duration
-	MaxBackoff  sim.Duration
-	Jitter      float64
-	// Deadline bounds each attempt once faults are armed; a request that
-	// has not committed by then is dropped on the wire and fails with
-	// ErrTimeout. Zero disables deadlines.
-	Deadline sim.Duration
-}
-
-// DefaultRetryConfig sizes the budget so the total backoff span (~4s)
-// outlasts the outage windows the chaos scenarios inject.
-func DefaultRetryConfig() RetryConfig {
-	return RetryConfig{
-		Budget:      10,
-		BaseBackoff: 20 * time.Millisecond,
-		MaxBackoff:  800 * time.Millisecond,
-		Jitter:      0.5,
-		Deadline:    250 * time.Millisecond,
-	}
-}
+// The write policy. Each knob has only ever had one value, so they are
+// constants; the budget's total backoff span (~4s) outlasts the outage
+// windows the chaos scenarios inject.
+const (
+	retryBudget   = 10                     // reissues after transient failures before ErrRetriesExhausted
+	baseBackoff   = 20 * time.Millisecond  // first retry delay; doubles per retry
+	maxBackoff    = 800 * time.Millisecond // cap on the doubling
+	backoffJitter = 0.5                    // uniform fraction applied to each delay
+	// requestDeadline bounds each attempt once faults are armed; a request
+	// not committed by then is dropped on the wire and fails with ErrTimeout.
+	requestDeadline = 250 * time.Millisecond
+	// maxConflicts caps Patch's consecutive conflict re-reads; in a
+	// single-threaded simulation more than a handful indicates a logic error.
+	maxConflicts = 16
+)
 
 // CPStats aggregates the control-plane fault-layer counters: retry-layer
 // activity on the client plus relist/staleness counters from the shared
@@ -445,7 +426,7 @@ func DefaultRetryConfig() RetryConfig {
 type CPStats struct {
 	// Retries counts reissues after ErrUnavailable/ErrTimeout.
 	Retries uint64
-	// Conflicts counts ErrConflict re-reads inside UpdateWithRetry.
+	// Conflicts counts ErrConflict re-reads inside Patch.
 	Conflicts uint64
 	// Timeouts counts client-deadline expiries.
 	Timeouts uint64
@@ -503,244 +484,219 @@ func (c *Client) Watch(kind Kind, opts WatchOptions, handler func(Event)) {
 	inf.handlers = append(inf.handlers, &watchReg{opts: opts, handler: handler})
 }
 
-// Create submits obj; the Response completes after the API round trip.
-func (c *Client) Create(obj Object) *Response { return c.api.Create(obj) }
-
-// Update submits a conflict-checked replacement of obj (see
-// APIServer.Update for the ResourceVersion semantics).
-func (c *Client) Update(obj Object) *Response { return c.api.Update(obj) }
-
-// Delete begins deletion of the named object.
-func (c *Client) Delete(kind Kind, namespace, name string) *Response {
-	return c.api.Delete(kind, namespace, name)
-}
-
-// RemoveFinalizer removes f from the named object.
-func (c *Client) RemoveFinalizer(kind Kind, namespace, name, f string) *Response {
-	return c.api.RemoveFinalizer(kind, namespace, name, f)
-}
-
 // Get performs a live (quorum) read, returning a private copy the caller
 // may mutate — the read-modify-write half of an optimistic update.
 func (c *Client) Get(kind Kind, namespace, name string) (Object, bool) {
 	return c.api.Get(kind, namespace, name)
 }
 
-// UpdateStatus applies fn to the live stored object synchronously (node
-// agents' cheap status writes).
-func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object) bool) bool {
-	return c.api.UpdateStatus(kind, namespace, name, fn)
+// The six write verbs share one attempt loop (request.settle): transient
+// failures — ErrUnavailable, and ErrTimeout once the fault layer is armed —
+// are retried behind jittered exponential backoff until the budget is spent,
+// then surface as ErrRetriesExhausted wrapping the last one; any other error
+// passes through. On a never-armed server the loop is the identity: one
+// engine event, one RNG draw, no timer.
+
+// Create submits obj; the Response completes after the API round trip. The
+// server stamps UID, creation time and resource version on obj itself.
+func (c *Client) Create(obj Object) *Response {
+	return c.do(&request{verb: verbCreate, obj: obj})
 }
 
-// withDeadline arms a client-side deadline on an in-flight request once
-// the fault layer is armed: if the request has not completed when the
-// deadline fires, the pending server commit is cancelled (the request is
-// dropped on the wire, never half-applied) and the Response fails with
-// ErrTimeout. Fault-free sessions never arm timers, keeping their event
-// streams byte-identical.
-func (c *Client) withDeadline(r *Response) *Response {
-	if r.completed || c.retry.Deadline <= 0 || !c.api.FaultsArmed() {
-		return r
-	}
-	t := c.api.eng.After(c.retry.Deadline, func() { r.abandon(ErrTimeout) })
-	r.Done(func(error) { t.Cancel() })
-	return r
+// Update submits a conflict-checked replacement of obj, copied at the
+// call. A non-zero ResourceVersion that another writer has overtaken fails
+// with ErrConflict, which passes through (read-modify-write callers use
+// Patch); zero skips the precondition.
+func (c *Client) Update(obj Object) *Response {
+	return c.do(&request{verb: verbUpdate, obj: obj.DeepCopy()})
 }
 
-// backoffDelay draws one jittered backoff interval.
-func (c *Client) backoffDelay(d sim.Duration) sim.Duration {
-	if d > c.retry.MaxBackoff {
-		d = c.retry.MaxBackoff
-	}
-	return c.api.eng.Jitter(d, c.retry.Jitter)
+// Delete begins deletion of the named object: immediate without
+// finalizers, else the object turns terminating until the last finalizer
+// is removed. Children owned via OwnerUID are garbage-collected after it.
+func (c *Client) Delete(kind Kind, namespace, name string) *Response {
+	return c.do(&request{verb: verbDelete, kind: kind, ns: namespace, name: name})
 }
 
-// retryWrite issues issue() under the deadline, and on unavailability or
-// timeout reissues it after a jittered exponential backoff until the retry
-// budget is spent, then completes resp with ErrRetriesExhausted wrapping
-// the final error. Non-transient errors pass through unchanged.
-func (c *Client) retryWrite(resp *Response, issue func() *Response) {
-	var attempt func(left int, backoff sim.Duration)
-	attempt = func(left int, backoff sim.Duration) {
-		c.withDeadline(issue()).Done(func(err error) {
-			if err == nil || !retriable(err) {
-				resp.complete(err)
-				return
-			}
-			if errors.Is(err, ErrTimeout) {
-				c.stats.Timeouts++
-			}
-			if left <= 0 {
-				c.stats.Exhausted++
-				resp.complete(fmt.Errorf("%w: %w", ErrRetriesExhausted, err))
-				return
-			}
-			c.stats.Retries++
-			c.api.eng.After(c.backoffDelay(backoff), func() {
-				attempt(left-1, min(backoff*2, c.retry.MaxBackoff))
-			})
-		})
-	}
-	attempt(c.retry.Budget, c.retry.BaseBackoff)
+// RemoveFinalizer removes f from the named object, completing a pending
+// deletion when the list drains. Dropped to an outage it would wedge the
+// deletion forever, which is why no write skips the retry loop.
+func (c *Client) RemoveFinalizer(kind Kind, namespace, name, f string) *Response {
+	return c.do(&request{verb: verbRemoveFinalizer, kind: kind, ns: namespace, name: name, fin: f})
 }
 
-// CreateWithRetry is Create behind the retry layer: transient apiserver
-// failures are retried with jittered exponential backoff instead of being
-// surfaced to the controller. On a fault-free server it behaves exactly
-// like Create.
-func (c *Client) CreateWithRetry(obj Object) *Response {
-	resp := &Response{}
-	c.retryWrite(resp, func() *Response { return c.api.Create(obj) })
-	return resp
+// UpdateStatus is the node agents' status write: fn runs against the live
+// stored object and reports whether it changed anything. On a healthy
+// server it commits synchronously — the Response is complete on return —
+// and it queues behind backoff while the server is unavailable. A missing
+// object completes with ErrNotFound (it was deleted; the write is moot).
+func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object) bool) *Response {
+	return c.do(&request{verb: verbUpdateStatus, kind: kind, ns: namespace, name: name, fn: fn})
 }
 
-// UpdateWithBackoff is a conflict-checked Update behind the retry layer.
-// ErrConflict passes through (callers needing read-modify-write semantics
-// use UpdateWithRetry); unavailability and timeouts are retried.
-func (c *Client) UpdateWithBackoff(obj Object) *Response {
-	resp := &Response{}
-	c.retryWrite(resp, func() *Response { return c.api.Update(obj) })
-	return resp
+// Patch is the read-modify-write verb: it Gets the latest object, applies
+// mutate, and Updates with the fresh ResourceVersion; on ErrConflict it
+// re-reads and retries — immediately on the first conflict (the common
+// lost-race case), behind the jittered backoff on consecutive ones once
+// the fault layer is armed, and never more than maxConflicts times before
+// failing with ErrRetriesExhausted. mutate returning false skips the write
+// and completes the Response with nil (nothing to do). mutate may be
+// called several times and must therefore be idempotent against the
+// object it is handed.
+func (c *Client) Patch(kind Kind, namespace, name string, mutate func(Object) bool) *Response {
+	return c.do(&request{verb: verbPatch, kind: kind, ns: namespace, name: name, fn: mutate})
 }
 
-// DeleteWithRetry is Delete behind the retry layer.
-func (c *Client) DeleteWithRetry(kind Kind, namespace, name string) *Response {
-	resp := &Response{}
-	c.retryWrite(resp, func() *Response { return c.api.Delete(kind, namespace, name) })
-	return resp
+type verb uint8
+
+const (
+	verbCreate verb = iota
+	verbUpdate
+	verbDelete
+	verbRemoveFinalizer
+	verbUpdateStatus
+	verbPatch
+)
+
+// request is one client write from call to completion: the Response the
+// caller holds, the verb's operands and the retry state the attempt loop
+// spends. It is the only allocation the write path adds to a commit; the
+// commit, deadline and backoff events carry it through Engine.AfterCall.
+type request struct {
+	Response
+	c    *Client
+	verb verb
+	// obj is the object Create stamps, the copy Update stores, and Patch's
+	// mutated copy of the current attempt.
+	obj               Object
+	kind              Kind // kind/ns/name address the keyed verbs' object
+	ns, name, fin     string
+	fn                func(Object) bool // UpdateStatus's or Patch's callback
+	budget, conflicts int               // transient retries left; Patch re-reads so far
+	backoff           sim.Duration      // next retry delay, before jitter
+	// pending is the queued server commit, deadline the timer that drops it
+	// on the wire; both are stale between attempts.
+	pending, deadline sim.Event
 }
 
-// RemoveFinalizerWithRetry is RemoveFinalizer behind the retry layer: a
-// finalizer removal dropped to an apiserver outage would wedge its
-// object's deletion forever, so controllers must queue it with backoff.
-func (c *Client) RemoveFinalizerWithRetry(kind Kind, namespace, name, f string) *Response {
-	resp := &Response{}
-	c.retryWrite(resp, func() *Response { return c.api.RemoveFinalizer(kind, namespace, name, f) })
-	return resp
+func (c *Client) do(r *request) *Response {
+	r.c, r.budget, r.backoff = c, retryBudget, baseBackoff
+	r.attempt()
+	return &r.Response
 }
 
-// UpdateStatusWithRetry is the node agents' status write behind the retry
-// layer: synchronous and indistinguishable from UpdateStatus on a healthy
-// server, queued behind jittered backoff while it is unavailable. A
-// missing object completes with ErrNotFound (the object was deleted; the
-// status write is moot).
-func (c *Client) UpdateStatusWithRetry(kind Kind, namespace, name string, fn func(Object) bool) *Response {
-	resp := &Response{}
-	c.retryWrite(resp, func() *Response {
-		r := &Response{}
-		ok, err := c.api.TryUpdateStatus(kind, namespace, name, fn)
-		switch {
-		case err != nil:
-			r.complete(err)
-		case !ok:
-			r.complete(fmt.Errorf("%w: %s %s/%s", ErrNotFound, kind, namespace, name))
-		default:
-			r.complete(nil)
-		}
-		return r
-	})
-	return resp
-}
-
-// maxUpdateRetries bounds UpdateWithRetry's consecutive-conflict cap; in a
-// single-threaded simulation more than a handful of consecutive conflicts
-// on one object indicates a logic error.
-const maxUpdateRetries = 16
-
-// UpdateWithRetry is the Patch-style read-modify-write helper: it Gets the
-// latest object, applies mutate, and Updates with the fresh
-// ResourceVersion; on ErrConflict it re-reads and retries — immediately on
-// the first conflict (the common lost-race case), behind a jittered
-// exponential backoff on consecutive conflicts, and never more than
-// maxUpdateRetries times before failing with ErrRetriesExhausted.
-// Unavailability and timeouts are retried under the RetryConfig budget.
-// mutate returning false skips the write and completes the Response with
-// nil (nothing to do). mutate may be called several times and must
-// therefore be idempotent against the object it is handed.
-func (c *Client) UpdateWithRetry(kind Kind, namespace, name string, mutate func(Object) bool) *Response {
-	resp := &Response{}
-	var attempt func(conflicts, budget int, backoff sim.Duration)
-	attempt = func(conflicts, budget int, backoff sim.Duration) {
-		obj, ok := c.api.Get(kind, namespace, name)
+// attempt issues the request once. UpdateStatus commits on the spot; every
+// other verb queues its commit one request delay out and — only once the
+// fault layer is armed, so fault-free timelines never see the timer — a
+// deadline.
+func (r *request) attempt() {
+	a := r.c.api
+	switch r.verb {
+	case verbUpdateStatus:
+		r.settle(a.commit(r))
+		return
+	case verbPatch:
+		obj, ok := a.Get(r.kind, r.ns, r.name)
 		if !ok {
-			resp.complete(fmt.Errorf("%w: %s %s/%s", ErrNotFound, kind, namespace, name))
+			r.complete(notFound(r.kind, r.ns, r.name))
 			return
 		}
-		if !mutate(obj) {
-			resp.complete(nil)
+		if !r.fn(obj) {
+			r.complete(nil)
 			return
 		}
-		c.withDeadline(c.api.Update(obj)).Done(func(err error) {
-			switch {
-			case err == nil:
-				resp.complete(nil)
-			case errors.Is(err, ErrConflict):
-				c.stats.Conflicts++
-				if conflicts >= maxUpdateRetries {
-					c.stats.Exhausted++
-					resp.complete(fmt.Errorf("%w: %w", ErrRetriesExhausted, err))
-					return
-				}
-				if conflicts == 0 || !c.api.FaultsArmed() {
-					// Immediate re-read: the common lost-race case — and
-					// the only conflict path while the fault layer is
-					// unarmed, so fault-free timelines draw no backoff
-					// jitter and stay byte-identical.
-					attempt(conflicts+1, budget, backoff)
-					return
-				}
-				c.api.eng.After(c.backoffDelay(backoff), func() {
-					attempt(conflicts+1, budget, min(backoff*2, c.retry.MaxBackoff))
-				})
-			case retriable(err):
-				if errors.Is(err, ErrTimeout) {
-					c.stats.Timeouts++
-				}
-				if budget <= 0 {
-					c.stats.Exhausted++
-					resp.complete(fmt.Errorf("%w: %w", ErrRetriesExhausted, err))
-					return
-				}
-				c.stats.Retries++
-				c.api.eng.After(c.backoffDelay(backoff), func() {
-					attempt(conflicts, budget-1, min(backoff*2, c.retry.MaxBackoff))
-				})
-			default:
-				resp.complete(err)
-			}
-		})
+		r.obj = obj.DeepCopy() // the store keeps its own copy; mutate may have kept obj
 	}
-	attempt(0, c.retry.Budget, c.retry.BaseBackoff)
-	return resp
+	a.submit(r)
+	if a.faults != nil {
+		r.deadline = a.eng.AfterCall(requestDeadline, deadlineCall, r)
+	}
 }
+
+// deadlineCall fires when an attempt outlives requestDeadline: the pending
+// server commit is cancelled — the request is dropped on the wire, never
+// half-applied — and the attempt fails with ErrTimeout.
+func deadlineCall(arg any) {
+	r := arg.(*request)
+	r.pending.Cancel()
+	r.c.stats.Timeouts++
+	r.settle(ErrTimeout)
+}
+
+// settle is the one place an attempt's outcome is classified: done or
+// terminal (complete the Response), conflict (Patch only: re-read, the
+// first time immediately) or transient (reissue while the budget lasts).
+// Retries wait one jittered backoff interval, which doubles up to the cap;
+// a spent cap or budget is the single ErrRetriesExhausted.
+func (r *request) settle(err error) {
+	r.deadline.Cancel()
+	c := r.c
+	var retry bool
+	switch {
+	case r.verb == verbPatch && errors.Is(err, ErrConflict):
+		c.stats.Conflicts++
+		if retry = r.conflicts < maxConflicts; retry {
+			r.conflicts++
+			if r.conflicts == 1 || c.api.faults == nil {
+				// The common lost-race case — and the only conflict path
+				// while the fault layer is dormant, so fault-free timelines
+				// draw no backoff jitter.
+				r.attempt()
+				return
+			}
+		}
+	case errors.Is(err, ErrUnavailable) || errors.Is(err, ErrTimeout):
+		if retry = r.budget > 0; retry {
+			r.budget--
+			c.stats.Retries++
+		}
+	default:
+		r.complete(err)
+		return
+	}
+	if !retry {
+		c.stats.Exhausted++
+		r.complete(fmt.Errorf("%w: %w", ErrRetriesExhausted, err))
+		return
+	}
+	eng := c.api.eng
+	eng.AfterCall(eng.Jitter(r.backoff, backoffJitter), retryCall, r)
+	r.backoff = min(r.backoff*2, maxBackoff)
+}
+
+func retryCall(arg any) { arg.(*request).attempt() }
 
 // resyncInterval is the fault-recovery prober period: how often informer
 // caches are checked for watch gaps. Detection latency for a dead stream
 // is at most two periods.
 const resyncInterval = 100 * time.Millisecond
 
-// EnableFaultRecovery starts the informer resync prober: a fixed tick that
-// detects broken or stalled watch streams via per-kind sequence gaps and
-// repairs them by relist-and-replay. Idempotent. The scenario layer arms
-// it when the first control-plane fault event executes, so fault-free runs
-// schedule no tick.
-func (c *Client) EnableFaultRecovery() {
-	if c.proberOn {
-		return
+// ArmFaults arms the control-plane fault layer in one step: the API server
+// starts modelling availability (in the up state; request deadlines engage)
+// and the informer resync prober starts — a fixed tick that detects broken
+// or stalled watch streams via per-kind sequence gaps and repairs them by
+// relist-and-replay. Idempotent. The scenario layer calls it when the first
+// control-plane fault event executes, so fault-free runs schedule no tick.
+func (c *Client) ArmFaults() {
+	c.api.armFaults()
+	if c.prober.At() == 0 {
+		c.prober = c.api.eng.After(resyncInterval, c.probeTick)
 	}
-	c.proberOn = true
-	c.prober = c.api.eng.After(resyncInterval, c.probeTick)
 }
+
+// FaultsArmed reports whether the fault layer was ever armed, through
+// ArmFaults or by a fault call on the API server. It is the one answer to
+// "is the control-plane layer on"; consumers keep no copy.
+func (c *Client) FaultsArmed() bool { return c.api.faults != nil }
 
 // StopFaultRecovery stops the prober and performs one final repair sweep:
 // any informer still behind the store (severed stream or undelivered gap)
-// is relisted, so post-run drains converge deterministically. Safe to call
-// when never enabled.
+// is relisted, so post-run drains converge deterministically. No-op unless
+// the prober is running.
 func (c *Client) StopFaultRecovery() {
-	if !c.proberOn {
+	if c.prober.At() == 0 {
 		return
 	}
-	c.proberOn = false
 	c.prober.Cancel()
 	for _, kind := range c.sortedKinds() {
 		inf := c.informers[kind]
@@ -760,9 +716,6 @@ func (c *Client) sortedKinds() []Kind {
 }
 
 func (c *Client) probeTick() {
-	if !c.proberOn {
-		return
-	}
 	now := c.api.eng.Now()
 	for _, kind := range c.sortedKinds() {
 		inf := c.informers[kind]

@@ -16,7 +16,7 @@ func newTestAPI() (*sim.Engine, *APIServer) {
 
 func mustCreate(t *testing.T, eng *sim.Engine, api *APIServer, obj Object) {
 	t.Helper()
-	resp := api.Create(obj)
+	resp := api.Client().Create(obj)
 	eng.Run()
 	if err := resp.Err(); err != nil {
 		t.Fatalf("create %s: %v", obj.GetMeta().Key(), err)
@@ -35,14 +35,14 @@ func TestStaleUpdateConflicts(t *testing.T) {
 	b, _ := api.Get(KindJob, "ns", "j")
 
 	a.(*Job).Spec.Parallelism = 2
-	respA := api.Update(a)
+	respA := api.Client().Update(a)
 	eng.Run()
 	if err := respA.Err(); err != nil {
 		t.Fatalf("first update: %v", err)
 	}
 
 	b.(*Job).Spec.Parallelism = 9
-	respB := api.Update(b)
+	respB := api.Client().Update(b)
 	eng.Run()
 	if err := respB.Err(); !errors.Is(err, ErrConflict) {
 		t.Fatalf("stale update err = %v, want ErrConflict", err)
@@ -56,17 +56,17 @@ func TestStaleUpdateConflicts(t *testing.T) {
 	blind := got.(*Job).DeepCopy().(*Job)
 	blind.Meta.ResourceVersion = 0
 	blind.Spec.Parallelism = 5
-	respC := api.Update(blind)
+	respC := api.Client().Update(blind)
 	eng.Run()
 	if err := respC.Err(); err != nil {
 		t.Fatalf("blind update: %v", err)
 	}
 }
 
-// TestUpdateWithRetryConverges drives the Patch-style helper against an
+// TestPatchConverges drives the read-modify-write verb against an
 // interfering writer: the losing attempt re-reads and reapplies, so the
 // mutation lands on top of the interferer's state instead of clobbering it.
-func TestUpdateWithRetryConverges(t *testing.T) {
+func TestPatchConverges(t *testing.T) {
 	// Zero jitter makes commits land in scheduling order, so the
 	// interleaving below is deterministic: the interfering write is
 	// scheduled (and therefore commits) before the helper's first update.
@@ -82,12 +82,12 @@ func TestUpdateWithRetryConverges(t *testing.T) {
 		j := obj.(*Job)
 		j.Meta.ResourceVersion = 0
 		j.Spec.Parallelism++
-		api.Update(j)
+		api.Client().Update(j)
 	}
 	interfere()
 
 	mutations := 0
-	resp := cli.UpdateWithRetry(KindJob, "ns", "j", func(obj Object) bool {
+	resp := cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
 		mutations++
 		m := obj.GetMeta()
 		if m.HasFinalizer("test/f") {
@@ -98,7 +98,7 @@ func TestUpdateWithRetryConverges(t *testing.T) {
 	})
 	eng.Run()
 	if err := resp.Err(); err != nil {
-		t.Fatalf("retry helper: %v", err)
+		t.Fatalf("patch: %v", err)
 	}
 	if mutations != 2 {
 		t.Errorf("mutate ran %d times, want 2 (first attempt loses to the interferer)", mutations)
@@ -128,13 +128,13 @@ func TestWatchEventsArriveInCommitOrder(t *testing.T) {
 			seen = append(seen, ev.Object.GetMeta().ResourceVersion)
 		})
 		job := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}}
-		api.Create(job)
+		api.Client().Create(job)
 		eng.Run()
 		for i := 0; i < 5; i++ {
 			got, _ := api.Get(KindJob, "ns", "j")
 			j := got.(*Job)
 			j.Spec.Parallelism = i + 1
-			api.Update(j)
+			api.Client().Update(j)
 			eng.Run()
 		}
 		if len(seen) != 6 {
@@ -176,9 +176,9 @@ func TestListerReflectsEventBeforeHandlers(t *testing.T) {
 	})
 	pod := &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p",
 		Labels: map[string]string{"job-name": "j"}}}
-	api.Create(pod)
+	api.Client().Create(pod)
 	eng.Run()
-	api.Delete(KindPod, "ns", "p")
+	api.Client().Delete(KindPod, "ns", "p")
 	eng.Run()
 	if checked != 2 {
 		t.Fatalf("handler ran %d times, want 2", checked)
@@ -207,7 +207,7 @@ func TestGateResolvesDuringStalenessWindow(t *testing.T) {
 		}
 	})
 
-	resp := api.Create(&Custom{Meta: Meta{Kind: kindCRD, Namespace: "ns", Name: "crd"}})
+	resp := api.Client().Create(&Custom{Meta: Meta{Kind: kindCRD, Namespace: "ns", Name: "crd"}})
 	committed := false
 	resp.Done(func(err error) {
 		if err != nil {
@@ -245,7 +245,7 @@ func TestFilteredWatchScopes(t *testing.T) {
 	for i, tc := range []struct {
 		ns, node string
 	}{{"a", "node0"}, {"b", "node1"}, {"b", "node0"}} {
-		api.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: tc.ns, Name: fmt.Sprintf("p%d", i)},
+		api.Client().Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: tc.ns, Name: fmt.Sprintf("p%d", i)},
 			Spec: PodSpec{NodeName: tc.node}})
 	}
 	eng.Run()
@@ -263,7 +263,7 @@ func TestOrphanGCDeterministicOrder(t *testing.T) {
 		eng := sim.NewEngine(7) // fixed seed: order must not depend on map iteration
 		api := NewAPIServer(eng, DefaultAPILatency())
 		owner := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "owner"}}
-		resp := api.Create(owner)
+		resp := api.Client().Create(owner)
 		eng.Run()
 		if resp.Err() != nil {
 			t.Fatal(resp.Err())
@@ -271,8 +271,8 @@ func TestOrphanGCDeterministicOrder(t *testing.T) {
 		got, _ := api.Get(KindJob, "ns", "owner")
 		uid := got.GetMeta().UID
 		for _, name := range []string{"c3", "c1", "c2"} {
-			api.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: name, OwnerUID: uid}})
-			api.Create(&Custom{Meta: Meta{Kind: "Child", Namespace: "ns", Name: name, OwnerUID: uid}})
+			api.Client().Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: name, OwnerUID: uid}})
+			api.Client().Create(&Custom{Meta: Meta{Kind: "Child", Namespace: "ns", Name: name, OwnerUID: uid}})
 		}
 		eng.Run()
 		var order []string
@@ -286,7 +286,7 @@ func TestOrphanGCDeterministicOrder(t *testing.T) {
 				order = append(order, "Child/"+ev.Object.GetMeta().Name)
 			}
 		})
-		api.Delete(KindJob, "ns", "owner")
+		api.Client().Delete(KindJob, "ns", "owner")
 		eng.Run()
 		if len(order) != 6 {
 			t.Fatalf("gc deleted %d children, want 6", len(order))
@@ -295,5 +295,124 @@ func TestOrphanGCDeterministicOrder(t *testing.T) {
 	}
 	if len(ordersSeen) != 1 {
 		t.Errorf("gc deletion order varies across identical runs: %v", ordersSeen)
+	}
+}
+
+// TestDormantWritesAreIdentity pins the write policy's dormant contract for
+// all six verbs. On a server whose fault layer was never armed a verb costs
+// exactly what its bare commit costs — one engine event behind one jittered
+// request delay, nothing for the synchronous status write — with no timer
+// and no extra RNG draw: a same-seed twin engine running the in-package raw
+// commit ends on the same step count and the same next random number. Each
+// allocation ceiling is what the retry helper this verb replaced allocated
+// for the same cheap write on the same fixture (AllocsPerRun at the parent
+// commit); the single request struct must stay at or under it.
+func TestDormantWritesAreIdentity(t *testing.T) {
+	noop := func(Object) bool { return false }
+	touch := func(obj Object) bool { obj.(*Job).Status.Active++; return true }
+	cases := []struct {
+		name string
+		verb func(cli *Client) *Response
+		// raw is the reference: the bare commit function behind one request
+		// delay, or on the spot for the synchronous status write.
+		raw func(eng *sim.Engine, api *APIServer)
+		// cheap is the verb's cheapest outcome (an error or a no-op), the
+		// steady state AllocsPerRun can repeat; ceiling bounds its allocations.
+		cheap   func(cli *Client) *Response
+		ceiling float64
+	}{
+		{name: "Create",
+			verb: func(cli *Client) *Response {
+				return cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
+			},
+			raw: func(eng *sim.Engine, api *APIServer) {
+				eng.After(api.reqDelay(), func() {
+					api.commitCreate(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
+				})
+			},
+			cheap: func(cli *Client) *Response {
+				return cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "victim"}})
+			},
+			ceiling: 14},
+		{name: "Update",
+			verb: func(cli *Client) *Response { return issueVerb("Update", cli) },
+			raw: func(eng *sim.Engine, api *APIServer) {
+				job := storedJob(api)
+				widen(job)
+				eng.After(api.reqDelay(), func() { api.commitUpdate(job) })
+			},
+			cheap: func(cli *Client) *Response {
+				return cli.Update(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "nope"}})
+			},
+			ceiling: 15},
+		{name: "Delete",
+			verb: func(cli *Client) *Response { return issueVerb("Delete", cli) },
+			raw: func(eng *sim.Engine, api *APIServer) {
+				eng.After(api.reqDelay(), func() { api.commitDelete(KindPod, "ns", "victim") })
+			},
+			cheap:   func(cli *Client) *Response { return cli.Delete(KindPod, "ns", "nope") },
+			ceiling: 13},
+		{name: "RemoveFinalizer",
+			verb: func(cli *Client) *Response { return issueVerb("RemoveFinalizer", cli) },
+			raw: func(eng *sim.Engine, api *APIServer) {
+				eng.After(api.reqDelay(), func() { api.commitRemoveFinalizer(KindJob, "ns", "j", "test/f") })
+			},
+			cheap:   func(cli *Client) *Response { return cli.RemoveFinalizer(KindJob, "ns", "j", "absent") },
+			ceiling: 15},
+		{name: "UpdateStatus",
+			verb:    func(cli *Client) *Response { return cli.UpdateStatus(KindJob, "ns", "j", touch) },
+			raw:     func(_ *sim.Engine, api *APIServer) { api.commitStatus(KindJob, "ns", "j", touch) },
+			cheap:   func(cli *Client) *Response { return cli.UpdateStatus(KindJob, "ns", "j", noop) },
+			ceiling: 6},
+		{name: "Patch",
+			verb: func(cli *Client) *Response { return issueVerb("Patch", cli) },
+			raw: func(eng *sim.Engine, api *APIServer) {
+				job := storedJob(api)
+				widen(job)
+				eng.After(api.reqDelay(), func() { api.commitUpdate(job.DeepCopy()) })
+			},
+			cheap:   func(cli *Client) *Response { return cli.Patch(KindJob, "ns", "j", noop) },
+			ceiling: 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, _, cli := writeFixture(t)
+			twinEng, twinAPI, twinCli := writeFixture(t)
+			// A watcher on each kind, so commits draw delivery jitter too.
+			for _, c := range []*Client{cli, twinCli} {
+				c.Informer(KindJob)
+				c.Informer(KindPod)
+			}
+			steps, twinSteps := eng.Steps, twinEng.Steps
+
+			resp := tc.verb(cli)
+			tc.raw(twinEng, twinAPI)
+			if got, want := eng.Pending(), twinEng.Pending(); got != want {
+				t.Errorf("verb queued %d event(s), raw commit %d", got, want)
+			}
+			eng.Run()
+			twinEng.Run()
+			if err := resp.Err(); err != nil {
+				t.Fatalf("verb failed: %v", err)
+			}
+			if got, want := eng.Steps-steps, twinEng.Steps-twinSteps; got != want {
+				t.Errorf("verb ran %d engine step(s), raw commit %d", got, want)
+			}
+			if got, want := eng.Rand().Int63(), twinEng.Rand().Int63(); got != want {
+				t.Errorf("RNG streams diverged: next draw %d after the verb, %d after the raw commit", got, want)
+			}
+			if cli.FaultsArmed() {
+				t.Error("a write armed the fault layer")
+			}
+
+			allocs := testing.AllocsPerRun(100, func() {
+				tc.cheap(cli)
+				eng.Run()
+			})
+			if allocs > tc.ceiling {
+				t.Errorf("%v allocs per write, ceiling %v", allocs, tc.ceiling)
+			}
+			t.Logf("%v allocs per write (ceiling %v)", allocs, tc.ceiling)
+		})
 	}
 }

@@ -72,7 +72,7 @@ func (c *Cluster) CreateNamespace(name string) {
 // apiserver outage is queued with backoff rather than lost.
 func (c *Cluster) SubmitJob(job *Job) *Response {
 	job.Meta.Kind = KindJob
-	return c.Client.CreateWithRetry(job)
+	return c.Client.Create(job)
 }
 
 // Job returns the current state of a job (a live read; the caller may

@@ -9,137 +9,230 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
 
-// TestOutageFailsWritesRetryRecovers is the outage round trip: writes
-// issued into a full outage fail and are reissued with backoff by the
-// retry layer, then commit once the apiserver recovers.
-func TestOutageFailsWritesRetryRecovers(t *testing.T) {
+// verbCase is one of the six client writes aimed at the writeFixture: issue
+// fires it, applied reports whether its effect reached the store.
+type verbCase struct {
+	name    string
+	issue   func(cli *Client) *Response
+	applied func(api *APIServer) bool
+	// sync marks UpdateStatus: it commits on the spot, so it spends no time
+	// on the wire for a deadline to cut short.
+	sync bool
+}
+
+// writeFixture boots a server holding job ns/j (finalizer test/f) and pod
+// ns/victim, the objects the verbCases write to.
+func writeFixture(t *testing.T) (*sim.Engine, *APIServer, *Client) {
+	t.Helper()
 	eng, api := newTestAPI()
-	cli := api.Client()
+	mustCreate(t, eng, api, &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j", Finalizers: []string{"test/f"}}})
+	mustCreate(t, eng, api, &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "victim"}})
+	return eng, api, api.Client()
+}
 
-	api.FailAPIServer()
-	if api.Availability() != AvailDown {
-		t.Fatalf("availability = %v, want down", api.Availability())
-	}
-	resp := cli.CreateWithRetry(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
+func storedJob(api *APIServer) *Job {
+	obj, _ := api.Get(KindJob, "ns", "j")
+	return obj.(*Job)
+}
 
-	eng.RunFor(300 * time.Millisecond)
-	if resp.Completed() {
-		t.Fatalf("request completed during outage: %v", resp.Err())
-	}
+func widen(obj Object) bool {
+	obj.(*Job).Spec.Parallelism = 7
+	return true
+}
 
-	api.RecoverAPIServer()
-	eng.Run()
-	if err := resp.Err(); err != nil {
-		t.Fatalf("request after recovery: %v", err)
+var verbCases = []verbCase{
+	{name: "Create",
+		issue: func(cli *Client) *Response {
+			return cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
+		},
+		applied: func(api *APIServer) bool { _, ok := api.Get(KindPod, "ns", "p"); return ok }},
+	{name: "Update",
+		issue: func(cli *Client) *Response {
+			job := storedJob(cli.API()) // carries the stored ResourceVersion
+			widen(job)
+			return cli.Update(job)
+		},
+		applied: func(api *APIServer) bool { return storedJob(api).Spec.Parallelism == 7 }},
+	{name: "Delete",
+		issue:   func(cli *Client) *Response { return cli.Delete(KindPod, "ns", "victim") },
+		applied: func(api *APIServer) bool { _, ok := api.Get(KindPod, "ns", "victim"); return !ok }},
+	{name: "RemoveFinalizer",
+		issue:   func(cli *Client) *Response { return cli.RemoveFinalizer(KindJob, "ns", "j", "test/f") },
+		applied: func(api *APIServer) bool { return !storedJob(api).Meta.HasFinalizer("test/f") }},
+	{name: "UpdateStatus", sync: true,
+		issue: func(cli *Client) *Response {
+			return cli.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
+				obj.(*Job).Status.Active = 3
+				return true
+			})
+		},
+		applied: func(api *APIServer) bool { return storedJob(api).Status.Active == 3 }},
+	{name: "Patch",
+		issue:   func(cli *Client) *Response { return cli.Patch(KindJob, "ns", "j", widen) },
+		applied: func(api *APIServer) bool { return storedJob(api).Spec.Parallelism == 7 }},
+}
+
+// issueVerb fires the named verbCase.
+func issueVerb(name string, cli *Client) *Response {
+	for _, v := range verbCases {
+		if v.name == name {
+			return v.issue(cli)
+		}
 	}
-	if _, ok := api.Get(KindPod, "ns", "p"); !ok {
-		t.Fatal("object missing after recovery")
-	}
-	if got := cli.Stats().Retries; got == 0 {
-		t.Error("no retries counted across the outage")
+	panic("no verbCase " + name)
+}
+
+// TestWritePolicyUnderFaults is the write policy's fault contract, the same
+// for all six verbs because they share one attempt loop: an outage shorter
+// than the retry budget is absorbed, one that outlasts it surfaces as the
+// typed ErrRetriesExhausted, and a commit slower than the armed deadline is
+// dropped on the wire, never half-applied.
+func TestWritePolicyUnderFaults(t *testing.T) {
+	for _, v := range verbCases {
+		t.Run(v.name+"/outage within budget", func(t *testing.T) {
+			eng, api, cli := writeFixture(t)
+			api.FailAPIServer()
+			if api.Availability() != AvailDown {
+				t.Fatalf("availability = %v, want down", api.Availability())
+			}
+			resp := v.issue(cli)
+			eng.RunFor(300 * time.Millisecond)
+			if resp.Completed() {
+				t.Fatalf("completed during the outage: %v", resp.Err())
+			}
+			api.RecoverAPIServer()
+			eng.Run()
+			if err := resp.Err(); err != nil {
+				t.Fatalf("after recovery: %v", err)
+			}
+			if !v.applied(api) {
+				t.Error("write missing from the store after recovery")
+			}
+			if cli.Stats().Retries == 0 {
+				t.Error("no retries counted across the outage")
+			}
+		})
+		t.Run(v.name+"/outage past budget", func(t *testing.T) {
+			eng, api, cli := writeFixture(t)
+			api.FailAPIServer()
+			resp := v.issue(cli)
+			eng.Run()
+			err := resp.Err()
+			if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrUnavailable) {
+				t.Fatalf("err = %v, want ErrRetriesExhausted wrapping ErrUnavailable", err)
+			}
+			if st := cli.Stats(); st.Exhausted != 1 || st.Retries != retryBudget {
+				t.Errorf("exhausted = %d, retries = %d, want 1 and %d", st.Exhausted, st.Retries, retryBudget)
+			}
+			if v.applied(api) {
+				t.Error("exhausted write reached the store")
+			}
+		})
+		t.Run(v.name+"/commit past deadline", func(t *testing.T) {
+			eng, api, cli := writeFixture(t)
+			// Latency factor 1000 puts every commit (~6s) far past the 250ms
+			// deadline: every attempt times out and the budget drains.
+			api.DegradeAPIServer(1000, 0)
+			resp := v.issue(cli)
+			if v.sync {
+				if err := resp.Err(); err != nil || !v.applied(api) || cli.Stats().Timeouts != 0 {
+					t.Fatalf("synchronous write: err = %v, applied = %v, timeouts = %d",
+						err, v.applied(api), cli.Stats().Timeouts)
+				}
+				return
+			}
+			eng.Run()
+			err := resp.Err()
+			if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrTimeout) {
+				t.Fatalf("err = %v, want ErrRetriesExhausted wrapping ErrTimeout", err)
+			}
+			if got := cli.Stats().Timeouts; got != retryBudget+1 {
+				t.Errorf("timeouts = %d, want %d (every attempt)", got, retryBudget+1)
+			}
+			if v.applied(api) {
+				t.Error("timed-out write committed anyway")
+			}
+		})
 	}
 }
 
-// TestRetriesExhaustedTyped pins the typed failure: a permanent outage
-// spends the whole budget and surfaces ErrRetriesExhausted wrapping
-// ErrUnavailable.
-func TestRetriesExhaustedTyped(t *testing.T) {
-	eng, api := newTestAPI()
-	cli := api.Client()
-
-	api.FailAPIServer()
-	resp := cli.CreateWithRetry(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
-	eng.Run()
-
-	err := resp.Err()
-	if !errors.Is(err, ErrRetriesExhausted) {
-		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
-	}
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("err = %v, should wrap ErrUnavailable", err)
-	}
-	if got := cli.Stats().Exhausted; got != 1 {
-		t.Errorf("exhausted = %d, want 1", got)
-	}
-}
-
-// TestUpdateWithRetryConflictBound pins the conflict cap (satellite of the
-// fault-layer PR): under sustained conflicts UpdateWithRetry stops after
-// maxUpdateRetries re-reads and returns the typed error instead of
-// spinning unboundedly.
-func TestUpdateWithRetryConflictBound(t *testing.T) {
-	eng, api := newTestAPI()
-	cli := api.Client()
-	mustCreate(t, eng, api, &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}})
-
-	// A 1ms blind-write ticker guarantees the stored revision moves between
-	// every Get and its Update commit (request latency ≥ 3.9ms), so each
-	// attempt conflicts.
+// conflictStorm makes every conflict-checked write to job ns/j lose: a 1ms
+// status-write ticker moves the stored revision between any read and its
+// Update commit (request latency ≥ 3.9ms). The returned func stops it.
+func conflictStorm(eng *sim.Engine, cli *Client) (stop func()) {
+	stopped := false
 	var tick func()
-	stop := false
 	tick = func() {
-		if stop {
+		if stopped {
 			return
 		}
-		api.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
-			obj.(*Job).Spec.Parallelism++
+		cli.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
+			obj.(*Job).Status.Failed++
 			return true
 		})
 		eng.After(time.Millisecond, tick)
 	}
 	eng.After(time.Millisecond, tick)
-
-	mutations := 0
-	resp := cli.UpdateWithRetry(KindJob, "ns", "j", func(obj Object) bool {
-		mutations++
-		obj.GetMeta().Finalizers = []string{"test/f"}
-		return true
-	})
-	eng.RunUntilDone(resp.Completed, eng.Now().Add(time.Hour))
-	stop = true
-
-	if err := resp.Err(); !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrConflict) {
-		t.Fatalf("err = %v, want ErrRetriesExhausted wrapping ErrConflict", err)
-	}
-	if want := maxUpdateRetries + 1; mutations != want {
-		t.Errorf("mutate ran %d times, want %d (initial + capped retries)", mutations, want)
-	}
+	return func() { stopped = true }
 }
 
-// TestUpdateWithRetryBacksOffWhenArmed verifies the jittered conflict
-// backoff engages once the fault layer is armed: retries 2..N wait, so the
-// capped sequence takes macroscopic virtual time instead of completing in
-// a burst of immediate re-reads.
-func TestUpdateWithRetryBacksOffWhenArmed(t *testing.T) {
+// TestWritePolicyConflicts is the conflict column of the policy: Update
+// hands ErrConflict straight back, Patch re-reads (TestPatchConverges covers
+// the re-read landing) and gives up with the typed error on the 17th
+// consecutive conflict instead of spinning unboundedly.
+func TestWritePolicyConflicts(t *testing.T) {
+	t.Run("Update passes through", func(t *testing.T) {
+		eng, _, cli := writeFixture(t)
+		stop := conflictStorm(eng, cli)
+		resp := issueVerb("Update", cli)
+		eng.RunUntilDone(resp.Completed, eng.Now().Add(time.Hour))
+		stop()
+		if err := resp.Err(); !errors.Is(err, ErrConflict) || errors.Is(err, ErrRetriesExhausted) {
+			t.Fatalf("err = %v, want bare ErrConflict", err)
+		}
+		if st := cli.Stats(); st.Conflicts != 0 || st.Retries != 0 {
+			t.Errorf("Update spent policy on a conflict: %+v", st)
+		}
+	})
+	t.Run("Patch caps re-reads", func(t *testing.T) {
+		eng, _, cli := writeFixture(t)
+		stop := conflictStorm(eng, cli)
+		mutations := 0
+		resp := cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
+			mutations++
+			return widen(obj)
+		})
+		eng.RunUntilDone(resp.Completed, eng.Now().Add(time.Hour))
+		stop()
+		if err := resp.Err(); !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrConflict) {
+			t.Fatalf("err = %v, want ErrRetriesExhausted wrapping ErrConflict", err)
+		}
+		if want := maxConflicts + 1; mutations != want {
+			t.Errorf("mutate ran %d times, want %d (initial + capped re-reads)", mutations, want)
+		}
+		if st := cli.Stats(); st.Conflicts != maxConflicts+1 || st.Exhausted != 1 {
+			t.Errorf("conflicts = %d, exhausted = %d, want %d and 1", st.Conflicts, st.Exhausted, maxConflicts+1)
+		}
+	})
+}
+
+// TestPatchBacksOffWhenArmed verifies the jittered conflict backoff engages
+// once the fault layer is armed: re-reads 2..N wait, so the capped sequence
+// takes macroscopic virtual time instead of completing in a burst of
+// immediate re-reads.
+func TestPatchBacksOffWhenArmed(t *testing.T) {
 	elapsed := func(arm bool) sim.Duration {
-		eng, api := newTestAPI()
-		cli := api.Client()
-		mustCreate(t, eng, api, &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}})
+		eng, api, cli := writeFixture(t)
 		if arm {
 			api.RecoverAPIServer() // arms the layer without injecting faults
 		}
-		stop := false
-		var tick func()
-		tick = func() {
-			if stop {
-				return
-			}
-			api.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
-				obj.(*Job).Spec.Parallelism++
-				return true
-			})
-			eng.After(time.Millisecond, tick)
-		}
-		eng.After(time.Millisecond, tick)
+		stop := conflictStorm(eng, cli)
 		start := eng.Now()
-		resp := cli.UpdateWithRetry(KindJob, "ns", "j", func(obj Object) bool {
-			obj.GetMeta().Finalizers = []string{"test/f"}
-			return true
-		})
+		resp := cli.Patch(KindJob, "ns", "j", widen)
 		eng.RunUntilDone(resp.Completed, eng.Now().Add(time.Hour))
-		stop = true
+		stop()
 		if err := resp.Err(); !errors.Is(err, ErrRetriesExhausted) {
-			panic(fmt.Sprintf("err = %v, want ErrRetriesExhausted", err))
+			t.Fatalf("err = %v, want ErrRetriesExhausted", err)
 		}
 		return eng.Now().Sub(start)
 	}
@@ -148,6 +241,34 @@ func TestUpdateWithRetryBacksOffWhenArmed(t *testing.T) {
 	slow := elapsed(true)
 	if slow < 2*fast {
 		t.Errorf("armed conflict chain took %v, unarmed %v; want clear backoff separation", slow, fast)
+	}
+}
+
+// TestOrphanGCSurvivesOutage pins the garbage collector's exemption from
+// the availability model: an outage that begins right after an owner's
+// deletion committed — inside the request delay of the GC's own deletes —
+// must not leak the children, because nobody retries a GC write.
+func TestOrphanGCSurvivesOutage(t *testing.T) {
+	eng, api := newTestAPI()
+	cli := api.Client()
+	owner := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "owner"}}
+	mustCreate(t, eng, api, owner)
+	for i := 0; i < 3; i++ {
+		mustCreate(t, eng, api, &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns",
+			Name: fmt.Sprintf("child%d", i), OwnerUID: owner.Meta.UID}})
+	}
+
+	cli.Delete(KindJob, "ns", "owner").Done(func(err error) {
+		if err != nil {
+			t.Errorf("owner delete: %v", err)
+		}
+		api.FailAPIServer()
+	})
+	eng.RunFor(time.Second)
+	api.RecoverAPIServer()
+	eng.RunFor(10 * time.Second)
+	if left := api.List(KindPod, "ns"); len(left) != 0 {
+		t.Fatalf("%d of 3 owned pods leaked past the outage", len(left))
 	}
 }
 
@@ -166,7 +287,7 @@ func TestDegradedModeErrorsAndLatency(t *testing.T) {
 	// eventually lands; some retries must have happened across 20 writes.
 	var resps []*Response
 	for i := 0; i < 20; i++ {
-		resps = append(resps, cli.CreateWithRetry(&Pod{
+		resps = append(resps, cli.Create(&Pod{
 			Meta: Meta{Kind: KindPod, Namespace: "ns", Name: fmt.Sprintf("p%02d", i)},
 		}))
 	}
@@ -181,66 +302,10 @@ func TestDegradedModeErrorsAndLatency(t *testing.T) {
 	}
 
 	api.RecoverAPIServer()
-	resp := cli.CreateWithRetry(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "after"}})
+	resp := cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "after"}})
 	eng.Run()
 	if err := resp.Err(); err != nil {
 		t.Fatalf("write after recovery: %v", err)
-	}
-}
-
-// TestDeadlineTimesOutSlowRequests pins the deadline contract: once the
-// fault layer is armed, a request whose commit would land after the
-// client deadline is dropped on the wire (never half-applied) and fails
-// with ErrTimeout.
-func TestDeadlineTimesOutSlowRequests(t *testing.T) {
-	eng, api := newTestAPI()
-	cli := api.Client()
-
-	// Latency factor 1000 puts every commit (~6s) far past the 250ms
-	// deadline: all attempts time out and the budget drains.
-	api.DegradeAPIServer(1000, 0)
-	resp := cli.CreateWithRetry(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
-	eng.Run()
-
-	err := resp.Err()
-	if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrRetriesExhausted wrapping ErrTimeout", err)
-	}
-	if got := cli.Stats().Timeouts; got == 0 {
-		t.Error("no timeouts counted")
-	}
-	// The cancelled commits must not have half-applied.
-	if _, ok := api.Get(KindPod, "ns", "p"); ok {
-		t.Error("timed-out create committed anyway")
-	}
-}
-
-// TestStatusWriteRetriesAcrossOutage covers the kubelet path: a status
-// write issued during an outage is queued behind backoff and commits after
-// recovery instead of being dropped.
-func TestStatusWriteRetriesAcrossOutage(t *testing.T) {
-	eng, api := newTestAPI()
-	cli := api.Client()
-	mustCreate(t, eng, api, &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
-
-	api.FailAPIServer()
-	resp := cli.UpdateStatusWithRetry(KindPod, "ns", "p", func(obj Object) bool {
-		obj.(*Pod).Status.Phase = PodRunning
-		return true
-	})
-	eng.RunFor(200 * time.Millisecond)
-	if resp.Completed() {
-		t.Fatalf("status write completed during outage: %v", resp.Err())
-	}
-
-	api.RecoverAPIServer()
-	eng.Run()
-	if err := resp.Err(); err != nil {
-		t.Fatalf("status write after recovery: %v", err)
-	}
-	got, _ := api.Get(KindPod, "ns", "p")
-	if got.(*Pod).Status.Phase != PodRunning {
-		t.Errorf("phase = %v, want running", got.(*Pod).Status.Phase)
 	}
 }
 
@@ -263,10 +328,10 @@ func TestWatchBreakRelistConverges(t *testing.T) {
 	})
 	// Note: once the prober is enabled, eng.Run() would never drain (the
 	// tick reschedules itself); these tests advance time with RunFor.
-	cli.EnableFaultRecovery()
+	cli.ArmFaults()
 
-	api.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "keep"}})
-	api.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "gone"}})
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "keep"}})
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "gone"}})
 	eng.RunFor(60 * time.Millisecond)
 	if adds != 2 {
 		t.Fatalf("adds before break = %d, want 2", adds)
@@ -276,8 +341,8 @@ func TestWatchBreakRelistConverges(t *testing.T) {
 		t.Fatal("no watchers broken")
 	}
 	// Commits behind the broken stream: one new pod, one deletion.
-	api.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "missed"}})
-	api.Delete(KindPod, "ns", "gone")
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "missed"}})
+	cli.Delete(KindPod, "ns", "gone")
 	eng.RunFor(50 * time.Millisecond)
 	if adds != 2 || dels != 0 {
 		t.Fatalf("events leaked through broken watch: adds=%d dels=%d", adds, dels)
@@ -301,7 +366,7 @@ func TestWatchBreakRelistConverges(t *testing.T) {
 
 	// Repaired stream: fresh commits flow again without another relist.
 	before := cli.Stats().Relists
-	api.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "fresh"}})
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "fresh"}})
 	eng.RunFor(60 * time.Millisecond)
 	if adds != 4 {
 		t.Errorf("post-repair add not delivered: adds=%d", adds)
@@ -373,7 +438,7 @@ func TestRelistRebuildsIndexesAtomically(t *testing.T) {
 		checkConsistent(fmt.Sprintf("handler at event %d (%v %s)",
 			replayed, ev.Type, ev.Object.GetMeta().Key()))
 	})
-	cli.EnableFaultRecovery()
+	cli.ArmFaults()
 
 	pod := func(name, job, node string, owner UID) *Pod {
 		return &Pod{
@@ -382,17 +447,17 @@ func TestRelistRebuildsIndexesAtomically(t *testing.T) {
 			Spec: PodSpec{NodeName: node},
 		}
 	}
-	api.Create(pod("a", "j1", "n0", "uid-1"))
-	api.Create(pod("b", "j1", "n1", "uid-1"))
-	api.Create(pod("c", "j2", "n0", "uid-2"))
+	cli.Create(pod("a", "j1", "n0", "uid-1"))
+	cli.Create(pod("b", "j1", "n1", "uid-1"))
+	cli.Create(pod("c", "j2", "n0", "uid-2"))
 	eng.RunFor(60 * time.Millisecond)
 
 	api.BreakWatch(KindPod)
 	// Mutations behind the severed stream: delete, add, move.
-	api.Delete(KindPod, "ns", "b")
-	api.Create(pod("d", "j2", "n1", "uid-2"))
+	cli.Delete(KindPod, "ns", "b")
+	cli.Create(pod("d", "j2", "n1", "uid-2"))
 	eng.RunFor(30 * time.Millisecond)
-	api.UpdateStatus(KindPod, "ns", "c", func(obj Object) bool {
+	cli.UpdateStatus(KindPod, "ns", "c", func(obj Object) bool {
 		obj.(*Pod).Spec.NodeName = "n2"
 		return true
 	})
@@ -417,7 +482,7 @@ func TestCancelPendingDeliveries(t *testing.T) {
 	cli.Watch(KindPod, WatchOptions{}, func(Event) {})
 
 	mustCreate(t, eng, api, &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
-	api.Delete(KindPod, "ns", "p")
+	cli.Delete(KindPod, "ns", "p")
 	// Run just past the request delay: the delete committed, its delivery
 	// timer is still queued.
 	eng.RunFor(10 * time.Millisecond)
@@ -445,12 +510,12 @@ func TestLostWriteEscapesGapDetection(t *testing.T) {
 	eng, api := newTestAPI()
 	cli := api.Client()
 	cli.Informer(KindPod)
-	cli.EnableFaultRecovery()
+	cli.ArmFaults()
 
-	api.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
 	eng.RunFor(60 * time.Millisecond)
 	api.SetDebugLoseWrite(KindPod, 1)
-	api.UpdateStatus(KindPod, "ns", "p", func(obj Object) bool {
+	cli.UpdateStatus(KindPod, "ns", "p", func(obj Object) bool {
 		obj.(*Pod).Status.Phase = PodRunning
 		return true
 	})

@@ -170,7 +170,7 @@ func (c *JobController) reconcile(key string) {
 	}
 	c.created[key] = n + 1
 	c.lastOp = c.cli.Engine().Now()
-	c.cli.CreateWithRetry(pod).Done(func(err error) {
+	c.cli.Create(pod).Done(func(err error) {
 		if err != nil {
 			c.created[key]--
 			// Retry budget spent against an unavailable apiserver: the
@@ -224,7 +224,7 @@ func (c *JobController) onPodUpdate(pod *Pod) {
 		ttl          sim.Duration
 		ttlDelete    bool
 	)
-	resp := c.cli.UpdateWithRetry(KindJob, ns, jobName, func(obj Object) bool {
+	resp := c.cli.Patch(KindJob, ns, jobName, func(obj Object) bool {
 		job := obj.(*Job)
 		completedNow, ttlDelete, ttl = false, false, 0
 		if job.Status.Completed {
@@ -276,7 +276,7 @@ func (c *JobController) onPodUpdate(pod *Pod) {
 			return
 		}
 		c.cli.Engine().After(ttl, func() {
-			c.cli.DeleteWithRetry(KindJob, ns, jobName)
+			c.cli.Delete(KindJob, ns, jobName)
 		})
 	})
 }

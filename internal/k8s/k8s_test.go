@@ -62,7 +62,7 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 
 	job := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}}
 	var createErr error
-	api.Create(job).Done(func(err error) { createErr = err })
+	api.Client().Create(job).Done(func(err error) { createErr = err })
 	eng.Run()
 	if createErr != nil {
 		t.Fatal(createErr)
@@ -77,7 +77,7 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 
 	// Duplicate create fails.
 	var dupErr error
-	api.Create(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}}).Done(func(err error) { dupErr = err })
+	api.Client().Create(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}}).Done(func(err error) { dupErr = err })
 	eng.Run()
 	if !errors.Is(dupErr, ErrAlreadyExists) {
 		t.Errorf("dup create: %v", dupErr)
@@ -86,7 +86,7 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 	// Update preserves UID.
 	j := got.(*Job)
 	j.Spec.Parallelism = 3
-	api.Update(j)
+	api.Client().Update(j)
 	eng.Run()
 	got2, _ := api.Get(KindJob, "ns", "j")
 	if got2.(*Job).Spec.Parallelism != 3 {
@@ -96,7 +96,7 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 		t.Error("UID changed on update")
 	}
 
-	api.Delete(KindJob, "ns", "j")
+	api.Client().Delete(KindJob, "ns", "j")
 	eng.Run()
 	if _, ok := api.Get(KindJob, "ns", "j"); ok {
 		t.Error("job survives delete")
@@ -120,7 +120,7 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 func TestAPIServerReturnsCopies(t *testing.T) {
 	eng := sim.NewEngine(1)
 	api := NewAPIServer(eng, DefaultAPILatency())
-	api.Create(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j",
+	api.Client().Create(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j",
 		Annotations: map[string]string{"vni": "true"}}})
 	eng.Run()
 	got, _ := api.Get(KindJob, "ns", "j")
@@ -131,26 +131,48 @@ func TestAPIServerReturnsCopies(t *testing.T) {
 	}
 }
 
+// TestFinalizersBlockDeletion: a finalized object turns terminating on
+// Delete and is reaped when its finalizer list drains — whichever verb
+// drains it — before that write's Response completes, so a completion
+// callback always sees the write's whole effect.
 func TestFinalizersBlockDeletion(t *testing.T) {
-	eng := sim.NewEngine(1)
-	api := NewAPIServer(eng, DefaultAPILatency())
-	job := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j",
-		Finalizers: []string{"vni.shs/finalizer"}}}
-	api.Create(job)
-	eng.Run()
-	api.Delete(KindJob, "ns", "j")
-	eng.Run()
-	got, ok := api.Get(KindJob, "ns", "j")
-	if !ok {
-		t.Fatal("finalized object vanished early")
+	const fin = "vni.shs/finalizer"
+	strip := func(obj Object) bool { obj.GetMeta().Finalizers = nil; return true }
+	drains := map[string]func(cli *Client) *Response{
+		"RemoveFinalizer": func(cli *Client) *Response { return cli.RemoveFinalizer(KindJob, "ns", "j", fin) },
+		"Update": func(cli *Client) *Response {
+			job, _ := cli.Get(KindJob, "ns", "j")
+			strip(job)
+			return cli.Update(job)
+		},
+		"Patch": func(cli *Client) *Response { return cli.Patch(KindJob, "ns", "j", strip) },
 	}
-	if !got.GetMeta().Deleting {
-		t.Error("deletionTimestamp not set")
-	}
-	api.RemoveFinalizer(KindJob, "ns", "j", "vni.shs/finalizer")
-	eng.Run()
-	if _, ok := api.Get(KindJob, "ns", "j"); ok {
-		t.Error("object survives finalizer removal")
+	for name, drain := range drains {
+		t.Run(name, func(t *testing.T) {
+			eng, api := newTestAPI()
+			cli := api.Client()
+			mustCreate(t, eng, api, &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j", Finalizers: []string{fin}}})
+			cli.Delete(KindJob, "ns", "j")
+			eng.Run()
+			got, ok := api.Get(KindJob, "ns", "j")
+			if !ok {
+				t.Fatal("finalized object vanished early")
+			}
+			if !got.GetMeta().Deleting {
+				t.Error("deletionTimestamp not set")
+			}
+			completed := false
+			drain(cli).Done(func(err error) {
+				completed = true
+				if _, ok := api.Get(KindJob, "ns", "j"); err != nil || ok {
+					t.Errorf("at completion: err = %v, object still stored = %v", err, ok)
+				}
+			})
+			eng.Run()
+			if !completed {
+				t.Fatal("draining write never completed")
+			}
+		})
 	}
 }
 
@@ -158,14 +180,14 @@ func TestOwnerGarbageCollection(t *testing.T) {
 	eng := sim.NewEngine(1)
 	api := NewAPIServer(eng, DefaultAPILatency())
 	job := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "owner"}}
-	api.Create(job)
+	api.Client().Create(job)
 	eng.Run()
 	got, _ := api.Get(KindJob, "ns", "owner")
 	pod := &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "child",
 		OwnerUID: got.GetMeta().UID}}
-	api.Create(pod)
+	api.Client().Create(pod)
 	eng.Run()
-	api.Delete(KindJob, "ns", "owner")
+	api.Client().Delete(KindJob, "ns", "owner")
 	eng.Run()
 	if _, ok := api.Get(KindPod, "ns", "child"); ok {
 		t.Error("orphan not garbage-collected")
@@ -264,8 +286,8 @@ func TestSchedulerSkipsDeletedPods(t *testing.T) {
 	NewScheduler(api.Client(), DefaultSchedulerConfig(), []string{"n0"})
 	pod := &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"},
 		Status: PodStatus{Phase: PodPending}}
-	api.Create(pod)
-	api.Delete(KindPod, "ns", "p")
+	api.Client().Create(pod)
+	api.Client().Delete(KindPod, "ns", "p")
 	eng.Run() // must not panic on binding a vanished pod
 }
 
@@ -315,7 +337,7 @@ func TestCustomObjectsStoreAndCopy(t *testing.T) {
 		Meta: Meta{Kind: KindVNI, Namespace: "ns", Name: "vni-1"},
 		Spec: map[string]string{"vni": "1234", "owner": "job/x"},
 	}
-	api.Create(obj)
+	api.Client().Create(obj)
 	eng.Run()
 	got, ok := api.Get(KindVNI, "ns", "vni-1")
 	if !ok {

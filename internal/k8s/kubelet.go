@@ -185,10 +185,7 @@ func (k *Kubelet) setPhase(pod *Pod, phase PodPhase, msg string) {
 // setPhaseAt records a phase transition. Transitions on already-deleted
 // pods are ignored.
 func (k *Kubelet) setPhaseAt(pod *Pod, phase PodPhase, msg string, at sim.Time) {
-	// Status writes go behind the retry layer: on a healthy apiserver this
-	// is the same synchronous commit, while during an outage the write is
-	// queued with backoff instead of being dropped.
-	k.cli.UpdateStatusWithRetry(KindPod, pod.Meta.Namespace, pod.Meta.Name, func(obj Object) bool {
+	k.cli.UpdateStatus(KindPod, pod.Meta.Namespace, pod.Meta.Name, func(obj Object) bool {
 		p := obj.(*Pod)
 		switch p.Status.Phase {
 		case PodSucceeded, PodFailed:

@@ -163,7 +163,7 @@ func (d *Decorator) reconcile(key string, done func()) {
 		// rides the retry layer: dropping it to an apiserver outage would
 		// wedge the parent's deletion forever.
 		d.applyChildren(meta, nil, func() {
-			d.cli.RemoveFinalizerWithRetry(d.cfg.ParentKind, ns, name, d.cfg.Finalizer).Done(func(error) { done() })
+			d.cli.RemoveFinalizer(d.cfg.ParentKind, ns, name, d.cfg.Finalizer).Done(func(error) { done() })
 		})
 		return
 	}
@@ -176,7 +176,7 @@ func (d *Decorator) reconcile(key string, done func()) {
 			next()
 			return
 		}
-		d.cli.UpdateWithRetry(d.cfg.ParentKind, ns, name, func(cur k8s.Object) bool {
+		d.cli.Patch(d.cfg.ParentKind, ns, name, func(cur k8s.Object) bool {
 			m := cur.GetMeta()
 			if m.HasFinalizer(d.cfg.Finalizer) {
 				return false
@@ -238,17 +238,17 @@ func (d *Decorator) applyChildren(parent *k8s.Meta, desired []*k8s.Custom, done 
 		// pod-creation gate closed forever (nothing re-triggers the sync).
 		if cur, exists := curByName[w.Meta.Name]; exists {
 			if !specsEqual(cur.Spec, w.Spec) {
-				ops = append(ops, func() { d.cli.UpdateWithBackoff(w).Done(finish) })
+				ops = append(ops, func() { d.cli.Update(w).Done(finish) })
 			}
 			continue
 		}
-		ops = append(ops, func() { d.cli.CreateWithRetry(w).Done(finish) })
+		ops = append(ops, func() { d.cli.Create(w).Done(finish) })
 	}
 	for _, c := range current {
 		c := c
 		if _, keep := wantByName[c.Meta.Name]; !keep {
 			ops = append(ops, func() {
-				d.cli.DeleteWithRetry(d.cfg.ChildKind, c.Meta.Namespace, c.Meta.Name).Done(finish)
+				d.cli.Delete(d.cfg.ChildKind, c.Meta.Namespace, c.Meta.Name).Done(finish)
 			})
 		}
 	}

@@ -63,7 +63,7 @@ func newEnv(t *testing.T, cfg Config, h Hooks) (*sim.Engine, *k8s.APIServer, *De
 }
 
 func submitJob(eng *sim.Engine, api *k8s.APIServer, name string, ann map[string]string) {
-	api.Create(&k8s.Job{Meta: k8s.Meta{Kind: k8s.KindJob, Namespace: "ns", Name: name, Annotations: ann}})
+	api.Client().Create(&k8s.Job{Meta: k8s.Meta{Kind: k8s.KindJob, Namespace: "ns", Name: name, Annotations: ann}})
 	eng.RunFor(5 * time.Second)
 }
 
@@ -155,7 +155,7 @@ func TestFinalizeBlocksUntilFinalized(t *testing.T) {
 	h := &scriptedHooks{desired: oneChild("c", nil), finalized: false}
 	eng, api, _ := newEnv(t, testCfg(), h)
 	submitJob(eng, api, "j1", nil)
-	api.Delete(k8s.KindJob, "ns", "j1")
+	api.Client().Delete(k8s.KindJob, "ns", "j1")
 	eng.RunFor(3 * time.Second)
 	if _, ok := api.Get(k8s.KindJob, "ns", "j1"); !ok {
 		t.Fatal("parent deleted while finalize pending")

@@ -219,7 +219,7 @@ func (c *Controller) Remediate(node string) error {
 	if _, ok := c.cli.Get(k8s.KindNode, "", node); !ok {
 		return fmt.Errorf("remediate: unknown node %q", node)
 	}
-	c.cli.UpdateWithRetry(k8s.KindNode, "", node, func(obj k8s.Object) bool {
+	c.cli.Patch(k8s.KindNode, "", node, func(obj k8s.Object) bool {
 		n := obj.(*k8s.Node)
 		if n.Spec.Unschedulable && n.Meta.Annotations[health.AnnotationReason] != "" {
 			return false
@@ -297,7 +297,7 @@ func (c *Controller) evict(r *nodeRun) {
 		// Evictions ride the retry layer so a drain that spans an apiserver
 		// outage still completes: the deletes are queued with backoff, and
 		// pollDrain keeps polling until the node empties.
-		c.cli.DeleteWithRetry(k8s.KindPod, pod.Meta.Namespace, pod.Meta.Name)
+		c.cli.Delete(k8s.KindPod, pod.Meta.Namespace, pod.Meta.Name)
 		evicted++
 	}
 	c.pollDrain(r, evicted)
@@ -350,7 +350,7 @@ func (c *Controller) replace(r *nodeRun) {
 
 func (c *Controller) uncordon(r *nodeRun) {
 	r.phase = PhaseUncordoning
-	c.cli.UpdateWithRetry(k8s.KindNode, "", r.node, func(obj k8s.Object) bool {
+	c.cli.Patch(k8s.KindNode, "", r.node, func(obj k8s.Object) bool {
 		n := obj.(*k8s.Node)
 		if !n.Spec.Unschedulable {
 			return false

@@ -37,20 +37,15 @@ func cpWatchKindNames() string {
 	return strings.Join(names, ", ")
 }
 
-// armCP arms the fault layer on first use: the API server starts modeling
-// availability (client deadlines engage) and the client starts its gap
-// prober, which detects broken or stale watches and repairs them by
-// relist-and-replay. Control-plane events self-arm — a scenario without
+// armCP arms the fault layer on first use (k8s.Client.ArmFaults) and says
+// so in the transcript. Control-plane events self-arm — a scenario without
 // them never reaches this, so its timeline draws no fault-layer RNG and
 // stays byte-identical to a build without the subsystem.
 func (r *Ops) armCP() {
-	if r.cpArmed {
+	if r.CPArmed() {
 		return
 	}
-	r.cpArmed = true
-	cli := r.st.Cluster.Client
-	cli.API().RecoverAPIServer() // arms the availability model in the up state
-	cli.EnableFaultRecovery()
+	r.st.Cluster.Client.ArmFaults()
 	r.logf("control-plane fault layer armed: client deadlines on, gap prober running")
 }
 
@@ -104,8 +99,9 @@ func (r *Ops) breakWatch(ev *Event) error {
 
 // CPArmed reports whether a control-plane fault event has armed the fault
 // layer this run (the gap prober keeps one perpetual event alive while
-// armed; interactive mode's run-until-idle accounts for it).
-func (r *Ops) CPArmed() bool { return r.cpArmed }
+// armed; interactive mode's run-until-idle accounts for it). The client
+// owns the answer; Ops keeps no copy.
+func (r *Ops) CPArmed() bool { return r.st != nil && r.st.Cluster.Client.FaultsArmed() }
 
 // StopCP halts the fault layer's recurring work — the client's gap
 // prober — after one final repair sweep that relists any informer still
@@ -113,17 +109,16 @@ func (r *Ops) CPArmed() bool { return r.cpArmed }
 // embedding harness can drain the event queue to empty. No-op unless a
 // control-plane fault event armed the layer.
 func (r *Ops) StopCP() {
-	if !r.cpArmed || r.st == nil {
-		return
+	if r.st != nil {
+		r.st.Cluster.Client.StopFaultRecovery()
 	}
-	r.st.Cluster.Client.StopFaultRecovery()
 }
 
 // cpStats is the telemetry sampler's control-plane source. It is attached
 // unconditionally (the fault layer arms mid-run, after the sampler), and
 // reports Armed=false until then so fault-free series stay unchanged.
 func (r *Ops) cpStats() telemetry.CPStats {
-	if !r.cpArmed {
+	if !r.CPArmed() {
 		return telemetry.CPStats{}
 	}
 	cli := r.st.Cluster.Client
@@ -146,5 +141,5 @@ func (r *Ops) ControlPlaneStatus() (stats k8s.CPStats, avail string, armed bool)
 		return k8s.CPStats{}, "", false
 	}
 	cli := r.st.Cluster.Client
-	return cli.Stats(), cli.API().Availability().String(), r.cpArmed
+	return cli.Stats(), cli.API().Availability().String(), cli.FaultsArmed()
 }

@@ -72,10 +72,6 @@ type Ops struct {
 	recoverUs  map[string]float64
 	// injectors holds the stop handles of live slow-drain error injectors.
 	injectors map[string]*errorInjector
-	// cpArmed records that a control-plane fault event armed the API
-	// server's availability model and the client's gap prober (cp_ops.go);
-	// fault-free runs never arm, keeping their timelines byte-identical.
-	cpArmed bool
 	// violations counts isolation-probe enforcement failures (forged
 	// packets delivered, cross-VNI endpoints granted).
 	violations int
