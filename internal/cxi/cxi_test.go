@@ -111,11 +111,34 @@ func TestVNIRefCountingAcrossServices(t *testing.T) {
 	}
 }
 
+// TestDuplicateSvcNameRejected pins the name index behind SvcAlloc's
+// duplicate check: a live name (the built-in default service's included)
+// is taken, a destroyed service's name is free again, unnamed services
+// never collide, and names are per device.
 func TestDuplicateSvcNameRejected(t *testing.T) {
 	r := newRig(t)
-	r.svc(t, r.devA, SvcDesc{Name: "dup"})
+	id := r.svc(t, r.devA, SvcDesc{Name: "dup"})
+	for _, name := range []string{"dup", "default"} {
+		if _, err := r.devA.SvcAlloc(r.root.PID, SvcDesc{Name: name}); !errors.Is(err, ErrDuplicateSvc) {
+			t.Errorf("duplicate name %q: %v, want ErrDuplicateSvc", name, err)
+		}
+	}
+	r.svc(t, r.devB, SvcDesc{Name: "dup"}) // another device, another namespace
+	r.svc(t, r.devA, SvcDesc{})
+	unnamed := r.svc(t, r.devA, SvcDesc{})
+
+	if err := r.devA.SvcDestroy(r.root.PID, unnamed); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.devA.SvcDestroy(r.root.PID, id); err != nil {
+		t.Fatal(err)
+	}
+	reused := r.svc(t, r.devA, SvcDesc{Name: "dup"})
+	if reused == id {
+		t.Errorf("service ID %d reused along with the name", id)
+	}
 	if _, err := r.devA.SvcAlloc(r.root.PID, SvcDesc{Name: "dup"}); !errors.Is(err, ErrDuplicateSvc) {
-		t.Errorf("duplicate name: %v, want ErrDuplicateSvc", err)
+		t.Errorf("name taken again after reuse: %v, want ErrDuplicateSvc", err)
 	}
 }
 

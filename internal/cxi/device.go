@@ -75,6 +75,7 @@ type Device struct {
 	link    *fabric.HostLink
 	cfg     DeviceConfig
 	svcs    map[SvcID]*Svc
+	byName  map[string]SvcID // the named services of svcs: SvcAlloc's duplicate check without a scan
 	nextSvc SvcID
 	eps     map[int]*Endpoint // by local endpoint index
 	nextEP  int
@@ -124,6 +125,7 @@ func NewDevice(name string, eng *sim.Engine, kern *nsmodel.Kernel, sw *fabric.Sw
 		sw:         sw,
 		cfg:        cfg,
 		svcs:       make(map[SvcID]*Svc),
+		byName:     make(map[string]SvcID),
 		nextSvc:    DefaultSvcID,
 		eps:        make(map[int]*Endpoint),
 		nextEP:     1,
@@ -149,6 +151,7 @@ func NewDevice(name string, eng *sim.Engine, kern *nsmodel.Kernel, sw *fabric.Sw
 		Enabled: true,
 	}
 	d.svcs[DefaultSvcID] = def
+	d.byName[def.Desc.Name] = DefaultSvcID
 	d.nextSvc = DefaultSvcID + 1
 	d.retainVNIsLocked(def.Desc.VNIs)
 	return d
@@ -218,12 +221,8 @@ func (d *Device) SvcAlloc(caller nsmodel.PID, desc SvcDesc) (SvcID, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if desc.Name != "" {
-		for _, s := range d.svcs {
-			if s.Desc.Name == desc.Name {
-				return 0, fmt.Errorf("%w: %q", ErrDuplicateSvc, desc.Name)
-			}
-		}
+	if _, dup := d.byName[desc.Name]; dup {
+		return 0, fmt.Errorf("%w: %q", ErrDuplicateSvc, desc.Name)
 	}
 	if (desc.Limits == ResourceLimits{}) {
 		desc.Limits = DefaultLimits()
@@ -232,6 +231,9 @@ func (d *Device) SvcAlloc(caller nsmodel.PID, desc SvcDesc) (SvcID, error) {
 	d.nextSvc++
 	svc := &Svc{ID: id, Desc: desc, Enabled: true}
 	d.svcs[id] = svc
+	if desc.Name != "" { // unnamed services never collide, so are never filed
+		d.byName[desc.Name] = id
+	}
 	d.retainVNIsLocked(desc.VNIs)
 	return id, nil
 }
@@ -252,6 +254,7 @@ func (d *Device) SvcDestroy(caller nsmodel.PID, id SvcID) error {
 		return fmt.Errorf("%w: svc %d has %d endpoints", ErrServiceBusy, id, svc.refs)
 	}
 	delete(d.svcs, id)
+	delete(d.byName, svc.Desc.Name)
 	d.releaseVNIsLocked(svc.Desc.VNIs)
 	return nil
 }

@@ -80,16 +80,16 @@ func lostWriteSpec(t *testing.T) *scenario.Scenario {
 	return sc
 }
 
-// runConvergenceProbe executes the spec, optionally swallowing the next
-// pod write's watch notification (the deliberately injected lost-write
-// bug), drains the queue, and returns the convergence verdict.
-func runConvergenceProbe(t *testing.T, loseWrites int) *Violation {
+// runConvergenceProbe executes the spec with inject (when non-nil) applied
+// to the live stack right after fleet start — the deliberately planted bug
+// — drains the queue, and returns the convergence verdict.
+func runConvergenceProbe(t *testing.T, inject func(st *stack.Stack)) *Violation {
 	t.Helper()
 	var vio *Violation
 	hooks := scenario.Hooks{
 		AfterEvent: func(st *stack.Stack, ev *scenario.Event) error {
-			if ev.Action == "start_fleet" && loseWrites > 0 {
-				st.Cluster.Client.API().SetDebugLoseWrite(k8s.KindPod, loseWrites)
+			if ev.Action == "start_fleet" && inject != nil {
+				inject(st)
 			}
 			return nil
 		},
@@ -111,29 +111,49 @@ func runConvergenceProbe(t *testing.T, loseWrites int) *Violation {
 	return vio
 }
 
-// TestInjectedLostWriteCaught is the eventual-convergence oracle's
-// self-test: a pod write committed to the store with its watch
-// notification deliberately swallowed is invisible to gap detection (the
-// per-kind sequence never advances), so only the store-vs-cache diff can
-// catch it — and must.
-func TestInjectedLostWriteCaught(t *testing.T) {
-	vio := runConvergenceProbe(t, 1)
-	if vio == nil {
-		t.Fatalf("lost write not caught by the convergence check")
-	}
-	if vio.Name != VioConvergence {
-		t.Fatalf("wrong violation %q: %s", vio.Name, vio.Detail)
-	}
-	if !strings.Contains(vio.Detail, "Pod") {
-		t.Errorf("violation does not name the diverged kind: %s", vio.Detail)
+// TestInjectedBugsCaught is the eventual-convergence oracle's self-test:
+// the store-vs-cache diff is the only check that can see either planted
+// bug, and must.
+func TestInjectedBugsCaught(t *testing.T) {
+	for name, tc := range map[string]struct {
+		inject func(st *stack.Stack)
+		detail string
+	}{
+		// A pod write committed to the store with its watch notification
+		// swallowed is invisible to gap detection: the per-kind sequence
+		// never advances.
+		"lost write": {func(st *stack.Stack) {
+			st.Cluster.Client.API().SetDebugLoseWrite(k8s.KindPod, 1)
+		}, "Pod"},
+		// Watch event objects are the informer cache's own, read-only by
+		// contract; a handler that writes to one corrupts the cache under
+		// an unchanged resource version.
+		"mutating handler": {func(st *stack.Stack) {
+			st.Cluster.Client.Watch(k8s.KindPod, k8s.WatchOptions{}, func(ev k8s.Event) {
+				ev.Object.(*k8s.Pod).Status.Message = "scribbled by a handler"
+			})
+		}, "Pod cache diverged"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			vio := runConvergenceProbe(t, tc.inject)
+			if vio == nil {
+				t.Fatal("planted bug not caught by the convergence check")
+			}
+			if vio.Name != VioConvergence {
+				t.Fatalf("wrong violation %q: %s", vio.Name, vio.Detail)
+			}
+			if !strings.Contains(vio.Detail, tc.detail) {
+				t.Errorf("violation detail %q does not say %q", vio.Detail, tc.detail)
+			}
+		})
 	}
 }
 
 // TestLostWriteSpecCleanWithoutBug pins the control: the same spec with
-// nothing swallowed converges, so the oracle's signal above is the
-// injected bug, not the spec.
+// nothing planted converges, so the oracle's signal above is the injected
+// bug, not the spec.
 func TestLostWriteSpecCleanWithoutBug(t *testing.T) {
-	if vio := runConvergenceProbe(t, 0); vio != nil {
+	if vio := runConvergenceProbe(t, nil); vio != nil {
 		t.Fatalf("expected convergence, got %s", vio)
 	}
 }

@@ -186,6 +186,16 @@ type APIServer struct {
 	kindSeq map[Kind]uint64
 	// faults is nil until the first fault call arms the layer.
 	faults *apiFaults
+	// owned indexes every stored object that names an owner under that
+	// owner's UID, so the garbage collector reads one bucket instead of
+	// scanning every store. Written only by put and unown.
+	owned map[UID]map[ownedRef]struct{}
+}
+
+// ownedRef addresses one stored object in the owner index.
+type ownedRef struct {
+	kind     Kind
+	ns, name string
 }
 
 // NewAPIServer creates an empty API server.
@@ -195,6 +205,7 @@ func NewAPIServer(eng *sim.Engine, lat APILatency) *APIServer {
 		lat:     lat,
 		stores:  make(map[Kind]map[string]Object),
 		kindSeq: make(map[Kind]uint64),
+		owned:   make(map[UID]map[ownedRef]struct{}),
 	}
 }
 
@@ -217,6 +228,35 @@ func (a *APIServer) store(kind Kind) map[string]Object {
 		a.stores[kind] = s
 	}
 	return s
+}
+
+// put stores obj under its key and files it under its owner, if it names
+// one. Replacing a stored object takes unown on the old one first: an update
+// may re-parent.
+func (a *APIServer) put(obj Object) {
+	m := obj.GetMeta()
+	a.store(m.Kind)[m.Key()] = obj
+	if m.OwnerUID == "" {
+		return
+	}
+	b := a.owned[m.OwnerUID]
+	if b == nil {
+		b = make(map[ownedRef]struct{})
+		a.owned[m.OwnerUID] = b
+	}
+	b[ownedRef{m.Kind, m.Namespace, m.Name}] = struct{}{}
+}
+
+// unown unfiles a stored object, by its metadata, from the owner index.
+func (a *APIServer) unown(m *Meta) {
+	if m.OwnerUID == "" {
+		return
+	}
+	b := a.owned[m.OwnerUID]
+	delete(b, ownedRef{m.Kind, m.Namespace, m.Name})
+	if len(b) == 0 {
+		delete(a.owned, m.OwnerUID)
+	}
 }
 
 func (a *APIServer) reqDelay() sim.Duration {
@@ -489,7 +529,7 @@ func (a *APIServer) commitCreate(obj Object) error {
 	a.rev++
 	m.ResourceVersion = a.rev
 	stored := obj.DeepCopy()
-	s[m.Key()] = stored
+	a.put(stored)
 	a.notify(EventAdded, stored)
 	return nil
 }
@@ -515,7 +555,8 @@ func (a *APIServer) commitUpdate(cp Object) error {
 	m.Created = oldMeta.Created
 	a.rev++
 	m.ResourceVersion = a.rev
-	s[m.Key()] = cp
+	a.unown(oldMeta)
+	a.put(cp)
 	a.notify(EventModified, cp)
 	a.reapIfDrained(m)
 	return nil
@@ -560,31 +601,24 @@ func (a *APIServer) finalizeDelete(kind Kind, key string) {
 		return
 	}
 	delete(s, key)
+	a.unown(obj.GetMeta())
 	a.notify(EventDeleted, obj)
 	a.collectOrphans(obj.GetMeta().UID)
 }
 
-// collectOrphans deletes every object owned by the vanished UID. Orphans
-// are deleted in sorted (kind, key) order so the garbage collector's event
-// stream is deterministic. Each deletion is a server-internal write: it
-// carries exactly one request delay like any delete, but bypasses the
-// availability model — nobody is listening for its outcome, so a GC write
-// failed by an outage would leak the child forever.
+// collectOrphans deletes every object owned by the vanished UID, read from
+// the owner index. Orphans are deleted in sorted (kind, key) order so the
+// garbage collector's event stream is deterministic. Each deletion is a
+// server-internal write: it carries exactly one request delay like any
+// delete, but bypasses the availability model — nobody is listening for its
+// outcome, so a GC write failed by an outage would leak the child forever.
 func (a *APIServer) collectOrphans(owner UID) {
 	if owner == "" {
 		return
 	}
-	type orphan struct {
-		kind     Kind
-		ns, name string
-	}
-	var orphans []orphan
-	for kind, s := range a.stores {
-		for _, obj := range s {
-			if m := obj.GetMeta(); m.OwnerUID == owner {
-				orphans = append(orphans, orphan{kind, m.Namespace, m.Name})
-			}
-		}
+	orphans := make([]ownedRef, 0, len(a.owned[owner]))
+	for ref := range a.owned[owner] {
+		orphans = append(orphans, ref)
 	}
 	sort.Slice(orphans, func(i, j int) bool {
 		if orphans[i].kind != orphans[j].kind {

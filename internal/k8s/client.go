@@ -51,8 +51,8 @@ type WatchOptions struct {
 	// Namespace restricts delivery to one namespace ("" = all).
 	Namespace string
 	// Selector, when non-nil, must admit the event object. It runs against
-	// the informer's cached copy before the per-handler copy is made, so
-	// non-matching handlers cost no allocation.
+	// the informer's cached object — the one a matching handler then
+	// receives — and must not write to it.
 	Selector func(Object) bool
 }
 
@@ -211,9 +211,11 @@ func (inf *Informer) remove(key string) {
 }
 
 // onEvent absorbs one watch event into the cache, then dispatches it to
-// matching handlers. Each matching handler receives its own deep copy, so
-// handlers may mutate their event object freely (the cached copy is never
-// handed out for writing).
+// matching handlers. Every handler receives the event as absorbed — for an
+// add or update its object is the cache entry itself — under the Lister
+// contract: read-only, DeepCopy before keeping or writing. A handler that
+// writes to it corrupts the cache, which VerifyCaches reports as "diverged
+// at equal rv".
 func (inf *Informer) onEvent(ev Event) {
 	if ev.Seq != 0 && ev.Seq <= inf.lastSeq {
 		// An in-flight delivery from before a relist: its effect is already
@@ -231,13 +233,13 @@ func (inf *Informer) onEvent(ev Event) {
 	inf.dispatch(ev)
 }
 
-// dispatch fans one event out to matching handlers, a deep copy each.
+// dispatch fans one event out to matching handlers: the same read-only
+// snapshot to each, so delivery cost does not grow with the subscriber count.
 func (inf *Informer) dispatch(ev Event) {
 	for _, reg := range inf.handlers {
-		if !reg.opts.matches(ev.Object) {
-			continue
+		if reg.opts.matches(ev.Object) {
+			reg.handler(ev)
 		}
-		reg.handler(Event{Type: ev.Type, Object: ev.Object.DeepCopy(), Seq: ev.Seq})
 	}
 }
 
@@ -479,6 +481,8 @@ func (c *Client) Lister(kind Kind) Lister { return c.Informer(kind).Lister() }
 // Watch registers handler for events on kind scoped by opts. Handlers run
 // after the shared informer cache has absorbed the event, in registration
 // order, so lister reads from inside a handler always include the event.
+// The event object is the cache's own, shared by every handler and Lister
+// read: read-only, DeepCopy before keeping or writing (see the kubelet).
 func (c *Client) Watch(kind Kind, opts WatchOptions, handler func(Event)) {
 	inf := c.Informer(kind)
 	inf.handlers = append(inf.handlers, &watchReg{opts: opts, handler: handler})
@@ -542,7 +546,8 @@ func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object)
 // failing with ErrRetriesExhausted. mutate returning false skips the write
 // and completes the Response with nil (nothing to do). mutate may be
 // called several times and must therefore be idempotent against the
-// object it is handed.
+// object it is handed. That object is the private copy the store will keep
+// once the write commits, so mutate must not retain it.
 func (c *Client) Patch(kind Kind, namespace, name string, mutate func(Object) bool) *Response {
 	return c.do(&request{verb: verbPatch, kind: kind, ns: namespace, name: name, fn: mutate})
 }
@@ -566,8 +571,8 @@ type request struct {
 	Response
 	c    *Client
 	verb verb
-	// obj is the object Create stamps, the copy Update stores, and Patch's
-	// mutated copy of the current attempt.
+	// obj is the object Create stamps, the copy Update stores, and the
+	// private read Patch's mutate edited in the current attempt.
 	obj               Object
 	kind              Kind // kind/ns/name address the keyed verbs' object
 	ns, name, fin     string
@@ -605,7 +610,7 @@ func (r *request) attempt() {
 			r.complete(nil)
 			return
 		}
-		r.obj = obj.DeepCopy() // the store keeps its own copy; mutate may have kept obj
+		r.obj = obj // Get's private copy, handed on to the store (mutate must not keep it)
 	}
 	a.submit(r)
 	if a.faults != nil {

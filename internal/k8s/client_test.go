@@ -369,7 +369,7 @@ func TestDormantWritesAreIdentity(t *testing.T) {
 			raw: func(eng *sim.Engine, api *APIServer) {
 				job := storedJob(api)
 				widen(job)
-				eng.After(api.reqDelay(), func() { api.commitUpdate(job.DeepCopy()) })
+				eng.After(api.reqDelay(), func() { api.commitUpdate(job) })
 			},
 			cheap:   func(cli *Client) *Response { return cli.Patch(KindJob, "ns", "j", noop) },
 			ceiling: 5},

@@ -39,8 +39,10 @@ type JobController struct {
 	cli  *Client
 	cfg  JobControllerConfig
 	pods Lister // indexed by IndexPodJob for O(pods-of-job) recounts
-	// workqueue of job keys with pods left to create.
+	// workqueue of job keys with pods left to create; queued holds exactly
+	// the keys in queue, so enqueue de-duplicates without scanning it.
 	queue   []string
+	queued  map[string]struct{}
 	busy    bool
 	lastOp  sim.Time
 	created map[string]int // pods created per job key
@@ -60,7 +62,8 @@ type JobController struct {
 
 // NewJobController creates and starts the controller.
 func NewJobController(cli *Client, cfg JobControllerConfig) *JobController {
-	c := &JobController{cli: cli, cfg: cfg, created: make(map[string]int), lost: make(map[string]int)}
+	c := &JobController{cli: cli, cfg: cfg, queued: make(map[string]struct{}),
+		created: make(map[string]int), lost: make(map[string]int)}
 	podInformer := cli.Informer(KindPod)
 	podInformer.AddIndex(IndexPodJob, PodJobIndex)
 	c.pods = podInformer.Lister()
@@ -101,11 +104,10 @@ func (c *JobController) SetGate(gate func(job *Job) bool) { c.gate = gate }
 func (c *JobController) RequeueJob(key string) { c.enqueue(key) }
 
 func (c *JobController) enqueue(key string) {
-	for _, k := range c.queue {
-		if k == key {
-			return
-		}
+	if _, dup := c.queued[key]; dup {
+		return
 	}
+	c.queued[key] = struct{}{}
 	c.queue = append(c.queue, key)
 	c.pump()
 }
@@ -118,6 +120,7 @@ func (c *JobController) pump() {
 	c.busy = true
 	key := c.queue[0]
 	c.queue = c.queue[1:]
+	delete(c.queued, key)
 	eng := c.cli.Engine()
 	delay := eng.Jitter(c.cfg.PodCreateLatency, c.cfg.Jitter)
 	if c.cfg.MaxQPS > 0 {

@@ -197,23 +197,35 @@ func (d *Decorator) reconcile(key string, done func()) {
 	})
 }
 
-// childrenOf lists controller-owned children of the parent through the
+// cachedChildren lists controller-owned children of the parent through the
 // owner index: O(children of this parent), not O(all children in the
-// namespace). It returns private copies because webhook responses may echo
-// them back as desired state, which applyChildren mutates.
-func (d *Decorator) childrenOf(meta *k8s.Meta) []*k8s.Custom {
+// namespace). The results are the informer's cache entries: read-only.
+func (d *Decorator) cachedChildren(parent *k8s.Meta) []*k8s.Custom {
 	var out []*k8s.Custom
-	for _, obj := range d.children.ByIndex(k8s.IndexOwner, string(meta.UID)) {
+	for _, obj := range d.children.ByIndex(k8s.IndexOwner, string(parent.UID)) {
 		if c, ok := obj.(*k8s.Custom); ok {
-			out = append(out, c.DeepCopy().(*k8s.Custom))
+			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// applyChildren reconciles the actual child set toward desired.
+// childrenOf returns private copies of the parent's children for a webhook
+// request: responses may echo them back as desired state, which
+// applyChildren mutates.
+func (d *Decorator) childrenOf(parent *k8s.Meta) []*k8s.Custom {
+	out := d.cachedChildren(parent)
+	for i, c := range out {
+		out[i] = c.DeepCopy().(*k8s.Custom)
+	}
+	return out
+}
+
+// applyChildren reconciles the actual child set toward desired. It only
+// reads the current children (name, namespace, spec), so it takes them from
+// the cache uncopied.
 func (d *Decorator) applyChildren(parent *k8s.Meta, desired []*k8s.Custom, done func()) {
-	current := d.childrenOf(parent)
+	current := d.cachedChildren(parent)
 	curByName := make(map[string]*k8s.Custom, len(current))
 	for _, c := range current {
 		curByName[c.Meta.Name] = c
