@@ -80,14 +80,16 @@ func lostWriteSpec(t *testing.T) *scenario.Scenario {
 	return sc
 }
 
-// runConvergenceProbe executes the spec with inject (when non-nil) applied
+// runControlPlaneProbe executes the spec with inject (when non-nil) applied
 // to the live stack right after fleet start — the deliberately planted bug
-// — drains the queue, and returns the convergence verdict.
-func runConvergenceProbe(t *testing.T, inject func(st *stack.Stack)) *Violation {
+// — drains the queue, and returns the first control-plane verdict: the
+// convergence check, then the immutability oracle, as Execute orders them.
+func runControlPlaneProbe(t *testing.T, inject func(st *stack.Stack)) *Violation {
 	t.Helper()
 	var vio *Violation
 	hooks := scenario.Hooks{
 		AfterEvent: func(st *stack.Stack, ev *scenario.Event) error {
+			st.Cluster.Client.RecordCommits()
 			if ev.Action == "start_fleet" && inject != nil {
 				inject(st)
 			}
@@ -101,7 +103,9 @@ func runConvergenceProbe(t *testing.T, inject func(st *stack.Stack)) *Violation 
 			if st.Eng.Pending() > 0 {
 				t.Fatalf("queue did not drain: %d pending", st.Eng.Pending())
 			}
-			vio = checkConvergence(st)
+			if vio = checkConvergence(st); vio == nil {
+				vio = checkImmutability(st)
+			}
 		},
 	}
 	res := scenario.RunHooked(lostWriteSpec(t), hooks)
@@ -111,49 +115,80 @@ func runConvergenceProbe(t *testing.T, inject func(st *stack.Stack)) *Violation 
 	return vio
 }
 
-// TestInjectedBugsCaught is the eventual-convergence oracle's self-test:
-// the store-vs-cache diff is the only check that can see either planted
-// bug, and must.
+// TestInjectedBugsCaught is the self-test of the two control-plane oracles.
+// The store-vs-cache diff is the only check that can see a lost write; the
+// commit recorder is the only one that can see a write to a committed
+// object — cache and store share it, so they never disagree about it — and
+// must name the object written, whichever way the writer reached it.
 func TestInjectedBugsCaught(t *testing.T) {
+	const anchorPod = "Pod t0/anchor-0 rv"
 	for name, tc := range map[string]struct {
-		inject func(st *stack.Stack)
-		detail string
+		inject  func(st *stack.Stack)
+		vio     string
+		details []string
 	}{
 		// A pod write committed to the store with its watch notification
 		// swallowed is invisible to gap detection: the per-kind sequence
 		// never advances.
 		"lost write": {func(st *stack.Stack) {
 			st.Cluster.Client.API().SetDebugLoseWrite(k8s.KindPod, 1)
-		}, "Pod"},
-		// Watch event objects are the informer cache's own, read-only by
-		// contract; a handler that writes to one corrupts the cache under
-		// an unchanged resource version.
+		}, VioConvergence, []string{"Pod"}},
+		// A watch handler that writes to its event object.
 		"mutating handler": {func(st *stack.Stack) {
 			st.Cluster.Client.Watch(k8s.KindPod, k8s.WatchOptions{}, func(ev k8s.Event) {
-				ev.Object.(*k8s.Pod).Status.Message = "scribbled by a handler"
+				if ev.Object.GetMeta().Name == "anchor-0" {
+					ev.Object.(*k8s.Pod).Status.Message = "scribbled by a handler"
+				}
 			})
-		}, "Pod cache diverged"},
+		}, VioImmutability, []string{anchorPod, "written after commit"}},
+		// A caller that edits what a live read returned instead of a Clone.
+		"write through Get": {func(st *stack.Stack) {
+			cli := st.Cluster.Client
+			cli.Watch(k8s.KindPod, k8s.WatchOptions{}, func(ev k8s.Event) {
+				if obj, ok := cli.Get(k8s.KindPod, "t0", "anchor-0"); ok {
+					obj.(*k8s.Pod).Spec.HostNetwork = true
+				}
+			})
+		}, VioImmutability, []string{anchorPod, "written after commit"}},
+		// A Patch mutator that is handed a Clone and writes into the map the
+		// Clone still shares with every committed version of the pod.
+		"Patch writes a shared map": {func(st *stack.Stack) {
+			cli := st.Cluster.Client
+			patched := false
+			cli.Watch(k8s.KindPod, k8s.WatchOptions{}, func(ev k8s.Event) {
+				if patched || ev.Object.GetMeta().Name != "anchor-0" {
+					return
+				}
+				patched = true
+				cli.Patch(k8s.KindPod, "t0", "anchor-0", func(obj k8s.Object) bool {
+					obj.GetMeta().Labels["scribbled"] = "by a mutator"
+					return true
+				})
+			})
+		}, VioImmutability, []string{anchorPod, "written after commit"}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			vio := runConvergenceProbe(t, tc.inject)
+			vio := runControlPlaneProbe(t, tc.inject)
 			if vio == nil {
-				t.Fatal("planted bug not caught by the convergence check")
+				t.Fatal("planted bug not caught")
 			}
-			if vio.Name != VioConvergence {
-				t.Fatalf("wrong violation %q: %s", vio.Name, vio.Detail)
+			if vio.Name != tc.vio {
+				t.Fatalf("violation %q, want %q: %s", vio.Name, tc.vio, vio.Detail)
 			}
-			if !strings.Contains(vio.Detail, tc.detail) {
-				t.Errorf("violation detail %q does not say %q", vio.Detail, tc.detail)
+			for _, want := range tc.details {
+				if !strings.Contains(vio.Detail, want) {
+					t.Errorf("violation detail %q does not say %q", vio.Detail, want)
+				}
 			}
 		})
 	}
 }
 
 // TestLostWriteSpecCleanWithoutBug pins the control: the same spec with
-// nothing planted converges, so the oracle's signal above is the injected
-// bug, not the spec.
+// nothing planted converges and nothing is written after commit, so the
+// oracles' signal above is the injected bug, not the spec.
 func TestLostWriteSpecCleanWithoutBug(t *testing.T) {
-	if vio := runConvergenceProbe(t, nil); vio != nil {
-		t.Fatalf("expected convergence, got %s", vio)
+	if vio := runControlPlaneProbe(t, nil); vio != nil {
+		t.Fatalf("expected a clean run, got %s", vio)
 	}
 }

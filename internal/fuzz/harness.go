@@ -122,7 +122,8 @@ func fingerprintOf(st *stack.Stack, res *scenario.Result) *fingerprint {
 //     (no node left cordoned, scheduler and API cordon views agree); then
 //     verify control-plane eventual convergence — every informer cache
 //     identical to the API server's store (no lost writes, no silently
-//     dropped watch deliveries);
+//     dropped watch deliveries) — and immutability: no API object changed
+//     after its commit (the recorder is armed when the fleet starts);
 //   - then the whole run repeats and both fingerprints must match
 //     (determinism oracle).
 //
@@ -157,6 +158,7 @@ func runOnce(sc *scenario.Scenario, rep *Report) *fingerprint {
 	var fp *fingerprint
 	hooks := scenario.Hooks{
 		AfterEvent: func(st *stack.Stack, ev *scenario.Event) error {
+			st.Cluster.Client.RecordCommits() // armed by the first event, start_fleet
 			if v := checkSim(st); v != nil {
 				rep.add(*v)
 				return errors.New(v.Detail)
@@ -197,6 +199,10 @@ func runOnce(sc *scenario.Scenario, rep *Report) *fingerprint {
 				}
 			}
 			if v := checkConvergence(st); v != nil {
+				rep.add(*v)
+				return
+			}
+			if v := checkImmutability(st); v != nil {
 				rep.add(*v)
 				return
 			}

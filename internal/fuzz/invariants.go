@@ -58,6 +58,13 @@ const (
 	// runs converge trivially, and the generator recovers every injected
 	// control-plane fault before the run ends.
 	VioConvergence = "eventual_convergence"
+	// VioImmutability: an API object changed after the apiserver committed
+	// it. Committed objects are shared by the store, every informer cache
+	// and every reader, so a handler, a Get or List caller, or a Patch
+	// mutator writing through a shared map corrupts them all at once. The
+	// k8s.CommitRecorder armed on every spec hashes each delivered object
+	// and re-hashes it after the drain.
+	VioImmutability = "write_after_commit"
 )
 
 // checkSim wraps the engine's structural self-check (event-arena handle
@@ -105,14 +112,23 @@ func checkRemediation(st *stack.Stack) *Violation {
 }
 
 // checkConvergence verifies eventual convergence of the control plane:
-// once the event queue has drained, every informer cache must be
-// byte-identical to the API server's store — same keys, same resource
-// versions, same object contents. A mismatch means a write was lost or a
+// once the event queue has drained, every informer cache must hold exactly
+// the API server's store — same keys, same resource versions, the same
+// objects. A mismatch means a write was lost or a
 // watch delivery vanished without the gap prober noticing. Must only run
 // on a drained queue; in-flight deliveries are legitimate divergence.
 func checkConvergence(st *stack.Stack) *Violation {
 	if err := st.Cluster.Client.VerifyCaches(); err != nil {
 		return &Violation{Name: VioConvergence, Detail: err.Error()}
+	}
+	return nil
+}
+
+// checkImmutability verifies that nothing wrote to a committed object
+// since the recorder was armed (RecordCommits returns the armed one).
+func checkImmutability(st *stack.Stack) *Violation {
+	if err := st.Cluster.Client.RecordCommits().Verify(); err != nil {
+		return &Violation{Name: VioImmutability, Detail: err.Error()}
 	}
 	return nil
 }

@@ -401,7 +401,6 @@ func (a *APIServer) notify(t EventType, obj Object) {
 			continue
 		}
 		w := w
-		cp := obj.DeepCopy()
 		at := a.eng.Now().Add(a.eng.Jitter(a.lat.WatchDelivery, a.lat.Jitter))
 		if at < w.next {
 			at = w.next
@@ -409,7 +408,7 @@ func (a *APIServer) notify(t EventType, obj Object) {
 		w.next = at
 		w.pending[seq] = a.eng.At(at, func() {
 			delete(w.pending, seq)
-			w.handler(Event{Type: t, Object: cp, Seq: seq})
+			w.handler(Event{Type: t, Object: obj, Seq: seq})
 		})
 	}
 }
@@ -447,18 +446,15 @@ func (a *APIServer) watch(kind Kind, handler func(Event)) *watcher {
 	return w
 }
 
-// Get returns a copy of the object, synchronously (a live quorum read; for
-// cached, index-capable reads use a Lister).
+// Get returns the stored object, synchronously (a live quorum read; for
+// cached, index-capable reads use a Lister). Read-only, like every read.
 func (a *APIServer) Get(kind Kind, namespace, name string) (Object, bool) {
 	obj, ok := a.store(kind)[namespace+"/"+name]
-	if !ok {
-		return nil, false
-	}
-	return obj.DeepCopy(), true
+	return obj, ok
 }
 
-// List returns copies of all objects of kind, in key order. Empty namespace
-// lists across namespaces. This is the O(all-objects) copy-scan; hot paths
+// List returns all stored objects of kind, in key order. Empty namespace
+// lists across namespaces. This is the O(all-objects) scan; hot paths
 // should read through an informer-backed Lister instead.
 func (a *APIServer) List(kind Kind, namespace string) []Object {
 	s := a.store(kind)
@@ -472,7 +468,7 @@ func (a *APIServer) List(kind Kind, namespace string) []Object {
 	sort.Strings(keys)
 	out := make([]Object, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, s[k].DeepCopy())
+		out = append(out, s[k])
 	}
 	return out
 }
@@ -514,35 +510,51 @@ func notFound(kind Kind, namespace, name string) error {
 	return fmt.Errorf("%w: %s %s/%s", ErrNotFound, kind, namespace, name)
 }
 
-// commitCreate stores a new object, assigning its UID, creation time and
-// first resource version (on the caller's obj too, so the creator can link
-// children to it).
+// commitCreate stores a new object, assigning its UID, store key, creation
+// time and first resource version (on the caller's obj too, so the creator
+// can link children to it). The store keeps a Clone: the creator goes on
+// owning its struct, and the maps inside it are frozen from here on.
 func (a *APIServer) commitCreate(obj Object) error {
 	m := obj.GetMeta()
-	s := a.store(m.Kind)
-	if _, exists := s[m.Key()]; exists {
-		return fmt.Errorf("%w: %s %s", ErrAlreadyExists, m.Kind, m.Key())
+	key := m.Namespace + "/" + m.Name
+	if _, exists := a.store(m.Kind)[key]; exists {
+		return fmt.Errorf("%w: %s %s", ErrAlreadyExists, m.Kind, key)
 	}
 	a.nextUID++
 	m.UID = UID(fmt.Sprintf("uid-%06d", a.nextUID))
+	m.key = key
 	m.Created = a.eng.Now()
 	a.rev++
 	m.ResourceVersion = a.rev
-	stored := obj.DeepCopy()
+	stored := obj.Clone()
 	a.put(stored)
 	a.notify(EventAdded, stored)
 	return nil
 }
 
+// replace commits next as the new version of the stored object old: a
+// fresh resource version, the store and owner index repointed, watchers
+// notified. old itself is never written — every reader that holds it keeps
+// the version it was handed.
+func (a *APIServer) replace(old, next Object) {
+	om, m := old.GetMeta(), next.GetMeta()
+	a.rev++
+	m.ResourceVersion = a.rev
+	if om.OwnerUID != m.OwnerUID {
+		a.unown(om) // re-parented
+	}
+	a.put(next)
+	a.notify(EventModified, next)
+}
+
 // commitUpdate replaces the stored object (by kind/namespace/name) with
-// cp, which the store keeps, preserving UID and creation time. When cp's
-// ResourceVersion is non-zero and stale the update fails with ErrConflict;
-// zero skips the precondition. Like RemoveFinalizer, an update that drains
-// a terminating object's finalizers completes its deletion.
+// cp, which the store keeps, preserving UID, key and creation time. When
+// cp's ResourceVersion is non-zero and stale the update fails with
+// ErrConflict; zero skips the precondition. Like RemoveFinalizer, an update
+// that drains a terminating object's finalizers completes its deletion.
 func (a *APIServer) commitUpdate(cp Object) error {
 	m := cp.GetMeta()
-	s := a.store(m.Kind)
-	old, ok := s[m.Key()]
+	old, ok := a.store(m.Kind)[m.Namespace+"/"+m.Name]
 	if !ok {
 		return notFound(m.Kind, m.Namespace, m.Name)
 	}
@@ -551,36 +563,29 @@ func (a *APIServer) commitUpdate(cp Object) error {
 		return fmt.Errorf("%w: %s %s (update at %d, stored %d)",
 			ErrConflict, m.Kind, m.Key(), m.ResourceVersion, oldMeta.ResourceVersion)
 	}
-	m.UID = oldMeta.UID
-	m.Created = oldMeta.Created
-	a.rev++
-	m.ResourceVersion = a.rev
-	a.unown(oldMeta)
-	a.put(cp)
-	a.notify(EventModified, cp)
+	m.UID, m.key, m.Created = oldMeta.UID, oldMeta.key, oldMeta.Created
+	a.replace(old, cp)
 	a.reapIfDrained(m)
 	return nil
 }
 
-// commitDelete begins deletion. With finalizers present the object enters
-// the terminating state and watchers see a MODIFIED event; once the last
-// finalizer is removed it disappears with a DELETED event. Without
-// finalizers it is removed immediately. Children owned via OwnerUID are
-// garbage-collected after the owner vanishes.
+// commitDelete begins deletion. With finalizers present a new version of
+// the object enters the terminating state and watchers see a MODIFIED
+// event; once the last finalizer is removed it disappears with a DELETED
+// event. Without finalizers it is removed immediately. Children owned via
+// OwnerUID are garbage-collected after the owner vanishes.
 func (a *APIServer) commitDelete(kind Kind, namespace, name string) error {
-	key := namespace + "/" + name
-	obj, ok := a.store(kind)[key]
+	obj, ok := a.store(kind)[namespace+"/"+name]
 	if !ok {
 		return notFound(kind, namespace, name)
 	}
 	m := obj.GetMeta()
 	if len(m.Finalizers) == 0 {
-		a.finalizeDelete(kind, key)
+		a.finalizeDelete(kind, m.Key())
 	} else if !m.Deleting {
-		m.Deleting = true
-		a.rev++
-		m.ResourceVersion = a.rev
-		a.notify(EventModified, obj)
+		cp := obj.Clone()
+		cp.GetMeta().Deleting = true
+		a.replace(obj, cp)
 	}
 	return nil
 }
@@ -638,40 +643,31 @@ func (a *APIServer) collectOrphans(owner UID) {
 	}
 }
 
-// commitRemoveFinalizer removes f from the object and completes a pending
-// delete when the finalizer list drains.
+// commitRemoveFinalizer commits a version of the object without f and
+// completes a pending delete when the finalizer list drains.
 func (a *APIServer) commitRemoveFinalizer(kind Kind, namespace, name, f string) error {
 	obj, ok := a.store(kind)[namespace+"/"+name]
 	if !ok {
 		return notFound(kind, namespace, name)
 	}
-	m := obj.GetMeta()
-	kept := m.Finalizers[:0]
-	for _, x := range m.Finalizers {
-		if x != f {
-			kept = append(kept, x)
-		}
-	}
-	m.Finalizers = kept
-	a.rev++
-	m.ResourceVersion = a.rev
-	a.notify(EventModified, obj)
+	cp := obj.Clone()
+	m := cp.GetMeta()
+	m.removeFinalizer(f)
+	a.replace(obj, cp)
 	a.reapIfDrained(m)
 	return nil
 }
 
-// commitStatus applies fn to the live stored object (status writes from
-// node agents are modelled as cheap: no copy, no request delay). Watchers
-// are notified when fn reports a change.
+// commitStatus applies fn to a Clone of the stored object and commits it
+// when fn reports a change (status writes from node agents are modelled as
+// cheap: no request delay).
 func (a *APIServer) commitStatus(kind Kind, namespace, name string, fn func(Object) bool) error {
 	obj, ok := a.store(kind)[namespace+"/"+name]
 	if !ok {
 		return notFound(kind, namespace, name)
 	}
-	if fn(obj) {
-		a.rev++
-		obj.GetMeta().ResourceVersion = a.rev
-		a.notify(EventModified, obj)
+	if cp := obj.Clone(); fn(cp) {
+		a.replace(obj, cp)
 	}
 	return nil
 }

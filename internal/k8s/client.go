@@ -3,7 +3,6 @@ package k8s
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 	"time"
 
@@ -50,9 +49,8 @@ func OwnerIndex(obj Object) []string {
 type WatchOptions struct {
 	// Namespace restricts delivery to one namespace ("" = all).
 	Namespace string
-	// Selector, when non-nil, must admit the event object. It runs against
-	// the informer's cached object — the one a matching handler then
-	// receives — and must not write to it.
+	// Selector, when non-nil, must admit the event object: the committed
+	// object a matching handler then receives.
 	Selector func(Object) bool
 }
 
@@ -150,7 +148,7 @@ func newInformer(api *APIServer, kind Kind) *Informer {
 	// Initial LIST: seed the cache from the store synchronously so an
 	// informer created after objects already exist starts warm.
 	for key, obj := range api.store(kind) {
-		inf.apply(key, obj.DeepCopy())
+		inf.apply(key, obj)
 	}
 	inf.upstream = api.watch(kind, inf.onEvent)
 	return inf
@@ -211,11 +209,8 @@ func (inf *Informer) remove(key string) {
 }
 
 // onEvent absorbs one watch event into the cache, then dispatches it to
-// matching handlers. Every handler receives the event as absorbed — for an
-// add or update its object is the cache entry itself — under the Lister
-// contract: read-only, DeepCopy before keeping or writing. A handler that
-// writes to it corrupts the cache, which VerifyCaches reports as "diverged
-// at equal rv".
+// matching handlers. Every handler receives the event as absorbed: for an
+// add or update its object is the cache entry itself, which is the store's.
 func (inf *Informer) onEvent(ev Event) {
 	if ev.Seq != 0 && ev.Seq <= inf.lastSeq {
 		// An in-flight delivery from before a relist: its effect is already
@@ -233,8 +228,8 @@ func (inf *Informer) onEvent(ev Event) {
 	inf.dispatch(ev)
 }
 
-// dispatch fans one event out to matching handlers: the same read-only
-// snapshot to each, so delivery cost does not grow with the subscriber count.
+// dispatch fans one event out to matching handlers: the same committed
+// object to each, so delivery cost does not grow with the subscriber count.
 func (inf *Informer) dispatch(ev Event) {
 	for _, reg := range inf.handlers {
 		if reg.opts.matches(ev.Object) {
@@ -273,17 +268,16 @@ func (inf *Informer) relist() {
 		}
 	}
 	for key, obj := range inf.api.store(inf.kind) {
-		cp := obj.DeepCopy()
-		objs[key] = cp
-		ns := cp.GetMeta().Namespace
+		objs[key] = obj
+		ns := obj.GetMeta().Namespace
 		b := byNS[ns]
 		if b == nil {
 			b = make(map[string]Object)
 			byNS[ns] = b
 		}
-		b[key] = cp
+		b[key] = obj
 		for _, ix := range indexes {
-			ix.add(key, cp)
+			ix.add(key, obj)
 		}
 	}
 	inf.objs, inf.byNS, inf.indexes = objs, byNS, indexes
@@ -324,14 +318,14 @@ func (inf *Informer) noteRead() {
 	}
 }
 
-// Lister is a cached, index-capable read view over one kind. Returned
-// objects are the informer's cache entries: treat them as read-only, like
-// client-go lister results. Reads cost no API round trip and no deep copy.
+// Lister is a cached, index-capable read view over one kind. Reads cost no
+// API round trip and hand out committed objects: read-only, like every read
+// (docs/controlplane.md, "Object ownership").
 type Lister struct {
 	inf *Informer
 }
 
-// Get returns the cached object, if present. Read-only.
+// Get returns the cached object, if present.
 func (l Lister) Get(namespace, name string) (Object, bool) {
 	l.inf.noteRead()
 	obj, ok := l.inf.objs[namespace+"/"+name]
@@ -339,7 +333,6 @@ func (l Lister) Get(namespace, name string) (Object, bool) {
 }
 
 // List returns the cached objects of the namespace ("" = all) in key order.
-// Read-only.
 func (l Lister) List(namespace string) []Object {
 	l.inf.noteRead()
 	var src map[string]Object
@@ -352,7 +345,7 @@ func (l Lister) List(namespace string) []Object {
 }
 
 // ByIndex returns the cached objects filed under value in the named index,
-// in key order. Read-only. O(match), not O(all objects).
+// in key order. O(match), not O(all objects).
 func (l Lister) ByIndex(name, value string) []Object {
 	l.inf.noteRead()
 	ix, ok := l.inf.indexes[name]
@@ -374,8 +367,13 @@ func (l Lister) IndexCount(name, value string) int {
 }
 
 func sortedValues(src map[string]Object) []Object {
-	if len(src) == 0 {
+	switch len(src) {
+	case 0:
 		return nil
+	case 1: // every pods-by-job and children-by-owner lookup of a 1-pod job
+		for _, obj := range src {
+			return []Object{obj}
+		}
 	}
 	keys := make([]string, 0, len(src))
 	for k := range src {
@@ -400,6 +398,8 @@ type Client struct {
 	// prober is the pending fault-recovery resync tick (ArmFaults); the
 	// handle is live exactly while the prober runs.
 	prober sim.Event
+	// rec, when a test or the fuzzer armed it, joins every new informer.
+	rec *CommitRecorder
 }
 
 func newClient(api *APIServer) *Client {
@@ -471,6 +471,9 @@ func (c *Client) Informer(kind Kind) *Informer {
 	if !ok {
 		inf = newInformer(c.api, kind)
 		c.informers[kind] = inf
+		if c.rec != nil {
+			c.rec.attach(inf)
+		}
 	}
 	return inf
 }
@@ -481,15 +484,15 @@ func (c *Client) Lister(kind Kind) Lister { return c.Informer(kind).Lister() }
 // Watch registers handler for events on kind scoped by opts. Handlers run
 // after the shared informer cache has absorbed the event, in registration
 // order, so lister reads from inside a handler always include the event.
-// The event object is the cache's own, shared by every handler and Lister
-// read: read-only, DeepCopy before keeping or writing (see the kubelet).
+// The event object is the committed one, shared by every handler and read:
+// Clone before keeping and writing one (see the kubelet).
 func (c *Client) Watch(kind Kind, opts WatchOptions, handler func(Event)) {
 	inf := c.Informer(kind)
 	inf.handlers = append(inf.handlers, &watchReg{opts: opts, handler: handler})
 }
 
-// Get performs a live (quorum) read, returning a private copy the caller
-// may mutate — the read-modify-write half of an optimistic update.
+// Get performs a live (quorum) read of the committed object. To write it
+// back, edit a Clone and Update — or let Patch do both.
 func (c *Client) Get(kind Kind, namespace, name string) (Object, bool) {
 	return c.api.Get(kind, namespace, name)
 }
@@ -507,12 +510,13 @@ func (c *Client) Create(obj Object) *Response {
 	return c.do(&request{verb: verbCreate, obj: obj})
 }
 
-// Update submits a conflict-checked replacement of obj, copied at the
-// call. A non-zero ResourceVersion that another writer has overtaken fails
-// with ErrConflict, which passes through (read-modify-write callers use
-// Patch); zero skips the precondition.
+// Update submits a conflict-checked replacement of obj, Cloned at the
+// call: the caller keeps its struct, the maps inside are frozen. A non-zero
+// ResourceVersion that another writer has overtaken fails with ErrConflict,
+// which passes through (read-modify-write callers use Patch); zero skips
+// the precondition.
 func (c *Client) Update(obj Object) *Response {
-	return c.do(&request{verb: verbUpdate, obj: obj.DeepCopy()})
+	return c.do(&request{verb: verbUpdate, obj: obj.Clone()})
 }
 
 // Delete begins deletion of the named object: immediate without
@@ -546,8 +550,9 @@ func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object)
 // failing with ErrRetriesExhausted. mutate returning false skips the write
 // and completes the Response with nil (nothing to do). mutate may be
 // called several times and must therefore be idempotent against the
-// object it is handed. That object is the private copy the store will keep
-// once the write commits, so mutate must not retain it.
+// object it is handed. That object is a Clone of the committed one, and the
+// very struct the store will keep once the write commits: mutate edits its
+// fields, replaces (never writes into) its maps, and must not retain it.
 func (c *Client) Patch(kind Kind, namespace, name string, mutate func(Object) bool) *Response {
 	return c.do(&request{verb: verbPatch, kind: kind, ns: namespace, name: name, fn: mutate})
 }
@@ -571,8 +576,8 @@ type request struct {
 	Response
 	c    *Client
 	verb verb
-	// obj is the object Create stamps, the copy Update stores, and the
-	// private read Patch's mutate edited in the current attempt.
+	// obj is the object Create stamps, the Clone Update stores, and the
+	// Clone Patch's mutate edited in the current attempt.
 	obj               Object
 	kind              Kind // kind/ns/name address the keyed verbs' object
 	ns, name, fin     string
@@ -606,11 +611,12 @@ func (r *request) attempt() {
 			r.complete(notFound(r.kind, r.ns, r.name))
 			return
 		}
-		if !r.fn(obj) {
+		cp := obj.Clone()
+		if !r.fn(cp) {
 			r.complete(nil)
 			return
 		}
-		r.obj = obj // Get's private copy, handed on to the store (mutate must not keep it)
+		r.obj = cp // handed on to the store once the write commits (mutate must not keep it)
 	}
 	a.submit(r)
 	if a.faults != nil {
@@ -746,10 +752,11 @@ func (c *Client) probeTick() {
 }
 
 // VerifyCaches compares every informer cache against the live store: same
-// key sets, same per-key ResourceVersions, deep-equal objects. It returns
-// nil when every cache has fully converged — the post-drain
-// eventual-convergence check behind the fuzzer invariant and the
-// cp_converged assertion.
+// key sets, same per-key ResourceVersions, and each cache entry the store's
+// own object. It returns nil when every cache has fully converged — the
+// post-drain eventual-convergence check behind the fuzzer invariant and the
+// cp_converged assertion. (Writes to a committed object are the
+// CommitRecorder's to catch: cache and store share them.)
 func (c *Client) VerifyCaches() error {
 	for _, kind := range c.sortedKinds() {
 		inf := c.informers[kind]
@@ -773,8 +780,8 @@ func (c *Client) VerifyCaches() error {
 				return fmt.Errorf("k8s: %s cache stale at %s (cached rv %d, stored %d)",
 					kind, key, crv, srv)
 			}
-			if !reflect.DeepEqual(cached, store[key]) {
-				return fmt.Errorf("k8s: %s cache diverged at %s (equal rv %d)", kind, key, crv)
+			if cached != store[key] {
+				return fmt.Errorf("k8s: %s cache entry %s is not the store's object (equal rv %d)", kind, key, crv)
 			}
 		}
 	}

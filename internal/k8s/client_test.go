@@ -14,6 +14,15 @@ func newTestAPI() (*sim.Engine, *APIServer) {
 	return eng, NewAPIServer(eng, DefaultAPILatency())
 }
 
+// editable is the first step of every Get→edit→Update sequence: a read
+// hands out the committed object itself, so the edit goes on a Clone.
+func editable[T Object](obj Object, ok bool) T {
+	if !ok {
+		panic("editable: object not found")
+	}
+	return obj.Clone().(T)
+}
+
 func mustCreate(t *testing.T, eng *sim.Engine, api *APIServer, obj Object) {
 	t.Helper()
 	resp := api.Client().Create(obj)
@@ -31,17 +40,17 @@ func TestStaleUpdateConflicts(t *testing.T) {
 	mustCreate(t, eng, api, &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}})
 
 	// Two readers fetch the same revision.
-	a, _ := api.Get(KindJob, "ns", "j")
-	b, _ := api.Get(KindJob, "ns", "j")
+	a := editable[*Job](api.Get(KindJob, "ns", "j"))
+	b := editable[*Job](api.Get(KindJob, "ns", "j"))
 
-	a.(*Job).Spec.Parallelism = 2
+	a.Spec.Parallelism = 2
 	respA := api.Client().Update(a)
 	eng.Run()
 	if err := respA.Err(); err != nil {
 		t.Fatalf("first update: %v", err)
 	}
 
-	b.(*Job).Spec.Parallelism = 9
+	b.Spec.Parallelism = 9
 	respB := api.Client().Update(b)
 	eng.Run()
 	if err := respB.Err(); !errors.Is(err, ErrConflict) {
@@ -53,7 +62,7 @@ func TestStaleUpdateConflicts(t *testing.T) {
 	}
 
 	// ResourceVersion 0 skips the precondition (blind write).
-	blind := got.(*Job).DeepCopy().(*Job)
+	blind := got.Clone().(*Job)
 	blind.Meta.ResourceVersion = 0
 	blind.Spec.Parallelism = 5
 	respC := api.Client().Update(blind)
@@ -78,8 +87,7 @@ func TestPatchConverges(t *testing.T) {
 	// The interferer bumps Parallelism through a blind write racing the
 	// retrying updater, which attaches a finalizer.
 	interfere := func() {
-		obj, _ := api.Get(KindJob, "ns", "j")
-		j := obj.(*Job)
+		j := editable[*Job](api.Get(KindJob, "ns", "j"))
 		j.Meta.ResourceVersion = 0
 		j.Spec.Parallelism++
 		api.Client().Update(j)
@@ -93,7 +101,7 @@ func TestPatchConverges(t *testing.T) {
 		if m.HasFinalizer("test/f") {
 			return false
 		}
-		m.Finalizers = append(m.Finalizers, "test/f")
+		m.AddFinalizer("test/f")
 		return true
 	})
 	eng.Run()
@@ -131,8 +139,7 @@ func TestWatchEventsArriveInCommitOrder(t *testing.T) {
 		api.Client().Create(job)
 		eng.Run()
 		for i := 0; i < 5; i++ {
-			got, _ := api.Get(KindJob, "ns", "j")
-			j := got.(*Job)
+			j := editable[*Job](api.Get(KindJob, "ns", "j"))
 			j.Spec.Parallelism = i + 1
 			api.Client().Update(j)
 			eng.Run()
@@ -337,7 +344,7 @@ func TestDormantWritesAreIdentity(t *testing.T) {
 		{name: "Update",
 			verb: func(cli *Client) *Response { return issueVerb("Update", cli) },
 			raw: func(eng *sim.Engine, api *APIServer) {
-				job := storedJob(api)
+				job := storedJob(api).Clone().(*Job)
 				widen(job)
 				eng.After(api.reqDelay(), func() { api.commitUpdate(job) })
 			},
@@ -367,7 +374,7 @@ func TestDormantWritesAreIdentity(t *testing.T) {
 		{name: "Patch",
 			verb: func(cli *Client) *Response { return issueVerb("Patch", cli) },
 			raw: func(eng *sim.Engine, api *APIServer) {
-				job := storedJob(api)
+				job := storedJob(api).Clone().(*Job)
 				widen(job)
 				eng.After(api.reqDelay(), func() { api.commitUpdate(job) })
 			},

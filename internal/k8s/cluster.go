@@ -75,8 +75,8 @@ func (c *Cluster) SubmitJob(job *Job) *Response {
 	return c.Client.Create(job)
 }
 
-// Job returns the current state of a job (a live read; the caller may
-// mutate the returned copy).
+// Job returns the current state of a job (a live read of the committed
+// object: read-only).
 func (c *Cluster) Job(namespace, name string) (*Job, bool) {
 	obj, ok := c.Client.Get(KindJob, namespace, name)
 	if !ok {

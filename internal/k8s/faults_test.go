@@ -30,6 +30,7 @@ func writeFixture(t *testing.T) (*sim.Engine, *APIServer, *Client) {
 	return eng, api, api.Client()
 }
 
+// storedJob reads the fixture's job: the committed object, read-only.
 func storedJob(api *APIServer) *Job {
 	obj, _ := api.Get(KindJob, "ns", "j")
 	return obj.(*Job)
@@ -48,7 +49,7 @@ var verbCases = []verbCase{
 		applied: func(api *APIServer) bool { _, ok := api.Get(KindPod, "ns", "p"); return ok }},
 	{name: "Update",
 		issue: func(cli *Client) *Response {
-			job := storedJob(cli.API()) // carries the stored ResourceVersion
+			job := storedJob(cli.API()).Clone().(*Job) // carries the stored ResourceVersion
 			widen(job)
 			return cli.Update(job)
 		},

@@ -50,6 +50,14 @@ func newTestCluster(t *testing.T, cfg ClusterConfig) (*Cluster, *fakeRuntime) {
 	eng := sim.NewEngine(1)
 	rt := &fakeRuntime{eng: eng, setupCost: 50 * time.Millisecond}
 	c := NewCluster(eng, cfg, func(string) Runtime { return rt })
+	// Every cluster test runs under the immutability oracle: no controller
+	// may write to an object after the apiserver committed it.
+	rec := c.Client.RecordCommits()
+	t.Cleanup(func() {
+		if err := rec.Verify(); err != nil {
+			t.Error(err)
+		}
+	})
 	eng.RunFor(time.Second) // let node objects settle
 	return c, rt
 }
@@ -83,14 +91,17 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 		t.Errorf("dup create: %v", dupErr)
 	}
 
-	// Update preserves UID.
-	j := got.(*Job)
+	// Update preserves UID and installs a new object: the old read stands.
+	j := got.Clone().(*Job)
 	j.Spec.Parallelism = 3
 	api.Client().Update(j)
 	eng.Run()
 	got2, _ := api.Get(KindJob, "ns", "j")
 	if got2.(*Job).Spec.Parallelism != 3 {
 		t.Error("update lost")
+	}
+	if got2 == got || got.(*Job).Spec.Parallelism != 0 {
+		t.Error("update wrote to the previous version instead of replacing it")
 	}
 	if got2.GetMeta().UID != got.GetMeta().UID {
 		t.Error("UID changed on update")
@@ -117,17 +128,45 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 	}
 }
 
-func TestAPIServerReturnsCopies(t *testing.T) {
-	eng := sim.NewEngine(1)
-	api := NewAPIServer(eng, DefaultAPILatency())
-	api.Client().Create(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j",
-		Annotations: map[string]string{"vni": "true"}}})
-	eng.Run()
+// TestCommittedObjectsAreShared is the ownership contract from the store
+// outward: a committed object is one pointer for every reader, a Clone is
+// one struct that still shares the maps inside it, and the Meta helpers
+// change a map by replacing it — so editing a Clone never reaches a reader.
+func TestCommittedObjectsAreShared(t *testing.T) {
+	eng, api := newTestAPI()
+	cli := api.Client()
+	lister := cli.Lister(KindJob)
+	var delivered Object
+	cli.Watch(KindJob, WatchOptions{}, func(ev Event) { delivered = ev.Object })
+	mustCreate(t, eng, api, &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j",
+		Annotations: map[string]string{"vni": "true"}, Finalizers: []string{"a"}}})
+
 	got, _ := api.Get(KindJob, "ns", "j")
-	got.GetMeta().Annotations["vni"] = "tampered"
-	got2, _ := api.Get(KindJob, "ns", "j")
-	if got2.GetMeta().Annotations["vni"] != "true" {
-		t.Error("store state mutated through returned copy")
+	again, _ := cli.Get(KindJob, "ns", "j")
+	cached, _ := lister.Get("ns", "j")
+	listed := api.List(KindJob, "ns")
+	for name, obj := range map[string]Object{"second Get": again, "lister": cached,
+		"watch delivery": delivered, "List": listed[0], "store": api.store(KindJob)["ns/j"]} {
+		if obj != got {
+			t.Errorf("%s handed out %p, Get %p: a committed object is one pointer", name, obj, got)
+		}
+	}
+
+	committed := contentHash(got)
+	cp := got.Clone().(*Job)
+	if Object(cp) == got {
+		t.Fatal("Clone returned the object itself")
+	}
+	cp.Spec.Parallelism = 9
+	cp.Meta.SetAnnotation("vni", "edited")
+	cp.Meta.SetAnnotation("extra", "x")
+	cp.Meta.DeleteAnnotation("vni")
+	cp.Meta.AddFinalizer("b")
+	if cp.Meta.Annotations["extra"] != "x" || len(cp.Meta.Annotations) != 1 || !cp.Meta.HasFinalizer("b") {
+		t.Errorf("helpers did not edit the Clone: %+v", cp.Meta)
+	}
+	if contentHash(got) != committed {
+		t.Errorf("editing a Clone reached the committed object: %+v", got)
 	}
 }
 
@@ -141,7 +180,7 @@ func TestFinalizersBlockDeletion(t *testing.T) {
 	drains := map[string]func(cli *Client) *Response{
 		"RemoveFinalizer": func(cli *Client) *Response { return cli.RemoveFinalizer(KindJob, "ns", "j", fin) },
 		"Update": func(cli *Client) *Response {
-			job, _ := cli.Get(KindJob, "ns", "j")
+			job := editable[*Job](cli.Get(KindJob, "ns", "j"))
 			strip(job)
 			return cli.Update(job)
 		},
@@ -329,7 +368,10 @@ func TestJobControllerGateDefersPods(t *testing.T) {
 	}
 }
 
-func TestCustomObjectsStoreAndCopy(t *testing.T) {
+// TestCustomObjectsStoreAndShare: a custom resource's spec and status maps
+// are immutable values like the metadata maps — a new spec is a new map on
+// a Clone, and the committed version keeps the one it was created with.
+func TestCustomObjectsStoreAndShare(t *testing.T) {
 	eng := sim.NewEngine(1)
 	api := NewAPIServer(eng, DefaultAPILatency())
 	const KindVNI Kind = "VNI"
@@ -347,10 +389,16 @@ func TestCustomObjectsStoreAndCopy(t *testing.T) {
 	if cr.Spec["vni"] != "1234" {
 		t.Errorf("spec = %v", cr.Spec)
 	}
-	cr.Spec["vni"] = "tampered"
+	next := cr.Clone().(*Custom)
+	next.Spec = map[string]string{"vni": "5678", "owner": "job/x"}
+	api.Client().Update(next)
+	eng.Run()
 	got2, _ := api.Get(KindVNI, "ns", "vni-1")
-	if got2.(*Custom).Spec["vni"] != "1234" {
-		t.Error("custom spec mutated through copy")
+	if got2.(*Custom).Spec["vni"] != "5678" {
+		t.Errorf("updated spec = %v", got2.(*Custom).Spec)
+	}
+	if cr.Spec["vni"] != "1234" {
+		t.Error("the update wrote through to the version committed before it")
 	}
 }
 

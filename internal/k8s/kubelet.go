@@ -86,10 +86,10 @@ func NewKubelet(cli *Client, cfg KubeletConfig, node string, rt Runtime) *Kubele
 		case EventModified:
 			if pod.Status.Phase == PodScheduled {
 				if _, seen := k.livePods[pod.Meta.Key()]; !seen {
-					// Adopted pods are kept and written to (setPhaseAt, the
-					// runtime), and event objects are the informer cache's
-					// own: take the kubelet's private copy here.
-					pod = pod.DeepCopy().(*Pod)
+					// Adopted pods are kept and their Status written to
+					// (setPhaseAt), and event objects are committed, hence
+					// immutable: take the kubelet's private struct here.
+					pod = pod.Clone().(*Pod)
 					k.livePods[pod.Meta.Key()] = pod
 					k.submit(func(done func()) { k.startPod(pod, done) })
 				}

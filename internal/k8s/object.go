@@ -14,6 +14,7 @@ package k8s
 
 import (
 	"fmt"
+	"maps"
 
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
@@ -55,10 +56,18 @@ type Meta struct {
 	// OwnerUID references the owning object; when the owner disappears,
 	// the garbage collector deletes this object.
 	OwnerUID UID
+	// key is the store key, stamped beside the UID when the object is
+	// created so that readers of a committed object do not rebuild it.
+	key string
 }
 
 // Key returns the store key namespace/name.
-func (m *Meta) Key() string { return m.Namespace + "/" + m.Name }
+func (m *Meta) Key() string {
+	if m.key != "" {
+		return m.key
+	}
+	return m.Namespace + "/" + m.Name
+}
 
 // HasFinalizer reports whether f is present.
 func (m *Meta) HasFinalizer(f string) bool {
@@ -70,31 +79,56 @@ func (m *Meta) HasFinalizer(f string) bool {
 	return false
 }
 
-// Object is anything stored in the API server.
+// The maps and the finalizer slice inside an object are immutable values,
+// shared between the versions of that object and with its Clones: the
+// helpers below change one by replacing it, never by writing in place.
+
+// SetAnnotation sets annotation k to v.
+func (m *Meta) SetAnnotation(k, v string) {
+	out := maps.Clone(m.Annotations)
+	if out == nil {
+		out = make(map[string]string, 1)
+	}
+	out[k] = v
+	m.Annotations = out
+}
+
+// DeleteAnnotation removes annotation k.
+func (m *Meta) DeleteAnnotation(k string) {
+	if _, ok := m.Annotations[k]; ok {
+		out := maps.Clone(m.Annotations)
+		delete(out, k)
+		m.Annotations = out
+	}
+}
+
+// AddFinalizer appends f; capping the slice at its length makes append copy.
+func (m *Meta) AddFinalizer(f string) {
+	n := len(m.Finalizers)
+	m.Finalizers = append(m.Finalizers[:n:n], f)
+}
+
+// removeFinalizer drops every occurrence of f.
+func (m *Meta) removeFinalizer(f string) {
+	var kept []string
+	for _, x := range m.Finalizers {
+		if x != f {
+			kept = append(kept, x)
+		}
+	}
+	m.Finalizers = kept
+}
+
+// Object is anything stored in the API server. A committed object is
+// immutable and shared: the store, every watch delivery, every informer
+// cache entry and every Get/List result are one pointer, and a write
+// installs a new object (docs/controlplane.md, "Object ownership").
 type Object interface {
 	GetMeta() *Meta
-	// DeepCopy returns an independent copy; the API server stores and
-	// returns copies so callers cannot mutate state behind its back.
-	DeepCopy() Object
-}
-
-func copyMeta(m Meta) Meta {
-	out := m
-	out.Annotations = copyStringMap(m.Annotations)
-	out.Labels = copyStringMap(m.Labels)
-	out.Finalizers = append([]string(nil), m.Finalizers...)
-	return out
-}
-
-func copyStringMap(m map[string]string) map[string]string {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	// Clone returns a copy of the struct for the caller to edit and
+	// submit. The maps and the finalizer slice inside it are still the
+	// original's: change one by replacing it (the Meta helpers do).
+	Clone() Object
 }
 
 // PodPhase is the pod lifecycle phase.
@@ -143,10 +177,9 @@ type Pod struct {
 // GetMeta implements Object.
 func (p *Pod) GetMeta() *Meta { return &p.Meta }
 
-// DeepCopy implements Object.
-func (p *Pod) DeepCopy() Object {
+// Clone implements Object.
+func (p *Pod) Clone() Object {
 	out := *p
-	out.Meta = copyMeta(p.Meta)
 	return &out
 }
 
@@ -188,10 +221,9 @@ type Job struct {
 // GetMeta implements Object.
 func (j *Job) GetMeta() *Meta { return &j.Meta }
 
-// DeepCopy implements Object.
-func (j *Job) DeepCopy() Object {
+// Clone implements Object.
+func (j *Job) Clone() Object {
 	out := *j
-	out.Meta = copyMeta(j.Meta)
 	return &out
 }
 
@@ -203,10 +235,9 @@ type Namespace struct {
 // GetMeta implements Object.
 func (n *Namespace) GetMeta() *Meta { return &n.Meta }
 
-// DeepCopy implements Object.
-func (n *Namespace) DeepCopy() Object {
+// Clone implements Object.
+func (n *Namespace) Clone() Object {
 	out := *n
-	out.Meta = copyMeta(n.Meta)
 	return &out
 }
 
@@ -227,10 +258,9 @@ type Node struct {
 // GetMeta implements Object.
 func (n *Node) GetMeta() *Meta { return &n.Meta }
 
-// DeepCopy implements Object.
-func (n *Node) DeepCopy() Object {
+// Clone implements Object.
+func (n *Node) Clone() Object {
 	out := *n
-	out.Meta = copyMeta(n.Meta)
 	return &out
 }
 
@@ -246,12 +276,9 @@ type Custom struct {
 // GetMeta implements Object.
 func (c *Custom) GetMeta() *Meta { return &c.Meta }
 
-// DeepCopy implements Object.
-func (c *Custom) DeepCopy() Object {
+// Clone implements Object.
+func (c *Custom) Clone() Object {
 	out := *c
-	out.Meta = copyMeta(c.Meta)
-	out.Spec = copyStringMap(c.Spec)
-	out.Status = copyStringMap(c.Status)
 	return &out
 }
 

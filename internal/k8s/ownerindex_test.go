@@ -171,7 +171,7 @@ func TestOwnerIndexMatchesScan(t *testing.T) {
 				drain(op)
 				uids = append(uids, obj.GetMeta().UID)
 			case "reparent":
-				obj, _ := cli.Get(ref.kind, ref.ns, ref.name)
+				obj := editable[Object](cli.Get(ref.kind, ref.ns, ref.name))
 				obj.GetMeta().OwnerUID = uids[rng.Intn(len(uids))]
 				cli.Update(obj)
 				drain(op)

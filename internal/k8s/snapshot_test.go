@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// The read-only snapshot contract of Client.Watch: one event object per
-// watch event, the informer cache's own, shared by every handler.
+// The read-only contract of committed objects: one object per commit, the
+// store's own, shared by every watch handler, cache entry and read.
 
 // TestWatchHandlersShareOneSnapshot: two handlers and Lister.Get observe
 // the same pointer for one event, and what a delivery allocates does not
@@ -47,23 +47,24 @@ func TestWatchHandlersShareOneSnapshot(t *testing.T) {
 	}
 }
 
-// TestHandlerWriteIsCaughtByVerifyCaches: a handler that breaks the
-// contract corrupts the cache, and the convergence check says so. The
-// store's copy is out of its reach.
-func TestHandlerWriteIsCaughtByVerifyCaches(t *testing.T) {
+// TestHandlerWriteIsCaughtByRecorder: a handler that breaks the contract
+// writes to the store's own object — VerifyCaches cannot see that, cache and
+// store being one pointer — and the commit recorder names the object.
+func TestHandlerWriteIsCaughtByRecorder(t *testing.T) {
 	eng, api := newTestAPI()
 	cli := api.Client()
 	cli.Watch(KindPod, WatchOptions{}, func(ev Event) {
 		ev.Object.(*Pod).Status.Message = "scribbled by a handler"
 	})
+	rec := cli.RecordCommits()
 	mustCreate(t, eng, api, &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
 
-	err := cli.VerifyCaches()
-	if err == nil || !strings.Contains(err.Error(), "diverged") || !strings.Contains(err.Error(), "equal rv") {
-		t.Fatalf("VerifyCaches = %v, want the diverged-at-equal-rv error", err)
+	if err := cli.VerifyCaches(); err != nil {
+		t.Errorf("VerifyCaches = %v; cache and store share the scribbled object", err)
 	}
-	if got, _ := cli.Get(KindPod, "ns", "p"); got.(*Pod).Status.Message != "" {
-		t.Error("the handler's write reached the store")
+	err := rec.Verify()
+	if err == nil || !strings.Contains(err.Error(), "Pod ns/p rv 1 written after commit") {
+		t.Fatalf("Verify = %v, want the pod named as written after commit", err)
 	}
 }
 
@@ -103,36 +104,47 @@ func TestKubeletCopiesOnAdopt(t *testing.T) {
 	}
 }
 
-// TestPatchKeepsStoreIsolation: Patch submits the very object mutate edited
-// (no second copy), and the store must still be out of every reader's
-// reach afterwards.
-func TestPatchKeepsStoreIsolation(t *testing.T) {
+// TestPatchEditsAClone: Patch hands mutate a Clone and submits that very
+// struct (no second copy). The version committed before stands untouched,
+// and once the write lands every reader holds the new object.
+func TestPatchEditsAClone(t *testing.T) {
 	eng, api, cli := writeFixture(t)
 	lister := cli.Lister(KindJob)
+	rec := cli.RecordCommits()
+	before, _ := cli.Get(KindJob, "ns", "j")
+	var edited Object
 	resp := cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
+		edited = obj
 		job := obj.(*Job)
 		job.Spec.Parallelism = 7
-		job.Meta.Annotations = map[string]string{"k": "v"}
+		job.Meta.SetAnnotation("k", "v")
 		return true
 	})
 	eng.Run()
 	if err := resp.Err(); err != nil {
 		t.Fatalf("patch: %v", err)
 	}
-
-	got, _ := cli.Get(KindJob, "ns", "j")
-	got.(*Job).Spec.Parallelism = 99
-	got.GetMeta().Annotations["k"] = "tampered"
+	if edited == before {
+		t.Fatal("mutate was handed the committed object, not a Clone")
+	}
+	if job := before.(*Job); job.Spec.Parallelism != 0 || job.Meta.Annotations != nil {
+		t.Errorf("patch wrote to the previous version: %+v", job)
+	}
 
 	next, _ := cli.Get(KindJob, "ns", "j")
 	cached, _ := lister.Get("ns", "j")
 	for name, obj := range map[string]Object{"next Get": next, "informer cache": cached, "store": api.store(KindJob)["ns/j"]} {
-		if job := obj.(*Job); job.Spec.Parallelism != 7 || job.Meta.Annotations["k"] != "v" {
-			t.Errorf("%s changed through a Get result: parallelism %d, annotation %q",
-				name, job.Spec.Parallelism, job.Meta.Annotations["k"])
+		if obj != edited {
+			t.Errorf("%s holds %p, the patch committed %p", name, obj, edited)
 		}
 	}
+	if job := next.(*Job); job.Spec.Parallelism != 7 || job.Meta.Annotations["k"] != "v" {
+		t.Errorf("patched job = %+v", job)
+	}
 	if err := cli.VerifyCaches(); err != nil {
+		t.Error(err)
+	}
+	if err := rec.Verify(); err != nil {
 		t.Error(err)
 	}
 }

@@ -181,7 +181,7 @@ func (d *Decorator) reconcile(key string, done func()) {
 			if m.HasFinalizer(d.cfg.Finalizer) {
 				return false
 			}
-			m.Finalizers = append(m.Finalizers, d.cfg.Finalizer)
+			m.AddFinalizer(d.cfg.Finalizer)
 			return true
 		}).Done(func(error) { next() })
 	}
@@ -199,7 +199,7 @@ func (d *Decorator) reconcile(key string, done func()) {
 
 // cachedChildren lists controller-owned children of the parent through the
 // owner index: O(children of this parent), not O(all children in the
-// namespace). The results are the informer's cache entries: read-only.
+// namespace). The results are committed objects: read-only.
 func (d *Decorator) cachedChildren(parent *k8s.Meta) []*k8s.Custom {
 	var out []*k8s.Custom
 	for _, obj := range d.children.ByIndex(k8s.IndexOwner, string(parent.UID)) {
@@ -210,13 +210,13 @@ func (d *Decorator) cachedChildren(parent *k8s.Meta) []*k8s.Custom {
 	return out
 }
 
-// childrenOf returns private copies of the parent's children for a webhook
-// request: responses may echo them back as desired state, which
-// applyChildren mutates.
+// childrenOf returns Clones of the parent's children for a webhook
+// request: responses may echo them back as desired state, whose Meta
+// applyChildren then stamps. The spec and status maps stay shared.
 func (d *Decorator) childrenOf(parent *k8s.Meta) []*k8s.Custom {
 	out := d.cachedChildren(parent)
 	for i, c := range out {
-		out[i] = c.DeepCopy().(*k8s.Custom)
+		out[i] = c.Clone().(*k8s.Custom)
 	}
 	return out
 }
