@@ -73,7 +73,8 @@ type Device struct {
 	sw      *fabric.Switch
 	addr    fabric.Addr
 	link    *fabric.HostLink
-	cfg     DeviceConfig
+	cfg     DeviceConfig // fixed at NewDevice; read in place, never copied per message
+	mtu     int          // sw.Config().MTU, read once: Config() copies the whole struct
 	svcs    map[SvcID]*Svc
 	byName  map[string]SvcID // the named services of svcs: SvcAlloc's duplicate check without a scan
 	nextSvc SvcID
@@ -90,6 +91,13 @@ type Device struct {
 	nextMR     uint64
 	mrs        map[MRKey]*MemoryRegion
 	rmaWaiters map[uint64]func()
+
+	// Free lists of the per-message records below. The data path runs on
+	// the engine's goroutine (Send and ReceivePacket are event-loop calls),
+	// so the lists are the device's own and need no lock.
+	sends    sim.FreeList[sendArg]
+	delivers sim.FreeList[msgDeliver]
+	partials sim.FreeList[partialMsg]
 }
 
 type partialKey struct {
@@ -124,6 +132,7 @@ func NewDevice(name string, eng *sim.Engine, kern *nsmodel.Kernel, sw *fabric.Sw
 		kern:       kern,
 		sw:         sw,
 		cfg:        cfg,
+		mtu:        sw.Config().MTU,
 		svcs:       make(map[SvcID]*Svc),
 		byName:     make(map[string]SvcID),
 		nextSvc:    DefaultSvcID,
@@ -387,27 +396,23 @@ func (d *Device) checkSvc(caller nsmodel.PID, svc *Svc, vni fabric.VNI, tc fabri
 	return AuthOK
 }
 
-// msgDeliver is the pooled argument of a receive-overhead event: the
+// msgDeliver is the recycled argument of a receive-overhead event: the
 // reassembled message rides here instead of in a closure, so steady-state
-// message delivery does not allocate.
+// message delivery does not allocate. Reassembly records (partialMsg) are
+// recycled the same way; only multi-frame messages in frame-granular mode
+// (CoalesceFrames off) ever need one.
 type msgDeliver struct {
 	ep  *Endpoint
 	msg Message
 }
 
-var msgDeliverPool = sync.Pool{New: func() any { return new(msgDeliver) }}
-
 func msgDeliverCall(a any) {
 	md := a.(*msgDeliver)
 	ep, msg := md.ep, md.msg
 	md.ep = nil
-	msgDeliverPool.Put(md)
+	ep.dev.delivers.Put(md)
 	ep.deliver(msg)
 }
-
-// partialMsgPool recycles reassembly records; only multi-frame messages in
-// frame-granular mode (CoalesceFrames off) ever allocate one.
-var partialMsgPool = sync.Pool{New: func() any { return new(partialMsg) }}
 
 // ReceivePacket implements fabric.Receiver: demultiplex by destination
 // endpoint index, reassemble, and deliver after the receive overhead.
@@ -438,10 +443,10 @@ func (d *Device) ReceivePacket(p *fabric.Packet) {
 		if complete {
 			delete(d.partial, key)
 			*pm = partialMsg{}
-			partialMsgPool.Put(pm)
+			d.partials.Put(pm)
 		}
 	} else if !complete {
-		pm = partialMsgPool.Get().(*partialMsg)
+		pm = d.partials.Get()
 		pm.got, pm.dst, pm.vni = p.PayloadBytes, p.DstIdx, p.VNI
 		d.partial[key] = pm
 	}
@@ -452,7 +457,7 @@ func (d *Device) ReceivePacket(p *fabric.Packet) {
 	d.mu.Unlock()
 
 	if complete {
-		md := msgDeliverPool.Get().(*msgDeliver)
+		md := d.delivers.Get()
 		md.ep = ep
 		md.msg = Message{Src: p.Src, SrcEP: p.SrcIdx, Size: size, VNI: p.VNI, TC: p.TC}
 		d.eng.AfterCall(d.eng.Jitter(d.cfg.RecvOverhead, 0.02), msgDeliverCall, md)

@@ -2,7 +2,6 @@ package cxi
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/nsmodel"
@@ -127,7 +126,6 @@ func (ep *Endpoint) Send(dst fabric.Addr, dstIdx int, size int, onComplete func(
 	msgID := d.nextMsg
 	d.stats.MsgsSent++
 	d.stats.BytesSent += uint64(size)
-	cfg := d.cfg
 	d.mu.Unlock()
 
 	now := d.eng.Now()
@@ -135,26 +133,27 @@ func (ep *Endpoint) Send(dst fabric.Addr, dstIdx int, size int, onComplete func(
 	if ep.issueAt > issue {
 		issue = ep.issueAt
 	}
-	issue = issue.Add(d.eng.Jitter(cfg.MsgIssueGap, 0.02))
+	issue = issue.Add(d.eng.Jitter(d.cfg.MsgIssueGap, 0.02))
 	ep.issueAt = issue
 
-	mtu := d.sw.Config().MTU
-	frames := (size + mtu - 1) / mtu
+	frames := (size + d.mtu - 1) / d.mtu
 	if frames == 0 {
 		frames = 1
 	}
-	start := issue.Add(d.eng.Jitter(cfg.SendOverhead, 0.02))
+	start := issue.Add(d.eng.Jitter(d.cfg.SendOverhead, 0.02))
 
-	sa := sendArgPool.Get().(*sendArg)
-	*sa = sendArg{ep: ep, dst: dst, dstIdx: dstIdx, size: size, frames: frames,
-		msgID: msgID, onComplete: onComplete}
+	// Field by field: sendCall zeroes the struct before returning it, and a
+	// composite literal here would build and copy all of it, pkt included.
+	sa := d.sends.Get()
+	sa.ep, sa.dst, sa.dstIdx, sa.size = ep, dst, dstIdx, size
+	sa.frames, sa.msgID, sa.onComplete = frames, msgID, onComplete
 	d.eng.AtCall(start, sendCall, sa)
 	return nil
 }
 
-// sendArg is the pooled bookkeeping of one in-flight send: the DMA-issue
+// sendArg is the recycled bookkeeping of one in-flight send: the DMA-issue
 // event carries it instead of a closure, so the per-message transmit path
-// does not allocate.
+// does not allocate. It comes from the sending device's free list.
 type sendArg struct {
 	ep         *Endpoint
 	dst        fabric.Addr
@@ -168,8 +167,6 @@ type sendArg struct {
 	// when it declines and the packet path runs instead.
 	pkt fabric.Packet
 }
-
-var sendArgPool = sync.Pool{New: func() any { return new(sendArg) }}
 
 // sendCall runs when the send overhead has elapsed: it serializes the
 // message onto the host link as one coalesced burst or frame by frame, and
@@ -188,12 +185,11 @@ func sendCall(a any) {
 		if d.cfg.CoalesceFrames {
 			packets = 1
 		}
-		sa.pkt = fabric.Packet{
-			Src: d.addr, Dst: sa.dst, VNI: ep.vni, TC: ep.tc,
-			PayloadBytes: sa.size, Frames: sa.frames, DstIdx: sa.dstIdx, SrcIdx: ep.idx,
-			MsgID: sa.msgID, Last: true,
-		}
-		last, sent = d.link.SendFlow(&sa.pkt, ep.fidelity, packets)
+		p := &sa.pkt // zero since the last sendCall; filled in place, not copied in
+		p.Src, p.Dst, p.VNI, p.TC = d.addr, sa.dst, ep.vni, ep.tc
+		p.PayloadBytes, p.Frames, p.DstIdx, p.SrcIdx = sa.size, sa.frames, sa.dstIdx, ep.idx
+		p.MsgID, p.Last = sa.msgID, true
+		last, sent = d.link.SendFlow(p, ep.fidelity, packets)
 	}
 	switch {
 	case sent:
@@ -205,11 +201,10 @@ func sendCall(a any) {
 			MsgID: sa.msgID, Last: true,
 		})
 	default:
-		mtu := d.sw.Config().MTU
 		remaining := sa.size
 		off := 0
 		for f := 0; f < sa.frames; f++ {
-			chunk := mtu
+			chunk := d.mtu
 			if chunk > remaining {
 				chunk = remaining
 			}
@@ -224,7 +219,7 @@ func sendCall(a any) {
 	}
 	onComplete := sa.onComplete
 	*sa = sendArg{}
-	sendArgPool.Put(sa)
+	d.sends.Put(sa)
 	if onComplete != nil {
 		d.eng.At(last, onComplete)
 	}

@@ -107,18 +107,16 @@ func (ep *Endpoint) sendRMA(dst fabric.Addr, dstIdx int, wireBytes int, op rmaOp
 	}
 	d.mu.Unlock()
 
-	cfg := d.cfg
 	now := d.eng.Now()
 	issue := now
 	if ep.issueAt > issue {
 		issue = ep.issueAt
 	}
-	issue = issue.Add(d.eng.Jitter(cfg.MsgIssueGap, 0.02))
+	issue = issue.Add(d.eng.Jitter(d.cfg.MsgIssueGap, 0.02))
 	ep.issueAt = issue
-	start := issue.Add(d.eng.Jitter(cfg.SendOverhead, 0.02))
+	start := issue.Add(d.eng.Jitter(d.cfg.SendOverhead, 0.02))
 
-	mtu := d.sw.Config().MTU
-	frames := (wireBytes + mtu - 1) / mtu
+	frames := (wireBytes + d.mtu - 1) / d.mtu
 	if frames == 0 {
 		frames = 1
 	}
@@ -183,8 +181,7 @@ func (d *Device) handleRMALocked(p *fabric.Packet, ep *Endpoint) func() {
 	tc := p.TC
 	vni := p.VNI
 	return func() {
-		mtu := d.sw.Config().MTU
-		frames := (size + mtu - 1) / mtu
+		frames := (size + d.mtu - 1) / d.mtu
 		if frames == 0 {
 			frames = 1
 		}

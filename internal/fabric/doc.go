@@ -22,9 +22,15 @@
 // global Topology mutex, which measured as pure overhead because no second
 // goroutine ever exists per engine. Concurrency across *engines* (e.g.
 // `shssim run -workers N` executing independent scenarios in parallel) is
-// safe: each scenario owns a private Engine, Topology and NIC set, and the
-// only shared state is the package-level sync.Pools recycling event
-// argument structs, which are safe for concurrent use.
+// safe because engines share nothing: each scenario owns a private Engine,
+// Topology and NIC set, and the recycled event-argument structs live on
+// free lists (sim.FreeList) that are fields of the object that schedules
+// them — a Switch holds its injection, delivery and drop-hook arguments, a
+// Topology its in-flight trunk hops — never in package-level state. The
+// ownership rule for new hot-path state is the same: put it on the object
+// the engine goroutine already confines, and it needs neither a lock nor a
+// sync.Pool (the root module's TestEnginesShareNoPoolState runs two stacks
+// on two goroutines under the race detector to keep it so).
 //
 // If a future caller needs cross-goroutine access to a live fabric (it
 // should not — simulated concurrency is expressed as events), it must
@@ -38,7 +44,8 @@
 // the minimal-path search re-runs only on the first packet over each
 // switch pair after a topology change. Packet copies that ride inside
 // scheduled events (host-link injection, trunk hops, local delivery, drop
-// hooks) live in pooled argument structs dispatched through
+// hooks) live in recycled argument structs dispatched through
 // sim.Engine.AtCall, so the steady-state forwarding path performs no heap
-// allocation. docs/performance.md records the measured effect.
+// allocation once each owner's free list has filled, within the first
+// packets of a run. docs/performance.md records the measured effect.
 package fabric

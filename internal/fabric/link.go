@@ -1,10 +1,6 @@
 package fabric
 
-import (
-	"sync"
-
-	"github.com/caps-sim/shs-k8s/internal/sim"
-)
+import "github.com/caps-sim/shs-k8s/internal/sim"
 
 // HostLink models the cable between a NIC and its switch port in the
 // NIC-to-switch direction. The switch handles the reverse direction with
@@ -25,7 +21,7 @@ func NewHostLink(eng *sim.Engine, sw *Switch) *HostLink {
 // the NIC (i.e., when the NIC's DMA engine is free to start the next frame).
 // Must be called from within the event loop.
 func (l *HostLink) Send(p *Packet) sim.Time {
-	cfg := l.sw.Config()
+	cfg := &l.sw.cfg
 	now := l.eng.Now()
 	start := now
 	if l.busyAt > start {
@@ -35,32 +31,30 @@ func (l *HostLink) Send(p *Packet) sim.Time {
 	end := start.Add(tx)
 	l.busyAt = end
 
-	in := injectPool.Get().(*injectArg)
+	in := l.sw.injects.Get()
 	in.sw, in.pkt = l.sw, *p
 	l.eng.AtCall(end.Add(cfg.PropagationDelay), injectCall, in)
 	return end
 }
 
-// injectArg is the pooled argument of a host-link arrival event: the packet
-// copy that used to live in a per-send closure rides here instead, so the
-// NIC-to-switch leg allocates nothing in steady state.
+// injectArg is the recycled argument of a host-link arrival event: the
+// packet copy that used to live in a per-send closure rides here instead,
+// so the NIC-to-switch leg allocates nothing in steady state. It lives on
+// the free list of the switch it injects into and keeps sw for life.
 type injectArg struct {
 	sw  *Switch
 	pkt Packet
 }
 
-var injectPool = sync.Pool{New: func() any { return new(injectArg) }}
-
 func injectCall(a any) {
 	in := a.(*injectArg)
-	// The packet stays in the pooled struct for the duration of the call
+	// The packet stays in the recycled struct for the duration of the call
 	// (copying it to a local would force a fresh heap copy, since &pkt
 	// flows into indirect calls); Inject copies anything it keeps, so the
 	// struct is returned once it comes back.
 	in.sw.Inject(&in.pkt)
-	in.sw = nil
 	in.pkt = Packet{}
-	injectPool.Put(in)
+	in.sw.injects.Put(in)
 }
 
 // BusyUntil returns the time the link becomes idle.

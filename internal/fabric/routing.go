@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -160,12 +159,13 @@ func (t *Topology) resolveNextLink(ci, di int) (next, blame *link) {
 	return best, nil
 }
 
-// trunkHop is the pooled bookkeeping for one packet copy traversing trunk
-// links: the arrival event at each switch on the path reuses the same
-// struct, and it returns to the pool when the packet enters local delivery
-// or is dropped. The pool is package-level (engines in parallel scenario
-// workers share it), which is why it is a sync.Pool rather than a
-// free list on the Topology.
+// trunkHop is the recycled bookkeeping for one packet copy traversing
+// trunk links: the arrival event at each switch on the path reuses the
+// same struct, and it returns to the free list when the packet enters
+// local delivery or is dropped. The list is a field of the Topology, not
+// package state: a topology and everything that touches it run on one
+// engine's goroutine, so a plain LIFO suffices, and engines in parallel
+// scenario workers share nothing.
 type trunkHop struct {
 	t   *Topology
 	sw  int // switch index the packet is arriving at
@@ -173,12 +173,9 @@ type trunkHop struct {
 	pkt Packet
 }
 
-var trunkHopPool = sync.Pool{New: func() any { return new(trunkHop) }}
-
 func putTrunkHop(h *trunkHop) {
-	h.t = nil
 	h.pkt = Packet{}
-	trunkHopPool.Put(h)
+	h.t.hops.Put(h)
 }
 
 // hop serializes p onto the next link from switch ci toward switch di and
@@ -203,7 +200,7 @@ func (t *Topology) hop(ci, di int, p *Packet) routeVerdict {
 	l.stats.Forwarded++
 	l.stats.Bytes += uint64(p.PayloadBytes)
 
-	h := trunkHopPool.Get().(*trunkHop)
+	h := t.hops.Get()
 	h.t, h.sw, h.dst, h.pkt = t, l.id.To, di, *p
 	t.eng.AtCall(end.Add(l.prop), trunkArriveCall, h)
 	return routeForwarded

@@ -137,6 +137,13 @@ type Switch struct {
 	// packets whose source and destination groups differ are dropped.
 	// Addresses absent from the map are in group 0.
 	partition map[Addr]int
+
+	// Free lists of the event arguments this switch schedules. They are
+	// the switch's own because the switch is confined to its engine's
+	// goroutine (see the package documentation).
+	injects  sim.FreeList[injectArg]
+	delivers sim.FreeList[localDeliver]
+	drops    sim.FreeList[dropNotify]
 }
 
 // addrAllocator issues globally unique fabric addresses.
@@ -294,24 +301,24 @@ func (s *Switch) wireTime(bytes int) time.Duration {
 	return wireTime(s.cfg.LinkBandwidthBits, bytes)
 }
 
-// dropNotify is the pooled argument of a deferred drop-hook invocation.
+// dropNotify is the recycled argument of a deferred drop-hook invocation.
 type dropNotify struct {
+	sw     *Switch
 	hook   func(p *Packet, r DropReason)
 	pkt    Packet
 	reason DropReason
 }
 
-var dropNotifyPool = sync.Pool{New: func() any { return new(dropNotify) }}
-
 func dropNotifyCall(a any) {
 	n := a.(*dropNotify)
 	// Hooks observe the packet only for the duration of the call; the
-	// struct returns to the pool afterwards (a re-entrant drop inside the
-	// hook draws a different struct, since this one is not yet returned).
+	// struct returns to the free list afterwards (a re-entrant drop inside
+	// the hook draws a different struct, since this one is not yet
+	// returned).
 	n.hook(&n.pkt, n.reason)
 	n.hook = nil
 	n.pkt = Packet{}
-	dropNotifyPool.Put(n)
+	n.sw.drops.Put(n)
 }
 
 func (s *Switch) drop(p *Packet, r DropReason) {
@@ -320,8 +327,8 @@ func (s *Switch) drop(p *Packet, r DropReason) {
 	if s.dropHook != nil {
 		// Run the hook via the event loop to avoid re-entrancy surprises
 		// while the forwarding path is mid-flight.
-		n := dropNotifyPool.Get().(*dropNotify)
-		n.hook, n.pkt, n.reason = s.dropHook, *p, r
+		n := s.drops.Get()
+		n.sw, n.hook, n.pkt, n.reason = s, s.dropHook, *p, r
 		s.eng.AfterCall(0, dropNotifyCall, n)
 	}
 }
@@ -406,25 +413,24 @@ func (s *Switch) Inject(p *Packet) {
 	s.deliver(p, out)
 }
 
-// localDeliver is the pooled argument of a final-delivery event: the packet
-// copy rides here instead of in a closure, so local delivery does not
-// allocate.
+// localDeliver is the recycled argument of a final-delivery event: the
+// packet copy rides here instead of in a closure, so local delivery does
+// not allocate.
 type localDeliver struct {
+	sw   *Switch
 	recv Receiver
 	pkt  Packet
 }
 
-var localDeliverPool = sync.Pool{New: func() any { return new(localDeliver) }}
-
 func localDeliverCall(a any) {
 	d := a.(*localDeliver)
 	// Receivers do not retain *Packet past ReceivePacket (they copy what
-	// they keep), so the pooled copy is handed over in place and the
-	// struct returns to the pool when the call comes back.
+	// they keep), so the recycled copy is handed over in place and the
+	// struct returns to its switch's free list when the call comes back.
 	d.recv.ReceivePacket(&d.pkt)
 	d.recv = nil
 	d.pkt = Packet{}
-	localDeliverPool.Put(d)
+	d.sw.delivers.Put(d)
 }
 
 // deliver serializes the packet onto the egress link and schedules
@@ -463,8 +469,8 @@ func (s *Switch) flowDeliver(p *Packet, at sim.Time, out *port) sim.Time {
 	end := start.Add(tx)
 	out.egressAt = end
 
-	d := localDeliverPool.Get().(*localDeliver)
-	d.recv, d.pkt = out.recv, *p
+	d := s.delivers.Get()
+	d.sw, d.recv, d.pkt = s, out.recv, *p
 	s.eng.AtCall(end.Add(s.cfg.PropagationDelay), localDeliverCall, d)
 	return end
 }

@@ -154,6 +154,8 @@ type Topology struct {
 	// routeEpoch invalidates the whole route cache when bumped; it starts
 	// at 1 so zero-valued cache entries are never mistaken for valid.
 	routeEpoch uint64
+	// hops recycles in-flight trunk traversals (see trunkHop).
+	hops sim.FreeList[trunkHop]
 }
 
 // NewTopology wires a fabric from spec. A 1×1 spec is byte-for-byte the

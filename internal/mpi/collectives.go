@@ -41,6 +41,41 @@ func fanIn(n int, done func()) func() {
 	}
 }
 
+// exchange is one rank's round state for one collective whose rounds each
+// pair a receive with a send: the round is over when both have completed,
+// and then the continuation runs. It is built once per rank per collective
+// and its two completion callbacks are bound then, so a round itself
+// allocates nothing — where a fanIn(2, …) plus an adapter closure per
+// round cost four allocations per message.
+type exchange struct {
+	r        *Rank
+	pending  int
+	next     func() // runs when the round's receive and send are both done
+	recvDone func(size int)
+	sendDone func()
+}
+
+// newExchange binds the completion callbacks; the caller sets next, which
+// may then capture x itself by value.
+func newExchange(r *Rank) *exchange {
+	x := &exchange{r: r}
+	x.sendDone = func() {
+		x.pending--
+		if x.pending == 0 {
+			x.next()
+		}
+	}
+	x.recvDone = func(int) { x.sendDone() }
+	return x
+}
+
+// round posts one round: the receive first, then the send.
+func (x *exchange) round(from, to, size int) {
+	x.pending = 2
+	x.r.RecvFrom(from, x.recvDone)
+	x.r.SendTo(to, size, x.sendDone)
+}
+
 // AllreduceRing performs an allreduce of size bytes per rank with the
 // bandwidth-optimal ring algorithm: a reduce-scatter of n-1 steps followed
 // by an allgather of n-1 steps, each step exchanging one 1/n chunk with
@@ -59,8 +94,8 @@ func (r *Rank) ringAllreduce(size int, done func()) {
 	left, right := mod(r.id-1, n), mod(r.id+1, n)
 	total := 2 * (n - 1)
 	step := 0
-	var runStep func()
-	runStep = func() {
+	x := newExchange(r)
+	x.next = func() {
 		if step == total {
 			done()
 			return
@@ -73,11 +108,10 @@ func (r *Rank) ringAllreduce(size int, done func()) {
 		} else {
 			sendIdx = mod(r.id-(step-(n-1))+1, n)
 		}
-		next := fanIn(2, func() { step++; runStep() })
-		r.RecvFrom(left, func(int) { next() })
-		r.SendTo(right, chunk(size, n, sendIdx), next)
+		step++
+		x.round(left, right, chunk(size, n, sendIdx))
 	}
-	runStep()
+	x.next()
 }
 
 // AllreduceRecursiveDoubling performs an allreduce of size bytes per rank
@@ -127,18 +161,17 @@ func (c *Comm) AllreduceRecursiveDoubling(size int, done func()) {
 // rank.
 func (r *Rank) doublingRounds(coreID, pow2 int, core func(int) int, size int, done func()) {
 	dist := 1
-	var round func()
-	round = func() {
+	x := newExchange(r)
+	x.next = func() {
 		if dist >= pow2 {
 			done()
 			return
 		}
 		partner := core(coreID ^ dist)
-		next := fanIn(2, func() { dist *= 2; round() })
-		r.RecvFrom(partner, func(int) { next() })
-		r.SendTo(partner, size, next)
+		dist *= 2
+		x.round(partner, partner, size)
 	}
-	round()
+	x.next()
 }
 
 // AlltoallPairwise performs a complete exchange — every rank sends a
@@ -153,18 +186,17 @@ func (c *Comm) AlltoallPairwise(block int, done func()) {
 	for _, r := range c.Ranks {
 		r := r
 		k := 1
-		var round func()
-		round = func() {
+		x := newExchange(r)
+		x.next = func() {
 			if k == n {
 				rankDone()
 				return
 			}
-			sendTo, recvFrom := mod(r.id+k, n), mod(r.id-k, n)
-			next := fanIn(2, func() { k++; round() })
-			r.RecvFrom(recvFrom, func(int) { next() })
-			r.SendTo(sendTo, block, next)
+			from, to := mod(r.id-k, n), mod(r.id+k, n)
+			k++
+			x.round(from, to, block)
 		}
-		round()
+		x.next()
 	}
 }
 

@@ -208,3 +208,35 @@ func TestIsendNeedsTwoRanks(t *testing.T) {
 	}()
 	comm.Ranks[0].Isend(1, nil)
 }
+
+// TestMatchedEntriesAreNotRetained: once a collective has completed, no
+// slot of any rank's matching queues — including the spare capacity past
+// len, where a splice used to leave a stale copy — may still hold a
+// receive continuation or a message, or a finished collective's closures
+// stay reachable from the Rank until a later post happens to overwrite
+// them.
+func TestMatchedEntriesAreNotRetained(t *testing.T) {
+	for _, tc := range collectiveCases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, comm := newCommN(t, 1, 5)
+			finished := false
+			eng.After(0, func() { tc.run(comm, 1<<16, func() { finished = true }) })
+			eng.Run()
+			if !finished {
+				t.Fatal("collective never completed")
+			}
+			for _, r := range comm.Ranks {
+				for i, p := range r.pending[:cap(r.pending)] {
+					if p.fn != nil {
+						t.Errorf("rank %d: pending slot %d of %d still holds a continuation", r.id, i, cap(r.pending))
+					}
+				}
+				for i, m := range r.unexpected[:cap(r.unexpected)] {
+					if m != (inMsg{}) {
+						t.Errorf("rank %d: unexpected slot %d of %d still holds %+v", r.id, i, cap(r.unexpected), m)
+					}
+				}
+			}
+		})
+	}
+}

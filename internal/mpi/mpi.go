@@ -21,7 +21,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
@@ -84,6 +84,11 @@ type Comm struct {
 	// bytes accumulates payload bytes pushed through SendTo/Isend, the
 	// basis for the closed-form cost checks in collectives_test.go.
 	bytes uint64
+
+	// Free lists of the call-overhead event arguments. A communicator and
+	// its ranks run on one engine's goroutine, so the lists are its own.
+	matches sim.FreeList[matchArg]
+	sendTos sim.FreeList[sendToArg]
 }
 
 // Connect builds a communicator from opened domains, one rank per domain
@@ -135,29 +140,28 @@ func (c *Comm) SetFidelity(f fabric.Fidelity) {
 // wire through this communicator.
 func (c *Comm) BytesSent() uint64 { return c.bytes }
 
-// matchArg is the pooled argument of a matched-receive completion event
+// matchArg is the recycled argument of a matched-receive completion event
 // (the MPI call-overhead delay between match and callback), replacing a
 // per-message closure on the receive path.
 type matchArg struct {
+	c    *Comm
 	fn   func(size int)
 	size int
 }
-
-var matchArgPool = sync.Pool{New: func() any { return new(matchArg) }}
 
 func matchCall(a any) {
 	m := a.(*matchArg)
 	fn, size := m.fn, m.size
 	m.fn = nil
-	matchArgPool.Put(m)
+	m.c.matches.Put(m)
 	fn(size)
 }
 
 // completeAfterOverhead schedules fn(size) after the MPI software overhead
 // without allocating a closure.
 func (r *Rank) completeAfterOverhead(fn func(size int), size int) {
-	m := matchArgPool.Get().(*matchArg)
-	m.fn, m.size = fn, size
+	m := r.comm.matches.Get()
+	m.c, m.fn, m.size = r.comm, fn, size
 	r.eng.AfterCall(CallOverhead, matchCall, m)
 }
 
@@ -168,7 +172,11 @@ func (r *Rank) deliver(src, size int) {
 		if p.src != AnySource && p.src != src {
 			continue
 		}
-		r.pending = append(r.pending[:i], r.pending[i+1:]...)
+		// slices.Delete, not a bare append(q[:i], q[i+1:]...): it zeroes
+		// the vacated tail slot, where the append leaves a copy of the
+		// last entry that keeps a finished collective's continuation (and
+		// all it captured) reachable from the Rank.
+		r.pending = slices.Delete(r.pending, i, i+1)
 		r.completeAfterOverhead(p.fn, size)
 		return
 	}
@@ -183,12 +191,12 @@ func (r *Rank) SendTo(dst, size int, onComplete func()) {
 	}
 	peer := r.comm.addrs[dst]
 	r.comm.bytes += uint64(size)
-	sa := sendToPool.Get().(*sendToArg)
+	sa := r.comm.sendTos.Get()
 	sa.r, sa.peer, sa.size, sa.onComplete = r, peer, size, onComplete
 	r.eng.AfterCall(CallOverhead, sendToCall, sa)
 }
 
-// sendToArg is the pooled argument of a send-side call-overhead event.
+// sendToArg is the recycled argument of a send-side call-overhead event.
 type sendToArg struct {
 	r          *Rank
 	peer       libfabric.Addr
@@ -196,13 +204,11 @@ type sendToArg struct {
 	onComplete func()
 }
 
-var sendToPool = sync.Pool{New: func() any { return new(sendToArg) }}
-
 func sendToCall(a any) {
 	sa := a.(*sendToArg)
 	r, peer, size, onComplete := sa.r, sa.peer, sa.size, sa.onComplete
 	*sa = sendToArg{}
-	sendToPool.Put(sa)
+	r.comm.sendTos.Put(sa)
 	if err := r.dom.Send(peer, size, onComplete); err != nil {
 		// Send only fails on a closed domain — a programming error
 		// (workloads close their gang after the run completes), so
@@ -218,7 +224,7 @@ func (r *Rank) RecvFrom(src int, onMsg func(size int)) {
 		if src != AnySource && m.src != src {
 			continue
 		}
-		r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
+		r.unexpected = slices.Delete(r.unexpected, i, i+1)
 		r.completeAfterOverhead(onMsg, m.size)
 		return
 	}

@@ -229,27 +229,7 @@ func FabricFleet(groups, switchesPerGroup, nodesPerSwitch int) func(b *testing.B
 // uncontended bulk collective, in both wall time and events/s.
 func CollectivesFidelity(fid fabric.Fidelity) func(b *testing.B) {
 	return func(b *testing.B) {
-		const ranks = 8
-		opts := stack.DefaultOptions()
-		opts.Nodes = ranks
-		opts.Topology = fabric.TopologySpec{Groups: 1, SwitchesPerGroup: 4, NodesPerSwitch: 2}
-		opts.Device.CoalesceFrames = false
-		st := stack.New(opts)
-		st.Eng.RunFor(time.Second)
-		var doms []*libfabric.Domain
-		for n := 0; n < ranks; n++ {
-			proc, err := st.Kernel.Spawn(fmt.Sprintf("bench-rank%d", n), 1000, 1000, 0, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			d, err := libfabric.OpenDomain(st.Eng, libfabric.Info{
-				Device: st.Nodes[n].Device, Caller: proc.PID, VNI: 1, TC: fabric.TCBulkData})
-			if err != nil {
-				b.Fatal(err)
-			}
-			doms = append(doms, d)
-		}
-		comm, err := mpi.Connect(st.Eng, doms...)
+		st, comm, err := CollectivesStack()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,6 +249,35 @@ func CollectivesFidelity(fid fabric.Fidelity) func(b *testing.B) {
 		}
 		reportEventRate(b, st.Eng, base)
 	}
+}
+
+// CollectivesStack builds the stack the CollectivesFidelity cases run on:
+// 8 ranks on a single-group dragonfly (4 switches × 2 nodes), frame
+// coalescing off, one communicator over all of them. The root module's
+// allocation and engine-isolation tests drive the same stack.
+func CollectivesStack() (*stack.Stack, *mpi.Comm, error) {
+	const ranks = 8
+	opts := stack.DefaultOptions()
+	opts.Nodes = ranks
+	opts.Topology = fabric.TopologySpec{Groups: 1, SwitchesPerGroup: 4, NodesPerSwitch: 2}
+	opts.Device.CoalesceFrames = false
+	st := stack.New(opts)
+	st.Eng.RunFor(time.Second)
+	var doms []*libfabric.Domain
+	for n := 0; n < ranks; n++ {
+		proc, err := st.Kernel.Spawn(fmt.Sprintf("bench-rank%d", n), 1000, 1000, 0, 0)
+		if err != nil {
+			return nil, nil, err
+		}
+		d, err := libfabric.OpenDomain(st.Eng, libfabric.Info{
+			Device: st.Nodes[n].Device, Caller: proc.PID, VNI: 1, TC: fabric.TCBulkData})
+		if err != nil {
+			return nil, nil, err
+		}
+		doms = append(doms, d)
+	}
+	comm, err := mpi.Connect(st.Eng, doms...)
+	return st, comm, err
 }
 
 // CollectivesSweepConfig is the compact sweep the Collectives case runs:

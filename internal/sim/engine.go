@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -77,8 +78,9 @@ type event struct {
 // slot to a free list, so a steady-state simulation schedules events with
 // zero heap allocations regardless of length. The priority queue is a
 // hand-rolled binary heap of arena indexes — no interface boxing on
-// push/pop — ordered by (time, sequence), so events at the same instant
-// run in FIFO order exactly as they always have.
+// push/pop, hole-based sifts, bottom-up deletion with a branch-free child
+// pick (see the heap section below) — ordered by (time, sequence), so
+// events at the same instant run in FIFO order exactly as they always have.
 type Engine struct {
 	now   Time
 	arena []event
@@ -187,7 +189,7 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	idx := e.heapPop()
+	idx := e.heapRemove(0)
 	ev := &e.arena[idx]
 	// Copy out before releasing: the callback may schedule (growing the
 	// arena and invalidating ev) or immediately reuse this very slot.
@@ -254,10 +256,27 @@ func (e *Engine) Pending() int { return e.live }
 //
 // A hand-rolled heap instead of container/heap: Push/Pop on the interface
 // version box every element into an `any`, which is exactly the per-event
-// allocation this engine exists to avoid. Ordering is (at, seq), identical
-// to the original implementation, so dispatch order is bit-for-bit
-// unchanged.
+// allocation this engine exists to avoid. The order key is (at, seq), a
+// strict total order because seq is unique per event, so the dispatch
+// order is a property of the key alone: however the array is laid out
+// between operations, the minimum popped is always the same event.
+//
+// What the layout does decide is host time. At packet fidelity a pop walks
+// ~8 levels with hundreds of events pending, and the textbook sift (two
+// data-dependent compares and a swap per level) spends its time on
+// mispredicted branches. So:
+//
+//   - sifts move a hole, not a swap: one heap write and one pos write per
+//     level, the moving element written once at the end;
+//   - a pop walks the hole from the root to a leaf along the smaller child
+//     and sifts the displaced tail element up from there (Floyd's
+//     bottom-up deletion: the tail came from a leaf and almost always
+//     belongs near one, so this is one compare per level instead of two);
+//   - the smaller child is picked without a branch: (at, seq) compared as
+//     one 128-bit unsigned number, the borrow is the index offset.
 
+// heapLess is the order predicate in its plain form; the sifts below inline
+// it, the integrity audit calls it.
 func (e *Engine) heapLess(a, b int32) bool {
 	ea, eb := &e.arena[a], &e.arena[b]
 	if ea.at != eb.at {
@@ -266,71 +285,73 @@ func (e *Engine) heapLess(a, b int32) bool {
 	return ea.seq < eb.seq
 }
 
-func (e *Engine) heapSwap(i, j int) {
-	h := e.heap
-	h[i], h[j] = h[j], h[i]
-	e.arena[h[i]].pos = int32(i)
-	e.arena[h[j]].pos = int32(j)
+// siftUp places slot idx at or above heap position i, moving the hole at i
+// up past every ancestor that sorts after idx.
+func (e *Engine) siftUp(i int, idx int32) {
+	h, a := e.heap, e.arena
+	at, seq := a[idx].at, a[idx].seq
+	for i > 0 {
+		parent := (i - 1) / 2
+		p := h[parent]
+		pe := &a[p]
+		if pe.at < at || (pe.at == at && pe.seq < seq) {
+			break
+		}
+		h[i] = p
+		pe.pos = int32(i)
+		i = parent
+	}
+	h[i] = idx
+	a[idx].pos = int32(i)
+}
+
+// sinkHole moves the hole at heap position i down to a leaf, pulling the
+// smaller child up at every level, and returns the leaf's position. Event
+// times are never negative (the clock starts at zero and scheduling before
+// now panics), so comparing (at, seq) as a 128-bit unsigned number is the
+// same order as heapLess: the subtraction right - left borrows exactly
+// when the right child sorts first.
+func (e *Engine) sinkHole(i int) int {
+	h, a := e.heap, e.arena
+	for {
+		l := 2*i + 1
+		if l+1 >= len(h) {
+			if l < len(h) { // a last level with a left child only
+				c := h[l]
+				h[i] = c
+				a[c].pos = int32(i)
+				i = l
+			}
+			return i
+		}
+		el, er := &a[h[l]], &a[h[l+1]]
+		_, borrow := bits.Sub64(er.seq, el.seq, 0)
+		_, borrow = bits.Sub64(uint64(er.at), uint64(el.at), borrow)
+		m := l + int(borrow)
+		c := h[m]
+		h[i] = c
+		a[c].pos = int32(i)
+		i = m
+	}
 }
 
 func (e *Engine) heapPush(idx int32) {
-	e.arena[idx].pos = int32(len(e.heap))
 	e.heap = append(e.heap, idx)
-	e.siftUp(len(e.heap) - 1)
+	e.siftUp(len(e.heap)-1, idx)
 }
 
-func (e *Engine) heapPop() int32 {
-	idx := e.heap[0]
+// heapRemove deletes and returns the element at heap position i (the root
+// for a pop, anywhere for Cancel): the hole it leaves sinks to a leaf and
+// the tail element sifts up from there, past i if it belongs above it.
+func (e *Engine) heapRemove(i int) int32 {
+	idx := e.heap[i]
 	last := len(e.heap) - 1
-	e.heapSwap(0, last)
-	e.heap = e.heap[:last]
-	if last > 0 {
-		e.siftDown(0)
-	}
-	return idx
-}
-
-// heapRemove deletes the element at heap position i (used by Cancel).
-func (e *Engine) heapRemove(i int) {
-	last := len(e.heap) - 1
-	if i != last {
-		e.heapSwap(i, last)
-	}
+	tail := e.heap[last]
 	e.heap = e.heap[:last]
 	if i < last {
-		e.siftDown(i)
-		e.siftUp(i)
+		e.siftUp(e.sinkHole(i), tail)
 	}
-}
-
-func (e *Engine) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.heapLess(e.heap[i], e.heap[parent]) {
-			break
-		}
-		e.heapSwap(i, parent)
-		i = parent
-	}
-}
-
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && e.heapLess(e.heap[r], e.heap[l]) {
-			m = r
-		}
-		if !e.heapLess(e.heap[m], e.heap[i]) {
-			break
-		}
-		e.heapSwap(i, m)
-		i = m
-	}
+	return idx
 }
 
 // Jitter returns a duration drawn uniformly from [d*(1-frac), d*(1+frac)].
