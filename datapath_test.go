@@ -68,6 +68,48 @@ func TestCollectiveAllocBudget(t *testing.T) {
 	}
 }
 
+// TestPacketPathLanes is the packet path's gate, counts only: two 1 MiB
+// ring allreduces at packet fidelity on a fresh benchmark stack. The
+// constants are what the tree read before a link's frames waited behind one
+// another (sim.Lane) rather than in the event heap: lanes may change how
+// many events sit in the heap, never which events run, when, or what they
+// allocate.
+func TestPacketPathLanes(t *testing.T) {
+	const (
+		steps   = 36969  // engine steps, the stack's 8 set-up events included
+		elapsed = 211000 // ns of virtual time for the two collectives
+		allocs  = 91     // per run of two collectives, once warm
+		parked  = 35000  // of the 35 840 host-link, trunk and egress-port arrivals
+	)
+	st, comm, err := perfsuite.CollectivesStack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ringAllreduce(st, comm, fabric.FidelityPacket, 2) // checks the byte volume
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Eng.Steps != steps || st.Eng.Elided != 0 {
+		t.Errorf("ran %d events (%d elided), want %d and none", st.Eng.Steps, st.Eng.Elided, steps)
+	}
+	if rep.Elapsed != elapsed {
+		t.Errorf("two collectives took %d ns of virtual time, want %d", rep.Elapsed, elapsed)
+	}
+	if st.Eng.Parked < parked {
+		t.Errorf("%d events parked behind their link's previous frame, want at least %d", st.Eng.Parked, parked)
+	}
+	t.Logf("%d steps, %d parked, %d ns", st.Eng.Steps, st.Eng.Parked, rep.Elapsed)
+	run := func() {
+		if _, err := ringAllreduce(st, comm, fabric.FidelityPacket, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // the first run grew the arena and the free lists; one more settles them
+	if got := testing.AllocsPerRun(10, run); got > allocs {
+		t.Errorf("two packet-fidelity collectives allocate %.0f objects, want at most %d", got, allocs)
+	}
+}
+
 // TestEnginesShareNoPoolState pins what keeps `shssim run -workers N` safe
 // now that recycled event arguments live on plain, unsynchronised free
 // lists: every list belongs to one stack's switch, topology, NIC or

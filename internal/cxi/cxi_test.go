@@ -3,6 +3,7 @@ package cxi
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -545,6 +546,76 @@ func TestFrameGranularMatchesCoalesced(t *testing.T) {
 	frames := 256 * 1024 / 2048
 	if diff > fabric.DefaultConfig().SwitchLatency*sim.Duration(frames) {
 		t.Errorf("coalesced %v vs frame-granular %v diverge too much", tc, tf)
+	}
+}
+
+// TestReassemblyCursorMatchesMap interleaves the frames of messages from
+// several sources at one NIC in a random order, so the reassembly cursor
+// (curKey/curPM) keeps pointing at some other message's record: hits,
+// misses that fall back to the map, completions of the record under the
+// cursor and of records elsewhere. Every message must be delivered once,
+// with its own byte count, and no record may be left behind.
+func TestReassemblyCursorMatchesMap(t *testing.T) {
+	r := newRig(t)
+	ep, err := r.devB.EPAlloc(r.root.PID, DefaultSvcID, 1, fabric.TCDedicated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[fabric.Addr][]int{}
+	ep.OnMessage(func(m Message) { got[m.Src] = append(got[m.Src], m.Size) })
+
+	rng := rand.New(rand.NewSource(7))
+	type stream struct {
+		src    fabric.Addr
+		msgID  uint64
+		frames int // left in the current message
+		left   int // messages still to start
+	}
+	streams := make([]*stream, 4)
+	want := map[fabric.Addr][]int{}
+	for i := range streams {
+		streams[i] = &stream{src: fabric.Addr(100 + i), left: 20}
+	}
+	for live := len(streams); live > 0; {
+		s := streams[rng.Intn(len(streams))]
+		if s.frames == 0 {
+			if s.left == 0 {
+				continue
+			}
+			s.left--
+			s.msgID++
+			s.frames = 1 + rng.Intn(6) // single-frame messages among them
+			want[s.src] = append(want[s.src], 100*s.frames)
+		}
+		// A run of this stream's frames, the way a link delivers them.
+		for n := 1 + rng.Intn(3); n > 0 && s.frames > 0; n-- {
+			s.frames--
+			r.devB.ReceivePacket(&fabric.Packet{
+				Src: s.src, Dst: r.devB.Addr(), VNI: 1, TC: fabric.TCDedicated,
+				PayloadBytes: 100, Frames: 1, DstIdx: ep.Idx(), MsgID: s.msgID, Last: s.frames == 0,
+			})
+		}
+		if s.frames == 0 && s.left == 0 {
+			live--
+		}
+	}
+	r.eng.Run()
+	for _, s := range streams {
+		// Every frame arrived at time zero and the receive overhead is
+		// jittered, so deliveries come in any order: compare as multisets.
+		sort.Ints(got[s.src])
+		sort.Ints(want[s.src])
+		if len(got[s.src]) != len(want[s.src]) {
+			t.Fatalf("source %d: %d messages delivered, want %d", s.src, len(got[s.src]), len(want[s.src]))
+		}
+		for i, size := range want[s.src] {
+			if got[s.src][i] != size {
+				t.Errorf("source %d message %d: %d bytes, want %d", s.src, i, got[s.src][i], size)
+			}
+		}
+	}
+	if len(r.devB.partial) != 0 || r.devB.curPM != nil {
+		t.Errorf("%d reassembly record(s) left, cursor %v", len(r.devB.partial), r.devB.curPM)
 	}
 }
 

@@ -3,7 +3,6 @@ package cxi
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
@@ -63,11 +62,12 @@ type DeviceStats struct {
 }
 
 // Device is one Cassini NIC plus the access-control state its kernel driver
-// keeps. It implements fabric.Receiver.
+// keeps. It implements fabric.Receiver. Like the fabric it attaches to, a
+// Device is confined to its engine's goroutine and takes no lock (see the
+// threading contract in internal/fabric's package documentation).
 type Device struct {
 	Name string
 
-	mu      sync.Mutex
 	eng     *sim.Engine
 	kern    *nsmodel.Kernel
 	sw      *fabric.Switch
@@ -85,8 +85,13 @@ type Device struct {
 	// grant is revoked only when the last service goes away.
 	vniRefs map[fabric.VNI]int
 	stats   DeviceStats
-	// reassembly state, keyed by (src, msgID)
+	// reassembly state, keyed by (src, msgID). curKey/curPM remember the
+	// record ReceivePacket touched last (curPM nil when none): a message's
+	// frames arrive back to back, so all but its first and last find their
+	// record here instead of in the map.
 	partial map[partialKey]*partialMsg
+	curKey  partialKey
+	curPM   *partialMsg
 	// RMA state: registered memory regions and requester completions.
 	nextMR     uint64
 	mrs        map[MRKey]*MemoryRegion
@@ -162,7 +167,7 @@ func NewDevice(name string, eng *sim.Engine, kern *nsmodel.Kernel, sw *fabric.Sw
 	d.svcs[DefaultSvcID] = def
 	d.byName[def.Desc.Name] = DefaultSvcID
 	d.nextSvc = DefaultSvcID + 1
-	d.retainVNIsLocked(def.Desc.VNIs)
+	d.retainVNIs(def.Desc.VNIs)
 	return d
 }
 
@@ -174,8 +179,6 @@ func (d *Device) Config() DeviceConfig { return d.cfg }
 
 // Stats returns a copy of the NIC counters.
 func (d *Device) Stats() DeviceStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := d.stats
 	out.AuthFailures = make(map[AuthFailure]uint64, len(d.stats.AuthFailures))
 	for k, v := range d.stats.AuthFailures {
@@ -184,7 +187,7 @@ func (d *Device) Stats() DeviceStats {
 	return out
 }
 
-func (d *Device) retainVNIsLocked(vnis []fabric.VNI) {
+func (d *Device) retainVNIs(vnis []fabric.VNI) {
 	for _, v := range vnis {
 		if d.vniRefs[v] == 0 {
 			// Programming the switch is a fabric-manager operation; the
@@ -197,7 +200,7 @@ func (d *Device) retainVNIsLocked(vnis []fabric.VNI) {
 	}
 }
 
-func (d *Device) releaseVNIsLocked(vnis []fabric.VNI) {
+func (d *Device) releaseVNIs(vnis []fabric.VNI) {
 	for _, v := range vnis {
 		d.vniRefs[v]--
 		if d.vniRefs[v] <= 0 {
@@ -228,8 +231,6 @@ func (d *Device) SvcAlloc(caller nsmodel.PID, desc SvcDesc) (SvcID, error) {
 	if err := d.requireHostRoot(caller); err != nil {
 		return 0, err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if _, dup := d.byName[desc.Name]; dup {
 		return 0, fmt.Errorf("%w: %q", ErrDuplicateSvc, desc.Name)
 	}
@@ -243,7 +244,7 @@ func (d *Device) SvcAlloc(caller nsmodel.PID, desc SvcDesc) (SvcID, error) {
 	if desc.Name != "" { // unnamed services never collide, so are never filed
 		d.byName[desc.Name] = id
 	}
-	d.retainVNIsLocked(desc.VNIs)
+	d.retainVNIs(desc.VNIs)
 	return id, nil
 }
 
@@ -253,8 +254,6 @@ func (d *Device) SvcDestroy(caller nsmodel.PID, id SvcID) error {
 	if err := d.requireHostRoot(caller); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	svc, ok := d.svcs[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchService, id)
@@ -264,7 +263,7 @@ func (d *Device) SvcDestroy(caller nsmodel.PID, id SvcID) error {
 	}
 	delete(d.svcs, id)
 	delete(d.byName, svc.Desc.Name)
-	d.releaseVNIsLocked(svc.Desc.VNIs)
+	d.releaseVNIs(svc.Desc.VNIs)
 	return nil
 }
 
@@ -273,8 +272,6 @@ func (d *Device) SvcSetEnabled(caller nsmodel.PID, id SvcID, enabled bool) error
 	if err := d.requireHostRoot(caller); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	svc, ok := d.svcs[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchService, id)
@@ -285,8 +282,6 @@ func (d *Device) SvcSetEnabled(caller nsmodel.PID, id SvcID, enabled bool) error
 
 // SvcGet returns a copy of the service.
 func (d *Device) SvcGet(id SvcID) (Svc, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	svc, ok := d.svcs[id]
 	if !ok {
 		return Svc{}, false
@@ -296,8 +291,6 @@ func (d *Device) SvcGet(id SvcID) (Svc, bool) {
 
 // SvcList returns all services sorted by ID.
 func (d *Device) SvcList() []Svc {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make([]Svc, 0, len(d.svcs))
 	for _, s := range d.svcs {
 		out = append(out, *s)
@@ -309,8 +302,6 @@ func (d *Device) SvcList() []Svc {
 // SvcFindByMember returns the IDs of services listing the given member,
 // which the CNI plugin uses on DEL to find a container's services.
 func (d *Device) SvcFindByMember(m Member) []SvcID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var out []SvcID
 	for id, s := range d.svcs {
 		for _, mm := range s.Desc.Members {
@@ -417,46 +408,44 @@ func msgDeliverCall(a any) {
 // ReceivePacket implements fabric.Receiver: demultiplex by destination
 // endpoint index, reassemble, and deliver after the receive overhead.
 func (d *Device) ReceivePacket(p *fabric.Packet) {
-	d.mu.Lock()
 	ep, ok := d.eps[p.DstIdx]
 	if !ok || ep.closed || ep.vni != p.VNI {
 		d.stats.UnroutedPkts++
-		d.mu.Unlock()
 		return
 	}
 	if p.RMA != nil {
-		work := d.handleRMALocked(p, ep)
-		d.mu.Unlock()
-		if work != nil {
-			work()
-		}
+		d.handleRMA(p, ep)
 		return
 	}
 	size := p.PayloadBytes
 	complete := p.Last
 	key := partialKey{src: p.Src, id: p.MsgID}
-	// The common case — a coalesced or single-frame message, no partial
-	// state — never touches the reassembly map.
-	if pm, started := d.partial[key]; started {
+	pm := d.curPM
+	if pm == nil || key != d.curKey {
+		// The common case — a coalesced or single-frame message, no
+		// partial state — finds the reassembly map empty.
+		pm = d.partial[key]
+	}
+	switch {
+	case pm != nil && complete:
+		size = pm.got + p.PayloadBytes
+		delete(d.partial, key)
+		*pm = partialMsg{}
+		d.partials.Put(pm)
+		d.curPM = nil
+	case pm != nil:
 		pm.got += p.PayloadBytes
-		size = pm.got
-		if complete {
-			delete(d.partial, key)
-			*pm = partialMsg{}
-			d.partials.Put(pm)
-		}
-	} else if !complete {
+		d.curKey, d.curPM = key, pm
+	case !complete:
 		pm = d.partials.Get()
 		pm.got, pm.dst, pm.vni = p.PayloadBytes, p.DstIdx, p.VNI
 		d.partial[key] = pm
+		d.curKey, d.curPM = key, pm
 	}
+
 	if complete {
 		d.stats.MsgsRecv++
 		d.stats.BytesRecv += uint64(size)
-	}
-	d.mu.Unlock()
-
-	if complete {
 		md := d.delivers.Get()
 		md.ep = ep
 		md.msg = Message{Src: p.Src, SrcEP: p.SrcIdx, Size: size, VNI: p.VNI, TC: p.TC}

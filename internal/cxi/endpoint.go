@@ -56,8 +56,6 @@ func (ep *Endpoint) Fidelity() fabric.Fidelity { return ep.fidelity }
 // against the service's member list, then validates the requested VNI,
 // traffic class and resource limits.
 func (d *Device) EPAlloc(caller nsmodel.PID, svcID SvcID, vni fabric.VNI, tc fabric.TrafficClass) (*Endpoint, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	svc, ok := d.svcs[svcID]
 	if !ok {
 		d.stats.AuthFailures[AuthNoService]++
@@ -121,12 +119,10 @@ func (ep *Endpoint) Send(dst fabric.Addr, dstIdx int, size int, onComplete func(
 		return ErrEndpointClosed
 	}
 	d := ep.dev
-	d.mu.Lock()
 	d.nextMsg++
 	msgID := d.nextMsg
 	d.stats.MsgsSent++
 	d.stats.BytesSent += uint64(size)
-	d.mu.Unlock()
 
 	now := d.eng.Now()
 	issue := now
@@ -231,8 +227,6 @@ func (ep *Endpoint) Close() {
 		return
 	}
 	d := ep.dev
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	ep.closed = true
 	delete(d.eps, ep.idx)
 	if svc, ok := d.svcs[ep.svcID]; ok {

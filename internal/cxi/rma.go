@@ -47,8 +47,6 @@ func (ep *Endpoint) RegisterMR(size int, access MRAccess) (*MemoryRegion, error)
 		return nil, ErrEndpointClosed
 	}
 	d := ep.dev
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.nextMR++
 	mr := &MemoryRegion{Key: MRKey(d.nextMR), Size: size, Access: access, ep: ep}
 	d.mrs[mr.Key] = mr
@@ -58,8 +56,6 @@ func (ep *Endpoint) RegisterMR(size int, access MRAccess) (*MemoryRegion, error)
 // DeregisterMR revokes the region.
 func (ep *Endpoint) DeregisterMR(mr *MemoryRegion) {
 	d := ep.dev
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	delete(d.mrs, mr.Key)
 }
 
@@ -99,13 +95,11 @@ func (ep *Endpoint) Read(dst fabric.Addr, dstIdx int, srcKey MRKey, srcOffset, s
 // sendRMA transmits an RMA operation as a tagged packet stream.
 func (ep *Endpoint) sendRMA(dst fabric.Addr, dstIdx int, wireBytes int, op rmaOp, onComplete func()) error {
 	d := ep.dev
-	d.mu.Lock()
 	d.nextMsg++
 	msgID := d.nextMsg
 	if onComplete != nil {
 		d.rmaWaiters[msgID] = onComplete
 	}
-	d.mu.Unlock()
 
 	now := d.eng.Now()
 	issue := now
@@ -136,29 +130,26 @@ func (ep *Endpoint) sendRMA(dst fabric.Addr, dstIdx int, wireBytes int, op rmaOp
 }
 
 // handleRMA processes an arriving one-sided operation on the target NIC.
-// Called with d.mu held from ReceivePacket; returns work to run unlocked.
-func (d *Device) handleRMALocked(p *fabric.Packet, ep *Endpoint) func() {
+func (d *Device) handleRMA(p *fabric.Packet, ep *Endpoint) {
 	h := p.RMA
 	if h.Ack {
 		// Completion/data arriving back at the requester.
 		waiter, ok := d.rmaWaiters[h.ReqID]
 		if !ok {
-			return nil
+			return
 		}
 		delete(d.rmaWaiters, h.ReqID)
-		recvOv := d.cfg.RecvOverhead
-		return func() {
-			d.eng.After(d.eng.Jitter(recvOv, 0.02), waiter)
-		}
+		d.eng.After(d.eng.Jitter(d.cfg.RecvOverhead, 0.02), waiter)
+		return
 	}
 	mr, ok := d.mrs[MRKey(h.Key)]
 	if !ok || mr.ep.closed || mr.ep.vni != p.VNI {
 		d.stats.RMAFaults++
-		return nil
+		return
 	}
 	if h.Offset < 0 || h.Length < 0 || h.Offset+h.Length > mr.Size {
 		d.stats.RMAFaults++
-		return nil
+		return
 	}
 	var need MRAccess
 	if h.Write {
@@ -168,11 +159,12 @@ func (d *Device) handleRMALocked(p *fabric.Packet, ep *Endpoint) func() {
 	}
 	if mr.Access&need == 0 {
 		d.stats.RMAFaults++
-		return nil
+		return
 	}
 	d.stats.RMAOps++
 
-	// Build the acknowledgement (write) or data return (read).
+	// Send the acknowledgement (write) or data return (read). p is only
+	// valid for the duration of the call, so the event captures copies.
 	src, reqID, replyEP := p.Src, p.MsgID, h.ReplyEP
 	size := 16 // ack
 	if !h.Write {
@@ -180,20 +172,18 @@ func (d *Device) handleRMALocked(p *fabric.Packet, ep *Endpoint) func() {
 	}
 	tc := p.TC
 	vni := p.VNI
-	return func() {
-		frames := (size + d.mtu - 1) / d.mtu
-		if frames == 0 {
-			frames = 1
-		}
-		d.eng.After(d.eng.Jitter(d.cfg.RecvOverhead, 0.02), func() {
-			d.link.Send(&fabric.Packet{
-				Src: d.addr, Dst: src, VNI: vni, TC: tc,
-				PayloadBytes: size, Frames: frames, DstIdx: replyEP, SrcIdx: ep.idx,
-				MsgID: reqID, Last: true,
-				RMA: &fabric.RMAHeader{Ack: true, ReqID: reqID},
-			})
-		})
+	frames := (size + d.mtu - 1) / d.mtu
+	if frames == 0 {
+		frames = 1
 	}
+	d.eng.After(d.eng.Jitter(d.cfg.RecvOverhead, 0.02), func() {
+		d.link.Send(&fabric.Packet{
+			Src: d.addr, Dst: src, VNI: vni, TC: tc,
+			PayloadBytes: size, Frames: frames, DstIdx: replyEP, SrcIdx: ep.idx,
+			MsgID: reqID, Last: true,
+			RMA: &fabric.RMAHeader{Ack: true, ReqID: reqID},
+		})
+	})
 }
 
 // String renders the key for diagnostics.

@@ -32,6 +32,15 @@
 // sync.Pool (the root module's TestEnginesShareNoPoolState runs two stacks
 // on two goroutines under the race detector to keep it so).
 //
+// The contract extends to what attaches to the fabric. A cxi.Device is
+// driven only by its engine — service management and endpoint allocation
+// from the control plane's events, Send and ReceivePacket from the data
+// path's — so it holds no mutex either; its counters, endpoint table and
+// reassembly state are plain fields. The sim.Lane each HostLink, trunk
+// link and egress port posts its arrivals through is engine state of the
+// same kind: it belongs to that one link and is touched only from the
+// event loop.
+//
 // If a future caller needs cross-goroutine access to a live fabric (it
 // should not — simulated concurrency is expressed as events), it must
 // provide its own serialization around the owning engine.
@@ -47,5 +56,11 @@
 // hooks) live in recycled argument structs dispatched through
 // sim.Engine.AtCall, so the steady-state forwarding path performs no heap
 // allocation once each owner's free list has filled, within the first
-// packets of a run. docs/performance.md records the measured effect.
+// packets of a run. A link serialises, so its arrival events are posted in
+// time order; they go through the link's sim.Lane, which keeps all but the
+// earliest of them out of the event heap without changing the order in
+// which anything runs. Ports and address owners are slices indexed by
+// Addr (the allocator issues addresses densely from 1), so the per-packet
+// lookups are array reads. docs/performance.md records the measured
+// effect.
 package fabric

@@ -97,14 +97,14 @@ func (l *HostLink) SendFlow(p *Packet, fid Fidelity, packets int) (sim.Time, boo
 	if !p.TC.Valid() {
 		return 0, false
 	}
-	in, ok := sw.ports[p.Src]
-	if !ok || !in.vnis[p.VNI] || in.down {
+	in := sw.port(p.Src)
+	if in == nil || !in.vnis[p.VNI] || in.down {
 		return 0, false
 	}
 	if sw.partition != nil && sw.partition[p.Src] != sw.partition[p.Dst] {
 		return 0, false
 	}
-	if out, local := sw.ports[p.Dst]; local {
+	if out := sw.port(p.Dst); out != nil {
 		return l.flowLocal(p, out, fid, packets)
 	}
 	if sw.flowRoute == nil {
@@ -158,7 +158,7 @@ func (l *HostLink) flowLocal(p *Packet, out *port, fid Fidelity, packets int) (s
 // half of SendFlow. Like routeFrom it is invoked on the engine goroutine
 // and touches only topology and engine state.
 func (t *Topology) flowFrom(sw *Switch) func(p *Packet, hl *HostLink, fid Fidelity, packets int) (sim.Time, bool) {
-	ci := t.index[sw]
+	ci := sw.index
 	return func(p *Packet, hl *HostLink, fid Fidelity, packets int) (sim.Time, bool) {
 		return t.flowSend(ci, p, hl, fid, packets)
 	}
@@ -187,13 +187,13 @@ func (t *Topology) flowFrom(sw *Switch) func(p *Packet, hl *HostLink, fid Fideli
 // flow-level transfer is "on the wire" neither drops nor reroutes it.
 func (t *Topology) flowSend(ci int, p *Packet, hl *HostLink, fid Fidelity, packets int) (sim.Time, bool) {
 	src := t.switches[ci]
-	dsw, ok := t.owner[p.Dst]
+	dsw, ok := t.SwitchFor(p.Dst)
 	if !ok || dsw == src {
 		return 0, false
 	}
-	di := t.index[dsw]
-	out, ok := dsw.ports[p.Dst]
-	if !ok || out.down || !out.vnis[p.VNI] {
+	di := dsw.index
+	out := dsw.port(p.Dst)
+	if out == nil || out.down || !out.vnis[p.VNI] {
 		return 0, false
 	}
 

@@ -9,11 +9,14 @@ type HostLink struct {
 	eng    *sim.Engine
 	sw     *Switch
 	busyAt sim.Time
+	// arrivals carries the injection events: busyAt only moves forward,
+	// so each frame reaches the switch no earlier than the one before.
+	arrivals sim.Lane
 }
 
 // NewHostLink creates the uplink for a NIC attached to sw.
 func NewHostLink(eng *sim.Engine, sw *Switch) *HostLink {
-	return &HostLink{eng: eng, sw: sw}
+	return &HostLink{eng: eng, sw: sw, arrivals: sim.NewLane(eng)}
 }
 
 // Send serializes the packet onto the host link and schedules its injection
@@ -33,7 +36,7 @@ func (l *HostLink) Send(p *Packet) sim.Time {
 
 	in := l.sw.injects.Get()
 	in.sw, in.pkt = l.sw, *p
-	l.eng.AtCall(end.Add(cfg.PropagationDelay), injectCall, in)
+	l.arrivals.AtCall(end.Add(cfg.PropagationDelay), injectCall, in)
 	return end
 }
 

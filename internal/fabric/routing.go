@@ -63,13 +63,13 @@ func (t *Topology) cacheValid(e *routeEntry) bool {
 // callback is invoked from Switch.Inject on the engine goroutine; it
 // touches only topology and engine state.
 func (t *Topology) routeFrom(sw *Switch) func(p *Packet) routeVerdict {
-	ci := t.index[sw]
+	ci := sw.index
 	return func(p *Packet) routeVerdict {
-		dst, ok := t.owner[p.Dst]
+		dst, ok := t.SwitchFor(p.Dst)
 		if !ok || dst == sw {
 			return routeUnknown
 		}
-		return t.hop(ci, t.index[dst], p)
+		return t.hop(ci, dst.index, p)
 	}
 }
 
@@ -202,7 +202,7 @@ func (t *Topology) hop(ci, di int, p *Packet) routeVerdict {
 
 	h := t.hops.Get()
 	h.t, h.sw, h.dst, h.pkt = t, l.id.To, di, *p
-	t.eng.AtCall(end.Add(l.prop), trunkArriveCall, h)
+	l.arrivals.AtCall(end.Add(l.prop), trunkArriveCall, h)
 	return routeForwarded
 }
 

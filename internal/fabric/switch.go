@@ -97,6 +97,10 @@ type port struct {
 	// down marks an administratively failed port (NIC/cable fault injected
 	// by the scenario engine); all traffic through it is dropped.
 	down bool
+	// deliveries carries the egress link's delivery events. egressAt only
+	// moves forward except for the low-latency cut-in, which the lane
+	// takes as an ordinary out-of-order post.
+	deliveries sim.Lane
 }
 
 // Switch is a single Rosetta-style switch. For the two-node OpenCUBE pilot
@@ -106,11 +110,16 @@ type port struct {
 // documentation for the threading contract), so the forwarding path is
 // lock-free.
 type Switch struct {
-	eng   *sim.Engine
-	cfg   Config
-	ports map[Addr]*port
+	eng *sim.Engine
+	cfg Config
+	// ports is indexed by Addr: the allocator issues addresses densely
+	// from 1, so the per-packet lookups are array reads. Entries of
+	// addresses attached elsewhere in a topology, or detached, are nil.
+	ports []*port
 	stats SwitchStats
 	name  string
+	// index is the switch's position in its Topology (0 standalone).
+	index int
 	// addrAlloc issues fabric addresses; meshed switches share one so
 	// addresses stay globally unique.
 	addrAlloc *addrAllocator
@@ -180,7 +189,6 @@ func NewSwitch(name string, eng *sim.Engine, cfg Config) *Switch {
 	return &Switch{
 		eng:       eng,
 		cfg:       cfg,
-		ports:     make(map[Addr]*port),
 		stats:     SwitchStats{Drops: make(map[DropReason]uint64)},
 		name:      name,
 		addrAlloc: &addrAllocator{},
@@ -196,14 +204,33 @@ func (s *Switch) Name() string { return s.name }
 // PortDown reports whether the port is administratively down; false for
 // unknown addresses.
 func (s *Switch) PortDown(addr Addr) bool {
-	p, ok := s.ports[addr]
-	return ok && p.down
+	p := s.port(addr)
+	return p != nil && p.down
+}
+
+// port returns the port holding addr, nil when this switch has none.
+func (s *Switch) port(addr Addr) *port {
+	if int(addr) < len(s.ports) {
+		return s.ports[addr]
+	}
+	return nil
+}
+
+// putAt stores v at table[addr], growing the table with zero entries up to
+// it: the insert of the Addr-indexed tables (Switch.ports, Topology.owner).
+func putAt[T any](table []T, addr Addr, v T) []T {
+	for int(addr) >= len(table) {
+		var zero T
+		table = append(table, zero)
+	}
+	table[addr] = v
+	return table
 }
 
 // Attach connects a receiver to the switch and assigns it a fabric address.
 func (s *Switch) Attach(r Receiver) Addr {
 	addr := s.addrAlloc.alloc()
-	s.ports[addr] = &port{addr: addr, recv: r, vnis: make(map[VNI]bool)}
+	s.ports = putAt(s.ports, addr, &port{addr: addr, recv: r, vnis: make(map[VNI]bool), deliveries: sim.NewLane(s.eng)})
 	if s.onAttach != nil {
 		s.onAttach(addr, s)
 	}
@@ -212,15 +239,17 @@ func (s *Switch) Attach(r Receiver) Addr {
 
 // Detach removes a port. Packets in flight to it are dropped silently.
 func (s *Switch) Detach(addr Addr) {
-	delete(s.ports, addr)
+	if s.port(addr) != nil {
+		s.ports[addr] = nil
+	}
 }
 
 // GrantVNI authorizes a port for a VNI. On a real system the fabric manager
 // programs this into Rosetta; here the CXI driver model calls it when a CXI
 // service activates a VNI on a NIC.
 func (s *Switch) GrantVNI(addr Addr, vni VNI) error {
-	p, ok := s.ports[addr]
-	if !ok {
+	p := s.port(addr)
+	if p == nil {
 		return fmt.Errorf("fabric: grant vni %d: no port %d", vni, addr)
 	}
 	p.vnis[vni] = true
@@ -229,8 +258,8 @@ func (s *Switch) GrantVNI(addr Addr, vni VNI) error {
 
 // RevokeVNI removes a port's authorization for a VNI.
 func (s *Switch) RevokeVNI(addr Addr, vni VNI) error {
-	p, ok := s.ports[addr]
-	if !ok {
+	p := s.port(addr)
+	if p == nil {
 		return fmt.Errorf("fabric: revoke vni %d: no port %d", vni, addr)
 	}
 	delete(p.vnis, vni)
@@ -239,8 +268,8 @@ func (s *Switch) RevokeVNI(addr Addr, vni VNI) error {
 
 // HasVNI reports whether the port is authorized for vni.
 func (s *Switch) HasVNI(addr Addr, vni VNI) bool {
-	p, ok := s.ports[addr]
-	return ok && p.vnis[vni]
+	p := s.port(addr)
+	return p != nil && p.vnis[vni]
 }
 
 // Stats returns a copy of the forwarding counters.
@@ -273,8 +302,8 @@ func (s *Switch) OnDrop(fn func(p *Packet, r DropReason)) {
 // leaving the port is dropped with DropLinkDown. The port keeps its address
 // and VNI grants, so recovery is instant.
 func (s *Switch) SetPortDown(addr Addr, down bool) error {
-	p, ok := s.ports[addr]
-	if !ok {
+	p := s.port(addr)
+	if p == nil {
 		return fmt.Errorf("fabric: set port down: no port %d", addr)
 	}
 	p.down = down
@@ -343,8 +372,8 @@ func (s *Switch) dropExternal(p *Packet, r DropReason) {
 // the ingress ACL was enforced at the source edge, so only the egress ACL
 // and local delivery apply here.
 func (s *Switch) InjectFromTrunk(p *Packet) {
-	out, ok := s.ports[p.Dst]
-	if !ok {
+	out := s.port(p.Dst)
+	if out == nil {
 		s.drop(p, DropNoRoute)
 		return
 	}
@@ -370,8 +399,8 @@ func (s *Switch) Inject(p *Packet) {
 		s.drop(p, DropInvalidTC)
 		return
 	}
-	in, ok := s.ports[p.Src]
-	if !ok || !in.vnis[p.VNI] {
+	in := s.port(p.Src)
+	if in == nil || !in.vnis[p.VNI] {
 		s.drop(p, DropVNIIngress)
 		return
 	}
@@ -383,8 +412,8 @@ func (s *Switch) Inject(p *Packet) {
 		s.drop(p, DropPartitioned)
 		return
 	}
-	out, ok := s.ports[p.Dst]
-	if !ok {
+	out := s.port(p.Dst)
+	if out == nil {
 		// Not local: a topology-member switch forwards over a trunk
 		// toward the owning edge switch (ingress ACL already passed; the
 		// egress ACL is enforced there). remoteRoute only touches
@@ -471,6 +500,6 @@ func (s *Switch) flowDeliver(p *Packet, at sim.Time, out *port) sim.Time {
 
 	d := s.delivers.Get()
 	d.sw, d.recv, d.pkt = s, out.recv, *p
-	s.eng.AtCall(end.Add(s.cfg.PropagationDelay), localDeliverCall, d)
+	out.deliveries.AtCall(end.Add(s.cfg.PropagationDelay), localDeliverCall, d)
 	return end
 }

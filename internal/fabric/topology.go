@@ -111,6 +111,9 @@ type link struct {
 	busyAccum sim.Duration
 	down      bool
 	stats     LinkStats
+	// arrivals carries the far-end arrival events: busyAt only moves
+	// forward, so they are posted in time order.
+	arrivals sim.Lane
 }
 
 // LinkInfo is an exported snapshot of one directional link.
@@ -142,9 +145,10 @@ type Topology struct {
 	spec     TopologySpec
 	switches []*Switch
 	groupOf  []int
-	owner    map[Addr]*Switch
-	index    map[*Switch]int
-	links    map[LinkID]*link
+	// owner is indexed by Addr, like Switch.ports: the edge switch each
+	// address was attached to, nil for addresses never issued here.
+	owner []*Switch
+	links map[LinkID]*link
 	// globals lists each ordered group pair's global links in dragonfly
 	// port order — the candidate set minimal routing chooses from.
 	globals map[[2]int][]LinkID
@@ -169,8 +173,6 @@ func NewTopology(eng *sim.Engine, cfg Config, spec TopologySpec) *Topology {
 		eng:     eng,
 		cfg:     cfg,
 		spec:    spec,
-		owner:   make(map[Addr]*Switch),
-		index:   make(map[*Switch]int),
 		links:   make(map[LinkID]*link),
 		globals: make(map[[2]int][]LinkID),
 
@@ -180,7 +182,7 @@ func NewTopology(eng *sim.Engine, cfg Config, spec TopologySpec) *Topology {
 	t.routes = make([]routeEntry, n*n)
 	for i := 0; i < n; i++ {
 		sw := NewSwitch(fmt.Sprintf("rosetta%d", i), eng, cfg)
-		t.index[sw] = i
+		sw.index = i
 		t.groupOf = append(t.groupOf, i/spec.SwitchesPerGroup)
 		t.switches = append(t.switches, sw)
 	}
@@ -232,7 +234,7 @@ func peerOffset(a, b int) int {
 }
 
 func (t *Topology) addLink(id LinkID, kind LinkKind) {
-	l := &link{id: id, kind: kind, bwBits: t.cfg.LinkBandwidthBits, prop: t.cfg.PropagationDelay}
+	l := &link{id: id, kind: kind, bwBits: t.cfg.LinkBandwidthBits, prop: t.cfg.PropagationDelay, arrivals: sim.NewLane(t.eng)}
 	if kind == LinkGlobal {
 		if t.spec.GlobalLinkBandwidthBits > 0 {
 			l.bwBits = t.spec.GlobalLinkBandwidthBits
@@ -271,13 +273,15 @@ func (t *Topology) Attach(i int, r Receiver) Addr {
 // adopt records addr as owned by sw; it runs on every switch attach, so
 // devices attaching through a *Switch directly are routable fabric-wide.
 func (t *Topology) adopt(addr Addr, sw *Switch) {
-	t.owner[addr] = sw
+	t.owner = putAt(t.owner, addr, sw)
 }
 
 // SwitchFor returns the edge switch owning addr.
 func (t *Topology) SwitchFor(addr Addr) (*Switch, bool) {
-	sw, ok := t.owner[addr]
-	return sw, ok
+	if int(addr) < len(t.owner) && t.owner[addr] != nil {
+		return t.owner[addr], true
+	}
+	return nil, false
 }
 
 // GrantVNI authorizes addr for vni at its edge switch.

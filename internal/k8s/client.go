@@ -116,6 +116,10 @@ type Informer struct {
 	byNS     map[string]map[string]Object
 	indexes  map[string]*informerIndex
 	handlers []*watchReg
+	// changes counts the mutations of the cache (apply, remove, relist),
+	// from 1 so that no state of the cache equals a zero mark: what
+	// Lister.Unchanged compares.
+	changes uint64
 	// upstream is this informer's registration with the apiserver, kept so
 	// a relist can repair its own severed stream.
 	upstream *watcher
@@ -143,6 +147,7 @@ func newInformer(api *APIServer, kind Kind) *Informer {
 		objs:    make(map[string]Object),
 		byNS:    make(map[string]map[string]Object),
 		indexes: make(map[string]*informerIndex),
+		changes: 1,
 		lastSeq: api.kindSeq[kind],
 	}
 	// Initial LIST: seed the cache from the store synchronously so an
@@ -177,6 +182,7 @@ func (inf *Informer) Lister() Lister { return Lister{inf: inf} }
 
 func (inf *Informer) apply(key string, obj Object) {
 	inf.remove(key)
+	inf.changes++
 	inf.objs[key] = obj
 	ns := obj.GetMeta().Namespace
 	b := inf.byNS[ns]
@@ -195,6 +201,7 @@ func (inf *Informer) remove(key string) {
 	if !ok {
 		return
 	}
+	inf.changes++
 	delete(inf.objs, key)
 	ns := old.GetMeta().Namespace
 	if b := inf.byNS[ns]; b != nil {
@@ -281,6 +288,7 @@ func (inf *Informer) relist() {
 		}
 	}
 	inf.objs, inf.byNS, inf.indexes = objs, byNS, indexes
+	inf.changes++
 	inf.lastSeq = horizon
 	inf.probeSeq = horizon
 	inf.stale = false
@@ -364,6 +372,21 @@ func (l Lister) IndexCount(name, value string) int {
 		panic(fmt.Sprintf("k8s: lister for %s: index %q not registered", l.inf.kind, name))
 	}
 	return len(ix.buckets[value])
+}
+
+// Unchanged reports whether the cache is as it was when the previous call
+// with the same mark returned; the zero mark has seen nothing. It lets a
+// caller that polls — a wait predicate the engine asks after every event —
+// keep its last answer instead of reading again. A true result stands for
+// the read the caller then skips and is accounted like one, so stale-read
+// counts do not depend on who polls this way.
+func (l Lister) Unchanged(mark *uint64) bool {
+	if *mark != l.inf.changes {
+		*mark = l.inf.changes
+		return false
+	}
+	l.inf.noteRead()
+	return true
 }
 
 func sortedValues(src map[string]Object) []Object {

@@ -192,6 +192,55 @@ func TestListerReflectsEventBeforeHandlers(t *testing.T) {
 	}
 }
 
+// TestListerUnchangedTracksTheCache: a poller that keeps its last answer
+// while Unchanged says so must never keep one the cache has outgrown. The
+// cached count follows the real one through create, status update, delete
+// and a relist, and a skipped read in the stale window is still counted.
+func TestListerUnchangedTracksTheCache(t *testing.T) {
+	eng, api := newTestAPI()
+	cli := api.Client()
+	inf := cli.Informer(KindPod)
+	lister := inf.Lister()
+
+	var mark uint64
+	cached, recounts := -1, 0
+	poll := func(where string) {
+		t.Helper()
+		if !lister.Unchanged(&mark) {
+			cached = len(lister.List("ns"))
+			recounts++
+		}
+		if want := len(lister.List("ns")); cached != want {
+			t.Fatalf("%s: kept answer %d, the cache says %d", where, cached, want)
+		}
+	}
+	poll("empty cache") // the zero mark has seen nothing: must count
+	poll("empty cache, again")
+	if recounts != 1 {
+		t.Fatalf("recounted %d times over an untouched cache, want 1", recounts)
+	}
+	for _, name := range []string{"a", "b"} {
+		cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: name}})
+		eng.Run()
+		poll("after create " + name)
+	}
+	cli.Delete(KindPod, "ns", "a")
+	eng.Run()
+	poll("after delete")
+	inf.relist()
+	poll("after relist")
+	if recounts != 5 {
+		t.Errorf("recounted %d times over 4 cache changes, want 5", recounts)
+	}
+
+	inf.stale = true
+	before := inf.staleReads
+	poll("stale window") // Unchanged stands for one read, the check's own List is another
+	if got := inf.staleReads - before; got != 2 {
+		t.Errorf("a skipped read plus a real one counted %d stale reads, want 2", got)
+	}
+}
+
 // TestGateResolvesDuringStalenessWindow reproduces the VNI gate flow at the
 // informer level: a consumer whose requeue is driven by the ADDED event of
 // the object it gates on must observe that object through the lister, even

@@ -548,13 +548,27 @@ func (r *Ops) runningPods(tenant, job string) int {
 	return n
 }
 
+// podsRunning returns the wait predicate "at least want pods of the tenant
+// (of one job, if given) are Running". The engine asks after every event,
+// and most events — every fabric and NIC one — cannot change a pod, so the
+// count is retaken only once the pod informer has absorbed something since
+// the last answer.
+func (r *Ops) podsRunning(tenant, job string, want int) func() bool {
+	var mark uint64
+	enough := false
+	return func() bool {
+		if !r.pods.Unchanged(&mark) {
+			enough = r.runningPods(tenant, job) >= want
+		}
+		return enough
+	}
+}
+
 func (r *Ops) waitRunning(ev *Event) error {
 	tenant, job := ev.Params["tenant"], ev.Params["job"]
 	pods, _ := strconv.Atoi(ev.Params["pods"])
 	timeout, _ := time.ParseDuration(ev.Param("timeout", "30s"))
-	ok := r.st.Eng.RunUntilDone(func() bool {
-		return r.runningPods(tenant, job) >= pods
-	}, r.st.Eng.Now().Add(timeout))
+	ok := r.st.Eng.RunUntilDone(r.podsRunning(tenant, job, pods), r.st.Eng.Now().Add(timeout))
 	if !ok {
 		return fmt.Errorf("timed out after %s waiting for %d running pod(s) in %s", timeout, pods, tenant)
 	}
@@ -607,9 +621,7 @@ func (r *Ops) pingpong(ev *Event) error {
 	bytes, _ := strconv.Atoi(ev.Param("bytes", "8"))
 	timeout, _ := time.ParseDuration(ev.Param("timeout", "30s"))
 
-	if ok := r.st.Eng.RunUntilDone(func() bool {
-		return r.runningPods(tenant, jobName) >= 2
-	}, r.st.Eng.Now().Add(timeout)); !ok {
+	if ok := r.st.Eng.RunUntilDone(r.podsRunning(tenant, jobName, 2), r.st.Eng.Now().Add(timeout)); !ok {
 		return fmt.Errorf("timed out waiting for 2 running pods of %s/%s", tenant, jobName)
 	}
 	vni, err := r.tenantVNI(tenant, jobName)
@@ -687,9 +699,7 @@ func (r *Ops) runTraffic(ev *Event) error {
 	if ranks < 2 {
 		return fmt.Errorf("job %s/%s has parallelism %d, need ≥ 2 ranks", tenant, jobName, ranks)
 	}
-	if ok := r.st.Eng.RunUntilDone(func() bool {
-		return r.runningPods(tenant, jobName) >= ranks
-	}, r.st.Eng.Now().Add(timeout)); !ok {
+	if ok := r.st.Eng.RunUntilDone(r.podsRunning(tenant, jobName, ranks), r.st.Eng.Now().Add(timeout)); !ok {
 		return fmt.Errorf("timed out waiting for %d running pods of %s/%s", ranks, tenant, jobName)
 	}
 	vni, err := r.tenantVNI(tenant, jobName)

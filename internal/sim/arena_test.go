@@ -4,7 +4,18 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestEventSlotSize pins the arena slot at 56 bytes. The arena is the
+// engine's one large allocation: a control-plane run with thousands of
+// pending events pays for every byte of a slot in alloc_mb_per_iter, and a
+// field that pushes the struct to 64 shows there, not in any sim test.
+func TestEventSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 56 {
+		t.Errorf("event slot is %d bytes, want 56", got)
+	}
+}
 
 // TestArenaCancelThenReuseAliasing is the aliasing hazard the generation
 // counter exists for: cancel an event, let its arena slot be recycled by a

@@ -57,17 +57,37 @@ func (h Event) At() Time {
 // event is one arena slot. Slots are addressed by index so the backing
 // array can grow without invalidating handles, and carry a generation
 // bumped on every release so stale handles cannot alias a reused slot.
+//
+// A slot is in one of three states: free (on the free list), queued (in
+// the heap, pos ≥ 0) or parked (pos == parked: a Lane post waiting behind
+// its lane's previous event, reachable only through that event's next).
+// The struct is 56 bytes and must stay so: the arena is the engine's one
+// large allocation, and the control-plane workloads pay for every byte.
 type event struct {
 	at  Time
 	seq uint64 // tiebreaker: FIFO among events at the same instant
-	// Exactly one of fn/afn is set. afn+arg is the closure-free form used
-	// by hot paths (see AtCall): a shared top-level function plus a pooled
-	// argument, so scheduling captures nothing.
-	fn  func()
-	afn func(any)
-	arg any
-	pos int32 // position in the heap; -1 when not queued
-	gen uint32
+	// fn(arg) is the only callback form: a shared top-level function plus
+	// an argument, so scheduling captures nothing. At and After store the
+	// caller's closure as arg under callFunc.
+	fn   func(any)
+	arg  any
+	pos  int32 // position in the heap; unqueued or parked when negative
+	gen  uint32
+	next int32 // the slot parked behind this one, -1 when none (see Lane)
+}
+
+// Negative values of event.pos.
+const (
+	unqueued int32 = -1 // free, or between alloc and push
+	parked   int32 = -2 // waiting on a predecessor's next, in neither heap nor free list
+)
+
+// callFunc is the fn of every At/After event: the closure rides in arg (a
+// func value in an interface is one pointer, no allocation).
+func callFunc(a any) {
+	if fn := a.(func()); fn != nil {
+		fn()
+	}
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -81,13 +101,15 @@ type event struct {
 // push/pop, hole-based sifts, bottom-up deletion with a branch-free child
 // pick (see the heap section below) — ordered by (time, sequence), so
 // events at the same instant run in FIFO order exactly as they always have.
+// Events posted through a Lane carry the same key but may wait outside the
+// heap, parked behind the lane's previous event, until that one fires.
 type Engine struct {
 	now   Time
 	arena []event
 	free  []int32 // recycled arena slots, LIFO
 	heap  []int32 // binary heap of queued slots, ordered by (at, seq)
 	seq   uint64
-	live  int // queued events; Pending() reads this in O(1)
+	live  int // queued and parked events; Pending() reads this in O(1)
 	rng   *rand.Rand
 	// Steps counts executed events, useful as a runaway guard in tests.
 	Steps uint64
@@ -98,6 +120,10 @@ type Engine struct {
 	// equivalent event count, the basis of perfsuite's events/s metric, so
 	// throughput numbers stay comparable across fidelity modes.
 	Elided uint64
+	// Parked counts Lane posts that waited behind their predecessor
+	// instead of entering the heap: the share of Steps the queue served by
+	// replacing its root rather than by a push and a pop.
+	Parked uint64
 }
 
 // NewEngine returns an engine whose randomness derives from seed.
@@ -120,39 +146,59 @@ func (e *Engine) alloc() int32 {
 		e.free = e.free[:n-1]
 		return idx
 	}
-	e.arena = append(e.arena, event{gen: 1})
+	e.arena = append(e.arena, event{gen: 1, pos: unqueued, next: -1})
 	return int32(len(e.arena) - 1)
 }
 
 // release returns a slot to the free list, clearing callback references so
 // captured memory is not retained and bumping the generation so any handle
-// still pointing here goes stale.
+// still pointing here goes stale. The slot's next is already -1: Step
+// clears it when it promotes the successor, and a slot that can be
+// cancelled never had one.
 func (e *Engine) release(idx int32) {
 	ev := &e.arena[idx]
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
-	ev.pos = -1
+	ev.fn, ev.arg = nil, nil
+	ev.pos = unqueued
 	ev.gen++
 	e.free = append(e.free, idx)
 }
 
-func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) Event {
+// schedule takes an arena slot and the next seq for fn(arg) at t — the
+// order key is fixed here and never again — and queues the slot: in the
+// heap, or, for a post through lane l whose newest event is still pending
+// and not later than t, parked behind that event (see Lane).
+func (e *Engine) schedule(t Time, fn func(any), arg any, l *Lane) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	idx := e.alloc()
 	ev := &e.arena[idx]
 	ev.at, ev.seq = t, e.seq
-	ev.fn, ev.afn, ev.arg = fn, afn, arg
+	ev.fn, ev.arg = fn, arg
 	e.seq++
-	e.heapPush(idx)
 	e.live++
+	if l != nil {
+		// A slot's generation moves on when it fires, so a match means
+		// the lane's newest event is still to come. gen 0 is the empty
+		// lane: arena generations start at 1.
+		tail := &e.arena[l.tail]
+		behind := tail.gen == l.gen && l.at <= t
+		l.tail, l.gen, l.at = idx, ev.gen, t
+		if behind {
+			tail.next = idx
+			ev.pos = parked
+			e.Parked++
+			return Event{}
+		}
+	}
+	e.heapPush(idx)
 	return Event{eng: e, idx: idx, gen: ev.gen}
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it always indicates a logic error in a simulated component.
 func (e *Engine) At(t Time, fn func()) Event {
-	return e.schedule(t, fn, nil, nil)
+	return e.schedule(t, callFunc, fn, nil)
 }
 
 // After schedules fn to run d after the current time. Negative d is clamped
@@ -161,7 +207,7 @@ func (e *Engine) After(d Duration, fn func()) Event {
 	if d < 0 {
 		d = 0
 	}
-	return e.schedule(e.now.Add(d), fn, nil, nil)
+	return e.schedule(e.now.Add(d), callFunc, fn, nil)
 }
 
 // AtCall schedules fn(arg) at absolute virtual time t. Unlike At, the
@@ -171,7 +217,7 @@ func (e *Engine) After(d Duration, fn func()) Event {
 // fabric, NIC and MPI layers route all per-packet/per-message events
 // through it.
 func (e *Engine) AtCall(t Time, fn func(arg any), arg any) Event {
-	return e.schedule(t, nil, fn, arg)
+	return e.schedule(t, fn, arg, nil)
 }
 
 // AfterCall is AtCall relative to the current time, with the same negative
@@ -180,7 +226,7 @@ func (e *Engine) AfterCall(d Duration, fn func(arg any), arg any) Event {
 	if d < 0 {
 		d = 0
 	}
-	return e.schedule(e.now.Add(d), nil, fn, arg)
+	return e.schedule(e.now.Add(d), fn, arg, nil)
 }
 
 // Step executes the next pending event, advancing the clock to its time.
@@ -189,19 +235,25 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	idx := e.heapRemove(0)
+	idx := e.heap[0]
 	ev := &e.arena[idx]
+	if nx := ev.next; nx >= 0 {
+		// The lane's next event takes the root's place and sinks from
+		// there: one sift instead of a pop now and a push later.
+		ev.next = -1
+		e.siftDown(0, nx)
+	} else {
+		e.heapRemove(0)
+	}
 	// Copy out before releasing: the callback may schedule (growing the
 	// arena and invalidating ev) or immediately reuse this very slot.
-	at, fn, afn, arg := ev.at, ev.fn, ev.afn, ev.arg
+	at, fn, arg := ev.at, ev.fn, ev.arg
 	e.live--
 	e.release(idx)
 	e.now = at
 	e.Steps++
 	if fn != nil {
-		fn()
-	} else if afn != nil {
-		afn(arg)
+		fn(arg)
 	}
 	return true
 }
@@ -233,14 +285,14 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 // exactly its timeout — the primitive behind the scenario engine's
 // wait_-style actions.
 func (e *Engine) RunUntilDone(cond func() bool, deadline Time) bool {
-	for !cond() {
+	for {
+		if cond() {
+			return true
+		}
 		if len(e.heap) == 0 || e.arena[e.heap[0]].at > deadline {
 			break
 		}
 		e.Step()
-	}
-	if cond() {
-		return true
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -248,8 +300,9 @@ func (e *Engine) RunUntilDone(cond func() bool, deadline Time) bool {
 	return cond()
 }
 
-// Pending returns the number of queued events. Cancelled events leave the
-// queue immediately, so this is a live count, maintained in O(1).
+// Pending returns the number of events yet to fire, parked ones included.
+// Cancelled events leave the queue immediately, so this is a live count,
+// maintained in O(1).
 func (e *Engine) Pending() int { return e.live }
 
 // --- binary heap of arena indexes ---
@@ -333,6 +386,37 @@ func (e *Engine) sinkHole(i int) int {
 		a[c].pos = int32(i)
 		i = m
 	}
+}
+
+// siftDown places slot idx at or below heap position i, moving the hole at
+// i down past every child that sorts before idx. It serves the promotion
+// of a parked event into the root its predecessor vacates: the heap's size
+// does not change, and with one entry per busy lane it is a shallow one.
+func (e *Engine) siftDown(i int, idx int32) {
+	h, a := e.heap, e.arena
+	at, seq := a[idx].at, a[idx].seq
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if m+1 < len(h) {
+			el, er := &a[h[m]], &a[h[m+1]]
+			_, borrow := bits.Sub64(er.seq, el.seq, 0)
+			_, borrow = bits.Sub64(uint64(er.at), uint64(el.at), borrow)
+			m += int(borrow)
+		}
+		c := h[m]
+		ce := &a[c]
+		if at < ce.at || (at == ce.at && seq < ce.seq) {
+			break
+		}
+		h[i] = c
+		ce.pos = int32(i)
+		i = m
+	}
+	h[i] = idx
+	a[idx].pos = int32(i)
 }
 
 func (e *Engine) heapPush(idx int32) {

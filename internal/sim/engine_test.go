@@ -274,6 +274,23 @@ func TestRunUntilDoneStopsWhenConditionHolds(t *testing.T) {
 	}
 }
 
+// TestRunUntilDoneAsksOncePerEvent: the condition may be expensive (the
+// scenario waits count pods), so it runs once before the first event and
+// once after each one, with no second look at an answer already in hand.
+func TestRunUntilDoneAsksOncePerEvent(t *testing.T) {
+	e := NewEngine(1)
+	hits, asked := 0, 0
+	for i := 1; i <= 5; i++ {
+		e.After(Duration(i)*time.Second, func() { hits++ })
+	}
+	if !e.RunUntilDone(func() bool { asked++; return hits >= 3 }, Time(10*time.Second)) {
+		t.Fatal("condition never reported true")
+	}
+	if asked != 4 {
+		t.Errorf("condition evaluated %d times over 3 events, want 4", asked)
+	}
+}
+
 func TestRunUntilDoneTimeoutConsumesDeadline(t *testing.T) {
 	e := NewEngine(1)
 	e.After(time.Second, func() {})

@@ -108,20 +108,41 @@ type queueOracle struct {
 	live  map[int]refEvent // the sort reference: every live event
 	seq   uint64
 	ids   int
-	fired []int // ids in the order the engine ran them
+	fired []firing // in the order the engine ran them
 	stale []Event
 	// respawn marks events whose callback schedules a follow-up at the
 	// same instant: a tie created from inside the dispatch loop, into the
-	// slot the firing event just released.
+	// slot the firing event just released. A lane event's follow-up goes
+	// to its own lane.
 	respawn map[int]bool
+	// lanes are the posting points of lane events; laneAt is the time of
+	// each one's newest post. With plain set, a lane post goes through
+	// Engine.AtCall instead and everything else stays the same: the run
+	// the lanes must be indistinguishable from.
+	lanes  []Lane
+	laneAt []Time
+	plain  bool
 }
 
-func (o *queueOracle) callback(id int) func() {
+// firing is what the outside can see of one dispatched event.
+type firing struct {
+	id    int
+	now   Time
+	steps uint64
+}
+
+// callback returns the body of event id; lane is the lane it was posted
+// through, -1 for an ordinary event.
+func (o *queueOracle) callback(id, lane int) func() {
 	return func() {
-		o.fired = append(o.fired, id)
+		o.fired = append(o.fired, firing{id, o.eng.Now(), o.eng.Steps})
 		if o.respawn[id] {
 			delete(o.respawn, id)
-			o.schedule(0, 0)
+			if lane >= 0 {
+				o.post(lane, 0)
+			} else {
+				o.schedule(0, 0)
+			}
 		}
 	}
 }
@@ -131,9 +152,7 @@ func queueOracleCall(a any) { a.(func())() }
 // schedule adds one event d after now through one of the four scheduling
 // entry points and records it in both references.
 func (o *queueOracle) schedule(d Duration, via int) {
-	id := o.ids
-	o.ids++
-	fn := o.callback(id)
+	fn := o.callback(o.ids, -1)
 	at := o.eng.now.Add(d)
 	var h Event
 	switch via % 4 {
@@ -146,9 +165,34 @@ func (o *queueOracle) schedule(d Duration, via int) {
 	default:
 		h = o.eng.AfterCall(d, queueOracleCall, fn)
 	}
-	e := refEvent{at: at, seq: o.seq, id: id, h: h}
+	o.record(at, h)
+}
+
+// post adds one event through lane k. d is relative to the lane's newest
+// post — the way a serialising link computes its arrivals — unless that
+// lies in the past; a negative d asks for a time before the lane's tail,
+// which the lane must take as an ordinary out-of-order event.
+func (o *queueOracle) post(k int, d Duration) {
+	at := o.laneAt[k].Add(d)
+	if at < o.eng.now {
+		at = o.eng.now
+	}
+	o.laneAt[k] = at
+	fn := o.callback(o.ids, k)
+	if o.plain {
+		o.eng.AtCall(at, queueOracleCall, fn)
+	} else {
+		o.lanes[k].AtCall(at, queueOracleCall, fn)
+	}
+	// No handle in either mode: lane events are never cancelled.
+	o.record(at, Event{})
+}
+
+func (o *queueOracle) record(at Time, h Event) {
+	e := refEvent{at: at, seq: o.seq, id: o.ids, h: h}
+	o.ids++
 	o.seq++
-	o.live[id] = e
+	o.live[e.id] = e
 	o.old.push(e)
 }
 
@@ -164,16 +208,19 @@ func (o *queueOracle) sorted() []refEvent {
 }
 
 // pick returns the live event that sorts before every other under less:
-// with refLess, the head of sorted() without the sort.
-func (o *queueOracle) pick(less func(a, b *refEvent) bool) refEvent {
-	var best refEvent
+// with refLess, the head of sorted() without the sort. With cancellable
+// set it considers only events that have a handle.
+func (o *queueOracle) pick(cancellable bool, less func(a, b *refEvent) bool) (best refEvent, ok bool) {
 	for _, e := range o.live {
 		e := e
-		if best.h.eng == nil || less(&e, &best) {
-			best = e
+		if cancellable && e.h.eng == nil {
+			continue
+		}
+		if !ok || less(&e, &best) {
+			best, ok = e, true
 		}
 	}
-	return best
+	return best, ok
 }
 
 func (o *queueOracle) cancel(e refEvent) {
@@ -193,12 +240,12 @@ func (o *queueOracle) step() {
 		}
 		return
 	}
-	want := o.pick(refLess)
+	want, _ := o.pick(false, refLess)
 	oldWant := o.old.remove(0)
 	if !ran || len(o.fired) <= n {
 		o.t.Fatalf("Step ran nothing with %d events live", len(o.live))
 	}
-	got := o.fired[n]
+	got := o.fired[n].id
 	if got != want.id || oldWant != want.id {
 		o.t.Fatalf("pop order diverged: engine ran event %d, sort says %d (at %v seq %d), old heap says %d",
 			got, want.id, want.at, want.seq, oldWant)
@@ -223,6 +270,104 @@ func (o *queueOracle) audit(op string) {
 	}
 }
 
+// runQueueOracle drives ops random operations from seed against a fresh
+// engine held near depth pending events, then drains it, auditing after
+// every operation. With nLanes > 0 about half of the scheduling goes
+// through lanes (or, with plain set, through Engine.AtCall in their
+// place). Nothing the driver draws depends on the queue's layout unless
+// nLanes is zero, so a lane run and its plain twin see the same script.
+func runQueueOracle(t *testing.T, seed int64, depth, ops, nLanes int, plain bool) *queueOracle {
+	o := &queueOracle{
+		t: t, rng: rand.New(rand.NewSource(seed)), eng: NewEngine(1),
+		live: map[int]refEvent{}, respawn: map[int]bool{},
+		laneAt: make([]Time, nLanes), plain: plain,
+	}
+	for k := 0; k < nLanes; k++ {
+		o.lanes = append(o.lanes, NewLane(o.eng))
+	}
+	steps, cancels := 0, 0
+	for i := 0; i < ops; i++ {
+		r := o.rng.Intn(100)
+		switch {
+		case i%4000 == 3999:
+			// Let every lane run dry, so the next posts find a stale tail.
+			for len(o.live) > 0 {
+				o.step()
+				steps++
+				o.audit("drain")
+			}
+		case len(o.live) < depth && r < 55, len(o.live) == 0:
+			if nLanes > 0 && o.rng.Intn(2) == 0 {
+				// Mostly at or after the lane's tail, by a delay from a
+				// small set with zero in it; now and then before it.
+				d := Duration(o.rng.Intn(3)) * Duration(o.rng.Intn(3))
+				if o.rng.Intn(8) == 0 {
+					d = -Duration(o.rng.Intn(6) + 1)
+				}
+				o.post(o.rng.Intn(nLanes), d)
+			} else {
+				// Few distinct delays, zero among them: ties everywhere.
+				o.schedule(Duration(o.rng.Intn(6))*Duration(o.rng.Intn(3)+1), o.rng.Intn(4))
+			}
+			if o.rng.Intn(8) == 0 {
+				o.respawn[o.ids-1] = true
+			}
+			o.audit("schedule")
+		case r < 80:
+			o.step()
+			steps++
+			o.audit("step")
+		default:
+			var victim refEvent
+			ok := false
+			switch c := o.rng.Intn(5); {
+			case c == 0: // the root, or the earliest event that has a handle
+				victim, ok = o.pick(true, refLess)
+			case c == 1 && nLanes == 0: // the heap's tail slot
+				tail := o.eng.heap[len(o.eng.heap)-1]
+				victim, ok = o.pick(true, func(a, _ *refEvent) bool { return a.h.idx == tail })
+			case c == 2: // the latest event: a leaf, wherever it sits
+				victim, ok = o.pick(true, func(a, b *refEvent) bool { return refLess(b, a) })
+			case c == 3: // a handle that already fired or was cancelled
+				if len(o.stale) > 0 {
+					o.stale[o.rng.Intn(len(o.stale))].Cancel()
+					o.audit("stale cancel")
+				}
+				continue
+			default:
+				all := o.sorted()
+				victim = all[o.rng.Intn(len(all))]
+				ok = victim.h.eng != nil
+			}
+			if !ok {
+				continue // only lane events are live
+			}
+			o.cancel(victim)
+			cancels++
+			o.audit("cancel")
+		}
+	}
+	// Drain: what is left must come out in exactly sorted order.
+	o.respawn = map[int]bool{}
+	rest := o.sorted()
+	from := len(o.fired)
+	for len(o.live) > 0 {
+		o.step()
+		o.audit("drain")
+	}
+	for i, e := range rest {
+		if from+i >= len(o.fired) || o.fired[from+i].id != e.id {
+			t.Fatalf("seed %d: drain position %d is not event %d", seed, i, e.id)
+		}
+	}
+	if steps < ops/10 || cancels < ops/20 {
+		t.Fatalf("seed %d: only %d steps and %d cancels in %d operations", seed, steps, cancels, ops)
+	}
+	t.Logf("seed %d: depth ~%d, %d lanes, %d events, %d steps, %d cancels, %d parked",
+		seed, depth, nLanes, o.ids, steps, cancels, o.eng.Parked)
+	return o
+}
+
 // TestQueueMatchesSortedReference is the queue's differential test: random
 // At/After/AtCall/AfterCall/Cancel/Step traffic — drawn from a handful of
 // distinct instants so most compares are decided by seq, with cancels
@@ -234,68 +379,40 @@ func (o *queueOracle) audit(op string) {
 // different depth: the shallow flow-fidelity regime, the few hundred
 // pending events of a packet-fidelity collective, and deeper.
 func TestQueueMatchesSortedReference(t *testing.T) {
-	depths := []int{4, 24, 100, 300, 520}
-	const ops = 20000
-	for seed, depth := range depths {
-		o := &queueOracle{
-			t: t, rng: rand.New(rand.NewSource(int64(seed + 1))), eng: NewEngine(1),
-			live: map[int]refEvent{}, respawn: map[int]bool{},
+	for seed, depth := range []int{4, 24, 100, 300, 520} {
+		runQueueOracle(t, int64(seed+1), depth, 20000, 0, false)
+	}
+}
+
+// TestLanesMatchPlainScheduling is the lanes' differential test. The same
+// random script runs twice: once posting through 1–16 lanes — times mostly
+// at or after the lane's newest post and often equal to it, so order falls
+// to seq; some before it, the fallback path; follow-ups posted from inside
+// a firing lane event to its own lane; lanes left to drain and refilled —
+// interleaved with ordinary scheduling, cancels and steps, and once with
+// every lane post replaced by Engine.AtCall. The two runs must fire the
+// same events at the same Now() and Steps, event for event; both are also
+// held to the sorted reference and to CheckIntegrity, which audits the
+// parked chains, after every operation.
+func TestLanesMatchPlainScheduling(t *testing.T) {
+	cases := []struct{ depth, lanes int }{{6, 1}, {24, 3}, {100, 8}, {300, 16}, {60, 2}}
+	for i, c := range cases {
+		seed := int64(i + 1)
+		laned := runQueueOracle(t, seed, c.depth, 20000, c.lanes, false)
+		plain := runQueueOracle(t, seed, c.depth, 20000, c.lanes, true)
+		if plain.eng.Parked != 0 {
+			t.Fatalf("seed %d: the plain run parked %d events", seed, plain.eng.Parked)
 		}
-		steps, cancels := 0, 0
-		for i := 0; i < ops; i++ {
-			r := o.rng.Intn(100)
-			switch {
-			case len(o.live) < depth && r < 55, len(o.live) == 0:
-				// Few distinct delays, zero among them: ties everywhere.
-				o.schedule(Duration(o.rng.Intn(6))*Duration(o.rng.Intn(3)+1), o.rng.Intn(4))
-				if o.rng.Intn(8) == 0 {
-					o.respawn[o.ids-1] = true
-				}
-				o.audit("schedule")
-			case r < 80:
-				o.step()
-				steps++
-				o.audit("step")
-			default:
-				var victim refEvent
-				switch o.rng.Intn(5) {
-				case 0: // the root
-					victim = o.pick(refLess)
-				case 1: // the heap's tail slot
-					tail := o.eng.heap[len(o.eng.heap)-1]
-					victim = o.pick(func(a, _ *refEvent) bool { return a.h.idx == tail })
-				case 2: // the latest event: a leaf, wherever it sits
-					victim = o.pick(func(a, b *refEvent) bool { return refLess(b, a) })
-				case 3: // a handle that already fired or was cancelled
-					if len(o.stale) > 0 {
-						o.stale[o.rng.Intn(len(o.stale))].Cancel()
-						o.audit("stale cancel")
-					}
-					continue
-				default:
-					victim = o.sorted()[o.rng.Intn(len(o.live))]
-				}
-				o.cancel(victim)
-				cancels++
-				o.audit("cancel")
+		if laned.eng.Parked < uint64(laned.ids/8) {
+			t.Errorf("seed %d: only %d of %d events parked: the script is not exercising the lanes", seed, laned.eng.Parked, laned.ids)
+		}
+		if len(laned.fired) != len(plain.fired) {
+			t.Fatalf("seed %d: %d events fired through lanes, %d without", seed, len(laned.fired), len(plain.fired))
+		}
+		for j := range laned.fired {
+			if laned.fired[j] != plain.fired[j] {
+				t.Fatalf("seed %d: firing %d is %+v through lanes, %+v without", seed, j, laned.fired[j], plain.fired[j])
 			}
 		}
-		// Drain: what is left must come out in exactly sorted order.
-		o.respawn = map[int]bool{}
-		rest := o.sorted()
-		from := len(o.fired)
-		for len(o.live) > 0 {
-			o.step()
-			o.audit("drain")
-		}
-		for i, e := range rest {
-			if from+i >= len(o.fired) || o.fired[from+i] != e.id {
-				t.Fatalf("seed %d: drain position %d is not event %d", seed+1, i, e.id)
-			}
-		}
-		if steps < ops/10 || cancels < ops/20 {
-			t.Fatalf("seed %d: only %d steps and %d cancels in %d operations", seed+1, steps, cancels, ops)
-		}
-		t.Logf("seed %d: depth ~%d, %d events, %d steps, %d cancels", seed+1, depth, o.ids, steps, cancels)
 	}
 }
