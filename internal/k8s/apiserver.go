@@ -3,6 +3,7 @@ package k8s
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -41,7 +42,10 @@ var (
 type Response struct {
 	err       error
 	completed bool
-	cbs       []func(error)
+	// cb is the first callback registered — nearly every request has exactly
+	// one — and cbs the ones after it.
+	cb  func(error)
+	cbs []func(error)
 }
 
 func (r *Response) complete(err error) {
@@ -50,8 +54,11 @@ func (r *Response) complete(err error) {
 	}
 	r.completed = true
 	r.err = err
-	cbs := r.cbs
-	r.cbs = nil
+	cb, cbs := r.cb, r.cbs
+	r.cb, r.cbs = nil, nil
+	if cb != nil {
+		cb(err)
+	}
 	for _, cb := range cbs {
 		cb(err)
 	}
@@ -61,11 +68,14 @@ func (r *Response) complete(err error) {
 // call site can both register and keep the handle. If the request already
 // completed, fn runs synchronously.
 func (r *Response) Done(fn func(error)) *Response {
-	if r.completed {
+	switch {
+	case r.completed:
 		fn(r.err)
-		return r
+	case r.cb == nil:
+		r.cb = fn
+	default:
+		r.cbs = append(r.cbs, fn)
 	}
-	r.cbs = append(r.cbs, fn)
 	return r
 }
 
@@ -147,6 +157,7 @@ type apiFaults struct {
 }
 
 type watcher struct {
+	api     *APIServer
 	kind    Kind
 	handler func(Event)
 	// next is the earliest time the next event may be delivered to this
@@ -156,9 +167,58 @@ type watcher struct {
 	// broken marks a silently severed stream: deliveries are dropped (not
 	// queued) until the watcher re-subscribes (informers: via relist).
 	broken bool
-	// pending tracks queued delivery timers by commit sequence so
-	// CancelPendingDeliveries can drop them at end of run.
-	pending map[uint64]sim.Event
+	// head and tail are the queue of posted, undelivered events, in commit
+	// order — which, next being monotone, is the order their timers fire in.
+	head, tail *delivery
+	free       sim.FreeList[delivery]
+}
+
+// delivery is one event on its way to one watcher: the argument of its own
+// engine event and a link of the watcher's queue, recycled through the
+// watcher's free list once it fired or was cancelled.
+type delivery struct {
+	w     *watcher
+	ev    Event
+	timer sim.Event
+	next  *delivery
+}
+
+// post queues ev for delivery at time at. The engine event takes its slot
+// and sequence number here, when the commit happens, so ties between
+// watchers at one instant resolve in commit order.
+func (w *watcher) post(at sim.Time, ev Event) {
+	d := w.free.Get()
+	d.w, d.ev = w, ev
+	d.timer = w.api.eng.AtCall(at, deliverCall, d)
+	if w.tail == nil {
+		w.head = d
+	} else {
+		w.tail.next = d
+	}
+	w.tail = d
+}
+
+// pop unlinks the queue head and recycles it, holding no object.
+func (w *watcher) pop() {
+	d := w.head
+	if w.head = d.next; w.head == nil {
+		w.tail = nil
+	}
+	*d = delivery{}
+	w.free.Put(d)
+}
+
+// deliverCall is the body of a delivery's engine event. The record is off
+// the queue and back on the free list before the handler runs: a handler
+// that commits posts behind whatever is still queued.
+func deliverCall(arg any) {
+	d := arg.(*delivery)
+	w, ev := d.w, d.ev
+	if w.head != d {
+		panic(fmt.Sprintf("k8s: %s watch delivery seq %d fired out of queue order", w.kind, ev.Seq))
+	}
+	w.pop()
+	w.handler(ev)
 }
 
 // APIServer is the cluster state store. All mutation goes through it; all
@@ -188,8 +248,9 @@ type APIServer struct {
 	faults *apiFaults
 	// owned indexes every stored object that names an owner under that
 	// owner's UID, so the garbage collector reads one bucket instead of
-	// scanning every store. Written only by put and unown.
-	owned map[UID]map[ownedRef]struct{}
+	// scanning every store. A bucket is a slice: an owner has a handful of
+	// children. Written only by own and unown.
+	owned map[UID][]ownedRef
 }
 
 // ownedRef addresses one stored object in the owner index.
@@ -205,7 +266,7 @@ func NewAPIServer(eng *sim.Engine, lat APILatency) *APIServer {
 		lat:     lat,
 		stores:  make(map[Kind]map[string]Object),
 		kindSeq: make(map[Kind]uint64),
-		owned:   make(map[UID]map[ownedRef]struct{}),
+		owned:   make(map[UID][]ownedRef),
 	}
 }
 
@@ -230,32 +291,25 @@ func (a *APIServer) store(kind Kind) map[string]Object {
 	return s
 }
 
-// put stores obj under its key and files it under its owner, if it names
-// one. Replacing a stored object takes unown on the old one first: an update
-// may re-parent.
-func (a *APIServer) put(obj Object) {
-	m := obj.GetMeta()
-	a.store(m.Kind)[m.Key()] = obj
-	if m.OwnerUID == "" {
-		return
+// own files a newly stored object, by its metadata, under the owner it
+// names, if any; unown takes it out again. A new version of a stored object
+// stays filed as it is unless it names another owner (replace).
+func (a *APIServer) own(m *Meta) {
+	if m.OwnerUID != "" {
+		a.owned[m.OwnerUID] = append(a.owned[m.OwnerUID], ownedRef{m.Kind, m.Namespace, m.Name})
 	}
-	b := a.owned[m.OwnerUID]
-	if b == nil {
-		b = make(map[ownedRef]struct{})
-		a.owned[m.OwnerUID] = b
-	}
-	b[ownedRef{m.Kind, m.Namespace, m.Name}] = struct{}{}
 }
 
-// unown unfiles a stored object, by its metadata, from the owner index.
 func (a *APIServer) unown(m *Meta) {
-	if m.OwnerUID == "" {
-		return
-	}
 	b := a.owned[m.OwnerUID]
-	delete(b, ownedRef{m.Kind, m.Namespace, m.Name})
-	if len(b) == 0 {
+	i := slices.Index(b, ownedRef{m.Kind, m.Namespace, m.Name})
+	switch {
+	case i < 0:
+	case len(b) == 1:
 		delete(a.owned, m.OwnerUID)
+	default: // order within a bucket carries no meaning: collectOrphans sorts
+		b[i] = b[len(b)-1]
+		a.owned[m.OwnerUID] = b[:len(b)-1]
 	}
 }
 
@@ -400,16 +454,12 @@ func (a *APIServer) notify(t EventType, obj Object) {
 			}
 			continue
 		}
-		w := w
 		at := a.eng.Now().Add(a.eng.Jitter(a.lat.WatchDelivery, a.lat.Jitter))
 		if at < w.next {
 			at = w.next
 		}
 		w.next = at
-		w.pending[seq] = a.eng.At(at, func() {
-			delete(w.pending, seq)
-			w.handler(Event{Type: t, Object: obj, Seq: seq})
-		})
+		w.post(at, Event{Type: t, Object: obj, Seq: seq})
 	}
 }
 
@@ -420,9 +470,9 @@ func (a *APIServer) notify(t EventType, obj Object) {
 func (a *APIServer) CancelPendingDeliveries() int {
 	n := 0
 	for _, w := range a.watchers {
-		for seq, ev := range w.pending {
-			ev.Cancel()
-			delete(w.pending, seq)
+		for w.head != nil {
+			w.head.timer.Cancel()
+			w.pop()
 			n++
 		}
 	}
@@ -441,7 +491,7 @@ func (a *APIServer) Watch(kind Kind, handler func(Event)) {
 // watch is Watch returning the registration handle, so the informer can
 // repair its own stream after a break.
 func (a *APIServer) watch(kind Kind, handler func(Event)) *watcher {
-	w := &watcher{kind: kind, handler: handler, pending: make(map[uint64]sim.Event)}
+	w := &watcher{api: a, kind: kind, handler: handler}
 	a.watchers = append(a.watchers, w)
 	return w
 }
@@ -527,7 +577,8 @@ func (a *APIServer) commitCreate(obj Object) error {
 	a.rev++
 	m.ResourceVersion = a.rev
 	stored := obj.Clone()
-	a.put(stored)
+	a.store(m.Kind)[key] = stored
+	a.own(m)
 	a.notify(EventAdded, stored)
 	return nil
 }
@@ -540,10 +591,11 @@ func (a *APIServer) replace(old, next Object) {
 	om, m := old.GetMeta(), next.GetMeta()
 	a.rev++
 	m.ResourceVersion = a.rev
-	if om.OwnerUID != m.OwnerUID {
-		a.unown(om) // re-parented
+	if om.OwnerUID != m.OwnerUID { // re-parented
+		a.unown(om)
+		a.own(m)
 	}
-	a.put(next)
+	a.store(m.Kind)[m.Key()] = next
 	a.notify(EventModified, next)
 }
 
@@ -621,10 +673,7 @@ func (a *APIServer) collectOrphans(owner UID) {
 	if owner == "" {
 		return
 	}
-	orphans := make([]ownedRef, 0, len(a.owned[owner]))
-	for ref := range a.owned[owner] {
-		orphans = append(orphans, ref)
-	}
+	orphans := slices.Clone(a.owned[owner])
 	sort.Slice(orphans, func(i, j int) bool {
 		if orphans[i].kind != orphans[j].kind {
 			return orphans[i].kind < orphans[j].kind

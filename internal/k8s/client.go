@@ -9,9 +9,9 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
 
-// IndexFunc computes the index values an object is filed under. Returning
-// nil leaves the object out of the index.
-type IndexFunc func(Object) []string
+// IndexFunc computes the value an object is filed under in one index; ""
+// leaves the object out of it.
+type IndexFunc func(Object) string
 
 // Built-in index names. Consumers register further indexes per informer
 // (e.g. vniapi's VNIs-by-job index).
@@ -24,25 +24,20 @@ const (
 )
 
 // PodJobIndex is the IndexFunc behind IndexPodJob.
-func PodJobIndex(obj Object) []string {
+func PodJobIndex(obj Object) string {
 	p, ok := obj.(*Pod)
 	if !ok {
-		return nil
+		return ""
 	}
 	job := p.Meta.Labels["job-name"]
 	if job == "" {
-		return nil
+		return ""
 	}
-	return []string{p.Meta.Namespace + "/" + job}
+	return p.Meta.Namespace + "/" + job
 }
 
 // OwnerIndex is the IndexFunc behind IndexOwner.
-func OwnerIndex(obj Object) []string {
-	if uid := obj.GetMeta().OwnerUID; uid != "" {
-		return []string{string(uid)}
-	}
-	return nil
-}
+func OwnerIndex(obj Object) string { return string(obj.GetMeta().OwnerUID) }
 
 // WatchOptions scope a watch registration. The zero value watches the whole
 // kind, like the raw APIServer.Watch broadcast.
@@ -66,40 +61,40 @@ type watchReg struct {
 	handler func(Event)
 }
 
+// cell is the cache entry of one key for as long as the key is cached: the
+// object map, the per-namespace view and every index bucket point at the
+// cell, so absorbing a new version of the object is one pointer store.
+type cell struct {
+	obj Object
+	// vals[i] is the value the cell is filed under in Informer.indexes[i]
+	// ("" = unfiled): what an update compares against and a removal unfiles.
+	vals []string
+}
+
 type informerIndex struct {
-	fn IndexFunc
-	// buckets maps index value -> object key -> cached object.
-	buckets map[string]map[string]Object
-	// keyVals remembers the values each key was filed under, so updates
-	// can unfile the previous state without recomputing it.
-	keyVals map[string][]string
+	name string
+	fn   IndexFunc
+	// buckets maps index value -> object key -> cell.
+	buckets map[string]map[string]*cell
 }
 
-func (ix *informerIndex) remove(key string) {
-	for _, v := range ix.keyVals[key] {
-		if b := ix.buckets[v]; b != nil {
-			delete(b, key)
-			if len(b) == 0 {
-				delete(ix.buckets, v)
-			}
-		}
+// file adds c under bucket value v of m; unfile takes it out again and drops
+// the bucket with its last entry. The per-namespace view and every index go
+// through this pair, whether the cell arrives by event, backfill or relist.
+func file(m map[string]map[string]*cell, v, key string, c *cell) {
+	b := m[v]
+	if b == nil {
+		b = make(map[string]*cell)
+		m[v] = b
 	}
-	delete(ix.keyVals, key)
+	b[key] = c
 }
 
-func (ix *informerIndex) add(key string, obj Object) {
-	vals := ix.fn(obj)
-	if len(vals) == 0 {
-		return
-	}
-	ix.keyVals[key] = vals
-	for _, v := range vals {
-		b := ix.buckets[v]
-		if b == nil {
-			b = make(map[string]Object)
-			ix.buckets[v] = b
-		}
-		b[key] = obj
+func unfile(m map[string]map[string]*cell, v, key string) {
+	b := m[v]
+	delete(b, key)
+	if len(b) == 0 {
+		delete(m, v)
 	}
 }
 
@@ -112,9 +107,9 @@ func (ix *informerIndex) add(key string, obj Object) {
 type Informer struct {
 	api      *APIServer
 	kind     Kind
-	objs     map[string]Object
-	byNS     map[string]map[string]Object
-	indexes  map[string]*informerIndex
+	objs     map[string]*cell
+	byNS     map[string]map[string]*cell
+	indexes  []*informerIndex
 	handlers []*watchReg
 	// changes counts the mutations of the cache (apply, remove, relist),
 	// from 1 so that no state of the cache equals a zero mark: what
@@ -141,77 +136,106 @@ type Informer struct {
 }
 
 func newInformer(api *APIServer, kind Kind) *Informer {
-	inf := &Informer{
-		api:     api,
-		kind:    kind,
-		objs:    make(map[string]Object),
-		byNS:    make(map[string]map[string]Object),
-		indexes: make(map[string]*informerIndex),
-		changes: 1,
-		lastSeq: api.kindSeq[kind],
-	}
+	inf := &Informer{api: api, kind: kind, changes: 1}
 	// Initial LIST: seed the cache from the store synchronously so an
 	// informer created after objects already exist starts warm.
-	for key, obj := range api.store(kind) {
-		inf.apply(key, obj)
-	}
+	inf.load()
 	inf.upstream = api.watch(kind, inf.onEvent)
 	return inf
+}
+
+// load replaces the cache with the store's current content — the initial
+// LIST and the relist — and returns the cells it replaced. Nothing runs
+// between the first store and the last (index functions are pure), so no
+// handler or lister sees the cache half-built.
+func (inf *Informer) load() (old map[string]*cell) {
+	old = inf.objs
+	store := inf.api.store(inf.kind)
+	inf.objs = make(map[string]*cell, len(store))
+	inf.byNS = make(map[string]map[string]*cell)
+	for _, ix := range inf.indexes {
+		ix.buckets = make(map[string]map[string]*cell)
+	}
+	for key, obj := range store {
+		inf.apply(key, obj)
+	}
+	inf.lastSeq = inf.api.kindSeq[inf.kind]
+	return old
 }
 
 // AddIndex registers (idempotently) a named index and backfills it from the
 // current cache. Registering the same name twice is a no-op, so independent
 // consumers can each declare the indexes they need.
 func (inf *Informer) AddIndex(name string, fn IndexFunc) {
-	if _, ok := inf.indexes[name]; ok {
-		return
+	for _, ix := range inf.indexes {
+		if ix.name == name {
+			return
+		}
 	}
-	ix := &informerIndex{
-		fn:      fn,
-		buckets: make(map[string]map[string]Object),
-		keyVals: make(map[string][]string),
+	ix := &informerIndex{name: name, fn: fn, buckets: make(map[string]map[string]*cell)}
+	inf.indexes = append(inf.indexes, ix)
+	for key, c := range inf.objs {
+		v := fn(c.obj)
+		c.vals = append(c.vals, v)
+		if v != "" {
+			file(ix.buckets, v, key, c)
+		}
 	}
-	inf.indexes[name] = ix
-	for key, obj := range inf.objs {
-		ix.add(key, obj)
+}
+
+// index returns the named index; asking for one nobody registered is a bug.
+func (inf *Informer) index(name string) *informerIndex {
+	for _, ix := range inf.indexes {
+		if ix.name == name {
+			return ix
+		}
 	}
+	panic(fmt.Sprintf("k8s: lister for %s: index %q not registered", inf.kind, name))
 }
 
 // Lister returns the read view over this informer's cache.
 func (inf *Informer) Lister() Lister { return Lister{inf: inf} }
 
+// apply absorbs obj as the current version of key. On a key already cached
+// that is one lookup and one pointer store; an index is touched only when
+// the object's value in it changed (a pod's job and an object's owner
+// almost never do).
 func (inf *Informer) apply(key string, obj Object) {
-	inf.remove(key)
 	inf.changes++
-	inf.objs[key] = obj
-	ns := obj.GetMeta().Namespace
-	b := inf.byNS[ns]
-	if b == nil {
-		b = make(map[string]Object)
-		inf.byNS[ns] = b
+	c := inf.objs[key]
+	if c == nil {
+		c = &cell{vals: make([]string, len(inf.indexes))}
+		inf.objs[key] = c
+		file(inf.byNS, obj.GetMeta().Namespace, key, c)
 	}
-	b[key] = obj
-	for _, ix := range inf.indexes {
-		ix.add(key, obj)
+	c.obj = obj
+	for i, ix := range inf.indexes {
+		v := ix.fn(obj)
+		if v == c.vals[i] {
+			continue
+		}
+		if c.vals[i] != "" {
+			unfile(ix.buckets, c.vals[i], key)
+		}
+		if v != "" {
+			file(ix.buckets, v, key, c)
+		}
+		c.vals[i] = v
 	}
 }
 
 func (inf *Informer) remove(key string) {
-	old, ok := inf.objs[key]
-	if !ok {
+	c := inf.objs[key]
+	if c == nil {
 		return
 	}
 	inf.changes++
 	delete(inf.objs, key)
-	ns := old.GetMeta().Namespace
-	if b := inf.byNS[ns]; b != nil {
-		delete(b, key)
-		if len(b) == 0 {
-			delete(inf.byNS, ns)
+	unfile(inf.byNS, c.obj.GetMeta().Namespace, key)
+	for i, ix := range inf.indexes {
+		if c.vals[i] != "" {
+			unfile(ix.buckets, c.vals[i], key)
 		}
-	}
-	for _, ix := range inf.indexes {
-		ix.remove(key)
 	}
 }
 
@@ -247,10 +271,10 @@ func (inf *Informer) dispatch(ev Event) {
 
 // relist rebuilds the cache from a fresh store snapshot and replays the
 // diff to handlers — the informer resync path behind a broken or stalled
-// watch. The new cache (objects, per-namespace view, every index) is built
-// completely and swapped in atomically before any handler runs, so
-// handlers and listers never observe a half-updated view; the replayed
-// events then re-deliver the missed changes in sorted key order.
+// watch. The new cache (objects, per-namespace view, every index) is
+// complete before any handler runs, so handlers and listers never observe a
+// half-updated view; the replayed events then re-deliver the missed changes
+// in sorted key order.
 func (inf *Informer) relist() {
 	inf.relists++
 	if inf.upstream.broken {
@@ -261,35 +285,9 @@ func (inf *Informer) relist() {
 			inf.maxStaleness = d
 		}
 	}
-	horizon := inf.api.kindSeq[inf.kind]
-
-	old := inf.objs
-	objs := make(map[string]Object, len(old))
-	byNS := make(map[string]map[string]Object)
-	indexes := make(map[string]*informerIndex, len(inf.indexes))
-	for name, ix := range inf.indexes {
-		indexes[name] = &informerIndex{
-			fn:      ix.fn,
-			buckets: make(map[string]map[string]Object),
-			keyVals: make(map[string][]string),
-		}
-	}
-	for key, obj := range inf.api.store(inf.kind) {
-		objs[key] = obj
-		ns := obj.GetMeta().Namespace
-		b := byNS[ns]
-		if b == nil {
-			b = make(map[string]Object)
-			byNS[ns] = b
-		}
-		b[key] = obj
-		for _, ix := range indexes {
-			ix.add(key, obj)
-		}
-	}
-	inf.objs, inf.byNS, inf.indexes = objs, byNS, indexes
+	old := inf.load()
+	objs, horizon := inf.objs, inf.lastSeq
 	inf.changes++
-	inf.lastSeq = horizon
 	inf.probeSeq = horizon
 	inf.stale = false
 	inf.hasGap = false
@@ -306,15 +304,14 @@ func (inf *Informer) relist() {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		oldObj, hadOld := old[key]
-		newObj, hasNew := objs[key]
+		was, is := old[key], objs[key]
 		switch {
-		case hadOld && !hasNew:
-			inf.dispatch(Event{Type: EventDeleted, Object: oldObj, Seq: horizon})
-		case !hadOld && hasNew:
-			inf.dispatch(Event{Type: EventAdded, Object: newObj, Seq: horizon})
-		case oldObj.GetMeta().ResourceVersion != newObj.GetMeta().ResourceVersion:
-			inf.dispatch(Event{Type: EventModified, Object: newObj, Seq: horizon})
+		case is == nil:
+			inf.dispatch(Event{Type: EventDeleted, Object: was.obj, Seq: horizon})
+		case was == nil:
+			inf.dispatch(Event{Type: EventAdded, Object: is.obj, Seq: horizon})
+		case was.obj.GetMeta().ResourceVersion != is.obj.GetMeta().ResourceVersion:
+			inf.dispatch(Event{Type: EventModified, Object: is.obj, Seq: horizon})
 		}
 	}
 }
@@ -336,42 +333,33 @@ type Lister struct {
 // Get returns the cached object, if present.
 func (l Lister) Get(namespace, name string) (Object, bool) {
 	l.inf.noteRead()
-	obj, ok := l.inf.objs[namespace+"/"+name]
-	return obj, ok
+	if c := l.inf.objs[namespace+"/"+name]; c != nil {
+		return c.obj, true
+	}
+	return nil, false
 }
 
 // List returns the cached objects of the namespace ("" = all) in key order.
 func (l Lister) List(namespace string) []Object {
 	l.inf.noteRead()
-	var src map[string]Object
 	if namespace == "" {
-		src = l.inf.objs
-	} else {
-		src = l.inf.byNS[namespace]
+		return sortedValues(l.inf.objs)
 	}
-	return sortedValues(src)
+	return sortedValues(l.inf.byNS[namespace])
 }
 
 // ByIndex returns the cached objects filed under value in the named index,
 // in key order. O(match), not O(all objects).
 func (l Lister) ByIndex(name, value string) []Object {
 	l.inf.noteRead()
-	ix, ok := l.inf.indexes[name]
-	if !ok {
-		panic(fmt.Sprintf("k8s: lister for %s: index %q not registered", l.inf.kind, name))
-	}
-	return sortedValues(ix.buckets[value])
+	return sortedValues(l.inf.index(name).buckets[value])
 }
 
 // IndexCount reports how many cached objects are filed under value — the
 // allocation-free form of len(ByIndex(...)).
 func (l Lister) IndexCount(name, value string) int {
 	l.inf.noteRead()
-	ix, ok := l.inf.indexes[name]
-	if !ok {
-		panic(fmt.Sprintf("k8s: lister for %s: index %q not registered", l.inf.kind, name))
-	}
-	return len(ix.buckets[value])
+	return len(l.inf.index(name).buckets[value])
 }
 
 // Unchanged reports whether the cache is as it was when the previous call
@@ -389,13 +377,13 @@ func (l Lister) Unchanged(mark *uint64) bool {
 	return true
 }
 
-func sortedValues(src map[string]Object) []Object {
+func sortedValues(src map[string]*cell) []Object {
 	switch len(src) {
 	case 0:
 		return nil
 	case 1: // every pods-by-job and children-by-owner lookup of a 1-pod job
-		for _, obj := range src {
-			return []Object{obj}
+		for _, c := range src {
+			return []Object{c.obj}
 		}
 	}
 	keys := make([]string, 0, len(src))
@@ -405,7 +393,7 @@ func sortedValues(src map[string]Object) []Object {
 	sort.Strings(keys)
 	out := make([]Object, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, src[k])
+		out = append(out, src[k].obj)
 	}
 	return out
 }
@@ -794,10 +782,11 @@ func (c *Client) VerifyCaches() error {
 		}
 		sort.Strings(keys)
 		for _, key := range keys {
-			cached, ok := inf.objs[key]
-			if !ok {
+			c := inf.objs[key]
+			if c == nil {
 				return fmt.Errorf("k8s: %s cache missing %s", kind, key)
 			}
+			cached := c.obj
 			crv, srv := cached.GetMeta().ResourceVersion, store[key].GetMeta().ResourceVersion
 			if crv != srv {
 				return fmt.Errorf("k8s: %s cache stale at %s (cached rv %d, stored %d)",

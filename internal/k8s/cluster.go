@@ -92,8 +92,8 @@ func (c *Cluster) Job(namespace, name string) (*Job, bool) {
 func (c *Cluster) ActiveJobs() int {
 	c.jobs.noteRead()
 	n := 0
-	for _, obj := range c.jobs.objs {
-		job := obj.(*Job)
+	for _, cell := range c.jobs.objs {
+		job := cell.obj.(*Job)
 		if !job.Status.Completed && job.Status.Active > 0 {
 			n++
 		}

@@ -390,12 +390,7 @@ func TestRelistRebuildsIndexesAtomically(t *testing.T) {
 	inf.AddIndex(IndexPodJob, PodJobIndex)
 	inf.AddIndex(IndexOwner, OwnerIndex)
 	// A custom index in the spirit of vniapi's VNIs-by-job: pods by node.
-	inf.AddIndex("by-node", func(obj Object) []string {
-		if n := obj.(*Pod).Spec.NodeName; n != "" {
-			return []string{n}
-		}
-		return nil
-	})
+	inf.AddIndex("by-node", func(obj Object) string { return obj.(*Pod).Spec.NodeName })
 	lister := inf.Lister()
 
 	// checkConsistent recomputes every index from the lister's full List
@@ -406,10 +401,10 @@ func TestRelistRebuildsIndexesAtomically(t *testing.T) {
 		w := want{map[string]int{}, map[string]int{}, map[string]int{}}
 		for _, obj := range all {
 			p := obj.(*Pod)
-			for _, v := range PodJobIndex(p) {
+			if v := PodJobIndex(p); v != "" {
 				w.job[v]++
 			}
-			for _, v := range OwnerIndex(p) {
+			if v := OwnerIndex(p); v != "" {
 				w.owner[v]++
 			}
 			if p.Spec.NodeName != "" {

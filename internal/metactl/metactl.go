@@ -93,16 +93,16 @@ type Decorator struct {
 	hooks    Hooks
 	parents  k8s.Lister
 	children k8s.Lister // indexed by owner UID
-	// inFlight dedups concurrent reconciles per parent key.
-	inFlight map[string]bool
-	// pending marks parents that changed while a reconcile was running.
-	pending map[string]bool
+	// rounds holds the parents with a reconcile round in flight — one round
+	// per parent at a time — and, as the value, whether the parent changed
+	// meanwhile and is owed another. A parent is forgotten when its round
+	// ends, so the map is empty whenever the engine is idle.
+	rounds map[string]bool
 }
 
 // NewDecorator creates and starts the controller.
 func NewDecorator(cli *k8s.Client, cfg Config, hooks Hooks) *Decorator {
-	d := &Decorator{cli: cli, cfg: cfg, hooks: hooks,
-		inFlight: make(map[string]bool), pending: make(map[string]bool)}
+	d := &Decorator{cli: cli, cfg: cfg, hooks: hooks, rounds: make(map[string]bool)}
 	d.parents = cli.Lister(cfg.ParentKind)
 	childInformer := cli.Informer(cfg.ChildKind)
 	childInformer.AddIndex(k8s.IndexOwner, k8s.OwnerIndex)
@@ -117,162 +117,200 @@ func NewDecorator(cli *k8s.Client, cfg Config, hooks Hooks) *Decorator {
 }
 
 func (d *Decorator) schedule(key string) {
-	if d.inFlight[key] {
-		d.pending[key] = true
+	if _, inFlight := d.rounds[key]; inFlight {
+		d.rounds[key] = true
 		return
 	}
-	d.inFlight[key] = true
+	d.rounds[key] = false
 	eng := d.cli.Engine()
-	eng.After(eng.Jitter(d.cfg.WebhookLatency, d.cfg.Jitter), func() {
-		d.reconcile(key, func() {
-			d.inFlight[key] = false
-			if d.pending[key] {
-				d.pending[key] = false
-				d.schedule(key)
-			}
-		})
-	})
+	eng.After(eng.Jitter(d.cfg.WebhookLatency, d.cfg.Jitter), func() { d.reconcile(key) })
 }
 
-// reconcile drives one parent toward the webhook's desired state.
-func (d *Decorator) reconcile(key string, done func()) {
+// done ends the parent's round and starts the next if the parent changed
+// during it.
+func (d *Decorator) done(key string) {
+	again := d.rounds[key]
+	delete(d.rounds, key)
+	if again {
+		d.schedule(key)
+	}
+}
+
+// reconcile drives one parent toward the webhook's desired state; every
+// path through it ends in exactly one done(key).
+func (d *Decorator) reconcile(key string) {
 	ns, name := splitKey(key)
-	obj, ok := d.cli.Get(d.cfg.ParentKind, ns, name)
+	parent, ok := d.cli.Get(d.cfg.ParentKind, ns, name)
 	if !ok {
-		done()
+		d.done(key)
 		return
 	}
-	meta := obj.GetMeta()
-	req := SyncRequest{Parent: obj, Children: d.childrenOf(meta)}
-
+	meta := parent.GetMeta()
 	if meta.Deleting {
-		if d.cfg.Finalizer == "" || !meta.HasFinalizer(d.cfg.Finalizer) {
-			done()
-			return
-		}
-		resp, err := d.hooks.Finalize(req)
-		if err != nil || !resp.Finalized {
-			d.applyChildren(meta, resp.Children, func() {
-				eng := d.cli.Engine()
-				eng.After(eng.Jitter(d.cfg.FinalizeRetry, d.cfg.Jitter), func() { d.schedule(key) })
-				done()
-			})
-			return
-		}
-		// Finalized: remove all children, then the finalizer. The removal
-		// rides the retry layer: dropping it to an apiserver outage would
-		// wedge the parent's deletion forever.
-		d.applyChildren(meta, nil, func() {
-			d.cli.RemoveFinalizer(d.cfg.ParentKind, ns, name, d.cfg.Finalizer).Done(func(error) { done() })
-		})
+		d.finalize(key, parent)
 		return
 	}
-
 	// Live parent: ensure finalizer, call sync, apply children. The
 	// finalizer is attached with an optimistic-concurrency retry so a
 	// concurrent status writer cannot make the attach silently vanish.
-	ensureFinalizer := func(next func()) {
-		if d.cfg.Finalizer == "" || meta.HasFinalizer(d.cfg.Finalizer) {
-			next()
-			return
-		}
-		d.cli.Patch(d.cfg.ParentKind, ns, name, func(cur k8s.Object) bool {
-			m := cur.GetMeta()
-			if m.HasFinalizer(d.cfg.Finalizer) {
-				return false
-			}
-			m.AddFinalizer(d.cfg.Finalizer)
-			return true
-		}).Done(func(error) { next() })
+	if d.cfg.Finalizer == "" || meta.HasFinalizer(d.cfg.Finalizer) {
+		d.sync(key, parent)
+		return
 	}
-	ensureFinalizer(func() {
-		resp, err := d.hooks.Sync(req)
-		if err != nil {
-			// Sync errors are retried on the next parent event or via
-			// explicit Resync; children are left untouched.
-			done()
-			return
+	d.cli.Patch(d.cfg.ParentKind, ns, name, func(cur k8s.Object) bool {
+		m := cur.GetMeta()
+		if m.HasFinalizer(d.cfg.Finalizer) {
+			return false
 		}
-		d.applyChildren(meta, resp.Children, done)
+		m.AddFinalizer(d.cfg.Finalizer)
+		return true
+	}).Done(func(error) { d.sync(key, parent) })
+}
+
+// sync calls the webhook for a live parent and applies its answer.
+func (d *Decorator) sync(key string, parent k8s.Object) {
+	observed := d.observe(parent.GetMeta())
+	resp, err := d.hooks.Sync(SyncRequest{Parent: parent, Children: clones(observed)})
+	if err != nil {
+		// Sync errors are retried on the next parent event or via
+		// explicit Resync; children are left untouched.
+		d.done(key)
+		return
+	}
+	d.applyChildren(key, parent.GetMeta(), observed, resp.Children, nil)
+}
+
+// finalize calls the finalize hook of a deleting parent that still carries
+// the controller's finalizer.
+func (d *Decorator) finalize(key string, parent k8s.Object) {
+	meta := parent.GetMeta()
+	if d.cfg.Finalizer == "" || !meta.HasFinalizer(d.cfg.Finalizer) {
+		d.done(key)
+		return
+	}
+	observed := d.observe(meta)
+	resp, err := d.hooks.Finalize(SyncRequest{Parent: parent, Children: clones(observed)})
+	if err != nil || !resp.Finalized {
+		d.applyChildren(key, meta, observed, resp.Children, func() {
+			eng := d.cli.Engine()
+			eng.After(eng.Jitter(d.cfg.FinalizeRetry, d.cfg.Jitter), func() { d.schedule(key) })
+			d.done(key)
+		})
+		return
+	}
+	// Finalized: remove all children, then the finalizer. The removal
+	// rides the retry layer: dropping it to an apiserver outage would
+	// wedge the parent's deletion forever.
+	d.applyChildren(key, meta, observed, nil, func() {
+		d.cli.RemoveFinalizer(d.cfg.ParentKind, meta.Namespace, meta.Name, d.cfg.Finalizer).
+			Done(func(error) { d.done(key) })
 	})
 }
 
-// cachedChildren lists controller-owned children of the parent through the
-// owner index: O(children of this parent), not O(all children in the
-// namespace). The results are committed objects: read-only.
-func (d *Decorator) cachedChildren(parent *k8s.Meta) []*k8s.Custom {
-	var out []*k8s.Custom
-	for _, obj := range d.children.ByIndex(k8s.IndexOwner, string(parent.UID)) {
+// observe reads the parent's controller-owned children through the owner
+// index: O(children of this parent), not O(all children in the namespace).
+// They are committed objects: read-only.
+func (d *Decorator) observe(parent *k8s.Meta) []k8s.Object {
+	return d.children.ByIndex(k8s.IndexOwner, string(parent.UID))
+}
+
+// clones returns Clones of the observed children for a webhook request: a
+// response may echo one back as desired state, whose Meta applyChildren then
+// stamps. The spec and status maps stay shared.
+func clones(observed []k8s.Object) []*k8s.Custom {
+	if len(observed) == 0 {
+		return nil
+	}
+	out := make([]*k8s.Custom, 0, len(observed))
+	for _, obj := range observed {
 		if c, ok := obj.(*k8s.Custom); ok {
-			out = append(out, c)
+			out = append(out, c.Clone().(*k8s.Custom))
 		}
 	}
 	return out
 }
 
-// childrenOf returns Clones of the parent's children for a webhook
-// request: responses may echo them back as desired state, whose Meta
-// applyChildren then stamps. The spec and status maps stay shared.
-func (d *Decorator) childrenOf(parent *k8s.Meta) []*k8s.Custom {
-	out := d.cachedChildren(parent)
-	for i, c := range out {
-		out[i] = c.Clone().(*k8s.Custom)
-	}
-	return out
-}
-
-// applyChildren reconciles the actual child set toward desired. It only
-// reads the current children (name, namespace, spec), so it takes them from
-// the cache uncopied.
-func (d *Decorator) applyChildren(parent *k8s.Meta, desired []*k8s.Custom, done func()) {
-	current := d.cachedChildren(parent)
-	curByName := make(map[string]*k8s.Custom, len(current))
-	for _, c := range current {
-		curByName[c.Meta.Name] = c
-	}
-	wantByName := make(map[string]*k8s.Custom, len(desired))
-	remaining := 0
-	finish := func(error) {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
-	}
-	var ops []func()
+// applyChildren reconciles the child set the round observed toward desired,
+// then runs then — nil: end the round — once every write it issued has
+// completed: at once when there is nothing to write, the usual outcome of a
+// re-sync, which then allocates nothing. Both sets are a handful, so they
+// are matched by scanning.
+func (d *Decorator) applyChildren(key string, parent *k8s.Meta, observed []k8s.Object, desired []*k8s.Custom, then func()) {
+	// Count the writes before issuing the first: a Response may complete
+	// synchronously, and then must wait for the last.
+	n := 0
 	for _, w := range desired {
-		w := w
 		w.Meta.Kind = d.cfg.ChildKind
 		w.Meta.Namespace = parent.Namespace
 		w.Meta.OwnerUID = parent.UID
-		wantByName[w.Meta.Name] = w
-		// Child writes ride the retry layer: a VNI child create dropped to
-		// a degraded or unavailable apiserver would leave the parent's
-		// pod-creation gate closed forever (nothing re-triggers the sync).
-		if cur, exists := curByName[w.Meta.Name]; exists {
-			if !specsEqual(cur.Spec, w.Spec) {
-				ops = append(ops, func() { d.cli.Update(w).Done(finish) })
-			}
-			continue
-		}
-		ops = append(ops, func() { d.cli.Create(w).Done(finish) })
-	}
-	for _, c := range current {
-		c := c
-		if _, keep := wantByName[c.Meta.Name]; !keep {
-			ops = append(ops, func() {
-				d.cli.Delete(d.cfg.ChildKind, c.Meta.Namespace, c.Meta.Name).Done(finish)
-			})
+		if cur := child(observed, w.Meta.Name); cur == nil || !specsEqual(cur.Spec, w.Spec) {
+			n++
 		}
 	}
-	if len(ops) == 0 {
-		done()
+	for _, obj := range observed {
+		if c, ok := obj.(*k8s.Custom); ok && !wants(desired, c.Meta.Name) {
+			n++
+		}
+	}
+	if n == 0 {
+		d.applied(key, then)
 		return
 	}
-	remaining = len(ops)
-	for _, op := range ops {
-		op()
+	writes := n
+	finish := func(error) {
+		if writes--; writes == 0 {
+			d.applied(key, then)
+		}
+	}
+	// Child writes ride the retry layer: a VNI child create dropped to a
+	// degraded or unavailable apiserver would leave the parent's
+	// pod-creation gate closed forever (nothing re-triggers the sync).
+	for _, w := range desired {
+		switch cur := child(observed, w.Meta.Name); {
+		case cur == nil:
+			d.cli.Create(w).Done(finish)
+		case !specsEqual(cur.Spec, w.Spec):
+			d.cli.Update(w).Done(finish)
+		}
+	}
+	for _, obj := range observed {
+		if c, ok := obj.(*k8s.Custom); ok && !wants(desired, c.Meta.Name) {
+			d.cli.Delete(d.cfg.ChildKind, c.Meta.Namespace, c.Meta.Name).Done(finish)
+		}
 	}
 }
+
+func (d *Decorator) applied(key string, then func()) {
+	if then == nil {
+		d.done(key)
+	} else {
+		then()
+	}
+}
+
+// child returns the observed child called name, or nil.
+func child(observed []k8s.Object, name string) *k8s.Custom {
+	for _, obj := range observed {
+		if c, ok := obj.(*k8s.Custom); ok && c.Meta.Name == name {
+			return c
+		}
+	}
+	return nil
+}
+
+// wants reports whether desired lists a child called name.
+func wants(desired []*k8s.Custom, name string) bool {
+	for _, w := range desired {
+		if w.Meta.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// InFlight reports how many parents have a reconcile round in flight: zero
+// whenever the engine is idle.
+func (d *Decorator) InFlight() int { return len(d.rounds) }
 
 // Resync re-queues every matching parent (Metacontroller's resyncPeriod)
 // from the cached parent lister.

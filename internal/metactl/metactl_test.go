@@ -200,3 +200,38 @@ func TestReconcileCoalescesConcurrentEvents(t *testing.T) {
 		t.Errorf("sync storm: %d calls", h.syncCalls)
 	}
 }
+
+// TestDecoratorForgetsParentAndOwesSecondRound: a parent is tracked for the
+// length of its round and no longer — not even while it still exists — and
+// an event that arrives while the round is in flight buys exactly one more
+// round behind it.
+func TestDecoratorForgetsParentAndOwesSecondRound(t *testing.T) {
+	h := &scriptedHooks{desired: oneChild("c", nil)}
+	eng, api, d := newEnv(t, testCfg(), h)
+	submitJob(eng, api, "j1", nil)
+	if n := d.InFlight(); n != 0 {
+		t.Fatalf("decorator tracks %d parents with no round in flight", n)
+	}
+
+	calls := h.syncCalls
+	d.schedule("ns/j1") // a round starts: the webhook call is one latency away
+	d.schedule("ns/j1") // the parent changes mid-round...
+	d.schedule("ns/j1") // ...twice: still one more round owed, not two
+	if n := d.InFlight(); n != 1 {
+		t.Fatalf("decorator tracks %d parents mid-round, want 1", n)
+	}
+	eng.RunFor(5 * time.Second)
+	if got := h.syncCalls - calls; got != 2 {
+		t.Errorf("%d webhook calls for a round and the events during it, want 2", got)
+	}
+
+	api.Client().Delete(k8s.KindJob, "ns", "j1")
+	h.finalized = true
+	eng.RunFor(10 * time.Second)
+	if _, ok := api.Get(k8s.KindJob, "ns", "j1"); ok {
+		t.Fatal("parent survives its deletion")
+	}
+	if n := d.InFlight(); n != 0 {
+		t.Errorf("decorator still tracks %d parents after the only one was deleted", n)
+	}
+}

@@ -75,16 +75,16 @@ func Requested(annotations map[string]string) (requested bool, claim string) {
 const IndexVNIByJob = "vni-by-job"
 
 // VNIByJobIndex is the IndexFunc behind IndexVNIByJob.
-func VNIByJobIndex(obj k8s.Object) []string {
+func VNIByJobIndex(obj k8s.Object) string {
 	c, ok := obj.(*k8s.Custom)
 	if !ok {
-		return nil
+		return ""
 	}
 	job := c.Spec[SpecJob]
 	if job == "" {
-		return nil
+		return ""
 	}
-	return []string{c.Meta.Namespace + "/" + job}
+	return c.Meta.Namespace + "/" + job
 }
 
 // VNILister returns the cached lister over VNI CRD instances with the

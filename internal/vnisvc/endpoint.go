@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
@@ -68,7 +69,7 @@ func (e *Endpoint) Stats() EndpointStats { return e.stats }
 // ownerForJob builds the database owner key for a job-owned VNI. The UID
 // makes re-created same-name jobs distinct owners.
 func ownerForJob(m *k8s.Meta) string {
-	return fmt.Sprintf("job/%s/%s/%s", m.Namespace, m.Name, m.UID)
+	return "job/" + m.Namespace + "/" + m.Name + "/" + string(m.UID)
 }
 
 // ownerForClaim builds the database owner key for a claim-owned VNI.
@@ -77,19 +78,51 @@ func ownerForJob(m *k8s.Meta) string {
 // "vni-claim-test" by exactly that name); Kubernetes enforces its
 // uniqueness within the namespace, as the paper requires.
 func ownerForClaim(namespace, claimName string) string {
-	return fmt.Sprintf("claim/%s/%s", namespace, claimName)
+	return "claim/" + namespace + "/" + claimName
 }
 
 // userForJob is the database user key for a job redeeming a claim.
-func userForJob(m *k8s.Meta) string {
-	return fmt.Sprintf("job/%s/%s/%s", m.Namespace, m.Name, m.UID)
+func userForJob(m *k8s.Meta) string { return ownerForJob(m) }
+
+// The VNI CRD instance attached to a job, or owned by a claim object, is
+// named after its parent behind one of these prefixes.
+const (
+	jobChildPrefix   = "vni-"
+	claimChildPrefix = "vni-claim-"
+)
+
+// desiredChild answers a /sync with the one child, named prefix+parent,
+// whose spec is exactly vni plus the given key/value pairs. When the
+// request's observed children already hold that child — that name, those
+// values, no other key — the answer is that child itself, the Clone the
+// decorator passed in: apply semantics' own form of "nothing to change",
+// which is what every re-sync after a status write comes to. Otherwise a
+// new child is built.
+func desiredChild(req metactl.SyncRequest, prefix, parent string, vni fabric.VNI, kv ...string) metactl.SyncResponse {
+	var buf [20]byte // FormatUint would allocate from 100 up
+	digits := strconv.AppendUint(buf[:0], uint64(vni), 10)
+	for i, c := range req.Children {
+		if strings.HasPrefix(c.Meta.Name, prefix) && c.Meta.Name[len(prefix):] == parent &&
+			len(c.Spec) == 1+len(kv)/2 && c.Spec[vniapi.SpecVNI] == string(digits) && hasPairs(c.Spec, kv) {
+			return metactl.SyncResponse{Children: req.Children[i : i+1]}
+		}
+	}
+	spec := make(map[string]string, 1+len(kv)/2)
+	spec[vniapi.SpecVNI] = string(digits)
+	for i := 0; i < len(kv); i += 2 {
+		spec[kv[i]] = kv[i+1]
+	}
+	return metactl.SyncResponse{Children: []*k8s.Custom{{Meta: k8s.Meta{Name: prefix + parent}, Spec: spec}}}
 }
 
-// vniChildName names the VNI CRD instance attached to a job.
-func vniChildName(jobName string) string { return "vni-" + jobName }
-
-// claimChildName names the VNI CRD instance owned by a claim object.
-func claimChildName(claimObjName string) string { return "vni-claim-" + claimObjName }
+func hasPairs(spec map[string]string, kv []string) bool {
+	for i := 0; i < len(kv); i += 2 {
+		if v, ok := spec[kv[i]]; !ok || v != kv[i+1] {
+			return false
+		}
+	}
+	return true
+}
 
 // JobHooks returns the webhook implementation for the job decorator.
 func (e *Endpoint) JobHooks() metactl.Hooks { return jobHooks{e} }
@@ -114,14 +147,14 @@ func (h jobHooks) Sync(req metactl.SyncRequest) (metactl.SyncResponse, error) {
 		return metactl.SyncResponse{}, nil
 	}
 	if claim == "" {
-		return e.syncPerResourceJob(job)
+		return e.syncPerResourceJob(req, job)
 	}
-	return e.syncClaimJob(job, claim)
+	return e.syncClaimJob(req, job, claim)
 }
 
 // syncPerResourceJob acquires (idempotently) a fresh VNI owned by the job
 // and returns the owning VNI CRD instance.
-func (e *Endpoint) syncPerResourceJob(job *k8s.Job) (metactl.SyncResponse, error) {
+func (e *Endpoint) syncPerResourceJob(req metactl.SyncRequest, job *k8s.Job) (metactl.SyncResponse, error) {
 	owner := ownerForJob(&job.Meta)
 	var vni fabric.VNI
 	err := e.db.Update(func(tx *vnidb.Tx) error {
@@ -141,21 +174,15 @@ func (e *Endpoint) syncPerResourceJob(job *k8s.Job) (metactl.SyncResponse, error
 		e.stats.SyncErrors++
 		return metactl.SyncResponse{}, err
 	}
-	child := &k8s.Custom{
-		Meta: k8s.Meta{Name: vniChildName(job.Meta.Name)},
-		Spec: map[string]string{
-			vniapi.SpecVNI: strconv.FormatUint(uint64(vni), 10),
-			vniapi.SpecJob: job.Meta.Name,
-		},
-	}
-	return metactl.SyncResponse{Children: []*k8s.Custom{child}}, nil
+	return desiredChild(req, jobChildPrefix, job.Meta.Name, vni,
+		vniapi.SpecJob, job.Meta.Name), nil
 }
 
 // syncClaimJob attaches the job to an existing claim's VNI: it (1) searches
 // the database for the VNI associated with the claim, (2) adds the job as a
 // user of that VNI, and (3) returns a "virtual" (non-owning) VNI CRD
 // instance — the exact three steps of paper §III-C2.
-func (e *Endpoint) syncClaimJob(job *k8s.Job, claim string) (metactl.SyncResponse, error) {
+func (e *Endpoint) syncClaimJob(req metactl.SyncRequest, job *k8s.Job, claim string) (metactl.SyncResponse, error) {
 	owner := ownerForClaim(job.Meta.Namespace, claim)
 	user := userForJob(&job.Meta)
 	var vni fabric.VNI
@@ -180,16 +207,8 @@ func (e *Endpoint) syncClaimJob(job *k8s.Job, claim string) (metactl.SyncRespons
 		e.stats.SyncErrors++
 		return metactl.SyncResponse{}, err
 	}
-	child := &k8s.Custom{
-		Meta: k8s.Meta{Name: vniChildName(job.Meta.Name)},
-		Spec: map[string]string{
-			vniapi.SpecVNI:     strconv.FormatUint(uint64(vni), 10),
-			vniapi.SpecJob:     job.Meta.Name,
-			vniapi.SpecClaim:   claim,
-			vniapi.SpecVirtual: "true",
-		},
-	}
-	return metactl.SyncResponse{Children: []*k8s.Custom{child}}, nil
+	return desiredChild(req, jobChildPrefix, job.Meta.Name, vni,
+		vniapi.SpecJob, job.Meta.Name, vniapi.SpecClaim, claim, vniapi.SpecVirtual, "true"), nil
 }
 
 // Finalize implements /finalize for jobs: owning jobs release their VNI;
@@ -285,14 +304,8 @@ func (h claimHooks) Sync(req metactl.SyncRequest) (metactl.SyncResponse, error) 
 		e.stats.SyncErrors++
 		return metactl.SyncResponse{}, err
 	}
-	child := &k8s.Custom{
-		Meta: k8s.Meta{Name: claimChildName(c.Meta.Name)},
-		Spec: map[string]string{
-			vniapi.SpecVNI:   strconv.FormatUint(uint64(vni), 10),
-			vniapi.SpecClaim: claimName(c),
-		},
-	}
-	return metactl.SyncResponse{Children: []*k8s.Custom{child}}, nil
+	return desiredChild(req, claimChildPrefix, c.Meta.Name, vni,
+		vniapi.SpecClaim, claimName(c)), nil
 }
 
 // Finalize implements /finalize for VniClaim objects: deletion is granted

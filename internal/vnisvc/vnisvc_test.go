@@ -446,3 +446,122 @@ func containsAttackerSvc(s *stack.Stack, svcName string) bool {
 	}
 	return false
 }
+
+// TestDecoratorsForgetFinishedJobs: jobs that were created, ran, and were
+// deleted leave nothing behind in either decorator's bookkeeping.
+func TestDecoratorsForgetFinishedJobs(t *testing.T) {
+	s := newStack(t)
+	s.Cluster.CreateNamespace("tenant")
+	const jobs = 20
+	for i := 0; i < jobs; i++ { // EchoJob: deleted as soon as it completed
+		s.Cluster.SubmitJob(k8s.EchoJob("tenant", fmt.Sprintf("j%02d", i), map[string]string{vniapi.Annotation: "true"}))
+	}
+	s.Eng.RunFor(2 * time.Minute)
+	if left := s.Cluster.API.List(k8s.KindJob, "tenant"); len(left) != 0 {
+		t.Fatalf("%d of %d jobs survive", len(left), jobs)
+	}
+	if st := s.VNISvc.Endpoint.Stats(); st.Acquisitions != jobs || st.Releases != jobs {
+		t.Fatalf("endpoint stats = %+v, want %d acquisitions and releases", st, jobs)
+	}
+	if n := s.VNISvc.JobCtl.InFlight() + s.VNISvc.ClaimCtl.InFlight(); n != 0 {
+		t.Errorf("the decorators still track %d parents after every job is gone", n)
+	}
+}
+
+// resyncRoundAllocBudget is what one idempotent webhook round may allocate,
+// Resync's parent listing included: the timer closure, the children read,
+// their Clones and the request slice, the database key and transaction —
+// and no child, spec map, formatted VNI or write. Measured 7.
+const resyncRoundAllocBudget = 8
+
+// TestResyncEchoesMatchingChild drives the three kinds of parent — a job
+// owning its VNI, a job redeeming a claim, a VniClaim — through the webhook
+// again once their child exists. A child that already says what the webhook
+// wants is echoed: no API write, a handful of allocations. A child whose
+// spec.vni was tampered with, or that carries a key the webhook did not put
+// there, is rewritten by the next parent event.
+func TestResyncEchoesMatchingChild(t *testing.T) {
+	s := newStack(t)
+	s.Cluster.CreateNamespace("t")
+	cli := s.Cluster.Client
+	cli.Create(vnisvc.NewClaim("t", "shared", "shared"))
+	s.Eng.RunFor(5 * time.Second)
+	for name, ann := range map[string]string{"owner": "true", "redeemer": "shared"} {
+		job := k8s.EchoJob("t", name, map[string]string{vniapi.Annotation: ann})
+		job.Spec.DeleteAfterFinished = false
+		s.Cluster.SubmitJob(job)
+	}
+	s.Eng.RunFor(30 * time.Second)
+
+	for _, tc := range []struct {
+		child  string
+		resync func()
+		syncs  func() uint64
+	}{
+		{"vni-owner", s.VNISvc.JobCtl.Resync, func() uint64 { return s.VNISvc.Endpoint.Stats().JobSyncs }},
+		{"vni-redeemer", s.VNISvc.JobCtl.Resync, func() uint64 { return s.VNISvc.Endpoint.Stats().JobSyncs }},
+		{"vni-claim-shared", s.VNISvc.ClaimCtl.Resync, func() uint64 { return s.VNISvc.Endpoint.Stats().ClaimSyncs }},
+	} {
+		get := func() *k8s.Custom {
+			obj, ok := cli.Get(vniapi.KindVNI, "t", tc.child)
+			if !ok {
+				t.Fatalf("%s: no such VNI CRD instance", tc.child)
+			}
+			return obj.(*k8s.Custom)
+		}
+		want := get()
+		writes, syncs := s.Cluster.API.KindSeq(vniapi.KindVNI), tc.syncs()
+		tc.resync()
+		s.Eng.RunFor(5 * time.Second)
+		if tc.syncs() == syncs {
+			t.Fatalf("%s: resync did not reach the webhook", tc.child)
+		}
+		if got := s.Cluster.API.KindSeq(vniapi.KindVNI); got != writes || get() != want {
+			t.Errorf("%s: a re-sync against a matching child wrote to the API (%d VNI commits)", tc.child, got-writes)
+		}
+
+		for what, tamper := range map[string]func(*k8s.Custom){
+			"spec.vni changed": func(c *k8s.Custom) {
+				c.Spec = map[string]string{vniapi.SpecVNI: "999"}
+				for k, v := range want.Spec {
+					if k != vniapi.SpecVNI {
+						c.Spec[k] = v
+					}
+				}
+			},
+			"extra key": func(c *k8s.Custom) {
+				c.Spec = map[string]string{"smuggled": "x"}
+				for k, v := range want.Spec {
+					c.Spec[k] = v
+				}
+			},
+		} {
+			cli.Patch(vniapi.KindVNI, "t", tc.child, func(obj k8s.Object) bool { tamper(obj.(*k8s.Custom)); return true })
+			s.Eng.RunFor(5 * time.Second)
+			if fmt.Sprint(get().Spec) == fmt.Sprint(want.Spec) {
+				t.Fatalf("%s, %s: the tampering did not commit", tc.child, what)
+			}
+			tc.resync()
+			s.Eng.RunFor(5 * time.Second)
+			if got := get(); fmt.Sprint(got.Spec) != fmt.Sprint(want.Spec) {
+				t.Errorf("%s, %s: spec after the next parent event = %v, want %v", tc.child, what, got.Spec, want.Spec)
+			}
+		}
+	}
+
+	// What the echo costs: one parent, one round.
+	cli.Delete(k8s.KindJob, "t", "redeemer")
+	s.Eng.RunFor(30 * time.Second)
+	writes := s.Cluster.API.KindSeq(vniapi.KindVNI)
+	allocs := testing.AllocsPerRun(100, func() {
+		s.VNISvc.JobCtl.Resync()
+		s.Eng.RunFor(time.Second)
+	})
+	t.Logf("%v allocations per idempotent webhook round (budget %d)", allocs, resyncRoundAllocBudget)
+	if allocs > resyncRoundAllocBudget {
+		t.Errorf("an idempotent webhook round allocates %v objects, budget %d", allocs, resyncRoundAllocBudget)
+	}
+	if got := s.Cluster.API.KindSeq(vniapi.KindVNI); got != writes {
+		t.Errorf("%d VNI commits during idempotent rounds", got-writes)
+	}
+}
