@@ -17,6 +17,7 @@ package ctl
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -176,119 +177,102 @@ func (s *Server) banner(w io.Writer) {
 	}
 }
 
+// command is one prompt command that is not a scenario action: a view of
+// the fleet, or a composite that drives several events. Execute prints the
+// error run returns; errUsage, for arguments that do not fit args, prints
+// the usage line.
+type command struct {
+	name, args, help string
+	run              func(s *Server, w io.Writer, args []string) error
+}
+
+var errUsage = errors.New("usage")
+
+// commands is the prompt's own vocabulary besides help; every other word
+// is looked up among the Commands of scenario.Actions.
+var commands = []command{
+	{"nodes", "", "node table: group, switch, NIC, cordon, pods", (*Server).nodes},
+	{"jobs", "", "job table across all tenants", (*Server).jobsCmd},
+	{"links", "[-top N]", "busiest fabric links (default top 10)", (*Server).links},
+	{"health", "", "health daemon view: node states, bad links, remediations", (*Server).health},
+	{"apiserver", "", "fault-layer view: availability, retries, relists, staleness", (*Server).apiserver},
+	{"run-traffic", "<pattern> <bytes>", "run a 10-iteration collective over all nodes", (*Server).runTraffic},
+	{"step", "<duration>", "advance the virtual clock (e.g. step 250ms)", (*Server).step},
+	{"run-until-idle", "", "run until no work is pending (60s cap)", (*Server).runUntilIdle},
+	{"metrics", "[dump|prom <path>]", "print the Prometheus exposition of the latest sample, or write the series as JSONL (dump) or the exposition (prom) to a file", (*Server).metrics},
+	{"quit", "", "flush telemetry and end the session", (*Server).quit},
+}
+
 // Execute runs one command line and reports whether the session should
-// end. Errors are written to w; the session continues.
+// end. Errors are written to w; the session continues. A word that is not
+// one of the prompt's own commands is a scenario action's Command: the
+// words after it become an event, which passes the same CheckEvent a file's
+// events do before it reaches Ops.Exec.
 func (s *Server) Execute(w io.Writer, line string) bool {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return false
 	}
 	cmd, args := fields[0], fields[1:]
-	switch cmd {
-	case "help":
+	if cmd == "exit" {
+		cmd = "quit"
+	}
+	for _, c := range commands {
+		if c.name == cmd {
+			if err := c.run(s, w, args); errors.Is(err, errUsage) {
+				fmt.Fprintf(w, "usage: %s %s\n", c.name, c.args)
+			} else if err != nil {
+				fmt.Fprintf(w, "error: %v\n", err)
+			}
+			return cmd == "quit"
+		}
+	}
+	if cmd == "help" {
 		s.help(w)
-	case "nodes":
-		s.nodes(w)
-	case "jobs":
-		s.jobsCmd(w)
-	case "links":
-		s.links(w, args)
-	case "cordon", "uncordon":
-		if len(args) != 1 {
-			fmt.Fprintf(w, "usage: %s <node>\n", cmd)
-			return false
-		}
-		s.exec(w, &scenario.Event{Action: cmd, Target: args[0]})
-	case "fail-nic", "recover-nic":
-		if len(args) != 1 {
-			fmt.Fprintf(w, "usage: %s <node>\n", cmd)
-			return false
-		}
-		action := "inject_nic_failure"
-		if cmd == "recover-nic" {
-			action = "recover_nic"
-		}
-		s.exec(w, &scenario.Event{Action: action, Target: args[0]})
-	case "fail-link", "recover-link":
-		s.linkCmd(w, cmd, args)
-	case "health":
-		s.health(w)
-	case "fail-apiserver":
-		s.exec(w, &scenario.Event{Action: "fail_apiserver"})
-	case "recover-apiserver":
-		s.exec(w, &scenario.Event{Action: "recover_apiserver"})
-	case "degrade-apiserver":
-		s.degradeAPIServer(w, args)
-	case "break-watch":
-		if len(args) != 1 {
-			fmt.Fprintln(w, "usage: break-watch <pods|jobs|nodes|namespaces>")
-			return false
-		}
-		s.exec(w, &scenario.Event{Action: "break_watch", Params: map[string]string{"kind": args[0]}})
-	case "apiserver":
-		s.apiserver(w)
-	case "remediate":
-		if len(args) != 1 {
-			fmt.Fprintln(w, "usage: remediate <node>")
-			return false
-		}
-		s.exec(w, &scenario.Event{Action: "remediate", Target: args[0]})
-	case "run-traffic":
-		s.runTraffic(w, args)
-	case "step":
-		s.step(w, args)
-	case "run-until-idle":
-		s.runUntilIdle(w)
-	case "metrics":
-		s.metrics(w, args)
-	case "quit", "exit":
-		if err := s.ops.FlushTelemetry(); err != nil {
-			fmt.Fprintf(w, "error: %v\n", err)
-		}
-		s.printLog(w)
-		fmt.Fprintln(w, "bye")
-		return true
-	default:
+	} else if a := scenario.ActionByCommand(cmd); a == nil {
 		fmt.Fprintf(w, "error: unknown command %q (try 'help')\n", cmd)
+	} else if ev, err := a.Event(args); err != nil {
+		fmt.Fprintln(w, err)
+	} else {
+		s.exec(w, ev)
 	}
 	return false
 }
 
 func (s *Server) help(w io.Writer) {
-	fmt.Fprint(w, `commands:
-  nodes                          node table: group, switch, NIC, cordon, pods
-  jobs                           job table across all tenants
-  links [-top N]                 busiest fabric links (default top 10)
-  cordon <node>                  exclude a node from scheduling
-  uncordon <node>                readmit a node
-  fail-nic <node>                fail the node's Cassini NIC
-  recover-nic <node>             recover it
-  fail-link <a> <b> [idx]        fail global link(s) between groups a and b
-  recover-link <a> <b> [idx]     recover them
-  health                         health daemon view: node states, bad links, remediations
-  remediate <node>               drain, replace and uncordon a node (needs a health: section)
-  fail-apiserver                 take the API server down (writes fail until recovery)
-  degrade-apiserver [lat] [err]  degraded mode: latency factor (default 5), write error prob (default 0.2)
-  recover-apiserver              restore full API server availability
-  break-watch <kind>             silently break watch streams (pods|jobs|nodes|namespaces)
-  apiserver                      fault-layer view: availability, retries, relists, staleness
-  run-traffic <pattern> <bytes>  run a 10-iteration collective over all nodes
-  step <duration>                advance the virtual clock
-  run-until-idle                 run until no work is pending (60s cap)
-  metrics                        print Prometheus exposition of latest sample
-  metrics dump <path>            write the telemetry series as JSONL
-  metrics prom <path>            write the Prometheus exposition to a file
-  quit                           flush telemetry and end the session
-`)
+	fmt.Fprintln(w, "commands:")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-30s %s\n", strings.TrimSpace(c.name+" "+c.args), c.help)
+	}
+	fmt.Fprintln(w, "events, checked and run exactly as in a scenario file:")
+	for i := range scenario.Actions {
+		if a := &scenario.Actions[i]; a.Command != "" {
+			fmt.Fprintf(w, "  %-30s %s\n", a.Usage(), a.Help)
+		}
+	}
 }
 
-// exec runs one scenario event and prints its narration, then any error.
-func (s *Server) exec(w io.Writer, ev *scenario.Event) {
-	err := s.ops.Exec(ev)
+func (s *Server) quit(w io.Writer, _ []string) error {
+	if err := s.ops.FlushTelemetry(); err != nil {
+		fmt.Fprintf(w, "error: %v\n", err)
+	}
+	s.printLog(w)
+	fmt.Fprintln(w, "bye")
+	return nil
+}
+
+// exec runs one scenario event — checked first, like an event read from a
+// file — and prints its narration, then any error. It reports success.
+func (s *Server) exec(w io.Writer, ev *scenario.Event) bool {
+	err := s.sc.CheckEvent(ev)
+	if err == nil {
+		err = s.ops.Exec(ev)
+	}
 	s.printLog(w)
 	if err != nil {
 		fmt.Fprintf(w, "error: %v\n", err)
 	}
+	return err == nil
 }
 
 func (s *Server) printLog(w io.Writer) {
@@ -297,7 +281,7 @@ func (s *Server) printLog(w io.Writer) {
 	}
 }
 
-func (s *Server) nodes(w io.Writer) {
+func (s *Server) nodes(w io.Writer, _ []string) error {
 	st := s.ops.Stack()
 	running := map[string]int{}
 	for _, obj := range s.pods.List("") {
@@ -318,9 +302,10 @@ func (s *Server) nodes(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%-10s %5d %6d %-5s %-9s %5d\n", n.Name, n.Group, n.SwitchIndex, nic, sched, running[n.Name])
 	}
+	return nil
 }
 
-func (s *Server) jobsCmd(w io.Writer) {
+func (s *Server) jobsCmd(w io.Writer, _ []string) error {
 	type row struct {
 		key          string
 		active, pods int
@@ -341,67 +326,46 @@ func (s *Server) jobsCmd(w io.Writer) {
 	}
 	if len(rows) == 0 {
 		fmt.Fprintln(w, "no jobs")
-		return
+		return nil
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
 	fmt.Fprintf(w, "%-24s %6s %5s %s\n", "job", "active", "pods", "state")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-24s %6d %5d %s\n", r.key, r.active, r.pods, r.state)
 	}
+	return nil
 }
 
-func (s *Server) links(w io.Writer, args []string) {
+func (s *Server) links(w io.Writer, args []string) error {
 	n := 10
 	switch {
 	case len(args) == 0:
 	case len(args) == 2 && args[0] == "-top":
 		v, err := strconv.Atoi(args[1])
 		if err != nil || v < 1 {
-			fmt.Fprintf(w, "error: -top wants a positive integer, got %q\n", args[1])
-			return
+			return fmt.Errorf("-top wants a positive integer, got %q", args[1])
 		}
 		n = v
 	default:
-		fmt.Fprintln(w, "usage: links [-top N]")
-		return
+		return errUsage
 	}
 	metrics.RenderHotLinks(w, s.ops.Stack().Topo.LinkUtils(), n)
-}
-
-func (s *Server) linkCmd(w io.Writer, cmd string, args []string) {
-	if len(args) != 2 && len(args) != 3 {
-		fmt.Fprintf(w, "usage: %s <groupA> <groupB> [linkIndex]\n", cmd)
-		return
-	}
-	for _, a := range args {
-		if _, err := strconv.Atoi(a); err != nil {
-			fmt.Fprintf(w, "error: %s wants integer arguments, got %q\n", cmd, a)
-			return
-		}
-	}
-	params := map[string]string{"groups": args[0] + "," + args[1]}
-	if len(args) == 3 {
-		params["link"] = args[2]
-	}
-	s.exec(w, &scenario.Event{Action: strings.ReplaceAll(cmd, "-", "_"), Params: params})
+	return nil
 }
 
 // runTraffic submits a gang job spanning every node in the ops tenant,
 // drives the named collective over it through the scenario run_traffic
 // path, and deletes the job — one operator command for the whole cycle.
-func (s *Server) runTraffic(w io.Writer, args []string) {
+func (s *Server) runTraffic(w io.Writer, args []string) error {
 	if len(args) != 2 {
-		fmt.Fprintln(w, "usage: run-traffic <pattern> <bytes>")
-		return
+		return errUsage
 	}
 	if _, err := workload.ParsePattern(args[0]); err != nil {
-		fmt.Fprintf(w, "error: %v\n", err)
-		return
+		return err
 	}
 	bytes, err := strconv.Atoi(args[1])
 	if err != nil || bytes < 1 {
-		fmt.Fprintf(w, "error: bytes wants a positive integer, got %q\n", args[1])
-		return
+		return fmt.Errorf("bytes wants a positive integer, got %q", args[1])
 	}
 	s.seq++
 	name := fmt.Sprintf("traffic-%d", s.seq)
@@ -420,46 +384,19 @@ func (s *Server) runTraffic(w io.Writer, args []string) {
 			"tenant": opsTenant, "job": name, "traffic": name}},
 		{Action: "delete_job", Params: map[string]string{"tenant": opsTenant, "name": name}},
 	} {
-		err := s.ops.Exec(ev)
-		s.printLog(w)
-		if err != nil {
-			fmt.Fprintf(w, "error: %s: %v\n", ev.Action, err)
-			return
+		if !s.exec(w, ev) {
+			return nil
 		}
 	}
-}
-
-// degradeAPIServer parses the optional latency-factor and error-prob
-// arguments and executes a degrade_apiserver event.
-func (s *Server) degradeAPIServer(w io.Writer, args []string) {
-	if len(args) > 2 {
-		fmt.Fprintln(w, "usage: degrade-apiserver [latency_factor] [error_prob]")
-		return
-	}
-	params := map[string]string{}
-	if len(args) >= 1 {
-		if v, err := strconv.ParseFloat(args[0], 64); err != nil || v < 1 {
-			fmt.Fprintf(w, "error: latency_factor wants a number >= 1, got %q\n", args[0])
-			return
-		}
-		params["latency_factor"] = args[0]
-	}
-	if len(args) == 2 {
-		if v, err := strconv.ParseFloat(args[1], 64); err != nil || v < 0 || v >= 1 {
-			fmt.Fprintf(w, "error: error_prob wants a number in [0,1), got %q\n", args[1])
-			return
-		}
-		params["error_prob"] = args[1]
-	}
-	s.exec(w, &scenario.Event{Action: "degrade_apiserver", Params: params})
+	return nil
 }
 
 // apiserver renders the control-plane fault layer's counters.
-func (s *Server) apiserver(w io.Writer) {
+func (s *Server) apiserver(w io.Writer, _ []string) error {
 	stats, avail, armed := s.ops.ControlPlaneStatus()
 	if !armed {
 		fmt.Fprintln(w, "fault layer dormant (no control-plane fault injected); apiserver up")
-		return
+		return nil
 	}
 	fmt.Fprintf(w, "availability:   %s\n", avail)
 	fmt.Fprintf(w, "retries:        %d\n", stats.Retries)
@@ -468,15 +405,15 @@ func (s *Server) apiserver(w io.Writer) {
 	fmt.Fprintf(w, "relists:        %d\n", stats.Relists)
 	fmt.Fprintf(w, "stale reads:    %d\n", stats.StaleReads)
 	fmt.Fprintf(w, "max staleness:  %.0fus\n", stats.MaxStalenessUs)
+	return nil
 }
 
 // health renders the daemon's node table, any down or flapping links,
 // and the remediation controller's runs.
-func (s *Server) health(w io.Writer) {
+func (s *Server) health(w io.Writer, _ []string) error {
 	nodes, links, ok := s.ops.HealthSnapshot()
 	if !ok {
-		fmt.Fprintln(w, "error: health loop disabled (boot a scenario with a health: section)")
-		return
+		return errors.New("health loop disabled (boot a scenario with a health: section)")
 	}
 	fmt.Fprintf(w, "%-10s %-10s %10s\n", "node", "state", "err/s")
 	for _, n := range nodes {
@@ -499,27 +436,27 @@ func (s *Server) health(w io.Writer) {
 			fmt.Fprintf(w, "%-10s %-12s %7d\n", r.Node, r.Phase, r.Retries)
 		}
 	}
+	return nil
 }
 
-func (s *Server) step(w io.Writer, args []string) {
+func (s *Server) step(w io.Writer, args []string) error {
 	if len(args) != 1 {
-		fmt.Fprintln(w, "usage: step <duration>   (e.g. step 250ms)")
-		return
+		return errUsage
 	}
 	d, err := time.ParseDuration(args[0])
 	if err != nil || d <= 0 {
-		fmt.Fprintf(w, "error: step wants a positive duration, got %q\n", args[0])
-		return
+		return fmt.Errorf("step wants a positive duration, got %q", args[0])
 	}
 	s.exec(w, &scenario.Event{Action: "run_for", Params: map[string]string{"duration": args[0]}})
 	fmt.Fprintf(w, "  advanced %s, clock at %s\n", d, s.ops.Stack().Eng.Now())
+	return nil
 }
 
 // runUntilIdle drains pending work. An attached telemetry sampler keeps
 // one perpetual tick event alive, and so does the control-plane gap
 // prober once a fault command armed it, so "idle" means nothing else
 // pending.
-func (s *Server) runUntilIdle(w io.Writer) {
+func (s *Server) runUntilIdle(w io.Writer, _ []string) error {
 	eng := s.ops.Stack().Eng
 	floor := 0
 	if sp := s.ops.Sampler(); sp != nil && sp.Attached() {
@@ -532,36 +469,32 @@ func (s *Server) runUntilIdle(w io.Writer) {
 	if eng.RunUntilDone(func() bool { return eng.Pending() <= floor }, deadline) {
 		s.printLog(w)
 		fmt.Fprintf(w, "  idle, clock at %s\n", eng.Now())
-		return
+		return nil
 	}
 	s.printLog(w)
 	fmt.Fprintf(w, "  %d event(s) still pending after 60s, clock at %s\n", eng.Pending()-floor, eng.Now())
+	return nil
 }
 
-func (s *Server) metrics(w io.Writer, args []string) {
+func (s *Server) metrics(w io.Writer, args []string) error {
 	sp := s.ops.Sampler()
-	if sp == nil {
-		fmt.Fprintln(w, "error: telemetry disabled (boot with -sample-every or a telemetry: section)")
-		return
-	}
 	switch {
+	case sp == nil:
+		return errors.New("telemetry disabled (boot with -sample-every or a telemetry: section)")
 	case len(args) == 0:
-		if err := sp.WritePrometheus(w); err != nil {
-			fmt.Fprintf(w, "error: %v\n", err)
-		}
+		return sp.WritePrometheus(w)
 	case len(args) == 2 && args[0] == "dump":
 		if err := sp.DumpJSONL(args[1]); err != nil {
-			fmt.Fprintf(w, "error: %v\n", err)
-			return
+			return err
 		}
 		fmt.Fprintf(w, "  wrote %d sample(s) to %s\n", sp.Len(), args[1])
 	case len(args) == 2 && args[0] == "prom":
 		if err := sp.DumpPrometheus(args[1]); err != nil {
-			fmt.Fprintf(w, "error: %v\n", err)
-			return
+			return err
 		}
 		fmt.Fprintf(w, "  wrote prometheus exposition to %s\n", args[1])
 	default:
-		fmt.Fprintln(w, "usage: metrics | metrics dump <path> | metrics prom <path>")
+		return errUsage
 	}
+	return nil
 }

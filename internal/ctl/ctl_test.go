@@ -152,7 +152,7 @@ func TestCommandErrors(t *testing.T) {
 	cases := []struct{ script, want string }{
 		{"run-traffic warp 64\n", "unknown pattern"},
 		{"run-traffic alltoall zero\n", `bytes wants a positive integer, got "zero"`},
-		{"fail-link a b\n", "integer arguments"},
+		{"fail-link a b\n", "is not a valid group index"},
 		{"step backwards\n", "positive duration"},
 		{"cordon\n", "usage: cordon <node>"},
 		{"cordon nope\n", "error:"},
@@ -163,14 +163,29 @@ func TestCommandErrors(t *testing.T) {
 		// malformed link coordinates must name the bad value, not panic.
 		{"health\n", "health loop disabled"},
 		{"remediate\n", "usage: remediate <node>"},
-		{"remediate node0\n", "health loop disabled"},
-		{"fail-link 0 1 9\n", "no index 9"},
+		{"remediate node0\n", "requires a health: section"},
+		{"fail-link 0 1 9\n", "link: must be 0..1"},
 		{"fail-link 0 9 0\n", "error:"},
+		// The prompt refuses what a scenario file is refused, before anything
+		// is narrated or done: a negative link index once failed every link
+		// of the pair while saying "failing global link -3".
+		{"fail-link 0 1 -3\n", "error: fail_link: link: must be a non-negative integer"},
+		{"cordon node99\n", "error: cordon: target must name a fleet node"},
+		{"fail-nic nodeX\n", "error: inject_nic_failure: target must name a fleet node"},
+		{"fail-link 0 0\n", "error: fail_link: groups: indices must differ"},
+		{"degrade-apiserver 0.5\n", "latency_factor: must be a number ≥ 1"},
+		{"break-watch secrets\n", "kind: must be one of jobs, namespaces, nodes, pods"},
 	}
 	for _, tc := range cases {
-		got := runSession(t, nil, tc.script+"quit\n")
+		got := runSession(t, nil, tc.script+"links\nquit\n")
 		if !strings.Contains(got, tc.want) {
 			t.Errorf("script %q: transcript missing %q:\n%s", tc.script, tc.want, got)
+		}
+		// A refused command narrates nothing ("[00:01.000] failing ...")
+		// after its echo and leaves every link up.
+		_, after, _ := strings.Cut(got, "shssim> "+strings.TrimSpace(tc.script)+"\n")
+		if strings.HasPrefix(after, "  [") || strings.Contains(got, "DOWN") {
+			t.Errorf("script %q acted before refusing:\n%s", tc.script, got)
 		}
 	}
 }
@@ -338,4 +353,56 @@ func TestSocketSurvivesAbruptDisconnect(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Error("ServeSocket did not return after quit")
 	}
+}
+
+// FuzzExecute: whatever line is typed, Execute returns without panicking,
+// and a line it refuses — a usage error, or an event CheckEvent rejects —
+// leaves the engine where it was: clock unmoved, nothing scheduled. The
+// fleet boots without telemetry, so `metrics dump <path>` cannot write.
+func FuzzExecute(f *testing.F) {
+	session, err := os.ReadFile("../../examples/interactive/session.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(string(session), "\n") {
+		f.Add(line)
+	}
+	for _, line := range []string{"run-traffic warp 64", "fail-link a b", "step backwards", "cordon", "cordon nope",
+		"links -top x", "metrics dump /tmp/x", "health", "remediate node0", "fail-link 0 1 9", "fail-link 0 1 -3",
+		"fail-nic nodeX", "fail-link 0 0", "degrade-apiserver 2 0.1", "break-watch pods", "apiserver", "help", "exit"} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			return
+		}
+		// Keep an iteration short: no hour-long steps over an armed gap
+		// prober, no gigabyte collectives.
+		if len(line) > 64 || (fields[0] == "step" || fields[0] == "run-traffic") && len(fields[len(fields)-1]) > 5 {
+			return
+		}
+		srv, err := New(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Ops().TakeLog() // the boot narration a session's banner prints
+		eng := srv.Ops().Stack().Eng
+		now, pending := eng.Now(), eng.Pending()
+		refused := false
+		if a := scenario.ActionByCommand(fields[0]); a != nil {
+			ev, err := a.Event(fields[1:])
+			refused = err != nil || srv.sc.CheckEvent(ev) != nil
+		}
+		var out bytes.Buffer
+		srv.Execute(&out, line)
+		refused = refused || strings.HasPrefix(out.String(), "usage:")
+		if refused && (eng.Now() != now || eng.Pending() != pending) {
+			t.Fatalf("refused line %q moved the engine: clock %v -> %v, pending %d -> %d\n%s",
+				line, now, eng.Now(), pending, eng.Pending(), out.String())
+		}
+		if refused && !strings.HasPrefix(out.String(), "usage:") && !strings.HasPrefix(out.String(), "error:") {
+			t.Fatalf("refused line %q acted before the refusal:\n%s", line, out.String())
+		}
+	})
 }

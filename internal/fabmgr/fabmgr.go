@@ -33,7 +33,7 @@ var (
 )
 
 // Granter abstracts the switch-side programming interface; *fabric.Switch
-// and *fabric.Mesh both satisfy it.
+// and *fabric.Topology both satisfy it.
 type Granter interface {
 	GrantVNI(addr fabric.Addr, vni fabric.VNI) error
 	RevokeVNI(addr fabric.Addr, vni fabric.VNI) error

@@ -165,7 +165,7 @@ func TestManagerOverMesh(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := fabric.DefaultConfig()
 	cfg.JitterFrac, cfg.RunSigma = 0, 0
-	mesh := fabric.NewMesh(eng, cfg, 2)
+	mesh := fabric.NewTopology(eng, cfg, fabric.TopologySpec{Groups: 1, SwitchesPerGroup: 2})
 	a := mesh.Attach(0, nullRecv{})
 	b := mesh.Attach(1, nullRecv{})
 	m := New(eng, mesh, Policy{})

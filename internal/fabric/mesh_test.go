@@ -7,10 +7,11 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
 
-func newMesh(t *testing.T, n int) (*sim.Engine, *Mesh) {
+// newMesh builds one dragonfly group of n fully meshed switches.
+func newMesh(t *testing.T, n int) (*sim.Engine, *Topology) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	return eng, NewMesh(eng, testConfig(), n)
+	return eng, NewTopology(eng, testConfig(), TopologySpec{Groups: 1, SwitchesPerGroup: n})
 }
 
 func TestMeshCrossSwitchDelivery(t *testing.T) {
@@ -145,7 +146,7 @@ func TestMeshExtraHopLatency(t *testing.T) {
 	// (serialization + propagation) versus local delivery.
 	timeFor := func(cross bool) sim.Time {
 		eng := sim.NewEngine(1)
-		m := NewMesh(eng, testConfig(), 2)
+		m := NewTopology(eng, testConfig(), TopologySpec{Groups: 1, SwitchesPerGroup: 2})
 		rx := &sink{}
 		a := m.Attach(0, &sink{})
 		var b Addr

@@ -2,6 +2,7 @@ package manifest
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -113,6 +114,57 @@ func TestParseMultiDocument(t *testing.T) {
 	}
 	if objs[0].GetMeta().Kind != vniapi.KindVniClaim || objs[1].GetMeta().Kind != k8s.KindJob {
 		t.Errorf("kinds = %v, %v", objs[0].GetMeta().Kind, objs[1].GetMeta().Kind)
+	}
+}
+
+// TestParseContainersSequence: Kubernetes itself requires containers: to be
+// a sequence; the paper's listings abbreviate it to one mapping. Both
+// spellings must yield the same Job.
+func TestParseContainersSequence(t *testing.T) {
+	parse := func(containers string) *k8s.Job {
+		t.Helper()
+		objs, err := Parse(strings.NewReader(`
+apiVersion: batch/v1
+kind: Job
+metadata:
+  name: vni-test-job
+  annotations:
+    vni: "true"
+spec:
+  template:
+    spec:
+      containers:
+` + containers))
+		if err != nil {
+			t.Fatalf("containers:\n%s%v", containers, err)
+		}
+		return objs[0].(*k8s.Job)
+	}
+	abbreviated := parse("        image: osu:7.3\n")
+	sequence := parse("        - name: c\n          image: osu:7.3\n        - name: sidecar\n          image: envoy\n")
+	if !reflect.DeepEqual(abbreviated, sequence) || sequence.Spec.Template.Image != "osu:7.3" {
+		t.Errorf("spellings differ:\nmapping:  %+v\nsequence: %+v", abbreviated.Spec, sequence.Spec)
+	}
+}
+
+// TestParseThreeDocumentStream: a manifest stream holds as many documents
+// as it has, empty ones (a leading or doubled separator) skipped.
+func TestParseThreeDocumentStream(t *testing.T) {
+	objs, err := Parse(strings.NewReader("---\n" + listing2 + "---\n" + listing3 + "---\n---\n" + listing1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []k8s.Kind
+	for _, o := range objs {
+		kinds = append(kinds, o.GetMeta().Kind)
+	}
+	if want := []k8s.Kind{vniapi.KindVniClaim, k8s.KindJob, k8s.KindJob}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("kinds = %v, want %v", kinds, want)
+	}
+	// An error in a later document names its line in the whole stream.
+	_, err = Parse(strings.NewReader(listing2 + "---\nkind: Job\nmetadata\n"))
+	if !errors.Is(err, ErrSyntax) || !strings.Contains(err.Error(), "line 11") {
+		t.Errorf("err = %v, want ErrSyntax at line 11", err)
 	}
 }
 

@@ -1,9 +1,7 @@
 package scenario
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/caps-sim/shs-k8s/internal/k8s"
@@ -27,7 +25,7 @@ var cpWatchKinds = map[string]k8s.Kind{
 	"namespaces": k8s.KindNamespace,
 }
 
-// cpWatchKindNames lists the valid break_watch kinds for error messages.
+// cpWatchKindNames lists the valid break_watch kinds for messages and help.
 func cpWatchKindNames() string {
 	names := make([]string, 0, len(cpWatchKinds))
 	for n := range cpWatchKinds {
@@ -52,7 +50,7 @@ func (r *Ops) armCP() {
 // failAPIServer takes the API server down: every write fails with
 // ErrUnavailable until recovery; reads keep serving (the model treats the
 // watch cache as HA).
-func (r *Ops) failAPIServer() error {
+func (r *Ops) failAPIServer(*Event) error {
 	r.armCP()
 	r.st.Cluster.Client.API().FailAPIServer()
 	r.logf("apiserver DOWN: writes fail until recovery, consumers retry with backoff")
@@ -60,12 +58,11 @@ func (r *Ops) failAPIServer() error {
 }
 
 // degradeAPIServer puts the API server in degraded mode: request latency
-// is multiplied by latency_factor (default 5) and each write fails with
-// probability error_prob (default 0.2).
+// is multiplied by latency_factor and each write fails with probability
+// error_prob.
 func (r *Ops) degradeAPIServer(ev *Event) error {
 	r.armCP()
-	lat, _ := strconv.ParseFloat(ev.Param("latency_factor", "5"), 64)
-	errProb, _ := strconv.ParseFloat(ev.Param("error_prob", "0.2"), 64)
+	lat, errProb := ev.real("latency_factor"), ev.real("error_prob")
 	r.st.Cluster.Client.API().DegradeAPIServer(lat, errProb)
 	r.logf("apiserver degraded: %gx request latency, %g%% of writes error", lat, errProb*100)
 	return nil
@@ -74,7 +71,7 @@ func (r *Ops) degradeAPIServer(ev *Event) error {
 // recoverAPIServer restores full availability. Queued retries start
 // landing on their next backoff tick; stale caches are repaired by the
 // prober's next relist.
-func (r *Ops) recoverAPIServer() error {
+func (r *Ops) recoverAPIServer(*Event) error {
 	r.armCP()
 	r.st.Cluster.Client.API().RecoverAPIServer()
 	r.logf("apiserver recovered")
@@ -86,14 +83,9 @@ func (r *Ops) recoverAPIServer() error {
 // until the client's gap prober notices the informer falling behind and
 // relists.
 func (r *Ops) breakWatch(ev *Event) error {
-	kind, ok := cpWatchKinds[ev.Params["kind"]]
-	if !ok {
-		return fmt.Errorf("break_watch: kind must be one of %s, got %q",
-			cpWatchKindNames(), ev.Params["kind"])
-	}
 	r.armCP()
-	n := r.st.Cluster.Client.API().BreakWatch(kind)
-	r.logf("broke %d %s watch stream(s): caches drift silently until relisted", n, ev.Params["kind"])
+	n := r.st.Cluster.Client.API().BreakWatch(cpWatchKinds[ev.str("kind")])
+	r.logf("broke %d %s watch stream(s): caches drift silently until relisted", n, ev.str("kind"))
 	return nil
 }
 

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/health"
@@ -246,34 +245,16 @@ type errorInjector struct {
 	acc  float64
 }
 
-// errHealthDisabled gates the health actions when interactive mode runs
-// them against a scenario without a health: section (YAML runs are
-// already rejected by Validate).
-func (r *Ops) errHealthDisabled() error {
-	if r.daemon == nil {
-		return fmt.Errorf("health loop disabled (scenario has no health: section)")
-	}
-	return nil
-}
-
 // slowDrainNIC starts a background error-counter injector against one
 // node's NIC: the link stays up and carries traffic, but its corrected-
 // error rate climbs — the classic slow-drain failure the health daemon
-// exists to catch. rate is errors/s (default 1000); duration bounds the
-// injection (default: until the node is replaced).
+// exists to catch. rate is errors/s; duration bounds the injection
+// (default: until the node is replaced).
 func (r *Ops) slowDrainNIC(ev *Event) error {
-	if err := r.errHealthDisabled(); err != nil {
-		return err
-	}
-	node := ev.Target
-	if _, ok := r.st.NodeByName(node); !ok {
-		return fmt.Errorf("unknown node %q", node)
-	}
-	rate, _ := strconv.ParseFloat(ev.Param("rate", "1000"), 64)
+	node, rate := ev.Target, ev.real("rate")
 	var deadline sim.Time
-	if d := ev.Params["duration"]; d != "" {
-		dur, _ := time.ParseDuration(d)
-		deadline = r.st.Eng.Now().Add(dur)
+	if _, bounded := ev.Params["duration"]; bounded {
+		deadline = r.st.Eng.Now().Add(ev.dur("duration"))
 	}
 	if old := r.injectors[node]; old != nil {
 		old.stop = true // a fresh injection replaces the previous one
@@ -303,18 +284,14 @@ func (r *Ops) slowDrainNIC(ev *Event) error {
 }
 
 // flapTrunk drives an intra-group trunk through count down/up cycles of
-// the given period (default 3 cycles of 300ms), ending up — the
-// intermittent-link signature the daemon's flap detector latches on.
+// the given period, ending up — the intermittent-link signature the
+// daemon's flap detector latches on.
 func (r *Ops) flapTrunk(ev *Event) error {
-	if err := r.errHealthDisabled(); err != nil {
-		return err
-	}
-	i, j, err := r.sc.trunkPair(ev, ev.Params["switches"])
+	i, j, err := r.sc.trunk(ev)
 	if err != nil {
 		return err
 	}
-	period, _ := time.ParseDuration(ev.Param("period", "300ms"))
-	count, _ := strconv.Atoi(ev.Param("count", "3"))
+	period, count := ev.dur("period"), ev.num("count")
 	r.markFault(canonLinkKey("trunk", i, j))
 	half := period / 2
 	for c := 0; c < count; c++ {
@@ -326,12 +303,9 @@ func (r *Ops) flapTrunk(ev *Event) error {
 	return nil
 }
 
-// execRemediate hands a node to the remediation controller by operator
+// remediate hands a node to the remediation controller by operator
 // decree (the ctl `remediate` command and the remediate event).
-func (r *Ops) execRemediate(ev *Event) error {
-	if err := r.errHealthDisabled(); err != nil {
-		return err
-	}
+func (r *Ops) remediate(ev *Event) error {
 	r.logf("operator remediation of %s", ev.Target)
 	return r.remediator.Remediate(ev.Target)
 }
@@ -341,11 +315,7 @@ func (r *Ops) execRemediate(ev *Event) error {
 // the scheduler's cordon view caught up with the API). count: 0 waits
 // for quiescence alone, however many remediations that takes.
 func (r *Ops) waitRemediated(ev *Event) error {
-	if err := r.errHealthDisabled(); err != nil {
-		return err
-	}
-	count, _ := strconv.Atoi(ev.Param("count", "1"))
-	timeout, _ := time.ParseDuration(ev.Param("timeout", "60s"))
+	count, timeout := ev.num("count"), ev.dur("timeout")
 	ok := r.st.Eng.RunUntilDone(func() bool {
 		if r.remediator.Done() < count || r.remediator.Active() > 0 || r.remediator.QueueLen() > 0 {
 			return false

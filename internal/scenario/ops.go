@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
@@ -118,118 +117,91 @@ func (r *Ops) logf(format string, args ...any) {
 }
 
 // Exec executes one event against the stack. Events must have passed
-// Validate (unknown actions and malformed parameters are rejected there);
+// CheckEvent (unknown actions and malformed parameters are rejected there);
 // Exec errors are runtime failures — unknown jobs, dead NICs, timeouts.
-func (r *Ops) Exec(ev *Event) error {
-	switch ev.Action {
-	case "start_fleet":
-		return r.startFleet()
-	case "run_for":
-		d, _ := time.ParseDuration(ev.Params["duration"])
-		r.st.Eng.RunFor(d)
-		return nil
-	case "log":
-		r.logf("%s", ev.Params["message"])
-		return nil
-	case "submit_job":
-		return r.submitJob(ev)
-	case "delete_job":
-		key := ev.Params["tenant"] + "/" + ev.Params["name"]
-		if _, ok := r.submitted[key]; !ok {
-			return fmt.Errorf("job %s was never submitted", key)
-		}
-		r.st.Cluster.Client.Delete(k8s.KindJob, ev.Params["tenant"], ev.Params["name"])
-		r.logf("deleted job %s", key)
-		return nil
-	case "create_claim":
-		r.st.Cluster.Client.Create(vnisvc.NewClaim(ev.Params["tenant"], ev.Params["name"], ev.Params["name"]))
-		r.logf("created claim %s/%s", ev.Params["tenant"], ev.Params["name"])
-		return nil
-	case "delete_claim":
-		r.st.Cluster.Client.Delete(vniapi.KindVniClaim, ev.Params["tenant"], ev.Params["name"])
-		r.logf("deleted claim %s/%s", ev.Params["tenant"], ev.Params["name"])
-		return nil
-	case "churn_jobs":
-		return r.churnJobs(ev)
-	case "inject_nic_failure":
-		r.logf("injecting NIC failure on %s", ev.Target)
-		r.markFault(ev.Target)
-		return r.st.FailNIC(ev.Target)
-	case "recover_nic":
-		r.logf("recovering NIC on %s", ev.Target)
-		return r.st.RecoverNIC(ev.Target)
-	case "cordon":
-		r.logf("cordoning %s", ev.Target)
-		return r.st.Cluster.Scheduler.SetCordon(ev.Target, true)
-	case "uncordon":
-		r.logf("uncordoning %s", ev.Target)
-		return r.st.Cluster.Scheduler.SetCordon(ev.Target, false)
-	case "partition_fabric":
-		nodes := splitList(ev.Params["nodes"])
-		r.logf("partitioning fabric: %v vs rest", nodes)
-		return r.st.PartitionFabric(nodes)
-	case "heal_partition":
-		r.st.HealPartition()
-		r.logf("fabric partition healed")
-		return nil
-	case "fail_link":
-		return r.setLink(ev, true)
-	case "recover_link":
-		return r.setLink(ev, false)
-	case "slow_drain_nic":
-		return r.slowDrainNIC(ev)
-	case "flap_trunk":
-		return r.flapTrunk(ev)
-	case "remediate":
-		return r.execRemediate(ev)
-	case "wait_remediated":
-		return r.waitRemediated(ev)
-	case "fail_apiserver":
-		return r.failAPIServer()
-	case "degrade_apiserver":
-		return r.degradeAPIServer(ev)
-	case "recover_apiserver":
-		return r.recoverAPIServer()
-	case "break_watch":
-		return r.breakWatch(ev)
-	case "probe_isolation":
-		return r.probeIsolation()
-	case "pingpong":
-		return r.pingpong(ev)
-	case "run_traffic":
-		return r.runTraffic(ev)
-	case "wait_running":
-		return r.waitRunning(ev)
-	case "wait_jobs_complete":
-		return r.waitJobsComplete(ev)
-	case "resync_vni":
-		if r.st.VNISvc == nil {
-			return fmt.Errorf("vni service not installed")
-		}
-		r.st.VNISvc.Resync()
-		r.logf("requeued vni controllers")
-		return nil
-	default:
-		return fmt.Errorf("unimplemented action") // unreachable: Validate rejects unknown actions
+func (r *Ops) Exec(ev *Event) error { return ActionByName(ev.Action).exec(r, ev) }
+
+func (r *Ops) deleteJob(ev *Event) error {
+	key := ev.str("tenant") + "/" + ev.str("name")
+	if _, ok := r.submitted[key]; !ok {
+		return fmt.Errorf("job %s was never submitted", key)
 	}
+	r.st.Cluster.Client.Delete(k8s.KindJob, ev.str("tenant"), ev.str("name"))
+	r.logf("deleted job %s", key)
+	return nil
 }
 
-// setLink executes fail_link/recover_link: a global-link pair addressed by
-// groups (+ optional link index) or an intra-group trunk addressed by
-// switch indices. Validation guaranteed the parameters are well formed.
+func (r *Ops) createClaim(ev *Event) error {
+	r.st.Cluster.Client.Create(vnisvc.NewClaim(ev.str("tenant"), ev.str("name"), ev.str("name")))
+	r.logf("created claim %s/%s", ev.str("tenant"), ev.str("name"))
+	return nil
+}
+
+func (r *Ops) deleteClaim(ev *Event) error {
+	r.st.Cluster.Client.Delete(vniapi.KindVniClaim, ev.str("tenant"), ev.str("name"))
+	r.logf("deleted claim %s/%s", ev.str("tenant"), ev.str("name"))
+	return nil
+}
+
+func (r *Ops) failNIC(ev *Event) error {
+	r.logf("injecting NIC failure on %s", ev.Target)
+	r.markFault(ev.Target)
+	return r.st.FailNIC(ev.Target)
+}
+
+func (r *Ops) recoverNIC(ev *Event) error {
+	r.logf("recovering NIC on %s", ev.Target)
+	return r.st.RecoverNIC(ev.Target)
+}
+
+// setCordon executes cordon (on) and uncordon.
+func (r *Ops) setCordon(ev *Event, on bool) error {
+	verb := "uncordoning"
+	if on {
+		verb = "cordoning"
+	}
+	r.logf("%s %s", verb, ev.Target)
+	return r.st.Cluster.Scheduler.SetCordon(ev.Target, on)
+}
+
+func (r *Ops) partitionFabric(ev *Event) error {
+	nodes := splitList(ev.str("nodes"))
+	r.logf("partitioning fabric: %v vs rest", nodes)
+	return r.st.PartitionFabric(nodes)
+}
+
+func (r *Ops) healPartition(*Event) error {
+	r.st.HealPartition()
+	r.logf("fabric partition healed")
+	return nil
+}
+
+func (r *Ops) resyncVNI(*Event) error {
+	if r.st.VNISvc == nil {
+		return fmt.Errorf("vni service not installed")
+	}
+	r.st.VNISvc.Resync()
+	r.logf("requeued vni controllers")
+	return nil
+}
+
+// setLink executes fail_link (down) and recover_link: a global-link pair
+// addressed by groups (+ optional link index) or an intra-group trunk
+// addressed by switch indices.
 func (r *Ops) setLink(ev *Event, down bool) error {
 	verb := "recovering"
 	if down {
 		verb = "failing"
 	}
-	if g := ev.Params["groups"]; g != "" {
-		parts := splitList(g)
-		a, _ := strconv.Atoi(parts[0])
-		b, _ := strconv.Atoi(parts[1])
+	if ev.str("groups") != "" {
+		a, b, err := r.sc.indexPair(ev, "groups", r.sc.Topology.Groups, "group")
+		if err != nil {
+			return err
+		}
 		idx := -1
 		which := "all global links"
-		if l := ev.Params["link"]; l != "" {
-			idx, _ = strconv.Atoi(l)
+		if _, picked := ev.Params["link"]; picked {
+			idx = ev.num("link")
 			which = fmt.Sprintf("global link %d", idx)
 		}
 		r.logf("%s %s between group %d and group %d", verb, which, a, b)
@@ -244,9 +216,10 @@ func (r *Ops) setLink(ev *Event, down bool) error {
 		}
 		return r.st.RecoverGlobalLinks(a, b, idx)
 	}
-	parts := splitList(ev.Params["switches"])
-	i, _ := strconv.Atoi(parts[0])
-	j, _ := strconv.Atoi(parts[1])
+	i, j, err := r.sc.trunk(ev)
+	if err != nil {
+		return err
+	}
 	r.logf("%s trunk between switch %d and switch %d", verb, i, j)
 	if down {
 		r.markFault(canonLinkKey("trunk", i, j))
@@ -255,7 +228,7 @@ func (r *Ops) setLink(ev *Event, down bool) error {
 	return r.st.RecoverTrunk(i, j)
 }
 
-func (r *Ops) startFleet() error {
+func (r *Ops) startFleet(*Event) error {
 	fl := r.sc.Fleet
 	opts := stack.DefaultOptions()
 	opts.Seed = r.sc.Seed
@@ -356,16 +329,14 @@ func buildJob(tenant, name, vni string, pods int, runtime sim.Duration, ttlDelet
 }
 
 func (r *Ops) submitJob(ev *Event) error {
-	tenant, name := ev.Params["tenant"], ev.Params["name"]
-	pods, _ := strconv.Atoi(ev.Param("pods", "1"))
-	runtime, _ := time.ParseDuration(ev.Param("runtime", "50ms"))
+	tenant, name, pods := ev.str("tenant"), ev.str("name"), ev.num("pods")
 	key := tenant + "/" + name
 	if _, dup := r.submitted[key]; dup {
 		return fmt.Errorf("job %s already submitted", key)
 	}
 	r.submitted[key] = tenant
-	r.st.Cluster.SubmitJob(buildJob(tenant, name, ev.Params["vni"], pods, runtime, false))
-	r.logf("submitted job %s (%d pod(s), vni=%q)", key, pods, ev.Params["vni"])
+	r.st.Cluster.SubmitJob(buildJob(tenant, name, ev.str("vni"), pods, ev.dur("runtime"), false))
+	r.logf("submitted job %s (%d pod(s), vni=%q)", key, pods, ev.str("vni"))
 	return nil
 }
 
@@ -373,12 +344,8 @@ func (r *Ops) submitJob(ev *Event) error {
 // deletion on, each completed job releases its VNI, exercising the
 // allocate/quarantine/reallocate cycle under sustained churn.
 func (r *Ops) churnJobs(ev *Event) error {
-	tenant := ev.Params["tenant"]
-	count, _ := strconv.Atoi(ev.Params["count"])
-	pods, _ := strconv.Atoi(ev.Param("pods", "1"))
-	interval, _ := time.ParseDuration(ev.Param("interval", "500ms"))
-	runtime, _ := time.ParseDuration(ev.Param("runtime", "50ms"))
-	vni := ev.Param("vni", vniapi.AnnotationValueTrue)
+	tenant, count, pods := ev.str("tenant"), ev.num("count"), ev.num("pods")
+	interval, runtime, vni := ev.dur("interval"), ev.dur("runtime"), ev.str("vni")
 	for i := 0; i < count; i++ {
 		name := fmt.Sprintf("churn-%s-%03d", tenant, i)
 		key := tenant + "/" + name
@@ -444,7 +411,7 @@ func (r *Ops) eachPod(tenant, job string, fn func(*k8s.Pod) bool) {
 // driver for an endpoint on the victim's VNI, which netns-membership
 // authentication must refuse. A correct deployment yields
 // isolation_violations == 0.
-func (r *Ops) probeIsolation() error {
+func (r *Ops) probeIsolation(*Event) error {
 	tenants := r.sc.Fleet.Tenants
 	if !r.rogueSet {
 		r.rogue = r.st.Switch.Attach(nullReceiver{})
@@ -565,10 +532,8 @@ func (r *Ops) podsRunning(tenant, job string, want int) func() bool {
 }
 
 func (r *Ops) waitRunning(ev *Event) error {
-	tenant, job := ev.Params["tenant"], ev.Params["job"]
-	pods, _ := strconv.Atoi(ev.Params["pods"])
-	timeout, _ := time.ParseDuration(ev.Param("timeout", "30s"))
-	ok := r.st.Eng.RunUntilDone(r.podsRunning(tenant, job, pods), r.st.Eng.Now().Add(timeout))
+	tenant, pods, timeout := ev.str("tenant"), ev.num("pods"), ev.dur("timeout")
+	ok := r.st.Eng.RunUntilDone(r.podsRunning(tenant, ev.str("job"), pods), r.st.Eng.Now().Add(timeout))
 	if !ok {
 		return fmt.Errorf("timed out after %s waiting for %d running pod(s) in %s", timeout, pods, tenant)
 	}
@@ -577,8 +542,7 @@ func (r *Ops) waitRunning(ev *Event) error {
 }
 
 func (r *Ops) waitJobsComplete(ev *Event) error {
-	tenant := ev.Params["tenant"]
-	timeout, _ := time.ParseDuration(ev.Param("timeout", "60s"))
+	tenant, timeout := ev.str("tenant"), ev.dur("timeout")
 	want := 0
 	for _, t := range r.submitted {
 		if tenant == "" || t == tenant {
@@ -616,10 +580,8 @@ func (r *Ops) completedCount(tenant string) int {
 // authentication, as the paper's data path requires) and measures one-way
 // latency over the job's private VNI, feeding the latency_us assertions.
 func (r *Ops) pingpong(ev *Event) error {
-	tenant, jobName := ev.Params["tenant"], ev.Params["job"]
-	rounds, _ := strconv.Atoi(ev.Param("rounds", "200"))
-	bytes, _ := strconv.Atoi(ev.Param("bytes", "8"))
-	timeout, _ := time.ParseDuration(ev.Param("timeout", "30s"))
+	tenant, jobName := ev.str("tenant"), ev.str("job")
+	rounds, bytes, timeout := ev.num("rounds"), ev.num("bytes"), ev.dur("timeout")
 
 	if ok := r.st.Eng.RunUntilDone(r.podsRunning(tenant, jobName, 2), r.st.Eng.Now().Add(timeout)); !ok {
 		return fmt.Errorf("timed out waiting for 2 running pods of %s/%s", tenant, jobName)
@@ -658,7 +620,7 @@ func (r *Ops) pingpong(ev *Event) error {
 		// Fault scenarios expect traffic to blackhole (NIC down, fabric
 		// partitioned); tolerate_stall turns the stall into a logged
 		// observation instead of a run error.
-		if tolerate, _ := strconv.ParseBool(ev.Param("tolerate_stall", "false")); tolerate {
+		if ev.flag("tolerate_stall") {
 			r.logf("pingpong %s/%s stalled as expected: %d/%d rounds after %s",
 				tenant, jobName, done, rounds, timeout)
 			return nil
@@ -677,20 +639,8 @@ func (r *Ops) pingpong(ev *Event) error {
 // iteration loop, recording the report under the run name for the
 // traffic_* assertions.
 func (r *Ops) runTraffic(ev *Event) error {
-	tenant, jobName := ev.Params["tenant"], ev.Params["job"]
-	name := ev.Params["traffic"]
-	runName := ev.Param("as", name)
-	timeout, _ := time.ParseDuration(ev.Param("timeout", "60s"))
-	var spec *TrafficSpec
-	for i := range r.sc.Traffic {
-		if r.sc.Traffic[i].Name == name {
-			spec = &r.sc.Traffic[i]
-			break
-		}
-	}
-	if spec == nil {
-		return fmt.Errorf("unknown traffic %q", name) // unreachable: Validate checked
-	}
+	tenant, jobName, timeout := ev.str("tenant"), ev.str("job"), ev.dur("timeout")
+	runName, spec := runName(ev), r.sc.traffic(ev.str("traffic"))
 	obj, ok := r.st.Cluster.Client.Get(k8s.KindJob, tenant, jobName)
 	if !ok {
 		return fmt.Errorf("job %s/%s does not exist", tenant, jobName)
@@ -761,145 +711,6 @@ func (r *Ops) runTraffic(ev *Event) error {
 		runName, tenant, jobName, spec.Pattern, rep.Spec.Iterations, rep.Spec.Bytes,
 		rep.Ranks, rep.Elapsed, metrics.FormatBytes(int(rep.GlobalLinkBytes)))
 	return nil
-}
-
-// Actual computes the current value of an assertion's probed quantity.
-// Assertions normally run after the event timeline (RunHooked), but every
-// probe reads live state, so interactive mode can evaluate them mid-run.
-func (r *Ops) Actual(a Assertion) float64 {
-	switch a.Type {
-	case "vnis_allocated":
-		return float64(r.st.DB.Stats().Allocated)
-	case "vnis_quarantined":
-		return float64(r.st.DB.Stats().Quarantined)
-	case "jobs_completed":
-		return float64(r.completedCount(a.Target))
-	case "jobs_pending":
-		n := 0
-		for _, obj := range r.jobs.List(a.Target) {
-			job := obj.(*k8s.Job)
-			if !job.Status.Completed {
-				n++
-			}
-		}
-		return float64(n)
-	case "pods_running":
-		return float64(r.runningPods(a.Target, ""))
-	case "isolation_violations":
-		return float64(r.violations)
-	case "switch_drops":
-		reason, _ := fabric.DropReasonByName(a.Target)
-		return float64(r.st.Topo.Stats().Drops[reason])
-	case "switch_forwarded":
-		return float64(r.st.Topo.Stats().Forwarded)
-	case "trunk_drops":
-		return float64(r.st.Topo.TrunkDrops())
-	case "global_link_bytes":
-		return float64(r.st.Topo.GlobalLinkBytes())
-	case "max_link_utilization":
-		max := 0.0
-		for _, l := range r.st.Topo.Links() {
-			if l.Utilization > max {
-				max = l.Utilization
-			}
-		}
-		return max
-	case "latency_us":
-		s := metrics.Summarize(r.latUs)
-		switch a.Target {
-		case "p50":
-			return s.P50
-		case "p90":
-			return s.P90
-		case "p99":
-			return metrics.Percentile(r.latUs, 99)
-		case "max":
-			return s.Max
-		case "mean":
-			return s.Mean
-		}
-	case "traffic_time_us":
-		return float64(r.traffic[a.Target].Elapsed) / float64(time.Microsecond)
-	case "traffic_mpi_bytes":
-		return float64(r.traffic[a.Target].MPIBytes)
-	case "traffic_global_bytes":
-		return float64(r.traffic[a.Target].GlobalLinkBytes)
-	case "traffic_ratio":
-		parts := strings.SplitN(a.Target, "/", 2)
-		num, den := r.traffic[parts[0]].Elapsed, r.traffic[parts[1]].Elapsed
-		if den == 0 {
-			return 0
-		}
-		return float64(num) / float64(den)
-	case "sync_errors":
-		if r.st.VNISvc == nil {
-			return 0
-		}
-		return float64(r.st.VNISvc.Endpoint.Stats().SyncErrors)
-	case "distinct_tenant_vnis":
-		seen := map[string]string{} // vni value -> namespace
-		for _, t := range r.sc.Fleet.Tenants {
-			for _, obj := range r.vnis.List(t.Name) {
-				cr := obj.(*k8s.Custom)
-				if cr.Spec[vniapi.SpecVirtual] == "true" {
-					continue
-				}
-				v := cr.Spec[vniapi.SpecVNI]
-				if ns, dup := seen[v]; dup && ns != t.Name {
-					return 0
-				}
-				seen[v] = t.Name
-			}
-		}
-		return 1
-	case "time_to_detect_us":
-		return r.detectUs[a.Target]
-	case "time_to_recover_us":
-		return r.recoverUs[a.Target]
-	case "nodes_cordoned":
-		n := 0
-		for _, node := range r.st.Nodes {
-			if r.st.Cluster.Scheduler.Cordoned(node.Name) {
-				n++
-			}
-		}
-		return float64(n)
-	case "remediations_done":
-		if r.remediator == nil {
-			return 0
-		}
-		return float64(r.remediator.Done())
-	case "traffic_migrations":
-		return float64(r.traffic[a.Target].Migrations)
-	case "telemetry_samples":
-		if r.sampler == nil {
-			return 0
-		}
-		return float64(r.sampler.Len())
-	case "telemetry_peak_link_utilization":
-		if r.sampler == nil {
-			return 0
-		}
-		return r.sampler.PeakLinkUtilization()
-	case "apiserver_retries":
-		return float64(r.st.Cluster.Client.Stats().Retries)
-	case "watch_relists":
-		return float64(r.st.Cluster.Client.Stats().Relists)
-	case "stale_reads":
-		return float64(r.st.Cluster.Client.Stats().StaleReads)
-	case "max_staleness_us":
-		return r.st.Cluster.Client.Stats().MaxStalenessUs
-	case "cp_converged":
-		// 1 when every informer cache matches the API server's store
-		// exactly — the eventual-convergence check. Fault-free runs read 1
-		// by construction (caches only drift when a fault event broke a
-		// watch or an outage delayed deliveries past run end).
-		if r.st.Cluster.Client.VerifyCaches() == nil {
-			return 1
-		}
-		return 0
-	}
-	return 0 // unreachable: Validate rejects unknown types
 }
 
 type nullReceiver struct{}

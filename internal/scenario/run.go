@@ -151,14 +151,10 @@ func RunHooked(sc *Scenario, hooks Hooks) (res *Result) {
 func (r *Ops) evaluate(a Assertion) AssertionResult {
 	expected, _ := parseExpected(a.Value) // validated at parse time
 	actual := r.Actual(a)
-	where := r.sc.Path
-	if where == "" {
-		where = "scenario"
-	}
 	return AssertionResult{
 		Assertion: a,
 		Actual:    actual,
 		Pass:      compareOps[a.Op](actual, expected),
-		Where:     fmt.Sprintf("%s:%d", where, a.Line),
+		Where:     r.sc.where(a.Line),
 	}
 }

@@ -6,14 +6,19 @@
 // internal/stack on the virtual internal/sim clock, so a multi-minute
 // cluster scenario runs deterministically in milliseconds of wall time.
 //
-// Scenario files use a hand-rolled YAML subset (see yaml.go) — block
+// Scenario files use the YAML subset internal/yamlsub parses — block
 // mappings, "- " sequences, scalars and comments — so no dependency beyond
-// the standard library is needed. `shssim run`, `shssim validate` and
-// `shssim list` (cmd/shssim) are the command-line front end; the file
-// format is documented in docs/scenarios.md.
+// the standard library is needed. schema.go declares every section key and
+// scalar kind once, for the decoder and the emitter alike; actions.go and
+// probes.go are the two catalogues: every event action and every assertion
+// type, each declared in one place that validation, execution, the
+// interactive prompt (internal/ctl) and docs/scenarios.md all follow.
+// `shssim run`, `shssim validate` and `shssim list` (cmd/shssim) are the
+// command-line front end.
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,6 +29,7 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 	"github.com/caps-sim/shs-k8s/internal/workload"
+	"github.com/caps-sim/shs-k8s/internal/yamlsub"
 )
 
 // Fleet describes the simulated deployment a scenario runs against. The
@@ -67,14 +73,6 @@ type Event struct {
 	Params map[string]string
 	// Line anchors errors to the source file.
 	Line int
-}
-
-// Param returns a parameter value or a default.
-func (e *Event) Param(key, def string) string {
-	if v, ok := e.Params[key]; ok {
-		return v
-	}
-	return def
 }
 
 // TrafficSpec is one named communication workload the traffic: section
@@ -215,13 +213,28 @@ type Scenario struct {
 	Path string
 }
 
-// errAt builds a line-anchored error for a source position.
+// ErrSyntax wraps structural parse failures; every one names the 1-based
+// line it is anchored to.
+var ErrSyntax = yamlsub.ErrSyntax
+
+// errAt builds an error anchored to a source line. Line 0 is an event with
+// no source — typed at the interactive prompt or built by the fuzzer — and
+// gets no position prefix.
 func (sc *Scenario) errAt(line int, format string, args ...any) error {
-	where := sc.Path
-	if where == "" {
-		where = "scenario"
+	msg := fmt.Sprintf(format, args...)
+	if line == 0 {
+		return errors.New(msg)
 	}
-	return fmt.Errorf("%s:%d: %s", where, line, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s: %s", sc.where(line), msg)
+}
+
+// where names a source position: "file.yaml:12", or "scenario:12" for a
+// spec parsed from a reader.
+func (sc *Scenario) where(line int) string {
+	if sc.Path == "" {
+		return "scenario:" + strconv.Itoa(line)
+	}
+	return sc.Path + ":" + strconv.Itoa(line)
 }
 
 // Parse reads and validates a scenario from r.
@@ -238,522 +251,43 @@ func ParseFile(path string) (*Scenario, error) {
 }
 
 func parse(r io.Reader, path string) (*Scenario, error) {
-	root, err := parseTree(r)
+	docs, err := yamlsub.ParseDocs(r)
+	switch {
+	case err != nil:
+	case len(docs) == 0:
+		err = fmt.Errorf("%w: line 1: empty document", ErrSyntax)
+	case len(docs) > 1:
+		err = fmt.Errorf("%w: line %d: a scenario file holds one document", ErrSyntax, docs[1].Line)
+	}
 	if err != nil {
 		if path != "" {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
 		return nil, err
 	}
-	sc := &Scenario{Path: path, Seed: 1, Fleet: defaultFleet()}
-	if err := sc.decode(root); err != nil {
+	sc := defaults
+	sc.Path = path
+	if err := decodeFields(&sc, docs[0], "scenario", topFields, &sc, decodeSection); err != nil {
 		return nil, err
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	return sc, nil
+	return &sc, nil
 }
 
-func defaultFleet() Fleet {
-	return Fleet{
+// defaults is what Parse starts from and therefore what EmitYAML expresses
+// by omission: the paper's two-node pilot on a single switch.
+var defaults = Scenario{
+	Seed: 1,
+	Fleet: Fleet{
 		Nodes:      2,
 		VNIService: true,
 		VNIPoolMin: 1024,
 		VNIPoolMax: 65535,
 		Quarantine: 30 * time.Second,
-	}
-}
-
-// decode maps the parsed tree onto the schema, rejecting unknown keys so
-// typos surface as line-anchored errors instead of silently ignored knobs.
-func (sc *Scenario) decode(root *value) error {
-	if root.kind != mapNode {
-		return sc.errAt(root.line, "top level must be a mapping")
-	}
-	for _, key := range root.keys {
-		v := root.child[key]
-		switch key {
-		case "name":
-			sc.Name = v.scalar
-		case "description":
-			sc.Description = v.scalar
-		case "seed":
-			n, err := strconv.ParseInt(v.scalar, 10, 64)
-			if err != nil {
-				return sc.errAt(v.line, "seed: not an integer: %q", v.scalar)
-			}
-			sc.Seed = n
-		case "fleet":
-			if err := sc.decodeFleet(v); err != nil {
-				return err
-			}
-		case "topology":
-			if err := sc.decodeTopology(v); err != nil {
-				return err
-			}
-		case "traffic":
-			if err := sc.decodeTraffic(v); err != nil {
-				return err
-			}
-		case "telemetry":
-			if err := sc.decodeTelemetry(v); err != nil {
-				return err
-			}
-		case "health":
-			if err := sc.decodeHealth(v); err != nil {
-				return err
-			}
-		case "events":
-			if err := sc.decodeEvents(v); err != nil {
-				return err
-			}
-		case "assertions":
-			if err := sc.decodeAssertions(v); err != nil {
-				return err
-			}
-		default:
-			return sc.errAt(v.line, "unknown top-level key %q", key)
-		}
-	}
-	return nil
-}
-
-func (sc *Scenario) decodeFleet(v *value) error {
-	if v.kind != mapNode {
-		return sc.errAt(v.line, "fleet: must be a mapping")
-	}
-	for _, key := range v.keys {
-		c := v.child[key]
-		switch key {
-		case "nodes":
-			n, err := strconv.Atoi(c.scalar)
-			if err != nil || n < 1 {
-				return sc.errAt(c.line, "fleet.nodes: must be a positive integer, got %q", c.scalar)
-			}
-			sc.Fleet.Nodes = n
-		case "vniService":
-			b, err := strconv.ParseBool(c.scalar)
-			if err != nil {
-				return sc.errAt(c.line, "fleet.vniService: not a boolean: %q", c.scalar)
-			}
-			sc.Fleet.VNIService = b
-		case "vniPoolMin", "vniPoolMax":
-			n, err := strconv.ParseUint(c.scalar, 10, 32)
-			if err != nil || n == 0 {
-				return sc.errAt(c.line, "fleet.%s: must be a positive integer, got %q", key, c.scalar)
-			}
-			if key == "vniPoolMin" {
-				sc.Fleet.VNIPoolMin = fabric.VNI(n)
-			} else {
-				sc.Fleet.VNIPoolMax = fabric.VNI(n)
-			}
-		case "quarantine":
-			d, err := time.ParseDuration(c.scalar)
-			if err != nil || d < 0 {
-				return sc.errAt(c.line, "fleet.quarantine: not a duration: %q", c.scalar)
-			}
-			sc.Fleet.Quarantine = d
-		case "podsPerNode":
-			n, err := strconv.Atoi(c.scalar)
-			if err != nil || n < 0 {
-				return sc.errAt(c.line, "fleet.podsPerNode: must be a non-negative integer, got %q", c.scalar)
-			}
-			sc.Fleet.PodsPerNode = n
-		case "tenants":
-			if c.kind != seqNode {
-				return sc.errAt(c.line, "fleet.tenants: must be a sequence")
-			}
-			for _, item := range c.items {
-				switch item.kind {
-				case scalarNode:
-					sc.Fleet.Tenants = append(sc.Fleet.Tenants, Tenant{Name: item.scalar})
-				case mapNode:
-					name := item.str("name")
-					if name == "" {
-						return sc.errAt(item.line, "fleet.tenants: tenant needs a name")
-					}
-					for _, k := range item.keys {
-						if k != "name" {
-							return sc.errAt(item.child[k].line, "fleet.tenants: unknown tenant key %q", k)
-						}
-					}
-					sc.Fleet.Tenants = append(sc.Fleet.Tenants, Tenant{Name: name})
-				default:
-					return sc.errAt(item.line, "fleet.tenants: invalid tenant entry")
-				}
-			}
-		default:
-			return sc.errAt(c.line, "fleet: unknown key %q", key)
-		}
-	}
-	return nil
-}
-
-// decodeTopology maps the topology: section onto fabric.TopologySpec.
-func (sc *Scenario) decodeTopology(v *value) error {
-	if v.kind != mapNode {
-		return sc.errAt(v.line, "topology: must be a mapping")
-	}
-	for _, key := range v.keys {
-		c := v.child[key]
-		switch key {
-		case "groups", "switchesPerGroup", "nodesPerSwitch", "globalLinksPerPair":
-			n, err := strconv.Atoi(c.scalar)
-			if err != nil || n < 1 {
-				return sc.errAt(c.line, "topology.%s: must be a positive integer, got %q", key, c.scalar)
-			}
-			switch key {
-			case "groups":
-				sc.Topology.Groups = n
-			case "switchesPerGroup":
-				sc.Topology.SwitchesPerGroup = n
-			case "nodesPerSwitch":
-				sc.Topology.NodesPerSwitch = n
-			case "globalLinksPerPair":
-				sc.Topology.GlobalLinksPerPair = n
-			}
-		case "globalBandwidthGbps":
-			f, err := strconv.ParseFloat(c.scalar, 64)
-			if err != nil || f <= 0 {
-				return sc.errAt(c.line, "topology.globalBandwidthGbps: must be a positive number, got %q", c.scalar)
-			}
-			sc.Topology.GlobalLinkBandwidthBits = f * 1e9
-		case "globalLatency":
-			d, err := time.ParseDuration(c.scalar)
-			if err != nil || d < 0 {
-				return sc.errAt(c.line, "topology.globalLatency: not a duration: %q", c.scalar)
-			}
-			sc.Topology.GlobalLinkPropagation = d
-		default:
-			return sc.errAt(c.line, "topology: unknown key %q", key)
-		}
-	}
-	return nil
-}
-
-// decodeTraffic maps the traffic: section onto TrafficSpecs.
-func (sc *Scenario) decodeTraffic(v *value) error {
-	if v.kind != seqNode {
-		return sc.errAt(v.line, "traffic: must be a sequence")
-	}
-	for _, item := range v.items {
-		if item.kind != mapNode {
-			return sc.errAt(item.line, "traffic: each entry must be a mapping")
-		}
-		ts := TrafficSpec{Line: item.line, Bytes: 65536, Iterations: 10}
-		for _, key := range item.keys {
-			c := item.child[key]
-			if c.kind != scalarNode {
-				return sc.errAt(c.line, "traffic: %q must be a scalar", key)
-			}
-			switch key {
-			case "name":
-				ts.Name = c.scalar
-			case "pattern":
-				ts.Pattern = c.scalar
-			case "bytes":
-				n, err := strconv.Atoi(c.scalar)
-				if err != nil || n < 0 {
-					return sc.errAt(c.line, "traffic.bytes: must be a non-negative integer, got %q", c.scalar)
-				}
-				ts.Bytes = n
-			case "iterations":
-				n, err := strconv.Atoi(c.scalar)
-				if err != nil || n < 1 {
-					return sc.errAt(c.line, "traffic.iterations: must be a positive integer, got %q", c.scalar)
-				}
-				ts.Iterations = n
-			case "compute":
-				d, err := time.ParseDuration(c.scalar)
-				if err != nil || d < 0 {
-					return sc.errAt(c.line, "traffic.compute: not a duration: %q", c.scalar)
-				}
-				ts.Compute = d
-			case "fidelity":
-				if _, err := fabric.ParseFidelity(c.scalar); err != nil {
-					return sc.errAt(c.line, "traffic.fidelity: %v", err)
-				}
-				ts.Fidelity = c.scalar
-			default:
-				return sc.errAt(c.line, "traffic: unknown key %q", key)
-			}
-		}
-		sc.Traffic = append(sc.Traffic, ts)
-	}
-	return nil
-}
-
-// decodeTelemetry maps the telemetry: section onto TelemetrySpec.
-func (sc *Scenario) decodeTelemetry(v *value) error {
-	if v.kind != mapNode {
-		return sc.errAt(v.line, "telemetry: must be a mapping")
-	}
-	for _, key := range v.keys {
-		c := v.child[key]
-		switch key {
-		case "sampleEvery":
-			d, err := time.ParseDuration(c.scalar)
-			if err != nil || d <= 0 {
-				return sc.errAt(c.line, "telemetry.sampleEvery: must be a positive duration, got %q", c.scalar)
-			}
-			sc.Telemetry.SampleEvery = d
-		case "sink":
-			sc.Telemetry.Sink = c.scalar
-		case "capacity":
-			n, err := strconv.Atoi(c.scalar)
-			if err != nil || n < 1 {
-				return sc.errAt(c.line, "telemetry.capacity: must be a positive integer, got %q", c.scalar)
-			}
-			sc.Telemetry.Capacity = n
-		default:
-			return sc.errAt(c.line, "telemetry: unknown key %q", key)
-		}
-	}
-	if !sc.Telemetry.Enabled() {
-		return sc.errAt(v.line, "telemetry: needs sampleEvery")
-	}
-	return nil
-}
-
-// decodeHealth maps the health: section onto HealthSpec.
-func (sc *Scenario) decodeHealth(v *value) error {
-	if v.kind != mapNode {
-		return sc.errAt(v.line, "health: must be a mapping")
-	}
-	for _, key := range v.keys {
-		c := v.child[key]
-		switch key {
-		case "checkEvery", "drainGrace", "replaceDelay", "retryBackoff":
-			d, err := time.ParseDuration(c.scalar)
-			if err != nil || d <= 0 {
-				return sc.errAt(c.line, "health.%s: must be a positive duration, got %q", key, c.scalar)
-			}
-			switch key {
-			case "checkEvery":
-				sc.Health.CheckEvery = d
-			case "drainGrace":
-				sc.Health.DrainGrace = d
-			case "replaceDelay":
-				sc.Health.ReplaceDelay = d
-			case "retryBackoff":
-				sc.Health.RetryBackoff = d
-			}
-		case "errorsPerSecond", "flapsPerSecond":
-			f, err := strconv.ParseFloat(c.scalar, 64)
-			if err != nil || f <= 0 {
-				return sc.errAt(c.line, "health.%s: must be a positive number, got %q", key, c.scalar)
-			}
-			if key == "errorsPerSecond" {
-				sc.Health.ErrorsPerSecond = f
-			} else {
-				sc.Health.FlapsPerSecond = f
-			}
-		case "degradeTicks", "stableTicks", "budget", "maxRetries":
-			n, err := strconv.Atoi(c.scalar)
-			if err != nil || n < 1 {
-				return sc.errAt(c.line, "health.%s: must be a positive integer, got %q", key, c.scalar)
-			}
-			switch key {
-			case "degradeTicks":
-				sc.Health.DegradeTicks = n
-			case "stableTicks":
-				sc.Health.StableTicks = n
-			case "budget":
-				sc.Health.Budget = n
-			case "maxRetries":
-				sc.Health.MaxRetries = n
-			}
-		default:
-			return sc.errAt(c.line, "health: unknown key %q", key)
-		}
-	}
-	if !sc.Health.Enabled() {
-		return sc.errAt(v.line, "health: needs checkEvery")
-	}
-	return nil
-}
-
-func (sc *Scenario) decodeEvents(v *value) error {
-	if v.kind != seqNode {
-		return sc.errAt(v.line, "events: must be a sequence")
-	}
-	for _, item := range v.items {
-		if item.kind != mapNode {
-			return sc.errAt(item.line, "events: each event must be a mapping")
-		}
-		ev := Event{Line: item.line, Params: map[string]string{}}
-		for _, key := range item.keys {
-			c := item.child[key]
-			if c.kind != scalarNode {
-				return sc.errAt(c.line, "events: %q must be a scalar", key)
-			}
-			switch key {
-			case "at":
-				d, err := time.ParseDuration(c.scalar)
-				if err != nil || d < 0 {
-					return sc.errAt(c.line, "events: at: not a duration: %q", c.scalar)
-				}
-				ev.At = d
-			case "action":
-				ev.Action = c.scalar
-			case "target":
-				ev.Target = c.scalar
-			default:
-				ev.Params[key] = c.scalar
-			}
-		}
-		sc.Events = append(sc.Events, ev)
-	}
-	return nil
-}
-
-func (sc *Scenario) decodeAssertions(v *value) error {
-	if v.kind != seqNode {
-		return sc.errAt(v.line, "assertions: must be a sequence")
-	}
-	for _, item := range v.items {
-		if item.kind != mapNode {
-			return sc.errAt(item.line, "assertions: each assertion must be a mapping")
-		}
-		a := Assertion{Line: item.line, Op: "=="}
-		for _, key := range item.keys {
-			c := item.child[key]
-			if c.kind != scalarNode {
-				return sc.errAt(c.line, "assertions: %q must be a scalar", key)
-			}
-			switch key {
-			case "type":
-				a.Type = c.scalar
-			case "target":
-				a.Target = c.scalar
-			case "op":
-				a.Op = c.scalar
-			case "value":
-				a.Value = c.scalar
-			default:
-				return sc.errAt(c.line, "assertions: unknown key %q", key)
-			}
-		}
-		sc.Assertions = append(sc.Assertions, a)
-	}
-	return nil
-}
-
-// actionSpec declares an action's parameter schema for validation.
-type actionSpec struct {
-	// needsTarget: "" (target forbidden), "node", or "free".
-	needsTarget string
-	required    []string
-	optional    []string
-}
-
-// actions is the catalogue of event actions; docs/scenarios.md documents
-// each one.
-var actions = map[string]actionSpec{
-	"start_fleet":        {},
-	"run_for":            {required: []string{"duration"}},
-	"log":                {required: []string{"message"}},
-	"submit_job":         {required: []string{"tenant", "name"}, optional: []string{"pods", "runtime", "vni"}},
-	"delete_job":         {required: []string{"tenant", "name"}},
-	"create_claim":       {required: []string{"tenant", "name"}},
-	"delete_claim":       {required: []string{"tenant", "name"}},
-	"churn_jobs":         {required: []string{"tenant", "count"}, optional: []string{"interval", "runtime", "vni", "pods"}},
-	"inject_nic_failure": {needsTarget: "node"},
-	"recover_nic":        {needsTarget: "node"},
-	"cordon":             {needsTarget: "node"},
-	"uncordon":           {needsTarget: "node"},
-	"partition_fabric":   {required: []string{"nodes"}},
-	"heal_partition":     {},
-	"fail_link":          {optional: []string{"groups", "switches", "link"}},
-	"recover_link":       {optional: []string{"groups", "switches", "link"}},
-	"probe_isolation":    {},
-	"pingpong":           {required: []string{"tenant", "job"}, optional: []string{"rounds", "bytes", "timeout", "tolerate_stall"}},
-	"run_traffic":        {required: []string{"tenant", "job", "traffic"}, optional: []string{"as", "timeout"}},
-	"wait_running":       {required: []string{"tenant", "pods"}, optional: []string{"job", "timeout"}},
-	"wait_jobs_complete": {optional: []string{"tenant", "timeout"}},
-	"resync_vni":         {},
-	// Health-loop events; valid only with a health: section (the loop
-	// must be running to observe the fault).
-	"slow_drain_nic":  {needsTarget: "node", optional: []string{"rate", "duration"}},
-	"flap_trunk":      {required: []string{"switches"}, optional: []string{"period", "count"}},
-	"remediate":       {needsTarget: "node"},
-	"wait_remediated": {optional: []string{"count", "timeout"}},
-	// Control-plane fault events. Self-arming — no section needed: the
-	// presence of any of these is what opts a run into the fault layer
-	// (and its resync prober); without them timelines are untouched.
-	"fail_apiserver":    {},
-	"degrade_apiserver": {optional: []string{"latency_factor", "error_prob"}},
-	"recover_apiserver": {},
-	"break_watch":       {required: []string{"kind"}},
-}
-
-// healthActions require the health: section.
-var healthActions = map[string]bool{
-	"slow_drain_nic":  true,
-	"flap_trunk":      true,
-	"remediate":       true,
-	"wait_remediated": true,
-}
-
-// assertionTargets maps assertion types to how their target is validated:
-// "" (none), "tenant" (optional tenant), "reason" (drop reason), "stat"
-// (latency statistic).
-var assertionTargets = map[string]string{
-	"vnis_allocated":       "",
-	"vnis_quarantined":     "",
-	"jobs_completed":       "tenant",
-	"jobs_pending":         "tenant",
-	"pods_running":         "tenant",
-	"isolation_violations": "",
-	"switch_drops":         "reason",
-	"switch_forwarded":     "",
-	"trunk_drops":          "",
-	"global_link_bytes":    "",
-	"max_link_utilization": "",
-	"latency_us":           "stat",
-	"sync_errors":          "",
-	"distinct_tenant_vnis": "",
-	// Per-traffic-run probes: target is a run name (the run_traffic as
-	// param), or "a/b" for the completion-time ratio of two runs.
-	"traffic_time_us":      "run",
-	"traffic_mpi_bytes":    "run",
-	"traffic_global_bytes": "run",
-	"traffic_ratio":        "run-pair",
-	// Series probes over the telemetry ring; they require a telemetry:
-	// section (no sampler, no series).
-	"telemetry_samples":               "",
-	"telemetry_peak_link_utilization": "",
-	// Health-loop probes; the time_to_* pair targets a node name or a
-	// link key ("trunk:i-j" / "global:a-b") and requires a health:
-	// section. nodes_cordoned counts the scheduler's cordon set and
-	// works with or without the loop; traffic_migrations reads a
-	// migratable run's report.
-	"time_to_detect_us":  "health-target",
-	"time_to_recover_us": "health-target",
-	"nodes_cordoned":     "",
-	"remediations_done":  "",
-	"traffic_migrations": "run",
-	// Control-plane fault-layer probes: client retry/relist counters and
-	// the post-run convergence check (1 when every informer cache matches
-	// the apiserver store). All read 0 (cp_converged: 1) in fault-free
-	// runs, so they are valid without fault events.
-	"apiserver_retries": "",
-	"watch_relists":     "",
-	"stale_reads":       "",
-	"max_staleness_us":  "",
-	"cp_converged":      "",
-}
-
-var latencyStats = map[string]bool{"p50": true, "p90": true, "p99": true, "max": true, "mean": true}
-
-var compareOps = map[string]func(a, b float64) bool{
-	"==": func(a, b float64) bool { return a == b },
-	"!=": func(a, b float64) bool { return a != b },
-	"<":  func(a, b float64) bool { return a < b },
-	"<=": func(a, b float64) bool { return a <= b },
-	">":  func(a, b float64) bool { return a > b },
-	">=": func(a, b float64) bool { return a >= b },
+	},
+	Topology: fabric.TopologySpec{Groups: 1, SwitchesPerGroup: 1, GlobalLinksPerPair: 1},
 }
 
 // Validate checks the scenario against the schema: known actions with
@@ -772,12 +306,10 @@ func (sc *Scenario) Validate() error {
 		return sc.errAt(1, "topology: %v", err)
 	}
 	sc.Topology = topo
-	tenants := map[string]bool{}
-	for _, t := range fl.Tenants {
-		if tenants[t.Name] {
-			return sc.errAt(1, "fleet: duplicate tenant %q", t.Name)
+	for i := range fl.Tenants {
+		if sc.tenant(fl.Tenants[i].Name) != &fl.Tenants[i] {
+			return sc.errAt(1, "fleet: duplicate tenant %q", fl.Tenants[i].Name)
 		}
-		tenants[t.Name] = true
 	}
 	if len(sc.Events) == 0 {
 		return sc.errAt(1, "scenario needs at least one event")
@@ -794,16 +326,14 @@ func (sc *Scenario) Validate() error {
 			return sc.errAt(sc.Events[i].Line, "start_fleet must appear exactly once, first")
 		}
 	}
-	traffic := map[string]bool{}
 	for i := range sc.Traffic {
 		ts := &sc.Traffic[i]
 		if ts.Name == "" {
 			return sc.errAt(ts.Line, "traffic: entry needs a name")
 		}
-		if traffic[ts.Name] {
+		if sc.traffic(ts.Name) != ts {
 			return sc.errAt(ts.Line, "traffic: duplicate name %q", ts.Name)
 		}
-		traffic[ts.Name] = true
 		// Workload() maps unknown fidelity names to the packet default, so
 		// vet the string here (it also covers specs built programmatically,
 		// e.g. by the fuzzer's generator).
@@ -815,333 +345,56 @@ func (sc *Scenario) Validate() error {
 		}
 	}
 	for i := range sc.Events {
-		if err := sc.validateEvent(&sc.Events[i], tenants); err != nil {
+		ev := &sc.Events[i]
+		if err := sc.CheckEvent(ev); err != nil {
 			return err
 		}
-	}
-	// Each run_traffic event produces one named report (the as param,
-	// defaulting to the traffic name); traffic_* assertions probe them.
-	// Runs after validateEvent so a missing traffic param gets the
-	// standard required-param error, not "unknown traffic".
-	runs := map[string]bool{}
-	for i := range sc.Events {
-		ev := &sc.Events[i]
-		if ev.Action != "run_traffic" {
-			continue
+		// Each run_traffic event produces one named report; traffic_*
+		// assertions probe them by that name.
+		if ev.Action == "run_traffic" && sc.run(runName(ev)) != ev {
+			return sc.errAt(ev.Line, "run_traffic: duplicate run name %q (use as to disambiguate)", runName(ev))
 		}
-		if !traffic[ev.Params["traffic"]] {
-			return sc.errAt(ev.Line, "run_traffic: unknown traffic %q", ev.Params["traffic"])
-		}
-		name := ev.Param("as", ev.Params["traffic"])
-		if runs[name] {
-			return sc.errAt(ev.Line, "run_traffic: duplicate run name %q (use as to disambiguate)", name)
-		}
-		runs[name] = true
 	}
 	for i := range sc.Assertions {
-		if err := sc.validateAssertion(&sc.Assertions[i], tenants, runs); err != nil {
+		if err := sc.checkAssertion(&sc.Assertions[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (sc *Scenario) validateEvent(ev *Event, tenants map[string]bool) error {
-	spec, ok := actions[ev.Action]
-	if !ok {
-		if ev.Action == "" {
-			return sc.errAt(ev.Line, "event needs an action")
-		}
-		return sc.errAt(ev.Line, "unknown action %q", ev.Action)
+// tenant returns the first fleet tenant called name, or nil.
+func (sc *Scenario) tenant(name string) *Tenant {
+	return lookup(sc.Fleet.Tenants, name, func(t *Tenant) string { return t.Name })
+}
+
+// traffic returns the first traffic: entry called name, or nil.
+func (sc *Scenario) traffic(name string) *TrafficSpec {
+	return lookup(sc.Traffic, name, func(t *TrafficSpec) string { return t.Name })
+}
+
+// runName is the name a run_traffic event records its report under: the as
+// parameter, defaulting to the traffic name.
+func runName(ev *Event) string {
+	if as := ev.Params["as"]; as != "" {
+		return as
 	}
-	if healthActions[ev.Action] && !sc.Health.Enabled() {
-		return sc.errAt(ev.Line, "%s: requires a health: section (checkEvery)", ev.Action)
-	}
-	switch spec.needsTarget {
-	case "node":
-		if !sc.validNode(ev.Target) {
-			return sc.errAt(ev.Line, "%s: target must name a fleet node (node0..node%d), got %q",
-				ev.Action, sc.Fleet.Nodes-1, ev.Target)
-		}
-	case "":
-		if ev.Target != "" {
-			return sc.errAt(ev.Line, "%s: takes no target", ev.Action)
-		}
-	}
-	allowed := map[string]bool{}
-	for _, p := range spec.required {
-		allowed[p] = true
-		if ev.Params[p] == "" {
-			return sc.errAt(ev.Line, "%s: missing required param %q", ev.Action, p)
-		}
-	}
-	for _, p := range spec.optional {
-		allowed[p] = true
-	}
-	for p := range ev.Params {
-		if !allowed[p] {
-			return sc.errAt(ev.Line, "%s: unknown param %q", ev.Action, p)
-		}
-	}
-	// Typed parameter checks.
-	for _, p := range []string{"runtime", "interval", "timeout", "duration", "period"} {
-		if v, ok := ev.Params[p]; ok {
-			if d, err := time.ParseDuration(v); err != nil || d < 0 {
-				return sc.errAt(ev.Line, "%s: %s: not a duration: %q", ev.Action, p, v)
-			}
-		}
-	}
-	for _, p := range []string{"pods", "count", "rounds", "bytes"} {
-		if v, ok := ev.Params[p]; ok {
-			// wait_remediated accepts count: 0 — "wait only for the
-			// controller to quiesce, however many runs that takes".
-			min := 1
-			if ev.Action == "wait_remediated" && p == "count" {
-				min = 0
-			}
-			if n, err := strconv.Atoi(v); err != nil || n < min {
-				return sc.errAt(ev.Line, "%s: %s: must be a positive integer, got %q", ev.Action, p, v)
-			}
-		}
-	}
-	if t, ok := ev.Params["tenant"]; ok && !tenants[t] {
-		return sc.errAt(ev.Line, "%s: unknown tenant %q", ev.Action, t)
-	}
-	if ev.Action == "partition_fabric" {
-		for _, n := range splitList(ev.Params["nodes"]) {
-			if !sc.validNode(n) {
-				return sc.errAt(ev.Line, "partition_fabric: unknown node %q", n)
-			}
-		}
-	}
-	if ev.Action == "fail_link" || ev.Action == "recover_link" {
-		if err := sc.validateLinkEvent(ev); err != nil {
-			return err
-		}
-	}
-	if ev.Action == "slow_drain_nic" {
-		if v, ok := ev.Params["rate"]; ok {
-			if f, err := strconv.ParseFloat(v, 64); err != nil || f <= 0 {
-				return sc.errAt(ev.Line, "slow_drain_nic: rate: must be a positive number (errors/s), got %q", v)
-			}
-		}
-	}
-	if ev.Action == "flap_trunk" {
-		if _, _, err := sc.trunkPair(ev, ev.Params["switches"]); err != nil {
-			return err
-		}
-	}
-	if ev.Action == "degrade_apiserver" {
-		if v, ok := ev.Params["latency_factor"]; ok {
-			if f, err := strconv.ParseFloat(v, 64); err != nil || f < 1 {
-				return sc.errAt(ev.Line, "degrade_apiserver: latency_factor: must be a number ≥ 1, got %q", v)
-			}
-		}
-		if v, ok := ev.Params["error_prob"]; ok {
-			if f, err := strconv.ParseFloat(v, 64); err != nil || f < 0 || f >= 1 {
-				return sc.errAt(ev.Line, "degrade_apiserver: error_prob: must be in [0, 1), got %q", v)
-			}
-		}
-	}
-	if ev.Action == "break_watch" {
-		if _, ok := cpWatchKinds[ev.Params["kind"]]; !ok {
-			return sc.errAt(ev.Line, "break_watch: kind: must be one of %s, got %q",
-				cpWatchKindNames(), ev.Params["kind"])
+	return ev.Params["traffic"]
+}
+
+// run returns the first run_traffic event recording under name, or nil.
+func (sc *Scenario) run(name string) *Event {
+	for i := range sc.Events {
+		if ev := &sc.Events[i]; ev.Action == "run_traffic" && runName(ev) == name {
+			return ev
 		}
 	}
 	return nil
-}
-
-// trunkPair validates an intra-group switch pair parameter ("i,j") and
-// returns the indices; shared by flap_trunk validation and execution.
-func (sc *Scenario) trunkPair(ev *Event, s string) (int, int, error) {
-	topo := sc.Topology
-	parts := splitList(s)
-	if len(parts) != 2 {
-		return 0, 0, sc.errAt(ev.Line, "%s: switches must be two comma-separated indices, got %q", ev.Action, s)
-	}
-	var idx [2]int
-	limit := topo.Groups * topo.SwitchesPerGroup
-	for i, p := range parts {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || n >= limit {
-			return 0, 0, sc.errAt(ev.Line, "%s: switches: %q is not a valid switch index (fabric has %d)",
-				ev.Action, p, limit)
-		}
-		idx[i] = n
-	}
-	if idx[0] == idx[1] {
-		return 0, 0, sc.errAt(ev.Line, "%s: switches: indices must differ", ev.Action)
-	}
-	if idx[0]/topo.SwitchesPerGroup != idx[1]/topo.SwitchesPerGroup {
-		return 0, 0, sc.errAt(ev.Line, "%s: switches %d and %d are in different groups (only trunks flap)",
-			ev.Action, idx[0], idx[1])
-	}
-	return idx[0], idx[1], nil
-}
-
-// validateLinkEvent checks a fail_link/recover_link event: exactly one of
-// groups ("a,b" group pair) or switches ("i,j" switch pair) must name a
-// trunk that exists in the scenario's topology; link selects one of a
-// pair's parallel global links and is only valid with groups.
-func (sc *Scenario) validateLinkEvent(ev *Event) error {
-	groups, switches := ev.Params["groups"], ev.Params["switches"]
-	if (groups == "") == (switches == "") {
-		return sc.errAt(ev.Line, "%s: needs exactly one of groups or switches", ev.Action)
-	}
-	pair := func(param, s string, limit int, what string) (int, int, error) {
-		parts := splitList(s)
-		if len(parts) != 2 {
-			return 0, 0, sc.errAt(ev.Line, "%s: %s must be two comma-separated indices, got %q", ev.Action, param, s)
-		}
-		var idx [2]int
-		for i, p := range parts {
-			n, err := strconv.Atoi(p)
-			if err != nil || n < 0 || n >= limit {
-				return 0, 0, sc.errAt(ev.Line, "%s: %s: %q is not a valid %s index (fabric has %d)",
-					ev.Action, param, p, what, limit)
-			}
-			idx[i] = n
-		}
-		if idx[0] == idx[1] {
-			return 0, 0, sc.errAt(ev.Line, "%s: %s: indices must differ", ev.Action, param)
-		}
-		return idx[0], idx[1], nil
-	}
-	topo := sc.Topology
-	if groups != "" {
-		if _, _, err := pair("groups", groups, topo.Groups, "group"); err != nil {
-			return err
-		}
-		if l := ev.Params["link"]; l != "" {
-			n, err := strconv.Atoi(l)
-			if err != nil || n < 0 || n >= topo.GlobalLinksPerPair {
-				return sc.errAt(ev.Line, "%s: link: must be 0..%d, got %q", ev.Action, topo.GlobalLinksPerPair-1, l)
-			}
-		}
-		return nil
-	}
-	if ev.Params["link"] != "" {
-		return sc.errAt(ev.Line, "%s: link is only valid with groups", ev.Action)
-	}
-	i, j, err := pair("switches", switches, topo.Groups*topo.SwitchesPerGroup, "switch")
-	if err != nil {
-		return err
-	}
-	if i/topo.SwitchesPerGroup != j/topo.SwitchesPerGroup {
-		return sc.errAt(ev.Line, "%s: switches %d and %d are in different groups; use groups for global links",
-			ev.Action, i, j)
-	}
-	return nil
-}
-
-func (sc *Scenario) validateAssertion(a *Assertion, tenants, runs map[string]bool) error {
-	kind, ok := assertionTargets[a.Type]
-	if !ok {
-		if a.Type == "" {
-			return sc.errAt(a.Line, "assertion needs a type")
-		}
-		return sc.errAt(a.Line, "unknown assertion type %q", a.Type)
-	}
-	if _, ok := compareOps[a.Op]; !ok {
-		return sc.errAt(a.Line, "assertion op must be one of == != < <= > >=, got %q", a.Op)
-	}
-	if strings.HasPrefix(a.Type, "telemetry_") && !sc.Telemetry.Enabled() {
-		return sc.errAt(a.Line, "%s: requires a telemetry: section (sampleEvery)", a.Type)
-	}
-	if (kind == "health-target" || a.Type == "remediations_done") && !sc.Health.Enabled() {
-		return sc.errAt(a.Line, "%s: requires a health: section (checkEvery)", a.Type)
-	}
-	switch kind {
-	case "":
-		if a.Target != "" {
-			return sc.errAt(a.Line, "%s: takes no target", a.Type)
-		}
-	case "tenant":
-		if a.Target != "" && !tenants[a.Target] {
-			return sc.errAt(a.Line, "%s: unknown tenant %q", a.Type, a.Target)
-		}
-	case "reason":
-		if _, ok := fabric.DropReasonByName(a.Target); !ok {
-			return sc.errAt(a.Line, "%s: target must be a drop reason (e.g. link_down, vni_ingress_denied), got %q",
-				a.Type, a.Target)
-		}
-	case "stat":
-		if !latencyStats[a.Target] {
-			return sc.errAt(a.Line, "%s: target must be one of p50, p90, p99, max, mean, got %q", a.Type, a.Target)
-		}
-	case "run":
-		if !runs[a.Target] {
-			return sc.errAt(a.Line, "%s: target must name a traffic run (a run_traffic as/traffic name), got %q",
-				a.Type, a.Target)
-		}
-	case "run-pair":
-		parts := strings.Split(a.Target, "/")
-		if len(parts) != 2 || !runs[parts[0]] || !runs[parts[1]] {
-			return sc.errAt(a.Line, "%s: target must be two traffic runs as \"a/b\", got %q", a.Type, a.Target)
-		}
-	case "health-target":
-		if err := sc.validateHealthTarget(a); err != nil {
-			return err
-		}
-	}
-	if a.Value == "" {
-		return sc.errAt(a.Line, "%s: missing value", a.Type)
-	}
-	if _, err := parseExpected(a.Value); err != nil {
-		return sc.errAt(a.Line, "%s: value: %v", a.Type, err)
-	}
-	return nil
-}
-
-// validateHealthTarget checks a time_to_detect_us/time_to_recover_us
-// target: a fleet node name, or a link key as the health daemon emits
-// them — "trunk:i-j" / "global:i-j", both by global switch index (a
-// global link is keyed by its two gateway switches).
-func (sc *Scenario) validateHealthTarget(a *Assertion) error {
-	t := a.Target
-	if sc.validNode(t) {
-		return nil
-	}
-	kind, rest, found := strings.Cut(t, ":")
-	if found && (kind == "trunk" || kind == "global") {
-		parts := strings.Split(rest, "-")
-		if len(parts) == 2 {
-			limit := sc.Topology.Groups * sc.Topology.SwitchesPerGroup
-			x, errX := strconv.Atoi(parts[0])
-			y, errY := strconv.Atoi(parts[1])
-			if errX == nil && errY == nil && x >= 0 && y >= 0 && x < limit && y < limit && x != y {
-				return nil
-			}
-		}
-	}
-	return sc.errAt(a.Line, "%s: target must be a fleet node or a link key (trunk:i-j / global:a-b), got %q",
-		a.Type, t)
-}
-
-// parseExpected turns an assertion value into a comparable number; booleans
-// map to 0/1.
-func parseExpected(v string) (float64, error) {
-	if b, err := strconv.ParseBool(v); err == nil {
-		if b {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("not a number or boolean: %q", v)
-	}
-	return f, nil
 }
 
 func (sc *Scenario) validNode(name string) bool {
-	for i := 0; i < sc.Fleet.Nodes; i++ {
-		if name == fmt.Sprintf("node%d", i) {
-			return true
-		}
-	}
-	return false
+	n, err := strconv.Atoi(strings.TrimPrefix(name, "node"))
+	return err == nil && n >= 0 && n < sc.Fleet.Nodes && name == "node"+strconv.Itoa(n)
 }
 
 // splitList splits a comma-separated parameter into its non-empty entries.
@@ -1153,4 +406,39 @@ func splitList(s string) []string {
 		}
 	}
 	return out
+}
+
+// indexPair reads an event's "i,j" parameter as two distinct indices below
+// limit. Validation and execution both go through it, so the pair an event
+// runs against is the pair that was checked.
+func (sc *Scenario) indexPair(ev *Event, name string, limit int, what string) (i, j int, err error) {
+	parts := splitList(ev.Params[name])
+	if len(parts) != 2 {
+		return 0, 0, sc.errAt(ev.Line, "%s: %s must be two comma-separated indices, got %q", ev.Action, name, ev.Params[name])
+	}
+	var idx [2]int
+	for k, p := range parts {
+		n, err := strconv.Atoi(p)
+		if err != nil || n < 0 || n >= limit {
+			return 0, 0, sc.errAt(ev.Line, "%s: %s: %q is not a valid %s index (fabric has %d)",
+				ev.Action, name, p, what, limit)
+		}
+		idx[k] = n
+	}
+	if idx[0] == idx[1] {
+		return 0, 0, sc.errAt(ev.Line, "%s: %s: indices must differ", ev.Action, name)
+	}
+	return idx[0], idx[1], nil
+}
+
+// trunk reads an event's switches parameter as the two ends of an
+// intra-group trunk.
+func (sc *Scenario) trunk(ev *Event) (i, j int, err error) {
+	per := sc.Topology.SwitchesPerGroup
+	i, j, err = sc.indexPair(ev, "switches", sc.Topology.Groups*per, "switch")
+	if err == nil && i/per != j/per {
+		err = sc.errAt(ev.Line, "%s: switches %d and %d are in different groups (a trunk joins two switches of one group; global links go by groups)",
+			ev.Action, i, j)
+	}
+	return i, j, err
 }

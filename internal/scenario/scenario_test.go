@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -103,6 +104,15 @@ func TestParseErrorsAreLineAnchored(t *testing.T) {
 		{"bad op", minimal + "assertions:\n  - type: vnis_allocated\n    op: \"~=\"\n    value: 1\n", ":11:"},
 		{"bad drop reason", minimal + "assertions:\n  - type: switch_drops\n    target: gremlins\n    value: 1\n", ":11:"},
 		{"value not a number", minimal + "assertions:\n  - type: vnis_allocated\n    value: lots\n", ":11:"},
+		// Parameters are typed by their declaration, not by their name: a
+		// boolean that is not one used to mean false, and count: -1 was told
+		// it must be positive although 0 is legal.
+		{"flag not a boolean", minimal + "  - at: 1s\n    action: pingpong\n    tenant: a\n    job: j\n    tolerate_stall: maybe\n",
+			`:10: pingpong: tolerate_stall: not a boolean: "maybe"`},
+		{"negative count", "name: t\nhealth:\n  checkEvery: 1s\nevents:\n  - at: 0s\n    action: start_fleet\n  - at: 1s\n    action: wait_remediated\n    count: -1\n",
+			`:7: wait_remediated: count: must be a non-negative integer, got "-1"`},
+		{"vni beyond 32 bits", "name: t\nfleet:\n  vniPoolMax: 4294967296\n", `:3: fleet.vniPoolMax: must be a positive integer, got "4294967296"`},
+		{"two documents", minimal + "---\nname: second\n", "line 11: a scenario file holds one document"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,6 +122,9 @@ func TestParseErrorsAreLineAnchored(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+			if tc.name == "two documents" && !errors.Is(err, ErrSyntax) {
+				t.Errorf("error %q is not ErrSyntax", err)
 			}
 		})
 	}
@@ -683,5 +696,154 @@ assertions:
 			t.Logf("%s", a)
 		}
 		t.Fatal("traffic scenario failed")
+	}
+}
+
+// runAll runs an inline scenario and fails the test unless it completes
+// with every assertion holding; it returns the narration.
+func runAll(t *testing.T, src string) string {
+	t.Helper()
+	res := Run(mustParse(t, src))
+	if res.Err != nil {
+		t.Fatalf("run: %v", res.Err)
+	}
+	for _, a := range res.Asserts {
+		if !a.Pass {
+			t.Errorf("%s", a)
+		}
+	}
+	return strings.Join(res.Log, "\n")
+}
+
+// TestClaimFlow is the paper's Listing 2/3 flow, which no bundled scenario
+// runs: two jobs redeem one VniClaim and share its VNI; deleting the claim
+// stalls while they use it; once both are gone the VNI is released into
+// quarantine.
+func TestClaimFlow(t *testing.T) {
+	const head = `
+name: claim-flow
+fleet:
+  nodes: 2
+  tenants:
+    - name: a
+events:
+  - at: 0s
+    action: start_fleet
+  - at: 0s
+    action: create_claim
+    tenant: a
+    name: shared
+  - at: 1s
+    action: submit_job
+    tenant: a
+    name: j1
+    pods: 2
+    runtime: 1h
+    vni: shared
+  - at: 1s
+    action: submit_job
+    tenant: a
+    name: j2
+    runtime: 1h
+    vni: shared
+  - at: 1s
+    action: wait_running
+    tenant: a
+    pods: 3
+`
+	runAll(t, head+`assertions:
+  - type: vnis_allocated
+    value: 1
+  - type: pods_running
+    target: a
+    value: 3
+  - type: sync_errors
+    value: 0
+`)
+	const deleteClaim = `  - at: 2s
+    action: delete_claim
+    tenant: a
+    name: shared
+  - at: 3s
+    action: run_for
+    duration: 1s
+`
+	runAll(t, head+deleteClaim+`assertions:
+  - type: vnis_allocated
+    value: 1
+  - type: pods_running
+    target: a
+    value: 3
+`)
+	log := runAll(t, head+deleteClaim+`  - at: 5s
+    action: delete_job
+    tenant: a
+    name: j1
+  - at: 5s
+    action: delete_job
+    tenant: a
+    name: j2
+  - at: 6s
+    action: run_for
+    duration: 2s
+assertions:
+  - type: vnis_allocated
+    value: 0
+  - type: vnis_quarantined
+    value: 1
+  - type: sync_errors
+    value: 0
+`)
+	for _, want := range []string{"created claim a/shared", "deleted claim a/shared", "deleted job a/j2"} {
+		if !strings.Contains(log, want) {
+			t.Errorf("narration lacks %q:\n%s", want, log)
+		}
+	}
+}
+
+// TestCordonRemediateStaleReads runs the vocabulary no bundled scenario
+// does: cordon and uncordon move nodes_cordoned, remediate drives a full
+// operator-decreed run under a health: section, and stale_reads is a
+// probe a fault-free run reads as 0.
+func TestCordonRemediateStaleReads(t *testing.T) {
+	log := runAll(t, `
+name: vocabulary
+fleet:
+  nodes: 3
+  tenants:
+    - name: a
+health:
+  checkEvery: 100ms
+  replaceDelay: 200ms
+events:
+  - at: 0s
+    action: start_fleet
+  - at: 1s
+    action: cordon
+    target: node1
+  - at: 1s
+    action: uncordon
+    target: node1
+  - at: 2s
+    action: remediate
+    target: node2
+  - at: 2s
+    action: wait_remediated
+assertions:
+  - type: nodes_cordoned
+    value: 0
+  - type: remediations_done
+    value: 1
+  - type: stale_reads
+    value: 0
+`)
+	for _, want := range []string{"cordoning node1", "uncordoning node1", "operator remediation of node2", "uncordoned node2"} {
+		if !strings.Contains(log, want) {
+			t.Errorf("narration lacks %q:\n%s", want, log)
+		}
+	}
+	res := Run(mustParse(t, minimal+"  - at: 1s\n    action: cordon\n    target: node1\nassertions:\n  - type: nodes_cordoned\n    value: 1\n"))
+	if !res.Passed() {
+		t.Errorf("cordon did not leave one node cordoned: %v %v", res.Err, res.Asserts)
 	}
 }

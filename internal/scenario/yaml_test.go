@@ -4,9 +4,12 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"github.com/caps-sim/shs-k8s/internal/yamlsub"
 )
 
-// TestYAMLSyntaxErrors walks every structural error path in yaml.go,
+// TestYAMLSyntaxErrors walks every structural error path in the parser
+// (internal/yamlsub) and the one-document rule Parse adds on top of it,
 // pinning both the exact line anchor and the message text: these strings
 // are what a user sees when a scenario file (or a fuzz reproducer) is
 // malformed, and what the fuzz harness relies on to point at the offending
@@ -51,7 +54,7 @@ func TestYAMLSyntaxErrors(t *testing.T) {
 // quotes stripped, trailing comments cut, and colons without a following
 // space left alone (durations like "00:05" are scalars, not mappings).
 func TestYAMLScalarHandling(t *testing.T) {
-	root, err := parseTree(strings.NewReader(strings.Join([]string{
+	docs, err := yamlsub.ParseDocs(strings.NewReader(strings.Join([]string{
 		`a: "quoted value"`,
 		`b: 'single # not a comment'`,
 		`c: plain # comment`,
@@ -61,9 +64,10 @@ func TestYAMLScalarHandling(t *testing.T) {
 		`  - one`,
 		`  - "two"`,
 	}, "\n")))
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(docs) != 1 {
+		t.Fatalf("ParseDocs: %d documents, %v", len(docs), err)
 	}
+	root := docs[0]
 	for _, tc := range []struct{ key, want string }{
 		{"a", "quoted value"},
 		{"b", "single # not a comment"},
@@ -71,16 +75,16 @@ func TestYAMLScalarHandling(t *testing.T) {
 		{"d", "10s"},
 		{"e", ""},
 	} {
-		if got := root.str(tc.key); got != tc.want {
+		if got := root.Str(tc.key); got != tc.want {
 			t.Errorf("%s = %q, want %q", tc.key, got, tc.want)
 		}
 	}
-	list := root.get("list")
-	if list == nil || list.kind != seqNode || len(list.items) != 2 {
+	list := root.Get("list")
+	if list == nil || list.Kind != yamlsub.Seq || len(list.Items) != 2 {
 		t.Fatalf("list not parsed as a 2-item sequence: %+v", list)
 	}
-	if list.items[0].scalar != "one" || list.items[1].scalar != "two" {
-		t.Errorf("scalar items = %q, %q", list.items[0].scalar, list.items[1].scalar)
+	if list.Items[0].Scalar != "one" || list.Items[1].Scalar != "two" {
+		t.Errorf("scalar items = %q, %q", list.Items[0].Scalar, list.Items[1].Scalar)
 	}
 }
 
