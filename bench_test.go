@@ -520,15 +520,16 @@ func runControlPlane(jobs int) (simSeconds float64, err error) {
 
 // cpAllocBudgetPerJob is what one job may allocate on its way through the
 // admission pipeline at 200 jobs (stack construction included): the
-// measured 173.9 objects — 177.5 with go1.22's map implementation
-// (GOEXPERIMENT=noswissmap on this toolchain) — plus ~2 %. Before watch
-// deliveries were pooled, informer cells stable and idempotent webhook
-// rounds echoes (PR 19) the same run allocated 262.5 per job; before
-// committed API objects became immutable and shared (PR 16), 413.0. A
-// change that takes the count past the budget has put an allocation back
-// on every commit, every delivery or every webhook round; lower the budget
-// when a change lowers the count.
-const cpAllocBudgetPerJob = 181
+// measured 118.6 objects — 122.3 with go1.22's map implementation
+// (GOEXPERIMENT=noswissmap on this toolchain) — plus ~2 %. Before index
+// buckets held their first entry inline, index values were pairs and an
+// idempotent webhook round an echo by pointer (PR 21) the same run
+// allocated 173.9 per job; before watch deliveries were pooled and informer
+// cells stable (PR 19), 262.5; before committed API objects became
+// immutable and shared (PR 16), 413.0. A change that takes the count past
+// the budget has put an allocation back on every commit, every delivery or
+// every webhook round; lower the budget when a change lowers the count.
+const cpAllocBudgetPerJob = 125
 
 // TestControlPlaneAllocBudget is the control-plane perf gate that cannot
 // flake: it asserts the allocation count of the benchControlPlane body,
@@ -552,11 +553,10 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 
 // spikeAllocBudget is what one run of the paper's Fig 11/12 burst — 500
 // vni:true jobs, each deleted as it completes — may allocate, stack
-// included: the measured 99 483 objects (101 652 with go1.22's map
-// implementation) plus ~2 %. It is the count
-// behind the repository benchmark's admission_spike500 workload, asserted
-// where it cannot flake.
-const spikeAllocBudget = 103700
+// included: the measured 71 606 objects (73 783 with go1.22's map
+// implementation) plus ~2 %. It is the count behind the repository
+// benchmark's admission_spike500 workload, asserted where it cannot flake.
+const spikeAllocBudget = 75300
 
 // TestAdmissionSpikeAllocBudget is TestControlPlaneAllocBudget's sibling
 // for the paper-fidelity admission path.
@@ -613,7 +613,7 @@ func BenchmarkControlPlane_ListVsLister(b *testing.B) {
 		}})
 	}
 	eng.Run()
-	const wantJob = "fleet/job-0042"
+	wantJob := k8s.IndexKey{Namespace: "fleet", Name: "job-0042"}
 	match := func(objs []k8s.Object) int {
 		n := 0
 		for _, obj := range objs {

@@ -133,7 +133,8 @@ func (p *CXIPlugin) Add(args Args, prev *Result, done func(*Result, error)) {
 // VNI CRD in the namespace.
 func (p *CXIPlugin) fetchVNI(args Args, jobName string, retries int, done func(fabric.VNI, error)) {
 	p.eng.After(p.eng.Jitter(p.cfg.APIQueryCost, 0.3), func() {
-		for _, obj := range p.vnis.ByIndex(vniapi.IndexVNIByJob, args.PodNamespace+"/"+jobName) {
+		var buf [1]k8s.Object // a job has one VNI CRD instance
+		for _, obj := range p.vnis.AppendByIndex(buf[:0], vniapi.IndexVNIByJob, k8s.IndexKey{Namespace: args.PodNamespace, Name: jobName}) {
 			cr := obj.(*k8s.Custom)
 			v, err := strconv.ParseUint(cr.Spec[vniapi.SpecVNI], 10, 32)
 			if err != nil {

@@ -127,13 +127,24 @@ func (s *Server) Serve(r io.Reader, w io.Writer) error {
 // ServeSocket listens on a Unix socket and serves sessions sequentially
 // until one of them quits. A stale socket file at path is replaced.
 func (s *Server) ServeSocket(path string) error {
-	os.Remove(path)
-	l, err := net.Listen("unix", path)
+	l, err := Listen(path)
 	if err != nil {
 		return err
 	}
+	return s.ServeListener(l)
+}
+
+// Listen binds the Unix socket at path, replacing a stale socket file;
+// clients can connect from then on.
+func Listen(path string) (net.Listener, error) {
+	os.Remove(path)
+	return net.Listen("unix", path)
+}
+
+// ServeListener is ServeSocket on a bound socket. It closes l, which
+// removes the socket file, when it returns.
+func (s *Server) ServeListener(l net.Listener) error {
 	defer l.Close()
-	defer os.Remove(path)
 	for {
 		conn, err := l.Accept()
 		if err != nil {

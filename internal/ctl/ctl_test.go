@@ -244,24 +244,31 @@ events:
 	}
 }
 
-// TestSocketSession serves the protocol over a Unix socket: one client
-// session runs commands and quits, which shuts the server down.
-func TestSocketSession(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ctl.sock")
+// serveSocket binds path and serves it in the background. The socket is
+// listening when serveSocket returns, so a test dials it at once; done
+// yields ServeListener's result (a server that never returns is the test
+// binary's -timeout to report).
+func serveSocket(t *testing.T, path string) (done <-chan error) {
+	t.Helper()
 	srv, err := New(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeSocket(path) }()
-
-	var conn net.Conn
-	for i := 0; i < 100; i++ {
-		if conn, err = net.Dial("unix", path); err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	l, err := Listen(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ch := make(chan error, 1)
+	go func() { ch <- srv.ServeListener(l) }()
+	return ch
+}
+
+// TestSocketSession serves the protocol over a Unix socket: one client
+// session runs commands and quits, which shuts the server down.
+func TestSocketSession(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ctl.sock")
+	done := serveSocket(t, path)
+	conn, err := net.Dial("unix", path)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -278,13 +285,8 @@ func TestSocketSession(t *testing.T) {
 			t.Errorf("socket transcript missing %q:\n%s", want, out.String())
 		}
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("ServeSocket: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("ServeSocket did not return after quit")
+	if err := <-done; err != nil {
+		t.Errorf("ServeListener: %v", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("socket file not cleaned up: %v", err)
@@ -294,28 +296,18 @@ func TestSocketSession(t *testing.T) {
 // TestSocketSurvivesAbruptDisconnect: a client that drops its connection
 // without sending quit must not take the server down — the listener goes
 // back to Accept and serves the next session, and only an explicit quit
-// ends ServeSocket.
+// ends the server. A server that exited on the disconnect would close the
+// listener under the second session, which then reads no "bye".
 func TestSocketSurvivesAbruptDisconnect(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ctl.sock")
-	srv, err := New(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeSocket(path) }()
-
+	done := serveSocket(t, path)
 	dial := func() net.Conn {
 		t.Helper()
-		var conn net.Conn
-		var derr error
-		for i := 0; i < 100; i++ {
-			if conn, derr = net.Dial("unix", path); derr == nil {
-				return conn
-			}
-			time.Sleep(10 * time.Millisecond)
+		conn, err := net.Dial("unix", path)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
 		}
-		t.Fatalf("dial: %v", derr)
-		return nil
+		return conn
 	}
 
 	// Session 1: run a command mid-stream, then hang up without quit.
@@ -324,11 +316,6 @@ func TestSocketSurvivesAbruptDisconnect(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	conn.Close()
-	select {
-	case err := <-done:
-		t.Fatalf("server exited on client disconnect: %v", err)
-	case <-time.After(100 * time.Millisecond):
-	}
 
 	// Session 2 on the same listener still works and can end the server.
 	conn = dial()
@@ -345,13 +332,8 @@ func TestSocketSurvivesAbruptDisconnect(t *testing.T) {
 			t.Errorf("second session transcript missing %q:\n%s", want, out.String())
 		}
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("ServeSocket: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("ServeSocket did not return after quit")
+	if err := <-done; err != nil {
+		t.Errorf("ServeListener: %v", err)
 	}
 }
 

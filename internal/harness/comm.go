@@ -244,7 +244,7 @@ func runningPods(st *stack.Stack) int {
 // jobVNI reads the VNI assigned to a job from its VNI CRD instance via the
 // by-job index.
 func jobVNI(st *stack.Stack, namespace, jobName string) (fabric.VNI, error) {
-	for _, obj := range vniapi.VNILister(st.Cluster.Client).ByIndex(vniapi.IndexVNIByJob, namespace+"/"+jobName) {
+	for _, obj := range vniapi.VNILister(st.Cluster.Client).ByIndex(vniapi.IndexVNIByJob, k8s.IndexKey{Namespace: namespace, Name: jobName}) {
 		cr := obj.(*k8s.Custom)
 		v, err := strconv.ParseUint(cr.Spec[vniapi.SpecVNI], 10, 32)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/sim"
@@ -556,6 +557,16 @@ func (a *APIServer) commit(r *request) error {
 	}
 }
 
+// newUID mints "uid-" and the next serial number, zero-padded to six digits
+// (what fmt's "uid-%06d" prints), as its one allocation.
+func (a *APIServer) newUID() UID {
+	a.nextUID++
+	var digits, buf [24]byte
+	d := strconv.AppendInt(digits[:0], int64(a.nextUID), 10)
+	b := append(buf[:0], "uid-000000"[:max(4, 10-len(d))]...)
+	return UID(append(b, d...))
+}
+
 func notFound(kind Kind, namespace, name string) error {
 	return fmt.Errorf("%w: %s %s/%s", ErrNotFound, kind, namespace, name)
 }
@@ -570,8 +581,7 @@ func (a *APIServer) commitCreate(obj Object) error {
 	if _, exists := a.store(m.Kind)[key]; exists {
 		return fmt.Errorf("%w: %s %s", ErrAlreadyExists, m.Kind, key)
 	}
-	a.nextUID++
-	m.UID = UID(fmt.Sprintf("uid-%06d", a.nextUID))
+	m.UID = a.newUID()
 	m.key = key
 	m.Created = a.eng.Now()
 	a.rev++

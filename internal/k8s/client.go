@@ -3,41 +3,48 @@ package k8s
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
 
-// IndexFunc computes the value an object is filed under in one index; ""
-// leaves the object out of it.
-type IndexFunc func(Object) string
+// IndexKey is the value an object is filed under in one index: a pair, so
+// that a namespaced name is two strings the object already holds and neither
+// filing nor looking up builds one. A one-string value goes in Name.
+type IndexKey struct{ Namespace, Name string }
+
+// IndexFunc computes the value an object is filed under in one index; the
+// zero IndexKey leaves the object out of it.
+type IndexFunc func(Object) IndexKey
 
 // Built-in index names. Consumers register further indexes per informer
 // (e.g. vniapi's VNIs-by-job index).
 const (
-	// IndexPodJob files pods under "namespace/job-name" (the job-name
+	// IndexPodJob files pods under {namespace, job-name} (the job-name
 	// label the job controller stamps on its pods).
 	IndexPodJob = "pod-job"
-	// IndexOwner files objects under their OwnerUID.
+	// IndexOwner files objects under {"", OwnerUID}.
 	IndexOwner = "owner"
 )
 
 // PodJobIndex is the IndexFunc behind IndexPodJob.
-func PodJobIndex(obj Object) string {
+func PodJobIndex(obj Object) IndexKey {
 	p, ok := obj.(*Pod)
 	if !ok {
-		return ""
+		return IndexKey{}
 	}
 	job := p.Meta.Labels["job-name"]
 	if job == "" {
-		return ""
+		return IndexKey{}
 	}
-	return p.Meta.Namespace + "/" + job
+	return IndexKey{p.Meta.Namespace, job}
 }
 
 // OwnerIndex is the IndexFunc behind IndexOwner.
-func OwnerIndex(obj Object) string { return string(obj.GetMeta().OwnerUID) }
+func OwnerIndex(obj Object) IndexKey { return IndexKey{Name: string(obj.GetMeta().OwnerUID)} }
 
 // WatchOptions scope a watch registration. The zero value watches the whole
 // kind, like the raw APIServer.Watch broadcast.
@@ -63,37 +70,72 @@ type watchReg struct {
 
 // cell is the cache entry of one key for as long as the key is cached: the
 // object map, the per-namespace view and every index bucket point at the
-// cell, so absorbing a new version of the object is one pointer store.
-type cell struct {
-	obj Object
-	// vals[i] is the value the cell is filed under in Informer.indexes[i]
-	// ("" = unfiled): what an update compares against and a removal unfiles.
-	vals []string
+// cell, so absorbing a new version of the object is one pointer store. Where
+// it is filed is not recorded: index functions are pure and obj immutable,
+// so they say it again when an update compares or a removal unfiles.
+type cell struct{ obj Object }
+
+// bucket is the set of cells filed under one value. Most values — a 1-pod
+// job's pods, an owner's one child — file one object, so the first entry
+// sits in the bucket itself and m, object key -> cell, is made for the
+// second. c is nil while that slot is free, even beside a populated m.
+type bucket struct {
+	c *cell
+	m map[string]*cell
+}
+
+func (b bucket) len() int {
+	if b.c == nil {
+		return len(b.m)
+	}
+	return 1 + len(b.m)
+}
+
+// appendTo appends the bucket's objects to dst in key order.
+func (b bucket) appendTo(dst []Object) []Object {
+	n := len(dst)
+	dst = slices.Grow(dst, b.len())
+	if b.c != nil {
+		dst = append(dst, b.c.obj)
+	}
+	for _, c := range b.m {
+		dst = append(dst, c.obj)
+	}
+	slices.SortFunc(dst[n:], func(x, y Object) int { return strings.Compare(x.GetMeta().Key(), y.GetMeta().Key()) })
+	return dst
 }
 
 type informerIndex struct {
-	name string
-	fn   IndexFunc
-	// buckets maps index value -> object key -> cell.
-	buckets map[string]map[string]*cell
+	name    string
+	fn      IndexFunc
+	buckets map[IndexKey]bucket
 }
 
-// file adds c under bucket value v of m; unfile takes it out again and drops
-// the bucket with its last entry. The per-namespace view and every index go
-// through this pair, whether the cell arrives by event, backfill or relist.
-func file(m map[string]map[string]*cell, v, key string, c *cell) {
+// file adds c, the cell of key and not yet in it, to bucket v of m; unfile
+// takes it out again and drops the bucket with its last entry. The
+// per-namespace view and every index go through this pair, whether the cell
+// arrives by event, backfill or relist.
+func file(m map[IndexKey]bucket, v IndexKey, key string, c *cell) {
 	b := m[v]
-	if b == nil {
-		b = make(map[string]*cell)
-		m[v] = b
+	switch {
+	case b.c == nil:
+		b.c = c
+	case b.m == nil:
+		b.m = map[string]*cell{key: c}
+	default:
+		b.m[key] = c
 	}
-	b[key] = c
+	m[v] = b
 }
 
-func unfile(m map[string]map[string]*cell, v, key string) {
+func unfile(m map[IndexKey]bucket, v IndexKey, key string, c *cell) {
 	b := m[v]
-	delete(b, key)
-	if len(b) == 0 {
+	if b.c == c {
+		b.c = nil
+	} else {
+		delete(b.m, key)
+	}
+	if m[v] = b; b.len() == 0 {
 		delete(m, v)
 	}
 }
@@ -105,10 +147,11 @@ func unfile(m map[string]map[string]*cell, v, key string) {
 // the event, so a handler reading through a Lister always sees at least the
 // state that triggered it — the ordering real shared informers guarantee.
 type Informer struct {
-	api      *APIServer
-	kind     Kind
-	objs     map[string]*cell
-	byNS     map[string]map[string]*cell
+	api  *APIServer
+	kind Kind
+	objs map[string]*cell
+	// byNS is the per-namespace view: the cells under {namespace, ""}.
+	byNS     map[IndexKey]bucket
 	indexes  []*informerIndex
 	handlers []*watchReg
 	// changes counts the mutations of the cache (apply, remove, relist),
@@ -152,9 +195,9 @@ func (inf *Informer) load() (old map[string]*cell) {
 	old = inf.objs
 	store := inf.api.store(inf.kind)
 	inf.objs = make(map[string]*cell, len(store))
-	inf.byNS = make(map[string]map[string]*cell)
+	inf.byNS = make(map[IndexKey]bucket)
 	for _, ix := range inf.indexes {
-		ix.buckets = make(map[string]map[string]*cell)
+		ix.buckets = make(map[IndexKey]bucket)
 	}
 	for key, obj := range store {
 		inf.apply(key, obj)
@@ -172,12 +215,10 @@ func (inf *Informer) AddIndex(name string, fn IndexFunc) {
 			return
 		}
 	}
-	ix := &informerIndex{name: name, fn: fn, buckets: make(map[string]map[string]*cell)}
+	ix := &informerIndex{name: name, fn: fn, buckets: make(map[IndexKey]bucket)}
 	inf.indexes = append(inf.indexes, ix)
 	for key, c := range inf.objs {
-		v := fn(c.obj)
-		c.vals = append(c.vals, v)
-		if v != "" {
+		if v := fn(c.obj); v != (IndexKey{}) {
 			file(ix.buckets, v, key, c)
 		}
 	}
@@ -204,23 +245,27 @@ func (inf *Informer) apply(key string, obj Object) {
 	inf.changes++
 	c := inf.objs[key]
 	if c == nil {
-		c = &cell{vals: make([]string, len(inf.indexes))}
+		c = &cell{}
 		inf.objs[key] = c
-		file(inf.byNS, obj.GetMeta().Namespace, key, c)
+		file(inf.byNS, IndexKey{Namespace: obj.GetMeta().Namespace}, key, c)
 	}
+	old := c.obj
 	c.obj = obj
-	for i, ix := range inf.indexes {
+	for _, ix := range inf.indexes {
+		var was IndexKey
+		if old != nil {
+			was = ix.fn(old)
+		}
 		v := ix.fn(obj)
-		if v == c.vals[i] {
+		if v == was {
 			continue
 		}
-		if c.vals[i] != "" {
-			unfile(ix.buckets, c.vals[i], key)
+		if was != (IndexKey{}) {
+			unfile(ix.buckets, was, key, c)
 		}
-		if v != "" {
+		if v != (IndexKey{}) {
 			file(ix.buckets, v, key, c)
 		}
-		c.vals[i] = v
 	}
 }
 
@@ -231,10 +276,10 @@ func (inf *Informer) remove(key string) {
 	}
 	inf.changes++
 	delete(inf.objs, key)
-	unfile(inf.byNS, c.obj.GetMeta().Namespace, key)
-	for i, ix := range inf.indexes {
-		if c.vals[i] != "" {
-			unfile(ix.buckets, c.vals[i], key)
+	unfile(inf.byNS, IndexKey{Namespace: c.obj.GetMeta().Namespace}, key, c)
+	for _, ix := range inf.indexes {
+		if v := ix.fn(c.obj); v != (IndexKey{}) {
+			unfile(ix.buckets, v, key, c)
 		}
 	}
 }
@@ -325,7 +370,9 @@ func (inf *Informer) noteRead() {
 
 // Lister is a cached, index-capable read view over one kind. Reads cost no
 // API round trip and hand out committed objects: read-only, like every read
-// (docs/controlplane.md, "Object ownership").
+// (docs/controlplane.md, "Object ownership"). An index is read by the
+// IndexKey its IndexFunc files under; AppendByIndex into a buffer the caller
+// keeps makes the read allocate nothing.
 type Lister struct {
 	inf *Informer
 }
@@ -343,23 +390,27 @@ func (l Lister) Get(namespace, name string) (Object, bool) {
 func (l Lister) List(namespace string) []Object {
 	l.inf.noteRead()
 	if namespace == "" {
-		return sortedValues(l.inf.objs)
+		return bucket{m: l.inf.objs}.appendTo(nil)
 	}
-	return sortedValues(l.inf.byNS[namespace])
+	return l.inf.byNS[IndexKey{Namespace: namespace}].appendTo(nil)
 }
 
-// ByIndex returns the cached objects filed under value in the named index,
-// in key order. O(match), not O(all objects).
-func (l Lister) ByIndex(name, value string) []Object {
+// AppendByIndex appends to dst the cached objects filed under key in the
+// named index, in object-key order. O(match), not O(all objects).
+func (l Lister) AppendByIndex(dst []Object, name string, key IndexKey) []Object {
 	l.inf.noteRead()
-	return sortedValues(l.inf.index(name).buckets[value])
+	return l.inf.index(name).buckets[key].appendTo(dst)
 }
 
-// IndexCount reports how many cached objects are filed under value — the
-// allocation-free form of len(ByIndex(...)).
-func (l Lister) IndexCount(name, value string) int {
+// ByIndex is AppendByIndex into a new slice (nil when nothing matches).
+func (l Lister) ByIndex(name string, key IndexKey) []Object {
+	return l.AppendByIndex(nil, name, key)
+}
+
+// IndexCount reports how many cached objects are filed under key.
+func (l Lister) IndexCount(name string, key IndexKey) int {
 	l.inf.noteRead()
-	return len(l.inf.index(name).buckets[value])
+	return l.inf.index(name).buckets[key].len()
 }
 
 // Unchanged reports whether the cache is as it was when the previous call
@@ -375,27 +426,6 @@ func (l Lister) Unchanged(mark *uint64) bool {
 	}
 	l.inf.noteRead()
 	return true
-}
-
-func sortedValues(src map[string]*cell) []Object {
-	switch len(src) {
-	case 0:
-		return nil
-	case 1: // every pods-by-job and children-by-owner lookup of a 1-pod job
-		for _, c := range src {
-			return []Object{c.obj}
-		}
-	}
-	keys := make([]string, 0, len(src))
-	for k := range src {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Object, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, src[k].obj)
-	}
-	return out
 }
 
 // Client is the typed control-plane client: request-scoped writes with

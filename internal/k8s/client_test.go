@@ -176,7 +176,7 @@ func TestListerReflectsEventBeforeHandlers(t *testing.T) {
 		}
 		if ev.Type != EventDeleted {
 			p := ev.Object.(*Pod)
-			if n := lister.IndexCount(IndexPodJob, p.Meta.Namespace+"/"+p.Meta.Labels["job-name"]); n != 1 {
+			if n := lister.IndexCount(IndexPodJob, IndexKey{p.Meta.Namespace, p.Meta.Labels["job-name"]}); n != 1 {
 				t.Errorf("index not updated before handler: count = %d", n)
 			}
 		}

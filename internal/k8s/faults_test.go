@@ -390,25 +390,25 @@ func TestRelistRebuildsIndexesAtomically(t *testing.T) {
 	inf.AddIndex(IndexPodJob, PodJobIndex)
 	inf.AddIndex(IndexOwner, OwnerIndex)
 	// A custom index in the spirit of vniapi's VNIs-by-job: pods by node.
-	inf.AddIndex("by-node", func(obj Object) string { return obj.(*Pod).Spec.NodeName })
+	inf.AddIndex("by-node", func(obj Object) IndexKey { return IndexKey{Name: obj.(*Pod).Spec.NodeName} })
 	lister := inf.Lister()
 
 	// checkConsistent recomputes every index from the lister's full List
 	// and cross-checks ByIndex; any half-updated swap diverges.
 	checkConsistent := func(where string) {
 		all := lister.List("")
-		type want struct{ job, owner, node map[string]int }
-		w := want{map[string]int{}, map[string]int{}, map[string]int{}}
+		type want struct{ job, owner, node map[IndexKey]int }
+		w := want{map[IndexKey]int{}, map[IndexKey]int{}, map[IndexKey]int{}}
 		for _, obj := range all {
 			p := obj.(*Pod)
-			if v := PodJobIndex(p); v != "" {
+			if v := PodJobIndex(p); v != (IndexKey{}) {
 				w.job[v]++
 			}
-			if v := OwnerIndex(p); v != "" {
+			if v := OwnerIndex(p); v != (IndexKey{}) {
 				w.owner[v]++
 			}
 			if p.Spec.NodeName != "" {
-				w.node[p.Spec.NodeName]++
+				w.node[IndexKey{Name: p.Spec.NodeName}]++
 			}
 		}
 		for v, n := range w.job {

@@ -13,19 +13,19 @@ import (
 
 const kindWidget Kind = "Widget"
 
-func widgetColorIndex(obj Object) string { return obj.(*Custom).Spec["color"] }
+func widgetColorIndex(obj Object) IndexKey { return IndexKey{Name: obj.(*Custom).Spec["color"]} }
 
 // oracleIndex is one registered index as the oracle sees it: the function,
 // and every value any object was ever filed under.
 type oracleIndex struct {
 	name string
 	fn   IndexFunc
-	used map[string]bool
+	used map[IndexKey]bool
 }
 
 // scanIndex is what the informer's buckets replaced: every stored object of
 // the kind, in key order, whose index value is v.
-func scanIndex(store map[string]Object, keys []string, fn IndexFunc, v string) []Object {
+func scanIndex(store map[string]Object, keys []string, fn IndexFunc, v IndexKey) []Object {
 	var out []Object
 	for _, k := range keys {
 		if fn(store[k]) == v {
@@ -38,7 +38,8 @@ func scanIndex(store map[string]Object, keys []string, fn IndexFunc, v string) [
 // checkInformerAgainstStore recomputes every read the lister serves from
 // the store alone — Get, List, ByIndex and IndexCount for every value ever
 // used, in key order — and compares; then the shape of the cache itself:
-// no bucket without an entry, none for the unfiled value.
+// no bucket without an entry, none for the unfiled value, and every bucket
+// well formed (checkBucket).
 func checkInformerAgainstStore(t *testing.T, when string, api *APIServer, kind Kind, namespaces, names []string, indexes []*oracleIndex) {
 	t.Helper()
 	inf := api.Client().Informer(kind)
@@ -75,11 +76,14 @@ func checkInformerAgainstStore(t *testing.T, when string, api *APIServer, kind K
 	if len(inf.byNS) != len(byNS) {
 		t.Fatalf("%s: %s cache keeps %d namespace views, %d namespaces hold objects", when, kind, len(inf.byNS), len(byNS))
 	}
+	for v, b := range inf.byNS {
+		checkBucket(t, when, inf, "namespace view", v, b)
+	}
 
 	for _, ix := range indexes {
-		live := make(map[string]bool)
+		live := make(map[IndexKey]bool)
 		for _, k := range keys {
-			if v := ix.fn(store[k]); v != "" {
+			if v := ix.fn(store[k]); v != (IndexKey{}) {
 				live[v], ix.used[v] = true, true
 			}
 		}
@@ -93,11 +97,32 @@ func checkInformerAgainstStore(t *testing.T, when string, api *APIServer, kind K
 				t.Fatalf("%s: %s IndexCount(%s, %q) = %d, store scan %d", when, kind, ix.name, v, got, len(want))
 			}
 		}
-		if n := l.IndexCount(ix.name, ""); n != 0 {
+		if n := l.IndexCount(ix.name, IndexKey{}); n != 0 {
 			t.Fatalf("%s: %s index %s files %d objects under the unfiled value", when, kind, ix.name, n)
 		}
 		if got := len(inf.index(ix.name).buckets); got != len(live) {
 			t.Fatalf("%s: %s index %s keeps %d buckets, %d values are in use", when, kind, ix.name, got, len(live))
+		}
+		for v, b := range inf.index(ix.name).buckets {
+			checkBucket(t, when, inf, "index "+ix.name, v, b)
+		}
+	}
+}
+
+// checkBucket holds one bucket to its representation: it is not empty, the
+// inline entry and every map entry is the informer's cell of the key it is
+// filed under, and no key is filed twice.
+func checkBucket(t *testing.T, when string, inf *Informer, where string, v IndexKey, b bucket) {
+	t.Helper()
+	if b.len() == 0 {
+		t.Fatalf("%s: %s %s keeps an empty bucket for %q", when, inf.kind, where, v)
+	}
+	if b.c != nil && inf.objs[b.c.obj.GetMeta().Key()] != b.c {
+		t.Fatalf("%s: %s %s %q: the inline entry is not the cell of %s", when, inf.kind, where, v, b.c.obj.GetMeta().Key())
+	}
+	for key, c := range b.m {
+		if c == nil || inf.objs[key] != c || c == b.c {
+			t.Fatalf("%s: %s %s %q: map entry %q is not that key's cell, or is the inline entry again", when, inf.kind, where, v, key)
 		}
 	}
 }
@@ -124,11 +149,11 @@ func TestInformerMatchesStoreScan(t *testing.T) {
 
 		indexes := map[Kind][]*oracleIndex{
 			KindPod: {
-				{name: IndexPodJob, fn: PodJobIndex, used: map[string]bool{}},
-				{name: IndexOwner, fn: OwnerIndex, used: map[string]bool{}},
+				{name: IndexPodJob, fn: PodJobIndex, used: map[IndexKey]bool{}},
+				{name: IndexOwner, fn: OwnerIndex, used: map[IndexKey]bool{}},
 			},
 			KindJob:    nil,
-			kindWidget: {{name: IndexOwner, fn: OwnerIndex, used: map[string]bool{}}},
+			kindWidget: {{name: IndexOwner, fn: OwnerIndex, used: map[IndexKey]bool{}}},
 		}
 		kinds := []Kind{KindPod, KindJob, kindWidget}
 		for _, kind := range kinds {
@@ -219,7 +244,7 @@ func TestInformerMatchesStoreScan(t *testing.T) {
 			switch {
 			case step == steps/2:
 				// An index registered late is backfilled from the cache.
-				ix := &oracleIndex{name: "color", fn: widgetColorIndex, used: map[string]bool{}}
+				ix := &oracleIndex{name: "color", fn: widgetColorIndex, used: map[IndexKey]bool{}}
 				cli.Informer(kindWidget).AddIndex(ix.name, ix.fn)
 				indexes[kindWidget] = append(indexes[kindWidget], ix)
 				op = "add index"
@@ -248,10 +273,65 @@ func TestInformerMatchesStoreScan(t *testing.T) {
 	}
 }
 
+// TestIndexBucketTransitions walks one pods-by-job bucket and one owner
+// bucket through every shape a bucket takes — empty, one inline entry, an
+// inline entry beside a map, a map beside a free inline slot, and back —
+// with the store-scan oracle after each step: two pods of one job, the
+// delete of the inline entry and of a map entry, a re-parenting, a relist.
+// The same job name in a second namespace is another value of the pair.
+func TestIndexBucketTransitions(t *testing.T) {
+	eng, api := newTestAPI()
+	cli := api.Client()
+	indexes := []*oracleIndex{
+		{name: IndexPodJob, fn: PodJobIndex, used: map[IndexKey]bool{}},
+		{name: IndexOwner, fn: OwnerIndex, used: map[IndexKey]bool{}},
+	}
+	inf := cli.Informer(KindPod)
+	for _, ix := range indexes {
+		inf.AddIndex(ix.name, ix.fn)
+	}
+	job := IndexKey{"a", "j"}
+	step := func(what string, wantJob int, do func()) {
+		t.Helper()
+		do()
+		eng.Run()
+		checkInformerAgainstStore(t, what, api, KindPod, []string{"a", "b"}, []string{"p0", "p1", "p2", "p3"}, indexes)
+		if got := inf.Lister().IndexCount(IndexPodJob, job); got != wantJob {
+			t.Fatalf("%s: %d pods filed under %v, want %d", what, got, job, wantJob)
+		}
+	}
+	create := func(ns, name string, owner UID) func() {
+		return func() {
+			cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: ns, Name: name,
+				Labels: map[string]string{"job-name": "j"}, OwnerUID: owner}})
+		}
+	}
+	del := func(name string) func() { return func() { cli.Delete(KindPod, "a", name) } }
+
+	step("0→1: first pod, inline", 1, create("a", "p0", "u1"))
+	step("the same job name in another namespace", 1, create("b", "p0", "u1"))
+	step("1→2: second pod, the map is made", 2, create("a", "p1", "u1"))
+	step("2→3", 3, create("a", "p2", "u1"))
+	step("3→2: the inline entry leaves, the map stays", 2, del("p0"))
+	step("2→3: the free inline slot is taken again", 3, create("a", "p3", "u1"))
+	step("3→2: a map entry leaves", 2, del("p1"))
+	step("re-parented: the pod changes owner buckets, not job buckets", 2, func() {
+		cli.Patch(KindPod, "a", "p2", func(obj Object) bool { obj.GetMeta().OwnerUID = "u2"; return true })
+	})
+	step("relist behind a broken watch", 3, func() {
+		api.BreakWatch(KindPod)
+		create("a", "p0", "u2")()
+		eng.Run()
+		inf.relist()
+	})
+	step("3→2", 2, del("p3"))
+	step("2→1", 1, del("p2"))
+	step("1→0: the bucket is dropped", 0, del("p0"))
+}
+
 // TestInformerUpdateTouchesNoMap pins what absorbing a new version of a
 // cached object costs when no index value changed: one lookup and a
-// pointer store — nothing allocated beyond the index functions' own work
-// (PodJobIndex concatenates its value), no bucket made or dropped.
+// pointer store — nothing allocated, no bucket made or dropped.
 func TestInformerUpdateTouchesNoMap(t *testing.T) {
 	eng, api := newTestAPI()
 	cli := api.Client()
@@ -263,21 +343,14 @@ func TestInformerUpdateTouchesNoMap(t *testing.T) {
 	mustCreate(t, eng, api, pod)
 
 	c := inf.objs[pod.Meta.Key()]
-	jobBucket := inf.index(IndexPodJob).buckets["ns/j"]
 	next := pod.Clone()
-	var indexFuncs float64
-	for _, fn := range []IndexFunc{PodJobIndex, OwnerIndex} {
-		indexFuncs += testing.AllocsPerRun(100, func() { fn(next) })
-	}
-	allocs := testing.AllocsPerRun(100, func() { inf.apply(pod.Meta.Key(), next) })
-	if allocs > indexFuncs {
-		t.Errorf("absorbing an update allocates %v objects, its index functions %v", allocs, indexFuncs)
+	if allocs := testing.AllocsPerRun(100, func() { inf.apply(pod.Meta.Key(), next) }); allocs != 0 {
+		t.Errorf("absorbing an update allocates %v objects, want 0", allocs)
 	}
 	if inf.objs[pod.Meta.Key()] != c || c.obj != next {
 		t.Error("the update replaced the cell instead of storing into it")
 	}
-	if got := inf.index(IndexPodJob).buckets["ns/j"]; len(got) != 1 || got[pod.Meta.Key()] != c ||
-		fmt.Sprintf("%p", got) != fmt.Sprintf("%p", jobBucket) {
-		t.Error("the update re-made the pod's job bucket")
+	if got := inf.index(IndexPodJob).buckets[IndexKey{"ns", "j"}]; got.c != c || got.m != nil {
+		t.Errorf("the update re-filed the pod: its job bucket is %+v", got)
 	}
 }

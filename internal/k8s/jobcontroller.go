@@ -2,7 +2,7 @@ package k8s
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/sim"
@@ -58,6 +58,11 @@ type JobController struct {
 	// only launch when their acquisition request for a fresh VNI has been
 	// served").
 	gate func(job *Job) bool
+
+	// patches recycles onPodUpdate's records; recounted is the buffer their
+	// pods-by-job reads land in, empty between recounts.
+	patches   sim.FreeList[statusPatch]
+	recounted []Object
 }
 
 // NewJobController creates and starts the controller.
@@ -119,6 +124,7 @@ func (c *JobController) pump() {
 	}
 	c.busy = true
 	key := c.queue[0]
+	c.queue[0] = "" // the backing array outlives the pop: keep no key alive in it
 	c.queue = c.queue[1:]
 	delete(c.queued, key)
 	eng := c.cli.Engine()
@@ -142,7 +148,7 @@ func (c *JobController) pump() {
 // reconcile creates the next missing pod for the job, re-queueing itself
 // until Parallelism pods exist.
 func (c *JobController) reconcile(key string) {
-	ns, name := splitKey(key)
+	ns, name := SplitKey(key)
 	obj, ok := c.cli.Get(KindJob, ns, name)
 	if !ok {
 		return
@@ -163,7 +169,7 @@ func (c *JobController) reconcile(key string) {
 		Meta: Meta{
 			Kind:        KindPod,
 			Namespace:   job.Meta.Namespace,
-			Name:        fmt.Sprintf("%s-%d", job.Meta.Name, n),
+			Name:        job.Meta.Name + "-" + strconv.Itoa(n),
 			Annotations: job.Meta.Annotations, // an immutable value: shared, not copied
 			Labels:      map[string]string{"job-name": job.Meta.Name},
 			OwnerUID:    job.Meta.UID,
@@ -211,75 +217,89 @@ func (c *JobController) onPodDeleted(pod *Pod) {
 	c.enqueue(key)
 }
 
-// onPodUpdate folds pod phase changes into job status. The recount reads
-// the shared pod informer through the pods-by-job index, so it is
-// O(pods of this job) with no copying; the handler runs after the informer
-// absorbed the triggering event, so the recount always includes it.
+// onPodUpdate folds pod phase changes into job status.
 func (c *JobController) onPodUpdate(pod *Pod) {
-	jobName, ok := pod.Meta.Labels["job-name"]
+	job, ok := pod.Meta.Labels["job-name"]
 	if !ok {
 		return
 	}
-	ns := pod.Meta.Namespace
+	u := c.patches.Get()
+	if u.c == nil {
+		u.c, u.mutate, u.done = c, u.recount, u.finish
+	}
+	u.ns, u.job = pod.Meta.Namespace, job
+	c.cli.Patch(KindJob, u.ns, u.job, u.mutate).Done(u.done)
+}
 
-	var (
-		completedNow bool
-		ttl          sim.Duration
-		ttlDelete    bool
-	)
-	resp := c.cli.Patch(KindJob, ns, jobName, func(obj Object) bool {
-		job := obj.(*Job)
-		completedNow, ttlDelete, ttl = false, false, 0
-		if job.Status.Completed {
-			return false
-		}
-		// Recount from the cached pod set for idempotency. The recount
-		// runs inside the mutate closure so a conflict-driven retry uses
-		// the cache as of the retry, not counts captured before a newer
-		// recount committed.
-		active, succeeded, failed := 0, 0, 0
-		var lastStart sim.Time
-		for _, po := range c.pods.ByIndex(IndexPodJob, ns+"/"+jobName) {
-			p := po.(*Pod)
-			switch p.Status.Phase {
-			case PodRunning:
-				active++
-				if p.Status.StartedAt > lastStart {
-					lastStart = p.Status.StartedAt
-				}
-			case PodSucceeded:
-				succeeded++
-				if p.Status.StartedAt > lastStart {
-					lastStart = p.Status.StartedAt
-				}
-			case PodFailed:
-				failed++
-			case PodPending, PodScheduled:
-				active++
+// statusPatch is one onPodUpdate in flight: the job it recounts, whether
+// the latest recount completed a job to delete ttl later, and the callbacks
+// Patch and Done take — method values made once per record, which finish
+// recycles: a pod event allocates nothing beyond Patch's request.
+type statusPatch struct {
+	c       *JobController
+	ns, job string
+	expire  bool
+	ttl     sim.Duration
+	mutate  func(Object) bool
+	done    func(error)
+}
+
+// recount is the Patch mutation: O(pods of this job), read from the shared
+// pod informer — which absorbed the triggering event before the handler ran
+// — through the pods-by-job index into the controller's buffer. Recounting
+// per attempt keeps a conflict-driven retry from committing counts captured
+// before a newer recount committed.
+func (u *statusPatch) recount(obj Object) bool {
+	c, job := u.c, obj.(*Job)
+	u.expire, u.ttl = false, 0
+	if job.Status.Completed {
+		return false
+	}
+	active, succeeded, failed := 0, 0, 0
+	var lastStart sim.Time
+	c.recounted = c.pods.AppendByIndex(c.recounted[:0], IndexPodJob, IndexKey{u.ns, u.job})
+	for _, po := range c.recounted {
+		p := po.(*Pod)
+		switch p.Status.Phase {
+		case PodRunning:
+			active++
+			if p.Status.StartedAt > lastStart {
+				lastStart = p.Status.StartedAt
 			}
+		case PodSucceeded:
+			succeeded++
+			if p.Status.StartedAt > lastStart {
+				lastStart = p.Status.StartedAt
+			}
+		case PodFailed:
+			failed++
+		case PodPending, PodScheduled:
+			active++
 		}
-		job.Status.Active = active
-		job.Status.Failed = failed
-		job.Status.Succeeded = succeeded
-		if job.Status.StartedAt == 0 && lastStart > 0 {
-			job.Status.StartedAt = lastStart
-		}
-		if succeeded+failed >= job.Spec.Parallelism && job.Spec.Parallelism > 0 {
-			job.Status.Completed = true
-			job.Status.CompletedAt = c.cli.Engine().Now()
-			job.Status.AdmittedAt = lastStart
-			completedNow = true
-			ttlDelete = job.Spec.DeleteAfterFinished
-			ttl = job.Spec.TTLAfterFinished
-		}
-		return true
-	})
-	resp.Done(func(err error) {
-		if err != nil || !completedNow || !ttlDelete {
-			return
-		}
-		c.cli.Engine().After(ttl, func() {
-			c.cli.Delete(KindJob, ns, jobName)
-		})
-	})
+	}
+	clear(c.recounted)
+	job.Status.Active = active
+	job.Status.Failed = failed
+	job.Status.Succeeded = succeeded
+	if job.Status.StartedAt == 0 && lastStart > 0 {
+		job.Status.StartedAt = lastStart
+	}
+	if succeeded+failed >= job.Spec.Parallelism && job.Spec.Parallelism > 0 {
+		job.Status.Completed = true
+		job.Status.CompletedAt = c.cli.Engine().Now()
+		job.Status.AdmittedAt = lastStart
+		u.expire, u.ttl = job.Spec.DeleteAfterFinished, job.Spec.TTLAfterFinished
+	}
+	return true
+}
+
+// finish runs when the Patch completed, after which recount is not called
+// again: it recycles the record and schedules the finished job's deletion.
+func (u *statusPatch) finish(err error) {
+	c, ns, job, ttl, expire := u.c, u.ns, u.job, u.ttl, u.expire
+	u.ns, u.job = "", ""
+	c.patches.Put(u)
+	if err == nil && expire {
+		c.cli.Engine().After(ttl, func() { c.cli.Delete(KindJob, ns, job) })
+	}
 }

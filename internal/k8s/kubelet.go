@@ -48,10 +48,6 @@ func DefaultKubeletConfig() KubeletConfig {
 	}
 }
 
-type kubeletTask struct {
-	run func(done func())
-}
-
 // Kubelet runs pods bound to one node through the container runtime. It
 // watches only its own node's pods (a fieldSelector-style filtered watch),
 // so per-node work no longer scales with the whole fleet's event stream.
@@ -60,7 +56,7 @@ type Kubelet struct {
 	cfg     KubeletConfig
 	node    string
 	rt      Runtime
-	queue   []kubeletTask
+	queue   []func(done func())
 	running int
 	// livePods tracks pods with sandboxes, so deletions trigger teardown
 	// exactly once.
@@ -112,16 +108,17 @@ func NewKubelet(cli *Client, cfg KubeletConfig, node string, rt Runtime) *Kubele
 func (k *Kubelet) Node() string { return k.node }
 
 func (k *Kubelet) submit(run func(done func())) {
-	k.queue = append(k.queue, kubeletTask{run: run})
+	k.queue = append(k.queue, run)
 	k.pump()
 }
 
 func (k *Kubelet) pump() {
 	for k.running < k.cfg.Workers && len(k.queue) > 0 {
-		task := k.queue[0]
+		run := k.queue[0]
+		k.queue[0] = nil // drop the task, and the pod it captured, with the pop
 		k.queue = k.queue[1:]
 		k.running++
-		task.run(func() {
+		run(func() {
 			k.running--
 			k.pump()
 		})

@@ -15,6 +15,7 @@ package k8s
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
@@ -69,15 +70,18 @@ func (m *Meta) Key() string {
 	return m.Namespace + "/" + m.Name
 }
 
-// HasFinalizer reports whether f is present.
-func (m *Meta) HasFinalizer(f string) bool {
-	for _, x := range m.Finalizers {
-		if x == f {
-			return true
+// SplitKey is the inverse of Meta.Key: a store key's namespace and name.
+func SplitKey(key string) (ns, name string) {
+	for i := 0; i < len(key); i++ {
+		if key[i] == '/' {
+			return key[:i], key[i+1:]
 		}
 	}
-	return false
+	return "", key
 }
+
+// HasFinalizer reports whether f is present.
+func (m *Meta) HasFinalizer(f string) bool { return slices.Contains(m.Finalizers, f) }
 
 // The maps and the finalizer slice inside an object are immutable values,
 // shared between the versions of that object and with its Clones: the

@@ -38,7 +38,7 @@ func (c *Client) RecordCommits() *CommitRecorder {
 }
 
 func (r *CommitRecorder) attach(inf *Informer) {
-	for _, obj := range sortedValues(inf.objs) {
+	for _, obj := range (bucket{m: inf.objs}).appendTo(nil) {
 		r.record(obj)
 	}
 	first := &watchReg{handler: func(ev Event) { r.record(ev.Object) }}

@@ -62,8 +62,8 @@ type Scheduler struct {
 	// window still spread (and still co-locate).
 	assumed map[string]assumedBinding
 	// jobGroup counts each job's committed pods per topology group, the
-	// signal behind group co-location. Keyed by "namespace/job-name".
-	jobGroup map[string]map[int]int
+	// signal behind group co-location. Keyed by PodJobIndex's value.
+	jobGroup map[IndexKey]map[int]int
 	// cordoned marks nodes an operator took out of scheduling (kubectl
 	// cordon); running pods stay, new placements skip the node.
 	cordoned map[string]bool
@@ -73,7 +73,7 @@ type Scheduler struct {
 // and the job it counts toward.
 type assumedBinding struct {
 	node string
-	job  string
+	job  IndexKey
 }
 
 // NewScheduler creates and starts a scheduler over the given node names.
@@ -85,7 +85,7 @@ func NewScheduler(cli *Client, cfg SchedulerConfig, nodes []string) *Scheduler {
 		counts:   make(map[string]int),
 		bound:    make(map[string]string),
 		assumed:  make(map[string]assumedBinding),
-		jobGroup: make(map[string]map[int]int),
+		jobGroup: make(map[IndexKey]map[int]int),
 		cordoned: make(map[string]bool),
 	}
 	cli.Watch(KindPod, WatchOptions{}, s.onPod)
@@ -153,16 +153,6 @@ func (s *Scheduler) onPod(ev Event) {
 	}
 }
 
-// jobKeyOf returns the pod's job identity ("namespace/job-name"), or ""
-// for pods outside any job (no co-location signal).
-func jobKeyOf(pod *Pod) string {
-	name := pod.Meta.Labels["job-name"]
-	if name == "" {
-		return ""
-	}
-	return pod.Meta.Namespace + "/" + name
-}
-
 // groupOf returns the topology group of a node; unmapped nodes share
 // group 0 (one flat group when NodeGroups is empty).
 func (s *Scheduler) groupOf(node string) int { return s.cfg.NodeGroups[node] }
@@ -174,8 +164,8 @@ func (s *Scheduler) adjustJobGroup(pod *Pod, node string, delta int) {
 	if len(s.cfg.NodeGroups) == 0 {
 		return
 	}
-	job := jobKeyOf(pod)
-	if job == "" {
+	job := PodJobIndex(pod) // zero for pods outside any job: no co-location signal
+	if job == (IndexKey{}) {
 		return
 	}
 	g := s.groupOf(node)
@@ -209,6 +199,7 @@ func (s *Scheduler) pump() {
 	}
 	s.busy = true
 	key := s.queue[0]
+	s.queue[0] = "" // as in JobController.pump
 	s.queue = s.queue[1:]
 	eng := s.cli.Engine()
 	eng.After(eng.Jitter(s.cfg.BindLatency, s.cfg.Jitter), func() {
@@ -219,7 +210,7 @@ func (s *Scheduler) pump() {
 }
 
 func (s *Scheduler) bind(key string) {
-	ns, name := splitKey(key)
+	ns, name := SplitKey(key)
 	obj, ok := s.cli.Get(KindPod, ns, name)
 	if !ok {
 		return // deleted while queued
@@ -237,7 +228,7 @@ func (s *Scheduler) bind(key string) {
 	pod = pod.Clone().(*Pod) // the read is the store's own object
 	pod.Spec.NodeName = node
 	pod.Status.Phase = PodScheduled
-	s.assumed[key] = assumedBinding{node: node, job: jobKeyOf(pod)}
+	s.assumed[key] = assumedBinding{node: node, job: PodJobIndex(pod)}
 	s.cli.Update(pod).Done(func(err error) {
 		if err == nil {
 			return
@@ -285,7 +276,7 @@ func (s *Scheduler) pickNode(pod *Pod) string {
 	// assumed. Only meaningful with a topology and a job identity.
 	var affinity map[int]int
 	if len(s.cfg.NodeGroups) > 0 {
-		if job := jobKeyOf(pod); job != "" {
+		if job := PodJobIndex(pod); job != (IndexKey{}) {
 			affinity = make(map[int]int, len(s.jobGroup[job])+1)
 			for g, n := range s.jobGroup[job] {
 				affinity[g] = n
@@ -331,13 +322,4 @@ func (s *Scheduler) pickNode(pod *Pod) string {
 		}
 	}
 	return best
-}
-
-func splitKey(key string) (ns, name string) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '/' {
-			return key[:i], key[i+1:]
-		}
-	}
-	return "", key
 }

@@ -17,6 +17,7 @@
 package metactl
 
 import (
+	"maps"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/k8s"
@@ -27,7 +28,11 @@ import (
 type SyncRequest struct {
 	Parent k8s.Object
 	// Children are the controller-owned children currently attached to
-	// the parent.
+	// the parent: the committed objects themselves, in a slice the
+	// controller reuses. Both are read-only and valid until the hook
+	// returns. A response that wants a child left as it is lists that very
+	// pointer (or re-slices Children): the echo, which the controller
+	// neither stamps nor writes.
 	Children []*k8s.Custom
 }
 
@@ -93,16 +98,29 @@ type Decorator struct {
 	hooks    Hooks
 	parents  k8s.Lister
 	children k8s.Lister // indexed by owner UID
-	// rounds holds the parents with a reconcile round in flight — one round
-	// per parent at a time — and, as the value, whether the parent changed
-	// meanwhile and is owed another. A parent is forgotten when its round
-	// ends, so the map is empty whenever the engine is idle.
-	rounds map[string]bool
+	// rounds holds the parents with a reconcile round in flight, one round
+	// per parent at a time. A parent is forgotten when its round ends, so
+	// the map is empty whenever the engine is idle.
+	rounds map[string]*round
+	free   sim.FreeList[round]
+	// objs and kids are the scratch a round reads the parent's children
+	// into, as the owner index lists them and as the webhook request carries
+	// them; a round is done with both before it returns to the engine.
+	objs []k8s.Object
+	kids []*k8s.Custom
+}
+
+// round is one parent's round in flight and the argument of the event that
+// starts it after the webhook latency; done recycles it.
+type round struct {
+	d     *Decorator
+	key   string
+	again bool // the parent changed during the round and is owed another
 }
 
 // NewDecorator creates and starts the controller.
 func NewDecorator(cli *k8s.Client, cfg Config, hooks Hooks) *Decorator {
-	d := &Decorator{cli: cli, cfg: cfg, hooks: hooks, rounds: make(map[string]bool)}
+	d := &Decorator{cli: cli, cfg: cfg, hooks: hooks, rounds: make(map[string]*round)}
 	d.parents = cli.Lister(cfg.ParentKind)
 	childInformer := cli.Informer(cfg.ChildKind)
 	childInformer.AddIndex(k8s.IndexOwner, k8s.OwnerIndex)
@@ -117,20 +135,30 @@ func NewDecorator(cli *k8s.Client, cfg Config, hooks Hooks) *Decorator {
 }
 
 func (d *Decorator) schedule(key string) {
-	if _, inFlight := d.rounds[key]; inFlight {
-		d.rounds[key] = true
+	if r := d.rounds[key]; r != nil {
+		r.again = true
 		return
 	}
-	d.rounds[key] = false
+	r := d.free.Get()
+	r.d, r.key = d, key
+	d.rounds[key] = r
 	eng := d.cli.Engine()
-	eng.After(eng.Jitter(d.cfg.WebhookLatency, d.cfg.Jitter), func() { d.reconcile(key) })
+	eng.AfterCall(eng.Jitter(d.cfg.WebhookLatency, d.cfg.Jitter), reconcileCall, r)
+}
+
+func reconcileCall(arg any) {
+	r := arg.(*round)
+	r.d.reconcile(r.key)
 }
 
 // done ends the parent's round and starts the next if the parent changed
 // during it.
 func (d *Decorator) done(key string) {
-	again := d.rounds[key]
+	r := d.rounds[key]
 	delete(d.rounds, key)
+	again := r.again
+	*r = round{}
+	d.free.Put(r)
 	if again {
 		d.schedule(key)
 	}
@@ -139,7 +167,7 @@ func (d *Decorator) done(key string) {
 // reconcile drives one parent toward the webhook's desired state; every
 // path through it ends in exactly one done(key).
 func (d *Decorator) reconcile(key string) {
-	ns, name := splitKey(key)
+	ns, name := k8s.SplitKey(key)
 	parent, ok := d.cli.Get(d.cfg.ParentKind, ns, name)
 	if !ok {
 		d.done(key)
@@ -170,7 +198,7 @@ func (d *Decorator) reconcile(key string) {
 // sync calls the webhook for a live parent and applies its answer.
 func (d *Decorator) sync(key string, parent k8s.Object) {
 	observed := d.observe(parent.GetMeta())
-	resp, err := d.hooks.Sync(SyncRequest{Parent: parent, Children: clones(observed)})
+	resp, err := d.hooks.Sync(SyncRequest{Parent: parent, Children: observed})
 	if err != nil {
 		// Sync errors are retried on the next parent event or via
 		// explicit Resync; children are left untouched.
@@ -189,13 +217,15 @@ func (d *Decorator) finalize(key string, parent k8s.Object) {
 		return
 	}
 	observed := d.observe(meta)
-	resp, err := d.hooks.Finalize(SyncRequest{Parent: parent, Children: clones(observed)})
-	if err != nil || !resp.Finalized {
-		d.applyChildren(key, meta, observed, resp.Children, func() {
-			eng := d.cli.Engine()
-			eng.After(eng.Jitter(d.cfg.FinalizeRetry, d.cfg.Jitter), func() { d.schedule(key) })
-			d.done(key)
-		})
+	resp, err := d.hooks.Finalize(SyncRequest{Parent: parent, Children: observed})
+	if err != nil {
+		// As in sync, an error says nothing about the desired children:
+		// they are left untouched and the hook is tried again.
+		d.retryFinalize(key)
+		return
+	}
+	if !resp.Finalized {
+		d.applyChildren(key, meta, observed, resp.Children, func() { d.retryFinalize(key) })
 		return
 	}
 	// Finalized: remove all children, then the finalizer. The removal
@@ -207,48 +237,52 @@ func (d *Decorator) finalize(key string, parent k8s.Object) {
 	})
 }
 
-// observe reads the parent's controller-owned children through the owner
-// index: O(children of this parent), not O(all children in the namespace).
-// They are committed objects: read-only.
-func (d *Decorator) observe(parent *k8s.Meta) []k8s.Object {
-	return d.children.ByIndex(k8s.IndexOwner, string(parent.UID))
+// retryFinalize ends the round and queues the next FinalizeRetry later.
+func (d *Decorator) retryFinalize(key string) {
+	eng := d.cli.Engine()
+	eng.After(eng.Jitter(d.cfg.FinalizeRetry, d.cfg.Jitter), func() { d.schedule(key) })
+	d.done(key)
 }
 
-// clones returns Clones of the observed children for a webhook request: a
-// response may echo one back as desired state, whose Meta applyChildren then
-// stamps. The spec and status maps stay shared.
-func clones(observed []k8s.Object) []*k8s.Custom {
-	if len(observed) == 0 {
-		return nil
-	}
-	out := make([]*k8s.Custom, 0, len(observed))
-	for _, obj := range observed {
+// observe reads the parent's controller-owned children through the owner
+// index, O(children of this parent), into the round's scratch. They are
+// committed objects: read-only.
+func (d *Decorator) observe(parent *k8s.Meta) []*k8s.Custom {
+	d.objs = d.children.AppendByIndex(d.objs[:0], k8s.IndexOwner, k8s.IndexKey{Name: string(parent.UID)})
+	d.kids = d.kids[:0]
+	for _, obj := range d.objs {
 		if c, ok := obj.(*k8s.Custom); ok {
-			out = append(out, c.Clone().(*k8s.Custom))
+			d.kids = append(d.kids, c)
 		}
 	}
-	return out
+	return d.kids
 }
 
 // applyChildren reconciles the child set the round observed toward desired,
 // then runs then — nil: end the round — once every write it issued has
 // completed: at once when there is nothing to write, the usual outcome of a
 // re-sync, which then allocates nothing. Both sets are a handful, so they
-// are matched by scanning.
-func (d *Decorator) applyChildren(key string, parent *k8s.Meta, observed []k8s.Object, desired []*k8s.Custom, then func()) {
+// are matched by scanning. A desired child that is the observed one, by
+// pointer, is the webhook's echo: committed, hence not stamped, and equal to
+// itself, hence not written.
+func (d *Decorator) applyChildren(key string, parent *k8s.Meta, observed, desired []*k8s.Custom, then func()) {
 	// Count the writes before issuing the first: a Response may complete
 	// synchronously, and then must wait for the last.
 	n := 0
 	for _, w := range desired {
+		cur := child(observed, w.Meta.Name)
+		if cur == w {
+			continue
+		}
 		w.Meta.Kind = d.cfg.ChildKind
 		w.Meta.Namespace = parent.Namespace
 		w.Meta.OwnerUID = parent.UID
-		if cur := child(observed, w.Meta.Name); cur == nil || !specsEqual(cur.Spec, w.Spec) {
+		if cur == nil || !maps.Equal(cur.Spec, w.Spec) {
 			n++
 		}
 	}
-	for _, obj := range observed {
-		if c, ok := obj.(*k8s.Custom); ok && !wants(desired, c.Meta.Name) {
+	for _, c := range observed {
+		if !wants(desired, c.Meta.Name) {
 			n++
 		}
 	}
@@ -269,12 +303,12 @@ func (d *Decorator) applyChildren(key string, parent *k8s.Meta, observed []k8s.O
 		switch cur := child(observed, w.Meta.Name); {
 		case cur == nil:
 			d.cli.Create(w).Done(finish)
-		case !specsEqual(cur.Spec, w.Spec):
+		case !maps.Equal(cur.Spec, w.Spec):
 			d.cli.Update(w).Done(finish)
 		}
 	}
-	for _, obj := range observed {
-		if c, ok := obj.(*k8s.Custom); ok && !wants(desired, c.Meta.Name) {
+	for _, c := range observed {
+		if !wants(desired, c.Meta.Name) {
 			d.cli.Delete(d.cfg.ChildKind, c.Meta.Namespace, c.Meta.Name).Done(finish)
 		}
 	}
@@ -289,9 +323,9 @@ func (d *Decorator) applied(key string, then func()) {
 }
 
 // child returns the observed child called name, or nil.
-func child(observed []k8s.Object, name string) *k8s.Custom {
-	for _, obj := range observed {
-		if c, ok := obj.(*k8s.Custom); ok && c.Meta.Name == name {
+func child(observed []*k8s.Custom, name string) *k8s.Custom {
+	for _, c := range observed {
+		if c.Meta.Name == name {
 			return c
 		}
 	}
@@ -321,25 +355,4 @@ func (d *Decorator) Resync() {
 		}
 		d.schedule(obj.GetMeta().Key())
 	}
-}
-
-func specsEqual(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func splitKey(key string) (ns, name string) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '/' {
-			return key[:i], key[i+1:]
-		}
-	}
-	return "", key
 }

@@ -18,7 +18,10 @@ type scriptedHooks struct {
 	syncCalls    int
 	finalizeCnt  int
 	syncErr      error
+	finalizeErr  error
 	lastChildren int
+	// answer, when set, builds the /sync response from the whole request.
+	answer func(SyncRequest) []*k8s.Custom
 }
 
 func (h *scriptedHooks) Sync(req SyncRequest) (SyncResponse, error) {
@@ -27,12 +30,15 @@ func (h *scriptedHooks) Sync(req SyncRequest) (SyncResponse, error) {
 	if h.syncErr != nil {
 		return SyncResponse{}, h.syncErr
 	}
+	if h.answer != nil {
+		return SyncResponse{Children: h.answer(req)}, nil
+	}
 	return SyncResponse{Children: h.desired(req.Parent)}, nil
 }
 
 func (h *scriptedHooks) Finalize(req SyncRequest) (FinalizeResponse, error) {
 	h.finalizeCnt++
-	return FinalizeResponse{Finalized: h.finalized}, nil
+	return FinalizeResponse{Finalized: h.finalized}, h.finalizeErr
 }
 
 func testCfg() Config {
@@ -182,6 +188,76 @@ func TestSyncErrorLeavesChildrenUntouched(t *testing.T) {
 	eng.RunFor(5 * time.Second)
 	if n := len(api.List(kindChild, "ns")); n != 1 {
 		t.Errorf("children after failed sync = %d", n)
+	}
+}
+
+// TestFinalizeErrorLeavesChildrenUntouched: a /finalize that fails says
+// nothing about the desired children — whatever it stands for (the VNI row)
+// may still be allocated — so they stay, the parent stays, and the hook is
+// retried until it answers.
+func TestFinalizeErrorLeavesChildrenUntouched(t *testing.T) {
+	h := &scriptedHooks{desired: oneChild("c", nil), finalized: true, finalizeErr: errors.New("db down")}
+	eng, api, d := newEnv(t, testCfg(), h)
+	submitJob(eng, api, "j1", nil)
+	api.Client().Delete(k8s.KindJob, "ns", "j1")
+	eng.RunFor(3 * time.Second)
+	if h.finalizeCnt < 2 {
+		t.Fatalf("finalize called %d times in 3s, want retries", h.finalizeCnt)
+	}
+	if n := len(api.List(kindChild, "ns")); n != 1 {
+		t.Errorf("children after failed finalize calls = %d, want 1", n)
+	}
+	if _, ok := api.Get(k8s.KindJob, "ns", "j1"); !ok {
+		t.Error("parent deleted although finalize never succeeded")
+	}
+	h.finalizeErr = nil
+	eng.RunFor(10 * time.Second)
+	if _, ok := api.Get(k8s.KindJob, "ns", "j1"); ok {
+		t.Error("parent survives after finalize succeeded")
+	}
+	if n := len(api.List(kindChild, "ns")) + d.InFlight(); n != 0 {
+		t.Errorf("%d children or rounds left after finalize", n)
+	}
+}
+
+// TestEchoedChildIsNeitherStampedNorWritten: the request's children are the
+// committed objects. A hook that answers with them asks for no write — and
+// gets no store into their Meta either, which the strayed child shows: it is
+// the parent's by owner UID but lives in another namespace, so stamping it
+// with the parent's would change a committed object. A hook that edits one
+// is a writer after commit, and the recorder names it.
+func TestEchoedChildIsNeitherStampedNorWritten(t *testing.T) {
+	h := &scriptedHooks{desired: oneChild("c", map[string]string{"v": "1"})}
+	eng, api, d := newEnv(t, testCfg(), h)
+	rec := api.Client().RecordCommits()
+	submitJob(eng, api, "j1", nil)
+	job, _ := api.Get(k8s.KindJob, "ns", "j1")
+	api.Client().Create(&k8s.Custom{Meta: k8s.Meta{Kind: kindChild, Namespace: "elsewhere", Name: "strayed",
+		OwnerUID: job.GetMeta().UID}})
+	eng.RunFor(5 * time.Second)
+
+	h.answer = func(req SyncRequest) []*k8s.Custom { return req.Children }
+	writes := api.KindSeq(kindChild)
+	d.Resync()
+	eng.RunFor(5 * time.Second)
+	if h.lastChildren != 2 {
+		t.Fatalf("webhook observed %d children, want the child and the strayed one", h.lastChildren)
+	}
+	if got := api.KindSeq(kindChild); got != writes {
+		t.Errorf("echoing the observed children wrote to the API (%d commits)", got-writes)
+	}
+	if err := rec.Verify(); err != nil {
+		t.Errorf("echoing the observed children: %v", err)
+	}
+
+	h.answer = func(req SyncRequest) []*k8s.Custom {
+		req.Children[0].Status = map[string]string{"seen": "true"}
+		return req.Children
+	}
+	d.Resync()
+	eng.RunFor(5 * time.Second)
+	if err := rec.Verify(); err == nil {
+		t.Error("a hook edited an observed child and the commit recorder did not notice")
 	}
 }
 

@@ -21,6 +21,7 @@ package nsmodel
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 )
 
@@ -60,10 +61,40 @@ type NetNamespace struct {
 type UserNamespace struct {
 	Inode Inode
 	Name  string
-	// uidMap maps inside-UID -> host UID. Host userns has nil map.
-	uidMap map[UID]UID
-	gidMap map[GID]GID
+	// uidMap maps inside-UID -> host UID. Host userns has the empty map.
+	uidMap idMap[UID]
+	gidMap idMap[GID]
 	host   bool
+}
+
+// idMap is one ID mapping of a user namespace, copied at creation. A
+// container maps one ID — its root, shifted — and that entry sits in the
+// struct; a mapping with more entries is a map.
+type idMap[T comparable] struct {
+	in, host T
+	mapped   bool
+	more     map[T]T
+}
+
+func newIDMap[T comparable](src map[T]T) (m idMap[T]) {
+	if len(src) > 1 {
+		return idMap[T]{more: maps.Clone(src)}
+	}
+	for m.in, m.host = range src {
+		m.mapped = true
+	}
+	return m
+}
+
+// translate maps an inside ID to the host's; unmapped IDs become overflow.
+func (m idMap[T]) translate(in, overflow T) T {
+	if m.mapped && m.in == in {
+		return m.host
+	}
+	if host, ok := m.more[in]; ok {
+		return host
+	}
+	return overflow
 }
 
 // MapUID translates an inside-namespace UID to the host UID. Unmapped IDs
@@ -72,10 +103,7 @@ func (u *UserNamespace) MapUID(inside UID) UID {
 	if u.host {
 		return inside
 	}
-	if h, ok := u.uidMap[inside]; ok {
-		return h
-	}
-	return 65534
+	return u.uidMap.translate(inside, 65534)
 }
 
 // MapGID translates an inside-namespace GID to the host GID.
@@ -83,10 +111,7 @@ func (u *UserNamespace) MapGID(inside GID) GID {
 	if u.host {
 		return inside
 	}
-	if h, ok := u.gidMap[inside]; ok {
-		return h
-	}
-	return 65534
+	return u.gidMap.translate(inside, 65534)
 }
 
 // IsHost reports whether this is the initial user namespace.
@@ -172,19 +197,11 @@ func (k *Kernel) NewUserNS(name string, uidMap map[UID]UID, gidMap map[GID]GID) 
 	u := &UserNamespace{
 		Inode:  k.allocInodeLocked(),
 		Name:   name,
-		uidMap: copyMap(uidMap),
-		gidMap: copyMap(gidMap),
+		uidMap: newIDMap(uidMap),
+		gidMap: newIDMap(gidMap),
 	}
 	k.userns[u.Inode] = u
 	return u
-}
-
-func copyMap[K comparable, V any](m map[K]V) map[K]V {
-	out := make(map[K]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // DeleteNetNS removes a network namespace. It fails with ErrNamespaceBusy

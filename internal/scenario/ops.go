@@ -368,7 +368,7 @@ func (r *Ops) churnJobs(ev *Event) error {
 func (r *Ops) tenantVNI(tenant, jobName string) (fabric.VNI, error) {
 	var crds []k8s.Object
 	if jobName != "" {
-		crds = r.vnis.ByIndex(vniapi.IndexVNIByJob, tenant+"/"+jobName)
+		crds = r.vnis.ByIndex(vniapi.IndexVNIByJob, k8s.IndexKey{Namespace: tenant, Name: jobName})
 	} else {
 		crds = r.vnis.List(tenant)
 	}
@@ -393,7 +393,7 @@ func (r *Ops) tenantVNI(tenant, jobName string) (fabric.VNI, error) {
 func (r *Ops) eachPod(tenant, job string, fn func(*k8s.Pod) bool) {
 	var objs []k8s.Object
 	if job != "" {
-		objs = r.pods.ByIndex(k8s.IndexPodJob, tenant+"/"+job)
+		objs = r.pods.ByIndex(k8s.IndexPodJob, k8s.IndexKey{Namespace: tenant, Name: job})
 	} else {
 		objs = r.pods.List(tenant)
 	}

@@ -70,21 +70,21 @@ func Requested(annotations map[string]string) (requested bool, claim string) {
 }
 
 // IndexVNIByJob is the informer index filing VNI CRD instances under
-// "namespace/job-name" — the lookup the CXI CNI plugin and the pod gate
+// {namespace, job-name} — the lookup the CXI CNI plugin and the pod gate
 // perform on every pod launch.
 const IndexVNIByJob = "vni-by-job"
 
 // VNIByJobIndex is the IndexFunc behind IndexVNIByJob.
-func VNIByJobIndex(obj k8s.Object) string {
+func VNIByJobIndex(obj k8s.Object) k8s.IndexKey {
 	c, ok := obj.(*k8s.Custom)
 	if !ok {
-		return ""
+		return k8s.IndexKey{}
 	}
 	job := c.Spec[SpecJob]
 	if job == "" {
-		return ""
+		return k8s.IndexKey{}
 	}
-	return c.Meta.Namespace + "/" + job
+	return k8s.IndexKey{Namespace: c.Meta.Namespace, Name: job}
 }
 
 // VNILister returns the cached lister over VNI CRD instances with the

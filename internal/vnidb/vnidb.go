@@ -431,11 +431,7 @@ func (tx *Tx) Get(vni fabric.VNI) (Row, bool) {
 	if tx.done {
 		return Row{}, false
 	}
-	r, ok := tx.db.rows[vni]
-	if !ok {
-		return Row{}, false
-	}
-	return exportRow(r), true
+	return exported(tx.db.rows[vni])
 }
 
 // FindByOwner returns the allocated VNI owned by owner, if any: one lookup in
@@ -447,7 +443,19 @@ func (tx *Tx) FindByOwner(owner string) (Row, bool) {
 	if tx.done {
 		return Row{}, false
 	}
-	r := tx.db.byOwner[owner]
+	return exported(tx.db.byOwner[owner])
+}
+
+// FindByOwnerKey is FindByOwner for a key still in the buffer it was built
+// in: a caller that needs the string only for a new owner never makes one.
+func (tx *Tx) FindByOwnerKey(owner []byte) (Row, bool) {
+	if tx.done {
+		return Row{}, false
+	}
+	return exported(tx.db.byOwner[string(owner)])
+}
+
+func exported(r *row) (Row, bool) {
 	if r == nil {
 		return Row{}, false
 	}

@@ -16,6 +16,7 @@ package vnisvc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -66,10 +67,18 @@ func (e *Endpoint) DB() *vnidb.DB { return e.db }
 // Stats returns a copy of the counters.
 func (e *Endpoint) Stats() EndpointStats { return e.stats }
 
-// ownerForJob builds the database owner key for a job-owned VNI. The UID
-// makes re-created same-name jobs distinct owners.
+// appendOwnerForJob appends the database owner key for a job-owned VNI,
+// job/<namespace>/<name>/<uid>. The UID makes re-created same-name jobs
+// distinct owners.
+func appendOwnerForJob(b []byte, m *k8s.Meta) []byte {
+	b = append(append(b, "job/"...), m.Namespace...)
+	b = append(append(b, '/'), m.Name...)
+	return append(append(b, '/'), m.UID...)
+}
+
 func ownerForJob(m *k8s.Meta) string {
-	return "job/" + m.Namespace + "/" + m.Name + "/" + string(m.UID)
+	var buf [96]byte
+	return string(appendOwnerForJob(buf[:0], m))
 }
 
 // ownerForClaim builds the database owner key for a claim-owned VNI.
@@ -94,10 +103,10 @@ const (
 // desiredChild answers a /sync with the one child, named prefix+parent,
 // whose spec is exactly vni plus the given key/value pairs. When the
 // request's observed children already hold that child — that name, those
-// values, no other key — the answer is that child itself, the Clone the
-// decorator passed in: apply semantics' own form of "nothing to change",
-// which is what every re-sync after a status write comes to. Otherwise a
-// new child is built.
+// values, no other key — the answer is that child itself, the committed
+// object the decorator passed in: apply semantics' own form of "nothing to
+// change", which is what every re-sync after a status write comes to.
+// Otherwise a new child is built.
 func desiredChild(req metactl.SyncRequest, prefix, parent string, vni fabric.VNI, kv ...string) metactl.SyncResponse {
 	var buf [20]byte // FormatUint would allocate from 100 up
 	digits := strconv.AppendUint(buf[:0], uint64(vni), 10)
@@ -155,14 +164,16 @@ func (h jobHooks) Sync(req metactl.SyncRequest) (metactl.SyncResponse, error) {
 // syncPerResourceJob acquires (idempotently) a fresh VNI owned by the job
 // and returns the owning VNI CRD instance.
 func (e *Endpoint) syncPerResourceJob(req metactl.SyncRequest, job *k8s.Job) (metactl.SyncResponse, error) {
-	owner := ownerForJob(&job.Meta)
+	// The key becomes a string only for an owner the database has not seen.
+	var buf [96]byte
+	owner := appendOwnerForJob(buf[:0], &job.Meta)
 	var vni fabric.VNI
 	err := e.db.Update(func(tx *vnidb.Tx) error {
-		if row, ok := tx.FindByOwner(owner); ok {
+		if row, ok := tx.FindByOwnerKey(owner); ok {
 			vni = row.VNI // idempotent re-sync
 			return nil
 		}
-		v, err := tx.Acquire(owner, e.clock.Now())
+		v, err := tx.Acquire(string(owner), e.clock.Now())
 		if err != nil {
 			return err
 		}
@@ -192,10 +203,8 @@ func (e *Endpoint) syncClaimJob(req metactl.SyncRequest, job *k8s.Job, claim str
 			return fmt.Errorf("%w: %q in namespace %q", ErrNoSuchClaim, claim, job.Meta.Namespace)
 		}
 		vni = row.VNI
-		for _, u := range row.Users {
-			if u == user {
-				return nil // idempotent re-sync
-			}
+		if slices.Contains(row.Users, user) {
+			return nil // idempotent re-sync
 		}
 		if err := tx.AddUser(row.VNI, user, e.clock.Now()); err != nil {
 			return err
@@ -249,16 +258,14 @@ func (h jobHooks) Finalize(req metactl.SyncRequest) (metactl.FinalizeResponse, e
 		if !ok {
 			return nil // claim already gone
 		}
-		for _, u := range row.Users {
-			if u == user {
-				if err := tx.RemoveUser(row.VNI, user, e.clock.Now()); err != nil {
-					return err
-				}
-				e.stats.UsersRemoved++
-				return nil
-			}
+		if !slices.Contains(row.Users, user) {
+			return nil // already removed
 		}
-		return nil // already removed
+		if err := tx.RemoveUser(row.VNI, user, e.clock.Now()); err != nil {
+			return err
+		}
+		e.stats.UsersRemoved++
+		return nil
 	})
 	if err != nil {
 		return metactl.FinalizeResponse{}, err

@@ -81,7 +81,7 @@ func Install(cli *k8s.Client, jobCtl *k8s.JobController, db *vnidb.DB, cfg Confi
 		if !requested {
 			return true
 		}
-		return vnis.IndexCount(vniapi.IndexVNIByJob, job.Meta.Namespace+"/"+job.Meta.Name) > 0
+		return vnis.IndexCount(vniapi.IndexVNIByJob, k8s.IndexKey{Namespace: job.Meta.Namespace, Name: job.Meta.Name}) > 0
 	})
 	// When a VNI CRD instance appears, requeue its job so gated pods are
 	// created promptly.

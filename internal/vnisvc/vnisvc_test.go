@@ -468,11 +468,12 @@ func TestDecoratorsForgetFinishedJobs(t *testing.T) {
 	}
 }
 
-// resyncRoundAllocBudget is what one idempotent webhook round may allocate,
-// Resync's parent listing included: the timer closure, the children read,
-// their Clones and the request slice, the database key and transaction —
-// and no child, spec map, formatted VNI or write. Measured 7.
-const resyncRoundAllocBudget = 8
+// resyncRoundAllocBudget is what one idempotent webhook round may allocate:
+// Resync's parent listing and the database transaction — and no timer
+// closure, children slice, Clone, database key, child, spec map, formatted
+// VNI or write. Measured 2 (7 before the round read into its own scratch
+// and handed the webhook the committed children).
+const resyncRoundAllocBudget = 2
 
 // TestResyncEchoesMatchingChild drives the three kinds of parent — a job
 // owning its VNI, a job redeeming a claim, a VniClaim — through the webhook
