@@ -640,12 +640,12 @@ func BenchmarkControlPlane_ListVsLister(b *testing.B) {
 }
 
 // BenchmarkCollectives is the `go test` face of the canonical
-// perfsuite.Collectives case (compact placement-sensitivity sweep; the
-// BENCH_*.json trajectory tracks its allocs and worst_spill_x). The
-// pattern × placement table the CI log relies on is printed once,
-// untimed, from an identical deterministic same-seed sweep so rendering
-// I/O never contaminates the measurement. The full grid is `shsbench
-// -exp collectives`; EXPERIMENTS.md records it.
+// perfsuite.Collectives case (compact placement-sensitivity sweep,
+// reporting its allocs and worst_spill_x). The pattern × placement table
+// the CI log relies on is printed once, untimed, from an identical
+// deterministic same-seed sweep so rendering I/O never contaminates the
+// measurement. The full grid is `shsbench -exp collectives`;
+// EXPERIMENTS.md records it.
 func BenchmarkCollectives(b *testing.B) {
 	perfsuite.Collectives(b)
 	b.StopTimer()

@@ -1,39 +1,61 @@
 // Command shsbench regenerates the paper's evaluation artefacts: Table I
 // and Figures 5-12, printed as data tables (the same series the paper
-// plots). It also hosts the hot-path perf suite: `-exp perf` runs the
-// allocation-tracking benchmarks (internal/perfsuite) in-process and
-// writes the machine-readable BENCH_*.json trajectory snapshot.
+// plots), and the extension experiments built on the same harness.
 //
 // Usage:
 //
 //	shsbench -exp all
 //	shsbench -exp fig5 -runs 10
 //	shsbench -exp fig12 -runs 5 -seed 42
-//	shsbench -exp perf -benchjson BENCH_PR8.json
 //	shsbench -exp collectives -fidelity flow
 //
-// Experiments: table1, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12,
-// comm (fig5-8), admission (fig9-12), fabric (multi-group hot-link
-// report), collectives (pattern × size × placement sweep), perf (hot-path
-// benchmark suite + BENCH_*.json), all (every paper artefact; perf stays
-// opt-in so figure regeneration time is unchanged).
+// Experiments: table1, fig5..fig12, comm (fig5-8), admission (fig9-12),
+// overlay (overlay datapath vs Slingshot RDMA), collectives (pattern ×
+// size × placement sweep), fabric (multi-group hot-link report), tc
+// (traffic-class interference), all. Any other name is a usage error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/harness"
-	"github.com/caps-sim/shs-k8s/internal/perfsuite"
 )
 
+// artefacts is every table shsbench can print, in print order; groups name
+// runs of them. Together they are the valid -exp values: the usage text,
+// the unknown-name error and run's selection all read these two tables.
+var (
+	artefacts = []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+		"overlay", "collectives", "fabric", "tc"}
+	groups = map[string][]string{"comm": artefacts[1:5], "admission": artefacts[5:9], "all": artefacts}
+
+	validNames = strings.Join(artefacts, ", ") + ", comm, admission, all"
+	errUsage   = errors.New("usage")
+)
+
+// selection resolves an -exp value to the artefacts it prints. A name in
+// neither table is a usage error, not an empty selection: a script still
+// asking for a retired experiment must not go green doing nothing.
+func selection(exp string) ([]string, error) {
+	if slices.Contains(artefacts, exp) {
+		return []string{exp}, nil
+	}
+	if g, ok := groups[exp]; ok {
+		return g, nil
+	}
+	return nil, fmt.Errorf("%w: unknown experiment %q (valid: %s)", errUsage, exp, validNames)
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1, fig5..fig12, comm, admission, fabric, collectives, perf, all)")
+	exp := flag.String("exp", "all", "experiment to run ("+validNames+")")
 	runs := flag.Int("runs", 0, "repetitions per mode (0 = paper defaults: 10 comm / 5 admission)")
 	seed := flag.Int64("seed", 1, "base RNG seed")
-	benchJSON := flag.String("benchjson", "BENCH_PR8.json", "output path for the -exp perf JSON snapshot")
 	fidelity := flag.String("fidelity", "", "fabric fidelity for the collectives sweep (packet, flow or hybrid)")
 	flag.Parse()
 
@@ -42,55 +64,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shsbench: %v\n", err)
 		os.Exit(2)
 	}
-	if *exp == "perf" {
-		if err := runPerf(*benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "shsbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*exp, *runs, *seed, fid); err != nil {
 		fmt.Fprintf(os.Stderr, "shsbench: %v\n", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
-// runPerf executes the hot-path benchmark suite and writes the JSON
-// trajectory snapshot next to a printed table. Timing varies run to run;
-// only execution failures are fatal, so CI can emit the artefact without
-// gating on noise.
-func runPerf(jsonPath string) error {
-	// Open the artefact first so an unwritable path fails before the
-	// multi-second benchmark run, not after.
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Printf("===== Hot-path perf suite (%d cases, ~1s each) =====\n", len(perfsuite.Suite()))
-	results, err := perfsuite.Run()
-	if err != nil {
-		return err
-	}
-	perfsuite.RenderTable(os.Stdout, results)
-	if err := perfsuite.WriteJSON(f, "shs-k8s-hotpath", results); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", jsonPath)
-	return nil
-}
-
 func run(exp string, runs int, seed int64, fid fabric.Fidelity) error {
+	sel, err := selection(exp)
+	if err != nil {
+		return err
+	}
 	selected := func(names ...string) bool {
-		if exp == "all" {
-			return true
-		}
-		for _, n := range names {
-			if exp == n {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(names, func(n string) bool { return slices.Contains(sel, n) })
 	}
 	header := func(title string) {
 		fmt.Printf("\n===== %s =====\n", title)
@@ -105,21 +94,21 @@ func run(exp string, runs int, seed int64, fid fabric.Fidelity) error {
 	if commRuns == 0 {
 		commRuns = 10
 	}
-	if selected("fig5", "fig6", "comm") {
+	if selected("fig5", "fig6") {
 		fig, err := harness.RunCommFigure(harness.BenchBw, commRuns, seed)
 		if err != nil {
 			return err
 		}
-		if selected("fig5", "comm") {
+		if selected("fig5") {
 			header("Figure 5: Average Throughput via osu_bw (MB/s)")
 			harness.RenderCommValues(os.Stdout, fig, "MB/s")
 		}
-		if selected("fig6", "comm") {
+		if selected("fig6") {
 			header("Figure 6: Average Throughput Overhead via osu_bw")
 			harness.RenderCommOverhead(os.Stdout, fig)
 		}
 	}
-	if selected("fig7", "fig8", "comm") {
+	if selected("fig7", "fig8") {
 		lruns := commRuns
 		if exp == "fig8" && runs == 0 {
 			lruns = 25 // the paper uses 25 runs for the latency overhead
@@ -128,11 +117,11 @@ func run(exp string, runs int, seed int64, fid fabric.Fidelity) error {
 		if err != nil {
 			return err
 		}
-		if selected("fig7", "comm") {
+		if selected("fig7") {
 			header("Figure 7: Average Latency via osu_latency (us)")
 			harness.RenderCommValues(os.Stdout, fig, "us")
 		}
-		if selected("fig8", "comm") {
+		if selected("fig8") {
 			header("Figure 8: Average Latency Overhead via osu_latency")
 			harness.RenderCommOverhead(os.Stdout, fig)
 		}
@@ -143,32 +132,31 @@ func run(exp string, runs int, seed int64, fid fabric.Fidelity) error {
 		admRuns = 5
 	}
 	var ramp, spike *harness.AdmissionFigure
-	var err error
-	if selected("fig9", "fig10", "fig12", "admission") {
+	if selected("fig9", "fig10", "fig12") {
 		ramp, err = harness.RunAdmissionFigure(harness.PatternRamp, admRuns, seed+2)
 		if err != nil {
 			return err
 		}
 	}
-	if selected("fig11", "fig12", "admission") {
+	if selected("fig11", "fig12") {
 		spike, err = harness.RunAdmissionFigure(harness.PatternSpike, admRuns, seed+3)
 		if err != nil {
 			return err
 		}
 	}
-	if selected("fig9", "admission") {
+	if selected("fig9") {
 		header("Figure 9: Running Jobs during Ramp Test")
 		harness.RenderRunningJobs(os.Stdout, ramp)
 	}
-	if selected("fig10", "admission") {
+	if selected("fig10") {
 		header("Figure 10: Job Admission Delay per Batch (Ramp)")
 		harness.RenderAdmissionDelayPerBatch(os.Stdout, ramp)
 	}
-	if selected("fig11", "admission") {
+	if selected("fig11") {
 		header("Figure 11: Running Jobs during Spike Test")
 		harness.RenderRunningJobs(os.Stdout, spike)
 	}
-	if selected("fig12", "admission") {
+	if selected("fig12") {
 		header("Figure 12: Admission Delay Boxplots")
 		harness.RenderAdmissionBoxplot(os.Stdout, ramp)
 		harness.RenderAdmissionBoxplot(os.Stdout, spike)

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
+	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 )
@@ -18,24 +20,26 @@ func TestRunCheapExperiments(t *testing.T) {
 	}
 }
 
-// TestRunPerfUnwritablePathFailsFast: -exp perf must reject a bad output
-// path before spending benchmark time (the happy path — a full suite run
-// plus JSON artefact — is exercised by the CI perf-smoke step, and the
-// writer schema by internal/perfsuite's own tests).
-func TestRunPerfUnwritablePathFailsFast(t *testing.T) {
-	start := time.Now()
-	if err := runPerf(t.TempDir() + "/no-such-dir/bench.json"); err == nil {
-		t.Fatal("runPerf succeeded on an unwritable path")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("runPerf spent %v before failing; must fail before running the suite", elapsed)
-	}
-}
-
-func TestRunUnknownExperimentIsNoop(t *testing.T) {
-	// Unknown names select nothing and must not error.
-	if err := run("no-such-figure", 1, 1, fabric.FidelityPacket); err != nil {
-		t.Errorf("run(unknown): %v", err)
+// TestRunUnknownExperimentIsRejected: a name -exp does not know — a typo,
+// or the retired `perf` a script may still ask for — is a usage error that
+// lists the valid names and prints nothing, never an empty selection that
+// exits 0.
+func TestRunUnknownExperimentIsRejected(t *testing.T) {
+	for _, exp := range []string{"no-such-figure", "perf", ""} {
+		err := run(exp, 1, 1, fabric.FidelityPacket)
+		if !errors.Is(err, errUsage) {
+			t.Errorf("run(%q) = %v, want a usage error", exp, err)
+			continue
+		}
+		names := slices.Clone(artefacts)
+		for group := range groups {
+			names = append(names, group)
+		}
+		for _, name := range names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("run(%q): message does not list %q: %v", exp, name, err)
+			}
+		}
 	}
 }
 

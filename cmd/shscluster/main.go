@@ -1,12 +1,11 @@
-// Command shscluster runs an interactive-speed demonstration of the whole
-// stack: it assembles the simulated two-node deployment, submits a mix of
-// vni:true jobs, claim-sharing jobs and plain jobs, and prints a timeline
-// of cluster state — the closest thing to watching `kubectl get jobs,vnis`
-// against a real deployment of the paper's system.
+// Command shscluster applies a YAML manifest — the paper's Listings 1-3
+// verbatim: vni:true jobs, VniClaims, claim-sharing jobs — to the simulated
+// two-node deployment, kubectl-apply style, and reports each object's
+// lifecycle once the declared jobs settle.
 //
 // Usage:
 //
-//	shscluster [-jobs 6] [-claim demo] [-seed 1]
+//	shscluster -f <manifest> [-seed 1]
 package main
 
 import (
@@ -22,26 +21,27 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/manifest"
 	"github.com/caps-sim/shs-k8s/internal/stack"
 	"github.com/caps-sim/shs-k8s/internal/vniapi"
-	"github.com/caps-sim/shs-k8s/internal/vnisvc"
 )
 
 // config captures the command line.
 type config struct {
-	Jobs  int
-	Claim string
-	Seed  int64
-	File  string
+	Seed int64
+	File string
 }
 
 // parseFlags parses the command line into a config.
 func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("shscluster", flag.ContinueOnError)
 	cfg := config{}
-	fs.IntVar(&cfg.Jobs, "jobs", 6, "number of vni:true jobs to submit")
-	fs.StringVar(&cfg.Claim, "claim", "demo", "claim name shared by two extra jobs")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "RNG seed")
-	fs.StringVar(&cfg.File, "f", "", "submit objects from a YAML manifest (paper Listings 1-3) instead of the built-in demo")
+	fs.StringVar(&cfg.File, "f", "", "YAML manifest to submit (required; see internal/manifest for the subset)")
 	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+	if cfg.File == "" {
+		err := errors.New("-f <manifest> is required")
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
 		return config{}, err
 	}
 	return cfg, nil
@@ -60,115 +60,10 @@ func main() {
 	}
 }
 
-// run assembles the stack and executes the selected mode.
+// run assembles the stack, submits the objects the manifest declares and
+// reports on their lifecycle, kubectl-apply style.
 func run(w io.Writer, cfg config) error {
-	opts := stack.DefaultOptions()
-	opts.Seed = cfg.Seed
-	st := stack.New(opts)
-	if cfg.File != "" {
-		return runManifest(w, st, cfg.File)
-	}
-	runDemo(w, st, cfg)
-	return nil
-}
-
-// runDemo submits the built-in job mix and prints a cluster timeline.
-func runDemo(w io.Writer, st *stack.Stack, cfg config) {
-	st.Cluster.CreateNamespace("demo")
-
-	fmt.Fprintln(w, "== Slingshot-K8s demo cluster (2 nodes, VNI service installed) ==")
-
-	// A claim shared by two jobs (paper Listings 2+3).
-	st.Cluster.Client.Create(vnisvc.NewClaim("demo", cfg.Claim, cfg.Claim))
-	st.Eng.RunFor(2 * time.Second)
-	for i := 0; i < 2; i++ {
-		job := k8s.EchoJob("demo", fmt.Sprintf("claim-job-%d", i),
-			map[string]string{vniapi.Annotation: cfg.Claim})
-		job.Spec.Template.RunDuration = 8 * time.Second
-		job.Spec.DeleteAfterFinished = false
-		st.Cluster.SubmitJob(job)
-	}
-	// Per-resource VNI jobs (paper Listing 1).
-	for i := 0; i < cfg.Jobs; i++ {
-		job := k8s.EchoJob("demo", fmt.Sprintf("vni-job-%d", i),
-			map[string]string{vniapi.Annotation: vniapi.AnnotationValueTrue})
-		job.Spec.Template.RunDuration = 5 * time.Second
-		job.Spec.DeleteAfterFinished = false
-		st.Cluster.SubmitJob(job)
-	}
-	// One plain job without Slingshot access.
-	st.Cluster.SubmitJob(k8s.EchoJob("demo", "plain-job", nil))
-
-	for tick := 0; tick < 12; tick++ {
-		st.Eng.RunFor(2 * time.Second)
-		printState(w, st, tick)
-	}
-
-	fmt.Fprintln(w, "\n== deleting all jobs ==")
-	for _, obj := range st.Cluster.Client.Lister(k8s.KindJob).List("demo") {
-		m := obj.GetMeta()
-		st.Cluster.Client.Delete(k8s.KindJob, m.Namespace, m.Name)
-	}
-	st.Eng.RunFor(20 * time.Second)
-	st.Cluster.Client.Delete(vniapi.KindVniClaim, "demo", cfg.Claim)
-	st.Eng.RunFor(20 * time.Second)
-	printState(w, st, -1)
-
-	fmt.Fprintln(w, "\n== VNI database audit log (last 10) ==")
-	audit := st.DB.Audit()
-	if len(audit) > 10 {
-		audit = audit[len(audit)-10:]
-	}
-	for _, e := range audit {
-		fmt.Fprintf(w, "  seq=%03d t=%s %-12s vni=%d owner=%s user=%s\n",
-			e.Seq, e.At, e.Op, e.VNI, e.Owner, e.User)
-	}
-}
-
-func printState(w io.Writer, st *stack.Stack, tick int) {
-	label := fmt.Sprintf("t=%s", st.Eng.Now())
-	if tick < 0 {
-		label = "final"
-	}
-	fmt.Fprintf(w, "\n-- %s --\n", label)
-	fmt.Fprintf(w, "%-16s %-10s %-8s %-9s %s\n", "JOB", "STATUS", "ACTIVE", "SUCCEEDED", "VNI")
-	vniByJob := map[string]string{}
-	for _, obj := range st.Cluster.Client.Lister(vniapi.KindVNI).List("demo") {
-		cr := obj.(*k8s.Custom)
-		v := cr.Spec[vniapi.SpecVNI]
-		if cr.Spec[vniapi.SpecVirtual] == "true" {
-			v += " (claim)"
-		}
-		vniByJob[cr.Spec[vniapi.SpecJob]] = v
-	}
-	for _, obj := range st.Cluster.Client.Lister(k8s.KindJob).List("demo") {
-		job := obj.(*k8s.Job)
-		status := "Running"
-		if job.Status.Completed {
-			status = "Complete"
-		} else if job.Status.Active == 0 {
-			status = "Pending"
-		}
-		vni := vniByJob[job.Meta.Name]
-		if vni == "" {
-			vni = "-"
-		}
-		fmt.Fprintf(w, "%-16s %-10s %-8d %-9d %s\n",
-			job.Meta.Name, status, job.Status.Active, job.Status.Succeeded, vni)
-	}
-	dbst := st.DB.Stats()
-	fmt.Fprintf(w, "vni pool: %d allocated, %d quarantined / %d\n",
-		dbst.Allocated, dbst.Quarantined, dbst.PoolSize)
-	for _, n := range st.Nodes {
-		fmt.Fprintf(w, "%s: %d cxi services, %d sandboxes\n",
-			n.Name, len(n.Device.SvcList())-1, n.Runtime.Sandboxes())
-	}
-}
-
-// runManifest submits the objects declared in a YAML file and reports on
-// their lifecycle, kubectl-apply style.
-func runManifest(w io.Writer, st *stack.Stack, path string) error {
-	f, err := os.Open(path)
+	f, err := os.Open(cfg.File)
 	if err != nil {
 		return err
 	}
@@ -177,6 +72,9 @@ func runManifest(w io.Writer, st *stack.Stack, path string) error {
 	if err != nil {
 		return err
 	}
+	opts := stack.DefaultOptions()
+	opts.Seed = cfg.Seed
+	st := stack.New(opts)
 	namespaces := map[string]bool{}
 	for _, obj := range objs {
 		ns := obj.GetMeta().Namespace

@@ -1,9 +1,9 @@
 package fabric_test
 
 // Thin wrappers so the canonical dragonfly forwarding benchmarks
-// (internal/perfsuite) run under `go test -bench` here; `shsbench -exp
-// perf` runs the same bodies and writes them to BENCH_*.json. Groups1 is
-// the intra-group baseline; larger fabrics add gateway hops, the epoch-
+// (internal/perfsuite) run under `go test -bench` here; Groups4 is also the
+// repository benchmark's fabric.packet_ns isolate. Groups1 is the
+// intra-group baseline; larger fabrics add gateway hops, the epoch-
 // validated route cache, and global-link contention.
 
 import (

@@ -1,10 +1,9 @@
 package k8s_test
 
 // Thin wrapper so the canonical scheduler-placement benchmark
-// (internal/perfsuite, also the "SchedulerPlacement" case of the
-// BENCH_*.json trajectory) runs under `go test -bench` here. It drives
-// the public stack API — fleet, control plane, CNI, dragonfly topology —
-// so the name measures exactly what the JSON trajectory records.
+// (internal/perfsuite, also the repository benchmark's k8s.placement_us
+// isolate) runs under `go test -bench` here. It drives the public stack
+// API — fleet, control plane, CNI, dragonfly topology.
 
 import (
 	"testing"

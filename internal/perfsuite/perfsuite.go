@@ -1,21 +1,14 @@
-// Package perfsuite is the repository's allocation-tracking benchmark
-// suite: one canonical implementation of every hot-path benchmark, shared
-// by the `go test -bench` wrappers (internal/sim, internal/fabric, the root
-// bench file) and by `shsbench -exp perf`, which runs the suite in-process
-// and writes a machine-readable BENCH_*.json snapshot.
-//
-// The JSON trajectory is the perf contract between PRs: every case records
-// ns/op, B/op, allocs/op and — for cases that drive a sim.Engine —
-// simulated events per wall-clock second, so a regression in either the
-// event core or the packet path shows up as a number, not a feeling. See
-// docs/performance.md for how to run and read it.
+// Package perfsuite holds the hot-path benchmark bodies, one implementation
+// each, shared by the `go test -bench` wrappers (internal/sim,
+// internal/fabric, internal/k8s, the root bench file) and by the
+// repository benchmark's isolates (benchmarks/isolates.go), plus the
+// collective stack the root module's allocation and engine-isolation
+// tests drive. It measures nothing by itself: numbers come from
+// `go test -bench` and from benchmarks/ (docs/performance.md).
 package perfsuite
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"runtime"
 	"testing"
 	"time"
 
@@ -28,39 +21,6 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/stack"
 	"github.com/caps-sim/shs-k8s/internal/workload"
 )
-
-// Case is one suite entry: a named benchmark function runnable both under
-// `go test -bench` (via the thin wrappers) and under testing.Benchmark
-// (via Run).
-type Case struct {
-	Name string
-	// Bench is the benchmark body. Implementations must call b.ReportAllocs
-	// so allocation tracking works without -benchmem, and may report an
-	// "events/s" metric (simulated events per wall second).
-	Bench func(b *testing.B)
-}
-
-// Result is one case's measurement, the unit of the BENCH_*.json schema.
-type Result struct {
-	Name string `json:"name"`
-	// Ops is the number of benchmark iterations the measurement averaged.
-	Ops         int     `json:"ops"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	// SimEventsPerSec is simulated-event throughput (engine Steps retired
-	// per wall-clock second); zero for cases that do not report it.
-	SimEventsPerSec float64 `json:"sim_events_per_sec,omitempty"`
-	// Extra carries any other custom metrics the case reported.
-	Extra map[string]float64 `json:"extra,omitempty"`
-}
-
-// Report is the BENCH_*.json document.
-type Report struct {
-	Suite     string   `json:"suite"`
-	GoVersion string   `json:"go_version"`
-	Cases     []Result `json:"cases"`
-}
 
 // EngineSchedule measures the event core's steady-state schedule+dispatch
 // cost: one event scheduled and retired per op. With the pooled arena this
@@ -165,10 +125,8 @@ func FabricGroups(groups int) func(b *testing.B) {
 // over which every op completes 64 bulk 4 MiB transfers through the
 // flow-level fast path (FidelityFlow). The events/s metric counts elided
 // packet-fidelity events (2048 frames × 2·links+1 events per transfer), so
-// the number is directly comparable to the packet-fidelity Fabric_Groups
-// cases: the gap between them is the fast path's win, and the trend across
-// FleetN64/512/4096 is the events/s-vs-fleet-size curve the ROADMAP asks
-// for.
+// the number is directly comparable to FabricGroups': the gap between them
+// is the fast path's win.
 func FabricFleet(groups, switchesPerGroup, nodesPerSwitch int) func(b *testing.B) {
 	return func(b *testing.B) {
 		const payload = 4 << 20
@@ -220,41 +178,11 @@ func FabricFleet(groups, switchesPerGroup, nodesPerSwitch int) func(b *testing.B
 	}
 }
 
-// CollectivesFidelity returns the end-to-end fidelity contrast case: an
-// 8-rank, 1 MiB ring allreduce on a single-group dragonfly, run through
-// the full stack (CXI NIC model, libfabric, MPI) at the given fabric
-// fidelity. CoalesceFrames is disabled so the packet run pays the true
-// frame-granular event cost a bulk transfer implies — the contrast between
-// Collectives_Flow and Collectives_Packet is then the tentpole's win on an
-// uncontended bulk collective, in both wall time and events/s.
-func CollectivesFidelity(fid fabric.Fidelity) func(b *testing.B) {
-	return func(b *testing.B) {
-		st, comm, err := CollectivesStack()
-		if err != nil {
-			b.Fatal(err)
-		}
-		spec := workload.Spec{Pattern: workload.AllreduceRing, Bytes: 1 << 20, Iterations: 2, Fidelity: fid}
-		base := st.Eng.Steps + st.Eng.Elided
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			finished := false
-			if err := workload.Run(st.Eng, comm, st.Topo, spec, func(workload.Report) { finished = true }); err != nil {
-				b.Fatal(err)
-			}
-			st.Eng.Run()
-			if !finished {
-				b.Fatal("collective never completed")
-			}
-		}
-		reportEventRate(b, st.Eng, base)
-	}
-}
-
-// CollectivesStack builds the stack the CollectivesFidelity cases run on:
-// 8 ranks on a single-group dragonfly (4 switches × 2 nodes), frame
-// coalescing off, one communicator over all of them. The root module's
-// allocation and engine-isolation tests drive the same stack.
+// CollectivesStack builds the stack of the benchmark's allreduce
+// workloads: 8 ranks on a single-group dragonfly (4 switches × 2 nodes),
+// frame coalescing off so a packet-fidelity run pays the true
+// frame-granular event cost, one communicator over all of them. The root
+// module's allocation and engine-isolation tests drive it.
 func CollectivesStack() (*stack.Stack, *mpi.Comm, error) {
 	const ranks = 8
 	opts := stack.DefaultOptions()
@@ -353,84 +281,9 @@ func SchedulerPlacement(b *testing.B) {
 // work the flow fast path completed in closed form — so throughput stays
 // comparable across fidelity modes; for packet-only cases Elided is zero
 // and the metric is unchanged. Passing the post-setup snapshot keeps
-// untimed bootstrap events (e.g. fleet assembly) out of the rate
-// BENCH_*.json records.
+// untimed bootstrap events (e.g. fleet assembly) out of the rate.
 func reportEventRate(b *testing.B, eng *sim.Engine, base uint64) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(eng.Steps+eng.Elided-base)/s, "events/s")
-	}
-}
-
-// Suite returns the canonical case list, in trajectory order.
-func Suite() []Case {
-	return []Case{
-		{Name: "Engine_Schedule", Bench: EngineSchedule},
-		{Name: "Engine_CancelHeavy", Bench: EngineCancelHeavy},
-		{Name: "Fabric_Groups1", Bench: FabricGroups(1)},
-		{Name: "Fabric_Groups4", Bench: FabricGroups(4)},
-		{Name: "Fabric_Groups16", Bench: FabricGroups(16)},
-		{Name: "Fabric_FleetN64", Bench: FabricFleet(8, 2, 4)},
-		{Name: "Fabric_FleetN512", Bench: FabricFleet(16, 4, 8)},
-		{Name: "Fabric_FleetN4096", Bench: FabricFleet(32, 8, 16)},
-		{Name: "Collectives", Bench: Collectives},
-		{Name: "Collectives_Packet", Bench: CollectivesFidelity(fabric.FidelityPacket)},
-		{Name: "Collectives_Flow", Bench: CollectivesFidelity(fabric.FidelityFlow)},
-		{Name: "SchedulerPlacement", Bench: SchedulerPlacement},
-	}
-}
-
-// Run executes the whole suite via testing.Benchmark and returns the
-// measurements. Wall-clock cost is roughly the Go default benchtime (1s)
-// per case. A case whose body aborts (b.Fatal) is reported as an error
-// naming the case — testing.Benchmark swallows the failure into a zero
-// result, which would otherwise surface only as NaN arithmetic
-// downstream.
-func Run() ([]Result, error) {
-	var out []Result
-	for _, c := range Suite() {
-		r := testing.Benchmark(c.Bench)
-		if r.N == 0 {
-			return nil, fmt.Errorf("perfsuite: case %s failed (benchmark body aborted; run `go test -bench %s` for the failure output)", c.Name, c.Name)
-		}
-		res := Result{
-			Name:        c.Name,
-			Ops:         r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		for k, v := range r.Extra {
-			if k == "events/s" {
-				res.SimEventsPerSec = v
-				continue
-			}
-			if res.Extra == nil {
-				res.Extra = map[string]float64{}
-			}
-			res.Extra[k] = v
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// WriteJSON renders results as the BENCH_*.json document.
-func WriteJSON(w io.Writer, suite string, results []Result) error {
-	rep := Report{Suite: suite, GoVersion: runtime.Version(), Cases: results}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// RenderTable prints results as an aligned text table, the human-readable
-// twin of WriteJSON.
-func RenderTable(w io.Writer, results []Result) {
-	fmt.Fprintf(w, "%-22s %14s %12s %12s %16s\n", "case", "ns/op", "B/op", "allocs/op", "sim events/s")
-	for _, r := range results {
-		ev := "-"
-		if r.SimEventsPerSec > 0 {
-			ev = fmt.Sprintf("%.0f", r.SimEventsPerSec)
-		}
-		fmt.Fprintf(w, "%-22s %14.1f %12d %12d %16s\n", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, ev)
 	}
 }

@@ -232,3 +232,35 @@ func TestAtCallAvoidsClosureAllocation(t *testing.T) {
 		t.Error("callback never ran")
 	}
 }
+
+// TestCancelHeavyAvoidsAllocation: schedule 64 events, cancel every other
+// one, drain — the shape of the Engine_CancelHeavy benchmark — allocates
+// nothing once the arena has grown: a cancelled slot goes straight back to
+// the free list and is the next one handed out.
+func TestCancelHeavyAvoidsAllocation(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	fn := func() { fired++ }
+	const k = 64
+	evs := make([]Event, k)
+	round := func() {
+		for j := 0; j < k; j++ {
+			evs[j] = e.After(time.Duration(j)*time.Microsecond, fn)
+		}
+		for j := 0; j < k; j += 2 {
+			evs[j].Cancel()
+		}
+		e.Run()
+	}
+	round() // grow the arena and the heap to 64 slots
+	fired = 0
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("schedule-64 / cancel-half / drain allocates %.1f objects/op, want 0", allocs)
+	}
+	if want := 101 * k / 2; fired != want { // AllocsPerRun adds one warm-up run
+		t.Errorf("%d callbacks ran, want %d (the uncancelled half of every round)", fired, want)
+	}
+	if err := e.CheckIntegrity(); err != nil {
+		t.Error(err)
+	}
+}

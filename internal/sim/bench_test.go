@@ -1,8 +1,8 @@
 package sim_test
 
 // Thin wrappers so the canonical event-core benchmarks (internal/perfsuite)
-// run under `go test -bench` here; `shsbench -exp perf` runs the same
-// bodies and writes them to BENCH_*.json.
+// run under `go test -bench` here; Engine_Schedule is also the repository
+// benchmark's sim.schedule_ns isolate.
 
 import (
 	"math/rand"

@@ -6,11 +6,14 @@
 #   interactive.txt  the committed operator session's transcript
 #   telemetry.jsonl  the series that session dumps
 #   fuzz.txt         shssim fuzz -n 200 -seed 1
+#   bench-exact.txt  the exact columns of the repository benchmark: every
+#                    layer counter and virt.* value of its five workloads
 #
 # Everything is seeded and on the virtual clock, so two invocations — of
 # one checkout (determinism) or of a parent and a change that must not
 # alter behaviour (parity) — compare with `diff -r`. Run from the root
-# of the checkout to dump; nothing is written there.
+# of the checkout to dump; nothing is written there but the benchmark's
+# own ignored benchmarks/out/.
 set -eu
 
 [ $# -eq 1 ] || { echo "usage: $0 <outdir>" >&2; exit 2; }
@@ -28,3 +31,11 @@ cd "$root"
 # directory: run it inside <outdir>.
 (cd "$out" && ./shssim interactive -stdin -sample-every 100ms \
 	< "$root/examples/interactive/session.txt" > interactive.txt)
+# One short traced run per workload, keeping what no clock enters: the
+# per-iteration layer counters and the simulated times (a counter is the
+# same in every iteration, so the iteration count n= is dropped). Host
+# times stay out: they are what scripts/pairs.sh compares.
+for w in admission_spike500 cp_pods5000 allreduce_packet allreduce_flow scenario_suite; do
+	go run -C "$root/benchmarks" . --workload "$w" --seconds 1 --trace 1
+done | sed -nE 's,^([a-z0-9_]+/((sim|fabric|cxi|cni|vnisvc|k8s)\.[a-z0-9_.]+ [^ ]+ count|virt\.[a-z0-9_]+ [^ ]+ [^ ]+)) n=[0-9]+$,\1,p' \
+	> "$out/bench-exact.txt"
