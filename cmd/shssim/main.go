@@ -12,14 +12,14 @@
 //	shssim list [dir]                list scenarios with their descriptions
 //	shssim interactive [flags]       drive a live fleet from a command prompt
 //
-// Flags for run: -v (print the event narration), -workers N / -parallel N
-// (parallel scenario runs for directories; results print in deterministic
-// order), -seed N (override every scenario's baked-in seed; the effective
-// seed is printed either way, so any run can be reproduced exactly),
-// -repeat N (run every scenario N times at consecutive seeds — base,
-// base+1, … — reusing the parsed spec, so seed sweeps pay YAML parsing and
-// validation once per file instead of once per run), -fidelity M (override
-// every traffic spec's fabric fidelity: packet, flow or hybrid — see
+// Flags for run: -v (print the event narration), -workers N (parallel
+// scenario runs for directories; results print in deterministic order),
+// -seed N (override every scenario's baked-in seed; the effective seed is
+// printed either way, so any run can be reproduced exactly), -repeat N
+// (run every scenario N times at consecutive seeds — base, base+1, … —
+// reusing the parsed spec, so seed sweeps pay YAML parsing and validation
+// once per file instead of once per run), -fidelity M (override every
+// traffic spec's fabric fidelity: packet, flow or hybrid — see
 // docs/performance.md).
 package main
 
@@ -71,12 +71,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
-  shssim run [-v] [-workers N | -parallel N] [-seed N] [-repeat N] [-fidelity M] <file-or-dir> [...]
+  shssim run [-v] [-workers N] [-seed N] [-repeat N] [-fidelity M] <file-or-dir> [...]
   shssim validate <file> [...]
   shssim list [dir]
   shssim fuzz [-n N] [-seed N] [-corpus dir] [-v]
   shssim fuzz -replay <file> [...]
-  shssim interactive [-scenario file] [-seed N] [-sample-every D] [-stdin | -socket path]
+  shssim interactive [-scenario file] [-seed N] [-sample-every D] [-socket path]
 `)
 }
 
@@ -120,7 +120,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	verbose := fs.Bool("v", false, "print the event narration for each run")
 	workers := fs.Int("workers", 4, "scenarios run in parallel")
-	fs.IntVar(workers, "parallel", 4, "alias for -workers")
 	seed := fs.Int64("seed", 0, "override the scenario seed (0 = use each file's seed)")
 	repeat := fs.Int("repeat", 1, "runs per scenario at consecutive seeds (base, base+1, ...)")
 	fidelity := fs.String("fidelity", "", "override every traffic spec's fabric fidelity (packet, flow or hybrid)")
@@ -358,7 +357,6 @@ func cmdInteractive(args []string, stdin io.Reader, stdout, stderr io.Writer) in
 	scenarioPath := fs.String("scenario", "", "scenario file supplying the fleet (default: built-in 2-group fleet)")
 	seed := fs.Int64("seed", 0, "override the scenario seed (0 = use the scenario's)")
 	sampleEvery := fs.Duration("sample-every", 0, "enable telemetry sampling at this virtual period")
-	useStdin := fs.Bool("stdin", false, "serve the session on stdin/stdout (the default; kept for scripts)")
 	socket := fs.String("socket", "", "serve sessions on a Unix socket at this path instead of stdin")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -368,10 +366,6 @@ func cmdInteractive(args []string, stdin io.Reader, stdout, stderr io.Writer) in
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "shssim interactive: unexpected argument %q\n", fs.Arg(0))
-		return 2
-	}
-	if *useStdin && *socket != "" {
-		fmt.Fprintln(stderr, "shssim interactive: -stdin and -socket are mutually exclusive")
 		return 2
 	}
 	sc := ctl.DefaultScenario()

@@ -185,7 +185,7 @@ func TestListReportsInvalidFiles(t *testing.T) {
 	}
 }
 
-// TestInteractiveScriptedSession drives `shssim interactive -stdin` the
+// TestInteractiveScriptedSession drives `shssim interactive` the
 // way CI does: a scripted session against the built-in fleet, twice, with
 // byte-identical transcripts.
 func TestInteractiveScriptedSession(t *testing.T) {
@@ -193,7 +193,7 @@ func TestInteractiveScriptedSession(t *testing.T) {
 	transcripts := make([]string, 2)
 	for i := range transcripts {
 		var out, errb bytes.Buffer
-		code := cmdInteractive([]string{"-stdin"}, strings.NewReader(script), &out, &errb)
+		code := cmdInteractive(nil, strings.NewReader(script), &out, &errb)
 		if code != 0 {
 			t.Fatalf("interactive exited %d: %s", code, errb.String())
 		}
@@ -211,9 +211,13 @@ func TestInteractiveScriptedSession(t *testing.T) {
 
 func TestInteractiveRejectsBadFlags(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := cmdInteractive([]string{"-stdin", "-socket", "/tmp/x.sock"},
-		strings.NewReader(""), &out, &errb); code != 2 {
-		t.Errorf("conflicting modes exited %d, want 2", code)
+	// The retired no-op -stdin and the retired -workers alias -parallel are
+	// unknown flags: a script still passing one fails loudly.
+	if code := cmdInteractive([]string{"-stdin"}, strings.NewReader(""), &out, &errb); code != 2 {
+		t.Errorf("interactive -stdin exited %d, want 2", code)
+	}
+	if code := run([]string{"run", "-parallel", "4", "../../scenarios"}, &out, &errb); code != 2 {
+		t.Errorf("run -parallel exited %d, want 2", code)
 	}
 	if code := cmdInteractive([]string{"-scenario", "does-not-exist.yaml"},
 		strings.NewReader(""), &out, &errb); code != 1 {

@@ -9,15 +9,13 @@ package main
 import (
 	"fmt"
 	"log"
-	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
-	"github.com/caps-sim/shs-k8s/internal/libfabric"
-	"github.com/caps-sim/shs-k8s/internal/mpi"
 	"github.com/caps-sim/shs-k8s/internal/stack"
 	"github.com/caps-sim/shs-k8s/internal/vniapi"
+	"github.com/caps-sim/shs-k8s/internal/workload"
 )
 
 func main() {
@@ -53,33 +51,26 @@ func main() {
 	}
 
 	// 4. Read the VNI the service assigned to the job.
-	vni := jobVNI(st)
-	fmt.Printf("job admitted, VNI service assigned VNI %d\n", vni)
-
-	// 5. Open an RDMA domain inside each pod. Authentication is by the
-	//    pod's network namespace — no UID/GID involved.
-	var doms []*libfabric.Domain
-	for _, obj := range st.Cluster.Client.Lister(k8s.KindPod).List("quickstart") {
-		pod := obj.(*k8s.Pod)
-		node, _ := st.NodeByName(pod.Spec.NodeName)
-		proc, err := node.Runtime.Exec(pod.Meta.Namespace, pod.Meta.Name, "rank", 0, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		d, err := libfabric.OpenDomain(st.Eng, libfabric.Info{
-			Device: node.Device, Caller: proc.PID, VNI: vni, TC: fabric.TCLowLatency})
-		if err != nil {
-			log.Fatal(err)
-		}
-		doms = append(doms, d)
-		fmt.Printf("  pod %s on %s: RDMA endpoint %v\n", pod.Meta.Name, pod.Spec.NodeName, d.Addr())
-	}
-
-	// 6. Ping-pong: 1000 round trips of 8 B.
-	comm, err := mpi.Connect(st.Eng, doms...)
+	vni, err := vniapi.JobVNI(vniapi.VNILister(st.Cluster.Client), "quickstart", "pingpong")
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("job admitted, VNI service assigned VNI %d\n", vni)
+
+	// 5. Gang the job: one process exec'ed inside each pod opens an RDMA
+	//    domain. Authentication is by the pod's network namespace — no
+	//    UID/GID involved. Ranks follow pod-name order.
+	gang, err := workload.PodGang(st, "quickstart", "pingpong", vni, fabric.TCLowLatency)
+	if err != nil {
+		log.Fatal(err)
+	}
+	comm := gang.Comm
+	for rank, obj := range st.Cluster.Client.Lister(k8s.KindPod).List("quickstart") {
+		pod := obj.(*k8s.Pod)
+		fmt.Printf("  pod %s on %s: RDMA endpoint %v\n", pod.Meta.Name, pod.Spec.NodeName, comm.Ranks[rank].Addr())
+	}
+
+	// 6. Ping-pong: 1000 round trips of 8 B.
 	const rounds = 1000
 	done := 0
 	start := st.Eng.Now()
@@ -101,8 +92,10 @@ func main() {
 	fmt.Printf("pingpong: %d round trips, avg RTT %v (one-way latency ~%v)\n",
 		rounds, rtt, rtt/2)
 
-	// 7. Tear down: deleting the job releases the VNI (after the 30 s
-	//    quarantine it becomes reusable).
+	// 7. Tear down: the ranks close their endpoints, so the CNI plugin can
+	//    destroy the pods' CXI services; deleting the job releases the VNI
+	//    (after the 30 s quarantine it becomes reusable).
+	gang.Close()
 	st.Cluster.Client.Delete(k8s.KindJob, "quickstart", "pingpong")
 	st.Eng.RunFor(30 * time.Second)
 	stats := st.DB.Stats()
@@ -117,19 +110,4 @@ func running(st *stack.Stack) int {
 		}
 	}
 	return n
-}
-
-func jobVNI(st *stack.Stack) fabric.VNI {
-	for _, obj := range st.Cluster.Client.Lister(vniapi.KindVNI).List("quickstart") {
-		cr := obj.(*k8s.Custom)
-		if cr.Spec[vniapi.SpecJob] == "pingpong" {
-			v, err := strconv.ParseUint(cr.Spec[vniapi.SpecVNI], 10, 32)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return fabric.VNI(v)
-		}
-	}
-	log.Fatal("no VNI CRD instance for job")
-	return 0
 }

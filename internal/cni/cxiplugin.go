@@ -2,7 +2,6 @@ package cni
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/cxi"
@@ -133,15 +132,9 @@ func (p *CXIPlugin) Add(args Args, prev *Result, done func(*Result, error)) {
 // VNI CRD in the namespace.
 func (p *CXIPlugin) fetchVNI(args Args, jobName string, retries int, done func(fabric.VNI, error)) {
 	p.eng.After(p.eng.Jitter(p.cfg.APIQueryCost, 0.3), func() {
-		var buf [1]k8s.Object // a job has one VNI CRD instance
-		for _, obj := range p.vnis.AppendByIndex(buf[:0], vniapi.IndexVNIByJob, k8s.IndexKey{Namespace: args.PodNamespace, Name: jobName}) {
-			cr := obj.(*k8s.Custom)
-			v, err := strconv.ParseUint(cr.Spec[vniapi.SpecVNI], 10, 32)
-			if err != nil {
-				done(0, fmt.Errorf("malformed VNI CRD %s: %v", cr.Meta.Key(), err))
-				return
-			}
-			done(fabric.VNI(v), nil)
+		vni, err := vniapi.JobVNI(p.vnis, args.PodNamespace, jobName)
+		if err != vniapi.ErrNoInstance {
+			done(vni, err)
 			return
 		}
 		if retries > 0 {

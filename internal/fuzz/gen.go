@@ -8,6 +8,7 @@ import (
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/scenario"
+	"github.com/caps-sim/shs-k8s/internal/workload"
 )
 
 // Config bounds the generator's search space. The defaults keep specs small
@@ -122,11 +123,11 @@ func Generate(rng *rand.Rand, cfg Config) *scenario.Scenario {
 	}
 
 	// Named traffic specs for run_traffic to draw from.
-	patterns := []string{"allreduce-ring", "allreduce-rd", "alltoall", "halo"}
+	patterns := workload.Patterns()
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		ts := scenario.TrafficSpec{
 			Name:       fmt.Sprintf("tr%d", i),
-			Pattern:    patterns[rng.Intn(len(patterns))],
+			Pattern:    string(patterns[rng.Intn(len(patterns))]),
 			Bytes:      1 << (10 + rng.Intn(7)), // 1 KiB .. 64 KiB
 			Iterations: 1 + rng.Intn(4),
 		}

@@ -11,8 +11,6 @@ import (
 	"io"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
-	"github.com/caps-sim/shs-k8s/internal/libfabric"
-	"github.com/caps-sim/shs-k8s/internal/mpi"
 	"github.com/caps-sim/shs-k8s/internal/stack"
 	"github.com/caps-sim/shs-k8s/internal/workload"
 )
@@ -99,19 +97,16 @@ func RunCollectivesSweep(cfg CollectivesConfig) ([]CollectiveRow, error) {
 	return rows, nil
 }
 
-// runCollectiveCell builds the placement's deployment, opens one host
-// domain per rank on the chosen nodes, and runs the iteration loop.
+// runCollectiveCell builds the placement's deployment, gangs one host
+// rank per chosen node, and runs the iteration loop.
 func runCollectiveCell(cfg CollectivesConfig, placement Placement, pattern workload.Pattern, size int) (workload.Report, error) {
 	sopts := stack.DefaultOptions()
 	sopts.Seed = cfg.Seed
-	var nodes []int
+	nodeOf := func(rank int) int { return rank } // flat; colocated: all of group 0
 	switch placement {
 	case PlacementFlat:
 		sopts.Nodes = cfg.Ranks
 		sopts.Topology = fabric.TopologySpec{Groups: 1, SwitchesPerGroup: 1, NodesPerSwitch: cfg.Ranks}
-		for i := 0; i < cfg.Ranks; i++ {
-			nodes = append(nodes, i)
-		}
 	case PlacementColocated, PlacementSpilled:
 		// A 4-group dragonfly with one full gang's worth of nodes per
 		// group; nodes are block-striped, so group g owns nodes
@@ -121,41 +116,26 @@ func runCollectiveCell(cfg CollectivesConfig, placement Placement, pattern workl
 			Groups: 4, SwitchesPerGroup: 1, NodesPerSwitch: cfg.Ranks,
 			GlobalLinkBandwidthBits: cfg.GlobalGbps * 1e9,
 		}
-		if placement == PlacementColocated {
-			for i := 0; i < cfg.Ranks; i++ {
-				nodes = append(nodes, i) // all of group 0
-			}
-		} else {
-			for i := 0; i < cfg.Ranks; i++ {
-				group, slot := i%4, i/4
-				nodes = append(nodes, group*cfg.Ranks+slot)
-			}
+		if placement == PlacementSpilled {
+			nodeOf = func(rank int) int { return rank%4*cfg.Ranks + rank/4 }
 		}
 	default:
 		return workload.Report{}, fmt.Errorf("unknown placement %q", placement)
 	}
 	st := stack.New(sopts)
 
-	var doms []*libfabric.Domain
-	for rank, n := range nodes {
-		proc, err := st.Kernel.Spawn(fmt.Sprintf("sweep-rank%d", rank), 1000, 1000, 0, 0)
-		if err != nil {
-			return workload.Report{}, err
-		}
-		d, err := libfabric.OpenDomain(st.Eng, libfabric.Info{
-			Device: st.Nodes[n].Device, Caller: proc.PID, VNI: 1, TC: fabric.TCBulkData})
-		if err != nil {
-			return workload.Report{}, err
-		}
-		doms = append(doms, d)
+	ranks := make([]*stack.Node, cfg.Ranks)
+	for rank := range ranks {
+		ranks[rank] = st.Nodes[nodeOf(rank)]
 	}
-	comm, err := mpi.Connect(st.Eng, doms...)
+	gang, err := workload.HostGang(st, 1000, 1000, ranks, 1, fabric.TCBulkData)
 	if err != nil {
 		return workload.Report{}, err
 	}
+	defer gang.Close()
 	var rep workload.Report
 	finished := false
-	err = workload.Run(st.Eng, comm, st.Topo,
+	err = workload.Run(st.Eng, gang.Comm, st.Topo,
 		workload.Spec{Pattern: pattern, Bytes: size, Iterations: cfg.Iterations, Fidelity: cfg.Fidelity},
 		func(r workload.Report) { rep, finished = r, true })
 	if err != nil {

@@ -14,16 +14,14 @@ package harness
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
-	"github.com/caps-sim/shs-k8s/internal/libfabric"
-	"github.com/caps-sim/shs-k8s/internal/mpi"
 	"github.com/caps-sim/shs-k8s/internal/osu"
 	"github.com/caps-sim/shs-k8s/internal/stack"
 	"github.com/caps-sim/shs-k8s/internal/vniapi"
+	"github.com/caps-sim/shs-k8s/internal/workload"
 )
 
 // CommMode is one line of Figures 5-8.
@@ -104,33 +102,32 @@ func runCommOnce(opts CommOptions, seed int64) ([]osu.Point, error) {
 	sopts.Seed = seed
 	st := stack.New(sopts)
 
-	var doms []*libfabric.Domain
+	var gang *workload.Gang
 	var err error
 	switch opts.Mode {
 	case ModeHost:
-		doms, err = hostDomains(st)
+		// The paper's baseline "without involving Kubernetes": host
+		// processes on the default service's global VNI.
+		gang, err = workload.HostGang(st, 1000, 1000, st.Nodes[:2], 1, fabric.TCDedicated)
 	case ModeVNITrue:
-		doms, err = podDomains(st, true)
+		gang, err = podGang(st, true)
 	case ModeVNIFalse:
-		doms, err = podDomains(st, false)
+		gang, err = podGang(st, false)
 	default:
 		return nil, fmt.Errorf("unknown mode %q", opts.Mode)
 	}
 	if err != nil {
 		return nil, err
 	}
-	comm, err := mpi.Connect(st.Eng, doms...)
-	if err != nil {
-		return nil, err
-	}
+	defer gang.Close()
 	var pts []osu.Point
 	finished := false
 	collect := func(p []osu.Point) { pts, finished = p, true }
 	switch opts.Kind {
 	case BenchBw:
-		osu.Bandwidth(st.Eng, comm, opts.OSU, collect)
+		osu.Bandwidth(st.Eng, gang.Comm, opts.OSU, collect)
 	case BenchLatency:
-		osu.Latency(st.Eng, comm, opts.OSU, collect)
+		osu.Latency(st.Eng, gang.Comm, opts.OSU, collect)
 	default:
 		return nil, fmt.Errorf("unknown bench %q", opts.Kind)
 	}
@@ -142,30 +139,10 @@ func runCommOnce(opts CommOptions, seed int64) ([]osu.Point, error) {
 	return pts, nil
 }
 
-// hostDomains opens one domain per node directly on the host (the paper's
-// baseline "without involving Kubernetes"), using the default service's
-// global VNI.
-func hostDomains(st *stack.Stack) ([]*libfabric.Domain, error) {
-	var doms []*libfabric.Domain
-	for i := 0; i < 2; i++ {
-		proc, err := st.Kernel.Spawn(fmt.Sprintf("osu-rank%d", i), 1000, 1000, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		d, err := libfabric.OpenDomain(st.Eng, libfabric.Info{
-			Device: st.Nodes[i].Device, Caller: proc.PID, VNI: 1, TC: fabric.TCDedicated})
-		if err != nil {
-			return nil, err
-		}
-		doms = append(doms, d)
-	}
-	return doms, nil
-}
-
-// podDomains submits a two-pod MPI job (spread across the two nodes by the
+// podGang submits a two-pod MPI job (spread across the two nodes by the
 // scheduler, as the paper does with topology spread constraints), waits for
-// both pods to run, and opens a domain inside each pod.
-func podDomains(st *stack.Stack, vni bool) ([]*libfabric.Domain, error) {
+// both pods to run, and gangs a rank inside each pod.
+func podGang(st *stack.Stack, vni bool) (*workload.Gang, error) {
 	st.Cluster.CreateNamespace("bench")
 	var ann map[string]string
 	if vni {
@@ -197,38 +174,12 @@ func podDomains(st *stack.Stack, vni bool) ([]*libfabric.Domain, error) {
 
 	useVNI := fabric.VNI(1) // vni:false: globally accessible VNI
 	if vni {
-		v, err := jobVNI(st, "bench", "osu")
-		if err != nil {
-			return nil, err
+		var err error
+		if useVNI, err = vniapi.JobVNI(vniapi.VNILister(st.Cluster.Client), "bench", "osu"); err != nil {
+			return nil, fmt.Errorf("job bench/osu: %w", err)
 		}
-		useVNI = v
 	}
-
-	var doms []*libfabric.Domain
-	for _, obj := range st.Cluster.Client.Lister(k8s.KindPod).List("bench") {
-		pod := obj.(*k8s.Pod)
-		if pod.Status.Phase != k8s.PodRunning {
-			continue
-		}
-		node, ok := st.NodeByName(pod.Spec.NodeName)
-		if !ok {
-			return nil, fmt.Errorf("pod %s on unknown node %s", pod.Meta.Name, pod.Spec.NodeName)
-		}
-		proc, err := node.Runtime.Exec(pod.Meta.Namespace, pod.Meta.Name, "osu-rank", 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		d, err := libfabric.OpenDomain(st.Eng, libfabric.Info{
-			Device: node.Device, Caller: proc.PID, VNI: useVNI, TC: fabric.TCDedicated})
-		if err != nil {
-			return nil, err
-		}
-		doms = append(doms, d)
-	}
-	if len(doms) != 2 {
-		return nil, fmt.Errorf("opened %d domains, want 2", len(doms))
-	}
-	return doms, nil
+	return workload.PodGang(st, "bench", "osu", useVNI, fabric.TCDedicated)
 }
 
 func runningPods(st *stack.Stack) int {
@@ -239,18 +190,4 @@ func runningPods(st *stack.Stack) int {
 		}
 	}
 	return n
-}
-
-// jobVNI reads the VNI assigned to a job from its VNI CRD instance via the
-// by-job index.
-func jobVNI(st *stack.Stack, namespace, jobName string) (fabric.VNI, error) {
-	for _, obj := range vniapi.VNILister(st.Cluster.Client).ByIndex(vniapi.IndexVNIByJob, k8s.IndexKey{Namespace: namespace, Name: jobName}) {
-		cr := obj.(*k8s.Custom)
-		v, err := strconv.ParseUint(cr.Spec[vniapi.SpecVNI], 10, 32)
-		if err != nil {
-			return 0, err
-		}
-		return fabric.VNI(v), nil
-	}
-	return 0, fmt.Errorf("no VNI CRD for job %s/%s", namespace, jobName)
 }

@@ -94,7 +94,11 @@ func (b bucket) len() int {
 // appendTo appends the bucket's objects to dst in key order.
 func (b bucket) appendTo(dst []Object) []Object {
 	n := len(dst)
-	dst = slices.Grow(dst, b.len())
+	// Not slices.Grow: under the race detector its append-of-make idiom
+	// allocates twice, and allocation budgets are held under -race too.
+	if need := n + b.len(); need > cap(dst) {
+		dst = append(make([]Object, 0, need), dst...)
+	}
 	if b.c != nil {
 		dst = append(dst, b.c.obj)
 	}

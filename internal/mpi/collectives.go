@@ -15,8 +15,6 @@
 
 package mpi
 
-import "fmt"
-
 // chunk returns the size of the i-th of n near-equal chunks of size bytes
 // (the first size%n chunks carry the extra byte).
 func chunk(size, n, i int) int {
@@ -253,23 +251,4 @@ func AlltoallPairwiseBytes(n, block int) uint64 {
 // halo exchange step: two sends per rank.
 func HaloExchangeBytes(n, halo int) uint64 {
 	return uint64(2*n) * uint64(halo)
-}
-
-// RunCollective names and dispatches a collective by its workload-engine
-// identifier; it exists so callers holding a string pattern (scenario
-// files, benchmarks) need no switch of their own.
-func (c *Comm) RunCollective(name string, size int, done func()) error {
-	switch name {
-	case "allreduce-ring":
-		c.AllreduceRing(size, done)
-	case "allreduce-rd":
-		c.AllreduceRecursiveDoubling(size, done)
-	case "alltoall":
-		c.AlltoallPairwise(size, done)
-	case "halo":
-		c.HaloExchange(size, done)
-	default:
-		return fmt.Errorf("mpi: unknown collective %q", name)
-	}
-	return nil
 }

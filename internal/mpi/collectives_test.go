@@ -175,28 +175,6 @@ func TestWildcardRecvStillMatches(t *testing.T) {
 	}
 }
 
-// TestRunCollectiveDispatch maps every workload pattern name onto its
-// algorithm and rejects unknown names.
-func TestRunCollectiveDispatch(t *testing.T) {
-	for _, name := range []string{"allreduce-ring", "allreduce-rd", "alltoall", "halo"} {
-		eng, comm := newCommN(t, 1, 3)
-		done := false
-		eng.After(0, func() {
-			if err := comm.RunCollective(name, 1024, func() { done = true }); err != nil {
-				t.Errorf("%s: %v", name, err)
-			}
-		})
-		eng.Run()
-		if !done {
-			t.Errorf("%s never completed", name)
-		}
-	}
-	_, comm := newCommN(t, 1, 2)
-	if err := comm.RunCollective("bitonic-sort", 1, nil); err == nil {
-		t.Error("unknown collective accepted")
-	}
-}
-
 // TestIsendNeedsTwoRanks pins the 2-rank-only contract of the OSU
 // point-to-point API.
 func TestIsendNeedsTwoRanks(t *testing.T) {

@@ -73,6 +73,9 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the communicator size.
 func (r *Rank) Size() int { return len(r.comm.Ranks) }
 
+// Addr returns the libfabric address the rank's endpoint is reachable at.
+func (r *Rank) Addr() libfabric.Addr { return r.comm.addrs[r.id] }
+
 // Comm is an N-rank communicator (N ≥ 2).
 type Comm struct {
 	eng *sim.Engine
@@ -209,12 +212,11 @@ func sendToCall(a any) {
 	r, peer, size, onComplete := sa.r, sa.peer, sa.size, sa.onComplete
 	*sa = sendToArg{}
 	r.comm.sendTos.Put(sa)
-	if err := r.dom.Send(peer, size, onComplete); err != nil {
-		// Send only fails on a closed domain — a programming error
-		// (workloads close their gang after the run completes), so
-		// panic rather than stalling silently.
-		panic(err)
-	}
+	// Send only fails on a closed domain: the rank's gang was closed
+	// between the call and its software overhead (a caller giving up on a
+	// stalled run closes its gang mid-flight). The process is gone, and
+	// the message it had posted with it.
+	_ = r.dom.Send(peer, size, onComplete)
 }
 
 // RecvFrom posts a receive matching messages from rank src (or AnySource);

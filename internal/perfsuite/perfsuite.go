@@ -8,14 +8,12 @@
 package perfsuite
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/harness"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
-	"github.com/caps-sim/shs-k8s/internal/libfabric"
 	"github.com/caps-sim/shs-k8s/internal/mpi"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 	"github.com/caps-sim/shs-k8s/internal/stack"
@@ -181,8 +179,9 @@ func FabricFleet(groups, switchesPerGroup, nodesPerSwitch int) func(b *testing.B
 // CollectivesStack builds the stack of the benchmark's allreduce
 // workloads: 8 ranks on a single-group dragonfly (4 switches × 2 nodes),
 // frame coalescing off so a packet-fidelity run pays the true
-// frame-granular event cost, one communicator over all of them. The root
-// module's allocation and engine-isolation tests drive it.
+// frame-granular event cost, one communicator over all of them, its gang
+// held open for the life of the stack. The root module's allocation and
+// engine-isolation tests drive it.
 func CollectivesStack() (*stack.Stack, *mpi.Comm, error) {
 	const ranks = 8
 	opts := stack.DefaultOptions()
@@ -191,21 +190,11 @@ func CollectivesStack() (*stack.Stack, *mpi.Comm, error) {
 	opts.Device.CoalesceFrames = false
 	st := stack.New(opts)
 	st.Eng.RunFor(time.Second)
-	var doms []*libfabric.Domain
-	for n := 0; n < ranks; n++ {
-		proc, err := st.Kernel.Spawn(fmt.Sprintf("bench-rank%d", n), 1000, 1000, 0, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		d, err := libfabric.OpenDomain(st.Eng, libfabric.Info{
-			Device: st.Nodes[n].Device, Caller: proc.PID, VNI: 1, TC: fabric.TCBulkData})
-		if err != nil {
-			return nil, nil, err
-		}
-		doms = append(doms, d)
+	gang, err := workload.HostGang(st, 1000, 1000, st.Nodes, 1, fabric.TCBulkData)
+	if err != nil {
+		return nil, nil, err
 	}
-	comm, err := mpi.Connect(st.Eng, doms...)
-	return st, comm, err
+	return st, gang.Comm, nil
 }
 
 // CollectivesSweepConfig is the compact sweep the Collectives case runs:

@@ -2,16 +2,13 @@ package scenario
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/health"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/libcxi"
-	"github.com/caps-sim/shs-k8s/internal/libfabric"
 	"github.com/caps-sim/shs-k8s/internal/metrics"
-	"github.com/caps-sim/shs-k8s/internal/mpi"
 	"github.com/caps-sim/shs-k8s/internal/remediate"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 	"github.com/caps-sim/shs-k8s/internal/stack"
@@ -362,28 +359,22 @@ func (r *Ops) churnJobs(ev *Event) error {
 	return nil
 }
 
-// tenantVNI returns the VNI on the tenant's first VNI CRD instance
-// (virtual or owning — both carry a valid VNI value), or the one attached
-// to jobName when given. Job lookups go through the by-job index.
+// tenantVNI returns the VNI attached to jobName when given, else the one
+// on the tenant's first VNI CRD instance (virtual or owning — both carry a
+// valid VNI value).
 func (r *Ops) tenantVNI(tenant, jobName string) (fabric.VNI, error) {
-	var crds []k8s.Object
 	if jobName != "" {
-		crds = r.vnis.ByIndex(vniapi.IndexVNIByJob, k8s.IndexKey{Namespace: tenant, Name: jobName})
-	} else {
-		crds = r.vnis.List(tenant)
-	}
-	for _, obj := range crds {
-		cr := obj.(*k8s.Custom)
-		v, err := strconv.ParseUint(cr.Spec[vniapi.SpecVNI], 10, 32)
-		if err != nil {
-			return 0, fmt.Errorf("bad vni on CRD %s: %v", cr.Meta.Name, err)
+		vni, err := vniapi.JobVNI(r.vnis, tenant, jobName)
+		if err == vniapi.ErrNoInstance {
+			err = fmt.Errorf("no VNI CRD for job %s/%s", tenant, jobName)
 		}
-		return fabric.VNI(v), nil
+		return vni, err
 	}
-	if jobName != "" {
-		return 0, fmt.Errorf("no VNI CRD for job %s/%s", tenant, jobName)
+	crds := r.vnis.List(tenant)
+	if len(crds) == 0 {
+		return 0, fmt.Errorf("tenant %s has no VNI", tenant)
 	}
-	return 0, fmt.Errorf("tenant %s has no VNI", tenant)
+	return vniapi.Value(crds[0].(*k8s.Custom))
 }
 
 // eachPod walks the tenant's cached pods — through the pods-by-job index
@@ -576,9 +567,10 @@ func (r *Ops) completedCount(tenant string) int {
 	return n
 }
 
-// pingpong opens an RDMA domain inside the job's first two pods (netns
-// authentication, as the paper's data path requires) and measures one-way
-// latency over the job's private VNI, feeding the latency_us assertions.
+// pingpong gangs the job's pods (netns authentication, as the paper's data
+// path requires) and measures one-way latency between the first two over
+// the job's private VNI, feeding the latency_us assertions. The gang is
+// closed on every way out, so the pods' CNI DEL finds their services idle.
 func (r *Ops) pingpong(ev *Event) error {
 	tenant, jobName := ev.str("tenant"), ev.str("job")
 	rounds, bytes, timeout := ev.num("rounds"), ev.num("bytes"), ev.dur("timeout")
@@ -590,14 +582,13 @@ func (r *Ops) pingpong(ev *Event) error {
 	if err != nil {
 		return err
 	}
-	doms, err := workload.Gang(r.st, tenant, jobName, vni, fabric.TCLowLatency)
+	gang, err := workload.PodGang(r.st, tenant, jobName, vni, fabric.TCLowLatency)
 	if err != nil {
 		return err
 	}
-	comm, err := mpi.Connect(r.st.Eng, doms[:2]...)
-	if err != nil {
-		return err
-	}
+	defer gang.Close()
+	// Ranks 0 and 1 ping; any further pods of the job hold idle endpoints.
+	ping, pong := gang.Comm.Ranks[0], gang.Comm.Ranks[1]
 	done := 0
 	var roundStart sim.Time
 	var round func()
@@ -606,8 +597,9 @@ func (r *Ops) pingpong(ev *Event) error {
 			return
 		}
 		roundStart = r.st.Eng.Now()
-		comm.Ranks[1].Recv(func(sz int) { comm.Ranks[1].Isend(sz, nil) })
-		comm.Ranks[0].SendRecv(bytes, func(int) {
+		pong.Recv(func(sz int) { pong.SendTo(0, sz, nil) })
+		ping.SendTo(1, bytes, nil)
+		ping.RecvFrom(1, func(int) {
 			rtt := r.st.Eng.Now().Sub(roundStart)
 			r.latUs = append(r.latUs, float64(rtt)/float64(time.Microsecond)/2)
 			done++
@@ -662,45 +654,24 @@ func (r *Ops) runTraffic(ev *Event) error {
 	r.wlTotal += wspec.Iterations
 	progress := func(int) { r.wlDone++ }
 	done := func(wr workload.Report) { rep, finished = wr, true }
+	// The run owns the gangs it asks for: it closes them as it vacates and
+	// completes, or when it is abandoned.
+	env := workload.Env{Connect: func() (*workload.Gang, error) {
+		return workload.PodGang(r.st, tenant, jobName, vni, fabric.TCBulkData)
+	}}
 	if r.daemon != nil {
 		// Under the health loop the gang is migratable: when a member's
 		// node gets cordoned, the run vacates at the next iteration
-		// boundary and re-gangs once the evicted pods are rescheduled
-		// (RunMigratable owns the domains across placements).
-		env := workload.Env{
-			Connect: func() (*mpi.Comm, []*libfabric.Domain, error) {
-				doms, err := workload.Gang(r.st, tenant, jobName, vni, fabric.TCBulkData)
-				if err != nil {
-					return nil, nil, err
-				}
-				comm, err := mpi.Connect(r.st.Eng, doms...)
-				if err != nil {
-					workload.CloseAll(doms)
-					return nil, nil, err
-				}
-				return comm, doms, nil
-			},
-			Preempted: func() bool { return r.gangPreempted(tenant, jobName) },
-			Ready:     func() bool { return r.gangReady(tenant, jobName, ranks) },
-		}
-		if err := workload.RunMigratable(r.st.Eng, r.st.Topo, wspec, env, progress, done); err != nil {
-			return err
-		}
-	} else {
-		doms, err := workload.Gang(r.st, tenant, jobName, vni, fabric.TCBulkData)
-		if err != nil {
-			return err
-		}
-		defer workload.CloseAll(doms)
-		comm, err := mpi.Connect(r.st.Eng, doms...)
-		if err != nil {
-			return err
-		}
-		if err := workload.RunProgress(r.st.Eng, comm, r.st.Topo, wspec, progress, done); err != nil {
-			return err
-		}
+		// boundary and re-gangs once the evicted pods are rescheduled.
+		env.Preempted = func() bool { return r.gangPreempted(tenant, jobName) }
+		env.Ready = func() bool { return r.gangReady(tenant, jobName, ranks) }
+	}
+	abandon, err := workload.RunMigratable(r.st.Eng, r.st.Topo, wspec, env, progress, done)
+	if err != nil {
+		return err
 	}
 	if ok := r.st.Eng.RunUntilDone(func() bool { return finished }, r.st.Eng.Now().Add(timeout)); !ok {
+		abandon()
 		return fmt.Errorf("traffic %q stalled after %s (%d ranks, pattern %s)", runName, timeout, ranks, spec.Pattern)
 	}
 	r.traffic[runName] = rep

@@ -6,8 +6,12 @@
 package vniapi
 
 import (
+	"errors"
+	"fmt"
+	"strconv"
 	"time"
 
+	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
@@ -93,4 +97,30 @@ func VNILister(cli *k8s.Client) k8s.Lister {
 	inf := cli.Informer(KindVNI)
 	inf.AddIndex(IndexVNIByJob, VNIByJobIndex)
 	return inf.Lister()
+}
+
+// ErrNoInstance is JobVNI's answer while a job has no VNI CRD instance.
+var ErrNoInstance = errors.New("vniapi: job has no VNI CRD instance")
+
+// Value parses the VNI a VNI CRD instance carries in spec.vni.
+func Value(cr *k8s.Custom) (fabric.VNI, error) {
+	v, err := strconv.ParseUint(cr.Spec[SpecVNI], 10, 32)
+	if err != nil {
+		return 0, fmt.Errorf("malformed VNI CRD %s: %v", cr.Meta.Key(), err)
+	}
+	return fabric.VNI(v), nil
+}
+
+// JobVNI reads the VNI assigned to a job from the job's VNI CRD instance,
+// through the by-job index of a VNILister, allocating nothing. The VNI
+// controller creates the instance, so a job may not have one yet: that is
+// ErrNoInstance, bare, and the caller decides whether to retry and what to
+// report.
+func JobVNI(l k8s.Lister, namespace, job string) (fabric.VNI, error) {
+	var buf [1]k8s.Object // a job has one VNI CRD instance
+	objs := l.AppendByIndex(buf[:0], IndexVNIByJob, k8s.IndexKey{Namespace: namespace, Name: job})
+	if len(objs) == 0 {
+		return 0, ErrNoInstance
+	}
+	return Value(objs[0].(*k8s.Custom))
 }

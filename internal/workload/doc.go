@@ -1,11 +1,13 @@
 // Package workload is the job-scale traffic engine over the simulated
-// deployment: it takes a gang of MPI ranks — one libfabric domain per
-// scheduled pod of a Kubernetes job, or per node of a Slurm allocation —
-// builds an N-rank communicator over their NICs, runs a configurable
-// iteration loop of collective operations (internal/mpi) on the virtual
-// clock, and reports per-job completion time together with the fabric
-// counters that explain it (global-link bytes, peak link utilization,
-// trunk drops).
+// deployment, and the one road from a running job to a traffic report: it
+// brings up a gang of MPI ranks (gang.go) — a process exec'ed inside each
+// running pod of a Kubernetes job, or host processes with a uid/gid on a
+// list of nodes — whose libfabric domains it opens, connects into an
+// N-rank communicator and owns until the gang is closed; runs a
+// configurable iteration loop of collective operations (internal/mpi) on
+// the virtual clock; and reports per-job completion time together with the
+// fabric counters that explain it (global-link bytes, peak link
+// utilization, trunk drops).
 //
 // The engine is what turns the dragonfly topology of internal/fabric from
 // a data structure into an experiment platform: the same collective on the

@@ -2,24 +2,38 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/caps-sim/shs-k8s/internal/cxi"
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/libfabric"
+	"github.com/caps-sim/shs-k8s/internal/mpi"
 	"github.com/caps-sim/shs-k8s/internal/nsmodel"
-	"github.com/caps-sim/shs-k8s/internal/sim"
-	"github.com/caps-sim/shs-k8s/internal/slurm"
 	"github.com/caps-sim/shs-k8s/internal/stack"
 )
 
-// Gang opens one libfabric domain per running pod of a Kubernetes job, in
-// pod-name order so rank numbering is deterministic for a given placement.
-// Each domain is opened by a process spawned inside the pod's namespaces —
-// the netns-membership authentication the paper's data path requires. The
-// caller owns the returned domains (CloseAll releases them).
-func Gang(st *stack.Stack, tenant, job string, vni fabric.VNI, tc fabric.TrafficClass) ([]*libfabric.Domain, error) {
+// Gang is a set of ranks ready to communicate: one process per rank, each
+// holding an authenticated libfabric domain on the gang's VNI, connected
+// into Comm in rank order. The gang owns the domains — whoever builds one
+// closes it, which releases the CXI endpoints and lets the services behind
+// them be destroyed (a CNI DEL or a Slurm epilog refuses a busy service).
+type Gang struct {
+	Comm *mpi.Comm
+	doms []*libfabric.Domain
+}
+
+// Close releases every rank's domain. Closing twice is harmless.
+func (g *Gang) Close() {
+	for _, d := range g.doms {
+		d.Close()
+	}
+}
+
+// PodGang execs one process inside each running pod of a Kubernetes job —
+// the netns-membership authentication the paper's data path requires — in
+// pod-name order (the lister's), so rank numbering is deterministic for a
+// given placement.
+func PodGang(st *stack.Stack, tenant, job string, vni fabric.VNI, tc fabric.TrafficClass) (*Gang, error) {
 	var pods []*k8s.Pod
 	for _, obj := range st.Cluster.Client.Lister(k8s.KindPod).List(tenant) {
 		pod := obj.(*k8s.Pod)
@@ -31,69 +45,57 @@ func Gang(st *stack.Stack, tenant, job string, vni fabric.VNI, tc fabric.Traffic
 	if len(pods) < 2 {
 		return nil, fmt.Errorf("workload: job %s/%s has %d running pod(s), need ≥ 2 for a gang", tenant, job, len(pods))
 	}
-	sort.Slice(pods, func(i, j int) bool { return pods[i].Meta.Name < pods[j].Meta.Name })
-
-	var doms []*libfabric.Domain
-	for rank, pod := range pods {
+	return bringUp(st, len(pods), vni, tc, func(rank int) (*cxi.Device, nsmodel.PID, error) {
+		pod := pods[rank]
 		node, ok := st.NodeByName(pod.Spec.NodeName)
 		if !ok {
-			CloseAll(doms)
-			return nil, fmt.Errorf("workload: pod %s on unknown node %s", pod.Meta.Name, pod.Spec.NodeName)
+			return nil, 0, fmt.Errorf("pod %s on unknown node %s", pod.Meta.Name, pod.Spec.NodeName)
 		}
 		proc, err := node.Runtime.Exec(pod.Meta.Namespace, pod.Meta.Name, fmt.Sprintf("rank%d", rank), 0, 0)
 		if err != nil {
-			CloseAll(doms)
-			return nil, err
+			return nil, 0, err
 		}
-		d, err := libfabric.OpenDomain(st.Eng, libfabric.Info{
-			Device: node.Device, Caller: proc.PID, VNI: vni, TC: tc})
-		if err != nil {
-			CloseAll(doms)
-			return nil, fmt.Errorf("workload: rank %d (pod %s): %w", rank, pod.Meta.Name, err)
-		}
-		doms = append(doms, d)
-	}
-	return doms, nil
+		return node.Device, proc.PID, nil
+	})
 }
 
-// SlurmGang opens one libfabric domain per node of a running Slurm job, in
-// allocation order, authenticating as the job's user against the UID-member
-// CXI services slurmd created (the classic HPC-side path, in contrast to
-// Gang's netns authentication). devices maps node names to their NICs —
-// stack deployments pass stack.Node.Device.
-func SlurmGang(eng *sim.Engine, kern *nsmodel.Kernel, job *slurm.Job, devices map[string]*cxi.Device, tc fabric.TrafficClass) ([]*libfabric.Domain, error) {
-	if job.State != slurm.StateRunning {
-		return nil, fmt.Errorf("workload: slurm job %d is %s, need %s", job.ID, job.State, slurm.StateRunning)
-	}
-	var doms []*libfabric.Domain
-	for rank, name := range job.Nodes {
-		dev, ok := devices[name]
-		if !ok {
-			CloseAll(doms)
-			return nil, fmt.Errorf("workload: no device for slurm node %q", name)
-		}
-		proc, err := kern.Spawn(fmt.Sprintf("slurm-rank%d", rank), job.User, job.Group, 0, 0)
+// HostGang spawns one host process per node, in argument order, running as
+// uid/gid: the bare-metal path, authenticating against the default service
+// (VNI 1) or against UID/GID-member services such as the ones slurmd
+// creates for a job's user, in contrast to PodGang's netns authentication.
+func HostGang(st *stack.Stack, uid nsmodel.UID, gid nsmodel.GID, nodes []*stack.Node, vni fabric.VNI, tc fabric.TrafficClass) (*Gang, error) {
+	return bringUp(st, len(nodes), vni, tc, func(rank int) (*cxi.Device, nsmodel.PID, error) {
+		proc, err := st.Kernel.Spawn(fmt.Sprintf("rank%d", rank), uid, gid, 0, 0)
 		if err != nil {
-			CloseAll(doms)
-			return nil, err
+			return nil, 0, err
 		}
-		d, err := libfabric.OpenDomain(eng, libfabric.Info{Device: dev, Caller: proc.PID, VNI: job.VNI, TC: tc})
-		if err != nil {
-			CloseAll(doms)
-			return nil, fmt.Errorf("workload: slurm rank %d on %s: %w", rank, name, err)
-		}
-		doms = append(doms, d)
-	}
-	if len(doms) < 2 {
-		CloseAll(doms)
-		return nil, fmt.Errorf("workload: slurm job %d spans %d node(s), need ≥ 2 for a gang", job.ID, len(doms))
-	}
-	return doms, nil
+		return nodes[rank].Device, proc.PID, nil
+	})
 }
 
-// CloseAll releases every domain of a gang.
-func CloseAll(doms []*libfabric.Domain) {
-	for _, d := range doms {
-		d.Close()
+// bringUp is the one road from processes to a communicator: start starts
+// rank i's process and names its NIC, the domain is opened as that process,
+// and the ranks are connected. A failure on the way closes what was opened.
+func bringUp(st *stack.Stack, ranks int, vni fabric.VNI, tc fabric.TrafficClass,
+	start func(rank int) (*cxi.Device, nsmodel.PID, error)) (*Gang, error) {
+	g := &Gang{}
+	for rank := 0; rank < ranks; rank++ {
+		var d *libfabric.Domain
+		dev, pid, err := start(rank)
+		if err == nil {
+			d, err = libfabric.OpenDomain(st.Eng, libfabric.Info{Device: dev, Caller: pid, VNI: vni, TC: tc})
+		}
+		if err != nil {
+			g.Close()
+			return nil, fmt.Errorf("workload: rank %d: %w", rank, err)
+		}
+		g.doms = append(g.doms, d)
 	}
+	comm, err := mpi.Connect(st.Eng, g.doms...)
+	if err != nil {
+		g.Close()
+		return nil, fmt.Errorf("workload: %w", err)
+	}
+	g.Comm = comm
+	return g, nil
 }

@@ -2,13 +2,12 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
-	"github.com/caps-sim/shs-k8s/internal/cxi"
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
-	"github.com/caps-sim/shs-k8s/internal/libfabric"
 	"github.com/caps-sim/shs-k8s/internal/mpi"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 	"github.com/caps-sim/shs-k8s/internal/slurm"
@@ -31,28 +30,18 @@ func twoGroupStack(t *testing.T, seed int64) *stack.Stack {
 	return stack.New(opts)
 }
 
-// hostComm opens host-process domains on the given nodes and connects
-// them.
+// hostComm gangs host processes on the given nodes.
 func hostComm(t *testing.T, st *stack.Stack, nodes []int) *mpi.Comm {
 	t.Helper()
-	var doms []*libfabric.Domain
-	for rank, n := range nodes {
-		proc, err := st.Kernel.Spawn(fmt.Sprintf("wl-rank%d", rank), 1000, 1000, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := libfabric.OpenDomain(st.Eng, libfabric.Info{
-			Device: st.Nodes[n].Device, Caller: proc.PID, VNI: 1, TC: fabric.TCDedicated})
-		if err != nil {
-			t.Fatal(err)
-		}
-		doms = append(doms, d)
+	var ranks []*stack.Node
+	for _, n := range nodes {
+		ranks = append(ranks, st.Nodes[n])
 	}
-	comm, err := mpi.Connect(st.Eng, doms...)
+	gang, err := HostGang(st, 1000, 1000, ranks, 1, fabric.TCDedicated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return comm
+	return gang.Comm
 }
 
 // runReport drives one spec to completion and returns the report.
@@ -165,19 +154,15 @@ func TestGangFromScheduledJob(t *testing.T) {
 	if !ok {
 		t.Fatal("job pods never came up with a VNI")
 	}
-	doms, err := Gang(st, "team", "solver", vni, fabric.TCDedicated)
+	gang, err := PodGang(st, "team", "solver", vni, fabric.TCDedicated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer CloseAll(doms)
-	if len(doms) != 4 {
-		t.Fatalf("gang size %d, want 4", len(doms))
+	defer gang.Close()
+	if gang.Comm.Size() != 4 {
+		t.Fatalf("gang size %d, want 4", gang.Comm.Size())
 	}
-	comm, err := mpi.Connect(st.Eng, doms...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := runReport(t, st, comm, Spec{Pattern: AllreduceRecDbl, Bytes: 4096, Iterations: 2})
+	rep := runReport(t, st, gang.Comm, Spec{Pattern: AllreduceRecDbl, Bytes: 4096, Iterations: 2})
 	if rep.Ranks != 4 || rep.Elapsed <= 0 {
 		t.Errorf("report %+v", rep)
 	}
@@ -191,40 +176,40 @@ func TestGangFromScheduledJob(t *testing.T) {
 func TestGangNeedsRunningPods(t *testing.T) {
 	st := twoGroupStack(t, 1)
 	st.Cluster.CreateNamespace("team")
-	if _, err := Gang(st, "team", "ghost", 1, fabric.TCDedicated); err == nil {
+	if _, err := PodGang(st, "team", "ghost", 1, fabric.TCDedicated); err == nil {
 		t.Error("gang over nonexistent job accepted")
 	}
 }
 
-// TestSlurmGang runs a collective over a Slurm allocation: slurmd's
-// UID-member services authenticate the ranks, and the job's VNI carries
-// the traffic.
-func TestSlurmGang(t *testing.T) {
+// TestHostGang runs a collective over a Slurm allocation: the host ranks
+// authenticate as the job's user against slurmd's UID-member services, the
+// job's VNI carries the traffic, and closing the gang leaves the services
+// idle so the epilog can destroy them.
+func TestHostGang(t *testing.T) {
 	st := twoGroupStack(t, 1)
 	root, err := st.Kernel.Spawn("slurm-root", 0, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var nodes []*slurm.Node
-	devices := map[string]*cxi.Device{}
+	var names []string
 	for _, n := range st.Nodes[:4] {
 		nodes = append(nodes, &slurm.Node{Name: n.Name, Device: n.Device})
-		devices[n.Name] = n.Device
+		names = append(names, n.Name)
 	}
 	ctl := slurm.NewController(st.DB, st.Eng, root.PID, nodes)
-	job, err := ctl.Submit(3001, 3001, []string{"node0", "node1", "node2", "node3"})
+	job, err := ctl.Submit(3001, 3001, names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doms, err := SlurmGang(st.Eng, st.Kernel, job, devices, fabric.TCDedicated)
+	if _, err := HostGang(st, 3002, 3002, st.Nodes[:4], job.VNI, fabric.TCDedicated); err == nil {
+		t.Error("a stranger's ranks were admitted to the job's services")
+	}
+	gang, err := HostGang(st, job.User, job.Group, st.Nodes[:4], job.VNI, fabric.TCDedicated)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comm, err := mpi.Connect(st.Eng, doms...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := runReport(t, st, comm, Spec{Pattern: Halo, Bytes: 8192, Iterations: 3})
+	rep := runReport(t, st, gang.Comm, Spec{Pattern: Halo, Bytes: 8192, Iterations: 3})
 	if want := 3 * mpi.HaloExchangeBytes(4, 8192); rep.MPIBytes != want {
 		t.Errorf("MPI bytes %d, want %d", rep.MPIBytes, want)
 	}
@@ -232,8 +217,199 @@ func TestSlurmGang(t *testing.T) {
 	if rep.GlobalLinkBytes != 0 {
 		t.Errorf("intra-group slurm gang crossed global links: %d bytes", rep.GlobalLinkBytes)
 	}
-	CloseAll(doms)
+	if err := ctl.Complete(job.ID); err == nil {
+		t.Error("epilog destroyed services with the gang's endpoints open")
+	}
+	gang.Close()
 	if err := ctl.Complete(job.ID); err != nil {
 		t.Errorf("complete after closing endpoints: %v", err)
+	}
+}
+
+// TestFixedAndMigratableRunsAgree pins the fold of the two iteration loops
+// into one: a communicator handed to RunProgress and a gang handed to
+// RunMigratable by an Env that never pre-empts are the same run — equal
+// report, equal progress calls, and engines left in the same state (events
+// executed, next random draw) on two fresh same-seed stacks.
+func TestFixedAndMigratableRunsAgree(t *testing.T) {
+	nodes := []int{0, 1, 4, 5}
+	for _, spec := range []Spec{
+		{Pattern: AllreduceRing, Bytes: 64 << 10, Iterations: 4},
+		{Pattern: Alltoall, Bytes: 8 << 10, Iterations: 3, Compute: time.Millisecond, Fidelity: fabric.FidelityFlow},
+	} {
+		type outcome struct {
+			rep      Report
+			progress []int
+			steps    uint64
+			draw     int64
+		}
+		drive := func(start func(st *stack.Stack, progress func(int), done func(Report)) error) outcome {
+			st := twoGroupStack(t, 7)
+			var out outcome
+			finished := false
+			err := start(st, func(iter int) { out.progress = append(out.progress, iter) },
+				func(r Report) { out.rep, finished = r, true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Eng.Run()
+			if !finished {
+				t.Fatal("workload never completed")
+			}
+			out.steps, out.draw = st.Eng.Steps, st.Eng.Rand().Int63()
+			return out
+		}
+		fixed := drive(func(st *stack.Stack, progress func(int), done func(Report)) error {
+			return RunProgress(st.Eng, hostComm(t, st, nodes), st.Topo, spec, progress, done)
+		})
+		connects := 0
+		migratable := drive(func(st *stack.Stack, progress func(int), done func(Report)) error {
+			env := Env{
+				Connect: func() (*Gang, error) {
+					connects++
+					return &Gang{Comm: hostComm(t, st, nodes)}, nil
+				},
+				Preempted: func() bool { return false },
+			}
+			_, err := RunMigratable(st.Eng, st.Topo, spec, env, progress, done)
+			return err
+		})
+		if connects != 1 {
+			t.Errorf("%s: gang connected %d times, want once", spec.Pattern, connects)
+		}
+		if !reflect.DeepEqual(fixed, migratable) {
+			t.Errorf("%s: the two entry points diverge:\nfixed      %+v\nmigratable %+v", spec.Pattern, fixed, migratable)
+		}
+		if len(fixed.progress) != spec.Iterations || fixed.rep.Migrations != 0 {
+			t.Errorf("%s: %d progress calls, %d migrations", spec.Pattern, len(fixed.progress), fixed.rep.Migrations)
+		}
+	}
+}
+
+// TestMigratableRunVacatesAndResumes drives the pre-emption branch without
+// a control plane: the run closes the gang it vacates, polls until the
+// placement is ready, asks for a new gang, resumes at the same iteration,
+// and closes the last gang before reporting.
+func TestMigratableRunVacatesAndResumes(t *testing.T) {
+	st := twoGroupStack(t, 1)
+	spec := Spec{Pattern: Halo, Bytes: 4096, Iterations: 4}
+	var gangs []*Gang
+	var iters []int
+	readyAt := sim.Time(0)
+	env := Env{
+		Connect: func() (*Gang, error) {
+			g, err := HostGang(st, 1000, 1000, st.Nodes[len(gangs)*2:len(gangs)*2+4], 1, fabric.TCDedicated)
+			if err == nil {
+				gangs = append(gangs, g)
+			}
+			return g, err
+		},
+		// Pre-empted once, after the second iteration.
+		Preempted: func() bool {
+			if len(iters) == 2 && len(gangs) == 1 {
+				readyAt = st.Eng.Now().Add(25 * time.Millisecond)
+				return true
+			}
+			return false
+		},
+		Ready: func() bool { return st.Eng.Now() >= readyAt },
+	}
+	var rep Report
+	finished := false
+	abandon, err := RunMigratable(st.Eng, st.Topo, spec, env, func(iter int) { iters = append(iters, iter) },
+		func(r Report) { rep, finished = r, true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Eng.Run()
+	if !finished {
+		t.Fatal("workload never completed")
+	}
+	abandon() // after done: nothing left to stop or close
+	if !reflect.DeepEqual(iters, []int{1, 2, 3, 4}) {
+		t.Errorf("iterations %v: a migration must neither redo nor skip one", iters)
+	}
+	if rep.Migrations != 1 || len(gangs) != 2 {
+		t.Fatalf("%d migrations over %d gangs, want 1 over 2", rep.Migrations, len(gangs))
+	}
+	if want := 4 * mpi.HaloExchangeBytes(4, 4096); rep.MPIBytes != want {
+		t.Errorf("MPI bytes %d across both placements, want %d", rep.MPIBytes, want)
+	}
+	if rep.Elapsed < sim.Duration(25*time.Millisecond) {
+		t.Errorf("elapsed %v does not cover the vacated wait", rep.Elapsed)
+	}
+	for i, g := range gangs {
+		if !gangClosed(g) {
+			t.Errorf("gang %d still has open endpoints after the run", i)
+		}
+	}
+}
+
+// gangClosed reports whether the gang's endpoints were released.
+func gangClosed(g *Gang) bool {
+	return g.doms[0].Send(g.Comm.Ranks[1].Addr(), 1, nil) != nil
+}
+
+// TestAbandonedRunStopsAndCloses: a caller that gives up on a run — in the
+// middle of a collective, or while the run waits vacated for a placement —
+// gets the endpoints released at once, no report, and no further gang.
+func TestAbandonedRunStopsAndCloses(t *testing.T) {
+	for _, vacated := range []bool{false, true} {
+		st := twoGroupStack(t, 1)
+		var gangs []*Gang
+		env := Env{
+			Connect: func() (*Gang, error) {
+				g, err := HostGang(st, 1000, 1000, st.Nodes[:4], 1, fabric.TCDedicated)
+				if err == nil {
+					gangs = append(gangs, g)
+				}
+				return g, err
+			},
+			Preempted: func() bool { return vacated },
+			Ready:     func() bool { return st.Eng.Now() > sim.Time(time.Hour) },
+		}
+		abandon, err := RunMigratable(st.Eng, st.Topo, Spec{Pattern: Alltoall, Bytes: 1 << 20, Iterations: 50}, env, nil,
+			func(Report) { t.Error("an abandoned run reported") })
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Eng.RunFor(100 * time.Microsecond)
+		abandon()
+		if len(gangs) != 1 || !gangClosed(gangs[0]) {
+			t.Fatalf("vacated=%v: %d gang(s), first closed: %v", vacated, len(gangs), gangClosed(gangs[0]))
+		}
+		st.Eng.RunFor(2 * time.Hour)
+		if len(gangs) != 1 {
+			t.Errorf("vacated=%v: the abandoned run went on to ask for %d more gang(s)", vacated, len(gangs)-1)
+		}
+	}
+}
+
+// TestPatternTable runs every declared pattern once through the engine —
+// each name reaches its own algorithm, told apart by the closed-form byte
+// count — and rejects names outside the table.
+func TestPatternTable(t *testing.T) {
+	const n, size = 4, 1024
+	want := map[Pattern]uint64{
+		AllreduceRing:   mpi.AllreduceRingBytes(n, size),
+		AllreduceRecDbl: mpi.AllreduceRecursiveDoublingBytes(n, size),
+		Alltoall:        mpi.AlltoallPairwiseBytes(n, size),
+		Halo:            mpi.HaloExchangeBytes(n, size),
+	}
+	if len(Patterns()) != len(want) {
+		t.Fatalf("patterns %v, byte counts for %d", Patterns(), len(want))
+	}
+	for _, p := range Patterns() {
+		if got, err := ParsePattern(string(p)); err != nil || got != p {
+			t.Errorf("ParsePattern(%q) = %q, %v", p, got, err)
+		}
+		st := twoGroupStack(t, 1)
+		rep := runReport(t, st, hostComm(t, st, []int{0, 1, 2, 3}), Spec{Pattern: p, Bytes: size, Iterations: 1})
+		if rep.MPIBytes != want[p] {
+			t.Errorf("%s moved %d bytes, want %d", p, rep.MPIBytes, want[p])
+		}
+	}
+	if _, err := ParsePattern("bitonic-sort"); err == nil {
+		t.Error("unknown pattern accepted")
 	}
 }

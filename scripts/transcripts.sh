@@ -8,6 +8,9 @@
 #   fuzz.txt         shssim fuzz -n 200 -seed 1
 #   bench-exact.txt  the exact columns of the repository benchmark: every
 #                    layer counter and virt.* value of its five workloads
+#   shsbench.txt     shsbench -exp all -runs 1  (every figure and table)
+#   quickstart.txt   examples/quickstart's stdout
+#   converged.txt    examples/converged's stdout
 #
 # Everything is seeded and on the virtual clock, so two invocations — of
 # one checkout (determinism) or of a parent and a change that must not
@@ -29,7 +32,7 @@ cd "$root"
 "$out/shssim" fuzz -n 200 -seed 1 > "$out/fuzz.txt"
 # The session's `metrics dump telemetry.jsonl` is relative to the working
 # directory: run it inside <outdir>.
-(cd "$out" && ./shssim interactive -stdin -sample-every 100ms \
+(cd "$out" && ./shssim interactive -sample-every 100ms \
 	< "$root/examples/interactive/session.txt" > interactive.txt)
 # One short traced run per workload, keeping what no clock enters: the
 # per-iteration layer counters and the simulated times (a counter is the
@@ -39,3 +42,8 @@ for w in admission_spike500 cp_pods5000 allreduce_packet allreduce_flow scenario
 	go run -C "$root/benchmarks" . --workload "$w" --seconds 1 --trace 1
 done | sed -nE 's,^([a-z0-9_]+/((sim|fabric|cxi|cni|vnisvc|k8s)\.[a-z0-9_.]+ [^ ]+ count|virt\.[a-z0-9_]+ [^ ]+ [^ ]+)) n=[0-9]+$,\1,p' \
 	> "$out/bench-exact.txt"
+# The figure harness and the example programs: an example that log.Fatals
+# fails the script here.
+go run ./cmd/shsbench -exp all -runs 1 > "$out/shsbench.txt"
+go run ./examples/quickstart > "$out/quickstart.txt"
+go run ./examples/converged > "$out/converged.txt"
