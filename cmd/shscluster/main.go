@@ -86,9 +86,10 @@ func run(w io.Writer, cfg config) error {
 	st.Eng.RunFor(time.Second)
 	for _, obj := range objs {
 		m := obj.GetMeta()
-		resp := st.Cluster.Client.Create(obj)
+		err := errors.New("no answer within a second")
+		st.Cluster.Client.Create(obj, func(e error) { err = e })
 		st.Eng.RunFor(time.Second)
-		if err := resp.Err(); err != nil {
+		if err != nil {
 			return fmt.Errorf("creating %s %s: %w", m.Kind, m.Key(), err)
 		}
 		fmt.Fprintf(w, "%s/%s created\n", m.Kind, m.Name)

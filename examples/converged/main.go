@@ -114,7 +114,7 @@ func main() {
 	if err := drcSvc.Release(cred.ID, 4001); err != nil {
 		log.Fatal(err)
 	}
-	st.Cluster.Client.Delete(k8s.KindJob, "cloud", "workflow")
+	st.Cluster.Client.Delete(k8s.KindJob, "cloud", "workflow", nil)
 	st.Eng.RunFor(20 * time.Second)
 	fmt.Printf("\nafter teardown: %+v (all VNIs quarantined, none allocated)\n", st.DB.Stats())
 }

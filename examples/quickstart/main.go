@@ -96,7 +96,7 @@ func main() {
 	//    destroy the pods' CXI services; deleting the job releases the VNI
 	//    (after the 30 s quarantine it becomes reusable).
 	gang.Close()
-	st.Cluster.Client.Delete(k8s.KindJob, "quickstart", "pingpong")
+	st.Cluster.Client.Delete(k8s.KindJob, "quickstart", "pingpong", nil)
 	st.Eng.RunFor(30 * time.Second)
 	stats := st.DB.Stats()
 	fmt.Printf("job deleted: %d VNIs allocated, %d quarantined\n", stats.Allocated, stats.Quarantined)

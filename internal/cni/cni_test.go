@@ -56,7 +56,7 @@ func (e *cniEnv) createPod(t *testing.T, name string, annotations map[string]str
 			Labels:      map[string]string{"job-name": "job-" + name}},
 		Spec: k8s.PodSpec{TerminationGracePeriod: grace},
 	}
-	e.api.Client().Create(pod)
+	e.api.Client().Create(pod, nil)
 	e.eng.RunFor(time.Second)
 	return pod
 }
@@ -68,7 +68,7 @@ func (e *cniEnv) createVNICRD(t *testing.T, jobName string, vni fabric.VNI) {
 		Meta: k8s.Meta{Kind: vniapi.KindVNI, Namespace: "tenant", Name: "vni-" + jobName},
 		Spec: map[string]string{vniapi.SpecVNI: fmt.Sprint(vni), vniapi.SpecJob: jobName},
 	}
-	e.api.Client().Create(cr)
+	e.api.Client().Create(cr, nil)
 	e.eng.RunFor(time.Second)
 }
 
@@ -178,7 +178,7 @@ func TestAddRetriesUntilCRDAppears(t *testing.T) {
 			Meta: k8s.Meta{Kind: vniapi.KindVNI, Namespace: "tenant", Name: "vni-late"},
 			Spec: map[string]string{vniapi.SpecVNI: "777", vniapi.SpecJob: "job-late"},
 		}
-		e.api.Client().Create(cr)
+		e.api.Client().Create(cr, nil)
 	})
 	e.eng.RunFor(time.Minute)
 	if !completed {
@@ -373,11 +373,11 @@ func TestQuickChainAddDelAccounting(t *testing.T) {
 						Annotations: map[string]string{vniapi.Annotation: "true"},
 						Labels:      map[string]string{"job-name": "job-" + name}},
 				}
-				e.api.Client().Create(pod)
+				e.api.Client().Create(pod, nil)
 				e.api.Client().Create(&k8s.Custom{
 					Meta: k8s.Meta{Kind: vniapi.KindVNI, Namespace: "tenant", Name: "vni-job-" + name},
 					Spec: map[string]string{vniapi.SpecVNI: fmt.Sprint(2000 + next), vniapi.SpecJob: "job-" + name},
-				})
+				}, nil)
 				e.eng.RunFor(time.Second)
 				ns := e.kern.NewNetNS(name)
 				args := Args{ContainerID: "c-" + name, NetNS: ns.Inode, PodNamespace: "tenant", PodName: name}

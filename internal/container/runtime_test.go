@@ -51,7 +51,7 @@ func (e *rtEnv) storePod(t *testing.T, name string, annotations map[string]strin
 			Annotations: annotations,
 			Labels:      map[string]string{"job-name": "job-" + name}},
 	}
-	e.api.Client().Create(pod)
+	e.api.Client().Create(pod, nil)
 	e.eng.RunFor(time.Second)
 	return pod
 }
@@ -61,7 +61,7 @@ func (e *rtEnv) storeVNICRD(t *testing.T, jobName string, vni fabric.VNI) {
 	e.api.Client().Create(&k8s.Custom{
 		Meta: k8s.Meta{Kind: vniapi.KindVNI, Namespace: "ns", Name: "vni-" + jobName},
 		Spec: map[string]string{vniapi.SpecVNI: fmt.Sprint(vni), vniapi.SpecJob: jobName},
-	})
+	}, nil)
 	e.eng.RunFor(time.Second)
 }
 
@@ -181,7 +181,7 @@ func TestHostNetworkPodSkipsCNI(t *testing.T) {
 		Meta: k8s.Meta{Kind: k8s.KindPod, Namespace: "ns", Name: "hostpod"},
 		Spec: k8s.PodSpec{HostNetwork: true},
 	}
-	e.api.Client().Create(pod)
+	e.api.Client().Create(pod, nil)
 	e.eng.RunFor(time.Second)
 	if err := e.setup(t, pod); err != nil {
 		t.Fatal(err)

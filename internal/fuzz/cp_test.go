@@ -163,7 +163,7 @@ func TestInjectedBugsCaught(t *testing.T) {
 				cli.Patch(k8s.KindPod, "t0", "anchor-0", func(obj k8s.Object) bool {
 					obj.GetMeta().Labels["scribbled"] = "by a mutator"
 					return true
-				})
+				}, nil)
 			})
 		}, VioImmutability, []string{anchorPod, "written after commit"}},
 	} {

@@ -342,7 +342,7 @@ func (d *Daemon) cordon(st *nodeState, reason string) {
 		n.Spec.Unschedulable = true
 		n.Meta.SetAnnotation(AnnotationReason, reason)
 		return true
-	})
+	}, nil)
 	d.emit(NodeCordoned, name, "", reason)
 }
 

@@ -20,9 +20,6 @@ var (
 	// is non-zero and no longer matches the stored object: another writer
 	// committed in between. Re-read and retry (Client.Patch).
 	ErrConflict = errors.New("k8s: resource version conflict")
-	// ErrPending is returned by Response.Err while the request is still in
-	// flight in virtual time.
-	ErrPending = errors.New("k8s: request still in flight")
 	// ErrUnavailable is returned by writes while the apiserver is in a full
 	// outage, and with the configured per-request probability while it is
 	// degraded. Transient: the client's attempt loop backs off and reissues.
@@ -36,60 +33,6 @@ var (
 	// the final underlying error, so errors.Is works on both.
 	ErrRetriesExhausted = errors.New("k8s: retries exhausted")
 )
-
-// Response is the handle returned by every API write. The request completes
-// after the API round-trip latency in virtual time; callbacks registered
-// with Done run at completion (immediately when already complete).
-type Response struct {
-	err       error
-	completed bool
-	// cb is the first callback registered — nearly every request has exactly
-	// one — and cbs the ones after it.
-	cb  func(error)
-	cbs []func(error)
-}
-
-func (r *Response) complete(err error) {
-	if r.completed {
-		return
-	}
-	r.completed = true
-	r.err = err
-	cb, cbs := r.cb, r.cbs
-	r.cb, r.cbs = nil, nil
-	if cb != nil {
-		cb(err)
-	}
-	for _, cb := range cbs {
-		cb(err)
-	}
-}
-
-// Done registers fn to run when the request completes; it returns r so a
-// call site can both register and keep the handle. If the request already
-// completed, fn runs synchronously.
-func (r *Response) Done(fn func(error)) *Response {
-	switch {
-	case r.completed:
-		fn(r.err)
-	case r.cb == nil:
-		r.cb = fn
-	default:
-		r.cbs = append(r.cbs, fn)
-	}
-	return r
-}
-
-// Completed reports whether the request has finished.
-func (r *Response) Completed() bool { return r.completed }
-
-// Err returns the request outcome, or ErrPending while still in flight.
-func (r *Response) Err() error {
-	if !r.completed {
-		return ErrPending
-	}
-	return r.err
-}
 
 // APILatency models the control-plane processing costs that dominate the
 // paper's admission-delay baseline.
@@ -571,10 +514,10 @@ func notFound(kind Kind, namespace, name string) error {
 	return fmt.Errorf("%w: %s %s/%s", ErrNotFound, kind, namespace, name)
 }
 
-// commitCreate stores a new object, assigning its UID, store key, creation
-// time and first resource version (on the caller's obj too, so the creator
-// can link children to it). The store keeps a Clone: the creator goes on
-// owning its struct, and the maps inside it are frozen from here on.
+// commitCreate stores obj itself as a new object, stamping its UID, store
+// key, creation time and first resource version: the creator can still read
+// them (to link children, say), but from here on obj is a committed object,
+// read-only like every other.
 func (a *APIServer) commitCreate(obj Object) error {
 	m := obj.GetMeta()
 	key := m.Namespace + "/" + m.Name
@@ -586,10 +529,9 @@ func (a *APIServer) commitCreate(obj Object) error {
 	m.Created = a.eng.Now()
 	a.rev++
 	m.ResourceVersion = a.rev
-	stored := obj.Clone()
-	a.store(m.Kind)[key] = stored
+	a.store(m.Kind)[key] = obj
 	a.own(m)
-	a.notify(EventAdded, stored)
+	a.notify(EventAdded, obj)
 	return nil
 }
 

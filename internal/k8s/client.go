@@ -432,14 +432,17 @@ func (l Lister) Unchanged(mark *uint64) bool {
 	return true
 }
 
-// Client is the typed control-plane client: request-scoped writes with
-// Response handles, live Gets, informer-backed listers with indexes, and
-// filtered watch registration. One Client is shared per API server
+// Client is the typed control-plane client: writes that report their
+// outcome to a callback, live Gets, informer-backed listers with indexes,
+// and filtered watch registration. One Client is shared per API server
 // (APIServer.Client), so all consumers see the same caches.
 type Client struct {
 	api       *APIServer
 	informers map[Kind]*Informer
 	stats     CPStats
+	// requests recycles the writes' records; one is off the list exactly
+	// while its write is in flight.
+	requests sim.FreeList[request]
 	// prober is the pending fault-recovery resync tick (ArmFaults); the
 	// handle is live exactly while the prober runs.
 	prober sim.Event
@@ -530,7 +533,7 @@ func (c *Client) Lister(kind Kind) Lister { return c.Informer(kind).Lister() }
 // after the shared informer cache has absorbed the event, in registration
 // order, so lister reads from inside a handler always include the event.
 // The event object is the committed one, shared by every handler and read:
-// Clone before keeping and writing one (see the kubelet).
+// keep it as it is (the kubelet does), but Clone before writing one.
 func (c *Client) Watch(kind Kind, opts WatchOptions, handler func(Event)) {
 	inf := c.Informer(kind)
 	inf.handlers = append(inf.handlers, &watchReg{opts: opts, handler: handler})
@@ -547,44 +550,48 @@ func (c *Client) Get(kind Kind, namespace, name string) (Object, bool) {
 // are retried behind jittered exponential backoff until the budget is spent,
 // then surface as ErrRetriesExhausted wrapping the last one; any other error
 // passes through. On a never-armed server the loop is the identity: one
-// engine event, one RNG draw, no timer.
+// engine event, one RNG draw, no timer. Each verb takes done, which runs
+// exactly once with the outcome when the write completes — before the verb
+// returns if it completes on the spot — or nil when nobody listens.
 
-// Create submits obj; the Response completes after the API round trip. The
-// server stamps UID, creation time and resource version on obj itself.
-func (c *Client) Create(obj Object) *Response {
-	return c.do(&request{verb: verbCreate, obj: obj})
+// Create submits obj and hands it to the store: the server stamps UID, key,
+// creation time and resource version on obj itself and keeps it, so from
+// the call on the creator only reads it.
+func (c *Client) Create(obj Object, done func(error)) {
+	c.do(request{verb: verbCreate, obj: obj, done: done})
 }
 
-// Update submits a conflict-checked replacement of obj, Cloned at the
-// call: the caller keeps its struct, the maps inside are frozen. A non-zero
-// ResourceVersion that another writer has overtaken fails with ErrConflict,
-// which passes through (read-modify-write callers use Patch); zero skips
-// the precondition.
-func (c *Client) Update(obj Object) *Response {
-	return c.do(&request{verb: verbUpdate, obj: obj.Clone()})
+// Update submits obj as a conflict-checked replacement and, like Create,
+// hands it to the store: edit a Clone of the committed object, then let it
+// go. A non-zero ResourceVersion that another writer has overtaken fails
+// with ErrConflict, which passes through (read-modify-write callers use
+// Patch); zero skips the precondition.
+func (c *Client) Update(obj Object, done func(error)) {
+	c.do(request{verb: verbUpdate, obj: obj, done: done})
 }
 
 // Delete begins deletion of the named object: immediate without
 // finalizers, else the object turns terminating until the last finalizer
 // is removed. Children owned via OwnerUID are garbage-collected after it.
-func (c *Client) Delete(kind Kind, namespace, name string) *Response {
-	return c.do(&request{verb: verbDelete, kind: kind, ns: namespace, name: name})
+func (c *Client) Delete(kind Kind, namespace, name string, done func(error)) {
+	c.do(request{verb: verbDelete, kind: kind, ns: namespace, name: name, done: done})
 }
 
 // RemoveFinalizer removes f from the named object, completing a pending
 // deletion when the list drains. Dropped to an outage it would wedge the
 // deletion forever, which is why no write skips the retry loop.
-func (c *Client) RemoveFinalizer(kind Kind, namespace, name, f string) *Response {
-	return c.do(&request{verb: verbRemoveFinalizer, kind: kind, ns: namespace, name: name, fin: f})
+func (c *Client) RemoveFinalizer(kind Kind, namespace, name, f string, done func(error)) {
+	c.do(request{verb: verbRemoveFinalizer, kind: kind, ns: namespace, name: name, fin: f, done: done})
 }
 
-// UpdateStatus is the node agents' status write: fn runs against the live
-// stored object and reports whether it changed anything. On a healthy
-// server it commits synchronously — the Response is complete on return —
-// and it queues behind backoff while the server is unavailable. A missing
-// object completes with ErrNotFound (it was deleted; the write is moot).
-func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object) bool) *Response {
-	return c.do(&request{verb: verbUpdateStatus, kind: kind, ns: namespace, name: name, fn: fn})
+// UpdateStatus is the node agents' status write: fn runs against a Clone
+// of the live stored object — the version the store keeps when fn reports
+// a change. On a healthy server it commits synchronously, done running
+// before the call returns, and it queues behind backoff while the server is
+// unavailable. A missing object completes with ErrNotFound (it was
+// deleted; the write is moot).
+func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object) bool, done func(error)) {
+	c.do(request{verb: verbUpdateStatus, kind: kind, ns: namespace, name: name, fn: fn, done: done})
 }
 
 // Patch is the read-modify-write verb: it Gets the latest object, applies
@@ -593,13 +600,13 @@ func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object)
 // lost-race case), behind the jittered backoff on consecutive ones once
 // the fault layer is armed, and never more than maxConflicts times before
 // failing with ErrRetriesExhausted. mutate returning false skips the write
-// and completes the Response with nil (nothing to do). mutate may be
-// called several times and must therefore be idempotent against the
-// object it is handed. That object is a Clone of the committed one, and the
-// very struct the store will keep once the write commits: mutate edits its
-// fields, replaces (never writes into) its maps, and must not retain it.
-func (c *Client) Patch(kind Kind, namespace, name string, mutate func(Object) bool) *Response {
-	return c.do(&request{verb: verbPatch, kind: kind, ns: namespace, name: name, fn: mutate})
+// and completes it with nil (nothing to do). mutate may be called several
+// times and must therefore be idempotent against the object it is handed.
+// That object is a Clone of the committed one, and the very struct the
+// store will keep once the write commits: mutate edits its fields, replaces
+// (never writes into) its maps, and must not retain it.
+func (c *Client) Patch(kind Kind, namespace, name string, mutate func(Object) bool, done func(error)) {
+	c.do(request{verb: verbPatch, kind: kind, ns: namespace, name: name, fn: mutate, done: done})
 }
 
 type verb uint8
@@ -613,31 +620,46 @@ const (
 	verbPatch
 )
 
-// request is one client write from call to completion: the Response the
-// caller holds, the verb's operands and the retry state the attempt loop
-// spends. It is the only allocation the write path adds to a commit; the
-// commit, deadline and backoff events carry it through Engine.AfterCall.
+// request is one client write from call to completion: the verb's operands,
+// the caller's done and the retry state the attempt loop spends. The commit,
+// deadline and backoff events carry it through Engine.AfterCall; it comes
+// from the client's free list and goes back there when the write completes,
+// so the write path allocates nothing a commit does not keep.
 type request struct {
-	Response
 	c    *Client
 	verb verb
-	// obj is the object Create stamps, the Clone Update stores, and the
-	// Clone Patch's mutate edited in the current attempt.
+	// obj is the object Create and Update hand to the store, and the Clone
+	// Patch's mutate edited in the current attempt.
 	obj               Object
 	kind              Kind // kind/ns/name address the keyed verbs' object
 	ns, name, fin     string
 	fn                func(Object) bool // UpdateStatus's or Patch's callback
-	budget, conflicts int               // transient retries left; Patch re-reads so far
-	backoff           sim.Duration      // next retry delay, before jitter
+	done              func(error)
+	budget, conflicts int          // transient retries left; Patch re-reads so far
+	backoff           sim.Duration // next retry delay, before jitter
 	// pending is the queued server commit, deadline the timer that drops it
 	// on the wire; both are stale between attempts.
 	pending, deadline sim.Event
 }
 
-func (c *Client) do(r *request) *Response {
+func (c *Client) do(w request) {
+	r := c.requests.Get()
+	*r = w
 	r.c, r.budget, r.backoff = c, retryBudget, baseBackoff
 	r.attempt()
-	return &r.Response
+}
+
+// complete ends the write: the record goes back on the free list, zeroed,
+// before done runs, so a write done issues may take this very record — and
+// an engine event still holding it would act on that write instead. Every
+// path that completes has cancelled or spent both of its events first.
+func (r *request) complete(err error) {
+	c, done := r.c, r.done
+	*r = request{}
+	c.requests.Put(r)
+	if done != nil {
+		done(err)
+	}
 }
 
 // attempt issues the request once. UpdateStatus commits on the spot; every
@@ -680,7 +702,7 @@ func deadlineCall(arg any) {
 }
 
 // settle is the one place an attempt's outcome is classified: done or
-// terminal (complete the Response), conflict (Patch only: re-read, the
+// terminal (complete the write), conflict (Patch only: re-read, the
 // first time immediately) or transient (reissue while the budget lasts).
 // Retries wait one jittered backoff interval, which doubles up to the cap;
 // a spent cap or budget is the single ErrRetriesExhausted.

@@ -23,12 +23,26 @@ func editable[T Object](obj Object, ok bool) T {
 	return obj.Clone().(T)
 }
 
+// outcome is a test's end of one write: done is the callback the verb
+// takes, calls counts its runs (0 while the write is in flight) and err is
+// the outcome it was handed.
+type outcome struct {
+	calls int
+	err   error
+}
+
+func (o *outcome) done(err error) { o.calls++; o.err = err }
+
+// completed is the predicate RunUntilDone polls.
+func (o *outcome) completed() bool { return o.calls > 0 }
+
 func mustCreate(t *testing.T, eng *sim.Engine, api *APIServer, obj Object) {
 	t.Helper()
-	resp := api.Client().Create(obj)
+	var res outcome
+	api.Client().Create(obj, res.done)
 	eng.Run()
-	if err := resp.Err(); err != nil {
-		t.Fatalf("create %s: %v", obj.GetMeta().Key(), err)
+	if res.calls != 1 || res.err != nil {
+		t.Fatalf("create %s: done ran %d time(s), err %v", obj.GetMeta().Key(), res.calls, res.err)
 	}
 }
 
@@ -44,17 +58,19 @@ func TestStaleUpdateConflicts(t *testing.T) {
 	b := editable[*Job](api.Get(KindJob, "ns", "j"))
 
 	a.Spec.Parallelism = 2
-	respA := api.Client().Update(a)
+	var resA outcome
+	api.Client().Update(a, resA.done)
 	eng.Run()
-	if err := respA.Err(); err != nil {
-		t.Fatalf("first update: %v", err)
+	if resA.err != nil {
+		t.Fatalf("first update: %v", resA.err)
 	}
 
 	b.Spec.Parallelism = 9
-	respB := api.Client().Update(b)
+	var resB outcome
+	api.Client().Update(b, resB.done)
 	eng.Run()
-	if err := respB.Err(); !errors.Is(err, ErrConflict) {
-		t.Fatalf("stale update err = %v, want ErrConflict", err)
+	if !errors.Is(resB.err, ErrConflict) {
+		t.Fatalf("stale update err = %v, want ErrConflict", resB.err)
 	}
 	got, _ := api.Get(KindJob, "ns", "j")
 	if got.(*Job).Spec.Parallelism != 2 {
@@ -65,10 +81,11 @@ func TestStaleUpdateConflicts(t *testing.T) {
 	blind := got.Clone().(*Job)
 	blind.Meta.ResourceVersion = 0
 	blind.Spec.Parallelism = 5
-	respC := api.Client().Update(blind)
+	var resC outcome
+	api.Client().Update(blind, resC.done)
 	eng.Run()
-	if err := respC.Err(); err != nil {
-		t.Fatalf("blind update: %v", err)
+	if !resC.completed() || resC.err != nil {
+		t.Fatalf("blind update: completed %v, err %v", resC.completed(), resC.err)
 	}
 }
 
@@ -90,12 +107,13 @@ func TestPatchConverges(t *testing.T) {
 		j := editable[*Job](api.Get(KindJob, "ns", "j"))
 		j.Meta.ResourceVersion = 0
 		j.Spec.Parallelism++
-		api.Client().Update(j)
+		api.Client().Update(j, nil)
 	}
 	interfere()
 
 	mutations := 0
-	resp := cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
+	var res outcome
+	cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
 		mutations++
 		m := obj.GetMeta()
 		if m.HasFinalizer("test/f") {
@@ -103,10 +121,10 @@ func TestPatchConverges(t *testing.T) {
 		}
 		m.AddFinalizer("test/f")
 		return true
-	})
+	}, res.done)
 	eng.Run()
-	if err := resp.Err(); err != nil {
-		t.Fatalf("patch: %v", err)
+	if !res.completed() || res.err != nil {
+		t.Fatalf("patch: completed %v, err %v", res.completed(), res.err)
 	}
 	if mutations != 2 {
 		t.Errorf("mutate ran %d times, want 2 (first attempt loses to the interferer)", mutations)
@@ -136,12 +154,12 @@ func TestWatchEventsArriveInCommitOrder(t *testing.T) {
 			seen = append(seen, ev.Object.GetMeta().ResourceVersion)
 		})
 		job := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}}
-		api.Client().Create(job)
+		api.Client().Create(job, nil)
 		eng.Run()
 		for i := 0; i < 5; i++ {
 			j := editable[*Job](api.Get(KindJob, "ns", "j"))
 			j.Spec.Parallelism = i + 1
-			api.Client().Update(j)
+			api.Client().Update(j, nil)
 			eng.Run()
 		}
 		if len(seen) != 6 {
@@ -183,9 +201,9 @@ func TestListerReflectsEventBeforeHandlers(t *testing.T) {
 	})
 	pod := &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p",
 		Labels: map[string]string{"job-name": "j"}}}
-	api.Client().Create(pod)
+	api.Client().Create(pod, nil)
 	eng.Run()
-	api.Client().Delete(KindPod, "ns", "p")
+	api.Client().Delete(KindPod, "ns", "p", nil)
 	eng.Run()
 	if checked != 2 {
 		t.Fatalf("handler ran %d times, want 2", checked)
@@ -220,11 +238,11 @@ func TestListerUnchangedTracksTheCache(t *testing.T) {
 		t.Fatalf("recounted %d times over an untouched cache, want 1", recounts)
 	}
 	for _, name := range []string{"a", "b"} {
-		cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: name}})
+		cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: name}}, nil)
 		eng.Run()
 		poll("after create " + name)
 	}
-	cli.Delete(KindPod, "ns", "a")
+	cli.Delete(KindPod, "ns", "a", nil)
 	eng.Run()
 	poll("after delete")
 	inf.relist()
@@ -263,9 +281,8 @@ func TestGateResolvesDuringStalenessWindow(t *testing.T) {
 		}
 	})
 
-	resp := api.Client().Create(&Custom{Meta: Meta{Kind: kindCRD, Namespace: "ns", Name: "crd"}})
 	committed := false
-	resp.Done(func(err error) {
+	api.Client().Create(&Custom{Meta: Meta{Kind: kindCRD, Namespace: "ns", Name: "crd"}}, func(err error) {
 		if err != nil {
 			t.Errorf("create: %v", err)
 		}
@@ -302,7 +319,7 @@ func TestFilteredWatchScopes(t *testing.T) {
 		ns, node string
 	}{{"a", "node0"}, {"b", "node1"}, {"b", "node0"}} {
 		api.Client().Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: tc.ns, Name: fmt.Sprintf("p%d", i)},
-			Spec: PodSpec{NodeName: tc.node}})
+			Spec: PodSpec{NodeName: tc.node}}, nil)
 	}
 	eng.Run()
 	if nsEvents != 1 || selEvents != 1 || allEvents != 3 {
@@ -318,17 +335,12 @@ func TestOrphanGCDeterministicOrder(t *testing.T) {
 	for run := 0; run < 5; run++ {
 		eng := sim.NewEngine(7) // fixed seed: order must not depend on map iteration
 		api := NewAPIServer(eng, DefaultAPILatency())
-		owner := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "owner"}}
-		resp := api.Client().Create(owner)
-		eng.Run()
-		if resp.Err() != nil {
-			t.Fatal(resp.Err())
-		}
+		mustCreate(t, eng, api, &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "owner"}})
 		got, _ := api.Get(KindJob, "ns", "owner")
 		uid := got.GetMeta().UID
 		for _, name := range []string{"c3", "c1", "c2"} {
-			api.Client().Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: name, OwnerUID: uid}})
-			api.Client().Create(&Custom{Meta: Meta{Kind: "Child", Namespace: "ns", Name: name, OwnerUID: uid}})
+			api.Client().Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: name, OwnerUID: uid}}, nil)
+			api.Client().Create(&Custom{Meta: Meta{Kind: "Child", Namespace: "ns", Name: name, OwnerUID: uid}}, nil)
 		}
 		eng.Run()
 		var order []string
@@ -342,7 +354,7 @@ func TestOrphanGCDeterministicOrder(t *testing.T) {
 				order = append(order, "Child/"+ev.Object.GetMeta().Name)
 			}
 		})
-		api.Client().Delete(KindJob, "ns", "owner")
+		api.Client().Delete(KindJob, "ns", "owner", nil)
 		eng.Run()
 		if len(order) != 6 {
 			t.Fatalf("gc deleted %d children, want 6", len(order))
@@ -361,73 +373,71 @@ func TestOrphanGCDeterministicOrder(t *testing.T) {
 // and no extra RNG draw: a same-seed twin engine running the in-package raw
 // commit ends on the same step count and the same next random number. Each
 // allocation ceiling is what the retry helper this verb replaced allocated
-// for the same cheap write on the same fixture (AllocsPerRun at the parent
-// commit); the single request struct must stay at or under it.
+// for the same cheap write on the same fixture; TestWriteAllocations pins
+// what a write allocates now.
 func TestDormantWritesAreIdentity(t *testing.T) {
 	noop := func(Object) bool { return false }
 	touch := func(obj Object) bool { obj.(*Job).Status.Active++; return true }
 	cases := []struct {
 		name string
-		verb func(cli *Client) *Response
+		verb func(cli *Client, done func(error))
 		// raw is the reference: the bare commit function behind one request
 		// delay, or on the spot for the synchronous status write.
 		raw func(eng *sim.Engine, api *APIServer)
 		// cheap is the verb's cheapest outcome (an error or a no-op), the
 		// steady state AllocsPerRun can repeat; ceiling bounds its allocations.
-		cheap   func(cli *Client) *Response
+		cheap   func(cli *Client)
 		ceiling float64
 	}{
 		{name: "Create",
-			verb: func(cli *Client) *Response {
-				return cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
-			},
+			verb: func(cli *Client, done func(error)) { issueVerb("Create", cli, done) },
 			raw: func(eng *sim.Engine, api *APIServer) {
 				eng.After(api.reqDelay(), func() {
 					api.commitCreate(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
 				})
 			},
-			cheap: func(cli *Client) *Response {
-				return cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "victim"}})
+			cheap: func(cli *Client) {
+				cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "victim"}}, nil)
 			},
 			ceiling: 14},
 		{name: "Update",
-			verb: func(cli *Client) *Response { return issueVerb("Update", cli) },
+			verb: func(cli *Client, done func(error)) { issueVerb("Update", cli, done) },
 			raw: func(eng *sim.Engine, api *APIServer) {
 				job := storedJob(api).Clone().(*Job)
 				widen(job)
 				eng.After(api.reqDelay(), func() { api.commitUpdate(job) })
 			},
-			cheap: func(cli *Client) *Response {
-				return cli.Update(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "nope"}})
+			cheap: func(cli *Client) {
+				cli.Update(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "nope"}}, nil)
 			},
 			ceiling: 15},
 		{name: "Delete",
-			verb: func(cli *Client) *Response { return issueVerb("Delete", cli) },
+			verb: func(cli *Client, done func(error)) { issueVerb("Delete", cli, done) },
 			raw: func(eng *sim.Engine, api *APIServer) {
 				eng.After(api.reqDelay(), func() { api.commitDelete(KindPod, "ns", "victim") })
 			},
-			cheap:   func(cli *Client) *Response { return cli.Delete(KindPod, "ns", "nope") },
+			cheap:   func(cli *Client) { cli.Delete(KindPod, "ns", "nope", nil) },
 			ceiling: 13},
 		{name: "RemoveFinalizer",
-			verb: func(cli *Client) *Response { return issueVerb("RemoveFinalizer", cli) },
+			verb: func(cli *Client, done func(error)) { issueVerb("RemoveFinalizer", cli, done) },
 			raw: func(eng *sim.Engine, api *APIServer) {
 				eng.After(api.reqDelay(), func() { api.commitRemoveFinalizer(KindJob, "ns", "j", "test/f") })
 			},
-			cheap:   func(cli *Client) *Response { return cli.RemoveFinalizer(KindJob, "ns", "j", "absent") },
+			cheap:   func(cli *Client) { cli.RemoveFinalizer(KindJob, "ns", "j", "absent", nil) },
 			ceiling: 15},
 		{name: "UpdateStatus",
-			verb:    func(cli *Client) *Response { return cli.UpdateStatus(KindJob, "ns", "j", touch) },
+			verb:    func(cli *Client, done func(error)) { cli.UpdateStatus(KindJob, "ns", "j", touch, done) },
 			raw:     func(_ *sim.Engine, api *APIServer) { api.commitStatus(KindJob, "ns", "j", touch) },
-			cheap:   func(cli *Client) *Response { return cli.UpdateStatus(KindJob, "ns", "j", noop) },
+			cheap:   func(cli *Client) { cli.UpdateStatus(KindJob, "ns", "j", noop, nil) },
 			ceiling: 6},
 		{name: "Patch",
-			verb: func(cli *Client) *Response { return issueVerb("Patch", cli) },
+			verb: func(cli *Client, done func(error)) { issueVerb("Patch", cli, done) },
 			raw: func(eng *sim.Engine, api *APIServer) {
 				job := storedJob(api).Clone().(*Job)
 				widen(job)
 				eng.After(api.reqDelay(), func() { api.commitUpdate(job) })
 			},
-			cheap:   func(cli *Client) *Response { return cli.Patch(KindJob, "ns", "j", noop) },
+			cheap:   func(cli *Client) { cli.Patch(KindJob, "ns", "j", noop, nil) },
 			ceiling: 5},
 	}
 	for _, tc := range cases {
@@ -441,15 +451,16 @@ func TestDormantWritesAreIdentity(t *testing.T) {
 			}
 			steps, twinSteps := eng.Steps, twinEng.Steps
 
-			resp := tc.verb(cli)
+			var res outcome
+			tc.verb(cli, res.done)
 			tc.raw(twinEng, twinAPI)
 			if got, want := eng.Pending(), twinEng.Pending(); got != want {
 				t.Errorf("verb queued %d event(s), raw commit %d", got, want)
 			}
 			eng.Run()
 			twinEng.Run()
-			if err := resp.Err(); err != nil {
-				t.Fatalf("verb failed: %v", err)
+			if res.calls != 1 || res.err != nil {
+				t.Fatalf("verb: done ran %d time(s), err %v", res.calls, res.err)
 			}
 			if got, want := eng.Steps-steps, twinEng.Steps-twinSteps; got != want {
 				t.Errorf("verb ran %d engine step(s), raw commit %d", got, want)

@@ -56,7 +56,7 @@ func NewCluster(eng *sim.Engine, cfg ClusterConfig, runtimeFor func(node string)
 	}
 	for _, n := range cfg.NodeNames {
 		node := &Node{Meta: Meta{Kind: KindNode, Name: n}}
-		cli.Create(node)
+		cli.Create(node, nil)
 		c.Kubelets = append(c.Kubelets, NewKubelet(cli, cfg.Kubelet, n, runtimeFor(n)))
 	}
 	return c
@@ -64,15 +64,15 @@ func NewCluster(eng *sim.Engine, cfg ClusterConfig, runtimeFor func(node string)
 
 // CreateNamespace registers a namespace.
 func (c *Cluster) CreateNamespace(name string) {
-	c.Client.Create(&Namespace{Meta: Meta{Kind: KindNamespace, Name: name}})
+	c.Client.Create(&Namespace{Meta: Meta{Kind: KindNamespace, Name: name}}, nil)
 }
 
-// SubmitJob creates a job resource; the Response completes after the API
-// round trip. Submissions ride the retry layer, so a job submitted into an
-// apiserver outage is queued with backoff rather than lost.
-func (c *Cluster) SubmitJob(job *Job) *Response {
+// SubmitJob creates a job resource, which the store keeps (see
+// Client.Create). Submissions ride the retry layer, so a job submitted into
+// an apiserver outage is queued with backoff rather than lost.
+func (c *Cluster) SubmitJob(job *Job) {
 	job.Meta.Kind = KindJob
-	return c.Client.Create(job)
+	c.Client.Create(job, nil)
 }
 
 // Job returns the current state of a job (a live read of the committed

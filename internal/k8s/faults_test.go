@@ -10,10 +10,10 @@ import (
 )
 
 // verbCase is one of the six client writes aimed at the writeFixture: issue
-// fires it, applied reports whether its effect reached the store.
+// fires it with done, applied reports whether its effect reached the store.
 type verbCase struct {
 	name    string
-	issue   func(cli *Client) *Response
+	issue   func(cli *Client, done func(error))
 	applied func(api *APIServer) bool
 	// sync marks UpdateStatus: it commits on the spot, so it spends no time
 	// on the wire for a deadline to cut short.
@@ -43,41 +43,42 @@ func widen(obj Object) bool {
 
 var verbCases = []verbCase{
 	{name: "Create",
-		issue: func(cli *Client) *Response {
-			return cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
+		issue: func(cli *Client, done func(error)) {
+			cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}}, done)
 		},
 		applied: func(api *APIServer) bool { _, ok := api.Get(KindPod, "ns", "p"); return ok }},
 	{name: "Update",
-		issue: func(cli *Client) *Response {
+		issue: func(cli *Client, done func(error)) {
 			job := storedJob(cli.API()).Clone().(*Job) // carries the stored ResourceVersion
 			widen(job)
-			return cli.Update(job)
+			cli.Update(job, done)
 		},
 		applied: func(api *APIServer) bool { return storedJob(api).Spec.Parallelism == 7 }},
 	{name: "Delete",
-		issue:   func(cli *Client) *Response { return cli.Delete(KindPod, "ns", "victim") },
+		issue:   func(cli *Client, done func(error)) { cli.Delete(KindPod, "ns", "victim", done) },
 		applied: func(api *APIServer) bool { _, ok := api.Get(KindPod, "ns", "victim"); return !ok }},
 	{name: "RemoveFinalizer",
-		issue:   func(cli *Client) *Response { return cli.RemoveFinalizer(KindJob, "ns", "j", "test/f") },
+		issue:   func(cli *Client, done func(error)) { cli.RemoveFinalizer(KindJob, "ns", "j", "test/f", done) },
 		applied: func(api *APIServer) bool { return !storedJob(api).Meta.HasFinalizer("test/f") }},
 	{name: "UpdateStatus", sync: true,
-		issue: func(cli *Client) *Response {
-			return cli.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
+		issue: func(cli *Client, done func(error)) {
+			cli.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
 				obj.(*Job).Status.Active = 3
 				return true
-			})
+			}, done)
 		},
 		applied: func(api *APIServer) bool { return storedJob(api).Status.Active == 3 }},
 	{name: "Patch",
-		issue:   func(cli *Client) *Response { return cli.Patch(KindJob, "ns", "j", widen) },
+		issue:   func(cli *Client, done func(error)) { cli.Patch(KindJob, "ns", "j", widen, done) },
 		applied: func(api *APIServer) bool { return storedJob(api).Spec.Parallelism == 7 }},
 }
 
 // issueVerb fires the named verbCase.
-func issueVerb(name string, cli *Client) *Response {
+func issueVerb(name string, cli *Client, done func(error)) {
 	for _, v := range verbCases {
 		if v.name == name {
-			return v.issue(cli)
+			v.issue(cli, done)
+			return
 		}
 	}
 	panic("no verbCase " + name)
@@ -96,15 +97,16 @@ func TestWritePolicyUnderFaults(t *testing.T) {
 			if api.Availability() != AvailDown {
 				t.Fatalf("availability = %v, want down", api.Availability())
 			}
-			resp := v.issue(cli)
+			var res outcome
+			v.issue(cli, res.done)
 			eng.RunFor(300 * time.Millisecond)
-			if resp.Completed() {
-				t.Fatalf("completed during the outage: %v", resp.Err())
+			if res.completed() {
+				t.Fatalf("completed during the outage: %v", res.err)
 			}
 			api.RecoverAPIServer()
 			eng.Run()
-			if err := resp.Err(); err != nil {
-				t.Fatalf("after recovery: %v", err)
+			if res.calls != 1 || res.err != nil {
+				t.Fatalf("after recovery: done ran %d time(s), err %v", res.calls, res.err)
 			}
 			if !v.applied(api) {
 				t.Error("write missing from the store after recovery")
@@ -116,9 +118,10 @@ func TestWritePolicyUnderFaults(t *testing.T) {
 		t.Run(v.name+"/outage past budget", func(t *testing.T) {
 			eng, api, cli := writeFixture(t)
 			api.FailAPIServer()
-			resp := v.issue(cli)
+			var res outcome
+			v.issue(cli, res.done)
 			eng.Run()
-			err := resp.Err()
+			err := res.err
 			if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrUnavailable) {
 				t.Fatalf("err = %v, want ErrRetriesExhausted wrapping ErrUnavailable", err)
 			}
@@ -134,16 +137,17 @@ func TestWritePolicyUnderFaults(t *testing.T) {
 			// Latency factor 1000 puts every commit (~6s) far past the 250ms
 			// deadline: every attempt times out and the budget drains.
 			api.DegradeAPIServer(1000, 0)
-			resp := v.issue(cli)
+			var res outcome
+			v.issue(cli, res.done)
 			if v.sync {
-				if err := resp.Err(); err != nil || !v.applied(api) || cli.Stats().Timeouts != 0 {
-					t.Fatalf("synchronous write: err = %v, applied = %v, timeouts = %d",
-						err, v.applied(api), cli.Stats().Timeouts)
+				if res.calls != 1 || res.err != nil || !v.applied(api) || cli.Stats().Timeouts != 0 {
+					t.Fatalf("synchronous write: done ran %d time(s), err = %v, applied = %v, timeouts = %d",
+						res.calls, res.err, v.applied(api), cli.Stats().Timeouts)
 				}
 				return
 			}
 			eng.Run()
-			err := resp.Err()
+			err := res.err
 			if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrTimeout) {
 				t.Fatalf("err = %v, want ErrRetriesExhausted wrapping ErrTimeout", err)
 			}
@@ -170,7 +174,7 @@ func conflictStorm(eng *sim.Engine, cli *Client) (stop func()) {
 		cli.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
 			obj.(*Job).Status.Failed++
 			return true
-		})
+		}, nil)
 		eng.After(time.Millisecond, tick)
 	}
 	eng.After(time.Millisecond, tick)
@@ -185,10 +189,11 @@ func TestWritePolicyConflicts(t *testing.T) {
 	t.Run("Update passes through", func(t *testing.T) {
 		eng, _, cli := writeFixture(t)
 		stop := conflictStorm(eng, cli)
-		resp := issueVerb("Update", cli)
-		eng.RunUntilDone(resp.Completed, eng.Now().Add(time.Hour))
+		var res outcome
+		issueVerb("Update", cli, res.done)
+		eng.RunUntilDone(res.completed, eng.Now().Add(time.Hour))
 		stop()
-		if err := resp.Err(); !errors.Is(err, ErrConflict) || errors.Is(err, ErrRetriesExhausted) {
+		if err := res.err; !errors.Is(err, ErrConflict) || errors.Is(err, ErrRetriesExhausted) {
 			t.Fatalf("err = %v, want bare ErrConflict", err)
 		}
 		if st := cli.Stats(); st.Conflicts != 0 || st.Retries != 0 {
@@ -199,13 +204,14 @@ func TestWritePolicyConflicts(t *testing.T) {
 		eng, _, cli := writeFixture(t)
 		stop := conflictStorm(eng, cli)
 		mutations := 0
-		resp := cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
+		var res outcome
+		cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
 			mutations++
 			return widen(obj)
-		})
-		eng.RunUntilDone(resp.Completed, eng.Now().Add(time.Hour))
+		}, res.done)
+		eng.RunUntilDone(res.completed, eng.Now().Add(time.Hour))
 		stop()
-		if err := resp.Err(); !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrConflict) {
+		if err := res.err; !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrConflict) {
 			t.Fatalf("err = %v, want ErrRetriesExhausted wrapping ErrConflict", err)
 		}
 		if want := maxConflicts + 1; mutations != want {
@@ -229,10 +235,11 @@ func TestPatchBacksOffWhenArmed(t *testing.T) {
 		}
 		stop := conflictStorm(eng, cli)
 		start := eng.Now()
-		resp := cli.Patch(KindJob, "ns", "j", widen)
-		eng.RunUntilDone(resp.Completed, eng.Now().Add(time.Hour))
+		var res outcome
+		cli.Patch(KindJob, "ns", "j", widen, res.done)
+		eng.RunUntilDone(res.completed, eng.Now().Add(time.Hour))
 		stop()
-		if err := resp.Err(); !errors.Is(err, ErrRetriesExhausted) {
+		if err := res.err; !errors.Is(err, ErrRetriesExhausted) {
 			t.Fatalf("err = %v, want ErrRetriesExhausted", err)
 		}
 		return eng.Now().Sub(start)
@@ -259,7 +266,7 @@ func TestOrphanGCSurvivesOutage(t *testing.T) {
 			Name: fmt.Sprintf("child%d", i), OwnerUID: owner.Meta.UID}})
 	}
 
-	cli.Delete(KindJob, "ns", "owner").Done(func(err error) {
+	cli.Delete(KindJob, "ns", "owner", func(err error) {
 		if err != nil {
 			t.Errorf("owner delete: %v", err)
 		}
@@ -286,16 +293,16 @@ func TestDegradedModeErrorsAndLatency(t *testing.T) {
 
 	// With error probability 0.5 and a generous retry budget, every write
 	// eventually lands; some retries must have happened across 20 writes.
-	var resps []*Response
-	for i := 0; i < 20; i++ {
-		resps = append(resps, cli.Create(&Pod{
+	var res [20]outcome
+	for i := range res {
+		cli.Create(&Pod{
 			Meta: Meta{Kind: KindPod, Namespace: "ns", Name: fmt.Sprintf("p%02d", i)},
-		}))
+		}, res[i].done)
 	}
 	eng.Run()
-	for i, r := range resps {
-		if err := r.Err(); err != nil {
-			t.Fatalf("write %d: %v", i, err)
+	for i, r := range res {
+		if r.calls != 1 || r.err != nil {
+			t.Fatalf("write %d: done ran %d time(s), err %v", i, r.calls, r.err)
 		}
 	}
 	if got := cli.Stats().Retries; got == 0 {
@@ -303,10 +310,11 @@ func TestDegradedModeErrorsAndLatency(t *testing.T) {
 	}
 
 	api.RecoverAPIServer()
-	resp := cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "after"}})
+	var after outcome
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "after"}}, after.done)
 	eng.Run()
-	if err := resp.Err(); err != nil {
-		t.Fatalf("write after recovery: %v", err)
+	if !after.completed() || after.err != nil {
+		t.Fatalf("write after recovery: completed %v, err %v", after.completed(), after.err)
 	}
 }
 
@@ -331,8 +339,8 @@ func TestWatchBreakRelistConverges(t *testing.T) {
 	// tick reschedules itself); these tests advance time with RunFor.
 	cli.ArmFaults()
 
-	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "keep"}})
-	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "gone"}})
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "keep"}}, nil)
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "gone"}}, nil)
 	eng.RunFor(60 * time.Millisecond)
 	if adds != 2 {
 		t.Fatalf("adds before break = %d, want 2", adds)
@@ -342,8 +350,8 @@ func TestWatchBreakRelistConverges(t *testing.T) {
 		t.Fatal("no watchers broken")
 	}
 	// Commits behind the broken stream: one new pod, one deletion.
-	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "missed"}})
-	cli.Delete(KindPod, "ns", "gone")
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "missed"}}, nil)
+	cli.Delete(KindPod, "ns", "gone", nil)
 	eng.RunFor(50 * time.Millisecond)
 	if adds != 2 || dels != 0 {
 		t.Fatalf("events leaked through broken watch: adds=%d dels=%d", adds, dels)
@@ -367,7 +375,7 @@ func TestWatchBreakRelistConverges(t *testing.T) {
 
 	// Repaired stream: fresh commits flow again without another relist.
 	before := cli.Stats().Relists
-	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "fresh"}})
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "fresh"}}, nil)
 	eng.RunFor(60 * time.Millisecond)
 	if adds != 4 {
 		t.Errorf("post-repair add not delivered: adds=%d", adds)
@@ -443,20 +451,20 @@ func TestRelistRebuildsIndexesAtomically(t *testing.T) {
 			Spec: PodSpec{NodeName: node},
 		}
 	}
-	cli.Create(pod("a", "j1", "n0", "uid-1"))
-	cli.Create(pod("b", "j1", "n1", "uid-1"))
-	cli.Create(pod("c", "j2", "n0", "uid-2"))
+	cli.Create(pod("a", "j1", "n0", "uid-1"), nil)
+	cli.Create(pod("b", "j1", "n1", "uid-1"), nil)
+	cli.Create(pod("c", "j2", "n0", "uid-2"), nil)
 	eng.RunFor(60 * time.Millisecond)
 
 	api.BreakWatch(KindPod)
 	// Mutations behind the severed stream: delete, add, move.
-	cli.Delete(KindPod, "ns", "b")
-	cli.Create(pod("d", "j2", "n1", "uid-2"))
+	cli.Delete(KindPod, "ns", "b", nil)
+	cli.Create(pod("d", "j2", "n1", "uid-2"), nil)
 	eng.RunFor(30 * time.Millisecond)
 	cli.UpdateStatus(KindPod, "ns", "c", func(obj Object) bool {
 		obj.(*Pod).Spec.NodeName = "n2"
 		return true
-	})
+	}, nil)
 
 	eng.RunFor(time.Second)
 	if err := cli.VerifyCaches(); err != nil {
@@ -478,7 +486,7 @@ func TestCancelPendingDeliveries(t *testing.T) {
 	cli.Watch(KindPod, WatchOptions{}, func(Event) {})
 
 	mustCreate(t, eng, api, &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
-	cli.Delete(KindPod, "ns", "p")
+	cli.Delete(KindPod, "ns", "p", nil)
 	// Run just past the request delay: the delete committed, its delivery
 	// timer is still queued.
 	eng.RunFor(10 * time.Millisecond)
@@ -508,13 +516,13 @@ func TestLostWriteEscapesGapDetection(t *testing.T) {
 	cli.Informer(KindPod)
 	cli.ArmFaults()
 
-	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}}, nil)
 	eng.RunFor(60 * time.Millisecond)
 	api.SetDebugLoseWrite(KindPod, 1)
 	cli.UpdateStatus(KindPod, "ns", "p", func(obj Object) bool {
 		obj.(*Pod).Status.Phase = PodRunning
 		return true
-	})
+	}, nil)
 
 	// Give the prober plenty of time: no gap exists, so no relist repairs
 	// the divergence.

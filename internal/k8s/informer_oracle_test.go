@@ -180,12 +180,12 @@ func TestInformerMatchesStoreScan(t *testing.T) {
 			switch kind {
 			case KindPod:
 				m.Labels, m.OwnerUID = podLabels(), pickOwner()
-				cli.Create(&Pod{Meta: m})
+				cli.Create(&Pod{Meta: m}, nil)
 			case KindJob:
-				cli.Create(&Job{Meta: m})
+				cli.Create(&Job{Meta: m}, nil)
 			default:
 				m.OwnerUID = pickOwner()
-				cli.Create(&Custom{Meta: m, Spec: map[string]string{"color": colors[rng.Intn(len(colors))]}})
+				cli.Create(&Custom{Meta: m, Spec: map[string]string{"color": colors[rng.Intn(len(colors))]}}, nil)
 			}
 		}
 		// write issues one random write; most land on an existing object
@@ -208,7 +208,7 @@ func TestInformerMatchesStoreScan(t *testing.T) {
 						o.Status = map[string]string{"n": fmt.Sprint(rng.Int())}
 					}
 					return true
-				})
+				}, nil)
 				return "status"
 			case op < 7: // relabel, or remove the label: the object moves buckets or is unfiled
 				cli.Patch(kind, ns, name, func(obj Object) bool {
@@ -219,20 +219,20 @@ func TestInformerMatchesStoreScan(t *testing.T) {
 						o.Spec = map[string]string{"color": colors[rng.Intn(len(colors))]}
 					}
 					return true
-				})
+				}, nil)
 				return "relabel"
 			case op < 8:
 				owner := pickOwner()
 				cli.Patch(kind, ns, name, func(obj Object) bool {
 					obj.GetMeta().OwnerUID = owner
 					return kind != KindJob
-				})
+				}, nil)
 				return "re-parent"
 			case op < 9:
-				cli.Delete(kind, ns, name)
+				cli.Delete(kind, ns, name, nil)
 				return "delete"
 			default: // recreate under the same name: a new UID behind a cached key
-				cli.Delete(kind, ns, name)
+				cli.Delete(kind, ns, name, nil)
 				eng.Run()
 				create(kind, ns, name)
 				return "recreate"
@@ -303,10 +303,10 @@ func TestIndexBucketTransitions(t *testing.T) {
 	create := func(ns, name string, owner UID) func() {
 		return func() {
 			cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: ns, Name: name,
-				Labels: map[string]string{"job-name": "j"}, OwnerUID: owner}})
+				Labels: map[string]string{"job-name": "j"}, OwnerUID: owner}}, nil)
 		}
 	}
-	del := func(name string) func() { return func() { cli.Delete(KindPod, "a", name) } }
+	del := func(name string) func() { return func() { cli.Delete(KindPod, "a", name, nil) } }
 
 	step("0→1: first pod, inline", 1, create("a", "p0", "u1"))
 	step("the same job name in another namespace", 1, create("b", "p0", "u1"))
@@ -316,7 +316,7 @@ func TestIndexBucketTransitions(t *testing.T) {
 	step("2→3: the free inline slot is taken again", 3, create("a", "p3", "u1"))
 	step("3→2: a map entry leaves", 2, del("p1"))
 	step("re-parented: the pod changes owner buckets, not job buckets", 2, func() {
-		cli.Patch(KindPod, "a", "p2", func(obj Object) bool { obj.GetMeta().OwnerUID = "u2"; return true })
+		cli.Patch(KindPod, "a", "p2", func(obj Object) bool { obj.GetMeta().OwnerUID = "u2"; return true }, nil)
 	})
 	step("relist behind a broken watch", 3, func() {
 		api.BreakWatch(KindPod)

@@ -179,7 +179,7 @@ func (c *JobController) reconcile(key string) {
 	}
 	c.created[key] = n + 1
 	c.lastOp = c.cli.Engine().Now()
-	c.cli.Create(pod).Done(func(err error) {
+	c.cli.Create(pod, func(err error) {
 		if err != nil {
 			c.created[key]--
 			// Retry budget spent against an unavailable apiserver: the
@@ -228,13 +228,13 @@ func (c *JobController) onPodUpdate(pod *Pod) {
 		u.c, u.mutate, u.done = c, u.recount, u.finish
 	}
 	u.ns, u.job = pod.Meta.Namespace, job
-	c.cli.Patch(KindJob, u.ns, u.job, u.mutate).Done(u.done)
+	c.cli.Patch(KindJob, u.ns, u.job, u.mutate, u.done)
 }
 
 // statusPatch is one onPodUpdate in flight: the job it recounts, whether
-// the latest recount completed a job to delete ttl later, and the callbacks
-// Patch and Done take — method values made once per record, which finish
-// recycles: a pod event allocates nothing beyond Patch's request.
+// the latest recount completed a job to delete ttl later, and the two
+// callbacks Patch takes — method values made once per record, which finish
+// recycles: a pod event allocates nothing beyond the version it commits.
 type statusPatch struct {
 	c       *JobController
 	ns, job string
@@ -300,6 +300,6 @@ func (u *statusPatch) finish(err error) {
 	u.ns, u.job = "", ""
 	c.patches.Put(u)
 	if err == nil && expire {
-		c.cli.Engine().After(ttl, func() { c.cli.Delete(KindJob, ns, job) })
+		c.cli.Engine().After(ttl, func() { c.cli.Delete(KindJob, ns, job, nil) })
 	}
 }

@@ -70,7 +70,7 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 
 	job := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}}
 	var createErr error
-	api.Client().Create(job).Done(func(err error) { createErr = err })
+	api.Client().Create(job, func(err error) { createErr = err })
 	eng.Run()
 	if createErr != nil {
 		t.Fatal(createErr)
@@ -79,13 +79,16 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 	if !ok {
 		t.Fatal("job missing after create")
 	}
+	if got != Object(job) {
+		t.Error("the store keeps a copy of the created object instead of the object itself")
+	}
 	if got.GetMeta().UID == "" {
 		t.Error("no UID assigned")
 	}
 
 	// Duplicate create fails.
 	var dupErr error
-	api.Client().Create(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}}).Done(func(err error) { dupErr = err })
+	api.Client().Create(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}}, func(err error) { dupErr = err })
 	eng.Run()
 	if !errors.Is(dupErr, ErrAlreadyExists) {
 		t.Errorf("dup create: %v", dupErr)
@@ -94,7 +97,7 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 	// Update preserves UID and installs a new object: the old read stands.
 	j := got.Clone().(*Job)
 	j.Spec.Parallelism = 3
-	api.Client().Update(j)
+	api.Client().Update(j, nil)
 	eng.Run()
 	got2, _ := api.Get(KindJob, "ns", "j")
 	if got2.(*Job).Spec.Parallelism != 3 {
@@ -107,7 +110,7 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 		t.Error("UID changed on update")
 	}
 
-	api.Client().Delete(KindJob, "ns", "j")
+	api.Client().Delete(KindJob, "ns", "j", nil)
 	eng.Run()
 	if _, ok := api.Get(KindJob, "ns", "j"); ok {
 		t.Error("job survives delete")
@@ -172,26 +175,26 @@ func TestCommittedObjectsAreShared(t *testing.T) {
 
 // TestFinalizersBlockDeletion: a finalized object turns terminating on
 // Delete and is reaped when its finalizer list drains — whichever verb
-// drains it — before that write's Response completes, so a completion
-// callback always sees the write's whole effect.
+// drains it — before that write's done runs, so a completion callback
+// always sees the write's whole effect.
 func TestFinalizersBlockDeletion(t *testing.T) {
 	const fin = "vni.shs/finalizer"
 	strip := func(obj Object) bool { obj.GetMeta().Finalizers = nil; return true }
-	drains := map[string]func(cli *Client) *Response{
-		"RemoveFinalizer": func(cli *Client) *Response { return cli.RemoveFinalizer(KindJob, "ns", "j", fin) },
-		"Update": func(cli *Client) *Response {
+	drains := map[string]func(cli *Client, done func(error)){
+		"RemoveFinalizer": func(cli *Client, done func(error)) { cli.RemoveFinalizer(KindJob, "ns", "j", fin, done) },
+		"Update": func(cli *Client, done func(error)) {
 			job := editable[*Job](cli.Get(KindJob, "ns", "j"))
 			strip(job)
-			return cli.Update(job)
+			cli.Update(job, done)
 		},
-		"Patch": func(cli *Client) *Response { return cli.Patch(KindJob, "ns", "j", strip) },
+		"Patch": func(cli *Client, done func(error)) { cli.Patch(KindJob, "ns", "j", strip, done) },
 	}
 	for name, drain := range drains {
 		t.Run(name, func(t *testing.T) {
 			eng, api := newTestAPI()
 			cli := api.Client()
 			mustCreate(t, eng, api, &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j", Finalizers: []string{fin}}})
-			cli.Delete(KindJob, "ns", "j")
+			cli.Delete(KindJob, "ns", "j", nil)
 			eng.Run()
 			got, ok := api.Get(KindJob, "ns", "j")
 			if !ok {
@@ -201,7 +204,7 @@ func TestFinalizersBlockDeletion(t *testing.T) {
 				t.Error("deletionTimestamp not set")
 			}
 			completed := false
-			drain(cli).Done(func(err error) {
+			drain(cli, func(err error) {
 				completed = true
 				if _, ok := api.Get(KindJob, "ns", "j"); err != nil || ok {
 					t.Errorf("at completion: err = %v, object still stored = %v", err, ok)
@@ -219,14 +222,14 @@ func TestOwnerGarbageCollection(t *testing.T) {
 	eng := sim.NewEngine(1)
 	api := NewAPIServer(eng, DefaultAPILatency())
 	job := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "owner"}}
-	api.Client().Create(job)
+	api.Client().Create(job, nil)
 	eng.Run()
 	got, _ := api.Get(KindJob, "ns", "owner")
 	pod := &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "child",
 		OwnerUID: got.GetMeta().UID}}
-	api.Client().Create(pod)
+	api.Client().Create(pod, nil)
 	eng.Run()
-	api.Client().Delete(KindJob, "ns", "owner")
+	api.Client().Delete(KindJob, "ns", "owner", nil)
 	eng.Run()
 	if _, ok := api.Get(KindPod, "ns", "child"); ok {
 		t.Error("orphan not garbage-collected")
@@ -325,8 +328,8 @@ func TestSchedulerSkipsDeletedPods(t *testing.T) {
 	NewScheduler(api.Client(), DefaultSchedulerConfig(), []string{"n0"})
 	pod := &Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"},
 		Status: PodStatus{Phase: PodPending}}
-	api.Client().Create(pod)
-	api.Client().Delete(KindPod, "ns", "p")
+	api.Client().Create(pod, nil)
+	api.Client().Delete(KindPod, "ns", "p", nil)
 	eng.Run() // must not panic on binding a vanished pod
 }
 
@@ -379,7 +382,7 @@ func TestCustomObjectsStoreAndShare(t *testing.T) {
 		Meta: Meta{Kind: KindVNI, Namespace: "ns", Name: "vni-1"},
 		Spec: map[string]string{"vni": "1234", "owner": "job/x"},
 	}
-	api.Client().Create(obj)
+	api.Client().Create(obj, nil)
 	eng.Run()
 	got, ok := api.Get(KindVNI, "ns", "vni-1")
 	if !ok {
@@ -391,7 +394,7 @@ func TestCustomObjectsStoreAndShare(t *testing.T) {
 	}
 	next := cr.Clone().(*Custom)
 	next.Spec = map[string]string{"vni": "5678", "owner": "job/x"}
-	api.Client().Update(next)
+	api.Client().Update(next, nil)
 	eng.Run()
 	got2, _ := api.Get(KindVNI, "ns", "vni-1")
 	if got2.(*Custom).Spec["vni"] != "5678" {
@@ -465,7 +468,7 @@ func TestDeletingRunningPodAppliesGracePeriod(t *testing.T) {
 	if len(pods) != 1 || pods[0].(*Pod).Status.Phase != PodRunning {
 		t.Fatalf("pod not running: %+v", pods)
 	}
-	c.Client.Delete(KindJob, "default", "long")
+	c.Client.Delete(KindJob, "default", "long", nil)
 	c.Eng.RunFor(5 * time.Second)
 	// Teardown is pending (grace period), sandbox not yet destroyed.
 	if rt.teardowns != 0 {
@@ -485,7 +488,7 @@ func TestSchedulerPicksLeastLoadedNode(t *testing.T) {
 		Spec:   PodSpec{NodeName: "node0", RunDuration: 10 * time.Minute},
 		Status: PodStatus{Phase: PodRunning},
 	}
-	c.Client.Create(pinned)
+	c.Client.Create(pinned, nil)
 	c.Eng.RunFor(time.Second)
 	// The next unpinned pod must land on node1.
 	job := EchoJob("default", "next", nil)

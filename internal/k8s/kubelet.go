@@ -59,7 +59,8 @@ type Kubelet struct {
 	queue   []func(done func())
 	running int
 	// livePods tracks pods with sandboxes, so deletions trigger teardown
-	// exactly once.
+	// exactly once: the committed pod as adopted, then each version the
+	// kubelet's own status writes commit (all read-only).
 	livePods map[string]*Pod
 	// exitTimers holds each running container's pending exit event, so
 	// killing a pod cancels the timer instead of leaving a stale no-op
@@ -82,10 +83,8 @@ func NewKubelet(cli *Client, cfg KubeletConfig, node string, rt Runtime) *Kubele
 		case EventModified:
 			if pod.Status.Phase == PodScheduled {
 				if _, seen := k.livePods[pod.Meta.Key()]; !seen {
-					// Adopted pods are kept and their Status written to
-					// (setPhaseAt), and event objects are committed, hence
-					// immutable: take the kubelet's private struct here.
-					pod = pod.Clone().(*Pod)
+					// The runtime reads only Meta and Spec, which no status
+					// write changes: the committed pod serves as it is.
 					k.livePods[pod.Meta.Key()] = pod
 					k.submit(func(done func()) { k.startPod(pod, done) })
 				}
@@ -183,8 +182,9 @@ func (k *Kubelet) setPhase(pod *Pod, phase PodPhase, msg string) {
 	k.setPhaseAt(pod, phase, msg, k.cli.Engine().Now())
 }
 
-// setPhaseAt records a phase transition. Transitions on already-deleted
-// pods are ignored.
+// setPhaseAt records a phase transition and files the version it commits in
+// livePods while pod, this incarnation of the name, is still live there.
+// Transitions on already-deleted pods are ignored.
 func (k *Kubelet) setPhaseAt(pod *Pod, phase PodPhase, msg string, at sim.Time) {
 	k.cli.UpdateStatus(KindPod, pod.Meta.Namespace, pod.Meta.Name, func(obj Object) bool {
 		p := obj.(*Pod)
@@ -200,7 +200,9 @@ func (k *Kubelet) setPhaseAt(pod *Pod, phase PodPhase, msg string, at sim.Time) 
 		case PodSucceeded, PodFailed:
 			p.Status.EndedAt = at
 		}
-		pod.Status = p.Status
+		if live, ok := k.livePods[pod.Meta.Key()]; ok && live.Meta.UID == pod.Meta.UID {
+			k.livePods[pod.Meta.Key()] = p
+		}
 		return true
-	})
+	}, nil)
 }

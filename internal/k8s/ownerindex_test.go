@@ -168,19 +168,19 @@ func TestOwnerIndexMatchesScan(t *testing.T) {
 				default:
 					obj = &Custom{Meta: m}
 				}
-				cli.Create(obj)
+				cli.Create(obj, nil)
 				drain(op)
 				uids = append(uids, obj.GetMeta().UID)
 			case "reparent":
 				obj := editable[Object](cli.Get(ref.kind, ref.ns, ref.name))
 				obj.GetMeta().OwnerUID = uids[rng.Intn(len(uids))]
-				cli.Update(obj)
+				cli.Update(obj, nil)
 				drain(op)
 			case "delete":
-				cli.Delete(ref.kind, ref.ns, ref.name)
+				cli.Delete(ref.kind, ref.ns, ref.name, nil)
 				drain(op)
 			case "unfinalize":
-				cli.RemoveFinalizer(ref.kind, ref.ns, ref.name, "test/f")
+				cli.RemoveFinalizer(ref.kind, ref.ns, ref.name, "test/f", nil)
 				drain(op)
 			}
 		}

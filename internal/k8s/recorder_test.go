@@ -11,16 +11,16 @@ import (
 // new object, so the pointer delivered before still hashes to its
 // commit-time content.
 func TestCommitsDoNotAliasPreviousVersion(t *testing.T) {
-	writes := map[string]func(cli *Client) *Response{
-		"status write": func(cli *Client) *Response {
-			return cli.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
+	writes := map[string]func(cli *Client, done func(error)){
+		"status write": func(cli *Client, done func(error)) {
+			cli.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
 				obj.(*Job).Status.Active = 3
 				return true
-			})
+			}, done)
 		},
-		"delete mark": func(cli *Client) *Response { return cli.Delete(KindJob, "ns", "j") },
-		"finalizer removal": func(cli *Client) *Response {
-			return cli.RemoveFinalizer(KindJob, "ns", "j", "test/a")
+		"delete mark": func(cli *Client, done func(error)) { cli.Delete(KindJob, "ns", "j", done) },
+		"finalizer removal": func(cli *Client, done func(error)) {
+			cli.RemoveFinalizer(KindJob, "ns", "j", "test/a", done)
 		},
 	}
 	for name, write := range writes {
@@ -35,10 +35,11 @@ func TestCommitsDoNotAliasPreviousVersion(t *testing.T) {
 			before := delivered[0]
 			committed := contentHash(before)
 
-			resp := write(cli)
+			var res outcome
+			write(cli, res.done)
 			eng.Run()
-			if err := resp.Err(); err != nil {
-				t.Fatal(err)
+			if !res.completed() || res.err != nil {
+				t.Fatalf("write: completed %v, err %v", res.completed(), res.err)
 			}
 			after, _ := cli.Get(KindJob, "ns", "j")
 			if len(delivered) != 2 || delivered[1] != after || after == before {
@@ -101,9 +102,9 @@ func TestRecorderNamesTheWrittenObject(t *testing.T) {
 }
 
 // TestStatusCommitAllocations guards what one status commit costs with one
-// informer and three handlers on the kind: the Clone and the request. The
-// delivery record is pooled, the informer cell stays, and none of it is a
-// map, whatever the object's annotations, labels and finalizers hold.
+// informer and three handlers on the kind: the Clone it commits. The request
+// and the delivery record are recycled, the informer cell stays, and none of
+// it is a map, whatever the object's annotations, labels and finalizers hold.
 func TestStatusCommitAllocations(t *testing.T) {
 	eng, api := newTestAPI()
 	cli := api.Client()
@@ -116,10 +117,10 @@ func TestStatusCommitAllocations(t *testing.T) {
 		Finalizers:  []string{"f1", "f2"}}})
 	bump := func(obj Object) bool { obj.(*Job).Status.Active++; return true }
 	allocs := testing.AllocsPerRun(200, func() {
-		cli.UpdateStatus(KindJob, "ns", "j", bump)
+		cli.UpdateStatus(KindJob, "ns", "j", bump, nil)
 		eng.Run()
 	})
-	const budget = 2
+	const budget = 1
 	if allocs > budget {
 		t.Errorf("a status commit allocates %v objects, budget %d", allocs, budget)
 	}

@@ -225,11 +225,11 @@ func (s *Scheduler) bind(key string) {
 		s.cli.Engine().After(500*time.Millisecond, func() { s.enqueue(key) })
 		return
 	}
-	pod = pod.Clone().(*Pod) // the read is the store's own object
+	pod = pod.Clone().(*Pod) // the read is the store's own object; Update keeps this copy
 	pod.Spec.NodeName = node
 	pod.Status.Phase = PodScheduled
 	s.assumed[key] = assumedBinding{node: node, job: PodJobIndex(pod)}
-	s.cli.Update(pod).Done(func(err error) {
+	s.cli.Update(pod, func(err error) {
 		if err == nil {
 			return
 		}

@@ -68,22 +68,24 @@ func TestHandlerWriteIsCaughtByRecorder(t *testing.T) {
 	}
 }
 
-// TestKubeletCopiesOnAdopt: the kubelet is the one consumer that keeps and
-// writes its pods, so what it files in livePods must never be the event
-// object — checked from a handler registered after the kubelet's, which
-// therefore runs right after each adoption.
-func TestKubeletCopiesOnAdopt(t *testing.T) {
+// TestKubeletKeepsCommittedPods: the kubelet adopts the committed pod
+// itself, no copy, and files in livePods each version its own status writes
+// commit — checked from a handler registered after the kubelet's, which
+// therefore runs right after the adoption, and against the store once the
+// pod has finished. The recorder newTestCluster arms holds all of them
+// unwritten.
+func TestKubeletKeepsCommittedPods(t *testing.T) {
 	c, _ := newTestCluster(t, quietConfig())
-	adopted := 0
+	var holder *Kubelet
 	c.Client.Watch(KindPod, WatchOptions{}, func(ev Event) {
 		for _, k := range c.Kubelets {
 			live, ok := k.livePods[ev.Object.GetMeta().Key()]
-			if !ok {
+			if !ok || holder != nil {
 				continue
 			}
-			adopted++
-			if Object(live) == ev.Object {
-				t.Errorf("%s event: kubelet %s holds the cache's own pod", ev.Type, k.Node())
+			holder = k
+			if Object(live) != ev.Object {
+				t.Errorf("%s event: kubelet %s adopted a copy of the committed pod", ev.Type, k.Node())
 			}
 		}
 	})
@@ -92,12 +94,16 @@ func TestKubeletCopiesOnAdopt(t *testing.T) {
 	c.SubmitJob(job)
 	c.Eng.RunFor(30 * time.Second)
 
-	if adopted == 0 {
+	if holder == nil {
 		t.Fatal("no kubelet adopted the pod")
 	}
-	cached, ok := c.Client.Lister(KindPod).Get("default", "adopt-0")
-	if !ok || cached.(*Pod).Status.Phase != PodSucceeded {
-		t.Fatalf("cached pod = %+v, want Succeeded", cached)
+	stored, ok := c.Client.Get(KindPod, "default", "adopt-0")
+	if !ok || stored.(*Pod).Status.Phase != PodSucceeded {
+		t.Fatalf("stored pod = %+v, want Succeeded", stored)
+	}
+	if live := holder.livePods["default/adopt-0"]; Object(live) != stored {
+		t.Errorf("kubelet %s files %p, the store holds %p: not the version its last status write committed",
+			holder.Node(), live, stored)
 	}
 	if err := c.Client.VerifyCaches(); err != nil {
 		t.Errorf("kubelet writes leaked into a cache: %v", err)
@@ -113,16 +119,17 @@ func TestPatchEditsAClone(t *testing.T) {
 	rec := cli.RecordCommits()
 	before, _ := cli.Get(KindJob, "ns", "j")
 	var edited Object
-	resp := cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
+	var res outcome
+	cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
 		edited = obj
 		job := obj.(*Job)
 		job.Spec.Parallelism = 7
 		job.Meta.SetAnnotation("k", "v")
 		return true
-	})
+	}, res.done)
 	eng.Run()
-	if err := resp.Err(); err != nil {
-		t.Fatalf("patch: %v", err)
+	if !res.completed() || res.err != nil {
+		t.Fatalf("patch: completed %v, err %v", res.completed(), res.err)
 	}
 	if edited == before {
 		t.Fatal("mutate was handed the committed object, not a Clone")

@@ -39,7 +39,9 @@ type SyncRequest struct {
 // SyncResponse is the webhook output for /sync.
 type SyncResponse struct {
 	// Children is the desired child set (apply semantics: missing ones
-	// are created, changed ones updated, unlisted ones deleted).
+	// are created, changed ones updated, unlisted ones deleted). A child
+	// created or updated is handed to the store as it is, so the hook
+	// builds each one it does not echo fresh and never touches it again.
 	Children []*k8s.Custom
 }
 
@@ -192,7 +194,7 @@ func (d *Decorator) reconcile(key string) {
 		}
 		m.AddFinalizer(d.cfg.Finalizer)
 		return true
-	}).Done(func(error) { d.sync(key, parent) })
+	}, func(error) { d.sync(key, parent) })
 }
 
 // sync calls the webhook for a live parent and applies its answer.
@@ -232,8 +234,8 @@ func (d *Decorator) finalize(key string, parent k8s.Object) {
 	// rides the retry layer: dropping it to an apiserver outage would
 	// wedge the parent's deletion forever.
 	d.applyChildren(key, meta, observed, nil, func() {
-		d.cli.RemoveFinalizer(d.cfg.ParentKind, meta.Namespace, meta.Name, d.cfg.Finalizer).
-			Done(func(error) { d.done(key) })
+		d.cli.RemoveFinalizer(d.cfg.ParentKind, meta.Namespace, meta.Name, d.cfg.Finalizer,
+			func(error) { d.done(key) })
 	})
 }
 
@@ -266,7 +268,7 @@ func (d *Decorator) observe(parent *k8s.Meta) []*k8s.Custom {
 // pointer, is the webhook's echo: committed, hence not stamped, and equal to
 // itself, hence not written.
 func (d *Decorator) applyChildren(key string, parent *k8s.Meta, observed, desired []*k8s.Custom, then func()) {
-	// Count the writes before issuing the first: a Response may complete
+	// Count the writes before issuing the first: one may complete
 	// synchronously, and then must wait for the last.
 	n := 0
 	for _, w := range desired {
@@ -298,18 +300,19 @@ func (d *Decorator) applyChildren(key string, parent *k8s.Meta, observed, desire
 	}
 	// Child writes ride the retry layer: a VNI child create dropped to a
 	// degraded or unavailable apiserver would leave the parent's
-	// pod-creation gate closed forever (nothing re-triggers the sync).
+	// pod-creation gate closed forever (nothing re-triggers the sync). Both
+	// Create and Update hand w to the store: the webhook built it fresh.
 	for _, w := range desired {
 		switch cur := child(observed, w.Meta.Name); {
 		case cur == nil:
-			d.cli.Create(w).Done(finish)
+			d.cli.Create(w, finish)
 		case !maps.Equal(cur.Spec, w.Spec):
-			d.cli.Update(w).Done(finish)
+			d.cli.Update(w, finish)
 		}
 	}
 	for _, c := range observed {
 		if !wants(desired, c.Meta.Name) {
-			d.cli.Delete(d.cfg.ChildKind, c.Meta.Namespace, c.Meta.Name).Done(finish)
+			d.cli.Delete(d.cfg.ChildKind, c.Meta.Namespace, c.Meta.Name, finish)
 		}
 	}
 }

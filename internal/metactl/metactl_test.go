@@ -69,7 +69,7 @@ func newEnv(t *testing.T, cfg Config, h Hooks) (*sim.Engine, *k8s.APIServer, *De
 }
 
 func submitJob(eng *sim.Engine, api *k8s.APIServer, name string, ann map[string]string) {
-	api.Client().Create(&k8s.Job{Meta: k8s.Meta{Kind: k8s.KindJob, Namespace: "ns", Name: name, Annotations: ann}})
+	api.Client().Create(&k8s.Job{Meta: k8s.Meta{Kind: k8s.KindJob, Namespace: "ns", Name: name, Annotations: ann}}, nil)
 	eng.RunFor(5 * time.Second)
 }
 
@@ -161,7 +161,7 @@ func TestFinalizeBlocksUntilFinalized(t *testing.T) {
 	h := &scriptedHooks{desired: oneChild("c", nil), finalized: false}
 	eng, api, _ := newEnv(t, testCfg(), h)
 	submitJob(eng, api, "j1", nil)
-	api.Client().Delete(k8s.KindJob, "ns", "j1")
+	api.Client().Delete(k8s.KindJob, "ns", "j1", nil)
 	eng.RunFor(3 * time.Second)
 	if _, ok := api.Get(k8s.KindJob, "ns", "j1"); !ok {
 		t.Fatal("parent deleted while finalize pending")
@@ -199,7 +199,7 @@ func TestFinalizeErrorLeavesChildrenUntouched(t *testing.T) {
 	h := &scriptedHooks{desired: oneChild("c", nil), finalized: true, finalizeErr: errors.New("db down")}
 	eng, api, d := newEnv(t, testCfg(), h)
 	submitJob(eng, api, "j1", nil)
-	api.Client().Delete(k8s.KindJob, "ns", "j1")
+	api.Client().Delete(k8s.KindJob, "ns", "j1", nil)
 	eng.RunFor(3 * time.Second)
 	if h.finalizeCnt < 2 {
 		t.Fatalf("finalize called %d times in 3s, want retries", h.finalizeCnt)
@@ -233,7 +233,7 @@ func TestEchoedChildIsNeitherStampedNorWritten(t *testing.T) {
 	submitJob(eng, api, "j1", nil)
 	job, _ := api.Get(k8s.KindJob, "ns", "j1")
 	api.Client().Create(&k8s.Custom{Meta: k8s.Meta{Kind: kindChild, Namespace: "elsewhere", Name: "strayed",
-		OwnerUID: job.GetMeta().UID}})
+		OwnerUID: job.GetMeta().UID}}, nil)
 	eng.RunFor(5 * time.Second)
 
 	h.answer = func(req SyncRequest) []*k8s.Custom { return req.Children }
@@ -301,7 +301,7 @@ func TestDecoratorForgetsParentAndOwesSecondRound(t *testing.T) {
 		t.Errorf("%d webhook calls for a round and the events during it, want 2", got)
 	}
 
-	api.Client().Delete(k8s.KindJob, "ns", "j1")
+	api.Client().Delete(k8s.KindJob, "ns", "j1", nil)
 	h.finalized = true
 	eng.RunFor(10 * time.Second)
 	if _, ok := api.Get(k8s.KindJob, "ns", "j1"); ok {

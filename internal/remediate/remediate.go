@@ -227,7 +227,7 @@ func (c *Controller) Remediate(node string) error {
 		n.Spec.Unschedulable = true
 		n.Meta.SetAnnotation(health.AnnotationReason, "manual")
 		return true
-	})
+	}, nil)
 	return nil
 }
 
@@ -294,7 +294,7 @@ func (c *Controller) evict(r *nodeRun) {
 		// Evictions ride the retry layer so a drain that spans an apiserver
 		// outage still completes: the deletes are queued with backoff, and
 		// pollDrain keeps polling until the node empties.
-		c.cli.Delete(k8s.KindPod, pod.Meta.Namespace, pod.Meta.Name)
+		c.cli.Delete(k8s.KindPod, pod.Meta.Namespace, pod.Meta.Name, nil)
 		evicted++
 	}
 	c.pollDrain(r, evicted)
@@ -355,7 +355,7 @@ func (c *Controller) uncordon(r *nodeRun) {
 		n.Spec.Unschedulable = false
 		n.Meta.DeleteAnnotation(health.AnnotationReason)
 		return true
-	})
+	}, nil)
 	c.emit(NodeUncordoned, r.node, "")
 	c.finish(r, PhaseDone)
 }

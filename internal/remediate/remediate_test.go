@@ -63,7 +63,7 @@ func TestFullCycle(t *testing.T) {
 		Spec:   k8s.PodSpec{Image: "sleep", RunDuration: sim.Duration(time.Hour)},
 		Status: k8s.PodStatus{Phase: k8s.PodPending},
 	}
-	s.Cluster.Client.Create(pod)
+	s.Cluster.Client.Create(pod, nil)
 	s.Eng.RunFor(sim.Duration(5 * time.Second))
 	obj, ok := s.Cluster.Client.Get(k8s.KindPod, "default", "victim")
 	if !ok || obj.(*k8s.Pod).Status.Phase != k8s.PodRunning {

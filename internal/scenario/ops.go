@@ -123,19 +123,19 @@ func (r *Ops) deleteJob(ev *Event) error {
 	if _, ok := r.submitted[key]; !ok {
 		return fmt.Errorf("job %s was never submitted", key)
 	}
-	r.st.Cluster.Client.Delete(k8s.KindJob, ev.str("tenant"), ev.str("name"))
+	r.st.Cluster.Client.Delete(k8s.KindJob, ev.str("tenant"), ev.str("name"), nil)
 	r.logf("deleted job %s", key)
 	return nil
 }
 
 func (r *Ops) createClaim(ev *Event) error {
-	r.st.Cluster.Client.Create(vnisvc.NewClaim(ev.str("tenant"), ev.str("name"), ev.str("name")))
+	r.st.Cluster.Client.Create(vnisvc.NewClaim(ev.str("tenant"), ev.str("name"), ev.str("name")), nil)
 	r.logf("created claim %s/%s", ev.str("tenant"), ev.str("name"))
 	return nil
 }
 
 func (r *Ops) deleteClaim(ev *Event) error {
-	r.st.Cluster.Client.Delete(vniapi.KindVniClaim, ev.str("tenant"), ev.str("name"))
+	r.st.Cluster.Client.Delete(vniapi.KindVniClaim, ev.str("tenant"), ev.str("name"), nil)
 	r.logf("deleted claim %s/%s", ev.str("tenant"), ev.str("name"))
 	return nil
 }

@@ -25,3 +25,7 @@ func (l *FreeList[T]) Get() *T {
 // Put hands x back for reuse. The caller clears any reference in *x that
 // must not outlive the event first.
 func (l *FreeList[T]) Put(x *T) { l.free = append(l.free, x) }
+
+// Len reports how many values the list holds for reuse: once every event
+// that took one has finished, as many as were ever out at once.
+func (l *FreeList[T]) Len() int { return len(l.free) }

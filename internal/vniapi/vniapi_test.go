@@ -61,7 +61,7 @@ func TestJobVNI(t *testing.T) {
 		"vni-bad":     {SpecVNI: "10e3", SpecJob: "bad"},
 		"vni-unowned": {SpecVNI: "1028"},
 	} {
-		api.Client().Create(&k8s.Custom{Meta: k8s.Meta{Kind: KindVNI, Namespace: "team", Name: name}, Spec: spec})
+		api.Client().Create(&k8s.Custom{Meta: k8s.Meta{Kind: KindVNI, Namespace: "team", Name: name}, Spec: spec}, nil)
 	}
 	eng.RunFor(time.Second)
 

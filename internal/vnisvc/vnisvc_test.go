@@ -62,7 +62,7 @@ func TestPerResourceVNILifecycle(t *testing.T) {
 	}
 	// Delete the job: finalizer runs, VNI released into quarantine, CRD
 	// garbage collected.
-	s.Cluster.Client.Delete(k8s.KindJob, "tenant", "vni-test-job")
+	s.Cluster.Client.Delete(k8s.KindJob, "tenant", "vni-test-job", nil)
 	s.Eng.RunFor(30 * time.Second)
 	if _, ok := s.Cluster.Job("tenant", "vni-test-job"); ok {
 		t.Error("job survives deletion")
@@ -145,7 +145,7 @@ func TestPodGetsCXIServiceBoundToJobVNI(t *testing.T) {
 func TestVNIClaimSharedAcrossJobs(t *testing.T) {
 	s := newStack(t)
 	s.Cluster.CreateNamespace("vnitest")
-	s.Cluster.Client.Create(vnisvc.NewClaim("vnitest", "vni-claim-test", "test"))
+	s.Cluster.Client.Create(vnisvc.NewClaim("vnitest", "vni-claim-test", "test"), nil)
 	s.Eng.RunFor(5 * time.Second)
 
 	for _, name := range []string{"j1", "j2"} {
@@ -185,7 +185,7 @@ func TestVNIClaimSharedAcrossJobs(t *testing.T) {
 func TestClaimDeletionBlockedWhileUsersRemain(t *testing.T) {
 	s := newStack(t)
 	s.Cluster.CreateNamespace("vnitest")
-	s.Cluster.Client.Create(vnisvc.NewClaim("vnitest", "claim-obj", "shared"))
+	s.Cluster.Client.Create(vnisvc.NewClaim("vnitest", "claim-obj", "shared"), nil)
 	s.Eng.RunFor(5 * time.Second)
 
 	job := k8s.EchoJob("vnitest", "user-job", map[string]string{vniapi.Annotation: "claim-obj"})
@@ -195,7 +195,7 @@ func TestClaimDeletionBlockedWhileUsersRemain(t *testing.T) {
 	s.Eng.RunFor(10 * time.Second)
 
 	// Try deleting the claim while the job uses it.
-	s.Cluster.Client.Delete(vniapi.KindVniClaim, "vnitest", "claim-obj")
+	s.Cluster.Client.Delete(vniapi.KindVniClaim, "vnitest", "claim-obj", nil)
 	s.Eng.RunFor(10 * time.Second)
 	if _, ok := s.Cluster.API.Get(vniapi.KindVniClaim, "vnitest", "claim-obj"); !ok {
 		t.Fatal("claim deleted while a job still uses it")
@@ -204,7 +204,7 @@ func TestClaimDeletionBlockedWhileUsersRemain(t *testing.T) {
 		t.Error("no stalled finalizations recorded")
 	}
 	// Delete the job; the claim deletion must then proceed.
-	s.Cluster.Client.Delete(k8s.KindJob, "vnitest", "user-job")
+	s.Cluster.Client.Delete(k8s.KindJob, "vnitest", "user-job", nil)
 	s.Eng.RunFor(time.Minute)
 	if _, ok := s.Cluster.API.Get(vniapi.KindVniClaim, "vnitest", "claim-obj"); ok {
 		t.Error("claim not deleted after last user left")
@@ -391,7 +391,7 @@ func TestQuarantineHazardWithStragglingPod(t *testing.T) {
 
 		// Delete tenant 1: the VNI is released by the finalizer, but the
 		// pod lingers for its grace period.
-		s.Cluster.Client.Delete(k8s.KindJob, "t", "victim")
+		s.Cluster.Client.Delete(k8s.KindJob, "t", "victim", nil)
 		s.Eng.RunFor(3 * time.Second)
 
 		// Tenant 2 arrives immediately.
@@ -485,7 +485,7 @@ func TestResyncEchoesMatchingChild(t *testing.T) {
 	s := newStack(t)
 	s.Cluster.CreateNamespace("t")
 	cli := s.Cluster.Client
-	cli.Create(vnisvc.NewClaim("t", "shared", "shared"))
+	cli.Create(vnisvc.NewClaim("t", "shared", "shared"), nil)
 	s.Eng.RunFor(5 * time.Second)
 	for name, ann := range map[string]string{"owner": "true", "redeemer": "shared"} {
 		job := k8s.EchoJob("t", name, map[string]string{vniapi.Annotation: ann})
@@ -537,7 +537,7 @@ func TestResyncEchoesMatchingChild(t *testing.T) {
 				}
 			},
 		} {
-			cli.Patch(vniapi.KindVNI, "t", tc.child, func(obj k8s.Object) bool { tamper(obj.(*k8s.Custom)); return true })
+			cli.Patch(vniapi.KindVNI, "t", tc.child, func(obj k8s.Object) bool { tamper(obj.(*k8s.Custom)); return true }, nil)
 			s.Eng.RunFor(5 * time.Second)
 			if fmt.Sprint(get().Spec) == fmt.Sprint(want.Spec) {
 				t.Fatalf("%s, %s: the tampering did not commit", tc.child, what)
@@ -551,7 +551,7 @@ func TestResyncEchoesMatchingChild(t *testing.T) {
 	}
 
 	// What the echo costs: one parent, one round.
-	cli.Delete(k8s.KindJob, "t", "redeemer")
+	cli.Delete(k8s.KindJob, "t", "redeemer", nil)
 	s.Eng.RunFor(30 * time.Second)
 	writes := s.Cluster.API.KindSeq(vniapi.KindVNI)
 	allocs := testing.AllocsPerRun(100, func() {
