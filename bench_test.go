@@ -520,18 +520,22 @@ func runControlPlane(jobs int) (simSeconds float64, err error) {
 
 // cpAllocBudgetPerJob is what one job may allocate on its way through the
 // admission pipeline at 200 jobs (stack construction included): the
-// measured 104.6 objects — 108.2 with go1.22's map implementation
-// (GOEXPERIMENT=noswissmap on this toolchain) — plus ~2 %. Before writes
+// measured 85.5 objects — 85.0 with go1.22's map implementation
+// (GOEXPERIMENT=noswissmap on this toolchain) — plus ~2 %. Before a pod's
+// sandbox, CNI chain and plugin steps became recycled records, with no
+// Result clone per plugin and no ID maps per user namespace, the same run
+// allocated 104.6 per job; before writes
 // took their request records from the client's free list and Create and
-// Update handed the caller's struct to the store, the same run allocated
-// 118.6 per job; before index buckets held their first entry inline, index
+// Update handed the caller's struct to the store, 118.6; before index
+// buckets held their first entry inline, index
 // values were pairs and an idempotent webhook round an echo by pointer,
 // 173.9; before watch deliveries were pooled and informer
-// cells stable (PR 19), 262.5; before committed API objects became
-// immutable and shared (PR 16), 413.0. A change that takes the count past
-// the budget has put an allocation back on every commit, every delivery or
-// every webhook round; lower the budget when a change lowers the count.
-const cpAllocBudgetPerJob = 110
+// cells stable, 262.5; before committed API objects became
+// immutable and shared, 413.0. A change that takes the count past
+// the budget has put an allocation back on every commit, every delivery,
+// every webhook round or every pod's network bring-up; lower the budget
+// when a change lowers the count.
+const cpAllocBudgetPerJob = 87
 
 // TestControlPlaneAllocBudget is the control-plane perf gate that cannot
 // flake: it asserts the allocation count of the benchControlPlane body,
@@ -555,11 +559,12 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 
 // spikeAllocBudget is what one run of the paper's Fig 11/12 burst — 500
 // vni:true jobs, each deleted as it completes — may allocate, stack
-// included: the measured 63 126 objects (65 291 with go1.22's map
-// implementation) plus ~2 %, down from 71 606 before recycled write
-// records. It is the count behind the repository
+// included: the measured 47 673 objects (47 861 with go1.22's map
+// implementation) plus ~2 %, down from 63 126 before recycled sandbox and
+// CNI step records and 71 606 before recycled write records. It is the
+// count behind the repository
 // benchmark's admission_spike500 workload, asserted where it cannot flake.
-const spikeAllocBudget = 66600
+const spikeAllocBudget = 48800
 
 // TestAdmissionSpikeAllocBudget is TestControlPlaneAllocBudget's sibling
 // for the paper-fidelity admission path.

@@ -62,22 +62,11 @@ type CXIAttachment struct {
 	VNI    uint32
 }
 
-// Result is the accumulating chained-plugin result.
+// Result is the accumulating chained-plugin result. The chain hands every
+// plugin the same Result in turn, which each extends in place.
 type Result struct {
 	Interfaces []Interface
 	CXI        *CXIAttachment
-}
-
-func (r *Result) clone() *Result {
-	if r == nil {
-		return &Result{}
-	}
-	out := &Result{Interfaces: append([]Interface(nil), r.Interfaces...)}
-	if r.CXI != nil {
-		c := *r.CXI
-		out.CXI = &c
-	}
-	return out
 }
 
 // Plugin is one CNI plugin. Execution is asynchronous in virtual time,
@@ -85,7 +74,7 @@ func (r *Result) clone() *Result {
 type Plugin interface {
 	Name() string
 	// Add attaches networking for the container, extending prev (the
-	// previous plugin's result, nil for the first in the chain).
+	// result the plugins before it built, empty for the first) in place.
 	Add(args Args, prev *Result, done func(*Result, error))
 	// Del removes the plugin's attachment. DEL must be idempotent and
 	// tolerant of partial state, per the CNI spec.
@@ -103,6 +92,7 @@ type Chain struct {
 	// ExecOverhead is the per-plugin process execution cost (fork/exec of
 	// the plugin binary plus JSON marshalling).
 	ExecOverhead sim.Duration
+	ops          sim.FreeList[chainOp]
 }
 
 // NewChain builds a chain over the given plugins.
@@ -113,70 +103,121 @@ func NewChain(eng *sim.Engine, execOverhead sim.Duration, plugins ...Plugin) *Ch
 // Plugins returns the chain's plugin list.
 func (c *Chain) Plugins() []Plugin { return c.plugins }
 
-// Add runs the ADD chain.
+// Add runs the ADD chain. On a plugin error it stops there and reports nil;
+// the runtime then cleans up with DEL, as the spec requires.
 func (c *Chain) Add(args Args, done func(*Result, error)) {
-	c.addFrom(0, args, &Result{}, done)
-}
-
-func (c *Chain) addFrom(i int, args Args, prev *Result, done func(*Result, error)) {
-	if i >= len(c.plugins) {
-		done(prev, nil)
-		return
-	}
-	p := c.plugins[i]
-	c.eng.After(c.eng.Jitter(c.ExecOverhead, 0.3), func() {
-		p.Add(args, prev.clone(), func(res *Result, err error) {
-			if err != nil {
-				// Per the spec the runtime must clean up with DEL on
-				// partial failure; the runtime layer does that.
-				done(nil, fmt.Errorf("%w: %s ADD: %v", ErrPluginFailed, p.Name(), err))
-				return
-			}
-			c.addFrom(i+1, args, res, done)
-		})
-	})
+	op := c.op(CmdAdd, args, 0)
+	op.res, op.addDone = &Result{}, done
+	op.next()
 }
 
 // Del runs the DEL chain in reverse order, visiting every plugin even after
 // errors, and returns the first error.
 func (c *Chain) Del(args Args, done func(error)) {
-	c.delFrom(len(c.plugins)-1, args, nil, done)
-}
-
-func (c *Chain) delFrom(i int, args Args, firstErr error, done func(error)) {
-	if i < 0 {
-		done(firstErr)
-		return
-	}
-	p := c.plugins[i]
-	c.eng.After(c.eng.Jitter(c.ExecOverhead, 0.3), func() {
-		p.Del(args, func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("%w: %s DEL: %v", ErrPluginFailed, p.Name(), err)
-			}
-			c.delFrom(i-1, args, firstErr, done)
-		})
-	})
+	op := c.op(CmdDel, args, len(c.plugins)-1)
+	op.done = done
+	op.next()
 }
 
 // Check runs CHECK through the chain in order, stopping at the first error.
 func (c *Chain) Check(args Args, done func(error)) {
-	c.checkFrom(0, args, done)
+	op := c.op(CmdCheck, args, 0)
+	op.done = done
+	op.next()
 }
 
-func (c *Chain) checkFrom(i int, args Args, done func(error)) {
-	if i >= len(c.plugins) {
-		done(nil)
+// chainOp is one ADD, DEL or CHECK walking the plugin list: the plugin it
+// is at, the result ADD accumulates, DEL's first error, the caller's
+// callback, and the two callbacks a plugin takes — method values made once
+// per record, which finish recycles: a chain invocation allocates nothing
+// beyond the Result ADD returns.
+type chainOp struct {
+	c       *Chain
+	cmd     Command
+	i       int
+	args    Args
+	res     *Result
+	err     error
+	addDone func(*Result, error)
+	done    func(error)
+	added   func(*Result, error)
+	visited func(error)
+}
+
+func (c *Chain) op(cmd Command, args Args, i int) *chainOp {
+	op := c.ops.Get()
+	if op.c == nil {
+		op.c, op.added, op.visited = c, op.onAdded, op.onVisited
+	}
+	op.cmd, op.args, op.i = cmd, args, i
+	return op
+}
+
+// next execs the plugin at i after the exec overhead, or finishes when the
+// walk has left the list.
+func (op *chainOp) next() {
+	if op.i < 0 || op.i >= len(op.c.plugins) {
+		op.finish(nil)
 		return
 	}
-	p := c.plugins[i]
-	c.eng.After(c.eng.Jitter(c.ExecOverhead, 0.3), func() {
-		p.Check(args, func(err error) {
-			if err != nil {
-				done(fmt.Errorf("%w: %s CHECK: %v", ErrPluginFailed, p.Name(), err))
-				return
-			}
-			c.checkFrom(i+1, args, done)
-		})
-	})
+	op.c.eng.AfterCall(op.c.eng.Jitter(op.c.ExecOverhead, 0.3), execPlugin, op)
+}
+
+func execPlugin(a any) {
+	op := a.(*chainOp)
+	p := op.c.plugins[op.i]
+	switch op.cmd {
+	case CmdAdd:
+		p.Add(op.args, op.res, op.added)
+	case CmdDel:
+		p.Del(op.args, op.visited)
+	default:
+		p.Check(op.args, op.visited)
+	}
+}
+
+func (op *chainOp) onAdded(res *Result, err error) {
+	if err != nil {
+		op.finish(fmt.Errorf("%w: %s ADD: %v", ErrPluginFailed, op.c.plugins[op.i].Name(), err))
+		return
+	}
+	op.res = res
+	op.i++
+	op.next()
+}
+
+func (op *chainOp) onVisited(err error) {
+	name := op.c.plugins[op.i].Name()
+	if op.cmd == CmdCheck {
+		if err != nil {
+			op.finish(fmt.Errorf("%w: %s CHECK: %v", ErrPluginFailed, name, err))
+			return
+		}
+		op.i++
+	} else {
+		if err != nil && op.err == nil {
+			op.err = fmt.Errorf("%w: %s DEL: %v", ErrPluginFailed, name, err)
+		}
+		op.i--
+	}
+	op.next()
+}
+
+// finish recycles the record, then reports: ADD's result (nil on error),
+// DEL's first error, or CHECK's.
+func (op *chainOp) finish(err error) {
+	res, addDone, done := op.res, op.addDone, op.done
+	if op.cmd == CmdDel {
+		err = op.err
+	}
+	if err != nil {
+		res = nil
+	}
+	op.args, op.res, op.err, op.addDone, op.done = Args{}, nil, nil, nil, nil
+	op.c.ops.Put(op)
+	if addDone != nil {
+		addDone(res, err)
+	} else {
+		done(err)
+	}
 }

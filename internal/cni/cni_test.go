@@ -429,3 +429,159 @@ func newCNIEnvQuick() *cniEnv {
 	ch := NewChain(eng, 5*time.Millisecond, over, cxip)
 	return &cniEnv{eng: eng, kern: kern, api: api, sw: sw, dev: dev, cxip: cxip, over: over, ch: ch}
 }
+
+// probePlugin records the interfaces each ADD finds in prev, appends its
+// own, and fails after appending when told to.
+type probePlugin struct {
+	eng  *sim.Engine
+	name string
+	fail bool
+	seen [][]string
+	dels int
+}
+
+func (p *probePlugin) Name() string { return p.name }
+
+func (p *probePlugin) Add(args Args, prev *Result, done func(*Result, error)) {
+	p.eng.After(time.Millisecond, func() {
+		var names []string
+		for _, iface := range prev.Interfaces {
+			names = append(names, iface.Name)
+		}
+		p.seen = append(p.seen, names)
+		prev.Interfaces = append(prev.Interfaces, Interface{Name: p.name, Sandbox: args.NetNS})
+		if p.fail {
+			done(nil, errors.New("injected failure"))
+			return
+		}
+		done(prev, nil)
+	})
+}
+
+func (p *probePlugin) Del(args Args, done func(error)) {
+	p.dels++
+	p.eng.After(time.Millisecond, func() { done(nil) })
+}
+
+func (p *probePlugin) Check(args Args, done func(error)) { done(nil) }
+
+func TestEachPluginSeesThePreviousInterfaces(t *testing.T) {
+	e := newCNIEnv(t)
+	a := &probePlugin{eng: e.eng, name: "net1"}
+	b := &probePlugin{eng: e.eng, name: "net2"}
+	e.ch = NewChain(e.eng, 5*time.Millisecond, e.over, a, b)
+	ns := e.kern.NewNetNS("p")
+	res, err := e.add(t, Args{ContainerID: "c", NetNS: ns.Inode, PodNamespace: "tenant", PodName: "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(a.seen, b.seen); got != "[[eth0]] [[eth0 net1]]" {
+		t.Errorf("plugins saw %s, want [[eth0]] [[eth0 net1]]", got)
+	}
+	if len(res.Interfaces) != 3 || res.Interfaces[2].Name != "net2" {
+		t.Errorf("result interfaces = %+v", res.Interfaces)
+	}
+}
+
+func TestAddFailureReportsNoResult(t *testing.T) {
+	e := newCNIEnv(t)
+	bad := &probePlugin{eng: e.eng, name: "bad", fail: true}
+	e.ch = NewChain(e.eng, 5*time.Millisecond, e.over, bad)
+	ns := e.kern.NewNetNS("p")
+	res, err := e.add(t, Args{ContainerID: "c", NetNS: ns.Inode, PodNamespace: "tenant", PodName: "p"})
+	if err == nil || !errors.Is(err, ErrPluginFailed) || res != nil {
+		t.Fatalf("ADD through a failing plugin = %+v, %v; want nil, ErrPluginFailed", res, err)
+	}
+}
+
+// TestAddFindsVNIAfterTwoRetries makes the VNI CRD appear while the second
+// retry waits out its backoff: the initial fetch and the first retry miss,
+// the second retry finds it, and the ADD completes exactly once.
+func TestAddFindsVNIAfterTwoRetries(t *testing.T) {
+	e := newCNIEnv(t)
+	e.createPod(t, "late", map[string]string{vniapi.Annotation: "true"}, 0)
+	ns := e.kern.NewNetNS("late")
+	// The free list is LIFO: the ADD takes this record, which the test
+	// then watches count down its retries.
+	st := e.cxip.steps.Get()
+	e.cxip.steps.Put(st)
+	calls := 0
+	var res *Result
+	var err error
+	e.ch.Add(Args{ContainerID: "c", NetNS: ns.Inode, PodNamespace: "tenant", PodName: "late"},
+		func(r *Result, e2 error) { res, err = r, e2; calls++ })
+	retries := e.cxip.cfg.VNIFetchRetries
+	for st.job == "" || st.retries > retries-2 {
+		if !e.eng.Step() {
+			t.Fatal("ADD finished before its second retry")
+		}
+	}
+	e.api.Client().Create(&k8s.Custom{
+		Meta: k8s.Meta{Kind: vniapi.KindVNI, Namespace: "tenant", Name: "vni-late"},
+		Spec: map[string]string{vniapi.SpecVNI: "777", vniapi.SpecJob: "job-late"},
+	}, nil)
+	for calls == 0 && e.eng.Step() {
+		if st.job != "" && st.retries != retries-2 {
+			t.Fatalf("ADD retried a third time (%d retries left)", st.retries)
+		}
+	}
+	if calls != 1 || err != nil || res == nil || res.CXI == nil || res.CXI.VNI != 777 {
+		t.Fatalf("ADD completed %d times with %+v, %v; want once with VNI 777", calls, res, err)
+	}
+	if s := e.cxip.Stats(); s.AddsTotal != 1 || s.AddsConfigured != 1 || s.AddsFailed != 0 {
+		t.Errorf("stats = %+v", s)
+	}
+	if n := len(e.dev.SvcFindByMember(cxi.NetNSMember(ns.Inode))); n != 1 {
+		t.Errorf("%d services for the netns, want 1", n)
+	}
+}
+
+// TestFreeListsHoldEveryRecordAfterDrain runs n ADDs, n CHECKs and n DELs
+// at once: each verb has n records in flight at every layer, so a drained
+// chain holds exactly n of each — fewer is a leaked record, more a record
+// put back twice.
+func TestFreeListsHoldEveryRecordAfterDrain(t *testing.T) {
+	const n = 4
+	e := newCNIEnv(t)
+	var args [n]Args
+	for i := range args {
+		name := fmt.Sprintf("p%d", i)
+		e.createPod(t, name, map[string]string{vniapi.Annotation: "true"}, 0)
+		e.createVNICRD(t, "job-"+name, fabric.VNI(100+i))
+		args[i] = Args{ContainerID: "c-" + name, NetNS: e.kern.NewNetNS(name).Inode, PodNamespace: "tenant", PodName: name}
+	}
+	completed := 0
+	for _, a := range args {
+		e.ch.Add(a, func(_ *Result, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			completed++
+		})
+	}
+	e.eng.RunFor(time.Minute)
+	for _, a := range args {
+		e.ch.Check(a, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			completed++
+		})
+	}
+	e.eng.RunFor(time.Minute)
+	for _, a := range args {
+		e.ch.Del(a, func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			completed++
+		})
+	}
+	e.eng.RunFor(time.Minute)
+	if completed != 3*n {
+		t.Fatalf("%d of %d verbs completed", completed, 3*n)
+	}
+	if c, o, x := e.ch.ops.Len(), e.over.steps.Len(), e.cxip.steps.Len(); c != n || o != n || x != n {
+		t.Errorf("free lists hold chain %d, overlay %d, cxi %d records; want %d each", c, o, x, n)
+	}
+}

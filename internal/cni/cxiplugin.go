@@ -65,6 +65,7 @@ type CXIPlugin struct {
 	// clean up even if the netns is already gone.
 	services map[string]cxi.SvcID
 	stats    CXIPluginStats
+	steps    sim.FreeList[cxiStep]
 }
 
 // NewCXIPlugin creates the plugin for one node's CXI device. root must be a
@@ -83,131 +84,182 @@ func (p *CXIPlugin) Name() string { return "cxi" }
 // Stats returns a copy of the plugin counters.
 func (p *CXIPlugin) Stats() CXIPluginStats { return p.stats }
 
+// cxiStep is one ADD, DEL or CHECK in flight through the plugin's steps —
+// pod query, VNI fetch and its retries, service creation — carrying what
+// the next step needs. The step that completes the verb recycles it.
+type cxiStep struct {
+	p       *CXIPlugin
+	args    Args
+	prev    *Result
+	added   func(*Result, error)
+	done    func(error)
+	job     string
+	retries int
+	vni     fabric.VNI
+}
+
+func (p *CXIPlugin) after(d sim.Duration, fn func(any), args Args) *cxiStep {
+	st := p.steps.Get()
+	st.p, st.args = p, args
+	p.eng.AfterCall(p.eng.Jitter(d, 0.3), fn, st)
+	return st
+}
+
+// recycle clears the record and hands it back.
+func (st *cxiStep) recycle() {
+	p := st.p
+	*st = cxiStep{}
+	p.steps.Put(st)
+}
+
+// finishAdd recycles st and completes its ADD, counting a failure.
+func (st *cxiStep) finishAdd(res *Result, err error) {
+	p, done := st.p, st.added
+	if err != nil {
+		p.stats.AddsFailed++
+		res = nil
+	}
+	st.recycle()
+	done(res, err)
+}
+
 // Add implements the ADD verb.
 func (p *CXIPlugin) Add(args Args, prev *Result, done func(*Result, error)) {
 	p.stats.AddsTotal++
 	// Query the management plane for the pod's annotations.
-	p.eng.After(p.eng.Jitter(p.cfg.APIQueryCost, 0.3), func() {
-		obj, ok := p.cli.Get(k8s.KindPod, args.PodNamespace, args.PodName)
-		if !ok {
-			p.stats.AddsFailed++
-			done(nil, fmt.Errorf("pod %s/%s not found", args.PodNamespace, args.PodName))
-			return
-		}
-		pod := obj.(*k8s.Pod)
-		requested, _ := vniapi.Requested(pod.Meta.Annotations)
-		if !requested {
-			// Not a Slingshot pod: do nothing, do not interfere.
-			p.stats.AddsPassthru++
-			done(prev, nil)
-			return
-		}
-		if pod.Spec.TerminationGracePeriod > vniapi.MaxGracePeriod {
-			p.stats.AddsFailed++
-			done(nil, fmt.Errorf("termination grace period %v exceeds enforced maximum %v",
-				time.Duration(pod.Spec.TerminationGracePeriod), time.Duration(vniapi.MaxGracePeriod)))
-			return
-		}
-		if args.NetNS == nsmodel.InvalidInode {
-			p.stats.AddsFailed++
-			done(nil, fmt.Errorf("container %s has no netns", args.ContainerID))
-			return
-		}
-		jobName := pod.Meta.Labels["job-name"]
-		p.fetchVNI(args, jobName, p.cfg.VNIFetchRetries, func(vni fabric.VNI, err error) {
-			if err != nil {
-				// No VNI could be fetched: the container fails to
-				// launch (paper §III-B).
-				p.stats.AddsFailed++
-				done(nil, err)
-				return
-			}
-			p.createService(args, vni, prev, done)
-		})
-	})
+	st := p.after(p.cfg.APIQueryCost, cxiQuery, args)
+	st.prev, st.added = prev, done
+}
+
+func cxiQuery(a any) {
+	st := a.(*cxiStep)
+	p, args := st.p, st.args
+	obj, ok := p.cli.Get(k8s.KindPod, args.PodNamespace, args.PodName)
+	if !ok {
+		st.finishAdd(nil, fmt.Errorf("pod %s/%s not found", args.PodNamespace, args.PodName))
+		return
+	}
+	pod := obj.(*k8s.Pod)
+	requested, _ := vniapi.Requested(pod.Meta.Annotations)
+	if !requested {
+		// Not a Slingshot pod: do nothing, do not interfere.
+		p.stats.AddsPassthru++
+		st.finishAdd(st.prev, nil)
+		return
+	}
+	if pod.Spec.TerminationGracePeriod > vniapi.MaxGracePeriod {
+		st.finishAdd(nil, fmt.Errorf("termination grace period %v exceeds enforced maximum %v",
+			time.Duration(pod.Spec.TerminationGracePeriod), time.Duration(vniapi.MaxGracePeriod)))
+		return
+	}
+	if args.NetNS == nsmodel.InvalidInode {
+		st.finishAdd(nil, fmt.Errorf("container %s has no netns", args.ContainerID))
+		return
+	}
+	st.job, st.retries = pod.Meta.Labels["job-name"], p.cfg.VNIFetchRetries
+	st.fetchVNI()
 }
 
 // fetchVNI looks up the VNI CRD instance attached to the pod's job through
 // the by-job index: O(1) per ADD instead of the seed's copy-scan over every
 // VNI CRD in the namespace.
-func (p *CXIPlugin) fetchVNI(args Args, jobName string, retries int, done func(fabric.VNI, error)) {
-	p.eng.After(p.eng.Jitter(p.cfg.APIQueryCost, 0.3), func() {
-		vni, err := vniapi.JobVNI(p.vnis, args.PodNamespace, jobName)
-		if err != vniapi.ErrNoInstance {
-			done(vni, err)
-			return
-		}
-		if retries > 0 {
-			p.eng.After(p.eng.Jitter(p.cfg.VNIFetchBackoff, 0.3), func() {
-				p.fetchVNI(args, jobName, retries-1, done)
-			})
-			return
-		}
-		done(0, fmt.Errorf("no VNI CRD instance for job %q in namespace %q", jobName, args.PodNamespace))
-	})
+func (st *cxiStep) fetchVNI() {
+	st.p.eng.AfterCall(st.p.eng.Jitter(st.p.cfg.APIQueryCost, 0.3), cxiFetch, st)
 }
 
-// createService installs the CXI service binding the container netns to vni.
-func (p *CXIPlugin) createService(args Args, vni fabric.VNI, prev *Result, done func(*Result, error)) {
-	p.eng.After(p.eng.Jitter(p.cfg.SvcOpCost, 0.3), func() {
-		id, err := p.dev.SvcAlloc(p.root, cxi.SvcDesc{
-			Name:       "cni-" + args.ContainerID,
-			Restricted: true,
-			Members:    []cxi.Member{cxi.NetNSMember(args.NetNS)},
-			VNIs:       []fabric.VNI{vni},
-		})
-		if err != nil {
-			p.stats.AddsFailed++
-			done(nil, fmt.Errorf("svc alloc: %v", err))
-			return
-		}
-		p.services[args.ContainerID] = id
-		p.stats.AddsConfigured++
-		prev.CXI = &CXIAttachment{Device: p.dev.Name, SvcID: int(id), VNI: uint32(vni)}
-		done(prev, nil)
+func cxiFetch(a any) {
+	st := a.(*cxiStep)
+	p := st.p
+	vni, err := vniapi.JobVNI(p.vnis, st.args.PodNamespace, st.job)
+	switch {
+	case err == vniapi.ErrNoInstance && st.retries > 0:
+		st.retries--
+		p.eng.AfterCall(p.eng.Jitter(p.cfg.VNIFetchBackoff, 0.3), cxiRefetch, st)
+	case err == vniapi.ErrNoInstance:
+		// No VNI could be fetched: the container fails to launch
+		// (paper §III-B).
+		st.finishAdd(nil, fmt.Errorf("no VNI CRD instance for job %q in namespace %q", st.job, st.args.PodNamespace))
+	case err != nil:
+		st.finishAdd(nil, err)
+	default:
+		st.vni = vni
+		p.eng.AfterCall(p.eng.Jitter(p.cfg.SvcOpCost, 0.3), cxiCreate, st)
+	}
+}
+
+func cxiRefetch(a any) { a.(*cxiStep).fetchVNI() }
+
+// cxiCreate installs the CXI service binding the container netns to the
+// fetched VNI.
+func cxiCreate(a any) {
+	st := a.(*cxiStep)
+	p, args, vni := st.p, st.args, st.vni
+	id, err := p.dev.SvcAlloc(p.root, cxi.SvcDesc{
+		Name:       "cni-" + args.ContainerID,
+		Restricted: true,
+		Members:    []cxi.Member{cxi.NetNSMember(args.NetNS)},
+		VNIs:       []fabric.VNI{vni},
 	})
+	if err != nil {
+		st.finishAdd(nil, fmt.Errorf("svc alloc: %v", err))
+		return
+	}
+	p.services[args.ContainerID] = id
+	p.stats.AddsConfigured++
+	st.prev.CXI = &CXIAttachment{Device: p.dev.Name, SvcID: int(id), VNI: uint32(vni)}
+	st.finishAdd(st.prev, nil)
 }
 
 // Del implements the DEL verb: destroy any CXI service associated with the
 // container. Idempotent.
 func (p *CXIPlugin) Del(args Args, done func(error)) {
 	p.stats.DelsTotal++
-	p.eng.After(p.eng.Jitter(p.cfg.SvcOpCost, 0.3), func() {
-		var firstErr error
-		// Prefer the recorded binding; fall back to a member search so
-		// services survive plugin restarts.
-		if id, ok := p.services[args.ContainerID]; ok {
+	p.after(p.cfg.SvcOpCost, cxiDel, args).done = done
+}
+
+func cxiDel(a any) {
+	st := a.(*cxiStep)
+	p, args, done := st.p, st.args, st.done
+	st.recycle()
+	var firstErr error
+	// Prefer the recorded binding; fall back to a member search so
+	// services survive plugin restarts.
+	if id, ok := p.services[args.ContainerID]; ok {
+		if err := p.dev.SvcDestroy(p.root, id); err == nil {
+			p.stats.SvcsDestroyed++
+		} else {
+			firstErr = err
+		}
+		delete(p.services, args.ContainerID)
+	} else if args.NetNS != nsmodel.InvalidInode {
+		for _, id := range p.dev.SvcFindByMember(cxi.NetNSMember(args.NetNS)) {
 			if err := p.dev.SvcDestroy(p.root, id); err == nil {
 				p.stats.SvcsDestroyed++
-			} else {
+			} else if firstErr == nil {
 				firstErr = err
 			}
-			delete(p.services, args.ContainerID)
-		} else if args.NetNS != nsmodel.InvalidInode {
-			for _, id := range p.dev.SvcFindByMember(cxi.NetNSMember(args.NetNS)) {
-				if err := p.dev.SvcDestroy(p.root, id); err == nil {
-					p.stats.SvcsDestroyed++
-				} else if firstErr == nil {
-					firstErr = err
-				}
-			}
 		}
-		done(firstErr)
-	})
+	}
+	done(firstErr)
 }
 
 // Check verifies the recorded CXI service still exists for VNI pods.
 func (p *CXIPlugin) Check(args Args, done func(error)) {
-	p.eng.After(p.eng.Jitter(p.cfg.APIQueryCost, 0.3), func() {
-		id, ok := p.services[args.ContainerID]
-		if !ok {
-			done(nil) // passthrough pod
-			return
-		}
-		if _, exists := p.dev.SvcGet(id); !exists {
-			done(fmt.Errorf("cxi service %d for container %s vanished", id, args.ContainerID))
-			return
-		}
-		done(nil)
-	})
+	p.after(p.cfg.APIQueryCost, cxiCheck, args).done = done
+}
+
+func cxiCheck(a any) {
+	st := a.(*cxiStep)
+	p, args, done := st.p, st.args, st.done
+	st.recycle()
+	id, ok := p.services[args.ContainerID]
+	if !ok {
+		done(nil) // passthrough pod
+		return
+	}
+	if _, exists := p.dev.SvcGet(id); !exists {
+		done(fmt.Errorf("cxi service %d for container %s vanished", id, args.ContainerID))
+		return
+	}
+	done(nil)
 }

@@ -2,6 +2,7 @@ package cni
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/nsmodel"
@@ -23,6 +24,7 @@ type OverlayPlugin struct {
 	nextIP int
 	// attachments maps container ID to its interface.
 	attachments map[string]Interface
+	steps       sim.FreeList[overlayStep]
 }
 
 // NewOverlayPlugin creates the overlay plugin for one node.
@@ -38,46 +40,78 @@ func NewOverlayPlugin(eng *sim.Engine, node, subnet string) *OverlayPlugin {
 // Name implements Plugin.
 func (o *OverlayPlugin) Name() string { return "overlay" }
 
+// overlayStep carries one verb's arguments across its setup latency. Each
+// verb's event copies them out and recycles the record before it acts.
+type overlayStep struct {
+	o     *OverlayPlugin
+	args  Args
+	prev  *Result
+	added func(*Result, error)
+	done  func(error)
+}
+
+func (o *OverlayPlugin) after(d sim.Duration, fn func(any), args Args, prev *Result, added func(*Result, error), done func(error)) {
+	st := o.steps.Get()
+	st.o, st.args, st.prev, st.added, st.done = o, args, prev, added, done
+	o.eng.AfterCall(o.eng.Jitter(d, 0.3), fn, st)
+}
+
+// take copies the record out and recycles it.
+func (st *overlayStep) take() (o *OverlayPlugin, args Args, prev *Result, added func(*Result, error), done func(error)) {
+	o, args, prev, added, done = st.o, st.args, st.prev, st.added, st.done
+	*st = overlayStep{}
+	o.steps.Put(st)
+	return
+}
+
 // Add creates the veth pair and assigns the pod IP.
 func (o *OverlayPlugin) Add(args Args, prev *Result, done func(*Result, error)) {
-	o.eng.After(o.eng.Jitter(o.SetupCost, 0.3), func() {
-		if args.NetNS == nsmodel.InvalidInode {
-			done(nil, fmt.Errorf("no netns for container %s", args.ContainerID))
-			return
-		}
-		if _, dup := o.attachments[args.ContainerID]; dup {
-			done(nil, fmt.Errorf("container %s already attached", args.ContainerID))
-			return
-		}
-		o.nextIP++
-		iface := Interface{
-			Name:    "eth0",
-			Sandbox: args.NetNS,
-			IP:      fmt.Sprintf("%s.%d/24", o.Subnet, o.nextIP),
-		}
-		o.attachments[args.ContainerID] = iface
-		prev.Interfaces = append(prev.Interfaces, iface)
-		done(prev, nil)
-	})
+	o.after(o.SetupCost, overlayAdd, args, prev, done, nil)
+}
+
+func overlayAdd(a any) {
+	o, args, prev, done, _ := a.(*overlayStep).take()
+	if args.NetNS == nsmodel.InvalidInode {
+		done(nil, fmt.Errorf("no netns for container %s", args.ContainerID))
+		return
+	}
+	if _, dup := o.attachments[args.ContainerID]; dup {
+		done(nil, fmt.Errorf("container %s already attached", args.ContainerID))
+		return
+	}
+	o.nextIP++
+	var buf [32]byte
+	ip := append(append(buf[:0], o.Subnet...), '.')
+	ip = append(strconv.AppendInt(ip, int64(o.nextIP), 10), "/24"...)
+	iface := Interface{Name: "eth0", Sandbox: args.NetNS, IP: string(ip)}
+	o.attachments[args.ContainerID] = iface
+	prev.Interfaces = append(prev.Interfaces, iface)
+	done(prev, nil)
 }
 
 // Del removes the attachment. Idempotent per the CNI spec.
 func (o *OverlayPlugin) Del(args Args, done func(error)) {
-	o.eng.After(o.eng.Jitter(o.SetupCost/2, 0.3), func() {
-		delete(o.attachments, args.ContainerID)
-		done(nil)
-	})
+	o.after(o.SetupCost/2, overlayDel, args, nil, nil, done)
+}
+
+func overlayDel(a any) {
+	o, args, _, _, done := a.(*overlayStep).take()
+	delete(o.attachments, args.ContainerID)
+	done(nil)
 }
 
 // Check verifies the attachment exists.
 func (o *OverlayPlugin) Check(args Args, done func(error)) {
-	o.eng.After(o.eng.Jitter(o.SetupCost/4, 0.3), func() {
-		if _, ok := o.attachments[args.ContainerID]; !ok {
-			done(fmt.Errorf("container %s not attached", args.ContainerID))
-			return
-		}
-		done(nil)
-	})
+	o.after(o.SetupCost/4, overlayCheck, args, nil, nil, done)
+}
+
+func overlayCheck(a any) {
+	o, args, _, _, done := a.(*overlayStep).take()
+	if _, ok := o.attachments[args.ContainerID]; !ok {
+		done(fmt.Errorf("container %s not attached", args.ContainerID))
+		return
+	}
+	done(nil)
 }
 
 // Attachments returns the number of live attachments (for tests).

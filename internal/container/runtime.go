@@ -8,6 +8,7 @@ package container
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/cni"
@@ -63,6 +64,7 @@ type Runtime struct {
 	sandboxes map[string]*Sandbox // by pod key
 	nextCID   int
 	nextShift nsmodel.UID
+	steps     sim.FreeList[podStep]
 }
 
 // NewRuntime creates the runtime for node, wiring the CNI chain.
@@ -96,55 +98,9 @@ func (r *Runtime) SetupPod(pod *k8s.Pod, done func(error)) {
 		done(fmt.Errorf("container: sandbox for %s already exists", key))
 		return
 	}
-	r.eng.After(r.eng.Jitter(r.cfg.SandboxSetup, r.cfg.Jitter), func() {
-		r.nextCID++
-		cid := fmt.Sprintf("%s-c%06d", r.node, r.nextCID)
-		sb := &Sandbox{
-			PodNamespace: pod.Meta.Namespace,
-			PodName:      pod.Meta.Name,
-			ContainerID:  cid,
-		}
-		if pod.Spec.HostNetwork {
-			sb.NetNS = r.kern.HostNetNS()
-		} else {
-			sb.NetNS = r.kern.NewNetNS(cid).Inode
-		}
-		if r.cfg.UserNamespaces && !pod.Spec.HostNetwork {
-			shift := r.nextShift
-			r.nextShift += 65536
-			uns := r.kern.NewUserNS(cid,
-				map[nsmodel.UID]nsmodel.UID{0: shift},
-				map[nsmodel.GID]nsmodel.GID{0: nsmodel.GID(shift)})
-			sb.UserNS = uns.Inode
-		} else {
-			sb.UserNS = r.kern.HostUserNS()
-		}
-		if pod.Spec.HostNetwork {
-			// Host-network pods skip CNI entirely.
-			r.sandboxes[key] = sb
-			done(nil)
-			return
-		}
-		args := cni.Args{
-			ContainerID:  cid,
-			NetNS:        sb.NetNS,
-			PodNamespace: pod.Meta.Namespace,
-			PodName:      pod.Meta.Name,
-		}
-		r.chain.Add(args, func(res *cni.Result, err error) {
-			if err != nil {
-				// CNI spec: clean up partial attachments with DEL.
-				r.chain.Del(args, func(error) {
-					r.destroyNamespaces(sb)
-					done(err)
-				})
-				return
-			}
-			sb.Result = res
-			r.sandboxes[key] = sb
-			done(nil)
-		})
-	})
+	st := r.step(pod)
+	st.key, st.setupDone = key, done
+	r.eng.AfterCall(r.eng.Jitter(r.cfg.SandboxSetup, r.cfg.Jitter), createSandbox, st)
 }
 
 // TeardownPod implements k8s.Runtime: kill container processes, run the CNI
@@ -160,22 +116,131 @@ func (r *Runtime) TeardownPod(pod *k8s.Pod, done func()) {
 	for _, pid := range sb.procs {
 		_ = r.kern.Exit(pid)
 	}
-	r.eng.After(r.eng.Jitter(r.cfg.SandboxTeardown, r.cfg.Jitter), func() {
-		if pod.Spec.HostNetwork {
-			done()
-			return
-		}
-		args := cni.Args{
-			ContainerID:  sb.ContainerID,
-			NetNS:        sb.NetNS,
-			PodNamespace: pod.Meta.Namespace,
-			PodName:      pod.Meta.Name,
-		}
-		r.chain.Del(args, func(error) {
-			r.destroyNamespaces(sb)
-			done()
-		})
-	})
+	st := r.step(pod)
+	st.sb, st.teardownDone = sb, done
+	r.eng.AfterCall(r.eng.Jitter(r.cfg.SandboxTeardown, r.cfg.Jitter), destroySandbox, st)
+}
+
+// podStep is one SetupPod or TeardownPod in flight: the pod, its sandbox,
+// the kubelet's continuation, the ADD error a cleanup DEL reports, and the
+// two callbacks the CNI chain takes — method values made once per record,
+// which finish recycles.
+type podStep struct {
+	r            *Runtime
+	pod          *k8s.Pod
+	key          string
+	sb           *Sandbox
+	args         cni.Args
+	err          error
+	setupDone    func(error)
+	teardownDone func()
+	added        func(*cni.Result, error)
+	deleted      func(error)
+}
+
+func (r *Runtime) step(pod *k8s.Pod) *podStep {
+	st := r.steps.Get()
+	if st.r == nil {
+		st.r, st.added, st.deleted = r, st.onAdded, st.onDeleted
+	}
+	st.pod = pod
+	return st
+}
+
+func createSandbox(a any) {
+	st := a.(*podStep)
+	r, pod := st.r, st.pod
+	r.nextCID++
+	cid := containerID(r.node, r.nextCID)
+	sb := &Sandbox{
+		PodNamespace: pod.Meta.Namespace,
+		PodName:      pod.Meta.Name,
+		ContainerID:  cid,
+	}
+	st.sb = sb
+	if pod.Spec.HostNetwork {
+		sb.NetNS = r.kern.HostNetNS()
+	} else {
+		sb.NetNS = r.kern.NewNetNS(cid).Inode
+	}
+	if r.cfg.UserNamespaces && !pod.Spec.HostNetwork {
+		shift := r.nextShift
+		r.nextShift += 65536
+		sb.UserNS = r.kern.NewUserNS(cid, nsmodel.MapOne[nsmodel.UID](0, shift),
+			nsmodel.MapOne(0, nsmodel.GID(shift))).Inode
+	} else {
+		sb.UserNS = r.kern.HostUserNS()
+	}
+	if pod.Spec.HostNetwork {
+		// Host-network pods skip CNI entirely.
+		r.sandboxes[st.key] = sb
+		st.finish(nil)
+		return
+	}
+	st.args = cni.Args{
+		ContainerID:  cid,
+		NetNS:        sb.NetNS,
+		PodNamespace: pod.Meta.Namespace,
+		PodName:      pod.Meta.Name,
+	}
+	r.chain.Add(st.args, st.added)
+}
+
+// containerID is "<node>-c<seq>", seq zero-padded to six digits.
+func containerID(node string, seq int) string {
+	var buf, digits [64]byte
+	id := append(append(buf[:0], node...), "-c"...)
+	d := strconv.AppendInt(digits[:0], int64(seq), 10)
+	for i := len(d); i < 6; i++ {
+		id = append(id, '0')
+	}
+	return string(append(id, d...))
+}
+
+func (st *podStep) onAdded(res *cni.Result, err error) {
+	if err != nil {
+		// CNI spec: clean up partial attachments with DEL.
+		st.err = err
+		st.r.chain.Del(st.args, st.deleted)
+		return
+	}
+	st.sb.Result = res
+	st.r.sandboxes[st.key] = st.sb
+	st.finish(nil)
+}
+
+func destroySandbox(a any) {
+	st := a.(*podStep)
+	if st.pod.Spec.HostNetwork {
+		st.finish(nil)
+		return
+	}
+	sb := st.sb
+	st.args = cni.Args{
+		ContainerID:  sb.ContainerID,
+		NetNS:        sb.NetNS,
+		PodNamespace: st.pod.Meta.Namespace,
+		PodName:      st.pod.Meta.Name,
+	}
+	st.r.chain.Del(st.args, st.deleted)
+}
+
+// onDeleted ends a teardown's DEL, or the cleanup DEL of a failed setup.
+func (st *podStep) onDeleted(error) {
+	st.r.destroyNamespaces(st.sb)
+	st.finish(st.err)
+}
+
+// finish recycles the record, then runs the kubelet's continuation.
+func (st *podStep) finish(err error) {
+	r, setupDone, teardownDone := st.r, st.setupDone, st.teardownDone
+	st.pod, st.key, st.sb, st.args, st.err, st.setupDone, st.teardownDone = nil, "", nil, cni.Args{}, nil, nil, nil
+	r.steps.Put(st)
+	if setupDone != nil {
+		setupDone(err)
+	} else {
+		teardownDone()
+	}
 }
 
 func (r *Runtime) destroyNamespaces(sb *Sandbox) {

@@ -1,6 +1,7 @@
 package container
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -21,10 +22,12 @@ type rtEnv struct {
 	dev  *cxi.Device
 	sw   *fabric.Switch
 	rt   *Runtime
+	over *cni.OverlayPlugin
 	cxip *cni.CXIPlugin
 }
 
-func newRTEnv(t *testing.T) *rtEnv {
+// newRTEnv builds a runtime whose chain is overlay → cxi → extra.
+func newRTEnv(t *testing.T, extra ...cni.Plugin) *rtEnv {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	kern := nsmodel.NewKernel()
@@ -39,9 +42,9 @@ func newRTEnv(t *testing.T) *rtEnv {
 	}
 	over := cni.NewOverlayPlugin(eng, "node0", "10.42.0")
 	cxip := cni.NewCXIPlugin(eng, api.Client(), dev, root.PID, cni.DefaultCXIPluginConfig())
-	chain := cni.NewChain(eng, 5*time.Millisecond, over, cxip)
+	chain := cni.NewChain(eng, 5*time.Millisecond, append([]cni.Plugin{over, cxip}, extra...)...)
 	rt := NewRuntime(eng, kern, chain, DefaultConfig(), "node0")
-	return &rtEnv{eng: eng, kern: kern, api: api, dev: dev, sw: sw, rt: rt, cxip: cxip}
+	return &rtEnv{eng: eng, kern: kern, api: api, dev: dev, sw: sw, rt: rt, over: over, cxip: cxip}
 }
 
 func (e *rtEnv) storePod(t *testing.T, name string, annotations map[string]string) *k8s.Pod {
@@ -235,3 +238,120 @@ func TestUserNamespaceIdentityShift(t *testing.T) {
 		t.Error("two pods share a UID shift")
 	}
 }
+
+// failingPlugin appends its interface to prev and then fails its ADD, the
+// partial attachment the CNI spec makes the runtime clean up with DEL.
+type failingPlugin struct {
+	eng   *sim.Engine
+	netns nsmodel.Inode
+	dels  int
+}
+
+func (f *failingPlugin) Name() string { return "failing" }
+
+func (f *failingPlugin) Add(args cni.Args, prev *cni.Result, done func(*cni.Result, error)) {
+	f.eng.After(time.Millisecond, func() {
+		f.netns = args.NetNS
+		prev.Interfaces = append(prev.Interfaces, cni.Interface{Name: "net1", Sandbox: args.NetNS})
+		done(nil, errors.New("injected failure"))
+	})
+}
+
+func (f *failingPlugin) Del(args cni.Args, done func(error)) {
+	f.dels++
+	f.eng.After(time.Millisecond, func() { done(nil) })
+}
+
+func (f *failingPlugin) Check(args cni.Args, done func(error)) { done(nil) }
+
+func TestPluginFailingAfterItsInterfaceIsCleanedUp(t *testing.T) {
+	bad := &failingPlugin{}
+	e := newRTEnv(t, bad)
+	bad.eng = e.eng
+	pod := e.storePod(t, "p1", map[string]string{vniapi.Annotation: "true"})
+	e.storeVNICRD(t, "job-p1", 5000)
+	if err := e.setup(t, pod); !errors.Is(err, cni.ErrPluginFailed) {
+		t.Fatalf("setup = %v, want ErrPluginFailed", err)
+	}
+	// DEL ran over the whole chain: the failing plugin, the CXI plugin
+	// (whose service is gone) and the overlay (whose attachment is gone).
+	if bad.dels != 1 || e.cxip.Stats().DelsTotal != 1 || e.over.Attachments() != 0 {
+		t.Errorf("DEL visits: failing %d, cxi %d; overlay attachments left %d",
+			bad.dels, e.cxip.Stats().DelsTotal, e.over.Attachments())
+	}
+	if _, ok := e.rt.SandboxFor("ns", "p1"); ok || e.rt.Sandboxes() != 0 {
+		t.Error("sandbox left behind after failed setup")
+	}
+	if ids := e.dev.SvcFindByMember(cxi.NetNSMember(bad.netns)); len(ids) != 0 {
+		t.Errorf("CXI services %v still name the failed pod's netns", ids)
+	}
+	if _, ok := e.kern.NetNS(bad.netns); ok {
+		t.Error("netns of the failed pod survived")
+	}
+	if n := e.rt.steps.Len(); n != 1 {
+		t.Errorf("runtime free list holds %d records, want the 1 that was in flight", n)
+	}
+}
+
+// TestSandboxAllocations pins what one warm pod's network costs: a vni:true
+// pod's sandbox, CNI ADD through overlay and CXI plugin, and its teardown.
+// Each of the twelve objects an ADD allocates outlives it — they are the
+// pod's network, not the machinery that built it:
+//
+//	pod key, container ID, Sandbox, NetNamespace, UserNamespace  (runtime)
+//	Result, its Interfaces, the pod IP                           (chain, overlay)
+//	service name, Members, CXIAttachment, the cxi.Svc            (CXI plugin)
+//
+// DEL allocates nothing. Chain steps, plugin steps and the runtime's own
+// continuation are recycled records: a count above the pin has put a
+// closure or a copy back on the path.
+func TestSandboxAllocations(t *testing.T) {
+	const runs = 50
+	e := newRTEnv(t)
+	e.storeVNICRD(t, "job-p", 5000)
+	pods := make([]*k8s.Pod, 2*(runs+1)) // AllocsPerRun runs once more to warm up
+	for i := range pods {
+		pods[i] = &k8s.Pod{Meta: k8s.Meta{Kind: k8s.KindPod, Namespace: "ns", Name: fmt.Sprint("p", i),
+			Annotations: map[string]string{vniapi.Annotation: "true"},
+			Labels:      map[string]string{"job-name": "job-p"}}}
+		e.api.Client().Create(pods[i], nil)
+	}
+	e.eng.RunFor(time.Second)
+	var setupErr error
+	setupDone := func(err error) { setupErr = err }
+	teardownDone := func() {}
+	// Grow every map to its size in the measurement with the first half.
+	warm, measured := pods[:runs+1], pods[runs+1:]
+	for _, pod := range warm {
+		e.rt.SetupPod(pod, setupDone)
+	}
+	e.eng.RunFor(time.Minute)
+	for _, pod := range warm {
+		e.rt.TeardownPod(pod, teardownDone)
+	}
+	e.eng.RunFor(time.Minute)
+
+	i := 0
+	add := testing.AllocsPerRun(runs, func() {
+		e.rt.SetupPod(measured[i], setupDone)
+		e.eng.RunFor(time.Minute)
+		i++
+	})
+	if setupErr != nil || e.rt.Sandboxes() != runs+1 {
+		t.Fatalf("%d sandboxes after the measured ADDs (last error %v)", e.rt.Sandboxes(), setupErr)
+	}
+	i = 0
+	del := testing.AllocsPerRun(runs, func() {
+		e.rt.TeardownPod(measured[i], teardownDone)
+		e.eng.RunFor(time.Minute)
+		i++
+	})
+	if e.rt.Sandboxes() != 0 || len(e.dev.SvcList()) != 1 {
+		t.Fatalf("%d sandboxes, %d services after the measured DELs", e.rt.Sandboxes(), len(e.dev.SvcList()))
+	}
+	if add != wantSandboxAddAllocs || del != 0 {
+		t.Errorf("a warm pod's ADD allocates %v objects and its DEL %v; want %d and 0", add, del, wantSandboxAddAllocs)
+	}
+}
+
+const wantSandboxAddAllocs = 12

@@ -68,7 +68,7 @@ func TestSvcAllocRequiresHostRoot(t *testing.T) {
 		t.Errorf("non-root SvcAlloc: %v, want ErrPrivilege", err)
 	}
 	// Container root (uid 0 in a userns) must also be rejected.
-	uns := r.kern.NewUserNS("c", map[nsmodel.UID]nsmodel.UID{0: 100000}, nil)
+	uns := r.kern.NewUserNS("c", nsmodel.MapOne[nsmodel.UID](0, 100000), nsmodel.IDMap[nsmodel.GID]{})
 	nns := r.kern.NewNetNS("c")
 	croot, _ := r.kern.Spawn("croot", 0, 0, nns.Inode, uns.Inode)
 	if _, err := r.devA.SvcAlloc(croot.PID, SvcDesc{Name: "y"}); !errors.Is(err, ErrPrivilege) {
@@ -201,7 +201,7 @@ func TestUIDForgeryDefeatsUIDMemberButNotNetNS(t *testing.T) {
 	}
 
 	// Attacker: container root in its own userns + netns, forges UID.
-	uns := kern.NewUserNS("attacker", map[nsmodel.UID]nsmodel.UID{0: 200000}, nil)
+	uns := kern.NewUserNS("attacker", nsmodel.MapOne[nsmodel.UID](0, 200000), nsmodel.IDMap[nsmodel.GID]{})
 	nns := kern.NewNetNS("attacker")
 	evil, _ := kern.Spawn("evil", 0, 0, nns.Inode, uns.Inode)
 	if err := evil.SetUID(victimUID); err != nil {
@@ -229,7 +229,7 @@ func TestUsernsAwareDriverBlocksUIDForgery(t *testing.T) {
 		Members: []Member{UIDMember(victimUID)},
 		VNIs:    []fabric.VNI{50},
 	})
-	uns := r.kern.NewUserNS("attacker", map[nsmodel.UID]nsmodel.UID{0: 200000}, nil)
+	uns := r.kern.NewUserNS("attacker", nsmodel.MapOne[nsmodel.UID](0, 200000), nsmodel.IDMap[nsmodel.GID]{})
 	nns := r.kern.NewNetNS("attacker")
 	evil, _ := r.kern.Spawn("evil", 0, 0, nns.Inode, uns.Inode)
 	if err := evil.SetUID(victimUID); err != nil {

@@ -62,23 +62,31 @@ type UserNamespace struct {
 	Inode Inode
 	Name  string
 	// uidMap maps inside-UID -> host UID. Host userns has the empty map.
-	uidMap idMap[UID]
-	gidMap idMap[GID]
+	uidMap IDMap[UID]
+	gidMap IDMap[GID]
 	host   bool
 }
 
-// idMap is one ID mapping of a user namespace, copied at creation. A
-// container maps one ID — its root, shifted — and that entry sits in the
-// struct; a mapping with more entries is a map.
-type idMap[T comparable] struct {
+// IDMap is one ID mapping of a user namespace (inside -> host), held by
+// value. A container maps one ID — its root, shifted — and that entry sits
+// in the value (MapOne); a mapping with more entries is a map (MapAll). The
+// zero IDMap maps nothing: every ID becomes the overflow ID, as in an
+// unconfigured userns.
+type IDMap[T comparable] struct {
 	in, host T
 	mapped   bool
 	more     map[T]T
 }
 
-func newIDMap[T comparable](src map[T]T) (m idMap[T]) {
+// MapOne maps the single inside ID in to host.
+func MapOne[T comparable](in, host T) IDMap[T] {
+	return IDMap[T]{in: in, host: host, mapped: true}
+}
+
+// MapAll maps every entry of src, copying it.
+func MapAll[T comparable](src map[T]T) (m IDMap[T]) {
 	if len(src) > 1 {
-		return idMap[T]{more: maps.Clone(src)}
+		return IDMap[T]{more: maps.Clone(src)}
 	}
 	for m.in, m.host = range src {
 		m.mapped = true
@@ -87,7 +95,7 @@ func newIDMap[T comparable](src map[T]T) (m idMap[T]) {
 }
 
 // translate maps an inside ID to the host's; unmapped IDs become overflow.
-func (m idMap[T]) translate(in, overflow T) T {
+func (m IDMap[T]) translate(in, overflow T) T {
 	if m.mapped && m.in == in {
 		return m.host
 	}
@@ -189,16 +197,16 @@ func (k *Kernel) NewNetNS(name string) *NetNamespace {
 }
 
 // NewUserNS creates a user namespace with the given UID/GID mappings
-// (inside -> host). Nil maps create an empty mapping (everything becomes the
+// (inside -> host). A zero IDMap is an empty mapping (everything becomes the
 // overflow ID), matching an unconfigured userns.
-func (k *Kernel) NewUserNS(name string, uidMap map[UID]UID, gidMap map[GID]GID) *UserNamespace {
+func (k *Kernel) NewUserNS(name string, uidMap IDMap[UID], gidMap IDMap[GID]) *UserNamespace {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	u := &UserNamespace{
 		Inode:  k.allocInodeLocked(),
 		Name:   name,
-		uidMap: newIDMap(uidMap),
-		gidMap: newIDMap(gidMap),
+		uidMap: uidMap,
+		gidMap: gidMap,
 	}
 	k.userns[u.Inode] = u
 	return u

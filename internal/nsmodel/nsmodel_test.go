@@ -78,7 +78,7 @@ func TestProcfsNetNSInode(t *testing.T) {
 
 func TestUserNSUIDMapping(t *testing.T) {
 	k := NewKernel()
-	u := k.NewUserNS("c1", map[UID]UID{0: 100000, 1000: 101000}, map[GID]GID{0: 100000})
+	u := k.NewUserNS("c1", MapAll(map[UID]UID{0: 100000, 1000: 101000}), MapOne[GID](0, 100000))
 	if got := u.MapUID(0); got != 100000 {
 		t.Errorf("MapUID(0) = %d, want 100000", got)
 	}
@@ -101,7 +101,7 @@ func TestUserNSUIDMapping(t *testing.T) {
 // defeat UID-based CXI service membership) but cannot change its netns.
 func TestContainerCanForgeUIDButNotNetNS(t *testing.T) {
 	k := NewKernel()
-	uns := k.NewUserNS("tenantA", map[UID]UID{0: 100000}, nil)
+	uns := k.NewUserNS("tenantA", MapOne[UID](0, 100000), IDMap[GID]{})
 	nns := k.NewNetNS("tenantA")
 	p, err := k.Spawn("evil", 0, 0, nns.Inode, uns.Inode)
 	if err != nil {
@@ -202,7 +202,7 @@ func TestExitRunsCleanupsLIFO(t *testing.T) {
 
 func TestReadStatus(t *testing.T) {
 	k := NewKernel()
-	uns := k.NewUserNS("c", map[UID]UID{0: 100000}, map[GID]GID{0: 100500})
+	uns := k.NewUserNS("c", MapOne[UID](0, 100000), MapOne[GID](0, 100500))
 	nns := k.NewNetNS("c")
 	p, _ := k.Spawn("app", 0, 0, nns.Inode, uns.Inode)
 	st, err := k.Proc().ReadStatus(p.PID)
@@ -248,7 +248,7 @@ func TestQuickInodeUniqueness(t *testing.T) {
 			seen[ns.Inode] = true
 		}
 		for i := 0; i < int(nUser); i++ {
-			us := k.NewUserNS("u", nil, nil)
+			us := k.NewUserNS("u", IDMap[UID]{}, IDMap[GID]{})
 			if seen[us.Inode] {
 				return false
 			}
@@ -271,7 +271,7 @@ func TestQuickUIDMappingStable(t *testing.T) {
 			m[UID(id)] = UID(100000 + i)
 		}
 		k := NewKernel()
-		u := k.NewUserNS("c", m, nil)
+		u := k.NewUserNS("c", MapAll(m), IDMap[GID]{})
 		for in, want := range m {
 			if u.MapUID(in) != want || u.MapUID(in) != u.MapUID(in) {
 				return false
