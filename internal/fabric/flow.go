@@ -13,9 +13,14 @@ import (
 // exact by construction. Flow fidelity completes a bulk transfer in O(1)
 // events: the arrival time and the per-link byte/busy-until deltas are
 // computed analytically from the same busy-until link model, charging the
-// same counters the packet path would, so an uncontended transfer is
-// indistinguishable in its end state and orders of magnitude cheaper to
-// simulate. Hybrid is flow with a guard: a transfer whose route shows
+// same counters the packet path would. A frame-granular transfer is
+// modelled as its frames pipelined through the stages (see burst), so an
+// uncontended transfer ends where the packet path's does: to the
+// nanosecond when it is one frame or a coalesced burst, within 2 % when it
+// is many (the packet path draws jitter per frame, the flow path per
+// stage, and sizes the last, shorter frame like the others), and orders of
+// magnitude cheaper to simulate. Hybrid is flow with a guard: a transfer
+// whose route shows
 // queueing (busy-until overlap) beyond Config.FlowCongestionThreshold falls
 // back to the packet path, so congestion dynamics, drop accounting and
 // reroute behavior stay packet-exact exactly where they matter.
@@ -60,14 +65,15 @@ func ParseFidelity(s string) (Fidelity, error) {
 	return FidelityPacket, fmt.Errorf("fabric: unknown fidelity %q (want packet, flow or hybrid)", s)
 }
 
-// SendFlow attempts the flow-level fast path for one bulk transfer,
-// modelled as a single coalesced burst. On success it applies every
-// counter and busy-until delta the packet path would have applied for the
-// burst — host link, source switch, each trunk link on the (frozen)
-// minimal route, destination switch and egress port — schedules exactly
-// one delivery event, credits the engine's Elided counter with the events
-// skipped, and returns the local-completion time (last bit off the NIC),
-// exactly as Send does.
+// SendFlow attempts the flow-level fast path for one bulk transfer of
+// packets frames (1 for a coalesced burst, the frame count in
+// frame-granular mode), pipelined through its stages (see burst). On
+// success it applies every counter and busy-until delta the packet path
+// would have applied — host link, source switch, each trunk link on the
+// (frozen) minimal route, destination switch and egress port — schedules
+// exactly one delivery event, at the last frame's arrival, credits the
+// engine's Elided counter with the events skipped, and returns the
+// local-completion time (last bit off the NIC), exactly as Send does.
 //
 // ok=false means the fast path declined and mutated nothing: the caller
 // must send through the packet path, which owns all drop accounting. That
@@ -76,13 +82,9 @@ func ParseFidelity(s string) (Fidelity, error) {
 // partition, no live minimal route), or — hybrid only — when any stage of
 // the route would queue longer than Config.FlowCongestionThreshold.
 //
-// packets is the number of packets the transfer would occupy on the
-// packet path (1 for a coalesced burst, the frame count in frame-granular
-// mode); it sizes the elision credit only. Timing and byte accounting
-// always model the coalesced burst, which is the one fidelity caveat: a
-// frame-granular sender that engages the fast path completes as if
-// coalesced. Like Send, SendFlow must be called from within the event
-// loop.
+// Counters are charged once per transfer (one Injected, one Forwarded per
+// link), as for a coalesced burst. Like Send, SendFlow must be called from
+// within the event loop.
 func (l *HostLink) SendFlow(p *Packet, fid Fidelity, packets int) (sim.Time, bool) {
 	if fid == FidelityPacket {
 		return 0, false
@@ -113,6 +115,36 @@ func (l *HostLink) SendFlow(p *Packet, fid Fidelity, packets int) (sim.Time, boo
 	return sw.flowRoute(p, l, fid, packets)
 }
 
+// burst is a flow-level transfer on its way through a route's stages —
+// host link, trunk links, egress port — as n frames pipelined behind one
+// another. head is when the first frame reaches the next stage; slow is the
+// largest per-frame time of the stages passed, the pipeline's bottleneck,
+// so the last frame trails the first by (n-1)·slow. With n = 1 this is the
+// store-and-forward arithmetic of one packet, so the packet path's
+// delivery leg uses it too.
+type burst struct {
+	n    int
+	head sim.Time
+	slow sim.Duration
+}
+
+// pass moves the burst through one stage whose first frame starts at
+// start and which takes tx for all n frames, then prop to reach the next
+// stage. A frame takes f = tx/n in whole nanoseconds, as each of the packet
+// path's frames does, so the stage finishes — its new busy-until, which
+// pass returns — at start + n·f.
+func (b *burst) pass(start sim.Time, tx, prop sim.Duration) sim.Time {
+	f := tx / sim.Duration(b.n)
+	if f > b.slow {
+		b.slow = f
+	}
+	b.head = start.Add(f).Add(prop)
+	return start.Add(sim.Duration(b.n) * f)
+}
+
+// last is when the last frame arrives at the stage after the last pass.
+func (b *burst) last() sim.Time { return b.head.Add(sim.Duration(b.n-1) * b.slow) }
+
 // flowLocal completes a same-switch transfer analytically: host-link
 // serialization, injection, and the shared delivery leg (flowDeliver),
 // with the same arithmetic and jitter-draw order as Send → Inject →
@@ -134,20 +166,18 @@ func (l *HostLink) flowLocal(p *Packet, out *port, fid Fidelity, packets int) (s
 		}
 		// Egress wait the delivery leg would see, planned without jitter
 		// (conservative for TCLowLatency, whose cut-in caps the real wait).
-		arrive := hostStart.
-			Add(sw.wireTime(p.WireBytes(sw.cfg.FrameHeaderBytes))).
-			Add(sw.cfg.PropagationDelay).
-			Add(sw.cfg.SwitchLatency)
-		if out.egressAt.Sub(arrive) > thr {
+		plan := burst{n: packets}
+		plan.pass(hostStart, sw.wireTime(p.WireBytes(sw.cfg.FrameHeaderBytes)), sw.cfg.PropagationDelay)
+		if out.egressAt.Sub(plan.head.Add(sw.cfg.SwitchLatency)) > thr {
 			return 0, false
 		}
 	}
-	tx := l.eng.Jitter(sw.wireTime(p.WireBytes(sw.cfg.FrameHeaderBytes)), sw.cfg.JitterFrac)
-	hostEnd := hostStart.Add(tx)
+	b := burst{n: packets}
+	hostEnd := b.pass(hostStart, l.eng.Jitter(sw.wireTime(p.WireBytes(sw.cfg.FrameHeaderBytes)), sw.cfg.JitterFrac), sw.cfg.PropagationDelay)
 	l.busyAt = hostEnd
 	sw.stats.Injected++
 	sw.stats.InjectedBytes += uint64(p.PayloadBytes)
-	sw.flowDeliver(p, hostEnd.Add(sw.cfg.PropagationDelay), out)
+	sw.flowDeliver(p, b, out)
 	// The packet path runs 2 events per local packet (host-link arrival +
 	// local delivery); the fast path scheduled exactly one.
 	l.eng.Elided += uint64(packets)*2 - 1
@@ -175,15 +205,16 @@ func (t *Topology) flowFrom(sw *Switch) func(p *Packet, hl *HostLink, fid Fideli
 // packet path with the fabric untouched.
 //
 // The commit phase replays the planned route with jitter draws in exactly
-// the order the packet path would draw them for one coalesced packet, and
-// charges the same counters: source-switch Injected/TrunkForwarded, per-
+// the order the packet path would draw them for one coalesced packet —
+// one per stage, where a frame-granular packet path draws one per frame —
+// and charges the same counters: source-switch Injected/TrunkForwarded, per-
 // link busy-until/utilization/Forwarded/Bytes, and the destination's
 // delivery leg via flowDeliver. Intermediate switches carry no SwitchStats
 // on the packet path either (transit is visible only in link stats), so
 // per-switch flow-balance conservation holds identically.
 //
 // The route is frozen at send time — the packet path re-resolves per hop
-// mid-flight — which is the second fidelity caveat: a link failure while a
+// mid-flight — which is the other fidelity caveat: a link failure while a
 // flow-level transfer is "on the wire" neither drops nor reroutes it.
 func (t *Topology) flowSend(ci int, p *Packet, hl *HostLink, fid Fidelity, packets int) (sim.Time, bool) {
 	src := t.switches[ci]
@@ -212,14 +243,14 @@ func (t *Topology) flowSend(ci int, p *Packet, hl *HostLink, fid Fidelity, packe
 	var route [3]*link
 	nLinks := 0
 	wb := p.WireBytes(t.cfg.FrameHeaderBytes)
-	arrive := hostStart.
-		Add(src.wireTime(p.WireBytes(src.cfg.FrameHeaderBytes))).
-		Add(src.cfg.PropagationDelay)
+	plan := burst{n: packets}
+	plan.pass(hostStart, src.wireTime(p.WireBytes(src.cfg.FrameHeaderBytes)), src.cfg.PropagationDelay)
 	for cur := ci; cur != di; {
 		l, _ := t.peekNextLink(cur, di)
 		if l == nil || nLinks == len(route) {
 			return 0, false
 		}
+		arrive := plan.head
 		if nLinks > 0 {
 			arrive = arrive.Add(t.cfg.SwitchLatency)
 		}
@@ -230,41 +261,39 @@ func (t *Topology) flowSend(ci int, p *Packet, hl *HostLink, fid Fidelity, packe
 		if fid == FidelityHybrid && start.Sub(arrive) > thr {
 			return 0, false
 		}
-		arrive = start.Add(wireTime(l.bwBits, wb)).Add(l.prop)
+		plan.pass(start, wireTime(l.bwBits, wb), l.prop)
 		route[nLinks] = l
 		nLinks++
 		cur = l.id.To
 	}
-	if fid == FidelityHybrid && out.egressAt.Sub(arrive.Add(dsw.cfg.SwitchLatency)) > thr {
+	if fid == FidelityHybrid && out.egressAt.Sub(plan.head.Add(dsw.cfg.SwitchLatency)) > thr {
 		return 0, false
 	}
 
 	// Commit.
+	b := burst{n: packets}
 	hostTx := t.eng.Jitter(src.wireTime(p.WireBytes(src.cfg.FrameHeaderBytes)), src.cfg.JitterFrac)
-	hostEnd := hostStart.Add(hostTx)
+	hostEnd := b.pass(hostStart, hostTx, src.cfg.PropagationDelay)
 	hl.busyAt = hostEnd
 	src.stats.Injected++
 	src.stats.InjectedBytes += uint64(p.PayloadBytes)
 	src.stats.TrunkForwarded++
-	arrive = hostEnd.Add(src.cfg.PropagationDelay)
 	for i := 0; i < nLinks; i++ {
 		l := route[i]
+		start := b.head
 		if i > 0 {
-			arrive = arrive.Add(t.eng.Jitter(t.cfg.SwitchLatency, t.cfg.JitterFrac))
+			start = start.Add(t.eng.Jitter(t.cfg.SwitchLatency, t.cfg.JitterFrac))
 		}
-		start := arrive
 		if l.busyAt > start {
 			start = l.busyAt
 		}
-		tx := t.eng.Jitter(wireTime(l.bwBits, wb), t.cfg.JitterFrac)
-		end := start.Add(tx)
+		end := b.pass(start, t.eng.Jitter(wireTime(l.bwBits, wb), t.cfg.JitterFrac), l.prop)
 		l.busyAt = end
-		l.busyAccum += tx
+		l.busyAccum += end.Sub(start)
 		l.stats.Forwarded++
 		l.stats.Bytes += uint64(p.PayloadBytes)
-		arrive = end.Add(l.prop)
 	}
-	dsw.flowDeliver(p, arrive, out)
+	dsw.flowDeliver(p, b, out)
 
 	// Per packet the packet path runs one host-link arrival, one trunk
 	// arrival per link, one forwarding event per intermediate switch and

@@ -465,15 +465,16 @@ func localDeliverCall(a any) {
 // deliver serializes the packet onto the egress link and schedules
 // delivery.
 func (s *Switch) deliver(p *Packet, out *port) {
-	s.flowDeliver(p, s.eng.Now(), out)
+	s.flowDeliver(p, burst{n: 1, head: s.eng.Now()}, out)
 }
 
 // flowDeliver is the shared final-delivery leg: egress accounting, port
-// serialization from time at, and the delivery event. The packet path calls
-// it via deliver with at = now; the flow fast path (see flow.go) calls it
-// with an analytically computed arrival time, so both fidelities run the
-// same arithmetic and jitter draws here. Returns the serialization end.
-func (s *Switch) flowDeliver(p *Packet, at sim.Time, out *port) sim.Time {
+// serialization from the burst's head arrival, and the delivery event at
+// its last frame's. The packet path calls it via deliver with a one-frame
+// burst arriving now; the flow fast path (see flow.go) calls it with the
+// burst it carried analytically through the route, so both fidelities run
+// the same arithmetic and jitter draws here. Returns the serialization end.
+func (s *Switch) flowDeliver(p *Packet, b burst, out *port) sim.Time {
 	s.stats.Forwarded++
 	s.stats.ForwardedBytes += uint64(p.PayloadBytes)
 	out.egressBytes[p.TC] += uint64(p.PayloadBytes)
@@ -482,7 +483,7 @@ func (s *Switch) flowDeliver(p *Packet, at sim.Time, out *port) sim.Time {
 	// already-queued traffic. Higher-priority classes are modelled with a
 	// small scheduling advantage: they do not wait behind lower-priority
 	// residual occupancy beyond one MTU slot.
-	start := at.Add(s.eng.Jitter(s.cfg.SwitchLatency, s.cfg.JitterFrac))
+	start := b.head.Add(s.eng.Jitter(s.cfg.SwitchLatency, s.cfg.JitterFrac))
 	if out.egressAt > start {
 		wait := out.egressAt.Sub(start)
 		if p.TC == TCLowLatency {
@@ -495,11 +496,11 @@ func (s *Switch) flowDeliver(p *Packet, at sim.Time, out *port) sim.Time {
 		start = start.Add(wait)
 	}
 	tx := s.eng.Jitter(s.wireTime(p.WireBytes(s.cfg.FrameHeaderBytes)), s.cfg.JitterFrac)
-	end := start.Add(tx)
+	end := b.pass(start, tx, s.cfg.PropagationDelay)
 	out.egressAt = end
 
 	d := s.delivers.Get()
 	d.sw, d.recv, d.pkt = s, out.recv, *p
-	out.deliveries.AtCall(end.Add(s.cfg.PropagationDelay), localDeliverCall, d)
+	out.deliveries.AtCall(b.last(), localDeliverCall, d)
 	return end
 }
