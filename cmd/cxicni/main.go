@@ -10,7 +10,8 @@
 //
 //	CNI_COMMAND      ADD | DEL | CHECK | VERSION
 //	CNI_CONTAINERID  container ID
-//	CNI_NETNS        netns path or inode
+//	CNI_NETNS        netns path or inode (a path must name a network
+//	                 namespace, or ADD fails with code 7)
 //	CNI_ARGS         K8S_POD_NAMESPACE=...;K8S_POD_NAME=...
 //
 // Stdin (network configuration, chained form):
@@ -118,6 +119,10 @@ func runAdd(conf NetConf, containerID, netns string, args map[string]string) {
 	if netns == "" {
 		fail(7, "CNI_NETNS not set")
 	}
+	inode, err := netnsInode(netns)
+	if err != nil {
+		fail(7, "resolving CNI_NETNS: %v", err)
+	}
 	vni := conf.VNI
 	if vni == 0 && conf.VNIEndpoint != "" {
 		v, err := fetchVNI(conf.VNIEndpoint, args["K8S_POD_NAMESPACE"], args["K8S_POD_NAME"])
@@ -130,7 +135,6 @@ func runAdd(conf NetConf, containerID, netns string, args map[string]string) {
 	if vni == 0 {
 		fail(7, "no VNI configured (set \"vni\" or \"vniEndpoint\")")
 	}
-	inode := netnsInode(netns)
 	svcID, err := stateCreateService(containerID, inode, vni)
 	if err != nil {
 		fail(11, "creating CXI service: %v", err)
@@ -161,24 +165,13 @@ func runCheck(conf NetConf, containerID string) {
 	}
 }
 
-// netnsInode extracts the inode from a netns path of the form
-// /proc/<pid>/ns/net, /var/run/netns/<name>, or a bare integer (the
-// simulated runtime passes the inode directly).
-func netnsInode(path string) uint64 {
-	if n, err := strconv.ParseUint(path, 10, 64); err == nil {
-		return n
+// netnsInode resolves CNI_NETNS: a bare non-zero integer is the inode
+// itself (the simulated runtime passes it directly); anything else is a path
+// that must name a network namespace (netnsPathInode). There is no fallback:
+// a service whose member is a number no process holds would fail open.
+func netnsInode(netns string) (uint64, error) {
+	if n, err := strconv.ParseUint(netns, 10, 64); err == nil && n != 0 {
+		return n, nil
 	}
-	if fi, err := os.Stat(path); err == nil {
-		// On Linux the Sys() carries the inode; fall back to a hash of
-		// the path when unavailable (non-Linux test environments).
-		type inoder interface{ Ino() uint64 }
-		if st, ok := fi.Sys().(inoder); ok {
-			return st.Ino()
-		}
-	}
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(path); i++ {
-		h = (h ^ uint64(path[i])) * 1099511628211
-	}
-	return h
+	return netnsPathInode(netns)
 }

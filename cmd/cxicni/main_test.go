@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -18,18 +20,19 @@ func TestParseArgs(t *testing.T) {
 }
 
 func TestNetnsInodeForms(t *testing.T) {
-	if got := netnsInode("4026531992"); got != 4026531992 {
-		t.Errorf("numeric inode = %d", got)
+	if got, err := netnsInode("4026531992"); err != nil || got != 4026531992 {
+		t.Errorf("numeric inode = %d, %v", got, err)
 	}
-	// Path form falls back to a deterministic hash off-Linux.
-	a := netnsInode("/var/run/netns/cni-abc")
-	b := netnsInode("/var/run/netns/cni-abc")
-	c := netnsInode("/var/run/netns/cni-def")
-	if a != b {
-		t.Error("hash not deterministic")
+	// Fail closed: a path that names no network namespace is an error,
+	// never a number derived from the path.
+	notNetns := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notNetns, nil, 0o600); err != nil {
+		t.Fatal(err)
 	}
-	if a == c {
-		t.Error("distinct paths collide")
+	for _, path := range []string{"0", "/var/run/netns/cni-missing", notNetns} {
+		if got, err := netnsInode(path); err == nil {
+			t.Errorf("netnsInode(%q) = %d, want an error", path, got)
+		}
 	}
 }
 

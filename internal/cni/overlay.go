@@ -41,7 +41,8 @@ func NewOverlayPlugin(eng *sim.Engine, node, subnet string) *OverlayPlugin {
 func (o *OverlayPlugin) Name() string { return "overlay" }
 
 // overlayStep carries one verb's arguments across its setup latency. Each
-// verb's event copies them out and recycles the record before it acts.
+// verb's event copies out what it needs and recycles the record before it
+// acts.
 type overlayStep struct {
 	o     *OverlayPlugin
 	args  Args
@@ -50,27 +51,30 @@ type overlayStep struct {
 	done  func(error)
 }
 
-func (o *OverlayPlugin) after(d sim.Duration, fn func(any), args Args, prev *Result, added func(*Result, error), done func(error)) {
+func (o *OverlayPlugin) after(d sim.Duration, fn func(any), args Args) *overlayStep {
 	st := o.steps.Get()
-	st.o, st.args, st.prev, st.added, st.done = o, args, prev, added, done
+	st.o, st.args = o, args
 	o.eng.AfterCall(o.eng.Jitter(d, 0.3), fn, st)
+	return st
 }
 
-// take copies the record out and recycles it.
-func (st *overlayStep) take() (o *OverlayPlugin, args Args, prev *Result, added func(*Result, error), done func(error)) {
-	o, args, prev, added, done = st.o, st.args, st.prev, st.added, st.done
+// recycle clears the record and hands it back.
+func (st *overlayStep) recycle() {
+	o := st.o
 	*st = overlayStep{}
 	o.steps.Put(st)
-	return
 }
 
 // Add creates the veth pair and assigns the pod IP.
 func (o *OverlayPlugin) Add(args Args, prev *Result, done func(*Result, error)) {
-	o.after(o.SetupCost, overlayAdd, args, prev, done, nil)
+	st := o.after(o.SetupCost, overlayAdd, args)
+	st.prev, st.added = prev, done
 }
 
 func overlayAdd(a any) {
-	o, args, prev, done, _ := a.(*overlayStep).take()
+	st := a.(*overlayStep)
+	o, args, prev, done := st.o, st.args, st.prev, st.added
+	st.recycle()
 	if args.NetNS == nsmodel.InvalidInode {
 		done(nil, fmt.Errorf("no netns for container %s", args.ContainerID))
 		return
@@ -91,22 +95,26 @@ func overlayAdd(a any) {
 
 // Del removes the attachment. Idempotent per the CNI spec.
 func (o *OverlayPlugin) Del(args Args, done func(error)) {
-	o.after(o.SetupCost/2, overlayDel, args, nil, nil, done)
+	o.after(o.SetupCost/2, overlayDel, args).done = done
 }
 
 func overlayDel(a any) {
-	o, args, _, _, done := a.(*overlayStep).take()
+	st := a.(*overlayStep)
+	o, args, done := st.o, st.args, st.done
+	st.recycle()
 	delete(o.attachments, args.ContainerID)
 	done(nil)
 }
 
 // Check verifies the attachment exists.
 func (o *OverlayPlugin) Check(args Args, done func(error)) {
-	o.after(o.SetupCost/4, overlayCheck, args, nil, nil, done)
+	o.after(o.SetupCost/4, overlayCheck, args).done = done
 }
 
 func overlayCheck(a any) {
-	o, args, _, _, done := a.(*overlayStep).take()
+	st := a.(*overlayStep)
+	o, args, done := st.o, st.args, st.done
+	st.recycle()
 	if _, ok := o.attachments[args.ContainerID]; !ok {
 		done(fmt.Errorf("container %s not attached", args.ContainerID))
 		return
