@@ -14,8 +14,8 @@ const nsGetNSType = 0xb703
 
 // netnsPathInode opens a netns path — /proc/<pid>/ns/net, or a bind mount
 // under /var/run/netns — has the kernel confirm that it refers to a network
-// namespace, and returns that namespace's inode, the number the driver keys
-// CXI service membership on.
+// namespace, and returns that namespace's inode, the number CXI service
+// membership is keyed on.
 func netnsPathInode(path string) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestServiceMemberIsTheNetnsInode: the binding an ADD records for a real
-// netns path names that namespace's inode, the number the driver matches a
-// calling process's netns against, and a namespace of another type is
+// netns path names that namespace's inode, the number a CXI service matches
+// a calling process's netns against, and a namespace of another type is
 // refused.
 func TestServiceMemberIsTheNetnsInode(t *testing.T) {
 	const path = "/proc/self/ns/net"

@@ -157,7 +157,7 @@ func (c *Chain) op(cmd Command, args Args, i int) *chainOp {
 // walk has left the list.
 func (op *chainOp) next() {
 	if op.i < 0 || op.i >= len(op.c.plugins) {
-		op.finish(nil)
+		op.finish(op.err)
 		return
 	}
 	op.c.eng.AfterCall(op.c.eng.Jitter(op.c.ExecOverhead, 0.3), execPlugin, op)
@@ -176,9 +176,14 @@ func execPlugin(a any) {
 	}
 }
 
+// pluginErr names the plugin at i and the verb it failed.
+func (op *chainOp) pluginErr(err error) error {
+	return fmt.Errorf("%w: %s %s: %v", ErrPluginFailed, op.c.plugins[op.i].Name(), op.cmd, err)
+}
+
 func (op *chainOp) onAdded(res *Result, err error) {
 	if err != nil {
-		op.finish(fmt.Errorf("%w: %s ADD: %v", ErrPluginFailed, op.c.plugins[op.i].Name(), err))
+		op.finish(op.pluginErr(err))
 		return
 	}
 	op.res = res
@@ -187,29 +192,25 @@ func (op *chainOp) onAdded(res *Result, err error) {
 }
 
 func (op *chainOp) onVisited(err error) {
-	name := op.c.plugins[op.i].Name()
 	if op.cmd == CmdCheck {
 		if err != nil {
-			op.finish(fmt.Errorf("%w: %s CHECK: %v", ErrPluginFailed, name, err))
+			op.finish(op.pluginErr(err))
 			return
 		}
 		op.i++
 	} else {
 		if err != nil && op.err == nil {
-			op.err = fmt.Errorf("%w: %s DEL: %v", ErrPluginFailed, name, err)
+			op.err = op.pluginErr(err)
 		}
 		op.i--
 	}
 	op.next()
 }
 
-// finish recycles the record, then reports: ADD's result (nil on error),
-// DEL's first error, or CHECK's.
+// finish recycles the record, then reports err and, to ADD, its result (nil
+// on error).
 func (op *chainOp) finish(err error) {
 	res, addDone, done := op.res, op.addDone, op.done
-	if op.cmd == CmdDel {
-		err = op.err
-	}
 	if err != nil {
 		res = nil
 	}

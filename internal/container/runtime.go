@@ -130,7 +130,6 @@ type podStep struct {
 	pod          *k8s.Pod
 	key          string
 	sb           *Sandbox
-	args         cni.Args
 	err          error
 	setupDone    func(error)
 	teardownDone func()
@@ -177,13 +176,17 @@ func createSandbox(a any) {
 		st.finish(nil)
 		return
 	}
-	st.args = cni.Args{
-		ContainerID:  cid,
+	r.chain.Add(sb.cniArgs(), st.added)
+}
+
+// cniArgs is what the runtime hands the CNI chain for the sandbox.
+func (sb *Sandbox) cniArgs() cni.Args {
+	return cni.Args{
+		ContainerID:  sb.ContainerID,
 		NetNS:        sb.NetNS,
-		PodNamespace: pod.Meta.Namespace,
-		PodName:      pod.Meta.Name,
+		PodNamespace: sb.PodNamespace,
+		PodName:      sb.PodName,
 	}
-	r.chain.Add(st.args, st.added)
 }
 
 // containerID is "<node>-c<seq>", seq zero-padded to six digits.
@@ -201,7 +204,7 @@ func (st *podStep) onAdded(res *cni.Result, err error) {
 	if err != nil {
 		// CNI spec: clean up partial attachments with DEL.
 		st.err = err
-		st.r.chain.Del(st.args, st.deleted)
+		st.r.chain.Del(st.sb.cniArgs(), st.deleted)
 		return
 	}
 	st.sb.Result = res
@@ -215,14 +218,7 @@ func destroySandbox(a any) {
 		st.finish(nil)
 		return
 	}
-	sb := st.sb
-	st.args = cni.Args{
-		ContainerID:  sb.ContainerID,
-		NetNS:        sb.NetNS,
-		PodNamespace: st.pod.Meta.Namespace,
-		PodName:      st.pod.Meta.Name,
-	}
-	st.r.chain.Del(st.args, st.deleted)
+	st.r.chain.Del(st.sb.cniArgs(), st.deleted)
 }
 
 // onDeleted ends a teardown's DEL, or the cleanup DEL of a failed setup.
@@ -234,7 +230,7 @@ func (st *podStep) onDeleted(error) {
 // finish recycles the record, then runs the kubelet's continuation.
 func (st *podStep) finish(err error) {
 	r, setupDone, teardownDone := st.r, st.setupDone, st.teardownDone
-	st.pod, st.key, st.sb, st.args, st.err, st.setupDone, st.teardownDone = nil, "", nil, cni.Args{}, nil, nil, nil
+	*st = podStep{r: r, added: st.added, deleted: st.deleted}
 	r.steps.Put(st)
 	if setupDone != nil {
 		setupDone(err)

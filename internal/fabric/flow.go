@@ -134,6 +134,10 @@ type burst struct {
 // path's frames does, so the stage finishes — its new busy-until, which
 // pass returns — at start + n·f.
 func (b *burst) pass(start sim.Time, tx, prop sim.Duration) sim.Time {
+	if b.n == 1 { // every frame the packet path forwards: no division
+		b.head = start.Add(tx).Add(prop)
+		return start.Add(tx)
+	}
 	f := tx / sim.Duration(b.n)
 	if f > b.slow {
 		b.slow = f
