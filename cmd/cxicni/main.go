@@ -10,8 +10,8 @@
 //
 //	CNI_COMMAND      ADD | DEL | CHECK | VERSION
 //	CNI_CONTAINERID  container ID
-//	CNI_NETNS        netns path or inode (a path must name a network
-//	                 namespace, or ADD fails with code 7)
+//	CNI_NETNS        netns path (it must name a network namespace, or ADD
+//	                 fails with code 7)
 //	CNI_ARGS         K8S_POD_NAMESPACE=...;K8S_POD_NAME=...
 //
 // Stdin (network configuration, chained form):
@@ -30,7 +30,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 )
 
@@ -163,15 +162,4 @@ func runCheck(conf NetConf, containerID string) {
 	if !ok {
 		fail(11, "cxi service for container %s missing", containerID)
 	}
-}
-
-// netnsInode resolves CNI_NETNS: a bare non-zero integer is the inode
-// itself (the simulated runtime passes it directly); anything else is a path
-// that must name a network namespace (netnsPathInode). There is no fallback:
-// a service whose member is a number no process holds would fail open.
-func netnsInode(netns string) (uint64, error) {
-	if n, err := strconv.ParseUint(netns, 10, 64); err == nil && n != 0 {
-		return n, nil
-	}
-	return netnsPathInode(netns)
 }

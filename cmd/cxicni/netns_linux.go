@@ -12,11 +12,12 @@ import (
 // CLONE_NEW* flag of the namespace an open nsfs file refers to.
 const nsGetNSType = 0xb703
 
-// netnsPathInode opens a netns path — /proc/<pid>/ns/net, or a bind mount
-// under /var/run/netns — has the kernel confirm that it refers to a network
-// namespace, and returns that namespace's inode, the number CXI service
-// membership is keyed on.
-func netnsPathInode(path string) (uint64, error) {
+// netnsInode resolves CNI_NETNS: it opens the netns path — /proc/<pid>/ns/net,
+// or a bind mount under /var/run/netns — has the kernel confirm that it
+// refers to a network namespace, and returns that namespace's inode, the
+// number CXI service membership is keyed on. There is no fallback: a service
+// whose member is a number no process holds would fail open.
+func netnsInode(path string) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err

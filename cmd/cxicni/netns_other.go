@@ -4,8 +4,8 @@ package main
 
 import "fmt"
 
-// netnsPathInode has no namespace to resolve off Linux: only a bare inode
-// number is accepted there.
-func netnsPathInode(path string) (uint64, error) {
-	return 0, fmt.Errorf("netns path %s: network namespaces are a Linux feature; pass the inode", path)
+// netnsInode has no namespace to resolve off Linux, so every ADD fails
+// closed there.
+func netnsInode(path string) (uint64, error) {
+	return 0, fmt.Errorf("netns path %s: network namespaces are a Linux feature", path)
 }

@@ -131,19 +131,17 @@ type burst struct {
 // pass moves the burst through one stage whose first frame starts at
 // start and which takes tx for all n frames, then prop to reach the next
 // stage. A frame takes f = tx/n in whole nanoseconds, as each of the packet
-// path's frames does, so the stage finishes — its new busy-until, which
-// pass returns — at start + n·f.
+// path's frames does. The stage cannot send its last frame before the
+// slowest stage so far has delivered it, so it finishes — its new
+// busy-until, which pass returns — at start + f + (n-1)·slow, not at
+// start + n·f when an earlier stage is slower.
 func (b *burst) pass(start sim.Time, tx, prop sim.Duration) sim.Time {
-	if b.n == 1 { // every frame the packet path forwards: no division
-		b.head = start.Add(tx).Add(prop)
-		return start.Add(tx)
-	}
 	f := tx / sim.Duration(b.n)
 	if f > b.slow {
 		b.slow = f
 	}
 	b.head = start.Add(f).Add(prop)
-	return start.Add(sim.Duration(b.n) * f)
+	return start.Add(f).Add(sim.Duration(b.n-1) * b.slow)
 }
 
 // last is when the last frame arrives at the stage after the last pass.
@@ -291,9 +289,11 @@ func (t *Topology) flowSend(ci int, p *Packet, hl *HostLink, fid Fidelity, packe
 		if l.busyAt > start {
 			start = l.busyAt
 		}
-		end := b.pass(start, t.eng.Jitter(wireTime(l.bwBits, wb), t.cfg.JitterFrac), l.prop)
-		l.busyAt = end
-		l.busyAccum += end.Sub(start)
+		tx := t.eng.Jitter(wireTime(l.bwBits, wb), t.cfg.JitterFrac)
+		l.busyAt = b.pass(start, tx, l.prop)
+		// Utilization counts serialization only: n frames of tx/n each,
+		// not the gaps a slower earlier stage leaves between them.
+		l.busyAccum += tx - tx%sim.Duration(packets)
 		l.stats.Forwarded++
 		l.stats.Bytes += uint64(p.PayloadBytes)
 	}

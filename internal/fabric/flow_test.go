@@ -37,8 +37,15 @@ type flowFixture struct {
 
 func newFlowFixture(t *testing.T, seed int64, cfg Config) *flowFixture {
 	t.Helper()
+	return newFlowFixtureOn(t, seed, cfg, TopologySpec{Groups: 2, SwitchesPerGroup: 2})
+}
+
+// newFlowFixtureOn builds the fixture on spec, which must keep the layout
+// above: 2 groups of 2 switches.
+func newFlowFixtureOn(t *testing.T, seed int64, cfg Config, spec TopologySpec) *flowFixture {
+	t.Helper()
 	eng := sim.NewEngine(seed)
-	topo := NewTopology(eng, cfg, TopologySpec{Groups: 2, SwitchesPerGroup: 2})
+	topo := NewTopology(eng, cfg, spec)
 	f := &flowFixture{eng: eng, topo: topo, sinks: map[Addr]*timedSink{}}
 	attach := func(sw int) Addr {
 		s := &timedSink{eng: eng}
@@ -182,6 +189,59 @@ func TestFlowMatchesPacketJittered(t *testing.T) {
 		}
 	}
 	diffFabrics(t, pkt, flow)
+}
+
+// TestFlowMatchesPacketBehindSlowGlobalLink: a frame-granular transfer
+// a0→c crosses a global link four times slower than the trunk and egress
+// port after it. Those stages cannot send their last frame before the
+// global link has delivered it, so their busy-until must land where the
+// packet path's last frame leaves them, not n frame times after their first.
+func TestFlowMatchesPacketBehindSlowGlobalLink(t *testing.T) {
+	const frames = 8
+	cfg := testConfig()
+	spec := TopologySpec{Groups: 2, SwitchesPerGroup: 2, GlobalLinkBandwidthBits: cfg.LinkBandwidthBits / 4}
+	pkt := newFlowFixtureOn(t, 1, cfg, spec)
+	flow := newFlowFixtureOn(t, 1, cfg, spec)
+	var pdone, fdone sim.Time
+	pkt.eng.After(0, func() {
+		for i := 0; i < frames; i++ {
+			pdone = pkt.link0.Send(&Packet{Src: pkt.a0, Dst: pkt.c, VNI: 5, TC: TCDedicated,
+				PayloadBytes: cfg.MTU, Frames: 1, Offset: i * cfg.MTU, Last: i == frames-1})
+		}
+	})
+	flow.eng.After(0, func() {
+		p := &Packet{Src: flow.a0, Dst: flow.c, VNI: 5, TC: TCDedicated,
+			PayloadBytes: frames * cfg.MTU, Frames: frames, Last: true}
+		var ok bool
+		if fdone, ok = flow.link0.SendFlow(p, FidelityFlow, frames); !ok {
+			t.Fatal("flow path refused an uncongested transfer")
+		}
+	})
+	pkt.eng.Run()
+	flow.eng.Run()
+
+	if pdone != fdone {
+		t.Errorf("local completion: packet %v, flow %v", pdone, fdone)
+	}
+	for id, pl := range pkt.topo.links {
+		fl := flow.topo.links[id]
+		if pl.busyAt != fl.busyAt || pl.busyAccum != fl.busyAccum {
+			t.Errorf("link %d->%d busy-until/busy: packet %dns/%v, flow %dns/%v",
+				id.From, id.To, pl.busyAt, pl.busyAccum, fl.busyAt, fl.busyAccum)
+		}
+	}
+	psw, _ := pkt.topo.SwitchFor(pkt.c)
+	fsw, _ := flow.topo.SwitchFor(flow.c)
+	if pe, fe := psw.port(pkt.c).egressAt, fsw.port(flow.c).egressAt; pe != fe {
+		t.Errorf("egress busy-until: packet %dns, flow %dns", pe, fe)
+	}
+	ps, fs := pkt.sinks[pkt.c], flow.sinks[flow.c]
+	if len(ps.at) != frames || len(fs.at) != 1 {
+		t.Fatalf("deliveries: packet %d, flow %d", len(ps.at), len(fs.at))
+	}
+	if ps.at[frames-1] != fs.at[0] {
+		t.Errorf("last frame delivered: packet %v, flow %v", ps.at[frames-1], fs.at[0])
+	}
 }
 
 // TestFlowDeclinesStructuralFaults: every condition the packet path would
