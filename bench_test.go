@@ -520,22 +520,24 @@ func runControlPlane(jobs int) (simSeconds float64, err error) {
 
 // cpAllocBudgetPerJob is what one job may allocate on its way through the
 // admission pipeline at 200 jobs (stack construction included): the
-// measured 85.5 objects — 85.0 with go1.22's map implementation
-// (GOEXPERIMENT=noswissmap on this toolchain) — plus ~2 %. Before a pod's
+// measured 59.6 objects — 59.3 with go1.22's map implementation
+// (GOEXPERIMENT=noswissmap on this toolchain) — plus ~2 %. Before the
+// kubelet's pod worker, the controllers' work loops, the decorator's round
+// and the VNI database's transactions carried their steps in recycled
+// records, the same run allocated 85.5 per job; before a pod's
 // sandbox, CNI chain and plugin steps became recycled records, with no
-// Result clone per plugin and no ID maps per user namespace, the same run
-// allocated 104.6 per job; before writes
-// took their request records from the client's free list and Create and
-// Update handed the caller's struct to the store, 118.6; before index
+// Result clone per plugin and no ID maps per user namespace, 104.6; before
+// writes took their request records from the client's free list and Create
+// and Update handed the caller's struct to the store, 118.6; before index
 // buckets held their first entry inline, index
 // values were pairs and an idempotent webhook round an echo by pointer,
 // 173.9; before watch deliveries were pooled and informer
 // cells stable, 262.5; before committed API objects became
 // immutable and shared, 413.0. A change that takes the count past
 // the budget has put an allocation back on every commit, every delivery,
-// every webhook round or every pod's network bring-up; lower the budget
-// when a change lowers the count.
-const cpAllocBudgetPerJob = 87
+// every webhook round, every pod's network bring-up or every pod's
+// lifecycle; lower the budget when a change lowers the count.
+const cpAllocBudgetPerJob = 61
 
 // TestControlPlaneAllocBudget is the control-plane perf gate that cannot
 // flake: it asserts the allocation count of the benchControlPlane body,
@@ -559,12 +561,13 @@ func TestControlPlaneAllocBudget(t *testing.T) {
 
 // spikeAllocBudget is what one run of the paper's Fig 11/12 burst — 500
 // vni:true jobs, each deleted as it completes — may allocate, stack
-// included: the measured 47 673 objects (47 861 with go1.22's map
-// implementation) plus ~2 %, down from 63 126 before recycled sandbox and
-// CNI step records and 71 606 before recycled write records. It is the
-// count behind the repository
-// benchmark's admission_spike500 workload, asserted where it cannot flake.
-const spikeAllocBudget = 48800
+// included: the measured 29 276 objects (29 483 with go1.22's map
+// implementation) plus ~2 %, down from 47 673 before recycled pod-worker,
+// work-loop, decorator and transaction records, 63 126 before recycled
+// sandbox and CNI step records and 71 606 before recycled write records. It
+// is the count behind the repository benchmark's admission_spike500
+// workload, asserted where it cannot flake.
+const spikeAllocBudget = 30100
 
 // TestAdmissionSpikeAllocBudget is TestControlPlaneAllocBudget's sibling
 // for the paper-fidelity admission path.

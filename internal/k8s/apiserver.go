@@ -192,15 +192,23 @@ type APIServer struct {
 	faults *apiFaults
 	// owned indexes every stored object that names an owner under that
 	// owner's UID, so the garbage collector reads one bucket instead of
-	// scanning every store. A bucket is a slice: an owner has a handful of
-	// children. Written only by own and unown.
-	owned map[UID][]ownedRef
+	// scanning every store. Written only by own and unown.
+	owned map[UID]ownedBucket
 }
 
 // ownedRef addresses one stored object in the owner index.
 type ownedRef struct {
 	kind     Kind
 	ns, name string
+}
+
+// ownedBucket is one owner's children. Most owners — a job with its VNI
+// child, a pod's job — have one, so the first sits in the bucket itself and
+// more is made for the second. Order within a bucket carries no meaning:
+// collectOrphans sorts.
+type ownedBucket struct {
+	first ownedRef
+	more  []ownedRef
 }
 
 // NewAPIServer creates an empty API server.
@@ -210,7 +218,7 @@ func NewAPIServer(eng *sim.Engine, lat APILatency) *APIServer {
 		lat:     lat,
 		stores:  make(map[Kind]map[string]Object),
 		kindSeq: make(map[Kind]uint64),
-		owned:   make(map[UID][]ownedRef),
+		owned:   make(map[UID]ownedBucket),
 	}
 }
 
@@ -239,22 +247,41 @@ func (a *APIServer) store(kind Kind) map[string]Object {
 // names, if any; unown takes it out again. A new version of a stored object
 // stays filed as it is unless it names another owner (replace).
 func (a *APIServer) own(m *Meta) {
-	if m.OwnerUID != "" {
-		a.owned[m.OwnerUID] = append(a.owned[m.OwnerUID], ownedRef{m.Kind, m.Namespace, m.Name})
+	if m.OwnerUID == "" {
+		return
+	}
+	ref := ownedRef{m.Kind, m.Namespace, m.Name}
+	if b, ok := a.owned[m.OwnerUID]; ok {
+		b.more = append(b.more, ref)
+		a.owned[m.OwnerUID] = b
+	} else {
+		a.owned[m.OwnerUID] = ownedBucket{first: ref}
 	}
 }
 
 func (a *APIServer) unown(m *Meta) {
-	b := a.owned[m.OwnerUID]
-	i := slices.Index(b, ownedRef{m.Kind, m.Namespace, m.Name})
-	switch {
-	case i < 0:
-	case len(b) == 1:
-		delete(a.owned, m.OwnerUID)
-	default: // order within a bucket carries no meaning: collectOrphans sorts
-		b[i] = b[len(b)-1]
-		a.owned[m.OwnerUID] = b[:len(b)-1]
+	b, ok := a.owned[m.OwnerUID]
+	if !ok {
+		return
 	}
+	ref := ownedRef{m.Kind, m.Namespace, m.Name}
+	i := len(b.more) - 1 // the entry that fills the vacated slot
+	switch {
+	case b.first == ref && i < 0:
+		delete(a.owned, m.OwnerUID)
+		return
+	case b.first == ref:
+		b.first = b.more[i]
+	default:
+		j := slices.Index(b.more, ref)
+		if j < 0 {
+			return
+		}
+		b.more[j] = b.more[i]
+	}
+	b.more[i] = ownedRef{}
+	b.more = b.more[:i]
+	a.owned[m.OwnerUID] = b
 }
 
 func (a *APIServer) reqDelay() sim.Duration {
@@ -622,26 +649,42 @@ func (a *APIServer) finalizeDelete(kind Kind, key string) {
 // delete, but bypasses the availability model — nobody is listening for its
 // outcome, so a GC write failed by an outage would leak the child forever.
 func (a *APIServer) collectOrphans(owner UID) {
-	if owner == "" {
+	b, ok := a.owned[owner]
+	if owner == "" || !ok {
 		return
 	}
-	orphans := slices.Clone(a.owned[owner])
-	sort.Slice(orphans, func(i, j int) bool {
-		if orphans[i].kind != orphans[j].kind {
-			return orphans[i].kind < orphans[j].kind
-		}
-		if orphans[i].ns != orphans[j].ns {
-			return orphans[i].ns < orphans[j].ns
-		}
-		return orphans[i].name < orphans[j].name
-	})
-	for _, o := range orphans {
-		a.eng.After(a.reqDelay(), func() {
-			// ErrNotFound is the only failure: something else already
-			// deleted the child.
-			_ = a.commitDelete(o.kind, o.ns, o.name)
-		})
+	orphans := make([]orphan, 1, 1+len(b.more))
+	orphans[0] = orphan{a, b.first}
+	for _, ref := range b.more {
+		orphans = append(orphans, orphan{a, ref})
 	}
+	sort.Slice(orphans, func(i, j int) bool {
+		x, y := &orphans[i].ref, &orphans[j].ref
+		if x.kind != y.kind {
+			return x.kind < y.kind
+		}
+		if x.ns != y.ns {
+			return x.ns < y.ns
+		}
+		return x.name < y.name
+	})
+	for i := range orphans {
+		a.eng.AfterCall(a.reqDelay(), collectCall, &orphans[i])
+	}
+}
+
+// orphan is one child collectOrphans deletes: the argument of its delete's
+// engine event.
+type orphan struct {
+	a   *APIServer
+	ref ownedRef
+}
+
+func collectCall(arg any) {
+	o := arg.(*orphan)
+	// ErrNotFound is the only failure: something else already deleted the
+	// child.
+	_ = o.a.commitDelete(o.ref.kind, o.ref.ns, o.ref.name)
 }
 
 // commitRemoveFinalizer commits a version of the object without f and

@@ -41,9 +41,12 @@ type JobController struct {
 	pods Lister // indexed by IndexPodJob for O(pods-of-job) recounts
 	// workqueue of job keys with pods left to create; queued holds exactly
 	// the keys in queue, so enqueue de-duplicates without scanning it.
-	queue   []string
-	queued  map[string]struct{}
-	busy    bool
+	queue  fifo[string]
+	queued map[string]struct{}
+	busy   bool
+	// current is the key the reconcile in flight (busy) is for: pump's
+	// event carries the controller, not a closure over the key.
+	current string
 	lastOp  sim.Time
 	created map[string]int // pods created per job key
 	// lost counts non-terminal pods deleted out from under an incomplete
@@ -59,9 +62,11 @@ type JobController struct {
 	// served").
 	gate func(job *Job) bool
 
-	// patches recycles onPodUpdate's records; recounted is the buffer their
-	// pods-by-job reads land in, empty between recounts.
+	// patches recycles onPodUpdate's records and creates reconcile's;
+	// recounted is the buffer the patches' pods-by-job reads land in, empty
+	// between recounts.
 	patches   sim.FreeList[statusPatch]
+	creates   sim.FreeList[podCreate]
 	recounted []Object
 }
 
@@ -113,20 +118,18 @@ func (c *JobController) enqueue(key string) {
 		return
 	}
 	c.queued[key] = struct{}{}
-	c.queue = append(c.queue, key)
+	c.queue.push(key)
 	c.pump()
 }
 
 // pump serializes controller work and applies the QPS cap.
 func (c *JobController) pump() {
-	if c.busy || len(c.queue) == 0 {
+	if c.busy || c.queue.len() == 0 {
 		return
 	}
 	c.busy = true
-	key := c.queue[0]
-	c.queue[0] = "" // the backing array outlives the pop: keep no key alive in it
-	c.queue = c.queue[1:]
-	delete(c.queued, key)
+	c.current = c.queue.pop()
+	delete(c.queued, c.current)
 	eng := c.cli.Engine()
 	delay := eng.Jitter(c.cfg.PodCreateLatency, c.cfg.Jitter)
 	if c.cfg.MaxQPS > 0 {
@@ -138,11 +141,17 @@ func (c *JobController) pump() {
 			delay = next.Sub(eng.Now())
 		}
 	}
-	eng.After(delay, func() {
-		c.reconcile(key)
-		c.busy = false
-		c.pump()
-	})
+	eng.AfterCall(delay, reconcileCall, c)
+}
+
+// reconcileCall is pump's event body; arg is the controller.
+func reconcileCall(arg any) {
+	c := arg.(*JobController)
+	key := c.current
+	c.current = ""
+	c.reconcile(key)
+	c.busy = false
+	c.pump()
 }
 
 // reconcile creates the next missing pod for the job, re-queueing itself
@@ -179,19 +188,40 @@ func (c *JobController) reconcile(key string) {
 	}
 	c.created[key] = n + 1
 	c.lastOp = c.cli.Engine().Now()
-	c.cli.Create(pod, func(err error) {
-		if err != nil {
-			c.created[key]--
-			// Retry budget spent against an unavailable apiserver: the
-			// write was queued, not dropped — requeue so the pod is
-			// recreated once the control plane recovers.
-			if errors.Is(err, ErrRetriesExhausted) {
-				c.enqueue(key)
-			}
-		}
-	})
+	w := c.creates.Get()
+	if w.c == nil {
+		w.c, w.done = c, w.created
+	}
+	w.key = key
+	c.cli.Create(pod, w.done)
 	if c.created[key] < job.Spec.Parallelism+c.lost[key] {
 		c.enqueue(key)
+	}
+}
+
+// podCreate is one reconcile's pod Create in flight: the job key whose count
+// it raised, and the callback Create takes, a method value made once per
+// record.
+type podCreate struct {
+	c    *JobController
+	key  string
+	done func(error)
+}
+
+// created recycles the record, then takes a failed create back off the
+// job's count.
+func (w *podCreate) created(err error) {
+	c, key := w.c, w.key
+	w.key = ""
+	c.creates.Put(w)
+	if err != nil {
+		c.created[key]--
+		// Retry budget spent against an unavailable apiserver: the write
+		// was queued, not dropped — requeue so the pod is recreated once
+		// the control plane recovers.
+		if errors.Is(err, ErrRetriesExhausted) {
+			c.enqueue(key)
+		}
 	}
 }
 
@@ -294,12 +324,26 @@ func (u *statusPatch) recount(obj Object) bool {
 }
 
 // finish runs when the Patch completed, after which recount is not called
-// again: it recycles the record and schedules the finished job's deletion.
+// again: it recycles the record, or keeps it to delete the job it completed
+// ttl later.
 func (u *statusPatch) finish(err error) {
-	c, ns, job, ttl, expire := u.c, u.ns, u.job, u.ttl, u.expire
-	u.ns, u.job = "", ""
-	c.patches.Put(u)
-	if err == nil && expire {
-		c.cli.Engine().After(ttl, func() { c.cli.Delete(KindJob, ns, job, nil) })
+	if err == nil && u.expire {
+		u.c.cli.Engine().AfterCall(u.ttl, expireCall, u)
+		return
 	}
+	u.recycle()
+}
+
+func (u *statusPatch) recycle() {
+	u.ns, u.job = "", ""
+	u.c.patches.Put(u)
+}
+
+// expireCall deletes a finished job; arg is the *statusPatch that found it
+// complete.
+func expireCall(arg any) {
+	u := arg.(*statusPatch)
+	c, ns, job := u.c, u.ns, u.job
+	u.recycle()
+	c.cli.Delete(KindJob, ns, job, nil)
 }

@@ -56,16 +56,20 @@ type Kubelet struct {
 	cfg     KubeletConfig
 	node    string
 	rt      Runtime
-	queue   []func(done func())
+	queue   fifo[*podTask]
 	running int
 	// livePods tracks pods with sandboxes, so deletions trigger teardown
 	// exactly once: the committed pod as adopted, then each version the
 	// kubelet's own status writes commit (all read-only).
 	livePods map[string]*Pod
-	// exitTimers holds each running container's pending exit event, so
-	// killing a pod cancels the timer instead of leaving a stale no-op
-	// event on the engine until the original RunDuration elapses.
-	exitTimers map[string]sim.Event
+	// exitTimers holds each running container's task while its exit event
+	// is pending, so killing a pod cancels the timer instead of leaving a
+	// stale no-op event on the engine until the original RunDuration
+	// elapses.
+	exitTimers map[string]*podTask
+	// tasks and writes recycle the pod tasks and the status writes.
+	tasks  sim.FreeList[podTask]
+	writes sim.FreeList[phaseWrite]
 }
 
 // NewKubelet creates and starts the node agent for node.
@@ -74,7 +78,7 @@ func NewKubelet(cli *Client, cfg KubeletConfig, node string, rt Runtime) *Kubele
 		cfg.Workers = 1
 	}
 	k := &Kubelet{cli: cli, cfg: cfg, node: node, rt: rt,
-		livePods: make(map[string]*Pod), exitTimers: make(map[string]sim.Event)}
+		livePods: make(map[string]*Pod), exitTimers: make(map[string]*podTask)}
 	cli.Watch(KindPod, WatchOptions{Selector: func(obj Object) bool {
 		return obj.(*Pod).Spec.NodeName == node
 	}}, func(ev Event) {
@@ -86,17 +90,18 @@ func NewKubelet(cli *Client, cfg KubeletConfig, node string, rt Runtime) *Kubele
 					// The runtime reads only Meta and Spec, which no status
 					// write changes: the committed pod serves as it is.
 					k.livePods[pod.Meta.Key()] = pod
-					k.submit(func(done func()) { k.startPod(pod, done) })
+					k.submit(pod, false)
 				}
 			}
 		case EventDeleted:
 			if live, ok := k.livePods[pod.Meta.Key()]; ok {
 				delete(k.livePods, pod.Meta.Key())
-				if ev, armed := k.exitTimers[pod.Meta.Key()]; armed {
-					ev.Cancel()
+				if t, armed := k.exitTimers[pod.Meta.Key()]; armed {
+					t.exit.Cancel()
 					delete(k.exitTimers, pod.Meta.Key())
+					t.release()
 				}
-				k.submit(func(done func()) { k.teardownPod(live, done) })
+				k.submit(live, true)
 			}
 		}
 	})
@@ -106,21 +111,64 @@ func NewKubelet(cli *Client, cfg KubeletConfig, node string, rt Runtime) *Kubele
 // Node returns the node name.
 func (k *Kubelet) Node() string { return k.node }
 
-func (k *Kubelet) submit(run func(done func())) {
-	k.queue = append(k.queue, run)
+// podTask is one pod's work on the node, queued for a worker slot: its
+// start — image pull, sandbox, container start, then the Running status and
+// the exit timer, which outlive the slot — or its teardown. It is the
+// argument of every engine event on that way, the runtime's callbacks are
+// method values made once per record, and whichever of its events finishes
+// last recycles it.
+type podTask struct {
+	k        *Kubelet
+	pod      *Pod
+	teardown bool
+	started  sim.Time
+	exit     sim.Event
+	// pending counts the started container's Running status and exit
+	// events still to fire (or, for the exit, to be cancelled).
+	pending   int
+	setupDone func(error)
+	tornDown  func()
+}
+
+func (k *Kubelet) submit(pod *Pod, teardown bool) {
+	t := k.tasks.Get()
+	if t.k == nil {
+		t.k, t.setupDone, t.tornDown = k, t.onSetup, t.onTornDown
+	}
+	t.pod, t.teardown = pod, teardown
+	k.queue.push(t)
 	k.pump()
 }
 
 func (k *Kubelet) pump() {
-	for k.running < k.cfg.Workers && len(k.queue) > 0 {
-		run := k.queue[0]
-		k.queue[0] = nil // drop the task, and the pod it captured, with the pop
-		k.queue = k.queue[1:]
+	for k.running < k.cfg.Workers && k.queue.len() > 0 {
+		t := k.queue.pop()
 		k.running++
-		run(func() {
-			k.running--
-			k.pump()
-		})
+		if t.teardown {
+			k.teardownPod(t)
+		} else {
+			k.startPod(t)
+		}
+	}
+}
+
+// slotFreed returns a worker slot and starts the next queued task.
+func (k *Kubelet) slotFreed() {
+	k.running--
+	k.pump()
+}
+
+// recycle puts the task back on the free list, keeping its callbacks.
+func (t *podTask) recycle() {
+	k := t.k
+	*t = podTask{k: k, setupDone: t.setupDone, tornDown: t.tornDown}
+	k.tasks.Put(t)
+}
+
+// release ends one of the started container's events.
+func (t *podTask) release() {
+	if t.pending--; t.pending == 0 {
+		t.recycle()
 	}
 }
 
@@ -131,39 +179,60 @@ func (k *Kubelet) jit(d sim.Duration) sim.Duration {
 // startPod executes the pod-start pipeline: image pull, sandbox+CNI,
 // container start, then status updates and (for the echo workloads) the
 // container exit.
-func (k *Kubelet) startPod(pod *Pod, done func()) {
+func (k *Kubelet) startPod(t *podTask) {
+	k.cli.Engine().AfterCall(k.jit(k.cfg.ImagePull), pullImage, t)
+}
+
+func pullImage(arg any) {
+	t := arg.(*podTask)
+	t.k.rt.SetupPod(t.pod, t.setupDone)
+}
+
+func (t *podTask) onSetup(err error) {
+	k := t.k
+	if err != nil {
+		k.setPhase(t.pod, PodFailed, err.Error())
+		delete(k.livePods, t.pod.Meta.Key())
+		t.recycle()
+		k.slotFreed()
+		return
+	}
+	k.cli.Engine().AfterCall(k.jit(k.cfg.ContainerStart), startContainer, t)
+}
+
+// startContainer reports Running after the status lag and arms the
+// container main process's exit: it runs for RunDuration, then exits
+// successfully. The worker slot is released at start — the kubelet does not
+// block on user code. The exit is cancelled if the pod is deleted first.
+func startContainer(arg any) {
+	t := arg.(*podTask)
+	k := t.k
 	eng := k.cli.Engine()
-	eng.After(k.jit(k.cfg.ImagePull), func() {
-		k.rt.SetupPod(pod, func(err error) {
-			if err != nil {
-				k.setPhase(pod, PodFailed, err.Error())
-				delete(k.livePods, pod.Meta.Key())
-				done()
-				return
-			}
-			eng.After(k.jit(k.cfg.ContainerStart), func() {
-				started := eng.Now()
-				eng.After(k.jit(k.cfg.StatusLag), func() {
-					k.setPhaseAt(pod, PodRunning, "", started)
-				})
-				// Container main process: runs for RunDuration, then
-				// exits successfully. The worker slot is released at
-				// start — the kubelet does not block on user code. The
-				// timer is cancelled if the pod is deleted first.
-				k.exitTimers[pod.Meta.Key()] = eng.After(eng.Jitter(pod.Spec.RunDuration, k.cfg.Jitter)+k.jit(k.cfg.StatusLag), func() {
-					delete(k.exitTimers, pod.Meta.Key())
-					k.setPhase(pod, PodSucceeded, "")
-				})
-				done()
-			})
-		})
-	})
+	t.started = eng.Now()
+	eng.AfterCall(k.jit(k.cfg.StatusLag), reportRunning, t)
+	t.exit = eng.AfterCall(eng.Jitter(t.pod.Spec.RunDuration, k.cfg.Jitter)+k.jit(k.cfg.StatusLag), containerExited, t)
+	t.pending = 2
+	k.exitTimers[t.pod.Meta.Key()] = t
+	k.slotFreed()
+}
+
+func reportRunning(arg any) {
+	t := arg.(*podTask)
+	t.k.setPhaseAt(t.pod, PodRunning, "", t.started)
+	t.release()
+}
+
+func containerExited(arg any) {
+	t := arg.(*podTask)
+	delete(t.k.exitTimers, t.pod.Meta.Key())
+	t.k.setPhase(t.pod, PodSucceeded, "")
+	t.release()
 }
 
 // teardownPod kills the container (applying the grace period only if still
 // running) and runs the CNI DEL chain.
-func (k *Kubelet) teardownPod(pod *Pod, done func()) {
-	eng := k.cli.Engine()
+func (k *Kubelet) teardownPod(t *podTask) {
+	pod := t.pod
 	grace := sim.Duration(0)
 	if obj, ok := k.cli.Get(KindPod, pod.Meta.Namespace, pod.Meta.Name); ok {
 		// Pod object still around (shouldn't happen after DELETED), be safe.
@@ -173,9 +242,18 @@ func (k *Kubelet) teardownPod(pod *Pod, done func()) {
 	} else if pod.Status.Phase == PodRunning {
 		grace = pod.Spec.TerminationGracePeriod
 	}
-	eng.After(grace, func() {
-		k.rt.TeardownPod(pod, done)
-	})
+	k.cli.Engine().AfterCall(grace, tearDown, t)
+}
+
+func tearDown(arg any) {
+	t := arg.(*podTask)
+	t.k.rt.TeardownPod(t.pod, t.tornDown)
+}
+
+func (t *podTask) onTornDown() {
+	k := t.k
+	t.recycle()
+	k.slotFreed()
 }
 
 func (k *Kubelet) setPhase(pod *Pod, phase PodPhase, msg string) {
@@ -186,23 +264,50 @@ func (k *Kubelet) setPhase(pod *Pod, phase PodPhase, msg string) {
 // livePods while pod, this incarnation of the name, is still live there.
 // Transitions on already-deleted pods are ignored.
 func (k *Kubelet) setPhaseAt(pod *Pod, phase PodPhase, msg string, at sim.Time) {
-	k.cli.UpdateStatus(KindPod, pod.Meta.Namespace, pod.Meta.Name, func(obj Object) bool {
-		p := obj.(*Pod)
-		switch p.Status.Phase {
-		case PodSucceeded, PodFailed:
-			return false // terminal
-		}
-		p.Status.Phase = phase
-		p.Status.Message = msg
-		switch phase {
-		case PodRunning:
-			p.Status.StartedAt = at
-		case PodSucceeded, PodFailed:
-			p.Status.EndedAt = at
-		}
-		if live, ok := k.livePods[pod.Meta.Key()]; ok && live.Meta.UID == pod.Meta.UID {
-			k.livePods[pod.Meta.Key()] = p
-		}
-		return true
-	}, nil)
+	w := k.writes.Get()
+	if w.k == nil {
+		w.k, w.mutate, w.done = k, w.apply, w.finish
+	}
+	w.pod, w.phase, w.msg, w.at = pod, phase, msg, at
+	k.cli.UpdateStatus(KindPod, pod.Meta.Namespace, pod.Meta.Name, w.mutate, w.done)
+}
+
+// phaseWrite is one setPhaseAt in flight: the pod incarnation it reports
+// on, the transition, and the two callbacks UpdateStatus takes — method
+// values made once per record, which finish recycles.
+type phaseWrite struct {
+	k      *Kubelet
+	pod    *Pod
+	phase  PodPhase
+	msg    string
+	at     sim.Time
+	mutate func(Object) bool
+	done   func(error)
+}
+
+func (w *phaseWrite) apply(obj Object) bool {
+	p := obj.(*Pod)
+	switch p.Status.Phase {
+	case PodSucceeded, PodFailed:
+		return false // terminal
+	}
+	p.Status.Phase = w.phase
+	p.Status.Message = w.msg
+	switch w.phase {
+	case PodRunning:
+		p.Status.StartedAt = w.at
+	case PodSucceeded, PodFailed:
+		p.Status.EndedAt = w.at
+	}
+	k, key := w.k, w.pod.Meta.Key()
+	if live, ok := k.livePods[key]; ok && live.Meta.UID == w.pod.Meta.UID {
+		k.livePods[key] = p
+	}
+	return true
+}
+
+func (w *phaseWrite) finish(error) {
+	k := w.k
+	*w = phaseWrite{k: k, mutate: w.mutate, done: w.done}
+	k.writes.Put(w)
 }

@@ -40,6 +40,15 @@ func sortRefs(refs []ownedRef) {
 	})
 }
 
+// ownedBy lists the owner index's bucket for owner.
+func ownedBy(a *APIServer, owner UID) []ownedRef {
+	b, ok := a.owned[owner]
+	if !ok {
+		return nil
+	}
+	return append([]ownedRef{b.first}, b.more...)
+}
+
 // storeState is what one engine step can change about stored objects, as
 // far as the garbage collector is concerned.
 type storeState struct {
@@ -80,7 +89,7 @@ func TestOwnerIndexMatchesScan(t *testing.T) {
 			t.Helper()
 			buckets := 0
 			for _, uid := range uids[1:] {
-				want, bucket := scanOrphans(api, uid), api.owned[uid]
+				want, bucket := scanOrphans(api, uid), ownedBy(api, uid)
 				if len(want) > 0 {
 					buckets++
 				}
@@ -217,11 +226,11 @@ func TestJobQueueDedup(t *testing.T) {
 			c.RequeueJob(fmt.Sprintf("ns/j%04d", i))
 		}
 	}
-	if got, want := len(c.queue), n; got != want {
+	if got, want := c.queue.len(), n; got != want {
 		t.Fatalf("queue holds %d keys after enqueueing %d keys three times, want %d", got, n, want)
 	}
-	if len(c.queued) != len(c.queue) {
-		t.Fatalf("queued set has %d members, queue %d", len(c.queued), len(c.queue))
+	if len(c.queued) != c.queue.len() {
+		t.Fatalf("queued set has %d members, queue %d", len(c.queued), c.queue.len())
 	}
 	eng.Run()
 	want := make([]string, 0, n+1)
@@ -232,8 +241,8 @@ func TestJobQueueDedup(t *testing.T) {
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("reconcile order is not FIFO: got %d reconciles, first %v…", len(order), order[:min(5, len(order))])
 	}
-	if len(c.queue) != 0 || len(c.queued) != 0 {
-		t.Fatalf("drained controller still holds queue=%d queued=%d", len(c.queue), len(c.queued))
+	if c.queue.len() != 0 || len(c.queued) != 0 {
+		t.Fatalf("drained controller still holds queue=%d queued=%d", c.queue.len(), len(c.queued))
 	}
 
 	// A popped key is free to be queued again.

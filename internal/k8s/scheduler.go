@@ -51,8 +51,12 @@ type Scheduler struct {
 	cli   *Client
 	cfg   SchedulerConfig
 	nodes []string
-	queue []string // pod keys awaiting binding
+	queue fifo[string] // pod keys awaiting binding
 	busy  bool
+	// current is the key the binding in flight (busy) is for; binds
+	// recycles the records the binding Updates complete through.
+	current string
+	binds   sim.FreeList[bindWrite]
 	// counts is the committed non-terminal pod count per node, from the
 	// informer's view; bound remembers which node each pod is counted on.
 	counts map[string]int
@@ -187,26 +191,30 @@ func (s *Scheduler) adjustJobGroup(pod *Pod, node string, delta int) {
 }
 
 func (s *Scheduler) enqueue(key string) {
-	s.queue = append(s.queue, key)
+	s.queue.push(key)
 	s.pump()
 }
 
 // pump processes the binding queue one pod at a time, mirroring the
 // single-threaded scheduling loop of kube-scheduler.
 func (s *Scheduler) pump() {
-	if s.busy || len(s.queue) == 0 {
+	if s.busy || s.queue.len() == 0 {
 		return
 	}
 	s.busy = true
-	key := s.queue[0]
-	s.queue[0] = "" // as in JobController.pump
-	s.queue = s.queue[1:]
+	s.current = s.queue.pop()
 	eng := s.cli.Engine()
-	eng.After(eng.Jitter(s.cfg.BindLatency, s.cfg.Jitter), func() {
-		s.bind(key)
-		s.busy = false
-		s.pump()
-	})
+	eng.AfterCall(eng.Jitter(s.cfg.BindLatency, s.cfg.Jitter), bindCall, s)
+}
+
+// bindCall is pump's event body; arg is the scheduler.
+func bindCall(arg any) {
+	s := arg.(*Scheduler)
+	key := s.current
+	s.current = ""
+	s.bind(key)
+	s.busy = false
+	s.pump()
 }
 
 func (s *Scheduler) bind(key string) {
@@ -229,20 +237,39 @@ func (s *Scheduler) bind(key string) {
 	pod.Spec.NodeName = node
 	pod.Status.Phase = PodScheduled
 	s.assumed[key] = assumedBinding{node: node, job: PodJobIndex(pod)}
-	s.cli.Update(pod, func(err error) {
-		if err == nil {
-			return
-		}
-		// The pod changed or vanished under us: drop the assumption and,
-		// on conflict, let a fresh read decide again. When the apiserver
-		// stayed unavailable past the retry budget, requeue too — the
-		// scheduler keeps placing from its cache and the next attempt
-		// rebinds once writes go through again.
-		delete(s.assumed, key)
-		if errors.Is(err, ErrConflict) || errors.Is(err, ErrRetriesExhausted) {
-			s.enqueue(key)
-		}
-	})
+	w := s.binds.Get()
+	if w.s == nil {
+		w.s, w.done = s, w.bound
+	}
+	w.key = key
+	s.cli.Update(pod, w.done)
+}
+
+// bindWrite is one binding Update in flight: the pod key it binds, and the
+// callback Update takes, a method value made once per record.
+type bindWrite struct {
+	s    *Scheduler
+	key  string
+	done func(error)
+}
+
+// bound recycles the record, then handles a binding that did not commit:
+// the pod changed or vanished under us, so the assumption goes and, on
+// conflict, a fresh read decides again. When the apiserver stayed
+// unavailable past the retry budget the pod is requeued too — the
+// scheduler keeps placing from its cache and the next attempt rebinds once
+// writes go through again.
+func (w *bindWrite) bound(err error) {
+	s, key := w.s, w.key
+	w.key = ""
+	s.binds.Put(w)
+	if err == nil {
+		return
+	}
+	delete(s.assumed, key)
+	if errors.Is(err, ErrConflict) || errors.Is(err, ErrRetriesExhausted) {
+		s.enqueue(key)
+	}
 }
 
 // pickNode scores every node for the pod and returns the winner. The

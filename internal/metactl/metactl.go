@@ -42,6 +42,8 @@ type SyncResponse struct {
 	// are created, changed ones updated, unlisted ones deleted). A child
 	// created or updated is handed to the store as it is, so the hook
 	// builds each one it does not echo fresh and never touches it again.
+	// The slice itself may be the hook's scratch: the controller reads it
+	// before calling the hook again.
 	Children []*k8s.Custom
 }
 
@@ -110,19 +112,42 @@ type Decorator struct {
 	// them; a round is done with both before it returns to the engine.
 	objs []k8s.Object
 	kids []*k8s.Custom
+	// finalizers is the finalizer list of a parent that had none once the
+	// controller attached its own: one immutable slice all such parents
+	// share.
+	finalizers []string
 }
 
 // round is one parent's round in flight and the argument of the event that
-// starts it after the webhook latency; done recycles it.
+// starts it after the webhook latency; done recycles it. Between its steps
+// it waits for writes — the finalizer attach, the child writes, the
+// finalizer removal — and the callbacks those take are method values made
+// once per record, which done keeps.
 type round struct {
-	d     *Decorator
-	key   string
-	again bool // the parent changed during the round and is owed another
+	d      *Decorator
+	key    string
+	again  bool       // the parent changed during the round and is owed another
+	parent k8s.Object // the version the round read
+	writes int        // writes still in flight
+	then   next       // what the round does once they completed
+	attach func(k8s.Object) bool
+	wrote  func(error)
 }
+
+// next is what a round does after the writes it waits for.
+type next uint8
+
+const (
+	endRound        next = iota
+	syncParent           // call /sync and apply its answer
+	retryFinalize        // end the round and call /finalize again FinalizeRetry later
+	removeFinalizer      // remove the controller's finalizer, then end the round
+)
 
 // NewDecorator creates and starts the controller.
 func NewDecorator(cli *k8s.Client, cfg Config, hooks Hooks) *Decorator {
-	d := &Decorator{cli: cli, cfg: cfg, hooks: hooks, rounds: make(map[string]*round)}
+	d := &Decorator{cli: cli, cfg: cfg, hooks: hooks, rounds: make(map[string]*round),
+		finalizers: []string{cfg.Finalizer}}
 	d.parents = cli.Lister(cfg.ParentKind)
 	childInformer := cli.Informer(cfg.ChildKind)
 	childInformer.AddIndex(k8s.IndexOwner, k8s.OwnerIndex)
@@ -142,7 +167,10 @@ func (d *Decorator) schedule(key string) {
 		return
 	}
 	r := d.free.Get()
-	r.d, r.key = d, key
+	if r.d == nil {
+		r.d, r.attach, r.wrote = d, r.attachFinalizer, r.onWrote
+	}
+	r.key = key
 	d.rounds[key] = r
 	eng := d.cli.Engine()
 	eng.AfterCall(eng.Jitter(d.cfg.WebhookLatency, d.cfg.Jitter), reconcileCall, r)
@@ -150,16 +178,15 @@ func (d *Decorator) schedule(key string) {
 
 func reconcileCall(arg any) {
 	r := arg.(*round)
-	r.d.reconcile(r.key)
+	r.d.reconcile(r)
 }
 
 // done ends the parent's round and starts the next if the parent changed
 // during it.
-func (d *Decorator) done(key string) {
-	r := d.rounds[key]
+func (d *Decorator) done(r *round) {
+	key, again := r.key, r.again
 	delete(d.rounds, key)
-	again := r.again
-	*r = round{}
+	*r = round{d: d, attach: r.attach, wrote: r.wrote}
 	d.free.Put(r)
 	if again {
 		d.schedule(key)
@@ -167,83 +194,91 @@ func (d *Decorator) done(key string) {
 }
 
 // reconcile drives one parent toward the webhook's desired state; every
-// path through it ends in exactly one done(key).
-func (d *Decorator) reconcile(key string) {
-	ns, name := k8s.SplitKey(key)
+// path through it ends in exactly one done.
+func (d *Decorator) reconcile(r *round) {
+	ns, name := k8s.SplitKey(r.key)
 	parent, ok := d.cli.Get(d.cfg.ParentKind, ns, name)
 	if !ok {
-		d.done(key)
+		d.done(r)
 		return
 	}
+	r.parent = parent
 	meta := parent.GetMeta()
 	if meta.Deleting {
-		d.finalize(key, parent)
+		d.finalize(r)
 		return
 	}
 	// Live parent: ensure finalizer, call sync, apply children. The
 	// finalizer is attached with an optimistic-concurrency retry so a
 	// concurrent status writer cannot make the attach silently vanish.
 	if d.cfg.Finalizer == "" || meta.HasFinalizer(d.cfg.Finalizer) {
-		d.sync(key, parent)
+		d.sync(r)
 		return
 	}
-	d.cli.Patch(d.cfg.ParentKind, ns, name, func(cur k8s.Object) bool {
-		m := cur.GetMeta()
-		if m.HasFinalizer(d.cfg.Finalizer) {
-			return false
-		}
+	// Whatever the Patch's outcome, the parent is synced as the round read it.
+	r.writes, r.then = 1, syncParent
+	d.cli.Patch(d.cfg.ParentKind, ns, name, r.attach, r.wrote)
+}
+
+// attachFinalizer is the finalizer Patch's mutation.
+func (r *round) attachFinalizer(cur k8s.Object) bool {
+	m, d := cur.GetMeta(), r.d
+	switch {
+	case m.HasFinalizer(d.cfg.Finalizer):
+		return false
+	case len(m.Finalizers) == 0:
+		m.Finalizers = d.finalizers
+	default:
 		m.AddFinalizer(d.cfg.Finalizer)
-		return true
-	}, func(error) { d.sync(key, parent) })
+	}
+	return true
 }
 
 // sync calls the webhook for a live parent and applies its answer.
-func (d *Decorator) sync(key string, parent k8s.Object) {
-	observed := d.observe(parent.GetMeta())
-	resp, err := d.hooks.Sync(SyncRequest{Parent: parent, Children: observed})
+func (d *Decorator) sync(r *round) {
+	meta := r.parent.GetMeta()
+	observed := d.observe(meta)
+	resp, err := d.hooks.Sync(SyncRequest{Parent: r.parent, Children: observed})
 	if err != nil {
 		// Sync errors are retried on the next parent event or via
 		// explicit Resync; children are left untouched.
-		d.done(key)
+		d.done(r)
 		return
 	}
-	d.applyChildren(key, parent.GetMeta(), observed, resp.Children, nil)
+	d.applyChildren(r, meta, observed, resp.Children, endRound)
 }
 
 // finalize calls the finalize hook of a deleting parent that still carries
 // the controller's finalizer.
-func (d *Decorator) finalize(key string, parent k8s.Object) {
-	meta := parent.GetMeta()
+func (d *Decorator) finalize(r *round) {
+	meta := r.parent.GetMeta()
 	if d.cfg.Finalizer == "" || !meta.HasFinalizer(d.cfg.Finalizer) {
-		d.done(key)
+		d.done(r)
 		return
 	}
 	observed := d.observe(meta)
-	resp, err := d.hooks.Finalize(SyncRequest{Parent: parent, Children: observed})
+	resp, err := d.hooks.Finalize(SyncRequest{Parent: r.parent, Children: observed})
 	if err != nil {
 		// As in sync, an error says nothing about the desired children:
 		// they are left untouched and the hook is tried again.
-		d.retryFinalize(key)
+		d.retryFinalize(r)
 		return
 	}
 	if !resp.Finalized {
-		d.applyChildren(key, meta, observed, resp.Children, func() { d.retryFinalize(key) })
+		d.applyChildren(r, meta, observed, resp.Children, retryFinalize)
 		return
 	}
 	// Finalized: remove all children, then the finalizer. The removal
 	// rides the retry layer: dropping it to an apiserver outage would
 	// wedge the parent's deletion forever.
-	d.applyChildren(key, meta, observed, nil, func() {
-		d.cli.RemoveFinalizer(d.cfg.ParentKind, meta.Namespace, meta.Name, d.cfg.Finalizer,
-			func(error) { d.done(key) })
-	})
+	d.applyChildren(r, meta, observed, nil, removeFinalizer)
 }
 
 // retryFinalize ends the round and queues the next FinalizeRetry later.
-func (d *Decorator) retryFinalize(key string) {
-	eng := d.cli.Engine()
+func (d *Decorator) retryFinalize(r *round) {
+	eng, key := d.cli.Engine(), r.key
 	eng.After(eng.Jitter(d.cfg.FinalizeRetry, d.cfg.Jitter), func() { d.schedule(key) })
-	d.done(key)
+	d.done(r)
 }
 
 // observe reads the parent's controller-owned children through the owner
@@ -261,13 +296,13 @@ func (d *Decorator) observe(parent *k8s.Meta) []*k8s.Custom {
 }
 
 // applyChildren reconciles the child set the round observed toward desired,
-// then runs then — nil: end the round — once every write it issued has
-// completed: at once when there is nothing to write, the usual outcome of a
-// re-sync, which then allocates nothing. Both sets are a handful, so they
-// are matched by scanning. A desired child that is the observed one, by
-// pointer, is the webhook's echo: committed, hence not stamped, and equal to
-// itself, hence not written.
-func (d *Decorator) applyChildren(key string, parent *k8s.Meta, observed, desired []*k8s.Custom, then func()) {
+// then does then once every write it issued has completed: at once when
+// there is nothing to write, the usual outcome of a re-sync, which then
+// allocates nothing. Both sets are a handful, so they are matched by
+// scanning. A desired child that is the observed one, by pointer, is the
+// webhook's echo: committed, hence not stamped, and equal to itself, hence
+// not written.
+func (d *Decorator) applyChildren(r *round, parent *k8s.Meta, observed, desired []*k8s.Custom, then next) {
 	// Count the writes before issuing the first: one may complete
 	// synchronously, and then must wait for the last.
 	n := 0
@@ -288,16 +323,12 @@ func (d *Decorator) applyChildren(key string, parent *k8s.Meta, observed, desire
 			n++
 		}
 	}
+	r.then = then
 	if n == 0 {
-		d.applied(key, then)
+		r.applied()
 		return
 	}
-	writes := n
-	finish := func(error) {
-		if writes--; writes == 0 {
-			d.applied(key, then)
-		}
-	}
+	r.writes = n
 	// Child writes ride the retry layer: a VNI child create dropped to a
 	// degraded or unavailable apiserver would leave the parent's
 	// pod-creation gate closed forever (nothing re-triggers the sync). Both
@@ -305,23 +336,38 @@ func (d *Decorator) applyChildren(key string, parent *k8s.Meta, observed, desire
 	for _, w := range desired {
 		switch cur := child(observed, w.Meta.Name); {
 		case cur == nil:
-			d.cli.Create(w, finish)
+			d.cli.Create(w, r.wrote)
 		case !maps.Equal(cur.Spec, w.Spec):
-			d.cli.Update(w, finish)
+			d.cli.Update(w, r.wrote)
 		}
 	}
 	for _, c := range observed {
 		if !wants(desired, c.Meta.Name) {
-			d.cli.Delete(d.cfg.ChildKind, c.Meta.Namespace, c.Meta.Name, finish)
+			d.cli.Delete(d.cfg.ChildKind, c.Meta.Namespace, c.Meta.Name, r.wrote)
 		}
 	}
 }
 
-func (d *Decorator) applied(key string, then func()) {
-	if then == nil {
-		d.done(key)
-	} else {
-		then()
+func (r *round) onWrote(error) {
+	if r.writes--; r.writes == 0 {
+		r.applied()
+	}
+}
+
+// applied takes the round's next step once its writes completed.
+func (r *round) applied() {
+	d := r.d
+	switch r.then {
+	case endRound:
+		d.done(r)
+	case syncParent:
+		d.sync(r)
+	case retryFinalize:
+		d.retryFinalize(r)
+	case removeFinalizer:
+		m := r.parent.GetMeta()
+		r.writes, r.then = 1, endRound
+		d.cli.RemoveFinalizer(d.cfg.ParentKind, m.Namespace, m.Name, d.cfg.Finalizer, r.wrote)
 	}
 }
 

@@ -2,6 +2,7 @@ package metactl
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -309,5 +310,52 @@ func TestDecoratorForgetsParentAndOwesSecondRound(t *testing.T) {
 	}
 	if n := d.InFlight(); n != 0 {
 		t.Errorf("decorator still tracks %d parents after the only one was deleted", n)
+	}
+}
+
+// TestRoundsHeldAfterDrain creates n parents at once, then deletes them at
+// once, on a server without jitter: n rounds are in flight together for the
+// finalizer attach and the child creates, and again for the finalize calls,
+// child deletes and finalizer removals. A drained decorator then holds
+// exactly n distinct rounds — fewer is a round leaked, more one recycled
+// twice — and every parent that had no finalizer got the decorator's one
+// shared list.
+func TestRoundsHeldAfterDrain(t *testing.T) {
+	const n = 5
+	h := &scriptedHooks{finalized: true, desired: func(parent k8s.Object) []*k8s.Custom {
+		return []*k8s.Custom{{Meta: k8s.Meta{Name: "c-" + parent.GetMeta().Name}}}
+	}}
+	eng := sim.NewEngine(1)
+	api := k8s.NewAPIServer(eng, k8s.APILatency{Request: 6 * time.Millisecond, WatchDelivery: 25 * time.Millisecond})
+	d := NewDecorator(api.Client(), testCfg(), h)
+	for i := 0; i < n; i++ {
+		api.Client().Create(&k8s.Job{Meta: k8s.Meta{Kind: k8s.KindJob, Namespace: "ns", Name: fmt.Sprint("j", i)}}, nil)
+	}
+	eng.Run()
+	if got := len(api.List(kindChild, "ns")); got != n {
+		t.Fatalf("%d children for %d parents", got, n)
+	}
+	for _, obj := range api.List(k8s.KindJob, "ns") {
+		if f := obj.GetMeta().Finalizers; len(f) != 1 || &f[0] != &d.finalizers[0] {
+			t.Errorf("%s carries finalizers %v, not the decorator's shared list", obj.GetMeta().Name, f)
+		}
+	}
+	for i := 0; i < n; i++ {
+		api.Client().Delete(k8s.KindJob, "ns", fmt.Sprint("j", i), nil)
+	}
+	eng.Run()
+	if left := len(api.List(k8s.KindJob, "ns")) + len(api.List(kindChild, "ns")) + d.InFlight(); left != 0 {
+		t.Fatalf("%d parents, children or rounds left after the drain", left)
+	}
+	rounds := make(map[*round]bool)
+	for d.free.Len() > 0 {
+		r := d.free.Get()
+		if rounds[r] {
+			t.Fatal("a round is on the free list twice")
+		}
+		rounds[r] = true
+	}
+	if len(rounds) != n {
+		t.Errorf("the free list holds %d rounds, want %d", len(rounds), n)
 	}
 }

@@ -147,6 +147,47 @@ type DB struct {
 	// round-robin rather than always reusing the lowest, reducing reuse
 	// pressure on recently-released IDs.
 	nextProbe fabric.VNI
+	// tx is the one transaction record: whichever Update or View holds mu
+	// owns it, and leaves it empty.
+	tx txState
+}
+
+// txState is the transaction in progress: whether it is read-only, its undo
+// log and the WAL records it will commit, both kept empty between
+// transactions so their arrays serve the next one. handles is the unused
+// rest of the slab the handles are cut from.
+type txState struct {
+	readonly bool
+	undo     []undoEntry
+	walOps   []walRecord
+	handles  []Tx
+}
+
+// txSlab is how many transaction handles one allocation provides.
+const txSlab = 64
+
+// undoKind names the change one undo entry reverses.
+type undoKind uint8
+
+const (
+	undoInsert     undoKind = iota // insertAllocated put r in the table over displaced
+	undoRelease                    // Release moved r out of Allocated
+	undoAddUser                    // AddUser added user to r
+	undoRemoveUser                 // RemoveUser took user from r
+	undoAudit                      // logOp appended one audit row
+)
+
+// undoEntry is one step of the undo log: the row a mutation changed and
+// what it overwrote. Rollback applies the entries newest first.
+type undoEntry struct {
+	kind      undoKind
+	r         *row
+	displaced *row            // undoInsert: the row v held before, nil for none
+	probe     fabric.VNI      // undoInsert: the round-robin cursor before
+	pred      *row            // undoRelease: r's owner-chain predecessor
+	released  sim.Time        // undoRelease: r's releasedAt before
+	users     map[string]bool // undoRelease: r's users before
+	user      string          // undoAddUser, undoRemoveUser
 }
 
 // Open creates an empty database.
@@ -202,14 +243,15 @@ func (db *DB) Close() {
 	db.closed = true
 }
 
-// Tx is a serializable transaction. Mutations accumulate undo actions; if
-// the transaction function returns an error everything is rolled back.
+// Tx is the handle of one serializable transaction. Mutations accumulate
+// undo entries in the database's transaction record; if the transaction
+// function returns an error everything is rolled back. A handle serves one
+// transaction only: once its Update or View returns, every call on it
+// fails with ErrTxDone (or finds nothing), however many transactions
+// follow.
 type Tx struct {
-	db       *DB
-	done     bool
-	readonly bool
-	undo     []func(*DB) // take the DB as an argument so they need not capture it
-	walOps   []walRecord
+	db   *DB
+	done bool
 }
 
 type walRecord struct {
@@ -229,12 +271,13 @@ func (db *DB) Update(fn func(*Tx) error) error {
 	if db.closed {
 		return ErrClosed
 	}
-	tx := &Tx{db: db}
+	tx := db.begin(false)
+	defer db.end(tx)
 	if err := fn(tx); err != nil {
-		tx.rollback()
+		db.rollback()
 		return err
 	}
-	tx.commit()
+	db.commit()
 	return nil
 }
 
@@ -245,39 +288,92 @@ func (db *DB) View(fn func(*Tx) error) error {
 	if db.closed {
 		return ErrClosed
 	}
-	tx := &Tx{db: db, readonly: true}
-	defer func() { tx.done = true }()
+	tx := db.begin(true)
+	defer db.end(tx)
 	return fn(tx)
 }
 
-func (tx *Tx) rollback() {
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		tx.undo[i](tx.db)
+// begin starts a transaction on the database's record, under mu, and cuts
+// its handle from the slab: a handle is never reused, so one kept past its
+// transaction stays done whatever runs after it.
+func (db *DB) begin(readonly bool) *Tx {
+	t := &db.tx
+	if len(t.handles) == 0 {
+		t.handles = make([]Tx, txSlab)
 	}
-	tx.undo = nil
-	tx.walOps = nil
-	tx.done = true
+	tx := &t.handles[0]
+	t.handles = t.handles[1:]
+	tx.db = db
+	t.readonly = readonly
+	return tx
 }
 
-func (tx *Tx) commit() {
-	if len(tx.walOps) > 0 { // logOp collects them only when a WAL is attached
-		line, err := json.Marshal(tx.walOps)
+// end retires tx and empties the record's logs for the next transaction,
+// dropping the rows and strings they referenced.
+func (db *DB) end(tx *Tx) {
+	tx.done = true
+	t := &db.tx
+	clear(t.undo)
+	clear(t.walOps)
+	t.undo, t.walOps = t.undo[:0], t.walOps[:0]
+}
+
+func (db *DB) rollback() {
+	undo := db.tx.undo
+	for i := len(undo) - 1; i >= 0; i-- {
+		db.revert(&undo[i])
+	}
+}
+
+// revert undoes one logged change.
+func (db *DB) revert(u *undoEntry) {
+	r := u.r
+	switch u.kind {
+	case undoInsert:
+		db.nextProbe = u.probe
+		db.ownerUnlink(r)
+		if u.displaced == nil {
+			delete(db.rows, r.vni)
+		} else {
+			db.rows[r.vni] = u.displaced
+		}
+	case undoRelease:
+		r.state, r.releasedAt, r.users = Allocated, u.released, u.users
+		db.ownerLink(r, u.pred)
+	case undoAddUser:
+		delete(r.users, u.user)
+	case undoRemoveUser:
+		r.users[u.user] = true
+	case undoAudit:
+		db.audit = db.audit[:len(db.audit)-1]
+		db.seq--
+	}
+}
+
+func (db *DB) commit() {
+	if ops := db.tx.walOps; len(ops) > 0 { // logOp collects them only when a WAL is attached
+		line, err := json.Marshal(ops)
 		if err == nil {
 			line = append(line, '\n')
-			_, _ = tx.db.opts.WAL.Write(line)
+			_, _ = db.opts.WAL.Write(line)
 		}
 	}
-	tx.done = true
 }
 
 func (tx *Tx) check(write bool) error {
 	if tx.done {
 		return ErrTxDone
 	}
-	if write && tx.readonly {
+	if write && tx.db.tx.readonly {
 		return errors.New("vnidb: write in read-only transaction")
 	}
 	return nil
+}
+
+// logUndo appends one entry to the transaction's undo log.
+func (tx *Tx) logUndo(u undoEntry) {
+	t := &tx.db.tx
+	t.undo = append(t.undo, u)
 }
 
 func (tx *Tx) logOp(op AuditOp, vni fabric.VNI, owner, user string, at sim.Time) {
@@ -285,12 +381,9 @@ func (tx *Tx) logOp(op AuditOp, vni fabric.VNI, owner, user string, at sim.Time)
 	db.seq++
 	seq := db.seq
 	db.audit = append(db.audit, AuditEntry{Seq: seq, At: at, Op: op, VNI: vni, Owner: owner, User: user})
-	tx.undo = append(tx.undo, func(db *DB) {
-		db.audit = db.audit[:len(db.audit)-1]
-		db.seq--
-	})
+	tx.logUndo(undoEntry{kind: undoAudit})
 	if db.opts.WAL != nil {
-		tx.walOps = append(tx.walOps, walRecord{Op: op, VNI: vni, Owner: owner, User: user, At: at})
+		db.tx.walOps = append(db.tx.walOps, walRecord{Op: op, VNI: vni, Owner: owner, User: user, At: at})
 	}
 }
 
@@ -328,26 +421,16 @@ func (tx *Tx) Acquire(owner string, now sim.Time) (fabric.VNI, error) {
 // share it so a recovered database is in the state the original was.
 func (tx *Tx) insertAllocated(v fabric.VNI, owner string, now sim.Time) {
 	db := tx.db
-	prev := db.rows[v]
 	nr := &row{vni: v, owner: owner, state: Allocated, allocatedAt: now}
+	tx.logUndo(undoEntry{kind: undoInsert, r: nr, displaced: db.rows[v], probe: db.nextProbe})
 	db.rows[v] = nr
 	db.ownerLink(nr, nil)
-	oldProbe := db.nextProbe
 	// A replayed VNI from outside the pool (the bounds changed between
 	// runs) leaves the cursor alone.
 	if v >= db.opts.MinVNI && v <= db.opts.MaxVNI {
 		n := db.opts.MaxVNI - db.opts.MinVNI + 1
 		db.nextProbe = db.opts.MinVNI + (v-db.opts.MinVNI+1)%n
 	}
-	tx.undo = append(tx.undo, func(db *DB) {
-		db.nextProbe = oldProbe
-		db.ownerUnlink(nr)
-		if prev == nil {
-			delete(db.rows, nr.vni)
-		} else {
-			db.rows[nr.vni] = prev
-		}
-	})
 	tx.logOp(OpAcquire, v, owner, "", now)
 }
 
@@ -362,15 +445,11 @@ func (tx *Tx) Release(vni fabric.VNI, now sim.Time) error {
 	if !ok || r.state != Allocated {
 		return fmt.Errorf("%w: %d", ErrNotAllocated, vni)
 	}
-	prevReleased, prevUsers := r.releasedAt, r.users
 	pred := db.ownerUnlink(r)
+	tx.logUndo(undoEntry{kind: undoRelease, r: r, pred: pred, released: r.releasedAt, users: r.users})
 	r.state = Quarantined
 	r.releasedAt = now
 	r.users = nil
-	tx.undo = append(tx.undo, func(db *DB) {
-		r.state, r.releasedAt, r.users = Allocated, prevReleased, prevUsers
-		db.ownerLink(r, pred)
-	})
 	tx.logOp(OpRelease, vni, r.owner, "", now)
 	return nil
 }
@@ -391,7 +470,7 @@ func (tx *Tx) AddUser(vni fabric.VNI, user string, now sim.Time) error {
 		r.users = make(map[string]bool)
 	}
 	r.users[user] = true
-	tx.undo = append(tx.undo, func(*DB) { delete(r.users, user) })
+	tx.logUndo(undoEntry{kind: undoAddUser, r: r, user: user})
 	tx.logOp(OpAddUser, vni, r.owner, user, now)
 	return nil
 }
@@ -409,7 +488,7 @@ func (tx *Tx) RemoveUser(vni fabric.VNI, user string, now sim.Time) error {
 		return fmt.Errorf("%w: %q on vni %d", ErrNoSuchUser, user, vni)
 	}
 	delete(r.users, user)
-	tx.undo = append(tx.undo, func(*DB) { r.users[user] = true })
+	tx.logUndo(undoEntry{kind: undoRemoveUser, r: r, user: user})
 	tx.logOp(OpRemoveUser, vni, r.owner, user, now)
 	return nil
 }

@@ -49,11 +49,16 @@ type EndpointStats struct {
 
 // Endpoint is the VNI Endpoint: webhook logic over the VNI database. All
 // database work runs in single serialized transactions, so concurrent
-// webhook invocations cannot race (paper §III-C2).
+// acquisitions cannot race (paper §III-C2). The endpoint itself serves one
+// hook call at a time: its counters and the slice a /sync answer lists its
+// child in are its own, and that answer is valid until the next call.
 type Endpoint struct {
 	db    *vnidb.DB
 	clock sim.Clock
 	stats EndpointStats
+	// child is the one-element slice a /sync answer that builds a new child
+	// lists it in.
+	child [1]*k8s.Custom
 }
 
 // NewEndpoint creates the endpoint.
@@ -106,8 +111,8 @@ const (
 // values, no other key — the answer is that child itself, the committed
 // object the decorator passed in: apply semantics' own form of "nothing to
 // change", which is what every re-sync after a status write comes to.
-// Otherwise a new child is built.
-func desiredChild(req metactl.SyncRequest, prefix, parent string, vni fabric.VNI, kv ...string) metactl.SyncResponse {
+// Otherwise a new child is built and listed in the endpoint's slice.
+func (e *Endpoint) desiredChild(req metactl.SyncRequest, prefix, parent string, vni fabric.VNI, kv ...string) metactl.SyncResponse {
 	var buf [20]byte // FormatUint would allocate from 100 up
 	digits := strconv.AppendUint(buf[:0], uint64(vni), 10)
 	for i, c := range req.Children {
@@ -121,7 +126,8 @@ func desiredChild(req metactl.SyncRequest, prefix, parent string, vni fabric.VNI
 	for i := 0; i < len(kv); i += 2 {
 		spec[kv[i]] = kv[i+1]
 	}
-	return metactl.SyncResponse{Children: []*k8s.Custom{{Meta: k8s.Meta{Name: prefix + parent}, Spec: spec}}}
+	e.child[0] = &k8s.Custom{Meta: k8s.Meta{Name: prefix + parent}, Spec: spec}
+	return metactl.SyncResponse{Children: e.child[:]}
 }
 
 func hasPairs(spec map[string]string, kv []string) bool {
@@ -185,7 +191,7 @@ func (e *Endpoint) syncPerResourceJob(req metactl.SyncRequest, job *k8s.Job) (me
 		e.stats.SyncErrors++
 		return metactl.SyncResponse{}, err
 	}
-	return desiredChild(req, jobChildPrefix, job.Meta.Name, vni,
+	return e.desiredChild(req, jobChildPrefix, job.Meta.Name, vni,
 		vniapi.SpecJob, job.Meta.Name), nil
 }
 
@@ -216,7 +222,7 @@ func (e *Endpoint) syncClaimJob(req metactl.SyncRequest, job *k8s.Job, claim str
 		e.stats.SyncErrors++
 		return metactl.SyncResponse{}, err
 	}
-	return desiredChild(req, jobChildPrefix, job.Meta.Name, vni,
+	return e.desiredChild(req, jobChildPrefix, job.Meta.Name, vni,
 		vniapi.SpecJob, job.Meta.Name, vniapi.SpecClaim, claim, vniapi.SpecVirtual, "true"), nil
 }
 
@@ -311,7 +317,7 @@ func (h claimHooks) Sync(req metactl.SyncRequest) (metactl.SyncResponse, error) 
 		e.stats.SyncErrors++
 		return metactl.SyncResponse{}, err
 	}
-	return desiredChild(req, claimChildPrefix, c.Meta.Name, vni,
+	return e.desiredChild(req, claimChildPrefix, c.Meta.Name, vni,
 		vniapi.SpecClaim, claimName(c)), nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/k8s"
@@ -58,10 +59,12 @@ type FinalizeResponse struct {
 	Children  []ChildRef `json:"children"`
 }
 
-// Server is the HTTP VNI endpoint.
+// Server is the HTTP VNI endpoint. net/http serves requests concurrently,
+// and the endpoint takes one hook call at a time: mu serializes them.
 type Server struct {
 	ep  *vnisvc.Endpoint
 	mux *http.ServeMux
+	mu  sync.Mutex
 }
 
 // NewServer builds the endpoint server over db.
@@ -156,12 +159,15 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	s.mu.Lock()
 	resp, err := hooks.Sync(req)
+	children := toChildRefs(resp.Children) // before the next call reuses the answer
+	s.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	writeJSON(w, SyncResponse{Children: toChildRefs(resp.Children)})
+	writeJSON(w, SyncResponse{Children: children})
 }
 
 func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
@@ -179,7 +185,9 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	s.mu.Lock()
 	resp, err := hooks.Finalize(req)
+	s.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return

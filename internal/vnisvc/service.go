@@ -90,7 +90,15 @@ func Install(cli *k8s.Client, jobCtl *k8s.JobController, db *vnidb.DB, cfg Confi
 			return
 		}
 		cr := ev.Object.(*k8s.Custom)
-		if jobName := cr.Spec[vniapi.SpecJob]; jobName != "" {
+		jobName := cr.Spec[vniapi.SpecJob]
+		if jobName == "" {
+			return
+		}
+		// A stored job has its key already; only a vanished one needs it
+		// built (its reconcile then finds nothing to do).
+		if job, ok := cli.Get(k8s.KindJob, cr.Meta.Namespace, jobName); ok {
+			jobCtl.RequeueJob(job.GetMeta().Key())
+		} else {
 			jobCtl.RequeueJob(cr.Meta.Namespace + "/" + jobName)
 		}
 	})
