@@ -73,7 +73,7 @@ func main() {
 		log.Fatal("VNI exclusivity violated across management paths")
 	}
 	fmt.Println("VNI exclusivity across slurm/drc/k8s: ok")
-	fmt.Printf("shared pool state: %+v\n\n", st.DB.Stats())
+	fmt.Printf("shared pool state: %+v\n\n", st.Counters(stack.DB).DB)
 
 	// Cross-regime isolation: the Slurm user cannot allocate on the k8s
 	// job's VNI, and the pod cannot allocate on the Slurm VNI.
@@ -116,7 +116,7 @@ func main() {
 	}
 	st.Cluster.Client.Delete(k8s.KindJob, "cloud", "workflow", nil)
 	st.Eng.RunFor(20 * time.Second)
-	fmt.Printf("\nafter teardown: %+v (all VNIs quarantined, none allocated)\n", st.DB.Stats())
+	fmt.Printf("\nafter teardown: %+v (all VNIs quarantined, none allocated)\n", st.Counters(stack.DB).DB)
 }
 
 func firstRunningPod(st *stack.Stack, ns string) *k8s.Pod {

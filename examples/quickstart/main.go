@@ -98,7 +98,7 @@ func main() {
 	gang.Close()
 	st.Cluster.Client.Delete(k8s.KindJob, "quickstart", "pingpong", nil)
 	st.Eng.RunFor(30 * time.Second)
-	stats := st.DB.Stats()
+	stats := st.Counters(stack.DB).DB
 	fmt.Printf("job deleted: %d VNIs allocated, %d quarantined\n", stats.Allocated, stats.Quarantined)
 }
 

@@ -30,6 +30,7 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/metrics"
 	"github.com/caps-sim/shs-k8s/internal/scenario"
+	"github.com/caps-sim/shs-k8s/internal/stack"
 	"github.com/caps-sim/shs-k8s/internal/workload"
 )
 
@@ -404,18 +405,18 @@ func (s *Server) runTraffic(w io.Writer, args []string) error {
 
 // apiserver renders the control-plane fault layer's counters.
 func (s *Server) apiserver(w io.Writer, _ []string) error {
-	stats, avail, armed := s.ops.ControlPlaneStatus()
-	if !armed {
+	c := s.ops.Stack().Counters(stack.ControlPlane)
+	if !c.CPArmed {
 		fmt.Fprintln(w, "fault layer dormant (no control-plane fault injected); apiserver up")
 		return nil
 	}
-	fmt.Fprintf(w, "availability:   %s\n", avail)
-	fmt.Fprintf(w, "retries:        %d\n", stats.Retries)
-	fmt.Fprintf(w, "timeouts:       %d\n", stats.Timeouts)
-	fmt.Fprintf(w, "exhausted:      %d\n", stats.Exhausted)
-	fmt.Fprintf(w, "relists:        %d\n", stats.Relists)
-	fmt.Fprintf(w, "stale reads:    %d\n", stats.StaleReads)
-	fmt.Fprintf(w, "max staleness:  %.0fus\n", stats.MaxStalenessUs)
+	fmt.Fprintf(w, "availability:   %s\n", c.APIServer)
+	fmt.Fprintf(w, "retries:        %d\n", c.CP.Retries)
+	fmt.Fprintf(w, "timeouts:       %d\n", c.CP.Timeouts)
+	fmt.Fprintf(w, "exhausted:      %d\n", c.CP.Exhausted)
+	fmt.Fprintf(w, "relists:        %d\n", c.CP.Relists)
+	fmt.Fprintf(w, "stale reads:    %d\n", c.CP.StaleReads)
+	fmt.Fprintf(w, "max staleness:  %.0fus\n", c.CP.MaxStalenessUs)
 	return nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/scenario"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 	"github.com/caps-sim/shs-k8s/internal/stack"
-	"github.com/caps-sim/shs-k8s/internal/vnidb"
 )
 
 // maxDrainSteps bounds the end-of-run queue drain. Nothing in the simulator
@@ -43,11 +42,11 @@ type fingerprint struct {
 	SimTime sim.Time
 	Logs    []string
 	Asserts []string
-	// Topo is the fabric-wide counter snapshot (fmt prints the drop map in
-	// sorted key order, so the rendering is itself deterministic).
-	Topo  string
-	Links []string
-	DB    vnidb.Stats
+	// Counters renders the stack's counter snapshot, every source (fmt
+	// prints maps in sorted key order, so the rendering is itself
+	// deterministic).
+	Counters string
+	Links    []string
 }
 
 // diff names the first field where two fingerprints disagree, or "" when
@@ -63,10 +62,8 @@ func (a *fingerprint) diff(b *fingerprint) string {
 		return fmt.Sprintf("virtual end time: %s vs %s", a.SimTime, b.SimTime)
 	case len(a.Logs) != len(b.Logs):
 		return fmt.Sprintf("log length: %d vs %d lines", len(a.Logs), len(b.Logs))
-	case a.Topo != b.Topo:
-		return fmt.Sprintf("fabric counters: %s vs %s", a.Topo, b.Topo)
-	case a.DB != b.DB:
-		return fmt.Sprintf("vni pool: %+v vs %+v", a.DB, b.DB)
+	case a.Counters != b.Counters:
+		return fmt.Sprintf("counters: %s vs %s", a.Counters, b.Counters)
 	}
 	for i := range a.Logs {
 		if a.Logs[i] != b.Logs[i] {
@@ -94,10 +91,9 @@ func (a *fingerprint) diff(b *fingerprint) string {
 
 func fingerprintOf(st *stack.Stack, res *scenario.Result) *fingerprint {
 	fp := &fingerprint{
-		SimTime: st.Eng.Now(),
-		Logs:    append([]string(nil), res.Log...),
-		Topo:    fmt.Sprintf("%+v", st.Topo.Stats()),
-		DB:      st.DB.Stats(),
+		SimTime:  st.Eng.Now(),
+		Logs:     append([]string(nil), res.Log...),
+		Counters: fmt.Sprintf("%+v", st.Counters(stack.AllSources)),
 	}
 	for _, a := range res.Asserts {
 		fp.Asserts = append(fp.Asserts, a.String())

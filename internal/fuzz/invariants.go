@@ -141,8 +141,7 @@ func checkImmutability(st *stack.Stack) *Violation {
 // must only run on a drained queue; packets still in flight are neither
 // delivered nor dropped yet.
 func checkConservation(st *stack.Stack) *Violation {
-	topo := st.Topo
-	total := topo.Stats()
+	topo, total := st.Topo, st.Counters(stack.Fabric).Fabric
 	if total.Injected != total.Forwarded+total.DropTotal() {
 		return &Violation{Name: VioConservation, Detail: fmt.Sprintf(
 			"fabric-wide packet leak: injected %d != delivered %d + dropped %d",

@@ -91,15 +91,11 @@ func RunFabricReport(cfg FabricReportConfig) (*FabricReport, error) {
 	}
 	eng.Run()
 	st := topo.Stats()
-	var dropped uint64
-	for _, n := range st.Drops {
-		dropped += n
-	}
 	return &FabricReport{
 		Cfg:       cfg,
 		Links:     topo.LinkUtils(),
 		Forwarded: st.Forwarded,
-		Dropped:   dropped,
+		Dropped:   st.DropTotal(),
 		SimTime:   eng.Now(),
 	}, nil
 }

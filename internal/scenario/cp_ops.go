@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/caps-sim/shs-k8s/internal/k8s"
-	"github.com/caps-sim/shs-k8s/internal/telemetry"
 )
 
 // This file is the Ops half of the control-plane fault layer: it arms the
@@ -104,34 +103,4 @@ func (r *Ops) StopCP() {
 	if r.st != nil {
 		r.st.Cluster.Client.StopFaultRecovery()
 	}
-}
-
-// cpStats is the telemetry sampler's control-plane source. It is attached
-// unconditionally (the fault layer arms mid-run, after the sampler), and
-// reports Armed=false until then so fault-free series stay unchanged.
-func (r *Ops) cpStats() telemetry.CPStats {
-	if !r.CPArmed() {
-		return telemetry.CPStats{}
-	}
-	cli := r.st.Cluster.Client
-	s := cli.Stats()
-	return telemetry.CPStats{
-		Armed:          true,
-		Availability:   cli.API().Availability().String(),
-		Retries:        s.Retries,
-		Relists:        s.Relists,
-		StaleReads:     s.StaleReads,
-		MaxStalenessUs: s.MaxStalenessUs,
-	}
-}
-
-// ControlPlaneStatus returns the client's fault-layer counters and the API
-// server's availability; armed is false when no control-plane fault event
-// ran (counters are then necessarily zero).
-func (r *Ops) ControlPlaneStatus() (stats k8s.CPStats, avail string, armed bool) {
-	if r.st == nil {
-		return k8s.CPStats{}, "", false
-	}
-	cli := r.st.Cluster.Client
-	return cli.Stats(), cli.API().Availability().String(), cli.FaultsArmed()
 }

@@ -268,20 +268,10 @@ func (r *Ops) startFleet(*Event) error {
 	if t := r.sc.Telemetry; t.Enabled() {
 		r.sampler = telemetry.New(r.st.Eng, telemetry.Config{
 			Interval: t.SampleEvery, Capacity: t.Capacity})
-		src := telemetry.Sources{
-			Topo:     r.st.Topo,
-			Pods:     r.pods,
-			Jobs:     r.jobs,
-			Progress: func() (int, int) { return r.wlDone, r.wlTotal },
-		}
+		src := telemetry.Sources{Stack: r.st, Progress: func() (int, int) { return r.wlDone, r.wlTotal }}
 		if r.daemon != nil {
 			src.Health = r.healthStats
 		}
-		// Always attached: the control-plane fault layer arms mid-run (on
-		// the first fault event), after this sampler exists. The source
-		// reports Armed=false until then, which omits every control-plane
-		// field from the sample.
-		src.ControlPlane = r.cpStats
 		r.sampler.Attach(src)
 		r.logf("telemetry: sampling every %s", t.SampleEvery)
 	}

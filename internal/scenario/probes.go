@@ -9,6 +9,7 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/metrics"
+	"github.com/caps-sim/shs-k8s/internal/stack"
 	"github.com/caps-sim/shs-k8s/internal/vniapi"
 )
 
@@ -39,8 +40,8 @@ type probe struct {
 // probes is the catalogue of assertion types, in the order
 // docs/scenarios.md documents them.
 var probes = []probe{
-	{name: "vnis_allocated", actual: func(r *Ops, _ string) float64 { return float64(r.st.DB.Stats().Allocated) }},
-	{name: "vnis_quarantined", actual: func(r *Ops, _ string) float64 { return float64(r.st.DB.Stats().Quarantined) }},
+	{name: "vnis_allocated", actual: func(r *Ops, _ string) float64 { return float64(r.st.Counters(stack.DB).DB.Allocated) }},
+	{name: "vnis_quarantined", actual: func(r *Ops, _ string) float64 { return float64(r.st.Counters(stack.DB).DB.Quarantined) }},
 	{name: "jobs_completed", target: tenantTarget, actual: func(r *Ops, t string) float64 { return float64(r.completedCount(t)) }},
 	{name: "jobs_pending", target: tenantTarget, actual: func(r *Ops, t string) float64 {
 		n := 0
@@ -55,9 +56,9 @@ var probes = []probe{
 	{name: "isolation_violations", actual: func(r *Ops, _ string) float64 { return float64(r.violations) }},
 	{name: "switch_drops", target: reasonTarget, actual: func(r *Ops, t string) float64 {
 		reason, _ := fabric.DropReasonByName(t) // checkAssertion vetted the name
-		return float64(r.st.Topo.Stats().Drops[reason])
+		return float64(r.st.Counters(stack.Fabric).Fabric.Drops[reason])
 	}},
-	{name: "switch_forwarded", actual: func(r *Ops, _ string) float64 { return float64(r.st.Topo.Stats().Forwarded) }},
+	{name: "switch_forwarded", actual: func(r *Ops, _ string) float64 { return float64(r.st.Counters(stack.Fabric).Fabric.Forwarded) }},
 	{name: "trunk_drops", actual: func(r *Ops, _ string) float64 { return float64(r.st.Topo.TrunkDrops()) }},
 	{name: "global_link_bytes", actual: func(r *Ops, _ string) float64 { return float64(r.st.Topo.GlobalLinkBytes()) }},
 	{name: "max_link_utilization", actual: func(r *Ops, _ string) float64 {
@@ -86,12 +87,7 @@ var probes = []probe{
 		}
 		return float64(r.traffic[a].Elapsed) / float64(r.traffic[b].Elapsed)
 	}},
-	{name: "sync_errors", actual: func(r *Ops, _ string) float64 {
-		if r.st.VNISvc == nil {
-			return 0
-		}
-		return float64(r.st.VNISvc.Endpoint.Stats().SyncErrors)
-	}},
+	{name: "sync_errors", actual: func(r *Ops, _ string) float64 { return float64(r.st.Counters(stack.VNI).VNI.SyncErrors) }},
 	{name: "distinct_tenant_vnis", actual: (*Ops).distinctTenantVNIs},
 	// Health-loop probes; the time_to_* pair targets a node name or a link
 	// key ("trunk:i-j" / "global:a-b"). nodes_cordoned counts the
@@ -131,10 +127,10 @@ var probes = []probe{
 	// Control-plane fault-layer probes: client retry/relist counters and
 	// the post-run convergence check. All read 0 (cp_converged: 1) in
 	// fault-free runs, so they are valid without fault events.
-	{name: "apiserver_retries", actual: func(r *Ops, _ string) float64 { return float64(r.st.Cluster.Client.Stats().Retries) }},
-	{name: "watch_relists", actual: func(r *Ops, _ string) float64 { return float64(r.st.Cluster.Client.Stats().Relists) }},
-	{name: "stale_reads", actual: func(r *Ops, _ string) float64 { return float64(r.st.Cluster.Client.Stats().StaleReads) }},
-	{name: "max_staleness_us", actual: func(r *Ops, _ string) float64 { return r.st.Cluster.Client.Stats().MaxStalenessUs }},
+	{name: "apiserver_retries", actual: func(r *Ops, _ string) float64 { return float64(r.st.Counters(stack.ControlPlane).CP.Retries) }},
+	{name: "watch_relists", actual: func(r *Ops, _ string) float64 { return float64(r.st.Counters(stack.ControlPlane).CP.Relists) }},
+	{name: "stale_reads", actual: func(r *Ops, _ string) float64 { return float64(r.st.Counters(stack.ControlPlane).CP.StaleReads) }},
+	{name: "max_staleness_us", actual: func(r *Ops, _ string) float64 { return r.st.Counters(stack.ControlPlane).CP.MaxStalenessUs }},
 	{name: "cp_converged", actual: func(r *Ops, _ string) float64 {
 		// 1 when every informer cache matches the API server's store
 		// exactly — the eventual-convergence check. Fault-free runs read 1

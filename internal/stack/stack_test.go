@@ -1,11 +1,13 @@
 package stack
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/vniapi"
+	"github.com/caps-sim/shs-k8s/internal/vnidb"
 )
 
 func TestDefaultStackShape(t *testing.T) {
@@ -95,5 +97,49 @@ func TestStackDeterministicForSeed(t *testing.T) {
 	}
 	if run(7) == run(8) {
 		t.Error("different seeds produced identical traces")
+	}
+}
+
+// TestCountersReadOnlyWhatIsAsked: each source's fields equal what its
+// package reports, and a read of some sources leaves the rest zero — a
+// one-value reader does not pay for the others. Reading the engine and the
+// control plane allocates nothing.
+func TestCountersReadOnlyWhatIsAsked(t *testing.T) {
+	st := New(DefaultOptions())
+	st.Cluster.CreateNamespace("t")
+	st.Cluster.SubmitJob(k8s.EchoJob("t", "j", map[string]string{vniapi.Annotation: "true"}))
+	st.Eng.RunFor(20 * time.Second)
+
+	all := st.Counters(AllSources)
+	if all.Steps != st.Eng.Steps || all.Elided != st.Eng.Elided || all.Parked != st.Eng.Parked {
+		t.Errorf("engine counts %d/%d/%d, engine has %d/%d/%d",
+			all.Steps, all.Elided, all.Parked, st.Eng.Steps, st.Eng.Elided, st.Eng.Parked)
+	}
+	cli := st.Cluster.Client
+	if !reflect.DeepEqual(all.Fabric, st.Topo.Stats()) || all.DB != st.DB.Stats() ||
+		all.VNI != st.VNISvc.Endpoint.Stats() || all.CP != cli.Stats() ||
+		all.APIServer != "up" || all.CPArmed != cli.FaultsArmed() {
+		t.Errorf("snapshot disagrees with its sources: %+v", all)
+	}
+	if len(all.NICs) != len(st.Nodes) || len(all.CNI) != len(st.Nodes) {
+		t.Fatalf("%d NIC and %d CNI readings for %d nodes", len(all.NICs), len(all.CNI), len(st.Nodes))
+	}
+	for i, n := range st.Nodes {
+		if !reflect.DeepEqual(all.NICs[i], n.Device.Stats()) || all.CNI[i] != n.CXICNI.Stats() {
+			t.Errorf("%s: snapshot disagrees with its NIC or CNI plugin", n.Name)
+		}
+	}
+	if all.DB.Allocated != 0 || all.DB.Quarantined != 1 || all.VNI.Acquisitions != 1 || all.CNI[0].AddsTotal+all.CNI[1].AddsTotal != 1 {
+		t.Errorf("the job's VNI and pod are not in the snapshot: %+v", all)
+	}
+
+	only := st.Counters(DB)
+	only.DB = vnidb.Stats{}
+	only.Steps, only.Elided, only.Parked = 0, 0, 0
+	if !reflect.DeepEqual(only, Counters{}) {
+		t.Errorf("a DB read filled other sources: %+v", only)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { st.Counters(ControlPlane) }); allocs != 0 {
+		t.Errorf("reading the control-plane counters allocates %v objects", allocs)
 	}
 }

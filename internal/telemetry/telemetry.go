@@ -16,27 +16,22 @@
 package telemetry
 
 import (
-	"github.com/caps-sim/shs-k8s/internal/fabric"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/sim"
+	"github.com/caps-sim/shs-k8s/internal/stack"
 )
-
-// ObjectLister is the lister shape the sampler reads control-plane state
-// through; k8s.Lister satisfies it. Nil listers skip their section.
-type ObjectLister interface {
-	List(namespace string) []k8s.Object
-}
 
 // Sources names what one sampler observes. Every field is optional: a nil
 // source simply leaves its section of each sample empty.
 type Sources struct {
-	// Topo supplies per-link utilization/drop records and per-switch
-	// injected/forwarded/dropped counters.
-	Topo *fabric.Topology
-	// Pods and Jobs are control-plane listers (cached informer reads, so
-	// sampling costs no API copies).
-	Pods ObjectLister
-	Jobs ObjectLister
+	// Stack supplies per-link utilization/drop records, per-switch
+	// injected/forwarded/dropped counters, the pods and jobs (through the
+	// shared informers' listers, so sampling costs no API copies) and the
+	// control-plane counters. Those are read even while the fault layer
+	// is dormant, because fault events arm it mid-run; until then CPArmed
+	// is false, which omits every control-plane field and keeps
+	// fault-free series byte-identical.
+	Stack *stack.Stack
 	// Progress reports live workload progress: collective iterations
 	// completed and scheduled so far (cumulative over all traffic runs).
 	Progress func() (done, total int)
@@ -45,11 +40,6 @@ type Sources struct {
 	// every health field, keeping the series byte-identical to a build
 	// without the subsystem.
 	Health func() HealthStats
-	// ControlPlane reports the apiserver fault layer's state. Unlike
-	// Health it is attached even when the layer is dormant, because fault
-	// events arm it mid-run; Armed=false omits every control-plane field,
-	// keeping fault-free series byte-identical.
-	ControlPlane func() CPStats
 }
 
 // HealthStats is the health subsystem's snapshot for one sample: which
@@ -60,19 +50,6 @@ type HealthStats struct {
 	Cordoned    []string
 	Remediating int
 	Remediated  int
-}
-
-// CPStats is the control-plane fault layer's snapshot for one sample:
-// the API server's availability plus the client's cumulative retry,
-// relist and staleness counters. Armed is false until a fault event arms
-// the layer.
-type CPStats struct {
-	Armed          bool
-	Availability   string
-	Retries        uint64
-	Relists        uint64
-	StaleReads     uint64
-	MaxStalenessUs float64
 }
 
 // Config tunes a sampler.
@@ -252,8 +229,9 @@ func (s *Sampler) sample() {
 	s.taken++
 	sm.TimeUS = int64(s.eng.Now()) / 1000
 
-	if t := s.src.Topo; t != nil {
-		for _, l := range t.Links() {
+	st := s.src.Stack
+	if st != nil {
+		for _, l := range st.Topo.Links() {
 			sm.Links = append(sm.Links, LinkSample{
 				Link:    l.From + "->" + l.To,
 				Kind:    l.Kind.String(),
@@ -264,18 +242,16 @@ func (s *Sampler) sample() {
 				Down:    l.Down,
 			})
 		}
-		for _, sw := range t.Switches() {
-			st := sw.Stats()
+		for _, sw := range st.Topo.Switches() {
+			c := sw.Stats()
 			sm.Switches = append(sm.Switches, SwitchSample{
 				Switch:    sw.Name(),
-				Injected:  st.Injected,
-				Forwarded: st.Forwarded,
-				Dropped:   st.DropTotal(),
+				Injected:  c.Injected,
+				Forwarded: c.Forwarded,
+				Dropped:   c.DropTotal(),
 			})
 		}
-	}
-	if s.src.Pods != nil {
-		for _, obj := range s.src.Pods.List("") {
+		for _, obj := range st.Cluster.Client.Lister(k8s.KindPod).List("") {
 			switch obj.(*k8s.Pod).Status.Phase {
 			case k8s.PodRunning, k8s.PodTerminating:
 				sm.PodsRunning++
@@ -287,9 +263,7 @@ func (s *Sampler) sample() {
 				sm.PodsPending++
 			}
 		}
-	}
-	if s.src.Jobs != nil {
-		for _, obj := range s.src.Jobs.List("") {
+		for _, obj := range st.Cluster.Client.Lister(k8s.KindJob).List("") {
 			job := obj.(*k8s.Job)
 			if job.Status.Completed {
 				sm.JobsCompleted++
@@ -309,14 +283,14 @@ func (s *Sampler) sample() {
 		sm.Remediating = hs.Remediating
 		sm.Remediated = hs.Remediated
 	}
-	if s.src.ControlPlane != nil {
-		if cp := s.src.ControlPlane(); cp.Armed {
+	if st != nil {
+		if c := st.Counters(stack.ControlPlane); c.CPArmed {
 			sm.CPOn = true
-			sm.Availability = cp.Availability
-			sm.APIRetries = cp.Retries
-			sm.WatchRelists = cp.Relists
-			sm.StaleReads = cp.StaleReads
-			sm.MaxStalenessUs = cp.MaxStalenessUs
+			sm.Availability = c.APIServer
+			sm.APIRetries = c.CP.Retries
+			sm.WatchRelists = c.CP.Relists
+			sm.StaleReads = c.CP.StaleReads
+			sm.MaxStalenessUs = c.CP.MaxStalenessUs
 		}
 	}
 }

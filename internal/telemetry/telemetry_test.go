@@ -52,7 +52,7 @@ func sampledRun(t *testing.T, seed int64) []byte {
 	var done, total int
 	s := New(st.Eng, Config{Interval: 50 * time.Microsecond})
 	s.Attach(Sources{
-		Topo:     st.Topo,
+		Stack:    st,
 		Progress: func() (int, int) { return done, total },
 	})
 	total = spec.Iterations
@@ -173,15 +173,21 @@ func TestAttachSamplesImmediately(t *testing.T) {
 	}
 }
 
+// twoGroupStack is a 4-node fleet over two dragonfly groups.
+func twoGroupStack() *stack.Stack {
+	opts := stack.DefaultOptions()
+	opts.Nodes = 4
+	opts.Topology = fabric.TopologySpec{Groups: 2, SwitchesPerGroup: 1, NodesPerSwitch: 2}
+	return stack.New(opts)
+}
+
 // TestPrometheusExposition smoke-checks the text format over a live
 // fabric sample.
 func TestPrometheusExposition(t *testing.T) {
-	eng := sim.NewEngine(1)
-	topo := fabric.NewTopology(eng, fabric.DefaultConfig(), fabric.TopologySpec{
-		Groups: 2, SwitchesPerGroup: 1, NodesPerSwitch: 2,
-	})
+	st := twoGroupStack()
+	eng := st.Eng
 	s := New(eng, Config{Interval: time.Millisecond})
-	s.Attach(Sources{Topo: topo})
+	s.Attach(Sources{Stack: st})
 	s.Detach()
 
 	var buf bytes.Buffer
@@ -194,7 +200,7 @@ func TestPrometheusExposition(t *testing.T) {
 		`shssim_link_bytes_total{link="rosetta0->rosetta1",kind="global"} 0`,
 		`shssim_switch_packets_total{switch="rosetta0",dir="injected"} 0`,
 		`shssim_pods{phase="pending"} 0`,
-		"shssim_virtual_time_microseconds 0",
+		"shssim_virtual_time_microseconds 1000000",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
@@ -214,16 +220,14 @@ func TestPrometheusExposition(t *testing.T) {
 // sampler without a health source must emit none of the health families,
 // so health-less scrapes are byte-stable across the subsystem's addition.
 func TestPrometheusExpositionFaultStates(t *testing.T) {
-	eng := sim.NewEngine(1)
-	topo := fabric.NewTopology(eng, fabric.DefaultConfig(), fabric.TopologySpec{
-		Groups: 2, SwitchesPerGroup: 1, NodesPerSwitch: 2,
-	})
+	st := twoGroupStack()
+	eng, topo := st.Eng, st.Topo
 	if err := topo.SetGlobalLinkDown(0, 1, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	s := New(eng, Config{Interval: time.Millisecond})
 	s.Attach(Sources{
-		Topo: topo,
+		Stack: st,
 		Health: func() HealthStats {
 			return HealthStats{
 				Degraded:    []string{"node1"},
@@ -259,7 +263,7 @@ func TestPrometheusExpositionFaultStates(t *testing.T) {
 	if err := topo.SetGlobalLinkDown(0, 1, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	plain.Attach(Sources{Topo: topo})
+	plain.Attach(Sources{Stack: st})
 	plain.Detach()
 	buf.Reset()
 	if err := plain.WritePrometheus(&buf); err != nil {
