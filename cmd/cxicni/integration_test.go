@@ -51,15 +51,15 @@ func TestFetchVNIEndToEnd(t *testing.T) {
 	}
 
 	// Full ADD state flow with the fetched VNI.
-	t.Setenv("CXICNI_STATE_DIR", t.TempDir())
-	svcID, err := stateCreateService("ctr-1", 4026532000, uint32(vni))
+	dir := t.TempDir()
+	svcID, err := stateCreateService(dir, "ctr-1", 4026532000, uint32(vni))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := stateCheckService("ctr-1"); !ok {
+	if ok, _ := stateCheckService(dir, "ctr-1"); !ok {
 		t.Error("service state missing after ADD")
 	}
-	if err := stateDeleteService("ctr-1"); err != nil {
+	if err := stateDeleteService(dir, "ctr-1"); err != nil {
 		t.Fatal(err)
 	}
 	_ = svcID

@@ -9,10 +9,13 @@
 // Environment:
 //
 //	CNI_COMMAND      ADD | DEL | CHECK | VERSION
-//	CNI_CONTAINERID  container ID
+//	CNI_CONTAINERID  container ID: a letter or digit, then letters, digits,
+//	                 '_', '.' or '-' (anything else is code 4)
 //	CNI_NETNS        netns path (it must name a network namespace, or ADD
 //	                 fails with code 7)
-//	CNI_ARGS         K8S_POD_NAMESPACE=...;K8S_POD_NAME=...
+//	CNI_ARGS         K8S_POD_NAMESPACE=...;K8S_POD_NAME=... (ADD: a pair
+//	                 that is not key=value is code 4)
+//	CXICNI_STATE_DIR where services are recorded (default /var/lib/cxicni)
 //
 // Stdin (network configuration, chained form):
 //
@@ -22,13 +25,19 @@
 //	  "type": "cxicni",
 //	  "vni": 4242,              // static VNI (or use vniEndpoint)
 //	  "vniEndpoint": "http://vnisvc:8080",
-//	  "prevResult": { ... }     // previous plugin's result
+//	  "prevResult": { ... }     // previous plugin's result; not a result: code 6
 //	}
+//
+// Every input is validated before the service is recorded, so an
+// invocation that fails leaves none behind. The exit code is 0 with the
+// result (ADD) or nothing (DEL, CHECK) on stdout, or 1 with one CNI error
+// object.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -46,9 +55,9 @@ type NetConf struct {
 // Result is the CNI result this plugin emits (prevResult extended with the
 // cxi attachment).
 type Result struct {
-	CNIVersion string          `json:"cniVersion"`
-	Interfaces json.RawMessage `json:"interfaces,omitempty"`
-	CXI        *CXIAttachment  `json:"cxi,omitempty"`
+	CNIVersion string            `json:"cniVersion"`
+	Interfaces []json.RawMessage `json:"interfaces,omitempty"`
+	CXI        *CXIAttachment    `json:"cxi,omitempty"`
 }
 
 // CXIAttachment mirrors cni.CXIAttachment on the wire.
@@ -65,101 +74,143 @@ type Error struct {
 	Msg        string `json:"msg"`
 }
 
-func fail(code int, format string, args ...any) {
-	e := Error{CNIVersion: "1.0.0", Code: code, Msg: fmt.Sprintf(format, args...)}
-	_ = json.NewEncoder(os.Stdout).Encode(e)
-	os.Exit(1)
+func cniError(code int, format string, args ...any) *Error {
+	return &Error{CNIVersion: "1.0.0", Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
-func main() {
-	cmd := os.Getenv("CNI_COMMAND")
+func main() { os.Exit(run(os.Getenv, os.Stdin, os.Stdout)) }
+
+// run is one plugin invocation: env supplies the CNI_* variables, stdin the
+// network configuration, and stdout receives the one result or error
+// object. It returns the exit code, 0 or 1.
+func run(env func(string) string, stdin io.Reader, stdout io.Writer) int {
+	res, err := invoke(env, stdin)
+	enc := json.NewEncoder(stdout)
+	if err != nil {
+		_ = enc.Encode(err)
+		return 1
+	}
+	if res != nil {
+		_ = enc.Encode(res)
+	}
+	return 0
+}
+
+// invoke validates every input before it acts: a malformed one is an error
+// and leaves no state behind.
+func invoke(env func(string) string, stdin io.Reader) (any, *Error) {
+	cmd := env("CNI_COMMAND")
 	switch cmd {
 	case "VERSION":
-		fmt.Println(`{"cniVersion":"1.0.0","supportedVersions":["0.4.0","1.0.0"]}`)
-		return
+		return json.RawMessage(`{"cniVersion":"1.0.0","supportedVersions":["0.4.0","1.0.0"]}`), nil
 	case "ADD", "DEL", "CHECK":
 	default:
-		fail(4, "unknown CNI_COMMAND %q", cmd)
+		return nil, cniError(4, "unknown CNI_COMMAND %q", cmd)
 	}
-
+	containerID := env("CNI_CONTAINERID")
+	if !validContainerID(containerID) {
+		return nil, cniError(4, "invalid CNI_CONTAINERID %q", containerID)
+	}
 	var conf NetConf
-	if err := json.NewDecoder(os.Stdin).Decode(&conf); err != nil {
-		fail(6, "decoding network configuration: %v", err)
+	if err := json.NewDecoder(stdin).Decode(&conf); err != nil {
+		return nil, cniError(6, "decoding network configuration: %v", err)
 	}
-	args := parseArgs(os.Getenv("CNI_ARGS"))
-	containerID := os.Getenv("CNI_CONTAINERID")
-	netns := os.Getenv("CNI_NETNS")
-
+	dir := env("CXICNI_STATE_DIR")
+	if dir == "" {
+		dir = "/var/lib/cxicni"
+	}
 	switch cmd {
 	case "ADD":
-		runAdd(conf, containerID, netns, args)
+		return runAdd(conf, dir, containerID, env("CNI_NETNS"), env("CNI_ARGS"))
 	case "DEL":
 		// DEL must be idempotent and succeed even with partial state: the
 		// state file records any service this binary created for the
 		// container (see state.go).
-		runDel(conf, containerID)
-	case "CHECK":
-		runCheck(conf, containerID)
+		if err := stateDeleteService(dir, containerID); err != nil {
+			return nil, cniError(11, "deleting CXI service: %v", err)
+		}
+		return nil, nil
+	default:
+		return nil, runCheck(dir, containerID)
 	}
 }
 
-// parseArgs splits CNI_ARGS ("A=1;B=2") into a map.
-func parseArgs(s string) map[string]string {
-	out := map[string]string{}
-	for _, kv := range strings.Split(s, ";") {
-		if i := strings.IndexByte(kv, '='); i > 0 {
-			out[kv[:i]] = kv[i+1:]
+// validContainerID is the CNI spec's container ID syntax. The ID names the
+// state file, so nothing else — a path separator, "..", an empty ID — may
+// reach the file system.
+func validContainerID(id string) bool {
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		alnum := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+		if !alnum && (i == 0 || c != '_' && c != '.' && c != '-') {
+			return false
 		}
 	}
-	return out
+	return id != ""
 }
 
-func runAdd(conf NetConf, containerID, netns string, args map[string]string) {
+// parseArgs splits CNI_ARGS ("A=1;B=2") into a map. Every pair must be one
+// non-empty key, one '=' and a value.
+func parseArgs(s string) (map[string]string, error) {
+	out := map[string]string{}
+	if s == "" {
+		return out, nil
+	}
+	for _, kv := range strings.Split(s, ";") {
+		k, v, ok := strings.Cut(kv, "=")
+		if !ok || k == "" || strings.Contains(v, "=") {
+			return nil, fmt.Errorf("invalid pair %q", kv)
+		}
+		out[k] = v
+	}
+	return out, nil
+}
+
+func runAdd(conf NetConf, dir, containerID, netns, cniArgs string) (*Result, *Error) {
+	args, err := parseArgs(cniArgs)
+	if err != nil {
+		return nil, cniError(4, "CNI_ARGS: %v", err)
+	}
 	if netns == "" {
-		fail(7, "CNI_NETNS not set")
+		return nil, cniError(7, "CNI_NETNS not set")
 	}
 	inode, err := netnsInode(netns)
 	if err != nil {
-		fail(7, "resolving CNI_NETNS: %v", err)
+		return nil, cniError(7, "resolving CNI_NETNS: %v", err)
+	}
+	var prev Result
+	if len(conf.PrevResult) > 0 {
+		if err := json.Unmarshal(conf.PrevResult, &prev); err != nil {
+			return nil, cniError(6, "decoding prevResult: %v", err)
+		}
 	}
 	vni := conf.VNI
 	if vni == 0 && conf.VNIEndpoint != "" {
 		v, err := fetchVNI(conf.VNIEndpoint, args["K8S_POD_NAMESPACE"], args["K8S_POD_NAME"])
 		if err != nil {
 			// No VNI could be fetched: the container must fail to launch.
-			fail(7, "fetching VNI: %v", err)
+			return nil, cniError(7, "fetching VNI: %v", err)
 		}
 		vni = v
 	}
 	if vni == 0 {
-		fail(7, "no VNI configured (set \"vni\" or \"vniEndpoint\")")
+		return nil, cniError(7, "no VNI configured (set \"vni\" or \"vniEndpoint\")")
 	}
-	svcID, err := stateCreateService(containerID, inode, vni)
+	svcID, err := stateCreateService(dir, containerID, inode, vni)
 	if err != nil {
-		fail(11, "creating CXI service: %v", err)
+		return nil, cniError(11, "creating CXI service: %v", err)
 	}
-	res := Result{CNIVersion: "1.0.0", CXI: &CXIAttachment{Device: "cxi0", SvcID: svcID, VNI: vni}}
-	if len(conf.PrevResult) > 0 {
-		var prev Result
-		if err := json.Unmarshal(conf.PrevResult, &prev); err == nil {
-			res.Interfaces = prev.Interfaces
-		}
-	}
-	_ = json.NewEncoder(os.Stdout).Encode(res)
+	return &Result{CNIVersion: "1.0.0", Interfaces: prev.Interfaces,
+		CXI: &CXIAttachment{Device: "cxi0", SvcID: svcID, VNI: vni}}, nil
 }
 
-func runDel(conf NetConf, containerID string) {
-	if err := stateDeleteService(containerID); err != nil {
-		fail(11, "deleting CXI service: %v", err)
-	}
-}
-
-func runCheck(conf NetConf, containerID string) {
-	ok, err := stateCheckService(containerID)
+func runCheck(dir, containerID string) *Error {
+	ok, err := stateCheckService(dir, containerID)
 	if err != nil {
-		fail(11, "checking CXI service: %v", err)
+		return cniError(11, "checking CXI service: %v", err)
 	}
 	if !ok {
-		fail(11, "cxi service for container %s missing", containerID)
+		return cniError(11, "cxi service for container %s missing", containerID)
 	}
+	return nil
 }

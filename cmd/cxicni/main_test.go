@@ -7,15 +7,18 @@ import (
 )
 
 func TestParseArgs(t *testing.T) {
-	got := parseArgs("K8S_POD_NAMESPACE=ns;K8S_POD_NAME=pod-0;IgnoreUnknown=1")
-	if got["K8S_POD_NAMESPACE"] != "ns" || got["K8S_POD_NAME"] != "pod-0" {
-		t.Errorf("parseArgs = %v", got)
+	got, err := parseArgs("K8S_POD_NAMESPACE=ns;K8S_POD_NAME=pod-0;IgnoreUnknown=1;Empty=")
+	if err != nil || got["K8S_POD_NAMESPACE"] != "ns" || got["K8S_POD_NAME"] != "pod-0" || len(got) != 4 {
+		t.Errorf("parseArgs = %v, %v", got, err)
 	}
-	if len(parseArgs("")) != 0 {
-		t.Error("empty args not empty")
+	if got, err := parseArgs(""); err != nil || len(got) != 0 {
+		t.Errorf("empty args = %v, %v", got, err)
 	}
-	if len(parseArgs("novalue")) != 0 {
-		t.Error("malformed arg accepted")
+	// Fail closed: a pair that is not key=value is an error, not skipped.
+	for _, bad := range []string{"novalue", "=v", "A=1;", ";A=1", "A=1;;B=2", "A=1=2"} {
+		if got, err := parseArgs(bad); err == nil {
+			t.Errorf("parseArgs(%q) = %v, want an error", bad, got)
+		}
 	}
 }
 
@@ -34,8 +37,8 @@ func TestNetnsInodeForms(t *testing.T) {
 }
 
 func TestStateLifecycle(t *testing.T) {
-	t.Setenv("CXICNI_STATE_DIR", t.TempDir())
-	id, err := stateCreateService("c1", 4026531992, 4242)
+	dir := t.TempDir()
+	id, err := stateCreateService(dir, "c1", 4026531992, 4242)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,23 +46,23 @@ func TestStateLifecycle(t *testing.T) {
 		t.Errorf("svc id = %d, must be after the default service", id)
 	}
 	// Idempotent re-ADD returns the same service.
-	id2, err := stateCreateService("c1", 4026531992, 4242)
+	id2, err := stateCreateService(dir, "c1", 4026531992, 4242)
 	if err != nil || id2 != id {
 		t.Errorf("re-add: id=%d err=%v", id2, err)
 	}
-	ok, err := stateCheckService("c1")
+	ok, err := stateCheckService(dir, "c1")
 	if err != nil || !ok {
 		t.Errorf("check: ok=%v err=%v", ok, err)
 	}
-	if err := stateDeleteService("c1"); err != nil {
+	if err := stateDeleteService(dir, "c1"); err != nil {
 		t.Fatal(err)
 	}
-	ok, err = stateCheckService("c1")
+	ok, err = stateCheckService(dir, "c1")
 	if err != nil || ok {
 		t.Errorf("check after delete: ok=%v err=%v", ok, err)
 	}
 	// DEL is idempotent.
-	if err := stateDeleteService("c1"); err != nil {
+	if err := stateDeleteService(dir, "c1"); err != nil {
 		t.Errorf("second delete: %v", err)
 	}
 }

@@ -21,11 +21,11 @@ func TestServiceMemberIsTheNetnsInode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv("CXICNI_STATE_DIR", t.TempDir())
-	if _, err := stateCreateService("ctr", inode, 4242); err != nil {
+	dir := t.TempDir()
+	if _, err := stateCreateService(dir, "ctr", inode, 4242); err != nil {
 		t.Fatal(err)
 	}
-	b, err := readBinding("ctr")
+	b, err := readBinding(dir, "ctr")
 	if err != nil {
 		t.Fatal(err)
 	}

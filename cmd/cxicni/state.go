@@ -10,16 +10,6 @@ import (
 	"time"
 )
 
-// stateDir is where the plugin records container→service bindings, the
-// binary equivalent of the in-process map in internal/cni. Real CNI
-// plugins keep similar state under /var/lib/cni.
-func stateDir() string {
-	if d := os.Getenv("CXICNI_STATE_DIR"); d != "" {
-		return d
-	}
-	return "/var/lib/cxicni"
-}
-
 // binding is one recorded CXI service.
 type binding struct {
 	ContainerID string `json:"containerId"`
@@ -29,18 +19,22 @@ type binding struct {
 	CreatedAt   string `json:"createdAt"`
 }
 
-func bindingPath(containerID string) string {
-	return filepath.Join(stateDir(), containerID+".json")
+// bindingPath is where the plugin records a container's service: a file in
+// the state directory (CXICNI_STATE_DIR, by default /var/lib/cxicni), the
+// binary equivalent of the in-process map in internal/cni. Real CNI plugins
+// keep similar state under /var/lib/cni.
+func bindingPath(dir, containerID string) string {
+	return filepath.Join(dir, containerID+".json")
 }
 
 // stateCreateService records the binding that stands for the CXI service
 // the driver would create (cxil_svc_alloc with a netns member). The SvcID
 // is derived deterministically so repeated ADDs are idempotent.
-func stateCreateService(containerID string, inode uint64, vni uint32) (int, error) {
-	if err := os.MkdirAll(stateDir(), 0o700); err != nil {
+func stateCreateService(dir, containerID string, inode uint64, vni uint32) (int, error) {
+	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return 0, err
 	}
-	if b, err := readBinding(containerID); err == nil {
+	if b, err := readBinding(dir, containerID); err == nil {
 		return b.SvcID, nil // idempotent re-ADD
 	}
 	svcID := int(inode%100000) + 2 // driver IDs start after the default service
@@ -52,16 +46,16 @@ func stateCreateService(containerID string, inode uint64, vni uint32) (int, erro
 	if err != nil {
 		return 0, err
 	}
-	tmp := bindingPath(containerID) + ".tmp"
+	tmp := bindingPath(dir, containerID) + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o600); err != nil {
 		return 0, err
 	}
-	return svcID, os.Rename(tmp, bindingPath(containerID))
+	return svcID, os.Rename(tmp, bindingPath(dir, containerID))
 }
 
-func readBinding(containerID string) (binding, error) {
+func readBinding(dir, containerID string) (binding, error) {
 	var b binding
-	data, err := os.ReadFile(bindingPath(containerID))
+	data, err := os.ReadFile(bindingPath(dir, containerID))
 	if err != nil {
 		return b, err
 	}
@@ -70,8 +64,8 @@ func readBinding(containerID string) (binding, error) {
 
 // stateDeleteService removes the binding; missing state is success (DEL is
 // idempotent per the CNI spec).
-func stateDeleteService(containerID string) error {
-	err := os.Remove(bindingPath(containerID))
+func stateDeleteService(dir, containerID string) error {
+	err := os.Remove(bindingPath(dir, containerID))
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -79,8 +73,8 @@ func stateDeleteService(containerID string) error {
 }
 
 // stateCheckService reports whether the binding exists.
-func stateCheckService(containerID string) (bool, error) {
-	_, err := readBinding(containerID)
+func stateCheckService(dir, containerID string) (bool, error) {
+	_, err := readBinding(dir, containerID)
 	if os.IsNotExist(err) {
 		return false, nil
 	}

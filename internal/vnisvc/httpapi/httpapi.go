@@ -8,6 +8,7 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -67,6 +68,10 @@ type Server struct {
 	mu  sync.Mutex
 }
 
+// maxRequestBytes bounds a webhook request body: a parent and its handful
+// of children are a few KiB.
+const maxRequestBytes = 1 << 20
+
 // NewServer builds the endpoint server over db.
 func NewServer(db *vnidb.DB) *Server {
 	s := &Server{ep: vnisvc.NewEndpoint(db, wallClock{start: time.Now()}), mux: http.NewServeMux()}
@@ -74,8 +79,10 @@ func NewServer(db *vnidb.DB) *Server {
 	s.mux.HandleFunc("/finalize", s.handleFinalize)
 	s.mux.HandleFunc("/vnis", s.handleVNIs)
 	s.mux.HandleFunc("/audit", s.handleAudit)
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
+	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		if allow(w, r, http.MethodGet) {
+			fmt.Fprintln(w, "ok")
+		}
 	})
 	return s
 }
@@ -86,54 +93,52 @@ func (s *Server) Endpoint() *vnisvc.Endpoint { return s.ep }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// toObject converts the wire parent to the typed object the hooks expect.
-func (p ParentRef) toObject() (k8s.Object, error) {
-	meta := k8s.Meta{
-		Kind:        k8s.Kind(p.Kind),
-		Namespace:   p.Namespace,
-		Name:        p.Name,
-		UID:         k8s.UID(p.UID),
-		Annotations: p.Annotations,
-		Deleting:    p.Deleting,
+// allow answers a request with any other method than method with 405 and
+// reports whether it may proceed.
+func allow(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
+		return true
 	}
-	switch k8s.Kind(p.Kind) {
-	case k8s.KindJob:
-		return &k8s.Job{Meta: meta}, nil
-	case vniapi.KindVniClaim:
-		return &k8s.Custom{Meta: meta, Spec: p.Spec}, nil
-	default:
-		return nil, fmt.Errorf("unsupported parent kind %q", p.Kind)
-	}
+	w.Header().Set("Allow", method)
+	http.Error(w, method+" required", http.StatusMethodNotAllowed)
+	return false
 }
 
-func (s *Server) hooksFor(kind string) (metactl.Hooks, error) {
-	switch k8s.Kind(kind) {
-	case k8s.KindJob:
-		return s.ep.JobHooks(), nil
-	case vniapi.KindVniClaim:
-		return s.ep.ClaimHooks(), nil
-	default:
-		return nil, fmt.Errorf("unsupported parent kind %q", kind)
+// webhook reads a POSTed hook request — one JSON object and nothing after
+// it — into the typed request and the hooks for its parent's kind. When
+// ok is false it has answered the request with a 4xx.
+func (s *Server) webhook(w http.ResponseWriter, r *http.Request) (hooks metactl.Hooks, req metactl.SyncRequest, ok bool) {
+	if !allow(w, r, http.MethodPost) {
+		return nil, req, false
 	}
-}
-
-func decodeRequest(r *http.Request) (metactl.SyncRequest, string, error) {
 	var wire SyncRequest
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		return metactl.SyncRequest{}, "", fmt.Errorf("decoding request: %w", err)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err == nil {
+		err = json.Unmarshal(body, &wire)
 	}
-	parent, err := wire.Parent.toObject()
 	if err != nil {
-		return metactl.SyncRequest{}, "", err
+		http.Error(w, fmt.Sprintf("decoding request: %v", err), http.StatusBadRequest)
+		return nil, req, false
 	}
-	req := metactl.SyncRequest{Parent: parent}
+	p := wire.Parent
+	meta := k8s.Meta{Kind: k8s.Kind(p.Kind), Namespace: p.Namespace, Name: p.Name, UID: k8s.UID(p.UID),
+		Annotations: p.Annotations, Deleting: p.Deleting}
+	switch meta.Kind {
+	case k8s.KindJob:
+		req.Parent, hooks = &k8s.Job{Meta: meta}, s.ep.JobHooks()
+	case vniapi.KindVniClaim:
+		req.Parent, hooks = &k8s.Custom{Meta: meta, Spec: p.Spec}, s.ep.ClaimHooks()
+	default:
+		http.Error(w, fmt.Sprintf("unsupported parent kind %q", p.Kind), http.StatusBadRequest)
+		return nil, req, false
+	}
 	for _, c := range wire.Children {
 		req.Children = append(req.Children, &k8s.Custom{
-			Meta: k8s.Meta{Kind: vniapi.KindVNI, Namespace: wire.Parent.Namespace, Name: c.Name},
+			Meta: k8s.Meta{Kind: vniapi.KindVNI, Namespace: p.Namespace, Name: c.Name},
 			Spec: c.Spec,
 		})
 	}
-	return req, wire.Parent.Kind, nil
+	return hooks, req, true
 }
 
 func toChildRefs(children []*k8s.Custom) []ChildRef {
@@ -145,18 +150,8 @@ func toChildRefs(children []*k8s.Custom) []ChildRef {
 }
 
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	req, kind, err := decodeRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	hooks, err := s.hooksFor(kind)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	hooks, req, ok := s.webhook(w, r)
+	if !ok {
 		return
 	}
 	s.mu.Lock()
@@ -171,18 +166,8 @@ func (s *Server) handleSync(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	req, kind, err := decodeRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	hooks, err := s.hooksFor(kind)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	hooks, req, ok := s.webhook(w, r)
+	if !ok {
 		return
 	}
 	s.mu.Lock()
@@ -204,7 +189,10 @@ type vniRow struct {
 	AllocatedAt string   `json:"allocated_at"`
 }
 
-func (s *Server) handleVNIs(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleVNIs(w http.ResponseWriter, r *http.Request) {
+	if !allow(w, r, http.MethodGet) {
+		return
+	}
 	var rows []vniRow
 	_ = s.ep.DB().View(func(tx *vnidb.Tx) error {
 		for _, r := range tx.List() {
@@ -218,8 +206,10 @@ func (s *Server) handleVNIs(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, rows)
 }
 
-func (s *Server) handleAudit(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.ep.DB().Audit())
+func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
+	if allow(w, r, http.MethodGet) {
+		writeJSON(w, s.ep.DB().Audit())
+	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

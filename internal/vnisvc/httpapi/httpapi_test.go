@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"testing"
 	"time"
 
@@ -196,5 +198,92 @@ func TestHTTPServerEndToEnd(t *testing.T) {
 	}
 	if len(sr.Children) != 1 {
 		t.Errorf("children = %+v", sr.Children)
+	}
+}
+
+// FuzzVNIServiceHTTP sends one request with an arbitrary method, path and
+// body to a server whose database holds a job's VNI and a claim's VNI with
+// one user. The server never panics and never answers 5xx; a webhook that
+// is not POSTed gets 405 and one whose body is not exactly one request
+// object 400; and a request it does not answer 2xx leaves the database's
+// rows and audit log as they were.
+func FuzzVNIServiceHTTP(f *testing.F) {
+	body := func(v any) []byte {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	claim := ParentRef{Kind: string(vniapi.KindVniClaim), Namespace: "ns", Name: "c1", UID: "cu"}
+	deleting := func(p ParentRef) ParentRef { p.Deleting = true; return p }
+	f.Add("POST", "/sync", body(SyncRequest{Parent: jobParent("j2", "u2", "true")}))
+	f.Add("POST", "/sync", body(SyncRequest{Parent: jobParent("j3", "u3", "c1")}))
+	f.Add("POST", "/sync", body(SyncRequest{Parent: jobParent("j4", "u4", "ghost")}))
+	f.Add("POST", "/finalize", body(SyncRequest{Parent: deleting(jobParent("j1", "u1", "true"))}))
+	f.Add("POST", "/finalize", body(SyncRequest{Parent: deleting(claim)}))
+	f.Add("POST", "/sync", []byte(`{"parent":{"kind":"Job"}} {}`))
+	f.Add("POST", "/sync", []byte("{"))
+	f.Add("GET", "/sync", []byte(nil))
+	f.Add("GET", "/vnis", []byte(nil))
+	f.Add("PUT", "/audit", []byte(nil))
+	f.Add("DELETE", "/healthz", []byte(nil))
+	f.Add("POST", "//sync/", []byte(nil))
+	f.Fuzz(func(t *testing.T, method, path string, body []byte) {
+		srv := newServer()
+		for _, p := range []ParentRef{jobParent("j1", "u1", "true"), claim, jobParent("user", "ju", "c1")} {
+			if w := post(t, srv, "/sync", SyncRequest{Parent: p}); w.Code != http.StatusOK {
+				t.Fatalf("seeding %s: %d %s", p.Name, w.Code, w.Body)
+			}
+		}
+		db := srv.Endpoint().DB()
+		state := func() (rows []vnidb.Row, audit []vnidb.AuditEntry) {
+			db.View(func(tx *vnidb.Tx) error { rows = tx.List(); return nil })
+			return rows, db.Audit()
+		}
+		rows, audit := state()
+		u := url.URL{Scheme: "http", Host: "vnisvc", Path: path}
+		req, err := http.NewRequest(method, u.String(), bytes.NewReader(body))
+		if err != nil {
+			t.Skip("not an HTTP request line")
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code >= 500 {
+			t.Fatalf("%s %s: %d %s", req.Method, req.URL.Path, w.Code, w.Body)
+		}
+		if p := req.URL.Path; p == "/sync" || p == "/finalize" {
+			var wire SyncRequest
+			switch {
+			case req.Method != http.MethodPost && w.Code != http.StatusMethodNotAllowed:
+				t.Errorf("%s %s: %d, want 405", req.Method, p, w.Code)
+			case req.Method == http.MethodPost && json.Unmarshal(body, &wire) != nil && w.Code != http.StatusBadRequest:
+				t.Errorf("POST %s with body %q: %d, want 400", p, body, w.Code)
+			}
+		}
+		if w.Code >= 300 {
+			if gotRows, gotAudit := state(); !reflect.DeepEqual(rows, gotRows) || !reflect.DeepEqual(audit, gotAudit) {
+				t.Errorf("%s %s answered %d but changed the database", req.Method, req.URL.Path, w.Code)
+			}
+		}
+	})
+}
+
+// TestReadEndpointsAreGetOnly: the read endpoints answer GET and refuse
+// every other method, naming the allowed one.
+func TestReadEndpointsAreGetOnly(t *testing.T) {
+	srv := newServer()
+	for _, path := range []string{"/vnis", "/audit", "/healthz"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodDelete} {
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(method, path, nil))
+			want := http.StatusOK
+			if method != http.MethodGet {
+				want = http.StatusMethodNotAllowed
+			}
+			if w.Code != want || (want != http.StatusOK && w.Header().Get("Allow") != http.MethodGet) {
+				t.Errorf("%s %s = %d (Allow %q), want %d", method, path, w.Code, w.Header().Get("Allow"), want)
+			}
+		}
 	}
 }
