@@ -114,7 +114,7 @@ func (k *Kubelet) Node() string { return k.node }
 // podTask is one pod's work on the node, queued for a worker slot: its
 // start — image pull, sandbox, container start, then the Running status and
 // the exit timer, which outlive the slot — or its teardown. It is the
-// argument of every engine event on that way, the runtime's callbacks are
+// argument of every engine event along the way, the runtime's callbacks are
 // method values made once per record, and whichever of its events finishes
 // last recycles it.
 type podTask struct {

@@ -469,11 +469,11 @@ func TestDecoratorsForgetFinishedJobs(t *testing.T) {
 }
 
 // resyncRoundAllocBudget is what one idempotent webhook round may allocate:
-// Resync's parent listing and the database transaction — and no timer
-// closure, children slice, Clone, database key, child, spec map, formatted
-// VNI or write. Measured 2 (7 before the round read into its own scratch
-// and handed the webhook the committed children).
-const resyncRoundAllocBudget = 2
+// Resync's parent listing — and no timer closure, children slice, Clone,
+// database key or transaction, child, spec map, formatted VNI or write.
+// Measured 1 (2 while each transaction allocated its Tx, 7 before the round
+// read into its own scratch and handed the webhook the committed children).
+const resyncRoundAllocBudget = 1
 
 // TestResyncEchoesMatchingChild drives the three kinds of parent — a job
 // owning its VNI, a job redeeming a claim, a VniClaim — through the webhook
