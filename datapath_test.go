@@ -37,8 +37,10 @@ func ringAllreduce(st *stack.Stack, comm *mpi.Comm, fid fabric.Fidelity, n int) 
 }
 
 // collectiveAllocBudget bounds the allocations of one 8-rank ring allreduce
-// at flow fidelity, workload.Run bookkeeping included: 48 measured, 477
-// before collective rounds stopped allocating (112 messages × 4 closures).
+// at flow fidelity, workload.Run bookkeeping included: 48 measured with
+// go1.24's swiss maps and 48 with go1.22's map implementation
+// (GOEXPERIMENT=noswissmap), 477 before collective rounds stopped
+// allocating (112 messages × 4 closures).
 // What is left is per collective, not per message: each rank's exchange
 // with its three closures and round counter, and the workload engine's
 // report. A change that takes the count past the budget has put an

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/sim"
@@ -175,7 +176,7 @@ func deliverCall(arg any) {
 type APIServer struct {
 	eng      *sim.Engine
 	lat      APILatency
-	stores   map[Kind]map[string]Object
+	tables   map[Kind]*table
 	watchers []*watcher
 	nextUID  int
 	// rev is the global commit revision; every write stamps the stored
@@ -211,12 +212,82 @@ type ownedBucket struct {
 	more  []ownedRef
 }
 
+// table is one kind's objects, and the only index of them: one record per
+// key, which the store and the kind's shared informer both read and write.
+// Records come from slab chunks that grow with the table from 8 records to
+// 256, and go back to free once neither side holds a version of the key.
+type table struct {
+	recs map[string]*record
+	// stored and cached count the records whose obj, and whose cached, is set.
+	stored, cached int
+	slab           []record // the newest chunk's unused rest
+	free           []*record
+	// informed is set once the kind's informer exists: a record has one
+	// cached slot, so one informer per kind per API server.
+	informed bool
+}
+
+// record is one key of a kind. obj is the committed object, nil once the
+// store deleted it. cached is the version the kind's informer has absorbed:
+// it trails obj by the watch delivery, so a record outlives the store's
+// delete until the informer absorbs it, and one may be made by an ADDED that
+// arrives after that delete.
+type record struct{ obj, cached Object }
+
+// add makes the record of key, which has none.
+func (t *table) add(key string) *record {
+	var r *record
+	if n := len(t.free); n > 0 {
+		r, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		if len(t.slab) == 0 {
+			t.slab = make([]record, min(max(len(t.recs), 8), 256))
+		}
+		r, t.slab = &t.slab[0], t.slab[1:]
+	}
+	t.recs[key] = r
+	return r
+}
+
+// release drops the record r of key once neither version is left.
+func (t *table) release(key string, r *record) {
+	if r.obj == nil && r.cached == nil {
+		delete(t.recs, key)
+		t.free = append(t.free, r)
+	}
+}
+
+// list returns the objects of namespace ("" = all) in key order: the
+// committed ones, or with cached the informer's.
+func (t *table) list(namespace string, cached bool) []Object {
+	n := t.stored
+	if cached {
+		n = t.cached
+	}
+	out := make([]Object, 0, n)
+	for _, r := range t.recs {
+		obj := r.obj
+		if cached {
+			obj = r.cached
+		}
+		if obj != nil && (namespace == "" || obj.GetMeta().Namespace == namespace) {
+			out = append(out, obj)
+		}
+	}
+	sortByKey(out)
+	return out
+}
+
+func sortByKey(objs []Object) {
+	slices.SortFunc(objs, func(x, y Object) int { return strings.Compare(x.GetMeta().Key(), y.GetMeta().Key()) })
+}
+
 // NewAPIServer creates an empty API server.
 func NewAPIServer(eng *sim.Engine, lat APILatency) *APIServer {
 	return &APIServer{
 		eng:     eng,
 		lat:     lat,
-		stores:  make(map[Kind]map[string]Object),
+		tables:  make(map[Kind]*table),
 		kindSeq: make(map[Kind]uint64),
 		owned:   make(map[UID]ownedBucket),
 	}
@@ -234,13 +305,22 @@ func (a *APIServer) Client() *Client {
 	return a.cli
 }
 
-func (a *APIServer) store(kind Kind) map[string]Object {
-	s, ok := a.stores[kind]
+func (a *APIServer) table(kind Kind) *table {
+	t, ok := a.tables[kind]
 	if !ok {
-		s = make(map[string]Object)
-		a.stores[kind] = s
+		t = &table{recs: make(map[string]*record)}
+		a.tables[kind] = t
 	}
-	return s
+	return t
+}
+
+// live returns the record of the stored object, nil when the store holds
+// none.
+func (a *APIServer) live(kind Kind, namespace, name string) *record {
+	if r := a.table(kind).recs[namespace+"/"+name]; r != nil && r.obj != nil {
+		return r
+	}
+	return nil
 }
 
 // own files a newly stored object, by its metadata, under the owner it
@@ -470,28 +550,17 @@ func (a *APIServer) watch(kind Kind, handler func(Event)) *watcher {
 // Get returns the stored object, synchronously (a live quorum read; for
 // cached, index-capable reads use a Lister). Read-only, like every read.
 func (a *APIServer) Get(kind Kind, namespace, name string) (Object, bool) {
-	obj, ok := a.store(kind)[namespace+"/"+name]
-	return obj, ok
+	if r := a.live(kind, namespace, name); r != nil {
+		return r.obj, true
+	}
+	return nil, false
 }
 
 // List returns all stored objects of kind, in key order. Empty namespace
 // lists across namespaces. This is the O(all-objects) scan; hot paths
 // should read through an informer-backed Lister instead.
 func (a *APIServer) List(kind Kind, namespace string) []Object {
-	s := a.store(kind)
-	keys := make([]string, 0, len(s))
-	for k, obj := range s {
-		if namespace != "" && obj.GetMeta().Namespace != namespace {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Object, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, s[k])
-	}
-	return out
+	return a.table(kind).list(namespace, false)
 }
 
 // submit queues r's commit one request delay out: the single engine event
@@ -548,7 +617,9 @@ func notFound(kind Kind, namespace, name string) error {
 func (a *APIServer) commitCreate(obj Object) error {
 	m := obj.GetMeta()
 	key := m.Namespace + "/" + m.Name
-	if _, exists := a.store(m.Kind)[key]; exists {
+	t := a.table(m.Kind)
+	r := t.recs[key]
+	if r != nil && r.obj != nil {
 		return fmt.Errorf("%w: %s %s", ErrAlreadyExists, m.Kind, key)
 	}
 	m.UID = a.newUID()
@@ -556,25 +627,29 @@ func (a *APIServer) commitCreate(obj Object) error {
 	m.Created = a.eng.Now()
 	a.rev++
 	m.ResourceVersion = a.rev
-	a.store(m.Kind)[key] = obj
+	if r == nil { // else the informer still caches a deleted incarnation
+		r = t.add(key)
+	}
+	r.obj = obj
+	t.stored++
 	a.own(m)
 	a.notify(EventAdded, obj)
 	return nil
 }
 
-// replace commits next as the new version of the stored object old: a
-// fresh resource version, the store and owner index repointed, watchers
-// notified. old itself is never written — every reader that holds it keeps
-// the version it was handed.
-func (a *APIServer) replace(old, next Object) {
-	om, m := old.GetMeta(), next.GetMeta()
+// replace commits next as the new version of r's stored object: a fresh
+// resource version, the record and owner index repointed, watchers
+// notified. The old version is never written — every reader that holds it
+// keeps the version it was handed.
+func (a *APIServer) replace(r *record, next Object) {
+	om, m := r.obj.GetMeta(), next.GetMeta()
 	a.rev++
 	m.ResourceVersion = a.rev
 	if om.OwnerUID != m.OwnerUID { // re-parented
 		a.unown(om)
 		a.own(m)
 	}
-	a.store(m.Kind)[m.Key()] = next
+	r.obj = next
 	a.notify(EventModified, next)
 }
 
@@ -585,18 +660,18 @@ func (a *APIServer) replace(old, next Object) {
 // that drains a terminating object's finalizers completes its deletion.
 func (a *APIServer) commitUpdate(cp Object) error {
 	m := cp.GetMeta()
-	old, ok := a.store(m.Kind)[m.Namespace+"/"+m.Name]
-	if !ok {
+	r := a.live(m.Kind, m.Namespace, m.Name)
+	if r == nil {
 		return notFound(m.Kind, m.Namespace, m.Name)
 	}
-	oldMeta := old.GetMeta()
+	oldMeta := r.obj.GetMeta()
 	if m.ResourceVersion != 0 && m.ResourceVersion != oldMeta.ResourceVersion {
 		return fmt.Errorf("%w: %s %s (update at %d, stored %d)",
 			ErrConflict, m.Kind, m.Key(), m.ResourceVersion, oldMeta.ResourceVersion)
 	}
 	m.UID, m.key, m.Created = oldMeta.UID, oldMeta.key, oldMeta.Created
-	a.replace(old, cp)
-	a.reapIfDrained(m)
+	a.replace(r, cp)
+	a.reapIfDrained(r)
 	return nil
 }
 
@@ -606,40 +681,41 @@ func (a *APIServer) commitUpdate(cp Object) error {
 // event. Without finalizers it is removed immediately. Children owned via
 // OwnerUID are garbage-collected after the owner vanishes.
 func (a *APIServer) commitDelete(kind Kind, namespace, name string) error {
-	obj, ok := a.store(kind)[namespace+"/"+name]
-	if !ok {
+	r := a.live(kind, namespace, name)
+	if r == nil {
 		return notFound(kind, namespace, name)
 	}
-	m := obj.GetMeta()
+	m := r.obj.GetMeta()
 	if len(m.Finalizers) == 0 {
-		a.finalizeDelete(kind, m.Key())
+		a.finalizeDelete(r)
 	} else if !m.Deleting {
-		cp := obj.Clone()
+		cp := r.obj.Clone()
 		cp.GetMeta().Deleting = true
-		a.replace(obj, cp)
+		a.replace(r, cp)
 	}
 	return nil
 }
 
 // reapIfDrained completes a pending deletion once the stored object's
 // finalizer list has drained.
-func (a *APIServer) reapIfDrained(m *Meta) {
-	if m.Deleting && len(m.Finalizers) == 0 {
-		a.finalizeDelete(m.Kind, m.Key())
+func (a *APIServer) reapIfDrained(r *record) {
+	if m := r.obj.GetMeta(); m.Deleting && len(m.Finalizers) == 0 {
+		a.finalizeDelete(r)
 	}
 }
 
-// finalizeDelete removes the object and garbage-collects its children.
-func (a *APIServer) finalizeDelete(kind Kind, key string) {
-	s := a.store(kind)
-	obj, ok := s[key]
-	if !ok {
-		return
-	}
-	delete(s, key)
-	a.unown(obj.GetMeta())
+// finalizeDelete removes r's stored object and garbage-collects its
+// children.
+func (a *APIServer) finalizeDelete(r *record) {
+	obj := r.obj
+	m := obj.GetMeta()
+	t := a.table(m.Kind)
+	r.obj = nil
+	t.stored--
+	t.release(m.Key(), r)
+	a.unown(m)
 	a.notify(EventDeleted, obj)
-	a.collectOrphans(obj.GetMeta().UID)
+	a.collectOrphans(m.UID)
 }
 
 // collectOrphans deletes every object owned by the vanished UID, read from
@@ -690,15 +766,14 @@ func collectCall(arg any) {
 // commitRemoveFinalizer commits a version of the object without f and
 // completes a pending delete when the finalizer list drains.
 func (a *APIServer) commitRemoveFinalizer(kind Kind, namespace, name, f string) error {
-	obj, ok := a.store(kind)[namespace+"/"+name]
-	if !ok {
+	r := a.live(kind, namespace, name)
+	if r == nil {
 		return notFound(kind, namespace, name)
 	}
-	cp := obj.Clone()
-	m := cp.GetMeta()
-	m.removeFinalizer(f)
-	a.replace(obj, cp)
-	a.reapIfDrained(m)
+	cp := r.obj.Clone()
+	cp.GetMeta().removeFinalizer(f)
+	a.replace(r, cp)
+	a.reapIfDrained(r)
 	return nil
 }
 
@@ -706,12 +781,12 @@ func (a *APIServer) commitRemoveFinalizer(kind Kind, namespace, name, f string) 
 // when fn reports a change (status writes from node agents are modelled as
 // cheap: no request delay).
 func (a *APIServer) commitStatus(kind Kind, namespace, name string, fn func(Object) bool) error {
-	obj, ok := a.store(kind)[namespace+"/"+name]
-	if !ok {
+	r := a.live(kind, namespace, name)
+	if r == nil {
 		return notFound(kind, namespace, name)
 	}
-	if cp := obj.Clone(); fn(cp) {
-		a.replace(obj, cp)
+	if cp := r.obj.Clone(); fn(cp) {
+		a.replace(r, cp)
 	}
 	return nil
 }

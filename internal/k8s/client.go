@@ -68,30 +68,26 @@ type watchReg struct {
 	handler func(Event)
 }
 
-// cell is the cache entry of one key for as long as the key is cached: the
-// object map, the per-namespace view and every index bucket point at the
-// cell, so absorbing a new version of the object is one pointer store. Where
-// it is filed is not recorded: index functions are pure and obj immutable,
-// so they say it again when an update compares or a removal unfiles.
-type cell struct{ obj Object }
-
-// bucket is the set of cells filed under one value. Most values — a 1-pod
+// bucket is the set of records filed under one value. Most values — a 1-pod
 // job's pods, an owner's one child — file one object, so the first entry
-// sits in the bucket itself and m, object key -> cell, is made for the
-// second. c is nil while that slot is free, even beside a populated m.
+// sits in the bucket itself and m, object key -> record, is made for the
+// second. r is nil while that slot is free, even beside a populated m.
+// Where a record is filed is not recorded: index functions are pure and
+// objects immutable, so they say it again when an update compares or a
+// removal unfiles.
 type bucket struct {
-	c *cell
-	m map[string]*cell
+	r *record
+	m map[string]*record
 }
 
 func (b bucket) len() int {
-	if b.c == nil {
+	if b.r == nil {
 		return len(b.m)
 	}
 	return 1 + len(b.m)
 }
 
-// appendTo appends the bucket's objects to dst in key order.
+// appendTo appends the bucket's cached objects to dst in key order.
 func (b bucket) appendTo(dst []Object) []Object {
 	n := len(dst)
 	// Not slices.Grow: under the race detector its append-of-make idiom
@@ -99,13 +95,13 @@ func (b bucket) appendTo(dst []Object) []Object {
 	if need := n + b.len(); need > cap(dst) {
 		dst = append(make([]Object, 0, need), dst...)
 	}
-	if b.c != nil {
-		dst = append(dst, b.c.obj)
+	if b.r != nil {
+		dst = append(dst, b.r.cached)
 	}
-	for _, c := range b.m {
-		dst = append(dst, c.obj)
+	for _, r := range b.m {
+		dst = append(dst, r.cached)
 	}
-	slices.SortFunc(dst[n:], func(x, y Object) int { return strings.Compare(x.GetMeta().Key(), y.GetMeta().Key()) })
+	sortByKey(dst[n:])
 	return dst
 }
 
@@ -115,27 +111,27 @@ type informerIndex struct {
 	buckets map[IndexKey]bucket
 }
 
-// file adds c, the cell of key and not yet in it, to bucket v of m; unfile
-// takes it out again and drops the bucket with its last entry. The
-// per-namespace view and every index go through this pair, whether the cell
-// arrives by event, backfill or relist.
-func file(m map[IndexKey]bucket, v IndexKey, key string, c *cell) {
+// file adds r, the record of key and not yet in it, to bucket v of m;
+// unfile takes it out again and drops the bucket with its last entry. Every
+// index goes through this pair, whether the record arrives by event,
+// backfill or relist.
+func file(m map[IndexKey]bucket, v IndexKey, key string, r *record) {
 	b := m[v]
 	switch {
-	case b.c == nil:
-		b.c = c
+	case b.r == nil:
+		b.r = r
 	case b.m == nil:
-		b.m = map[string]*cell{key: c}
+		b.m = map[string]*record{key: r}
 	default:
-		b.m[key] = c
+		b.m[key] = r
 	}
 	m[v] = b
 }
 
-func unfile(m map[IndexKey]bucket, v IndexKey, key string, c *cell) {
+func unfile(m map[IndexKey]bucket, v IndexKey, key string, r *record) {
 	b := m[v]
-	if b.c == c {
-		b.c = nil
+	if b.r == r {
+		b.r = nil
 	} else {
 		delete(b.m, key)
 	}
@@ -145,20 +141,20 @@ func unfile(m map[IndexKey]bucket, v IndexKey, key string, c *cell) {
 }
 
 // Informer maintains a local cache of one kind, fed by the API server's
-// watch stream, plus named indexes over that cache. The cache lags the
-// store by at most the watch-delivery latency; event handlers registered
-// through Client.Watch run after the cache (and every index) has absorbed
-// the event, so a handler reading through a Lister always sees at least the
-// state that triggered it — the ordering real shared informers guarantee.
+// watch stream, plus named indexes over that cache. The cache is the cached
+// field of the kind's table records, written only here, in watch order: it
+// lags the store by at most the watch-delivery latency. Event handlers
+// registered through Client.Watch run after the cache (and every index) has
+// absorbed the event, so a handler reading through a Lister always sees at
+// least the state that triggered it — the ordering real shared informers
+// guarantee.
 type Informer struct {
-	api  *APIServer
-	kind Kind
-	objs map[string]*cell
-	// byNS is the per-namespace view: the cells under {namespace, ""}.
-	byNS     map[IndexKey]bucket
+	api      *APIServer
+	kind     Kind
+	t        *table
 	indexes  []*informerIndex
 	handlers []*watchReg
-	// changes counts the mutations of the cache (apply, remove, relist),
+	// changes counts the mutations of the cache (set, relist),
 	// from 1 so that no state of the cache equals a zero mark: what
 	// Lister.Unchanged compares.
 	changes uint64
@@ -183,7 +179,12 @@ type Informer struct {
 }
 
 func newInformer(api *APIServer, kind Kind) *Informer {
-	inf := &Informer{api: api, kind: kind, changes: 1}
+	t := api.table(kind)
+	if t.informed {
+		panic(fmt.Sprintf("k8s: a second informer for %s: its records have one cached slot", kind))
+	}
+	t.informed = true
+	inf := &Informer{api: api, kind: kind, t: t, changes: 1}
 	// Initial LIST: seed the cache from the store synchronously so an
 	// informer created after objects already exist starts warm.
 	inf.load()
@@ -191,23 +192,17 @@ func newInformer(api *APIServer, kind Kind) *Informer {
 	return inf
 }
 
-// load replaces the cache with the store's current content — the initial
-// LIST and the relist — and returns the cells it replaced. Nothing runs
-// between the first store and the last (index functions are pure), so no
-// handler or lister sees the cache half-built.
-func (inf *Informer) load() (old map[string]*cell) {
-	old = inf.objs
-	store := inf.api.store(inf.kind)
-	inf.objs = make(map[string]*cell, len(store))
-	inf.byNS = make(map[IndexKey]bucket)
-	for _, ix := range inf.indexes {
-		ix.buckets = make(map[IndexKey]bucket)
-	}
-	for key, obj := range store {
-		inf.apply(key, obj)
+// load brings every record's cached version up to the committed one — the
+// initial LIST and the relist — which drops the records of keys the store
+// has deleted. Nothing runs between the first record and the last (index
+// functions are pure), so no handler or lister sees the cache half-loaded.
+func (inf *Informer) load() {
+	for key, r := range inf.t.recs {
+		if r.cached != r.obj {
+			inf.set(key, r, r.obj)
+		}
 	}
 	inf.lastSeq = inf.api.kindSeq[inf.kind]
-	return old
 }
 
 // AddIndex registers (idempotently) a named index and backfills it from the
@@ -221,9 +216,12 @@ func (inf *Informer) AddIndex(name string, fn IndexFunc) {
 	}
 	ix := &informerIndex{name: name, fn: fn, buckets: make(map[IndexKey]bucket)}
 	inf.indexes = append(inf.indexes, ix)
-	for key, c := range inf.objs {
-		if v := fn(c.obj); v != (IndexKey{}) {
-			file(ix.buckets, v, key, c)
+	for key, r := range inf.t.recs {
+		if r.cached == nil {
+			continue
+		}
+		if v := fn(r.cached); v != (IndexKey{}) {
+			file(ix.buckets, v, key, r)
 		}
 	}
 }
@@ -241,50 +239,41 @@ func (inf *Informer) index(name string) *informerIndex {
 // Lister returns the read view over this informer's cache.
 func (inf *Informer) Lister() Lister { return Lister{inf: inf} }
 
-// apply absorbs obj as the current version of key. On a key already cached
-// that is one lookup and one pointer store; an index is touched only when
-// the object's value in it changed (a pod's job and an object's owner
-// almost never do).
-func (inf *Informer) apply(key string, obj Object) {
+// set makes obj the cached version of key, whose record is r; a nil obj
+// uncaches a cached key. On a key already cached
+// that is one pointer store; an index is touched only when the object's
+// value in it changed (a pod's job and an object's owner almost never do).
+// A record neither side holds any longer is released.
+func (inf *Informer) set(key string, r *record, obj Object) {
 	inf.changes++
-	c := inf.objs[key]
-	if c == nil {
-		c = &cell{}
-		inf.objs[key] = c
-		file(inf.byNS, IndexKey{Namespace: obj.GetMeta().Namespace}, key, c)
+	old := r.cached
+	r.cached = obj
+	switch {
+	case old == nil:
+		inf.t.cached++
+	case obj == nil:
+		inf.t.cached--
 	}
-	old := c.obj
-	c.obj = obj
 	for _, ix := range inf.indexes {
-		var was IndexKey
+		var was, v IndexKey
 		if old != nil {
 			was = ix.fn(old)
 		}
-		v := ix.fn(obj)
+		if obj != nil {
+			v = ix.fn(obj)
+		}
 		if v == was {
 			continue
 		}
 		if was != (IndexKey{}) {
-			unfile(ix.buckets, was, key, c)
+			unfile(ix.buckets, was, key, r)
 		}
 		if v != (IndexKey{}) {
-			file(ix.buckets, v, key, c)
+			file(ix.buckets, v, key, r)
 		}
 	}
-}
-
-func (inf *Informer) remove(key string) {
-	c := inf.objs[key]
-	if c == nil {
-		return
-	}
-	inf.changes++
-	delete(inf.objs, key)
-	unfile(inf.byNS, IndexKey{Namespace: c.obj.GetMeta().Namespace}, key, c)
-	for _, ix := range inf.indexes {
-		if v := ix.fn(c.obj); v != (IndexKey{}) {
-			unfile(ix.buckets, v, key, c)
-		}
+	if obj == nil {
+		inf.t.release(key, r)
 	}
 }
 
@@ -299,11 +288,15 @@ func (inf *Informer) onEvent(ev Event) {
 	}
 	inf.lastSeq = ev.Seq
 	key := ev.Object.GetMeta().Key()
-	switch ev.Type {
-	case EventDeleted:
-		inf.remove(key)
-	default:
-		inf.apply(key, ev.Object)
+	r := inf.t.recs[key]
+	switch {
+	case ev.Type != EventDeleted:
+		if r == nil { // the store deleted the key before this event arrived
+			r = inf.t.add(key)
+		}
+		inf.set(key, r, ev.Object)
+	case r != nil && r.cached != nil:
+		inf.set(key, r, nil)
 	}
 	inf.dispatch(ev)
 }
@@ -318,12 +311,11 @@ func (inf *Informer) dispatch(ev Event) {
 	}
 }
 
-// relist rebuilds the cache from a fresh store snapshot and replays the
-// diff to handlers — the informer resync path behind a broken or stalled
-// watch. The new cache (objects, per-namespace view, every index) is
-// complete before any handler runs, so handlers and listers never observe a
-// half-updated view; the replayed events then re-deliver the missed changes
-// in sorted key order.
+// relist brings the cache up to the store and replays the diff to handlers
+// — the informer resync path behind a broken or stalled watch. The whole
+// cache (every record, every index) is current before any handler runs, so
+// handlers and listers never observe a half-updated view; the replayed
+// events then re-deliver the missed changes in sorted key order.
 func (inf *Informer) relist() {
 	inf.relists++
 	if inf.upstream.broken {
@@ -334,34 +326,35 @@ func (inf *Informer) relist() {
 			inf.maxStaleness = d
 		}
 	}
-	old := inf.load()
-	objs, horizon := inf.objs, inf.lastSeq
+	// The diff, from the versions the cache held: a key whose cached version
+	// is not the stored one.
+	type change struct {
+		key     string
+		was, is Object
+	}
+	var diff []change
+	for key, r := range inf.t.recs {
+		if r.cached != r.obj {
+			diff = append(diff, change{key, r.cached, r.obj})
+		}
+	}
+	slices.SortFunc(diff, func(x, y change) int { return strings.Compare(x.key, y.key) })
+	inf.load()
+	horizon := inf.lastSeq
 	inf.changes++
 	inf.probeSeq = horizon
 	inf.stale = false
 	inf.hasGap = false
 
-	// Replay: synthesize the diff between the old cache and the snapshot.
-	keys := make([]string, 0, len(old)+len(objs))
-	for k := range old {
-		keys = append(keys, k)
-	}
-	for k := range objs {
-		if _, dup := old[k]; !dup {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		was, is := old[key], objs[key]
+	for _, d := range diff {
+		ev := Event{Type: EventModified, Object: d.is, Seq: horizon}
 		switch {
-		case is == nil:
-			inf.dispatch(Event{Type: EventDeleted, Object: was.obj, Seq: horizon})
-		case was == nil:
-			inf.dispatch(Event{Type: EventAdded, Object: is.obj, Seq: horizon})
-		case was.obj.GetMeta().ResourceVersion != is.obj.GetMeta().ResourceVersion:
-			inf.dispatch(Event{Type: EventModified, Object: is.obj, Seq: horizon})
+		case d.is == nil:
+			ev.Type, ev.Object = EventDeleted, d.was
+		case d.was == nil:
+			ev.Type = EventAdded
 		}
+		inf.dispatch(ev)
 	}
 }
 
@@ -384,19 +377,17 @@ type Lister struct {
 // Get returns the cached object, if present.
 func (l Lister) Get(namespace, name string) (Object, bool) {
 	l.inf.noteRead()
-	if c := l.inf.objs[namespace+"/"+name]; c != nil {
-		return c.obj, true
+	if r := l.inf.t.recs[namespace+"/"+name]; r != nil && r.cached != nil {
+		return r.cached, true
 	}
 	return nil, false
 }
 
-// List returns the cached objects of the namespace ("" = all) in key order.
+// List returns the cached objects of the namespace ("" = all) in key order:
+// a filtered read of the whole kind, for cold paths.
 func (l Lister) List(namespace string) []Object {
 	l.inf.noteRead()
-	if namespace == "" {
-		return bucket{m: l.inf.objs}.appendTo(nil)
-	}
-	return l.inf.byNS[IndexKey{Namespace: namespace}].appendTo(nil)
+	return l.inf.t.list(namespace, true)
 }
 
 // AppendByIndex appends to dst the cached objects filed under key in the
@@ -826,31 +817,30 @@ func (c *Client) probeTick() {
 // CommitRecorder's to catch: cache and store share them.)
 func (c *Client) VerifyCaches() error {
 	for _, kind := range c.sortedKinds() {
-		inf := c.informers[kind]
-		store := c.api.store(kind)
-		if len(inf.objs) != len(store) {
-			return fmt.Errorf("k8s: %s cache has %d objects, store has %d",
-				kind, len(inf.objs), len(store))
+		t := c.informers[kind].t
+		if t.cached != t.stored {
+			return fmt.Errorf("k8s: %s cache has %d objects, store has %d", kind, t.cached, t.stored)
 		}
-		keys := make([]string, 0, len(store))
-		for k := range store {
-			keys = append(keys, k)
+		key := "" // the first key, in order, whose cached version is not the stored one
+		for k, r := range t.recs {
+			if r.cached != r.obj && (key == "" || k < key) {
+				key = k
+			}
 		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			c := inf.objs[key]
-			if c == nil {
-				return fmt.Errorf("k8s: %s cache missing %s", kind, key)
-			}
-			cached := c.obj
-			crv, srv := cached.GetMeta().ResourceVersion, store[key].GetMeta().ResourceVersion
-			if crv != srv {
-				return fmt.Errorf("k8s: %s cache stale at %s (cached rv %d, stored %d)",
-					kind, key, crv, srv)
-			}
-			if cached != store[key] {
-				return fmt.Errorf("k8s: %s cache entry %s is not the store's object (equal rv %d)", kind, key, crv)
-			}
+		if key == "" {
+			continue
+		}
+		switch r := t.recs[key]; {
+		case r.cached == nil:
+			return fmt.Errorf("k8s: %s cache missing %s", kind, key)
+		case r.obj == nil:
+			return fmt.Errorf("k8s: %s cache keeps deleted %s", kind, key)
+		case r.cached.GetMeta().ResourceVersion != r.obj.GetMeta().ResourceVersion:
+			return fmt.Errorf("k8s: %s cache stale at %s (cached rv %d, stored %d)",
+				kind, key, r.cached.GetMeta().ResourceVersion, r.obj.GetMeta().ResourceVersion)
+		default:
+			return fmt.Errorf("k8s: %s cache entry %s is not the store's object (equal rv %d)",
+				kind, key, r.obj.GetMeta().ResourceVersion)
 		}
 	}
 	return nil

@@ -1,10 +1,6 @@
 package k8s
 
-import (
-	"fmt"
-
-	"github.com/caps-sim/shs-k8s/internal/sim"
-)
+import "github.com/caps-sim/shs-k8s/internal/sim"
 
 // ClusterConfig assembles a whole control plane.
 type ClusterConfig struct {
@@ -92,9 +88,8 @@ func (c *Cluster) Job(namespace, name string) (*Job, bool) {
 func (c *Cluster) ActiveJobs() int {
 	c.jobs.noteRead()
 	n := 0
-	for _, cell := range c.jobs.objs {
-		job := cell.obj.(*Job)
-		if !job.Status.Completed && job.Status.Active > 0 {
+	for _, r := range c.jobs.t.recs {
+		if job, ok := r.cached.(*Job); ok && !job.Status.Completed && job.Status.Active > 0 {
 			n++
 		}
 	}
@@ -121,12 +116,4 @@ func EchoJob(namespace, name string, annotations map[string]string) *Job {
 			DeleteAfterFinished: true,
 		},
 	}
-}
-
-var jobSeq int
-
-// UniqueJobName returns process-unique job names for the harness.
-func UniqueJobName(prefix string) string {
-	jobSeq++
-	return fmt.Sprintf("%s-%05d", prefix, jobSeq)
 }

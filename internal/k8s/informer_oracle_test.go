@@ -38,13 +38,20 @@ func scanIndex(store map[string]Object, keys []string, fn IndexFunc, v IndexKey)
 // checkInformerAgainstStore recomputes every read the lister serves from
 // the store alone — Get, List, ByIndex and IndexCount for every value ever
 // used, in key order — and compares; then the shape of the cache itself:
-// no bucket without an entry, none for the unfiled value, and every bucket
-// well formed (checkBucket).
+// the kind's table (checkTable), no bucket without an entry, none for the
+// unfiled value, and every bucket well formed (checkBucket). The informer
+// must have converged: every step drains the engine.
 func checkInformerAgainstStore(t *testing.T, when string, api *APIServer, kind Kind, namespaces, names []string, indexes []*oracleIndex) {
 	t.Helper()
 	inf := api.Client().Informer(kind)
 	l := inf.Lister()
-	store := api.store(kind)
+	checkTable(t, when, kind, inf.t)
+	store := make(map[string]Object)
+	for k, r := range inf.t.recs {
+		if r.obj != nil {
+			store[k] = r.obj
+		}
+	}
 	keys := make([]string, 0, len(store))
 	for k := range store {
 		keys = append(keys, k)
@@ -72,12 +79,6 @@ func checkInformerAgainstStore(t *testing.T, when string, api *APIServer, kind K
 				t.Fatalf("%s: %s Get(%s/%s) = %v, %v; store holds %v, %v", when, kind, ns, name, got, ok, want, stored)
 			}
 		}
-	}
-	if len(inf.byNS) != len(byNS) {
-		t.Fatalf("%s: %s cache keeps %d namespace views, %d namespaces hold objects", when, kind, len(inf.byNS), len(byNS))
-	}
-	for v, b := range inf.byNS {
-		checkBucket(t, when, inf, "namespace view", v, b)
 	}
 
 	for _, ix := range indexes {
@@ -109,31 +110,63 @@ func checkInformerAgainstStore(t *testing.T, when string, api *APIServer, kind K
 	}
 }
 
+// checkTable holds a converged kind's table to its lifecycle: every record
+// is held by the store or the informer (none leaked), the counts are the
+// records' and the informer caches as many objects as the store holds, and
+// no record on the free list holds an object.
+func checkTable(t *testing.T, when string, kind Kind, tab *table) {
+	t.Helper()
+	stored, cached := 0, 0
+	for key, r := range tab.recs {
+		if r.obj == nil && r.cached == nil {
+			t.Fatalf("%s: %s record %s is held by neither the store nor the informer", when, kind, key)
+		}
+		if r.obj != nil {
+			stored++
+		}
+		if r.cached != nil {
+			cached++
+		}
+	}
+	if stored != tab.stored || cached != tab.cached {
+		t.Fatalf("%s: %s table counts %d stored, %d cached; its records hold %d, %d", when, kind, tab.stored, tab.cached, stored, cached)
+	}
+	if cached != stored {
+		t.Fatalf("%s: %s informer caches %d objects after the drain, the store holds %d", when, kind, cached, stored)
+	}
+	for _, r := range tab.free {
+		if r.obj != nil || r.cached != nil {
+			t.Fatalf("%s: %s free list holds a record with an object: %+v", when, kind, *r)
+		}
+	}
+}
+
 // checkBucket holds one bucket to its representation: it is not empty, the
-// inline entry and every map entry is the informer's cell of the key it is
-// filed under, and no key is filed twice.
+// inline entry and every map entry is the table's record of the key it is
+// filed under and caches an object, and no key is filed twice.
 func checkBucket(t *testing.T, when string, inf *Informer, where string, v IndexKey, b bucket) {
 	t.Helper()
 	if b.len() == 0 {
 		t.Fatalf("%s: %s %s keeps an empty bucket for %q", when, inf.kind, where, v)
 	}
-	if b.c != nil && inf.objs[b.c.obj.GetMeta().Key()] != b.c {
-		t.Fatalf("%s: %s %s %q: the inline entry is not the cell of %s", when, inf.kind, where, v, b.c.obj.GetMeta().Key())
+	if b.r != nil && (b.r.cached == nil || inf.t.recs[b.r.cached.GetMeta().Key()] != b.r) {
+		t.Fatalf("%s: %s %s %q: the inline entry is not a cached key's record", when, inf.kind, where, v)
 	}
-	for key, c := range b.m {
-		if c == nil || inf.objs[key] != c || c == b.c {
-			t.Fatalf("%s: %s %s %q: map entry %q is not that key's cell, or is the inline entry again", when, inf.kind, where, v, key)
+	for key, r := range b.m {
+		if r == nil || r.cached == nil || inf.t.recs[key] != r || r == b.r {
+			t.Fatalf("%s: %s %s %q: map entry %q is not that cached key's record, or is the inline entry again", when, inf.kind, where, v, key)
 		}
 	}
 }
 
-// TestInformerMatchesStoreScan is the oracle for the informer's cells and
-// index buckets: seeded random creates, status updates, relabels (the
-// object moves buckets), re-parentings, label removals (unfiled), deletes,
-// recreations under the same name, owner garbage collection and broken
-// watches repaired by relist, over pods, jobs and an owner-indexed custom
-// kind. After every drained step each lister read must equal its
-// recomputation from the store by scan.
+// TestInformerMatchesStoreScan is the oracle for the informer's side of the
+// table records and its index buckets: seeded random creates, status
+// updates, relabels (the object moves buckets), re-parentings, label
+// removals (unfiled), deletes, recreations under the same name, owner
+// garbage collection and broken watches repaired by relist, over pods, jobs
+// and an owner-indexed custom kind. After every drained step each lister
+// read must equal its recomputation from the store by scan, and no record
+// may be leaked.
 func TestInformerMatchesStoreScan(t *testing.T) {
 	const steps = 5000
 	namespaces := []string{"a", "b"}
@@ -277,8 +310,10 @@ func TestInformerMatchesStoreScan(t *testing.T) {
 // bucket through every shape a bucket takes — empty, one inline entry, an
 // inline entry beside a map, a map beside a free inline slot, and back —
 // with the store-scan oracle after each step: two pods of one job, the
-// delete of the inline entry and of a map entry, a re-parenting, a relist.
-// The same job name in a second namespace is another value of the pair.
+// delete of the inline entry and of a map entry, a re-parenting, a relist,
+// and a key deleted and re-created, or created and deleted, inside the
+// watch lag. The same job name in a second namespace is another value of
+// the pair. Every handler sees its event's object through the lister.
 func TestIndexBucketTransitions(t *testing.T) {
 	eng, api := newTestAPI()
 	cli := api.Client()
@@ -290,6 +325,12 @@ func TestIndexBucketTransitions(t *testing.T) {
 	for _, ix := range indexes {
 		inf.AddIndex(ix.name, ix.fn)
 	}
+	cli.Watch(KindPod, WatchOptions{}, func(ev Event) {
+		m := ev.Object.GetMeta()
+		if got, ok := inf.Lister().Get(m.Namespace, m.Name); ok != (ev.Type != EventDeleted) || ok && got != ev.Object {
+			t.Errorf("%s %s rv %d: the lister reads %v, %v", ev.Type, m.Key(), m.ResourceVersion, got, ok)
+		}
+	})
 	job := IndexKey{"a", "j"}
 	step := func(what string, wantJob int, do func()) {
 		t.Helper()
@@ -300,11 +341,12 @@ func TestIndexBucketTransitions(t *testing.T) {
 			t.Fatalf("%s: %d pods filed under %v, want %d", what, got, job, wantJob)
 		}
 	}
+	pod := func(ns, name string, owner UID) *Pod {
+		return &Pod{Meta: Meta{Kind: KindPod, Namespace: ns, Name: name,
+			Labels: map[string]string{"job-name": "j"}, OwnerUID: owner}}
+	}
 	create := func(ns, name string, owner UID) func() {
-		return func() {
-			cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: ns, Name: name,
-				Labels: map[string]string{"job-name": "j"}, OwnerUID: owner}}, nil)
-		}
+		return func() { cli.Create(pod(ns, name, owner), nil) }
 	}
 	del := func(name string) func() { return func() { cli.Delete(KindPod, "a", name, nil) } }
 
@@ -324,6 +366,30 @@ func TestIndexBucketTransitions(t *testing.T) {
 		eng.Run()
 		inf.relist()
 	})
+	// Two lifecycles inside the watch lag: each done runs at its commit,
+	// before the informer hears of it.
+	step("deleted and re-created: one record throughout", 3, func() {
+		r := inf.t.recs["a/p3"]
+		cli.Delete(KindPod, "a", "p3", func(error) {
+			if r.obj != nil || r.cached == nil || inf.t.recs["a/p3"] != r {
+				t.Error("the store's delete dropped a record the informer still caches")
+			}
+			cli.Create(pod("a", "p3", "u1"), func(error) {
+				if inf.t.recs["a/p3"] != r || r.obj == nil || r.cached == nil || r.obj == r.cached {
+					t.Error("the re-create did not take the cached key's record")
+				}
+			})
+		})
+	})
+	step("created and deleted: the ADDED makes a record again", 3, func() {
+		cli.Create(pod("a", "p4", "u1"), func(error) {
+			cli.Delete(KindPod, "a", "p4", func(error) {
+				if _, held := inf.t.recs["a/p4"]; held {
+					t.Error("a key neither the store nor the informer holds kept its record")
+				}
+			})
+		})
+	})
 	step("3→2", 2, del("p3"))
 	step("2→1", 1, del("p2"))
 	step("1→0: the bucket is dropped", 0, del("p0"))
@@ -342,15 +408,16 @@ func TestInformerUpdateTouchesNoMap(t *testing.T) {
 		Labels: map[string]string{"job-name": "j"}, OwnerUID: "uid-of-j"}}
 	mustCreate(t, eng, api, pod)
 
-	c := inf.objs[pod.Meta.Key()]
+	key := pod.Meta.Key()
+	r := inf.t.recs[key]
 	next := pod.Clone()
-	if allocs := testing.AllocsPerRun(100, func() { inf.apply(pod.Meta.Key(), next) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { inf.set(key, r, next) }); allocs != 0 {
 		t.Errorf("absorbing an update allocates %v objects, want 0", allocs)
 	}
-	if inf.objs[pod.Meta.Key()] != c || c.obj != next {
-		t.Error("the update replaced the cell instead of storing into it")
+	if inf.t.recs[key] != r || r.cached != next || r.obj != Object(pod) {
+		t.Error("the update replaced the record, or wrote another field than cached")
 	}
-	if got := inf.index(IndexPodJob).buckets[IndexKey{"ns", "j"}]; got.c != c || got.m != nil {
+	if got := inf.index(IndexPodJob).buckets[IndexKey{"ns", "j"}]; got.r != r || got.m != nil {
 		t.Errorf("the update re-filed the pod: its job bucket is %+v", got)
 	}
 }

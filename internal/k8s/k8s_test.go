@@ -2,6 +2,7 @@ package k8s
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -149,7 +150,7 @@ func TestCommittedObjectsAreShared(t *testing.T) {
 	cached, _ := lister.Get("ns", "j")
 	listed := api.List(KindJob, "ns")
 	for name, obj := range map[string]Object{"second Get": again, "lister": cached,
-		"watch delivery": delivered, "List": listed[0], "store": api.store(KindJob)["ns/j"]} {
+		"watch delivery": delivered, "List": listed[0], "store": api.table(KindJob).recs["ns/j"].obj} {
 		if obj != got {
 			t.Errorf("%s handed out %p, Get %p: a committed object is one pointer", name, obj, got)
 		}
@@ -336,7 +337,7 @@ func TestSchedulerSkipsDeletedPods(t *testing.T) {
 func TestActiveJobsCount(t *testing.T) {
 	c, _ := newTestCluster(t, quietConfig())
 	for i := 0; i < 3; i++ {
-		job := EchoJob("default", UniqueJobName("act"), nil)
+		job := EchoJob("default", fmt.Sprintf("act-%d", i), nil)
 		job.Spec.Template.RunDuration = 10 * time.Second
 		job.Spec.DeleteAfterFinished = false
 		c.SubmitJob(job)
@@ -430,7 +431,7 @@ func TestBurstAdmissionLagsSubmission(t *testing.T) {
 	c, _ := newTestCluster(t, quietConfig())
 	const n = 40
 	for i := 0; i < n; i++ {
-		job := EchoJob("default", UniqueJobName("burst"), nil)
+		job := EchoJob("default", fmt.Sprintf("burst-%d", i), nil)
 		job.Spec.DeleteAfterFinished = false
 		c.SubmitJob(job)
 	}
@@ -509,7 +510,7 @@ func TestMultipleJobsInterleave(t *testing.T) {
 	c, _ := newTestCluster(t, quietConfig())
 	const n = 10
 	for i := 0; i < n; i++ {
-		job := EchoJob("default", UniqueJobName("multi"), nil)
+		job := EchoJob("default", fmt.Sprintf("multi-%d", i), nil)
 		job.Spec.DeleteAfterFinished = false
 		c.SubmitJob(job)
 	}

@@ -16,8 +16,8 @@ import (
 // collectOrphans ran before the index existed, with its sort.
 func scanOrphans(a *APIServer, owner UID) []ownedRef {
 	var orphans []ownedRef
-	for kind, s := range a.stores {
-		for _, obj := range s {
+	for kind, t := range a.tables {
+		for _, obj := range t.list("", false) {
 			if m := obj.GetMeta(); m.OwnerUID == owner {
 				orphans = append(orphans, ownedRef{kind, m.Namespace, m.Name})
 			}
@@ -58,8 +58,8 @@ type storeState struct {
 
 func snapshotStore(a *APIServer) map[ownedRef]storeState {
 	out := make(map[ownedRef]storeState)
-	for kind, s := range a.stores {
-		for _, obj := range s {
+	for kind, t := range a.tables {
+		for _, obj := range t.list("", false) {
 			m := obj.GetMeta()
 			out[ownedRef{kind, m.Namespace, m.Name}] = storeState{m.UID, m.Deleting}
 		}

@@ -38,7 +38,7 @@ func (c *Client) RecordCommits() *CommitRecorder {
 }
 
 func (r *CommitRecorder) attach(inf *Informer) {
-	for _, obj := range (bucket{m: inf.objs}).appendTo(nil) {
+	for _, obj := range inf.t.list("", true) {
 		r.record(obj)
 	}
 	first := &watchReg{handler: func(ev Event) { r.record(ev.Object) }}

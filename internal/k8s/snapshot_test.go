@@ -140,7 +140,7 @@ func TestPatchEditsAClone(t *testing.T) {
 
 	next, _ := cli.Get(KindJob, "ns", "j")
 	cached, _ := lister.Get("ns", "j")
-	for name, obj := range map[string]Object{"next Get": next, "informer cache": cached, "store": api.store(KindJob)["ns/j"]} {
+	for name, obj := range map[string]Object{"next Get": next, "informer cache": cached, "store": api.table(KindJob).recs["ns/j"].obj} {
 		if obj != edited {
 			t.Errorf("%s holds %p, the patch committed %p", name, obj, edited)
 		}

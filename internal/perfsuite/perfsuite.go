@@ -8,6 +8,7 @@
 package perfsuite
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -254,7 +255,7 @@ func SchedulerPlacement(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		job := k8s.EchoJob("bench", k8s.UniqueJobName("place"), nil)
+		job := k8s.EchoJob("bench", fmt.Sprintf("place-%05d", i), nil)
 		job.Spec.Template.RunDuration = time.Hour
 		job.Spec.DeleteAfterFinished = false
 		st.Cluster.SubmitJob(job)

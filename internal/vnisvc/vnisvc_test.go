@@ -471,8 +471,10 @@ func TestDecoratorsForgetFinishedJobs(t *testing.T) {
 // resyncRoundAllocBudget is what one idempotent webhook round may allocate:
 // Resync's parent listing — and no timer closure, children slice, Clone,
 // database key or transaction, child, spec map, formatted VNI or write.
-// Measured 1 (2 while each transaction allocated its Tx, 7 before the round
-// read into its own scratch and handed the webhook the committed children).
+// Measured 1 with go1.24's swiss maps and 1 with go1.22's map
+// implementation (GOEXPERIMENT=noswissmap); 2 while each transaction
+// allocated its Tx, 7 before the round read into its own scratch and handed
+// the webhook the committed children.
 const resyncRoundAllocBudget = 1
 
 // TestResyncEchoesMatchingChild drives the three kinds of parent — a job
