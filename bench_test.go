@@ -524,10 +524,9 @@ func runControlPlane(jobs int) (simSeconds float64, err error) {
 // implementation (GOEXPERIMENT=noswissmap on go1.24) — plus ~2 %. Before
 // the informer's cache became a field of the store's one record per key,
 // with no cell, second map or per-namespace view, the same run allocated
-// 59.6 per job (59.2); before the
-// kubelet's pod worker, the controllers' work loops, the decorator's round
-// and the VNI database's transactions carried their steps in recycled
-// records, the same run allocated 85.5 per job; before a pod's
+// 59.6 per job (59.2); before the kubelet's pod worker, the controllers'
+// work loops, the decorator's round and the VNI database's transactions
+// carried their steps in recycled records, 85.5; before a pod's
 // sandbox, CNI chain and plugin steps became recycled records, with no
 // Result clone per plugin and no ID maps per user namespace, 104.6; before
 // writes took their request records from the client's free list and Create

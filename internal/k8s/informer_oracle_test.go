@@ -421,3 +421,16 @@ func TestInformerUpdateTouchesNoMap(t *testing.T) {
 		t.Errorf("the update re-filed the pod: its job bucket is %+v", got)
 	}
 }
+
+// TestOneInformerPerKind: a record has one cached slot, so a second
+// informer on a kind would write the first one's cache; making one panics.
+func TestOneInformerPerKind(t *testing.T) {
+	_, api := newTestAPI()
+	api.Client().Informer(KindPod)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second informer for Pod was made")
+		}
+	}()
+	newInformer(api, KindPod)
+}

@@ -103,8 +103,9 @@ func TestRecorderNamesTheWrittenObject(t *testing.T) {
 
 // TestStatusCommitAllocations guards what one status commit costs with one
 // informer and three handlers on the kind: the Clone it commits. The request
-// and the delivery record are recycled, the informer cell stays, and none of
-// it is a map, whatever the object's annotations, labels and finalizers hold.
+// and the delivery record are recycled, the key's table record stays, and
+// none of it is a map, whatever the object's annotations, labels and
+// finalizers hold.
 func TestStatusCommitAllocations(t *testing.T) {
 	eng, api := newTestAPI()
 	cli := api.Client()
