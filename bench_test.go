@@ -1,20 +1,16 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§IV), plus ablations for the design choices called out in DESIGN.md §5.
-//
-// Each figure benchmark executes the corresponding harness experiment and,
-// on the first iteration, prints the figure's data rows (the same series
-// the paper plots) so `go test -bench . | tee bench_output.txt` records a
-// full paper-vs-measured artefact. Headline numbers are also exported as
-// custom benchmark metrics.
+// Ablations for the design choices called out in DESIGN.md §5,
+// micro-benchmarks of hot control-plane paths, the control-plane
+// fleet-scale benchmarks and the allocation-budget gates of the admission
+// pipeline. The paper's tables and figures are printed by cmd/shsbench
+// (`shsbench -exp <name>`); their claims are asserted across seeds by
+// internal/harness's TestPaperClaims.
 package shsk8s
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -24,7 +20,6 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/libcxi"
 	"github.com/caps-sim/shs-k8s/internal/nsmodel"
-	"github.com/caps-sim/shs-k8s/internal/perfsuite"
 	"github.com/caps-sim/shs-k8s/internal/scenario"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 	"github.com/caps-sim/shs-k8s/internal/stack"
@@ -56,151 +51,6 @@ func TestScenarioQuickstartSmoke(t *testing.T) {
 	}
 	if !reflect.DeepEqual(results[0].Asserts, results[1].Asserts) {
 		t.Errorf("runs differ:\n%v\n%v", results[0].Asserts, results[1].Asserts)
-	}
-}
-
-var printOnce sync.Map
-
-// printFigure emits the figure's table exactly once per benchmark name.
-func printFigure(name string, render func()) {
-	if _, loaded := printOnce.LoadOrStore(name, true); loaded {
-		return
-	}
-	fmt.Fprintf(os.Stdout, "\n===== %s =====\n", name)
-	render()
-	fmt.Fprintln(os.Stdout)
-}
-
-// benchRuns trades repetitions for benchmark wall time; EXPERIMENTS.md
-// records a full-fidelity run with the paper's repetition counts.
-const benchRuns = 3
-
-// BenchmarkTable1_Versions regenerates Table I (software inventory).
-func BenchmarkTable1_Versions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		printFigure("Table I: Software versions", func() {
-			harness.RenderTable1(os.Stdout)
-		})
-		_ = harness.Table1()
-	}
-}
-
-func commFigure(b *testing.B, kind harness.BenchKind, seed int64) *harness.CommFigure {
-	b.Helper()
-	fig, err := harness.RunCommFigure(kind, benchRuns, seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return fig
-}
-
-// BenchmarkFig5_OsuBw regenerates Figure 5: average throughput via osu_bw
-// for vni:true, vni:false and host.
-func BenchmarkFig5_OsuBw(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := commFigure(b, harness.BenchBw, 1)
-		printFigure("Figure 5: Average Throughput via osu_bw", func() {
-			harness.RenderCommValues(os.Stdout, fig, "MB/s")
-		})
-		b.ReportMetric(fig.MaxAbsOverheadPct(harness.ModeVNITrue), "maxovh%")
-	}
-}
-
-// BenchmarkFig6_BwOverhead regenerates Figure 6: throughput overhead with
-// p10/p90 bands; the paper's claim is overhead within 1%.
-func BenchmarkFig6_BwOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := commFigure(b, harness.BenchBw, 101)
-		printFigure("Figure 6: Average Throughput Overhead via osu_bw", func() {
-			harness.RenderCommOverhead(os.Stdout, fig)
-		})
-		b.ReportMetric(fig.MaxAbsOverheadPct(harness.ModeVNITrue), "vnitrue_maxovh%")
-		b.ReportMetric(fig.MaxAbsOverheadPct(harness.ModeVNIFalse), "vnifalse_maxovh%")
-	}
-}
-
-// BenchmarkFig7_OsuLatency regenerates Figure 7: average latency via
-// osu_latency.
-func BenchmarkFig7_OsuLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := commFigure(b, harness.BenchLatency, 2)
-		printFigure("Figure 7: Average Latency via osu_latency", func() {
-			harness.RenderCommValues(os.Stdout, fig, "us")
-		})
-		b.ReportMetric(fig.MaxAbsOverheadPct(harness.ModeVNITrue), "maxovh%")
-	}
-}
-
-// BenchmarkFig8_LatencyOverhead regenerates Figure 8: latency overhead with
-// p10/p90 bands.
-func BenchmarkFig8_LatencyOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := commFigure(b, harness.BenchLatency, 202)
-		printFigure("Figure 8: Average Latency Overhead via osu_latency", func() {
-			harness.RenderCommOverhead(os.Stdout, fig)
-		})
-		b.ReportMetric(fig.MaxAbsOverheadPct(harness.ModeVNITrue), "vnitrue_maxovh%")
-	}
-}
-
-func admissionFigure(b *testing.B, p harness.LoadPattern, seed int64) *harness.AdmissionFigure {
-	b.Helper()
-	fig, err := harness.RunAdmissionFigure(p, benchRuns, seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return fig
-}
-
-// BenchmarkFig9_RampRunningJobs regenerates Figure 9: running jobs over
-// time during the ramp test.
-func BenchmarkFig9_RampRunningJobs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := admissionFigure(b, harness.PatternRamp, 3)
-		printFigure("Figure 9: Running Jobs during Ramp Test", func() {
-			harness.RenderRunningJobs(os.Stdout, fig)
-		})
-		b.ReportMetric(fig.MedianOverheadPct(), "medianovh%")
-	}
-}
-
-// BenchmarkFig10_RampAdmissionDelay regenerates Figure 10: admission delay
-// per submission batch.
-func BenchmarkFig10_RampAdmissionDelay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := admissionFigure(b, harness.PatternRamp, 303)
-		printFigure("Figure 10: Job Admission Delay per Batch (Ramp)", func() {
-			harness.RenderAdmissionDelayPerBatch(os.Stdout, fig)
-		})
-		b.ReportMetric(fig.MedianOverheadPct(), "medianovh%")
-	}
-}
-
-// BenchmarkFig11_SpikeRunningJobs regenerates Figure 11: running jobs over
-// time during the 500-job spike test.
-func BenchmarkFig11_SpikeRunningJobs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := admissionFigure(b, harness.PatternSpike, 4)
-		printFigure("Figure 11: Running Jobs during Spike Test", func() {
-			harness.RenderRunningJobs(os.Stdout, fig)
-		})
-		b.ReportMetric(fig.MedianOverheadPct(), "medianovh%")
-	}
-}
-
-// BenchmarkFig12_AdmissionBoxplots regenerates Figure 12: admission-delay
-// boxplots for ramp and spike; the paper reports median overheads of 3.5%
-// and 1.6% respectively.
-func BenchmarkFig12_AdmissionBoxplots(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ramp := admissionFigure(b, harness.PatternRamp, 5)
-		spike := admissionFigure(b, harness.PatternSpike, 6)
-		printFigure("Figure 12: Admission Delay Boxplots (Ramp + Spike)", func() {
-			harness.RenderAdmissionBoxplot(os.Stdout, ramp)
-			harness.RenderAdmissionBoxplot(os.Stdout, spike)
-		})
-		b.ReportMetric(ramp.MedianOverheadPct(), "ramp_ovh%")
-		b.ReportMetric(spike.MedianOverheadPct(), "spike_ovh%")
 	}
 }
 
@@ -423,50 +273,6 @@ func BenchmarkVNIDBAcquireRelease(b *testing.B) {
 	}
 }
 
-// BenchmarkExtension_TrafficClassIsolation measures the use-case-(1)
-// scenario: a latency-critical victim with and without traffic-class
-// separation from a bulk (checkpointing) stream. Reported metrics are the
-// victim's median one-way latency in each scenario.
-func BenchmarkExtension_TrafficClassIsolation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opts := harness.DefaultTCOptions()
-		res, err := harness.RunTrafficClassExperiment(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("Extension: Traffic-Class Interference", func() {
-			harness.RenderTrafficClasses(os.Stdout, res)
-		})
-		for _, r := range res {
-			switch r.Scenario {
-			case "ll+bulk":
-				b.ReportMetric(r.LatencyUs.P50, "ll+bulk_p50us")
-			case "bulk+bulk":
-				b.ReportMetric(r.LatencyUs.P50, "bulk+bulk_p50us")
-			}
-		}
-	}
-}
-
-// BenchmarkExtension_OverlayVsRDMA quantifies the paper's §II-D premise:
-// the overlay datapath (veth/VXLAN/kernel TCP) versus Slingshot RDMA under
-// the same workload. Reported metrics are the latency and bandwidth factors
-// at 1 MB.
-func BenchmarkExtension_OverlayVsRDMA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunOverlayComparison(1, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printFigure("Extension: Overlay vs Slingshot RDMA (paper §II-D premise)", func() {
-			harness.RenderOverlayComparison(os.Stdout, rows)
-		})
-		last := rows[len(rows)-1]
-		b.ReportMetric(last.LatencyFactor(), "lat_factor")
-		b.ReportMetric(last.BandwidthFactor(), "bw_factor")
-	}
-}
-
 // --- Control-plane fleet-scale benchmarks (typed client API) ---
 
 // benchControlPlane pushes `jobs` vni:true jobs through the full admission
@@ -651,24 +457,5 @@ func BenchmarkControlPlane_ListVsLister(b *testing.B) {
 				b.Fatal("wrong match count")
 			}
 		}
-	})
-}
-
-// BenchmarkCollectives is the `go test` face of the canonical
-// perfsuite.Collectives case (compact placement-sensitivity sweep,
-// reporting its allocs and worst_spill_x). The pattern × placement table
-// the CI log relies on is printed once, untimed, from an identical
-// deterministic same-seed sweep so rendering I/O never contaminates the
-// measurement. The full grid is `shsbench -exp collectives`;
-// EXPERIMENTS.md records it.
-func BenchmarkCollectives(b *testing.B) {
-	perfsuite.Collectives(b)
-	b.StopTimer()
-	printFigure("Extension: Collectives vs Placement (64 KiB)", func() {
-		rows, err := harness.RunCollectivesSweep(perfsuite.CollectivesSweepConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		harness.RenderCollectives(os.Stdout, rows)
 	})
 }

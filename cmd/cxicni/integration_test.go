@@ -15,25 +15,30 @@ import (
 // TestFetchVNIEndToEnd drives the plugin's VNI fetch against a live
 // cmd/vnisvc-style HTTP endpoint: a job sync allocates the VNI, then the
 // plugin resolves it for the job's pod — the binary-form equivalent of the
-// in-process flow tested in internal/cni.
+// in-process flow tested in internal/cni. A pod of a job redeeming a claim
+// gets the claim's VNI, until the claim is released.
 func TestFetchVNIEndToEnd(t *testing.T) {
 	db := vnidb.Open(vnidb.Options{MinVNI: 3000, MaxVNI: 3010, Quarantine: time.Second})
 	srv := httptest.NewServer(httpapi.NewServer(db))
 	defer srv.Close()
+	hook := func(path string, parent httpapi.ParentRef) {
+		t.Helper()
+		body, _ := json.Marshal(httpapi.SyncRequest{Parent: parent})
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s/%s: status %d", path, parent.Kind, parent.Name, resp.StatusCode)
+		}
+	}
 
 	// The VNI controller syncs the job, allocating its VNI.
-	body, _ := json.Marshal(httpapi.SyncRequest{Parent: httpapi.ParentRef{
+	hook("/sync", httpapi.ParentRef{
 		Kind: "Job", Namespace: "tenant", Name: "mpi", UID: "u1",
 		Annotations: map[string]string{"vni": "true"},
-	}})
-	resp, err := http.Post(srv.URL+"/sync", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sync status %d", resp.StatusCode)
-	}
+	})
 
 	// The CNI binary resolves the pod's VNI from the endpoint.
 	vni, err := fetchVNI(srv.URL, "tenant", "mpi-0")
@@ -48,6 +53,25 @@ func TestFetchVNIEndToEnd(t *testing.T) {
 	// launch).
 	if _, err := fetchVNI(srv.URL, "tenant", "ghost-0"); err == nil {
 		t.Error("fetchVNI succeeded for unknown job")
+	}
+
+	// A job redeeming a claim is a user of the claim's VNI, not its owner.
+	claim := httpapi.ParentRef{Kind: "VniClaim", Namespace: "tenant", Name: "shared", UID: "c1"}
+	redeemer := httpapi.ParentRef{
+		Kind: "Job", Namespace: "tenant", Name: "solver", UID: "u2",
+		Annotations: map[string]string{"vni": "shared"},
+	}
+	hook("/sync", claim)
+	hook("/sync", redeemer)
+	if got, err := fetchVNI(srv.URL, "tenant", "solver-0"); err != nil || got != 3001 {
+		t.Errorf("fetchVNI for a claim-redeeming job = %d, %v; want the claim's 3001", got, err)
+	}
+	// Once the job is finalized and the claim released, the row no longer
+	// admits the pod.
+	hook("/finalize", redeemer)
+	hook("/finalize", claim)
+	if got, err := fetchVNI(srv.URL, "tenant", "solver-0"); err == nil {
+		t.Errorf("fetchVNI matched the released claim's VNI %d", got)
 	}
 
 	// Full ADD state flow with the fetched VNI.

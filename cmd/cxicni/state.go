@@ -7,7 +7,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
+
+	"github.com/caps-sim/shs-k8s/internal/vnisvc"
 )
 
 // binding is one recorded CXI service.
@@ -98,15 +102,17 @@ func fetchVNI(endpoint, namespace, podName string) (uint32, error) {
 		return 0, fmt.Errorf("vni endpoint: %s: %s", resp.Status, body)
 	}
 	var rows []struct {
-		VNI   uint32 `json:"vni"`
-		Owner string `json:"owner"`
-		State string `json:"state"`
+		VNI   uint32   `json:"vni"`
+		Owner string   `json:"owner"`
+		State string   `json:"state"`
+		Users []string `json:"users"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
 		return 0, err
 	}
-	// The owner key encodes job identity: job/<namespace>/<job>/<uid>.
-	// The pod name is <job>-<index>; match on the job prefix.
+	// A job's key is job/<namespace>/<job>/<uid>: the owner of the job's
+	// own VNI, or a user of the claim VNI the job redeems. The pod name is
+	// <job>-<index>; match on the job prefix.
 	jobName := podName
 	for i := len(podName) - 1; i >= 0; i-- {
 		if podName[i] == '-' {
@@ -114,9 +120,10 @@ func fetchVNI(endpoint, namespace, podName string) (uint32, error) {
 			break
 		}
 	}
-	prefix := fmt.Sprintf("job/%s/%s/", namespace, jobName)
+	prefix := string(vnisvc.AppendJobKeyPrefix(nil, namespace, jobName))
+	isJob := func(key string) bool { return len(key) > len(prefix) && strings.HasPrefix(key, prefix) }
 	for _, r := range rows {
-		if r.State == "allocated" && len(r.Owner) > len(prefix) && r.Owner[:len(prefix)] == prefix {
+		if r.State == "allocated" && (isJob(r.Owner) || slices.ContainsFunc(r.Users, isJob)) {
 			return r.VNI, nil
 		}
 	}

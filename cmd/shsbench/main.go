@@ -54,7 +54,7 @@ func selection(exp string) ([]string, error) {
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run ("+validNames+")")
-	runs := flag.Int("runs", 0, "repetitions per mode (0 = paper defaults: 10 comm / 5 admission)")
+	runs := flag.Int("runs", 0, "repetitions per mode (0 = paper defaults: 10 osu_bw / 25 osu_latency / 5 admission)")
 	seed := flag.Int64("seed", 1, "base RNG seed")
 	fidelity := flag.String("fidelity", "", "fabric fidelity for the collectives sweep (packet, flow or hybrid)")
 	flag.Parse()
@@ -90,12 +90,8 @@ func run(exp string, runs int, seed int64, fid fabric.Fidelity) error {
 		harness.RenderTable1(os.Stdout)
 	}
 
-	commRuns := runs
-	if commRuns == 0 {
-		commRuns = 10
-	}
 	if selected("fig5", "fig6") {
-		fig, err := harness.RunCommFigure(harness.BenchBw, commRuns, seed)
+		fig, err := harness.RunCommFigure(harness.BenchBw, runs, seed)
 		if err != nil {
 			return err
 		}
@@ -109,11 +105,7 @@ func run(exp string, runs int, seed int64, fid fabric.Fidelity) error {
 		}
 	}
 	if selected("fig7", "fig8") {
-		lruns := commRuns
-		if exp == "fig8" && runs == 0 {
-			lruns = 25 // the paper uses 25 runs for the latency overhead
-		}
-		fig, err := harness.RunCommFigure(harness.BenchLatency, lruns, seed+1)
+		fig, err := harness.RunCommFigure(harness.BenchLatency, runs, seed+1)
 		if err != nil {
 			return err
 		}
@@ -127,19 +119,15 @@ func run(exp string, runs int, seed int64, fid fabric.Fidelity) error {
 		}
 	}
 
-	admRuns := runs
-	if admRuns == 0 {
-		admRuns = 5
-	}
 	var ramp, spike *harness.AdmissionFigure
 	if selected("fig9", "fig10", "fig12") {
-		ramp, err = harness.RunAdmissionFigure(harness.PatternRamp, admRuns, seed+2)
+		ramp, err = harness.RunAdmissionFigure(harness.PatternRamp, runs, seed+2)
 		if err != nil {
 			return err
 		}
 	}
 	if selected("fig11", "fig12") {
-		spike, err = harness.RunAdmissionFigure(harness.PatternSpike, admRuns, seed+3)
+		spike, err = harness.RunAdmissionFigure(harness.PatternSpike, runs, seed+3)
 		if err != nil {
 			return err
 		}
@@ -190,9 +178,7 @@ func run(exp string, runs int, seed int64, fid fabric.Fidelity) error {
 		// Extension experiment: multi-group dragonfly hot-link report —
 		// which trunks an all-to-all load saturates, the observability
 		// fleet-scale scenarios lean on.
-		cfg := harness.DefaultFabricReportConfig()
-		cfg.Seed = seed
-		rep, err := harness.RunFabricReport(cfg)
+		rep, err := harness.RunFabricReport(seed)
 		if err != nil {
 			return err
 		}
@@ -203,7 +189,9 @@ func run(exp string, runs int, seed int64, fid fabric.Fidelity) error {
 		// Extension experiment (not a paper figure): traffic-class
 		// isolation for co-scheduled applications, use-case (1) of the
 		// paper's introduction.
-		res, err := harness.RunTrafficClassExperiment(harness.DefaultTCOptions())
+		opts := harness.DefaultTCOptions()
+		opts.Seed = seed
+		res, err := harness.RunTrafficClassExperiment(opts)
 		if err != nil {
 			return err
 		}

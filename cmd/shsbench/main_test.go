@@ -10,8 +10,8 @@ import (
 )
 
 // TestRunCheapExperiments exercises the CLI driver on the experiments that
-// complete in well under a second; the figure sweeps are covered by the
-// top-level benchmarks.
+// complete in well under a second; internal/harness's TestPaperClaims runs
+// the figure experiments across seeds.
 func TestRunCheapExperiments(t *testing.T) {
 	for _, exp := range []string{"table1", "tc"} {
 		if err := run(exp, 1, 1, fabric.FidelityPacket); err != nil {

@@ -27,8 +27,6 @@ type AdmissionOptions struct {
 	VNI  bool
 	Runs int // paper: 5
 	Seed int64
-	// SamplePeriod is the running-jobs sampling interval.
-	SamplePeriod sim.Duration
 	// SpikeJobs is the burst size of the spike test (paper: 500).
 	SpikeJobs int
 	// RampPeak, RampSustain: batches ramp 1..RampPeak, hold RampPeak for
@@ -41,16 +39,18 @@ type AdmissionOptions struct {
 // DefaultAdmissionOptions mirrors the paper's parameters.
 func DefaultAdmissionOptions(p LoadPattern, vni bool) AdmissionOptions {
 	return AdmissionOptions{
-		Pattern:      p,
-		VNI:          vni,
-		Runs:         5,
-		Seed:         1,
-		SamplePeriod: time.Second,
-		SpikeJobs:    500,
-		RampPeak:     10,
-		RampSustain:  10,
+		Pattern:     p,
+		VNI:         vni,
+		Runs:        5,
+		Seed:        1,
+		SpikeJobs:   500,
+		RampPeak:    10,
+		RampSustain: 10,
 	}
 }
+
+// samplePeriod is the running-jobs sampling interval of Figures 9 and 11.
+const samplePeriod = time.Second
 
 // JobRecord is one job's lifecycle timing.
 type JobRecord struct {
@@ -209,7 +209,7 @@ func runAdmissionOnce(opts AdmissionOptions, seed int64) (*AdmissionRun, error) 
 		if doneCount >= total && st.Cluster.ActiveJobs() == 0 {
 			return
 		}
-		st.Eng.After(opts.SamplePeriod, sample)
+		st.Eng.After(samplePeriod, sample)
 	}
 	st.Eng.After(0, sample)
 

@@ -2,8 +2,10 @@
 // communication-overhead experiments (Figures 5-8) across the three
 // measurement modes (host, vni:true, vni:false), and the job-admission
 // experiments (Figures 9-12) with the ramp and spike load patterns. It also
-// renders each figure's data as text tables (figures.go) so `go test
-// -bench` and cmd/shsbench regenerate the paper's plots row by row.
+// renders each figure's data as text tables (figures.go), which
+// cmd/shsbench prints — the one front end that regenerates the paper's
+// plots row by row. TestPaperClaims (claims_test.go) holds every claim the
+// paper makes about those figures at seeds 1-8.
 //
 // Beyond the paper's figures it hosts the extension experiments:
 // traffic-class interference (tc.go), overlay-vs-RDMA (overlaycmp.go),
@@ -54,13 +56,16 @@ type CommOptions struct {
 	OSU  osu.Options
 }
 
-// DefaultCommOptions mirrors the paper's setup with simulation-friendly
-// iteration counts (see EXPERIMENTS.md on iteration scaling).
+// DefaultCommOptions mirrors the paper's setup — 10 runs for osu_bw, 25
+// for osu_latency (the paper's count for the latency-overhead figure, which
+// Figure 7 shares) — with simulation-friendly iteration counts (see
+// EXPERIMENTS.md on iteration scaling).
 func DefaultCommOptions(kind BenchKind, mode CommMode) CommOptions {
 	o := CommOptions{Kind: kind, Mode: mode, Runs: 10, Seed: 1}
 	if kind == BenchBw {
 		o.OSU = osu.DefaultBwOptions()
 	} else {
+		o.Runs = 25
 		o.OSU = osu.DefaultLatencyOptions()
 	}
 	return o

@@ -14,35 +14,18 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
 
-// FabricReportConfig shapes the synthetic fabric load.
-type FabricReportConfig struct {
-	Groups           int
-	SwitchesPerGroup int
-	// EndpointsPerSwitch is how many NICs attach to each edge switch.
-	EndpointsPerSwitch int
-	// Messages is the total message count blasted all-to-all.
-	Messages int
-	// Bytes is the payload per message.
-	Bytes int
-	Seed  int64
-}
-
-// DefaultFabricReportConfig is a 4-group dragonfly under a moderate
-// all-to-all burst.
-func DefaultFabricReportConfig() FabricReportConfig {
-	return FabricReportConfig{
-		Groups:             4,
-		SwitchesPerGroup:   2,
-		EndpointsPerSwitch: 2,
-		Messages:           4000,
-		Bytes:              16384,
-		Seed:               1,
-	}
-}
+// The synthetic load: a 4-group dragonfly (2 switches per group, 2 NICs
+// per switch) under a moderate all-to-all burst of 16 KiB messages.
+const (
+	reportGroups           = 4
+	reportSwitchesPerGroup = 2
+	reportEndpointsPerSw   = 2
+	reportMessages         = 4000
+	reportBytes            = 16384
+)
 
 // FabricReport is the outcome of one synthetic run.
 type FabricReport struct {
-	Cfg FabricReportConfig
 	// Links is every directional trunk's utilization record.
 	Links []metrics.LinkUtil
 	// Forwarded and Dropped aggregate the switch counters.
@@ -52,22 +35,19 @@ type FabricReport struct {
 	SimTime sim.Time
 }
 
-// RunFabricReport executes the synthetic all-to-all load and collects the
-// per-trunk counters.
-func RunFabricReport(cfg FabricReportConfig) (*FabricReport, error) {
-	if cfg.Groups < 1 || cfg.SwitchesPerGroup < 1 || cfg.EndpointsPerSwitch < 1 {
-		return nil, fmt.Errorf("harness: fabric report needs positive topology dimensions")
-	}
-	eng := sim.NewEngine(cfg.Seed)
+// RunFabricReport executes the synthetic all-to-all load at seed and
+// collects the per-trunk counters.
+func RunFabricReport(seed int64) (*FabricReport, error) {
+	eng := sim.NewEngine(seed)
 	topo := fabric.NewTopology(eng, fabric.DefaultConfig(), fabric.TopologySpec{
-		Groups:           cfg.Groups,
-		SwitchesPerGroup: cfg.SwitchesPerGroup,
+		Groups:           reportGroups,
+		SwitchesPerGroup: reportSwitchesPerGroup,
 	})
 	const vni = 42
 	var addrs []fabric.Addr
 	var links []*fabric.HostLink
 	for i, sw := range topo.Switches() {
-		for k := 0; k < cfg.EndpointsPerSwitch; k++ {
+		for k := 0; k < reportEndpointsPerSw; k++ {
 			addr := topo.Attach(i, nullSink{})
 			if err := topo.GrantVNI(addr, vni); err != nil {
 				return nil, err
@@ -76,7 +56,7 @@ func RunFabricReport(cfg FabricReportConfig) (*FabricReport, error) {
 			links = append(links, fabric.NewHostLink(eng, sw))
 		}
 	}
-	for i := 0; i < cfg.Messages; i++ {
+	for i := 0; i < reportMessages; i++ {
 		src := i % len(addrs)
 		dst := (i*7 + 1) % len(addrs)
 		if dst == src {
@@ -84,7 +64,7 @@ func RunFabricReport(cfg FabricReportConfig) (*FabricReport, error) {
 		}
 		p := &fabric.Packet{
 			Src: addrs[src], Dst: addrs[dst], VNI: vni, TC: fabric.TCBulkData,
-			PayloadBytes: cfg.Bytes, Frames: 1, Last: true,
+			PayloadBytes: reportBytes, Frames: 1, Last: true,
 		}
 		l := links[src]
 		eng.After(0, func() { l.Send(p) })
@@ -92,7 +72,6 @@ func RunFabricReport(cfg FabricReportConfig) (*FabricReport, error) {
 	eng.Run()
 	st := topo.Stats()
 	return &FabricReport{
-		Cfg:       cfg,
 		Links:     topo.LinkUtils(),
 		Forwarded: st.Forwarded,
 		Dropped:   st.DropTotal(),
@@ -103,7 +82,7 @@ func RunFabricReport(cfg FabricReportConfig) (*FabricReport, error) {
 // RenderFabricReport writes the hot-link table.
 func RenderFabricReport(w io.Writer, rep *FabricReport, topN int) {
 	fmt.Fprintf(w, "all-to-all: %d msgs x %d B over %dg x %dsw fabric, %s simulated, %d forwarded, %d dropped\n",
-		rep.Cfg.Messages, rep.Cfg.Bytes, rep.Cfg.Groups, rep.Cfg.SwitchesPerGroup,
+		reportMessages, reportBytes, reportGroups, reportSwitchesPerGroup,
 		rep.SimTime, rep.Forwarded, rep.Dropped)
 	metrics.RenderHotLinks(w, rep.Links, topN)
 }

@@ -16,7 +16,8 @@ type CommFigure struct {
 	VNIFalse *CommSeries
 }
 
-// RunCommFigure measures all three modes.
+// RunCommFigure measures all three modes; runs 0 takes the paper's count
+// from DefaultCommOptions.
 func RunCommFigure(kind BenchKind, runs int, seed int64) (*CommFigure, error) {
 	fig := &CommFigure{Kind: kind}
 	for _, m := range []struct {
@@ -71,32 +72,6 @@ func RenderCommOverhead(w io.Writer, fig *CommFigure) {
 	}
 }
 
-// MaxAbsOverheadPct returns the largest |mean overhead| (%) of mode vs the
-// host baseline across sizes — the paper's "within 1%" claim.
-func (fig *CommFigure) MaxAbsOverheadPct(mode CommMode) float64 {
-	var s *CommSeries
-	switch mode {
-	case ModeVNITrue:
-		s = fig.VNITrue
-	case ModeVNIFalse:
-		s = fig.VNIFalse
-	default:
-		s = fig.Host
-	}
-	worst := 0.0
-	for _, size := range fig.Host.Sizes {
-		base := metrics.Mean(fig.Host.ByRun[size])
-		ovh := metrics.OverheadPct(metrics.Mean(s.ByRun[size]), base)
-		if ovh < 0 {
-			ovh = -ovh
-		}
-		if ovh > worst {
-			worst = ovh
-		}
-	}
-	return worst
-}
-
 // AdmissionFigure bundles both modes of one admission experiment.
 type AdmissionFigure struct {
 	Pattern  LoadPattern
@@ -104,7 +79,8 @@ type AdmissionFigure struct {
 	VNIFalse *AdmissionResult
 }
 
-// RunAdmissionFigure measures both modes.
+// RunAdmissionFigure measures both modes; runs 0 takes the paper's count
+// from DefaultAdmissionOptions.
 func RunAdmissionFigure(p LoadPattern, runs int, seed int64) (*AdmissionFigure, error) {
 	fig := &AdmissionFigure{Pattern: p}
 	for _, m := range []struct {
@@ -215,11 +191,4 @@ func RenderAdmissionBoxplot(w io.Writer, fig *AdmissionFigure) {
 	row("vni:true", st)
 	row("vni:false", sf)
 	fmt.Fprintf(w, "  median admission overhead: %.1f%%\n", metrics.OverheadPct(st.P50, sf.P50))
-}
-
-// MedianOverheadPct returns the Figure 12 headline number for the pattern.
-func (fig *AdmissionFigure) MedianOverheadPct() float64 {
-	return metrics.OverheadPct(
-		metrics.Median(fig.VNITrue.Delays()),
-		metrics.Median(fig.VNIFalse.Delays()))
 }

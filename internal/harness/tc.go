@@ -25,14 +25,15 @@ type TCOptions struct {
 	Seed int64
 	// Pings is the number of victim messages per scenario.
 	Pings int
-	// BulkMsgBytes is the interfering transfer's message size.
-	BulkMsgBytes int
 }
 
 // DefaultTCOptions returns the defaults.
 func DefaultTCOptions() TCOptions {
-	return TCOptions{Seed: 1, Pings: 300, BulkMsgBytes: 4 << 20}
+	return TCOptions{Seed: 1, Pings: 300}
 }
+
+// tcBulkMsgBytes is the interfering transfer's message size.
+const tcBulkMsgBytes = 4 << 20
 
 // RunTrafficClassExperiment quantifies the paper's use-case (1): a
 // latency-critical application co-scheduled with a checkpointing-style bulk
@@ -103,7 +104,7 @@ func runTCScenario(seed int64, victimTC fabric.TrafficClass, load bool, opts TCO
 	if load {
 		var pump func()
 		pump = func() {
-			_ = epB.Send(dst.Addr(), epDB.Idx(), opts.BulkMsgBytes, pump)
+			_ = epB.Send(dst.Addr(), epDB.Idx(), tcBulkMsgBytes, pump)
 		}
 		eng.After(0, pump)
 	}

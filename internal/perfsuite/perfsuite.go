@@ -1,9 +1,8 @@
 // Package perfsuite holds the hot-path benchmark bodies, one implementation
 // each, shared by the `go test -bench` wrappers (internal/sim,
-// internal/fabric, internal/k8s, the root bench file) and by the
-// repository benchmark's isolates (benchmarks/isolates.go), plus the
-// collective stack the root module's allocation and engine-isolation
-// tests drive. It measures nothing by itself: numbers come from
+// internal/fabric, internal/k8s) and by the repository benchmark's
+// isolates (benchmarks/isolates.go), plus the collective stack the root
+// module's allocation and engine-isolation tests drive. It measures nothing by itself: numbers come from
 // `go test -bench` and from benchmarks/ (docs/performance.md).
 package perfsuite
 
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
-	"github.com/caps-sim/shs-k8s/internal/harness"
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/mpi"
 	"github.com/caps-sim/shs-k8s/internal/sim"
@@ -196,47 +194,6 @@ func CollectivesStack() (*stack.Stack, *mpi.Comm, error) {
 		return nil, nil, err
 	}
 	return st, gang.Comm, nil
-}
-
-// CollectivesSweepConfig is the compact sweep the Collectives case runs:
-// every pattern at 64 KiB across flat/colocated/spilled placements.
-// Exported so the root BenchmarkCollectives wrapper can print the same
-// deterministic table untimed.
-func CollectivesSweepConfig() harness.CollectivesConfig {
-	cfg := harness.DefaultCollectivesConfig()
-	cfg.Sizes = []int{64 << 10}
-	cfg.Iterations = 3
-	return cfg
-}
-
-// Collectives runs the compact placement-sensitivity sweep (see
-// CollectivesSweepConfig) through the full stack — scheduler, CNI, NIC
-// model, MPI collectives, dragonfly fabric — and reports the worst
-// spill-vs-colocated slowdown, the number the topology-aware scheduler
-// buys back.
-func Collectives(b *testing.B) {
-	b.ReportAllocs()
-	worst := 0.0
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunCollectivesSweep(CollectivesSweepConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		byKey := map[string]workload.Report{}
-		for _, r := range rows {
-			byKey[string(r.Placement)+"/"+string(r.Pattern)] = r.Report
-		}
-		worst = 0
-		for _, p := range workload.Patterns() {
-			colo, spill := byKey["colocated/"+string(p)], byKey["spilled/"+string(p)]
-			if colo.Elapsed > 0 {
-				if ratio := float64(spill.Elapsed) / float64(colo.Elapsed); ratio > worst {
-					worst = ratio
-				}
-			}
-		}
-	}
-	b.ReportMetric(worst, "worst_spill_x")
 }
 
 // SchedulerPlacement measures end-to-end pod placement on a 64-node,

@@ -72,13 +72,20 @@ func (e *Endpoint) DB() *vnidb.DB { return e.db }
 // Stats returns a copy of the counters.
 func (e *Endpoint) Stats() EndpointStats { return e.stats }
 
+// AppendJobKeyPrefix appends job/<namespace>/<name>/, the prefix of every
+// database key that names the job: the owner of its own VNI and its user
+// entry on a claim's VNI. The CNI binary finds a pod's VNI by it.
+func AppendJobKeyPrefix(b []byte, namespace, name string) []byte {
+	b = append(append(b, "job/"...), namespace...)
+	b = append(append(b, '/'), name...)
+	return append(b, '/')
+}
+
 // appendOwnerForJob appends the database owner key for a job-owned VNI,
 // job/<namespace>/<name>/<uid>. The UID makes re-created same-name jobs
 // distinct owners.
 func appendOwnerForJob(b []byte, m *k8s.Meta) []byte {
-	b = append(append(b, "job/"...), m.Namespace...)
-	b = append(append(b, '/'), m.Name...)
-	return append(append(b, '/'), m.UID...)
+	return append(AppendJobKeyPrefix(b, m.Namespace, m.Name), m.UID...)
 }
 
 func ownerForJob(m *k8s.Meta) string {
