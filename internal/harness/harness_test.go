@@ -41,6 +41,32 @@ func fastCommFigure(t *testing.T, kind BenchKind, seed int64) *CommFigure {
 	return fig
 }
 
+// TestCommOverheadWithinOnePercent is the single-seed form of the
+// fig6_bw_overhead and fig8_latency_overhead rows of TestPaperClaims.
+func TestCommOverheadWithinOnePercent(t *testing.T) {
+	// The paper's §IV-A claim: "The observed overhead is negligible and
+	// remains within 1%" for both integration modes, both metrics.
+	for _, kind := range []BenchKind{BenchBw, BenchLatency} {
+		fig := fastCommFigure(t, kind, 1)
+		if ovh := maxAbsOverheadPct(fig); ovh > 1.5 {
+			t.Errorf("%s: max overhead of vni:true and vni:false %.2f%%, paper claims ≤1%%", kind, ovh)
+		}
+	}
+}
+
+func TestCommAllModesSameRegime(t *testing.T) {
+	fig := fastCommFigure(t, BenchBw, 1)
+	for _, size := range fig.Host.Sizes {
+		h := metrics.Mean(fig.Host.ByRun[size])
+		for _, s := range []*CommSeries{fig.VNITrue, fig.VNIFalse} {
+			v := metrics.Mean(s.ByRun[size])
+			if v < h*0.9 || v > h*1.1 {
+				t.Errorf("size %d: %s = %.1f vs host %.1f", size, s.Mode, v, h)
+			}
+		}
+	}
+}
+
 func TestCommHostModeMatchesOSURegime(t *testing.T) {
 	s, err := RunComm(fastCommOpts(BenchLatency, ModeHost))
 	if err != nil {
