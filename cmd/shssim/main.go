@@ -380,7 +380,7 @@ func cmdInteractive(args []string, stdin io.Reader, stdout, stderr io.Writer) in
 		sc.Seed = *seed
 	}
 	if *sampleEvery > 0 {
-		sc.Telemetry.SampleEvery = *sampleEvery
+		sc.Telemetry.Interval = *sampleEvery
 	}
 	srv, err := ctl.New(sc)
 	if err != nil {

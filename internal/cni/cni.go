@@ -13,6 +13,7 @@ package cni
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/nsmodel"
 	"github.com/caps-sim/shs-k8s/internal/sim"
@@ -89,19 +90,17 @@ type Plugin interface {
 type Chain struct {
 	eng     *sim.Engine
 	plugins []Plugin
-	// ExecOverhead is the per-plugin process execution cost (fork/exec of
-	// the plugin binary plus JSON marshalling).
-	ExecOverhead sim.Duration
-	ops          sim.FreeList[chainOp]
+	ops     sim.FreeList[chainOp]
 }
+
+// execOverhead is the per-plugin process execution cost (fork/exec of the
+// plugin binary plus JSON marshalling).
+const execOverhead = 6 * time.Millisecond
 
 // NewChain builds a chain over the given plugins.
-func NewChain(eng *sim.Engine, execOverhead sim.Duration, plugins ...Plugin) *Chain {
-	return &Chain{eng: eng, plugins: plugins, ExecOverhead: execOverhead}
+func NewChain(eng *sim.Engine, plugins ...Plugin) *Chain {
+	return &Chain{eng: eng, plugins: plugins}
 }
-
-// Plugins returns the chain's plugin list.
-func (c *Chain) Plugins() []Plugin { return c.plugins }
 
 // Add runs the ADD chain. On a plugin error it stops there and reports nil;
 // the runtime then cleans up with DEL, as the spec requires.
@@ -160,7 +159,7 @@ func (op *chainOp) next() {
 		op.finish(op.err)
 		return
 	}
-	op.c.eng.AfterCall(op.c.eng.Jitter(op.c.ExecOverhead, 0.3), execPlugin, op)
+	op.c.eng.AfterCall(op.c.eng.Jitter(execOverhead, 0.3), execPlugin, op)
 }
 
 func execPlugin(a any) {

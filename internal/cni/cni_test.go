@@ -42,8 +42,8 @@ func newCNIEnv(t *testing.T) *cniEnv {
 		t.Fatal(err)
 	}
 	over := NewOverlayPlugin(eng, "node0", "10.42.0")
-	cxip := NewCXIPlugin(eng, api.Client(), dev, root.PID, DefaultCXIPluginConfig())
-	ch := NewChain(eng, 5*time.Millisecond, over, cxip)
+	cxip := NewCXIPlugin(eng, api.Client(), dev, root.PID)
+	ch := NewChain(eng, over, cxip)
 	return &cniEnv{eng: eng, kern: kern, api: api, sw: sw, dev: dev, root: root, cxip: cxip, over: over, ch: ch}
 }
 
@@ -241,8 +241,8 @@ func TestDelViaMemberSearchAfterPluginRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate plugin restart: fresh plugin with empty state.
-	e.cxip = NewCXIPlugin(e.eng, e.api.Client(), e.dev, e.root.PID, DefaultCXIPluginConfig())
-	e.ch = NewChain(e.eng, 5*time.Millisecond, e.over, e.cxip)
+	e.cxip = NewCXIPlugin(e.eng, e.api.Client(), e.dev, e.root.PID)
+	e.ch = NewChain(e.eng, e.over, e.cxip)
 	if err := e.del(t, args); err != nil {
 		t.Fatal(err)
 	}
@@ -425,8 +425,8 @@ func newCNIEnvQuick() *cniEnv {
 		panic(err)
 	}
 	over := NewOverlayPlugin(eng, "node0", "10.42.0")
-	cxip := NewCXIPlugin(eng, api.Client(), dev, root.PID, DefaultCXIPluginConfig())
-	ch := NewChain(eng, 5*time.Millisecond, over, cxip)
+	cxip := NewCXIPlugin(eng, api.Client(), dev, root.PID)
+	ch := NewChain(eng, over, cxip)
 	return &cniEnv{eng: eng, kern: kern, api: api, sw: sw, dev: dev, cxip: cxip, over: over, ch: ch}
 }
 
@@ -469,7 +469,7 @@ func TestEachPluginSeesThePreviousInterfaces(t *testing.T) {
 	e := newCNIEnv(t)
 	a := &probePlugin{eng: e.eng, name: "net1"}
 	b := &probePlugin{eng: e.eng, name: "net2"}
-	e.ch = NewChain(e.eng, 5*time.Millisecond, e.over, a, b)
+	e.ch = NewChain(e.eng, e.over, a, b)
 	ns := e.kern.NewNetNS("p")
 	res, err := e.add(t, Args{ContainerID: "c", NetNS: ns.Inode, PodNamespace: "tenant", PodName: "p"})
 	if err != nil {
@@ -486,7 +486,7 @@ func TestEachPluginSeesThePreviousInterfaces(t *testing.T) {
 func TestAddFailureReportsNoResult(t *testing.T) {
 	e := newCNIEnv(t)
 	bad := &probePlugin{eng: e.eng, name: "bad", fail: true}
-	e.ch = NewChain(e.eng, 5*time.Millisecond, e.over, bad)
+	e.ch = NewChain(e.eng, e.over, bad)
 	ns := e.kern.NewNetNS("p")
 	res, err := e.add(t, Args{ContainerID: "c", NetNS: ns.Inode, PodNamespace: "tenant", PodName: "p"})
 	if err == nil || !errors.Is(err, ErrPluginFailed) || res != nil {
@@ -510,8 +510,7 @@ func TestAddFindsVNIAfterTwoRetries(t *testing.T) {
 	var err error
 	e.ch.Add(Args{ContainerID: "c", NetNS: ns.Inode, PodNamespace: "tenant", PodName: "late"},
 		func(r *Result, e2 error) { res, err = r, e2; calls++ })
-	retries := e.cxip.cfg.VNIFetchRetries
-	for st.job == "" || st.retries > retries-2 {
+	for st.job == "" || st.retries > vniFetchRetries-2 {
 		if !e.eng.Step() {
 			t.Fatal("ADD finished before its second retry")
 		}
@@ -521,7 +520,7 @@ func TestAddFindsVNIAfterTwoRetries(t *testing.T) {
 		Spec: map[string]string{vniapi.SpecVNI: "777", vniapi.SpecJob: "job-late"},
 	}, nil)
 	for calls == 0 && e.eng.Step() {
-		if st.job != "" && st.retries != retries-2 {
+		if st.job != "" && st.retries != vniFetchRetries-2 {
 			t.Fatalf("ADD retried a third time (%d retries left)", st.retries)
 		}
 	}

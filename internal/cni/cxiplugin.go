@@ -12,30 +12,20 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/vniapi"
 )
 
-// CXIPluginConfig tunes the CXI CNI plugin.
-type CXIPluginConfig struct {
-	// APIQueryCost models the plugin's query to the Kubernetes management
+// The CXI CNI plugin's calibrated costs.
+const (
+	// apiQueryCost models the plugin's query to the Kubernetes management
 	// plane for pod annotations and the VNI CRD instance.
-	APIQueryCost sim.Duration
-	// SvcOpCost models the ioctl round trip creating or destroying a CXI
+	apiQueryCost = 8 * time.Millisecond
+	// svcOpCost models the ioctl round trip creating or destroying a CXI
 	// service in the driver.
-	SvcOpCost sim.Duration
-	// VNIFetchRetries and VNIFetchBackoff govern waiting for the VNI CRD
+	svcOpCost = 3 * time.Millisecond
+	// vniFetchRetries and vniFetchBackoff govern waiting for the VNI CRD
 	// instance to appear (it is created by the VNI controller; the pod
 	// creation gate makes this race rare but not impossible).
-	VNIFetchRetries int
-	VNIFetchBackoff sim.Duration
-}
-
-// DefaultCXIPluginConfig returns calibrated costs.
-func DefaultCXIPluginConfig() CXIPluginConfig {
-	return CXIPluginConfig{
-		APIQueryCost:    8 * time.Millisecond,
-		SvcOpCost:       3 * time.Millisecond,
-		VNIFetchRetries: 10,
-		VNIFetchBackoff: 150 * time.Millisecond,
-	}
-}
+	vniFetchRetries = 10
+	vniFetchBackoff = 150 * time.Millisecond
+)
 
 // CXIPluginStats counts plugin activity for the overhead analysis.
 type CXIPluginStats struct {
@@ -59,7 +49,6 @@ type CXIPlugin struct {
 	vnis k8s.Lister // VNI CRD instances, indexed by job
 	dev  *cxi.Device
 	root nsmodel.PID // plugin runs with elevated permissions
-	cfg  CXIPluginConfig
 
 	// services tracks created CXI services by container ID so DEL can
 	// clean up even if the netns is already gone.
@@ -71,9 +60,9 @@ type CXIPlugin struct {
 // NewCXIPlugin creates the plugin for one node's CXI device. root must be a
 // host-root process (the runtime invokes CNI plugins with elevated
 // permissions).
-func NewCXIPlugin(eng *sim.Engine, cli *k8s.Client, dev *cxi.Device, root nsmodel.PID, cfg CXIPluginConfig) *CXIPlugin {
+func NewCXIPlugin(eng *sim.Engine, cli *k8s.Client, dev *cxi.Device, root nsmodel.PID) *CXIPlugin {
 	return &CXIPlugin{
-		eng: eng, cli: cli, vnis: vniapi.VNILister(cli), dev: dev, root: root, cfg: cfg,
+		eng: eng, cli: cli, vnis: vniapi.VNILister(cli), dev: dev, root: root,
 		services: make(map[string]cxi.SvcID),
 	}
 }
@@ -127,7 +116,7 @@ func (st *cxiStep) finishAdd(res *Result, err error) {
 func (p *CXIPlugin) Add(args Args, prev *Result, done func(*Result, error)) {
 	p.stats.AddsTotal++
 	// Query the management plane for the pod's annotations.
-	st := p.after(p.cfg.APIQueryCost, cxiQuery, args)
+	st := p.after(apiQueryCost, cxiQuery, args)
 	st.prev, st.added = prev, done
 }
 
@@ -156,7 +145,7 @@ func cxiQuery(a any) {
 		st.finishAdd(nil, fmt.Errorf("container %s has no netns", args.ContainerID))
 		return
 	}
-	st.job, st.retries = pod.Meta.Labels["job-name"], p.cfg.VNIFetchRetries
+	st.job, st.retries = pod.Meta.Labels["job-name"], vniFetchRetries
 	st.fetchVNI()
 }
 
@@ -164,7 +153,7 @@ func cxiQuery(a any) {
 // the by-job index: O(1) per ADD instead of the seed's copy-scan over every
 // VNI CRD in the namespace.
 func (st *cxiStep) fetchVNI() {
-	st.p.eng.AfterCall(st.p.eng.Jitter(st.p.cfg.APIQueryCost, 0.3), cxiFetch, st)
+	st.p.eng.AfterCall(st.p.eng.Jitter(apiQueryCost, 0.3), cxiFetch, st)
 }
 
 func cxiFetch(a any) {
@@ -174,7 +163,7 @@ func cxiFetch(a any) {
 	switch {
 	case err == vniapi.ErrNoInstance && st.retries > 0:
 		st.retries--
-		p.eng.AfterCall(p.eng.Jitter(p.cfg.VNIFetchBackoff, 0.3), cxiRefetch, st)
+		p.eng.AfterCall(p.eng.Jitter(vniFetchBackoff, 0.3), cxiRefetch, st)
 	case err == vniapi.ErrNoInstance:
 		// No VNI could be fetched: the container fails to launch
 		// (paper §III-B).
@@ -183,7 +172,7 @@ func cxiFetch(a any) {
 		st.finishAdd(nil, err)
 	default:
 		st.vni = vni
-		p.eng.AfterCall(p.eng.Jitter(p.cfg.SvcOpCost, 0.3), cxiCreate, st)
+		p.eng.AfterCall(p.eng.Jitter(svcOpCost, 0.3), cxiCreate, st)
 	}
 }
 
@@ -214,7 +203,7 @@ func cxiCreate(a any) {
 // container. Idempotent.
 func (p *CXIPlugin) Del(args Args, done func(error)) {
 	p.stats.DelsTotal++
-	p.after(p.cfg.SvcOpCost, cxiDel, args).done = done
+	p.after(svcOpCost, cxiDel, args).done = done
 }
 
 func cxiDel(a any) {
@@ -245,7 +234,7 @@ func cxiDel(a any) {
 
 // Check verifies the recorded CXI service still exists for VNI pods.
 func (p *CXIPlugin) Check(args Args, done func(error)) {
-	p.after(p.cfg.APIQueryCost, cxiCheck, args).done = done
+	p.after(apiQueryCost, cxiCheck, args).done = done
 }
 
 func cxiCheck(a any) {

@@ -1,6 +1,6 @@
 // Package container is the simulated container runtime (the containerd/CRI
 // layer): it creates the pod sandbox — a fresh network namespace plus an
-// optional user namespace — invokes the CNI plugin chain with elevated
+// identity-shifted user namespace — invokes the CNI plugin chain with elevated
 // permissions during container creation, and tears everything down on pod
 // deletion, exactly the lifecycle hooks the paper's CXI CNI plugin relies
 // on (§II-D, §III-B).
@@ -17,29 +17,16 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
 
-// Config tunes the runtime.
-type Config struct {
-	// SandboxSetup is the cost of creating the sandbox (pause container,
+// The runtime's calibrated costs.
+const (
+	// sandboxSetup is the cost of creating the sandbox (pause container,
 	// namespaces, cgroups).
-	SandboxSetup sim.Duration
-	// SandboxTeardown is the cost of destroying it.
-	SandboxTeardown sim.Duration
-	// Jitter fraction.
-	Jitter float64
-	// UserNamespaces runs each pod in its own user namespace with an
-	// identity-shifted mapping, as hardened multi-tenant clusters do.
-	UserNamespaces bool
-}
-
-// DefaultConfig returns calibrated costs.
-func DefaultConfig() Config {
-	return Config{
-		SandboxSetup:    180 * time.Millisecond,
-		SandboxTeardown: 90 * time.Millisecond,
-		Jitter:          0.35,
-		UserNamespaces:  true,
-	}
-}
+	sandboxSetup = 180 * time.Millisecond
+	// sandboxTeardown is the cost of destroying it.
+	sandboxTeardown = 90 * time.Millisecond
+	// jitter is the fraction both costs vary by.
+	jitter = 0.35
+)
 
 // Sandbox is one pod's runtime state.
 type Sandbox struct {
@@ -58,7 +45,6 @@ type Runtime struct {
 	eng   *sim.Engine
 	kern  *nsmodel.Kernel
 	chain *cni.Chain
-	cfg   Config
 	node  string
 
 	sandboxes map[string]*Sandbox // by pod key
@@ -68,9 +54,9 @@ type Runtime struct {
 }
 
 // NewRuntime creates the runtime for node, wiring the CNI chain.
-func NewRuntime(eng *sim.Engine, kern *nsmodel.Kernel, chain *cni.Chain, cfg Config, node string) *Runtime {
+func NewRuntime(eng *sim.Engine, kern *nsmodel.Kernel, chain *cni.Chain, node string) *Runtime {
 	return &Runtime{
-		eng: eng, kern: kern, chain: chain, cfg: cfg, node: node,
+		eng: eng, kern: kern, chain: chain, node: node,
 		sandboxes: make(map[string]*Sandbox),
 		nextShift: 100000,
 	}
@@ -100,7 +86,7 @@ func (r *Runtime) SetupPod(pod *k8s.Pod, done func(error)) {
 	}
 	st := r.step(pod)
 	st.key, st.setupDone = key, done
-	r.eng.AfterCall(r.eng.Jitter(r.cfg.SandboxSetup, r.cfg.Jitter), createSandbox, st)
+	r.eng.AfterCall(r.eng.Jitter(sandboxSetup, jitter), createSandbox, st)
 }
 
 // TeardownPod implements k8s.Runtime: kill container processes, run the CNI
@@ -118,7 +104,7 @@ func (r *Runtime) TeardownPod(pod *k8s.Pod, done func()) {
 	}
 	st := r.step(pod)
 	st.sb, st.teardownDone = sb, done
-	r.eng.AfterCall(r.eng.Jitter(r.cfg.SandboxTeardown, r.cfg.Jitter), destroySandbox, st)
+	r.eng.AfterCall(r.eng.Jitter(sandboxTeardown, jitter), destroySandbox, st)
 }
 
 // podStep is one SetupPod or TeardownPod in flight: the pod, its sandbox,
@@ -158,24 +144,20 @@ func createSandbox(a any) {
 	}
 	st.sb = sb
 	if pod.Spec.HostNetwork {
-		sb.NetNS = r.kern.HostNetNS()
-	} else {
-		sb.NetNS = r.kern.NewNetNS(cid).Inode
-	}
-	if r.cfg.UserNamespaces && !pod.Spec.HostNetwork {
-		shift := r.nextShift
-		r.nextShift += 65536
-		sb.UserNS = r.kern.NewUserNS(cid, nsmodel.MapOne[nsmodel.UID](0, shift),
-			nsmodel.MapOne(0, nsmodel.GID(shift))).Inode
-	} else {
-		sb.UserNS = r.kern.HostUserNS()
-	}
-	if pod.Spec.HostNetwork {
-		// Host-network pods skip CNI entirely.
+		// Host-network pods share the host's namespaces and skip CNI
+		// entirely.
+		sb.NetNS, sb.UserNS = r.kern.HostNetNS(), r.kern.HostUserNS()
 		r.sandboxes[st.key] = sb
 		st.finish(nil)
 		return
 	}
+	sb.NetNS = r.kern.NewNetNS(cid).Inode
+	// Every other pod runs in its own user namespace with an
+	// identity-shifted mapping, as hardened multi-tenant clusters do.
+	shift := r.nextShift
+	r.nextShift += 65536
+	sb.UserNS = r.kern.NewUserNS(cid, nsmodel.MapOne[nsmodel.UID](0, shift),
+		nsmodel.MapOne(0, nsmodel.GID(shift))).Inode
 	r.chain.Add(sb.cniArgs(), st.added)
 }
 

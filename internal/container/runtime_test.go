@@ -41,9 +41,9 @@ func newRTEnv(t *testing.T, extra ...cni.Plugin) *rtEnv {
 		t.Fatal(err)
 	}
 	over := cni.NewOverlayPlugin(eng, "node0", "10.42.0")
-	cxip := cni.NewCXIPlugin(eng, api.Client(), dev, root.PID, cni.DefaultCXIPluginConfig())
-	chain := cni.NewChain(eng, 5*time.Millisecond, append([]cni.Plugin{over, cxip}, extra...)...)
-	rt := NewRuntime(eng, kern, chain, DefaultConfig(), "node0")
+	cxip := cni.NewCXIPlugin(eng, api.Client(), dev, root.PID)
+	chain := cni.NewChain(eng, append([]cni.Plugin{over, cxip}, extra...)...)
+	rt := NewRuntime(eng, kern, chain, "node0")
 	return &rtEnv{eng: eng, kern: kern, api: api, dev: dev, sw: sw, rt: rt, over: over, cxip: cxip}
 }
 
@@ -104,7 +104,7 @@ func TestSetupCreatesIsolatedSandbox(t *testing.T) {
 		t.Error("pod shares host netns")
 	}
 	if sb.UserNS == e.kern.HostUserNS() {
-		t.Error("pod shares host userns despite UserNamespaces=true")
+		t.Error("pod shares the host user namespace")
 	}
 	if len(sb.Result.Interfaces) != 1 {
 		t.Errorf("interfaces = %+v", sb.Result.Interfaces)

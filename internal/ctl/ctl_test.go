@@ -97,7 +97,7 @@ func TestSessionDeterminism(t *testing.T) {
 			"quit",
 		}, "\n") + "\n"
 		sc := DefaultScenario()
-		sc.Telemetry.SampleEvery = 100 * time.Millisecond
+		sc.Telemetry.Interval = 100 * time.Millisecond
 		transcript := runSession(t, sc, script)
 		// The dump path differs between runs; normalize it out.
 		transcript = strings.ReplaceAll(transcript, sink, "SINK")
@@ -195,7 +195,7 @@ func TestCommandErrors(t *testing.T) {
 func TestMetricsCommands(t *testing.T) {
 	sink := filepath.Join(t.TempDir(), "series.jsonl")
 	sc := DefaultScenario()
-	sc.Telemetry.SampleEvery = 50 * time.Millisecond
+	sc.Telemetry.Interval = 50 * time.Millisecond
 	got := runSession(t, sc, "step 500ms\nmetrics\nmetrics dump "+sink+"\nquit\n")
 	for _, want := range []string{
 		"shssim_virtual_time_microseconds",

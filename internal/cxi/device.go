@@ -10,17 +10,27 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
 
+// The NIC's software costs, calibrated so that OSU-style microbenchmarks
+// over the simulated fabric land in the regime the paper reports (~2 µs
+// small-message latency, ~24 GB/s peak bandwidth per port). Each device
+// scales them by its own run drift (see NewDevice).
+const (
+	// sendOverhead is per-message software+DMA-issue cost on the send side
+	// (descriptor write, doorbell, DMA fetch).
+	sendOverhead = 650 * time.Nanosecond
+	// recvOverhead is per-message delivery cost on the receive side (event
+	// generation, completion write).
+	recvOverhead = 450 * time.Nanosecond
+	// msgIssueGap is the minimum spacing between successive message issues
+	// from one endpoint; it bounds small-message rate.
+	msgIssueGap = 300 * time.Nanosecond
+	// runSigma is the per-instantiation systemic drift on the software
+	// overheads, complementing fabric.Config.RunSigma (see there).
+	runSigma = 0.004
+)
+
 // DeviceConfig tunes the NIC model.
 type DeviceConfig struct {
-	// SendOverhead is per-message software+DMA-issue cost on the send side
-	// (descriptor write, doorbell, DMA fetch).
-	SendOverhead time.Duration
-	// RecvOverhead is per-message delivery cost on the receive side (event
-	// generation, completion write).
-	RecvOverhead time.Duration
-	// MsgIssueGap is the minimum spacing between successive message issues
-	// from one endpoint; it bounds small-message rate.
-	MsgIssueGap time.Duration
 	// CoalesceFrames sends multi-frame messages as a single burst event
 	// when true (default); turning it off models frame-granular simulation
 	// and is used by the ablation benchmarks.
@@ -29,23 +39,12 @@ type DeviceConfig struct {
 	// user namespaces before matching UID/GID members. The unpatched
 	// driver is not userns-aware; the paper's patched stack is.
 	UsernsAware bool
-	// RunSigma is the per-instantiation systemic drift on the software
-	// overheads, complementing fabric.Config.RunSigma (see there).
-	RunSigma float64
 }
 
-// DefaultDeviceConfig returns parameters calibrated so that OSU-style
-// microbenchmarks over the simulated fabric land in the regime the paper
-// reports (~2 µs small-message latency, ~24 GB/s peak bandwidth per port).
+// DefaultDeviceConfig returns the paper's patched driver with coalesced
+// frames.
 func DefaultDeviceConfig() DeviceConfig {
-	return DeviceConfig{
-		SendOverhead:   650 * time.Nanosecond,
-		RecvOverhead:   450 * time.Nanosecond,
-		MsgIssueGap:    300 * time.Nanosecond,
-		CoalesceFrames: true,
-		UsernsAware:    true,
-		RunSigma:       0.004,
-	}
+	return DeviceConfig{CoalesceFrames: true, UsernsAware: true}
 }
 
 // DeviceStats aggregates NIC counters.
@@ -103,6 +102,10 @@ type Device struct {
 	sends    sim.FreeList[sendArg]
 	delivers sim.FreeList[msgDeliver]
 	partials sim.FreeList[partialMsg]
+
+	// sendOverhead, recvOverhead and msgIssueGap are the package's
+	// constants scaled by this device's run drift.
+	sendOverhead, recvOverhead, msgIssueGap time.Duration
 }
 
 type partialKey struct {
@@ -119,18 +122,7 @@ type partialMsg struct {
 
 // NewDevice creates a NIC attached to sw, authenticated against kern.
 func NewDevice(name string, eng *sim.Engine, kern *nsmodel.Kernel, sw *fabric.Switch, cfg DeviceConfig) *Device {
-	if cfg.RunSigma > 0 {
-		f := eng.Rand().NormFloat64() * cfg.RunSigma
-		if f > 3*cfg.RunSigma {
-			f = 3 * cfg.RunSigma
-		}
-		if f < -3*cfg.RunSigma {
-			f = -3 * cfg.RunSigma
-		}
-		cfg.SendOverhead = time.Duration(float64(cfg.SendOverhead) * (1 + f))
-		cfg.RecvOverhead = time.Duration(float64(cfg.RecvOverhead) * (1 + f))
-		cfg.MsgIssueGap = time.Duration(float64(cfg.MsgIssueGap) * (1 + f))
-	}
+	f := eng.RunDrift(runSigma)
 	d := &Device{
 		Name:       name,
 		eng:        eng,
@@ -149,6 +141,9 @@ func NewDevice(name string, eng *sim.Engine, kern *nsmodel.Kernel, sw *fabric.Sw
 		rmaWaiters: make(map[uint64]func()),
 		stats:      DeviceStats{AuthFailures: make(map[AuthFailure]uint64)},
 	}
+	d.sendOverhead = time.Duration(float64(sendOverhead) * (1 + f))
+	d.recvOverhead = time.Duration(float64(recvOverhead) * (1 + f))
+	d.msgIssueGap = time.Duration(float64(msgIssueGap) * (1 + f))
 	d.addr = sw.Attach(d)
 	d.link = fabric.NewHostLink(eng, sw)
 	// The driver ships with an unrestricted default service on VNI 1,
@@ -173,9 +168,6 @@ func NewDevice(name string, eng *sim.Engine, kern *nsmodel.Kernel, sw *fabric.Sw
 
 // Addr returns the NIC's fabric address.
 func (d *Device) Addr() fabric.Addr { return d.addr }
-
-// Config returns the NIC model configuration.
-func (d *Device) Config() DeviceConfig { return d.cfg }
 
 // Stats returns a copy of the NIC counters.
 func (d *Device) Stats() DeviceStats {
@@ -449,6 +441,6 @@ func (d *Device) ReceivePacket(p *fabric.Packet) {
 		md := d.delivers.Get()
 		md.ep = ep
 		md.msg = Message{Src: p.Src, SrcEP: p.SrcIdx, Size: size, VNI: p.VNI, TC: p.TC}
-		d.eng.AfterCall(d.eng.Jitter(d.cfg.RecvOverhead, 0.02), msgDeliverCall, md)
+		d.eng.AfterCall(d.eng.Jitter(d.recvOverhead, 0.02), msgDeliverCall, md)
 	}
 }

@@ -129,14 +129,14 @@ func (ep *Endpoint) Send(dst fabric.Addr, dstIdx int, size int, onComplete func(
 	if ep.issueAt > issue {
 		issue = ep.issueAt
 	}
-	issue = issue.Add(d.eng.Jitter(d.cfg.MsgIssueGap, 0.02))
+	issue = issue.Add(d.eng.Jitter(d.msgIssueGap, 0.02))
 	ep.issueAt = issue
 
 	frames := (size + d.mtu - 1) / d.mtu
 	if frames == 0 {
 		frames = 1
 	}
-	start := issue.Add(d.eng.Jitter(d.cfg.SendOverhead, 0.02))
+	start := issue.Add(d.eng.Jitter(d.sendOverhead, 0.02))
 
 	// Field by field: sendCall zeroes the struct before returning it, and a
 	// composite literal here would build and copy all of it, pkt included.

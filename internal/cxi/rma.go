@@ -106,9 +106,9 @@ func (ep *Endpoint) sendRMA(dst fabric.Addr, dstIdx int, wireBytes int, op rmaOp
 	if ep.issueAt > issue {
 		issue = ep.issueAt
 	}
-	issue = issue.Add(d.eng.Jitter(d.cfg.MsgIssueGap, 0.02))
+	issue = issue.Add(d.eng.Jitter(d.msgIssueGap, 0.02))
 	ep.issueAt = issue
-	start := issue.Add(d.eng.Jitter(d.cfg.SendOverhead, 0.02))
+	start := issue.Add(d.eng.Jitter(d.sendOverhead, 0.02))
 
 	frames := (wireBytes + d.mtu - 1) / d.mtu
 	if frames == 0 {
@@ -139,7 +139,7 @@ func (d *Device) handleRMA(p *fabric.Packet, ep *Endpoint) {
 			return
 		}
 		delete(d.rmaWaiters, h.ReqID)
-		d.eng.After(d.eng.Jitter(d.cfg.RecvOverhead, 0.02), waiter)
+		d.eng.After(d.eng.Jitter(d.recvOverhead, 0.02), waiter)
 		return
 	}
 	mr, ok := d.mrs[MRKey(h.Key)]
@@ -176,7 +176,7 @@ func (d *Device) handleRMA(p *fabric.Packet, ep *Endpoint) {
 	if frames == 0 {
 		frames = 1
 	}
-	d.eng.After(d.eng.Jitter(d.cfg.RecvOverhead, 0.02), func() {
+	d.eng.After(d.eng.Jitter(d.recvOverhead, 0.02), func() {
 		d.link.Send(&fabric.Packet{
 			Src: d.addr, Dst: src, VNI: vni, TC: tc,
 			PayloadBytes: size, Frames: frames, DstIdx: replyEP, SrcIdx: ep.idx,

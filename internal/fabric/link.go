@@ -59,6 +59,3 @@ func injectCall(a any) {
 	in.pkt = Packet{}
 	in.sw.injects.Put(in)
 }
-
-// BusyUntil returns the time the link becomes idle.
-func (l *HostLink) BusyUntil() sim.Time { return l.busyAt }

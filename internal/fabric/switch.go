@@ -173,19 +173,11 @@ func NewSwitch(name string, eng *sim.Engine, cfg Config) *Switch {
 	if cfg.MTU <= 0 {
 		panic("fabric: config MTU must be positive")
 	}
-	if cfg.RunSigma > 0 {
-		// Systemic per-run drift: one multiplicative factor for this
-		// instantiation of the fabric, clamped to ±3σ.
-		f := eng.Rand().NormFloat64() * cfg.RunSigma
-		if f > 3*cfg.RunSigma {
-			f = 3 * cfg.RunSigma
-		}
-		if f < -3*cfg.RunSigma {
-			f = -3 * cfg.RunSigma
-		}
-		cfg.LinkBandwidthBits *= 1 + f
-		cfg.SwitchLatency = time.Duration(float64(cfg.SwitchLatency) * (1 - f))
-	}
+	// Systemic per-run drift: one multiplicative factor for this
+	// instantiation of the fabric.
+	f := eng.RunDrift(cfg.RunSigma)
+	cfg.LinkBandwidthBits *= 1 + f
+	cfg.SwitchLatency = time.Duration(float64(cfg.SwitchLatency) * (1 - f))
 	return &Switch{
 		eng:       eng,
 		cfg:       cfg,

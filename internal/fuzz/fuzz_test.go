@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
+	"github.com/caps-sim/shs-k8s/internal/health"
 	"github.com/caps-sim/shs-k8s/internal/scenario"
 )
 
@@ -326,7 +327,7 @@ func remediationBugSpec(t *testing.T) *scenario.Scenario {
 		Quarantine: 30 * time.Second,
 		Tenants:    []scenario.Tenant{{Name: "t0"}},
 	}
-	sc.Health = scenario.HealthSpec{CheckEvery: 50 * time.Millisecond}
+	sc.Health = scenario.HealthSpec{Daemon: health.Config{Interval: 50 * time.Millisecond}}
 	sc.Events = []scenario.Event{
 		{At: 0, Action: "start_fleet", Params: map[string]string{}},
 		{At: 10 * time.Millisecond, Action: "cordon", Target: "node0", Params: map[string]string{}},

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
+	"github.com/caps-sim/shs-k8s/internal/health"
+	"github.com/caps-sim/shs-k8s/internal/remediate"
 	"github.com/caps-sim/shs-k8s/internal/scenario"
 	"github.com/caps-sim/shs-k8s/internal/workload"
 )
@@ -277,14 +279,11 @@ func (g *genState) genHealth(groups, spg, nodes, tenants int) {
 	// Fast loop tuning so one detect→cordon→drain→replace→uncordon cycle
 	// fits well inside the generated timeline.
 	g.sc.Health = scenario.HealthSpec{
-		CheckEvery:      50 * time.Millisecond,
-		ErrorsPerSecond: 50,
-		DegradeTicks:    2,
-		DrainGrace:      50 * time.Millisecond,
-		ReplaceDelay:    100 * time.Millisecond,
+		Daemon:    health.Config{Interval: 50 * time.Millisecond, ErrorRateThreshold: 50, DegradeTicks: 2},
+		Remediate: remediate.Config{DrainGrace: 50 * time.Millisecond, ReplaceDelay: 100 * time.Millisecond},
 	}
 	if g.rng.Intn(2) == 0 {
-		g.sc.Health.Budget = 1 + g.rng.Intn(2)
+		g.sc.Health.Remediate.Budget = 1 + g.rng.Intn(2)
 	}
 	// Distinct target nodes: re-cordoning a node already in the loop is
 	// adoption-deduped, which would make the remediation count ambiguous.

@@ -50,15 +50,18 @@ func (c *Counters) Errors(node string) uint64 { return c.errors[node] }
 // NIC). The daemon rebaselines on the next tick.
 func (c *Counters) Reset(node string) { delete(c.errors, node) }
 
-// Config tunes detection. Rates are per second of virtual time.
+// ewmaAlpha weights the newest tick's rate sample in every EWMA the daemon
+// keeps (0 < alpha <= 1).
+const ewmaAlpha = 0.5
+
+// Config tunes detection. Rates are per second of virtual time. A zero
+// field takes its DefaultConfig value.
 type Config struct {
 	// Interval is the poll period (the daemon's tick).
 	Interval sim.Duration
 	// ErrorRateThreshold is the EWMA error rate (errors/s) above which a
 	// node counts as degrading on that tick.
 	ErrorRateThreshold float64
-	// EWMAAlpha weights the newest tick's rate sample (0 < alpha <= 1).
-	EWMAAlpha float64
 	// FlapThreshold is the EWMA link state-transition rate
 	// (transitions/s) above which a link is declared flapping. At the
 	// default interval a single clean failure peaks below it and decays;
@@ -80,7 +83,6 @@ func DefaultConfig() Config {
 	return Config{
 		Interval:           100 * time.Millisecond,
 		ErrorRateThreshold: 50,
-		EWMAAlpha:          0.5,
 		FlapThreshold:      6,
 		DegradeTicks:       2,
 		StableTicks:        5,
@@ -95,9 +97,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.ErrorRateThreshold <= 0 {
 		out.ErrorRateThreshold = def.ErrorRateThreshold
-	}
-	if out.EWMAAlpha <= 0 || out.EWMAAlpha > 1 {
-		out.EWMAAlpha = def.EWMAAlpha
 	}
 	if out.FlapThreshold <= 0 {
 		out.FlapThreshold = def.FlapThreshold
@@ -302,7 +301,7 @@ func (d *Daemon) pollNode(st *nodeState, secs float64) {
 	} // else: counter was reset underneath us — rebaseline silently
 	st.lastErrors = cur
 	rate := float64(delta) / secs
-	st.ewma = d.cfg.EWMAAlpha*rate + (1-d.cfg.EWMAAlpha)*st.ewma
+	st.ewma = ewmaAlpha*rate + (1-ewmaAlpha)*st.ewma
 
 	portDown := d.topo.PortDown(st.info.Addr)
 	over := st.ewma > d.cfg.ErrorRateThreshold || portDown
@@ -368,7 +367,7 @@ func (d *Daemon) pollLinks(secs float64) {
 			st.down = li.Down
 		}
 		rate := float64(transitions) / secs
-		st.ewma = d.cfg.EWMAAlpha*rate + (1-d.cfg.EWMAAlpha)*st.ewma
+		st.ewma = ewmaAlpha*rate + (1-ewmaAlpha)*st.ewma
 		if !st.flapping && st.ewma > d.cfg.FlapThreshold {
 			st.flapping = true
 			st.stableTicks = 0

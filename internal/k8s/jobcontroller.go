@@ -8,13 +8,14 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
 
+// podCreateLatency is the controller-side cost per pod creation (workqueue
+// processing plus client round trip). Together with QPS limiting it
+// reproduces the linear admission behaviour the paper observes under burst
+// load.
+const podCreateLatency = 18 * time.Millisecond
+
 // JobControllerConfig tunes the job controller's work rate.
 type JobControllerConfig struct {
-	// PodCreateLatency is the controller-side cost per pod creation
-	// (workqueue processing plus client round trip). Together with QPS
-	// limiting it reproduces the linear admission behaviour the paper
-	// observes under burst load.
-	PodCreateLatency sim.Duration
 	// MaxQPS caps controller API writes per second (client-go rate
 	// limiter); 0 disables the cap.
 	MaxQPS float64
@@ -25,9 +26,8 @@ type JobControllerConfig struct {
 // DefaultJobControllerConfig is calibrated against k3s defaults.
 func DefaultJobControllerConfig() JobControllerConfig {
 	return JobControllerConfig{
-		PodCreateLatency: 18 * time.Millisecond,
-		MaxQPS:           20,
-		Jitter:           0.35,
+		MaxQPS: 20,
+		Jitter: 0.35,
 	}
 }
 
@@ -131,7 +131,7 @@ func (c *JobController) pump() {
 	c.current = c.queue.pop()
 	delete(c.queued, c.current)
 	eng := c.cli.Engine()
-	delay := eng.Jitter(c.cfg.PodCreateLatency, c.cfg.Jitter)
+	delay := eng.Jitter(podCreateLatency, c.cfg.Jitter)
 	if c.cfg.MaxQPS > 0 {
 		// The client-side rate limiter gates API writes, not no-op
 		// reconciles: the gap is measured from the last actual write

@@ -18,35 +18,31 @@ type Runtime interface {
 	TeardownPod(pod *Pod, done func())
 }
 
+// The node agent's costs, calibrated so the end-to-end admission pipeline
+// reproduces the paper's baseline (k3s on two Ampere Altra nodes).
+const (
+	// kubeletWorkers is the number of concurrent pod workers per node.
+	kubeletWorkers = 2
+	// imagePull is the cost of resolving/mounting the image from the local
+	// registry (the paper pulls alpine from a local Harbor to keep this
+	// small).
+	imagePull = 120 * time.Millisecond
+	// containerStart is the cost of creating and starting the container
+	// after the sandbox exists.
+	containerStart = 300 * time.Millisecond
+	// statusLag delays pod status propagation back to the API server,
+	// standing in for the kubelet sync loop.
+	statusLag = 80 * time.Millisecond
+)
+
 // KubeletConfig tunes the node agent.
 type KubeletConfig struct {
-	// Workers is the number of concurrent pod workers per node.
-	Workers int
-	// ImagePull is the cost of resolving/mounting the image from the
-	// local registry (the paper pulls alpine from a local Harbor to keep
-	// this small).
-	ImagePull sim.Duration
-	// ContainerStart is the cost of creating and starting the container
-	// after the sandbox exists.
-	ContainerStart sim.Duration
-	// StatusLag delays pod status propagation back to the API server,
-	// standing in for the kubelet sync loop.
-	StatusLag sim.Duration
-	// Jitter fraction on all of the above.
+	// Jitter fraction on every kubelet cost and on the pod's run time.
 	Jitter float64
 }
 
-// DefaultKubeletConfig is calibrated so the end-to-end admission pipeline
-// reproduces the paper's baseline (k3s on two Ampere Altra nodes).
-func DefaultKubeletConfig() KubeletConfig {
-	return KubeletConfig{
-		Workers:        2,
-		ImagePull:      120 * time.Millisecond,
-		ContainerStart: 300 * time.Millisecond,
-		StatusLag:      80 * time.Millisecond,
-		Jitter:         0.35,
-	}
-}
+// DefaultKubeletConfig returns the calibrated jitter.
+func DefaultKubeletConfig() KubeletConfig { return KubeletConfig{Jitter: 0.35} }
 
 // Kubelet runs pods bound to one node through the container runtime. It
 // watches only its own node's pods (a fieldSelector-style filtered watch),
@@ -74,9 +70,6 @@ type Kubelet struct {
 
 // NewKubelet creates and starts the node agent for node.
 func NewKubelet(cli *Client, cfg KubeletConfig, node string, rt Runtime) *Kubelet {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	k := &Kubelet{cli: cli, cfg: cfg, node: node, rt: rt,
 		livePods: make(map[string]*Pod), exitTimers: make(map[string]*podTask)}
 	cli.Watch(KindPod, WatchOptions{Selector: func(obj Object) bool {
@@ -141,7 +134,7 @@ func (k *Kubelet) submit(pod *Pod, teardown bool) {
 }
 
 func (k *Kubelet) pump() {
-	for k.running < k.cfg.Workers && k.queue.len() > 0 {
+	for k.running < kubeletWorkers && k.queue.len() > 0 {
 		t := k.queue.pop()
 		k.running++
 		if t.teardown {
@@ -180,7 +173,7 @@ func (k *Kubelet) jit(d sim.Duration) sim.Duration {
 // container start, then status updates and (for the echo workloads) the
 // container exit.
 func (k *Kubelet) startPod(t *podTask) {
-	k.cli.Engine().AfterCall(k.jit(k.cfg.ImagePull), pullImage, t)
+	k.cli.Engine().AfterCall(k.jit(imagePull), pullImage, t)
 }
 
 func pullImage(arg any) {
@@ -197,7 +190,7 @@ func (t *podTask) onSetup(err error) {
 		k.slotFreed()
 		return
 	}
-	k.cli.Engine().AfterCall(k.jit(k.cfg.ContainerStart), startContainer, t)
+	k.cli.Engine().AfterCall(k.jit(containerStart), startContainer, t)
 }
 
 // startContainer reports Running after the status lag and arms the
@@ -209,8 +202,8 @@ func startContainer(arg any) {
 	k := t.k
 	eng := k.cli.Engine()
 	t.started = eng.Now()
-	eng.AfterCall(k.jit(k.cfg.StatusLag), reportRunning, t)
-	t.exit = eng.AfterCall(eng.Jitter(t.pod.Spec.RunDuration, k.cfg.Jitter)+k.jit(k.cfg.StatusLag), containerExited, t)
+	eng.AfterCall(k.jit(statusLag), reportRunning, t)
+	t.exit = eng.AfterCall(eng.Jitter(t.pod.Spec.RunDuration, k.cfg.Jitter)+k.jit(statusLag), containerExited, t)
 	t.pending = 2
 	k.exitTimers[t.pod.Meta.Key()] = t
 	k.slotFreed()

@@ -206,7 +206,7 @@ func TestOwnerIndexMatchesScan(t *testing.T) {
 // reconciles run in FIFO order.
 func TestJobQueueDedup(t *testing.T) {
 	eng, api := newTestAPI()
-	c := NewJobController(api.Client(), JobControllerConfig{PodCreateLatency: time.Millisecond})
+	c := NewJobController(api.Client(), JobControllerConfig{})
 	var order []string
 	c.SetGate(func(job *Job) bool {
 		order = append(order, job.Meta.Name)

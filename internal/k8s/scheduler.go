@@ -8,11 +8,13 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
 
+// bindLatency is per-pod scheduling plus binding cost, matching a lightly
+// loaded k3s scheduler.
+const bindLatency = 12 * time.Millisecond
+
 // SchedulerConfig tunes the binding pipeline.
 type SchedulerConfig struct {
-	// BindLatency is per-pod scheduling plus binding cost.
-	BindLatency sim.Duration
-	// Jitter fraction on BindLatency.
+	// Jitter fraction on bindLatency.
 	Jitter float64
 	// NodeGroups maps node name → fabric topology group (dragonfly
 	// group). When set, placement prefers co-locating a job's pods
@@ -26,9 +28,9 @@ type SchedulerConfig struct {
 	NodeCapacity int
 }
 
-// DefaultSchedulerConfig matches a lightly loaded k3s scheduler.
+// DefaultSchedulerConfig returns the calibrated jitter and no topology.
 func DefaultSchedulerConfig() SchedulerConfig {
-	return SchedulerConfig{BindLatency: 12 * time.Millisecond, Jitter: 0.4}
+	return SchedulerConfig{Jitter: 0.4}
 }
 
 // Scheduler assigns pending pods to nodes. Within one topology group it
@@ -204,7 +206,7 @@ func (s *Scheduler) pump() {
 	s.busy = true
 	s.current = s.queue.pop()
 	eng := s.cli.Engine()
-	eng.AfterCall(eng.Jitter(s.cfg.BindLatency, s.cfg.Jitter), bindCall, s)
+	eng.AfterCall(eng.Jitter(bindLatency, s.cfg.Jitter), bindCall, s)
 }
 
 // bindCall is pump's event body; arg is the scheduler.

@@ -24,17 +24,6 @@ func (f *ProcFS) NetNSInode(pid PID) (Inode, error) {
 	return p.NetNS, nil
 }
 
-// UserNSInode returns the inode of /proc/<pid>/ns/user.
-func (f *ProcFS) UserNSInode(pid PID) (Inode, error) {
-	f.k.mu.Lock()
-	defer f.k.mu.Unlock()
-	p, ok := f.k.procs[pid]
-	if !ok || p.exited {
-		return InvalidInode, fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
-	}
-	return p.UserNS, nil
-}
-
 // Status mirrors the UID/GID lines of /proc/<pid>/status as seen from the
 // host: real (inside) and host-translated credentials.
 type Status struct {

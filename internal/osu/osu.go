@@ -25,8 +25,7 @@ type Options struct {
 	// Iterations per size. The paper uses 10 000 (bandwidth) and 20 000
 	// (latency); the simulated benchmarks default lower because each
 	// iteration is statistically identical modulo seeded jitter — see
-	// EXPERIMENTS.md. PaperFidelity returns options with the paper's
-	// values for full fidelity.
+	// EXPERIMENTS.md.
 	Iterations int
 	// Warmup iterations excluded from timing (OSU skips the first runs).
 	Warmup int
@@ -43,27 +42,6 @@ func DefaultBwOptions() Options {
 // DefaultLatencyOptions returns osu_latency defaults.
 func DefaultLatencyOptions() Options {
 	return Options{Sizes: DefaultSizes(), Iterations: 200, Warmup: 16}
-}
-
-// The paper's per-size iteration counts (§IV-A): 10 000 for the bandwidth
-// benchmark, 20 000 for latency.
-const (
-	PaperBwIterations      = 10000
-	PaperLatencyIterations = 20000
-)
-
-// PaperFidelity returns a copy of o with the paper's iteration count: the
-// documented 10 000 for bandwidth-shaped options (a windowed benchmark,
-// WindowSize > 0) and 20 000 for latency-shaped ones. Expect full-fidelity
-// runs to take proportionally longer wall time; see EXPERIMENTS.md on
-// iteration scaling.
-func (o Options) PaperFidelity() Options {
-	if o.WindowSize > 0 {
-		o.Iterations = PaperBwIterations
-	} else {
-		o.Iterations = PaperLatencyIterations
-	}
-	return o
 }
 
 // Point is one (size, value) measurement.

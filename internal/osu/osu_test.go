@@ -157,26 +157,3 @@ func TestBiBandwidthExceedsUnidirectional(t *testing.T) {
 		t.Errorf("bibw = %.0f MB/s exceeds 2x line rate", bi)
 	}
 }
-
-// TestPaperFidelityIterations pins the documented §IV-A iteration counts:
-// 10 000 per size for osu_bw, 20 000 for osu_latency.
-func TestPaperFidelityIterations(t *testing.T) {
-	if PaperBwIterations != 10000 || PaperLatencyIterations != 20000 {
-		t.Errorf("paper constants drifted: bw %d, latency %d", PaperBwIterations, PaperLatencyIterations)
-	}
-	bw := DefaultBwOptions().PaperFidelity()
-	if bw.Iterations != 10000 {
-		t.Errorf("bandwidth fidelity iterations = %d, want 10000", bw.Iterations)
-	}
-	lat := DefaultLatencyOptions().PaperFidelity()
-	if lat.Iterations != 20000 {
-		t.Errorf("latency fidelity iterations = %d, want 20000", lat.Iterations)
-	}
-	// Everything but the iteration count is untouched.
-	if bw.WindowSize != 64 || bw.Warmup != DefaultBwOptions().Warmup {
-		t.Errorf("fidelity changed unrelated options: %+v", bw)
-	}
-	if len(bw.Sizes) != len(DefaultSizes()) {
-		t.Errorf("fidelity changed sizes: %d", len(bw.Sizes))
-	}
-}

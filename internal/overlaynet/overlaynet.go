@@ -19,31 +19,29 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
 
-// Config sets the overlay datapath parameters.
-type Config struct {
-	// StackLatency is the one-way kernel+virtualization latency floor:
+// The overlay datapath's costs, reflecting a flannel/VXLAN-style overlay on
+// 25-100 GbE-class virtio/veth plumbing.
+const (
+	// stackLatency is the one-way kernel+virtualization latency floor:
 	// syscall, TCP/IP stack, veth hop, bridge, VXLAN encap on the sender,
 	// and the mirror path on the receiver.
-	StackLatency time.Duration
-	// PerPacketCPU is the CPU cost per MSS-sized packet (skb handling,
-	// encap, checksum, softirq); its inverse bounds packet rate.
-	PerPacketCPU time.Duration
-	// MSS is the TCP maximum segment size inside the tunnel.
-	MSS int
+	stackLatency = 24 * time.Microsecond
+	// perPacketCPU is the CPU cost per MSS-sized packet (skb handling,
+	// encap, checksum, softirq); its inverse bounds packet rate: ~2 Mpps ≈
+	// 2.9 GB/s at 1448 B.
+	perPacketCPU = 480 * time.Nanosecond
+	// mss is the TCP maximum segment size inside the tunnel.
+	mss = 1448
+)
+
+// Config sets the overlay datapath's noise.
+type Config struct {
 	// Jitter is the per-operation noise fraction (kernel scheduling).
 	Jitter float64
 }
 
-// DefaultConfig reflects a flannel/VXLAN-style overlay on 25-100 GbE-class
-// virtio/veth plumbing.
-func DefaultConfig() Config {
-	return Config{
-		StackLatency: 24 * time.Microsecond,
-		PerPacketCPU: 480 * time.Nanosecond, // ~2 Mpps ≈ 2.9 GB/s at 1448B
-		MSS:          1448,
-		Jitter:       0.08,
-	}
-}
+// DefaultConfig returns the calibrated noise.
+func DefaultConfig() Config { return Config{Jitter: 0.08} }
 
 // Path is one direction of an established pod-to-pod TCP connection over
 // the overlay.
@@ -55,9 +53,6 @@ type Path struct {
 
 // NewPath creates a connection path.
 func NewPath(eng *sim.Engine, cfg Config) *Path {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1448
-	}
 	return &Path{eng: eng, cfg: cfg}
 }
 
@@ -65,12 +60,12 @@ func NewPath(eng *sim.Engine, cfg Config) *Path {
 // is delivered to the receiving pod's socket. Successive sends serialize on
 // the sender's per-connection CPU, as a single TCP stream does.
 func (p *Path) Send(size int, onDelivered func()) {
-	pkts := (size + p.cfg.MSS - 1) / p.cfg.MSS
+	pkts := (size + mss - 1) / mss
 	if pkts == 0 {
 		pkts = 1
 	}
 	// Sender-side CPU occupancy serializes the stream.
-	cpu := p.eng.Jitter(time.Duration(pkts)*p.cfg.PerPacketCPU, p.cfg.Jitter)
+	cpu := p.eng.Jitter(time.Duration(pkts)*perPacketCPU, p.cfg.Jitter)
 	start := p.eng.Now()
 	if p.busyAt > start {
 		start = p.busyAt
@@ -79,15 +74,9 @@ func (p *Path) Send(size int, onDelivered func()) {
 	p.busyAt = txDone
 	// Receiver-side cost mirrors the sender's per-packet work; the stack
 	// latency floor applies once per message direction.
-	lat := p.eng.Jitter(p.cfg.StackLatency, p.cfg.Jitter) +
-		p.eng.Jitter(time.Duration(pkts)*p.cfg.PerPacketCPU, p.cfg.Jitter)
+	lat := p.eng.Jitter(stackLatency, p.cfg.Jitter) +
+		p.eng.Jitter(time.Duration(pkts)*perPacketCPU, p.cfg.Jitter)
 	if onDelivered != nil {
 		p.eng.At(txDone.Add(lat), onDelivered)
 	}
-}
-
-// EffectiveBandwidth returns the model's streaming bandwidth ceiling in
-// bytes/second (per-packet CPU bound).
-func (c Config) EffectiveBandwidth() float64 {
-	return float64(c.MSS) / c.PerPacketCPU.Seconds()
 }

@@ -23,8 +23,7 @@ func TestSmallMessageLatencyRegime(t *testing.T) {
 
 func TestStreamingBandwidthRegime(t *testing.T) {
 	eng := sim.NewEngine(1)
-	cfg := DefaultConfig()
-	p := NewPath(eng, cfg)
+	p := NewPath(eng, DefaultConfig())
 	const total = 256 << 20 // 256 MB in 1 MB messages
 	const msg = 1 << 20
 	done := 0
@@ -42,7 +41,7 @@ func TestStreamingBandwidthRegime(t *testing.T) {
 	})
 	eng.Run()
 	bw := float64(total) / finish.Sub(start).Seconds()
-	ceiling := cfg.EffectiveBandwidth()
+	ceiling := float64(mss) / perPacketCPU.Seconds() // bytes/s, per-packet CPU bound
 	if bw < ceiling*0.7 || bw > ceiling*1.1 {
 		t.Errorf("overlay bw = %.2f GB/s, ceiling %.2f GB/s", bw/1e9, ceiling/1e9)
 	}
@@ -60,12 +59,12 @@ func TestSendsSerializeOnSenderCPU(t *testing.T) {
 	p := NewPath(eng, cfg)
 	var first, second sim.Time
 	eng.After(0, func() {
-		p.Send(cfg.MSS*100, func() { first = eng.Now() })
-		p.Send(cfg.MSS*100, func() { second = eng.Now() })
+		p.Send(mss*100, func() { first = eng.Now() })
+		p.Send(mss*100, func() { second = eng.Now() })
 	})
 	eng.Run()
 	gap := second.Sub(first)
-	want := time.Duration(100) * cfg.PerPacketCPU
+	want := time.Duration(100) * perPacketCPU
 	if gap != want {
 		t.Errorf("inter-message gap = %v, want sender CPU serialization %v", gap, want)
 	}

@@ -21,7 +21,11 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
 
-// Config tunes the remediation state machine.
+// pollEvery is the drain-completion poll period.
+const pollEvery = 50 * time.Millisecond
+
+// Config tunes the remediation state machine. A zero field takes its
+// DefaultConfig value.
 type Config struct {
 	// Budget is the maximum number of nodes remediated concurrently;
 	// further cordons queue. <=0 means 1.
@@ -30,8 +34,6 @@ type Config struct {
 	// before evicting its pods — the window a preemption-aware gang uses
 	// to migrate off cleanly.
 	DrainGrace sim.Duration
-	// PollEvery is the drain-completion poll period.
-	PollEvery sim.Duration
 	// ReplaceDelay models the hardware swap (or node reprovision) time
 	// after the Replace action succeeds, before the uncordon.
 	ReplaceDelay sim.Duration
@@ -49,7 +51,6 @@ func DefaultConfig() Config {
 	return Config{
 		Budget:       1,
 		DrainGrace:   200 * time.Millisecond,
-		PollEvery:    50 * time.Millisecond,
 		ReplaceDelay: 500 * time.Millisecond,
 		RetryBackoff: 100 * time.Millisecond,
 		MaxRetries:   3,
@@ -64,9 +65,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.DrainGrace <= 0 {
 		out.DrainGrace = def.DrainGrace
-	}
-	if out.PollEvery <= 0 {
-		out.PollEvery = def.PollEvery
 	}
 	if out.ReplaceDelay <= 0 {
 		out.ReplaceDelay = def.ReplaceDelay
@@ -306,7 +304,7 @@ func (c *Controller) pollDrain(r *nodeRun, evicted int) {
 		c.replace(r)
 		return
 	}
-	c.eng.After(c.cfg.PollEvery, func() { c.pollDrain(r, evicted) })
+	c.eng.After(pollEvery, func() { c.pollDrain(r, evicted) })
 }
 
 func (c *Controller) nodeEmpty(node string) bool {
@@ -376,6 +374,9 @@ func (c *Controller) Snapshot() []Status {
 	}
 	return out
 }
+
+// Budget returns the number of nodes remediated concurrently.
+func (c *Controller) Budget() int { return c.cfg.Budget }
 
 // Active returns how many remediations are in flight.
 func (c *Controller) Active() int { return c.active }

@@ -18,47 +18,6 @@ import (
 // time_to_detect_us / time_to_recover_us assertions. docs/health.md
 // describes the end-to-end cycle.
 
-// healthConfig maps the scenario's health: section onto the daemon's
-// knobs; unset fields keep the daemon defaults.
-func healthConfig(h HealthSpec) health.Config {
-	cfg := health.DefaultConfig()
-	cfg.Interval = h.CheckEvery
-	if h.ErrorsPerSecond > 0 {
-		cfg.ErrorRateThreshold = h.ErrorsPerSecond
-	}
-	if h.FlapsPerSecond > 0 {
-		cfg.FlapThreshold = h.FlapsPerSecond
-	}
-	if h.DegradeTicks > 0 {
-		cfg.DegradeTicks = h.DegradeTicks
-	}
-	if h.StableTicks > 0 {
-		cfg.StableTicks = h.StableTicks
-	}
-	return cfg
-}
-
-// remediateConfig maps the same section onto the controller's knobs.
-func remediateConfig(h HealthSpec) remediate.Config {
-	cfg := remediate.DefaultConfig()
-	if h.Budget > 0 {
-		cfg.Budget = h.Budget
-	}
-	if h.DrainGrace > 0 {
-		cfg.DrainGrace = h.DrainGrace
-	}
-	if h.ReplaceDelay > 0 {
-		cfg.ReplaceDelay = h.ReplaceDelay
-	}
-	if h.RetryBackoff > 0 {
-		cfg.RetryBackoff = h.RetryBackoff
-	}
-	if h.MaxRetries > 0 {
-		cfg.MaxRetries = h.MaxRetries
-	}
-	return cfg
-}
-
 // startHealth builds and starts the health daemon, the remediation
 // controller, and the node watch that mirrors API cordon state into the
 // scheduler. Called from startFleet only when the health: section is
@@ -71,7 +30,7 @@ func (r *Ops) startHealth(h HealthSpec) {
 	for _, n := range r.st.Nodes {
 		infos = append(infos, health.NodeInfo{Name: n.Name, Addr: n.Device.Addr()})
 	}
-	r.daemon = health.New(r.st.Eng, healthConfig(h), cli, r.st.Topo, r.counters, infos)
+	r.daemon = health.New(r.st.Eng, h.Daemon, cli, r.st.Topo, r.counters, infos)
 	r.daemon.OnEvent(r.onHealthEvent)
 	// Mirror API-declared cordons into the scheduler, so a node the
 	// daemon cordons through the API actually stops receiving pods —
@@ -83,13 +42,12 @@ func (r *Ops) startHealth(h HealthSpec) {
 		node := ev.Object.(*k8s.Node)
 		_ = r.st.Cluster.Scheduler.SetCordon(node.Meta.Name, node.Spec.Unschedulable)
 	})
-	r.remediator = remediate.New(r.st.Eng, cli, remediateConfig(h),
+	r.remediator = remediate.New(r.st.Eng, cli, h.Remediate,
 		remediate.Actions{Replace: r.replaceNode})
 	r.remediator.OnEvent(r.onRemediateEvent)
 	r.daemon.Start()
-	rcfg := remediateConfig(h)
 	r.logf("health: daemon polling every %s, remediation budget %d",
-		time.Duration(r.daemon.Interval()), rcfg.Budget)
+		time.Duration(r.daemon.Interval()), r.remediator.Budget())
 }
 
 // healthStats is the telemetry sampler's health source.

@@ -266,14 +266,13 @@ func (r *Ops) startFleet(*Event) error {
 		r.startHealth(h)
 	}
 	if t := r.sc.Telemetry; t.Enabled() {
-		r.sampler = telemetry.New(r.st.Eng, telemetry.Config{
-			Interval: t.SampleEvery, Capacity: t.Capacity})
+		r.sampler = telemetry.New(r.st.Eng, t.Config)
 		src := telemetry.Sources{Stack: r.st, Progress: func() (int, int) { return r.wlDone, r.wlTotal }}
 		if r.daemon != nil {
 			src.Health = r.healthStats
 		}
 		r.sampler.Attach(src)
-		r.logf("telemetry: sampling every %s", t.SampleEvery)
+		r.logf("telemetry: sampling every %s", t.Interval)
 	}
 	return nil
 }

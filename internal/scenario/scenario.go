@@ -27,7 +27,10 @@ import (
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
+	"github.com/caps-sim/shs-k8s/internal/health"
+	"github.com/caps-sim/shs-k8s/internal/remediate"
 	"github.com/caps-sim/shs-k8s/internal/sim"
+	"github.com/caps-sim/shs-k8s/internal/telemetry"
 	"github.com/caps-sim/shs-k8s/internal/workload"
 	"github.com/caps-sim/shs-k8s/internal/yamlsub"
 )
@@ -111,65 +114,42 @@ func (t TrafficSpec) Workload() workload.Spec {
 	}
 }
 
-// TelemetrySpec is the telemetry: section: when SampleEvery is set, the
-// run attaches a virtual-clock sampler (internal/telemetry) at fleet boot
-// and — when Sink names a file — writes the collected series as JSONL
-// after the run. The zero value disables telemetry entirely, preserving
-// the zero-cost-when-unused contract.
+// TelemetrySpec is the telemetry: section: when Interval is set, the run
+// attaches a virtual-clock sampler (internal/telemetry) at fleet boot and —
+// when Sink names a file — writes the collected series as JSONL after the
+// run. The zero value disables telemetry entirely, preserving the
+// zero-cost-when-unused contract.
 type TelemetrySpec struct {
-	// SampleEvery is the sampling period on the virtual clock (> 0
-	// enables telemetry).
-	SampleEvery sim.Duration
+	// Config is the sampler's: Interval (sampleEvery, > 0 enables
+	// telemetry) and Capacity (capacity).
+	telemetry.Config
 	// Sink is the JSONL output path ("" keeps the series in memory for
 	// telemetry_* assertions only). Relative paths resolve against the
 	// working directory, as any CLI output path does.
 	Sink string
-	// Capacity bounds the sample ring (0 = telemetry.DefaultCapacity);
-	// when full, the oldest samples are overwritten.
-	Capacity int
 }
 
 // Enabled reports whether the scenario samples telemetry.
-func (t TelemetrySpec) Enabled() bool { return t.SampleEvery > 0 }
+func (t TelemetrySpec) Enabled() bool { return t.Interval > 0 }
 
-// HealthSpec is the health: section: when CheckEvery is set, the fleet
-// boots with the autonomous health + remediation loop attached — the
+// HealthSpec is the health: section: when Daemon.Interval is set, the
+// fleet boots with the autonomous health + remediation loop attached — the
 // internal/health daemon polling NIC error counters and link state, and
 // the internal/remediate controller draining, replacing and uncordoning
 // what the daemon cordons. The zero value disables the loop entirely;
 // scenarios without this section draw exactly the same random-number
 // stream as before the loop existed (the daemon and controller install
-// watches and timers only when constructed).
+// watches and timers only when constructed). A key left out is a zero
+// field, which the package's DefaultConfig fills in.
 type HealthSpec struct {
-	// CheckEvery is the daemon's poll period (> 0 enables the loop).
-	CheckEvery sim.Duration
-	// ErrorsPerSecond is the EWMA error-rate cordon threshold
-	// (0 = health.DefaultConfig).
-	ErrorsPerSecond float64
-	// FlapsPerSecond is the EWMA link state-transition rate above which
-	// a link is declared flapping (0 = default).
-	FlapsPerSecond float64
-	// DegradeTicks is how many consecutive over-threshold polls cordon a
-	// node (0 = default).
-	DegradeTicks int
-	// StableTicks is how many quiet polls clear a flapping link
-	// (0 = default).
-	StableTicks int
-	// Budget caps concurrent remediations (0 = default 1).
-	Budget int
-	// DrainGrace is the migrate-off window before pod eviction
-	// (0 = default).
-	DrainGrace sim.Duration
-	// ReplaceDelay models the hardware swap time (0 = default).
-	ReplaceDelay sim.Duration
-	// RetryBackoff is the initial replace-retry backoff (0 = default).
-	RetryBackoff sim.Duration
-	// MaxRetries bounds replace attempts (0 = default).
-	MaxRetries int
+	// Daemon tunes detection; its Interval (checkEvery) enables the loop.
+	Daemon health.Config
+	// Remediate tunes the drain → replace → uncordon state machine.
+	Remediate remediate.Config
 }
 
 // Enabled reports whether the scenario runs the health loop.
-func (h HealthSpec) Enabled() bool { return h.CheckEvery > 0 }
+func (h HealthSpec) Enabled() bool { return h.Daemon.Interval > 0 }
 
 // Assertion is one end-state check evaluated after all events ran.
 type Assertion struct {

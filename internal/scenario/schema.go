@@ -186,22 +186,22 @@ var trafficFields = []field[TrafficSpec]{
 }
 
 var telemetryFields = []field[TelemetrySpec]{
-	{"sampleEvery", posDuration, func(t *TelemetrySpec) any { return &t.SampleEvery }},
+	{"sampleEvery", posDuration, func(t *TelemetrySpec) any { return &t.Interval }},
 	{"sink", text, func(t *TelemetrySpec) any { return &t.Sink }},
 	{"capacity", posInt, func(t *TelemetrySpec) any { return &t.Capacity }},
 }
 
 var healthFields = []field[HealthSpec]{
-	{"checkEvery", posDuration, func(h *HealthSpec) any { return &h.CheckEvery }},
-	{"errorsPerSecond", posNumber, func(h *HealthSpec) any { return &h.ErrorsPerSecond }},
-	{"flapsPerSecond", posNumber, func(h *HealthSpec) any { return &h.FlapsPerSecond }},
-	{"degradeTicks", posInt, func(h *HealthSpec) any { return &h.DegradeTicks }},
-	{"stableTicks", posInt, func(h *HealthSpec) any { return &h.StableTicks }},
-	{"budget", posInt, func(h *HealthSpec) any { return &h.Budget }},
-	{"drainGrace", posDuration, func(h *HealthSpec) any { return &h.DrainGrace }},
-	{"replaceDelay", posDuration, func(h *HealthSpec) any { return &h.ReplaceDelay }},
-	{"retryBackoff", posDuration, func(h *HealthSpec) any { return &h.RetryBackoff }},
-	{"maxRetries", posInt, func(h *HealthSpec) any { return &h.MaxRetries }},
+	{"checkEvery", posDuration, func(h *HealthSpec) any { return &h.Daemon.Interval }},
+	{"errorsPerSecond", posNumber, func(h *HealthSpec) any { return &h.Daemon.ErrorRateThreshold }},
+	{"flapsPerSecond", posNumber, func(h *HealthSpec) any { return &h.Daemon.FlapThreshold }},
+	{"degradeTicks", posInt, func(h *HealthSpec) any { return &h.Daemon.DegradeTicks }},
+	{"stableTicks", posInt, func(h *HealthSpec) any { return &h.Daemon.StableTicks }},
+	{"budget", posInt, func(h *HealthSpec) any { return &h.Remediate.Budget }},
+	{"drainGrace", posDuration, func(h *HealthSpec) any { return &h.Remediate.DrainGrace }},
+	{"replaceDelay", posDuration, func(h *HealthSpec) any { return &h.Remediate.ReplaceDelay }},
+	{"retryBackoff", posDuration, func(h *HealthSpec) any { return &h.Remediate.RetryBackoff }},
+	{"maxRetries", posInt, func(h *HealthSpec) any { return &h.Remediate.MaxRetries }},
 }
 
 // An event's remaining keys are its action's parameters (setParam).

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/k8s"
+	"github.com/caps-sim/shs-k8s/internal/telemetry"
 )
 
 func TestParseTelemetrySection(t *testing.T) {
@@ -22,7 +23,7 @@ events:
   - at: 0s
     action: start_fleet
 `)
-	want := TelemetrySpec{SampleEvery: 250 * time.Microsecond, Sink: "out.jsonl", Capacity: 64}
+	want := TelemetrySpec{Config: telemetry.Config{Interval: 250 * time.Microsecond, Capacity: 64}, Sink: "out.jsonl"}
 	if sc.Telemetry != want {
 		t.Errorf("Telemetry = %+v, want %+v", sc.Telemetry, want)
 	}

@@ -449,12 +449,15 @@ func (e *Engine) Jitter(d Duration, frac float64) Duration {
 	return Duration(lo + e.rng.Float64()*(hi-lo))
 }
 
-// Normal returns a normally distributed duration with the given mean and
-// standard deviation, clamped at zero.
-func (e *Engine) Normal(mean, stddev Duration) Duration {
-	v := float64(mean) + e.rng.NormFloat64()*float64(stddev)
-	if v < 0 {
-		v = 0
+// RunDrift draws one systemic per-run speed factor f ~ N(0, sigma²),
+// clamped to ±3σ: a component scales its costs by 1±f once, when it is
+// built, to model the run-to-run drift (clock, thermal, placement state)
+// that per-event jitter alone would average away. sigma <= 0 draws nothing
+// and returns 0.
+func (e *Engine) RunDrift(sigma float64) float64 {
+	if sigma <= 0 {
+		return 0
 	}
-	return Duration(v)
+	f := e.rng.NormFloat64() * sigma
+	return max(-3*sigma, min(f, 3*sigma))
 }

@@ -181,11 +181,15 @@ func TestJitterZeroFracIsIdentity(t *testing.T) {
 	}
 }
 
-func TestNormalClampsAtZero(t *testing.T) {
+func TestRunDriftClampsAtThreeSigma(t *testing.T) {
 	e := NewEngine(7)
+	if f := e.RunDrift(0); f != 0 {
+		t.Fatalf("RunDrift(0) = %v", f)
+	}
+	const sigma = 0.5
 	for i := 0; i < 1000; i++ {
-		if d := e.Normal(time.Microsecond, time.Second); d < 0 {
-			t.Fatalf("Normal returned negative %v", d)
+		if f := e.RunDrift(sigma); f < -3*sigma || f > 3*sigma {
+			t.Fatalf("RunDrift(%v) returned %v, outside ±3σ", sigma, f)
 		}
 	}
 }

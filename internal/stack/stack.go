@@ -31,13 +31,10 @@ type Options struct {
 	// Topology shapes the fabric: dragonfly groups, switches per group
 	// and NIC striping. The default (1 group × 1 switch) reproduces the
 	// paper's single-switch pilot byte for byte.
-	Topology  fabric.TopologySpec
-	Device    cxi.DeviceConfig
-	Cluster   k8s.ClusterConfig
-	CNI       cni.CXIPluginConfig
-	Container container.Config
-	VNI       vnisvc.Config
-	DB        vnidb.Options
+	Topology fabric.TopologySpec
+	Device   cxi.DeviceConfig
+	Cluster  k8s.ClusterConfig
+	DB       vnidb.Options
 }
 
 // DefaultOptions mirrors the paper's two-node OpenCUBE deployment.
@@ -51,9 +48,6 @@ func DefaultOptions() Options {
 		Topology:   fabric.DefaultTopologySpec(),
 		Device:     cxi.DefaultDeviceConfig(),
 		Cluster:    cl,
-		CNI:        cni.DefaultCXIPluginConfig(),
-		Container:  container.DefaultConfig(),
-		VNI:        vnisvc.DefaultConfig(),
 		DB:         vnidb.DefaultOptions(),
 	}
 }
@@ -145,14 +139,14 @@ func New(opts Options) *Stack {
 	s.Cluster = cluster
 
 	for _, node := range s.Nodes {
-		cxip := cni.NewCXIPlugin(eng, cluster.Client, node.Device, root.PID, opts.CNI)
+		cxip := cni.NewCXIPlugin(eng, cluster.Client, node.Device, root.PID)
 		node.CXICNI = cxip
-		chain := cni.NewChain(eng, 6e6 /* 6ms per plugin exec */, node.Overlay, cxip)
-		node.Runtime = container.NewRuntime(eng, kern, chain, opts.Container, node.Name)
+		chain := cni.NewChain(eng, node.Overlay, cxip)
+		node.Runtime = container.NewRuntime(eng, kern, chain, node.Name)
 	}
 
 	if opts.VNIService {
-		s.VNISvc = vnisvc.Install(cluster.Client, cluster.JobCtl, s.DB, opts.VNI)
+		s.VNISvc = vnisvc.Install(cluster.Client, cluster.JobCtl, s.DB)
 	}
 	// Let node registration settle.
 	eng.RunFor(1e9)

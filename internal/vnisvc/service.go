@@ -5,31 +5,21 @@ import (
 
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/metactl"
-	"github.com/caps-sim/shs-k8s/internal/sim"
 	"github.com/caps-sim/shs-k8s/internal/vniapi"
 	"github.com/caps-sim/shs-k8s/internal/vnidb"
 )
 
-// Config tunes the VNI service installation.
-type Config struct {
-	// WebhookLatency is the controller→endpoint HTTP round trip (the
+// The VNI service's calibrated latencies, the same for both decorators.
+const (
+	// webhookLatency is the controller→endpoint HTTP round trip (the
 	// endpoint runs as a pod in the cluster).
-	WebhookLatency sim.Duration
-	// FinalizeRetry is the backoff for stalled finalizations (claims with
+	webhookLatency = 15 * time.Millisecond
+	// finalizeRetry is the backoff for stalled finalizations (claims with
 	// live users).
-	FinalizeRetry sim.Duration
-	// Jitter fraction on latencies.
-	Jitter float64
-}
-
-// DefaultConfig returns calibrated latencies.
-func DefaultConfig() Config {
-	return Config{
-		WebhookLatency: 15 * time.Millisecond,
-		FinalizeRetry:  500 * time.Millisecond,
-		Jitter:         0.35,
-	}
-}
+	finalizeRetry = 500 * time.Millisecond
+	// jitter is the fraction both latencies vary by.
+	jitter = 0.35
+)
 
 // Service is the installed VNI service.
 type Service struct {
@@ -43,7 +33,7 @@ type Service struct {
 // holds pods of vni-annotated jobs until their VNI CRD instance exists —
 // the mechanism behind "pods can only launch when their acquisition request
 // for a fresh VNI has been served" (paper §III-C1).
-func Install(cli *k8s.Client, jobCtl *k8s.JobController, db *vnidb.DB, cfg Config) *Service {
+func Install(cli *k8s.Client, jobCtl *k8s.JobController, db *vnidb.DB) *Service {
 	ep := NewEndpoint(db, cli.Engine())
 	vnis := vniapi.VNILister(cli)
 
@@ -56,9 +46,9 @@ func Install(cli *k8s.Client, jobCtl *k8s.JobController, db *vnidb.DB, cfg Confi
 		},
 		ChildKind:      vniapi.KindVNI,
 		Finalizer:      vniapi.JobFinalizer,
-		WebhookLatency: cfg.WebhookLatency,
-		FinalizeRetry:  cfg.FinalizeRetry,
-		Jitter:         cfg.Jitter,
+		WebhookLatency: webhookLatency,
+		FinalizeRetry:  finalizeRetry,
+		Jitter:         jitter,
 	}, ep.JobHooks())
 
 	claimDecorator := metactl.NewDecorator(cli, metactl.Config{
@@ -66,9 +56,9 @@ func Install(cli *k8s.Client, jobCtl *k8s.JobController, db *vnidb.DB, cfg Confi
 		ParentKind:     vniapi.KindVniClaim,
 		ChildKind:      vniapi.KindVNI,
 		Finalizer:      vniapi.ClaimFinalizer,
-		WebhookLatency: cfg.WebhookLatency,
-		FinalizeRetry:  cfg.FinalizeRetry,
-		Jitter:         cfg.Jitter,
+		WebhookLatency: webhookLatency,
+		FinalizeRetry:  finalizeRetry,
+		Jitter:         jitter,
 	}, ep.ClaimHooks())
 
 	// Pod-creation gate: a vni-annotated job's pods wait for its VNI CRD.
@@ -121,9 +111,4 @@ func NewClaim(namespace, objectName, claimName string) *k8s.Custom {
 		Meta: k8s.Meta{Kind: vniapi.KindVniClaim, Namespace: namespace, Name: objectName},
 		Spec: map[string]string{vniapi.ClaimSpecName: claimName},
 	}
-}
-
-// DefaultDB opens a VNI database with the deployment defaults.
-func DefaultDB() *vnidb.DB {
-	return vnidb.Open(vnidb.DefaultOptions())
 }
