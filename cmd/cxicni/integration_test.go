@@ -8,7 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/caps-sim/shs-k8s/internal/cni"
+	"github.com/caps-sim/shs-k8s/internal/k8s"
+	"github.com/caps-sim/shs-k8s/internal/stack"
+	"github.com/caps-sim/shs-k8s/internal/vniapi"
 	"github.com/caps-sim/shs-k8s/internal/vnidb"
+	"github.com/caps-sim/shs-k8s/internal/vnisvc"
 	"github.com/caps-sim/shs-k8s/internal/vnisvc/httpapi"
 )
 
@@ -87,4 +92,97 @@ func TestFetchVNIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = svcID
+}
+
+// TestFetchVNIMatchesInSimulationPlugin holds the binary's VNI decision to
+// the in-simulation CXI plugin's. One VNI-service stack runs the paper's
+// control plane, and its database is served over HTTP the way cmd/vnisvc
+// serves it. For each case a probe pod, bound to a node no kubelet runs,
+// carries the labels and annotation the job controller would give it. The
+// binary's fetchVNI and the plugin's ADD are then asked for that pod: both
+// must admit it with the same VNI, or both must refuse it.
+func TestFetchVNIMatchesInSimulationPlugin(t *testing.T) {
+	st := stack.New(stack.DefaultOptions())
+	cli := st.Cluster.Client
+	st.Cluster.CreateNamespace("tenant")
+	st.Cluster.CreateNamespace("other")
+	job := func(name, vni string) {
+		st.Cluster.SubmitJob(&k8s.Job{
+			Meta: k8s.Meta{Namespace: "tenant", Name: name, Annotations: map[string]string{vniapi.Annotation: vni}},
+			Spec: k8s.JobSpec{Parallelism: 1, Template: k8s.PodSpec{RunDuration: time.Hour}},
+		})
+	}
+	job("mpi", "true")
+	job("mpi-solver", "true")
+	cli.Create(vnisvc.NewClaim("tenant", "shared", "shared"), nil)
+	cli.Create(vnisvc.NewClaim("tenant", "gone", "gone"), nil)
+	st.Eng.RunFor(time.Second)
+	job("solver", "shared")
+	job("leaver", "gone")
+	st.Eng.RunFor(5 * time.Second)
+	// The claim "gone" is released: its one redeemer is deleted, then the
+	// claim itself, and its VNI goes into quarantine.
+	gone, err := vniapi.JobVNI(vniapi.VNILister(cli), "tenant", "leaver")
+	if err != nil {
+		t.Fatalf("the claim's redeemer holds no VNI: %v", err)
+	}
+	cli.Delete(k8s.KindJob, "tenant", "leaver", nil)
+	st.Eng.RunFor(5 * time.Second)
+	cli.Delete(vniapi.KindVniClaim, "tenant", "gone", nil)
+	st.Eng.RunFor(5 * time.Second)
+	_ = st.DB.View(func(tx *vnidb.Tx) error {
+		if row, _ := tx.Get(gone); row.State != vnidb.Quarantined {
+			t.Fatalf("the released claim's VNI %d is %v, want quarantined", gone, row.State)
+		}
+		return nil
+	})
+
+	srv := httptest.NewServer(httpapi.NewServer(st.DB))
+	defer srv.Close()
+	node := st.Nodes[0]
+	cases := []struct {
+		name, ns, job, vni string
+		admit              bool
+	}{
+		{"own VNI", "tenant", "mpi", "true", true},
+		{"claim redeemed", "tenant", "solver", "shared", true},
+		{"released claim", "tenant", "leaver", "gone", false},
+		{"no VNI yet", "tenant", "late", "true", false},
+		{"other namespace", "other", "mpi", "true", false},
+		{"job name containing -", "tenant", "mpi-solver", "true", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pod := tc.job + "-9"
+			cli.Create(&k8s.Pod{
+				Meta: k8s.Meta{Kind: k8s.KindPod, Namespace: tc.ns, Name: pod,
+					Labels: map[string]string{"job-name": tc.job}, Annotations: map[string]string{vniapi.Annotation: tc.vni}},
+				Spec: k8s.PodSpec{NodeName: "no-kubelet"},
+			}, nil)
+			st.Eng.RunFor(time.Second)
+			binVNI, binErr := fetchVNI(srv.URL, tc.ns, pod)
+
+			var simRes *cni.Result
+			var simErr error
+			added := false
+			node.CXICNI.Add(cni.Args{ContainerID: "probe-" + pod, NetNS: st.Kernel.NewNetNS("probe-" + pod).Inode,
+				PodNamespace: tc.ns, PodName: pod}, &cni.Result{}, func(res *cni.Result, err error) {
+				simRes, simErr, added = res, err, true
+			})
+			st.Eng.RunFor(5 * time.Second)
+			if !added {
+				t.Fatal("the plugin's ADD never completed")
+			}
+			simAdmits := simErr == nil && simRes.CXI != nil
+			if (binErr == nil) != simAdmits {
+				t.Fatalf("binary: vni %d, err %v; plugin: result %+v, err %v", binVNI, binErr, simRes, simErr)
+			}
+			if simAdmits && binVNI != simRes.CXI.VNI {
+				t.Fatalf("binary admits with VNI %d, plugin with %d", binVNI, simRes.CXI.VNI)
+			}
+			if simAdmits != tc.admit {
+				t.Fatalf("both hosts admit = %v, want %v (binary err %v, plugin err %v)", simAdmits, tc.admit, binErr, simErr)
+			}
+		})
+	}
 }
