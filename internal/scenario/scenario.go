@@ -120,8 +120,8 @@ func (t TrafficSpec) Workload() workload.Spec {
 // run. The zero value disables telemetry entirely, preserving the
 // zero-cost-when-unused contract.
 type TelemetrySpec struct {
-	// Config is the sampler's: Interval (sampleEvery, > 0 enables
-	// telemetry) and Capacity (capacity).
+	// Config is the sampler's own: sampleEvery is its Interval (> 0
+	// enables telemetry), capacity its Capacity.
 	telemetry.Config
 	// Sink is the JSONL output path ("" keeps the series in memory for
 	// telemetry_* assertions only). Relative paths resolve against the

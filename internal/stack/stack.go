@@ -39,7 +39,6 @@ type Options struct {
 
 // DefaultOptions mirrors the paper's two-node OpenCUBE deployment.
 func DefaultOptions() Options {
-	cl := k8s.DefaultClusterConfig()
 	return Options{
 		Seed:       1,
 		Nodes:      2,
@@ -47,7 +46,7 @@ func DefaultOptions() Options {
 		Fabric:     fabric.DefaultConfig(),
 		Topology:   fabric.DefaultTopologySpec(),
 		Device:     cxi.DefaultDeviceConfig(),
-		Cluster:    cl,
+		Cluster:    k8s.DefaultClusterConfig(),
 		DB:         vnidb.DefaultOptions(),
 	}
 }
