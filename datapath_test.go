@@ -74,17 +74,22 @@ func TestCollectiveAllocBudget(t *testing.T) {
 }
 
 // TestPacketPathLanes is the packet path's gate, counts only: two 1 MiB
-// ring allreduces at packet fidelity on a fresh benchmark stack. The
-// constants are what the tree read before a link's frames waited behind one
-// another (sim.Lane) rather than in the event heap: lanes may change how
-// many events sit in the heap, never which events run, when, or what they
-// allocate.
+// ring allreduces at packet fidelity on a fresh benchmark stack. The first
+// four constants are what the tree read before a link's frames waited
+// behind one another (sim.Lane) rather than in the event heap: lanes may
+// change how many events sit in the heap, never which events run, when, or
+// what they allocate. The heaped ones pin the engine's two-tier queue: at
+// either fidelity the collectives never keep more events pending than the
+// run in front of the heap holds, so no event enters the heap.
 func TestPacketPathLanes(t *testing.T) {
 	const (
 		steps   = 36969  // engine steps, the stack's 8 set-up events included
 		elapsed = 211000 // ns of virtual time for the two collectives
 		allocs  = 91     // per run of two collectives, once warm
 		parked  = 35000  // of the 35 840 host-link, trunk and egress-port arrivals
+
+		heaped     = 0 // events that entered the heap, set-up included
+		flowHeaped = 0 // the same for two collectives at flow fidelity
 	)
 	st, comm, err := perfsuite.CollectivesStack()
 	if err != nil {
@@ -103,7 +108,20 @@ func TestPacketPathLanes(t *testing.T) {
 	if st.Eng.Parked < parked {
 		t.Errorf("%d events parked behind their link's previous frame, want at least %d", st.Eng.Parked, parked)
 	}
-	t.Logf("%d steps, %d parked, %d ns", st.Eng.Steps, st.Eng.Parked, rep.Elapsed)
+	if st.Eng.Heaped != heaped {
+		t.Errorf("%d events entered the heap, want %d", st.Eng.Heaped, heaped)
+	}
+	t.Logf("%d steps, %d parked, %d heaped, %d ns", st.Eng.Steps, st.Eng.Parked, st.Eng.Heaped, rep.Elapsed)
+	flowSt, flowComm, err := perfsuite.CollectivesStack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ringAllreduce(flowSt, flowComm, fabric.FidelityFlow, 2); err != nil {
+		t.Fatal(err)
+	}
+	if flowSt.Eng.Heaped != flowHeaped {
+		t.Errorf("%d events entered the heap at flow fidelity, want %d", flowSt.Eng.Heaped, flowHeaped)
+	}
 	run := func() {
 		if _, err := ringAllreduce(st, comm, fabric.FidelityPacket, 2); err != nil {
 			t.Fatal(err)

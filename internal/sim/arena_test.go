@@ -76,7 +76,8 @@ func TestZeroEventIsInert(t *testing.T) {
 }
 
 // TestCancelRemovesFromHeapImmediately asserts eager removal: no tombstones
-// remain queued after Cancel, and Pending reflects that in O(1).
+// remain queued after Cancel, and Pending reflects that in O(1). The 100
+// events fill the run and overflow into the heap, so both tiers lose half.
 func TestCancelRemovesFromHeapImmediately(t *testing.T) {
 	e := NewEngine(1)
 	var evs []Event
@@ -86,8 +87,9 @@ func TestCancelRemovesFromHeapImmediately(t *testing.T) {
 	for i := 0; i < 100; i += 2 {
 		evs[i].Cancel()
 	}
-	if got := len(e.heap); got != 50 {
-		t.Errorf("heap holds %d entries after cancelling half, want 50 (eager removal)", got)
+	if run, heap := int(e.runLen), len(e.heap); run != runCap/2 || heap != 50-runCap/2 {
+		t.Errorf("run and heap hold %d and %d entries after cancelling half, want %d and %d (eager removal)",
+			run, heap, runCap/2, 50-runCap/2)
 	}
 	if got := e.Pending(); got != 50 {
 		t.Errorf("Pending() = %d, want 50", got)

@@ -24,18 +24,22 @@ type Event struct {
 // Cancel removes the event from the queue so its callback will not run. It
 // is idempotent and safe at any time: cancelling a fired, already-cancelled
 // or recycled event is a no-op. Removal is eager (the slot is freed and the
-// heap shrinks immediately), so heavy cancellation leaves no tombstones for
-// the dispatch loop to skim.
+// run or the heap shrinks immediately), so heavy cancellation leaves no
+// tombstones for the dispatch loop to skim.
 func (h Event) Cancel() {
 	e := h.eng
 	if e == nil {
 		return
 	}
 	ev := &e.arena[h.idx]
-	if ev.gen != h.gen || ev.pos < 0 {
+	if ev.gen != h.gen || !ev.queued() {
 		return // fired, cancelled, or slot recycled since
 	}
-	e.heapRemove(int(ev.pos))
+	if ev.pos == inRun {
+		e.runRemove(h.idx)
+	} else {
+		e.heapRemove(int(ev.pos))
+	}
 	e.live--
 	e.release(h.idx)
 }
@@ -48,7 +52,7 @@ func (h Event) At() Time {
 		return 0
 	}
 	ev := &e.arena[h.idx]
-	if ev.gen != h.gen || ev.pos < 0 {
+	if ev.gen != h.gen || !ev.queued() {
 		return 0
 	}
 	return ev.at
@@ -58,9 +62,10 @@ func (h Event) At() Time {
 // array can grow without invalidating handles, and carry a generation
 // bumped on every release so stale handles cannot alias a reused slot.
 //
-// A slot is in one of three states: free (on the free list), queued (in
-// the heap, pos ≥ 0) or parked (pos == parked: a Lane post waiting behind
-// its lane's previous event, reachable only through that event's next).
+// A slot is in one of four states: free (on the free list), queued in the
+// run (pos == inRun) or in the heap (pos ≥ 0), or parked (pos == parked: a
+// Lane post waiting behind its lane's previous event, reachable only
+// through that event's next).
 // The struct is 56 bytes and must stay so: the arena is the engine's one
 // large allocation, and the control-plane workloads pay for every byte.
 type event struct {
@@ -71,7 +76,7 @@ type event struct {
 	// caller's closure as arg under callFunc.
 	fn   func(any)
 	arg  any
-	pos  int32 // position in the heap; unqueued or parked when negative
+	pos  int32 // position in the heap; unqueued, parked or inRun when negative
 	gen  uint32
 	next int32 // the slot parked behind this one, -1 when none (see Lane)
 }
@@ -79,8 +84,13 @@ type event struct {
 // Negative values of event.pos.
 const (
 	unqueued int32 = -1 // free, or between alloc and push
-	parked   int32 = -2 // waiting on a predecessor's next, in neither heap nor free list
+	parked   int32 = -2 // waiting on a predecessor's next, in neither queue nor free list
+	inRun    int32 = -3 // in the run; Cancel finds it by a scan of at most runCap slots
 )
+
+// queued reports whether the slot is in the run or the heap: the states a
+// live handle can see.
+func (ev *event) queued() bool { return ev.pos >= 0 || ev.pos == inRun }
 
 // callFunc is the fn of every At/After event: the closure rides in arg (a
 // func value in an interface is one pointer, no allocation).
@@ -96,21 +106,34 @@ func callFunc(a any) {
 //
 // Event storage is a pooled arena: fired and cancelled events return their
 // slot to a free list, so a steady-state simulation schedules events with
-// zero heap allocations regardless of length. The priority queue is a
-// hand-rolled binary heap of arena indexes — no interface boxing on
-// push/pop, hole-based sifts, bottom-up deletion with a branch-free child
-// pick (see the heap section below) — ordered by (time, sequence), so
-// events at the same instant run in FIFO order exactly as they always have.
-// Events posted through a Lane carry the same key but may wait outside the
-// heap, parked behind the lane's previous event, until that one fires.
+// zero heap allocations regardless of length. The priority queue has two
+// tiers of arena indexes, both ordered by (time, sequence), so events at
+// the same instant run in FIFO order exactly as they always have:
+//
+//   - the run, a sorted ring of at most runCap slots holding the earliest
+//     pending events: a pop takes its head, a push scans in from its tail
+//     (see the run section below). The collectives keep 9–28 events
+//     pending, so the run is their whole queue;
+//   - a hand-rolled binary heap for everything that sorts after the run's
+//     tail — no interface boxing, hole-based sifts, bottom-up deletion
+//     with a branch-free child pick (see the heap section) — which serves
+//     the control plane's thousands of pending timers.
+//
+// Every run entry sorts before the heap's root, so the run's head, or the
+// heap's root when the run is empty, is the next event. Events posted
+// through a Lane carry the same key but may wait outside both tiers,
+// parked behind the lane's previous event, until that one fires.
 type Engine struct {
 	now   Time
 	arena []event
 	free  []int32 // recycled arena slots, LIFO
-	heap  []int32 // binary heap of queued slots, ordered by (at, seq)
+	heap  []int32 // binary heap of queued slots after the run, ordered by (at, seq)
 	seq   uint64
 	live  int // queued and parked events; Pending() reads this in O(1)
 	rng   *rand.Rand
+	// The run is run[runHead&runMask :][:runLen], wrapping: the earliest
+	// queued slots in (at, seq) order.
+	runHead, runLen uint32
 	// Steps counts executed events, useful as a runaway guard in tests.
 	Steps uint64
 	// Elided counts events skipped by analytic fast paths (the fabric's
@@ -121,9 +144,14 @@ type Engine struct {
 	// throughput numbers stay comparable across fidelity modes.
 	Elided uint64
 	// Parked counts Lane posts that waited behind their predecessor
-	// instead of entering the heap: the share of Steps the queue served by
-	// replacing its root rather than by a push and a pop.
+	// instead of entering the queue until it fired.
 	Parked uint64
+	// Heaped counts events that entered the binary heap: posts and lane
+	// promotions the run could not take, and run tails evicted to make
+	// room. Heaped/Steps is about the share of events the heap served, the
+	// rest the run's.
+	Heaped uint64
+	run    [runCap]int32 // last: the hot fields above share cache lines
 }
 
 // NewEngine returns an engine whose randomness derives from seed.
@@ -165,8 +193,8 @@ func (e *Engine) release(idx int32) {
 
 // schedule takes an arena slot and the next seq for fn(arg) at t — the
 // order key is fixed here and never again — and queues the slot: in the
-// heap, or, for a post through lane l whose newest event is still pending
-// and not later than t, parked behind that event (see Lane).
+// run or the heap, or, for a post through lane l whose newest event is
+// still pending and not later than t, parked behind that event (see Lane).
 func (e *Engine) schedule(t Time, fn func(any), arg any, l *Lane) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -191,7 +219,7 @@ func (e *Engine) schedule(t Time, fn func(any), arg any, l *Lane) Event {
 			return Event{}
 		}
 	}
-	e.heapPush(idx)
+	e.push(idx)
 	return Event{eng: e, idx: idx, gen: ev.gen}
 }
 
@@ -232,18 +260,23 @@ func (e *Engine) AfterCall(d Duration, fn func(arg any), arg any) Event {
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	var idx int32
+	switch {
+	case e.runLen > 0:
+		idx = e.run[e.runHead&runMask]
+		e.runHead++
+		e.runLen--
+	case len(e.heap) > 0:
+		idx = e.heapRemove(0)
+	default:
 		return false
 	}
-	idx := e.heap[0]
 	ev := &e.arena[idx]
 	if nx := ev.next; nx >= 0 {
-		// The lane's next event takes the root's place and sinks from
-		// there: one sift instead of a pop now and a push later.
+		// The lane's next event enters the queue now that nothing of its
+		// lane is ahead of it, by the same push as any post.
 		ev.next = -1
-		e.siftDown(0, nx)
-	} else {
-		e.heapRemove(0)
+		e.push(nx)
 	}
 	// Copy out before releasing: the callback may schedule (growing the
 	// arena and invalidating ev) or immediately reuse this very slot.
@@ -268,7 +301,10 @@ func (e *Engine) Run() {
 // exactly deadline (even if no event was scheduled there). Events scheduled
 // later remain queued.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.heap) > 0 && e.arena[e.heap[0]].at <= deadline {
+	for {
+		if at, ok := e.next(); !ok || at > deadline {
+			break
+		}
 		e.Step()
 	}
 	if e.now < deadline {
@@ -289,7 +325,7 @@ func (e *Engine) RunUntilDone(cond func() bool, deadline Time) bool {
 		if cond() {
 			return true
 		}
-		if len(e.heap) == 0 || e.arena[e.heap[0]].at > deadline {
+		if at, ok := e.next(); !ok || at > deadline {
 			break
 		}
 		e.Step()
@@ -305,19 +341,130 @@ func (e *Engine) RunUntilDone(cond func() bool, deadline Time) bool {
 // maintained in O(1).
 func (e *Engine) Pending() int { return e.live }
 
+// next returns the time of the next event to fire, if any.
+func (e *Engine) next() (Time, bool) {
+	switch {
+	case e.runLen > 0:
+		return e.arena[e.run[e.runHead&runMask]].at, true
+	case len(e.heap) > 0:
+		return e.arena[e.heap[0]].at, true
+	}
+	return 0, false
+}
+
+// --- the run: a sorted ring in front of the heap ---
+//
+// The queue depths the repository benchmark observes (mean / max pending)
+// are 9.3 / 16 on the flow-fidelity collective, 26.4 / 28 on the
+// packet-fidelity one and 6.5 / 26 over the bundled scenarios, against
+// 104.5 / 1 002 and 1 465 / 10 001 in the control-plane workloads. A short
+// sorted array is the cheapest queue for the first three: nearly every
+// post is the latest or near-latest pending event, so scanning in from the
+// tail stops after a compare or two, and a pop is a read and an
+// increment, where the heap walks log2(depth) levels of dependent loads.
+// It is no queue for the last two, where a post lands anywhere among
+// thousands, so the run holds at most runCap events and the heap keeps the
+// rest: the bottom rung of a ladder queue (Tang, Goh & Thng, ACM TOMACS
+// 2005) with the heap as every rung above it.
+//
+// Invariant: the run is sorted and every entry sorts before the heap's
+// root. A post that sorts after the root goes to the heap; one that sorts
+// before it goes to the run, and a full run evicts its tail, which then
+// sorts before the old root and becomes the new one. Pops drain the run
+// first, so under a deep queue the run is mostly empty and a post is one
+// compare against the root away from the plain heap.
+
+// runCap is the run's capacity: past the collectives' deepest queue (28),
+// and short enough that a post landing mid-run moves at most 63 indexes.
+const runCap = 64
+
+const runMask = runCap - 1
+
+// push queues slot idx, in the run or the heap as the invariant demands.
+func (e *Engine) push(idx int32) {
+	a := e.arena
+	at, seq := a[idx].at, a[idx].seq
+	n := e.runLen
+	if n > 0 {
+		tail := e.run[(e.runHead+n-1)&runMask]
+		te := &a[tail]
+		if te.at < at || (te.at == at && te.seq < seq) {
+			// After the run's tail: append if the run has room and idx
+			// still sorts before the heap's root.
+			if n == runCap || (len(e.heap) > 0 && !e.heapLess(idx, e.heap[0])) {
+				e.heapPush(idx)
+				return
+			}
+			e.run[(e.runHead+n)&runMask] = idx
+			a[idx].pos = inRun
+			e.runLen++
+			return
+		}
+		if n == runCap {
+			// idx sorts before the tail, which leaves for the heap.
+			e.runLen--
+			n--
+			e.heapPush(tail)
+		}
+		// Scan in from the tail, moving every later entry up one.
+		i := n
+		for ; i > 0; i-- {
+			p := e.run[(e.runHead+i-1)&runMask]
+			pe := &a[p]
+			if pe.at < at || (pe.at == at && pe.seq < seq) {
+				break
+			}
+			e.run[(e.runHead+i)&runMask] = p
+		}
+		e.run[(e.runHead+i)&runMask] = idx
+		a[idx].pos = inRun
+		e.runLen++
+		return
+	}
+	if len(e.heap) > 0 && !e.heapLess(idx, e.heap[0]) {
+		e.heapPush(idx)
+		return
+	}
+	e.run[e.runHead&runMask] = idx
+	a[idx].pos = inRun
+	e.runLen = 1
+}
+
+// runRemove deletes slot idx from the run and closes the gap from the
+// nearer end: the entries before it move up one, or those after it down.
+func (e *Engine) runRemove(idx int32) {
+	h, n := e.runHead, e.runLen
+	i := uint32(0)
+	for e.run[(h+i)&runMask] != idx {
+		i++
+	}
+	if i < n/2 {
+		for ; i > 0; i-- {
+			e.run[(h+i)&runMask] = e.run[(h+i-1)&runMask]
+		}
+		e.runHead++
+	} else {
+		for ; i+1 < n; i++ {
+			e.run[(h+i)&runMask] = e.run[(h+i+1)&runMask]
+		}
+	}
+	e.runLen--
+}
+
 // --- binary heap of arena indexes ---
 //
-// A hand-rolled heap instead of container/heap: Push/Pop on the interface
-// version box every element into an `any`, which is exactly the per-event
-// allocation this engine exists to avoid. The order key is (at, seq), a
+// The far tier: the events that sort after the run. A hand-rolled heap
+// instead of container/heap: Push/Pop on the interface version box every
+// element into an `any`, which is exactly the per-event allocation this
+// engine exists to avoid. The order key is (at, seq), a
 // strict total order because seq is unique per event, so the dispatch
 // order is a property of the key alone: however the array is laid out
 // between operations, the minimum popped is always the same event.
 //
-// What the layout does decide is host time. At packet fidelity a pop walks
-// ~8 levels with hundreds of events pending, and the textbook sift (two
-// data-dependent compares and a swap per level) spends its time on
-// mispredicted branches. So:
+// What the layout does decide is host time. With thousands of timers
+// pending (the control-plane workloads) a pop walks a dozen levels, and
+// the textbook sift (two data-dependent compares and a swap per level)
+// spends its time on mispredicted branches. So:
 //
 //   - sifts move a hole, not a swap: one heap write and one pos write per
 //     level, the moving element written once at the end;
@@ -328,8 +475,9 @@ func (e *Engine) Pending() int { return e.live }
 //   - the smaller child is picked without a branch: (at, seq) compared as
 //     one 128-bit unsigned number, the borrow is the index offset.
 
-// heapLess is the order predicate in its plain form; the sifts below inline
-// it, the integrity audit calls it.
+// heapLess is the order predicate in its plain form; the sifts and the
+// run's scans inline it, the run's test against the heap's root and the
+// integrity audit call it.
 func (e *Engine) heapLess(a, b int32) bool {
 	ea, eb := &e.arena[a], &e.arena[b]
 	if ea.at != eb.at {
@@ -388,38 +536,8 @@ func (e *Engine) sinkHole(i int) int {
 	}
 }
 
-// siftDown places slot idx at or below heap position i, moving the hole at
-// i down past every child that sorts before idx. It serves the promotion
-// of a parked event into the root its predecessor vacates: the heap's size
-// does not change, and with one entry per busy lane it is a shallow one.
-func (e *Engine) siftDown(i int, idx int32) {
-	h, a := e.heap, e.arena
-	at, seq := a[idx].at, a[idx].seq
-	for {
-		m := 2*i + 1
-		if m >= len(h) {
-			break
-		}
-		if m+1 < len(h) {
-			el, er := &a[h[m]], &a[h[m+1]]
-			_, borrow := bits.Sub64(er.seq, el.seq, 0)
-			_, borrow = bits.Sub64(uint64(er.at), uint64(el.at), borrow)
-			m += int(borrow)
-		}
-		c := h[m]
-		ce := &a[c]
-		if at < ce.at || (at == ce.at && seq < ce.seq) {
-			break
-		}
-		h[i] = c
-		ce.pos = int32(i)
-		i = m
-	}
-	h[i] = idx
-	a[idx].pos = int32(i)
-}
-
 func (e *Engine) heapPush(idx int32) {
+	e.Heaped++
 	e.heap = append(e.heap, idx)
 	e.siftUp(len(e.heap)-1, idx)
 }

@@ -122,6 +122,20 @@ type queueOracle struct {
 	lanes  []Lane
 	laneAt []Time
 	plain  bool
+	// steps and cancels count the script's operations of each kind, and
+	// tiers what happened at the boundary between the run and the heap,
+	// for the tests to require that a script did what they are for.
+	steps, cancels int
+	tiers          tierStats
+}
+
+// tierStats are the oracle's counts of the queue's two-tier traffic.
+type tierStats struct {
+	evictions   int // handle posts into a full run, which pushed its tail to the heap
+	cancelRun   int // cancels of an event in the run
+	cancelHeap  int // cancels of an event in the heap
+	chainOnRun  int // audits that found a parked chain hanging off a run slot
+	chainOnHeap int // audits that found one hanging off a heap slot
 }
 
 // firing is what the outside can see of one dispatched event.
@@ -154,6 +168,7 @@ func queueOracleCall(a any) { a.(func())() }
 func (o *queueOracle) schedule(d Duration, via int) {
 	fn := o.callback(o.ids, -1)
 	at := o.eng.now.Add(d)
+	full, heaped := o.eng.runLen == runCap, o.eng.Heaped
 	var h Event
 	switch via % 4 {
 	case 0:
@@ -164,6 +179,9 @@ func (o *queueOracle) schedule(d Duration, via int) {
 		h = o.eng.AtCall(at, queueOracleCall, fn)
 	default:
 		h = o.eng.AfterCall(d, queueOracleCall, fn)
+	}
+	if full && o.eng.arena[h.idx].pos == inRun && o.eng.Heaped == heaped+1 {
+		o.tiers.evictions++
 	}
 	o.record(at, h)
 }
@@ -224,6 +242,11 @@ func (o *queueOracle) pick(cancellable bool, less func(a, b *refEvent) bool) (be
 }
 
 func (o *queueOracle) cancel(e refEvent) {
+	if o.eng.arena[e.h.idx].pos == inRun {
+		o.tiers.cancelRun++
+	} else {
+		o.tiers.cancelHeap++
+	}
 	e.h.Cancel()
 	o.old.remove(o.old.pos[e.id])
 	delete(o.live, e.id)
@@ -268,6 +291,30 @@ func (o *queueOracle) audit(op string) {
 		o.t.Fatalf("after %s: engine has %d pending, old heap %d, reference %d",
 			op, o.eng.Pending(), len(o.old.heap), len(o.live))
 	}
+	for i := uint32(0); i < o.eng.runLen; i++ {
+		if o.eng.arena[o.eng.run[(o.eng.runHead+i)&runMask]].next >= 0 {
+			o.tiers.chainOnRun++
+			break
+		}
+	}
+	for _, idx := range o.eng.heap {
+		if o.eng.arena[idx].next >= 0 {
+			o.tiers.chainOnHeap++
+			break
+		}
+	}
+}
+
+// requireBoundary fails the test unless the script crossed the boundary
+// between the run and the heap in every way the queue can: evictions,
+// cancels in both tiers and, with lanes, chains hanging off both.
+func (o *queueOracle) requireBoundary(seed int64) {
+	o.t.Helper()
+	s := o.tiers
+	if s.evictions == 0 || s.cancelRun == 0 || s.cancelHeap == 0 ||
+		(len(o.lanes) > 0 && !o.plain && (s.chainOnRun == 0 || s.chainOnHeap == 0)) {
+		o.t.Errorf("seed %d: the script missed the run's boundary: %+v", seed, s)
+	}
 }
 
 // runQueueOracle drives ops random operations from seed against a fresh
@@ -285,7 +332,6 @@ func runQueueOracle(t *testing.T, seed int64, depth, ops, nLanes int, plain bool
 	for k := 0; k < nLanes; k++ {
 		o.lanes = append(o.lanes, NewLane(o.eng))
 	}
-	steps, cancels := 0, 0
 	for i := 0; i < ops; i++ {
 		r := o.rng.Intn(100)
 		switch {
@@ -293,7 +339,7 @@ func runQueueOracle(t *testing.T, seed int64, depth, ops, nLanes int, plain bool
 			// Let every lane run dry, so the next posts find a stale tail.
 			for len(o.live) > 0 {
 				o.step()
-				steps++
+				o.steps++
 				o.audit("drain")
 			}
 		case len(o.live) < depth && r < 55, len(o.live) == 0:
@@ -315,7 +361,7 @@ func runQueueOracle(t *testing.T, seed int64, depth, ops, nLanes int, plain bool
 			o.audit("schedule")
 		case r < 80:
 			o.step()
-			steps++
+			o.steps++
 			o.audit("step")
 		default:
 			var victim refEvent
@@ -323,8 +369,13 @@ func runQueueOracle(t *testing.T, seed int64, depth, ops, nLanes int, plain bool
 			switch c := o.rng.Intn(5); {
 			case c == 0: // the root, or the earliest event that has a handle
 				victim, ok = o.pick(true, refLess)
-			case c == 1 && nLanes == 0: // the heap's tail slot
-				tail := o.eng.heap[len(o.eng.heap)-1]
+			case c == 1 && nLanes == 0: // the heap's tail slot, or the run's without a heap
+				var tail int32
+				if n := len(o.eng.heap); n > 0 {
+					tail = o.eng.heap[n-1]
+				} else {
+					tail = o.eng.run[(o.eng.runHead+o.eng.runLen-1)&runMask]
+				}
 				victim, ok = o.pick(true, func(a, _ *refEvent) bool { return a.h.idx == tail })
 			case c == 2: // the latest event: a leaf, wherever it sits
 				victim, ok = o.pick(true, func(a, b *refEvent) bool { return refLess(b, a) })
@@ -343,7 +394,7 @@ func runQueueOracle(t *testing.T, seed int64, depth, ops, nLanes int, plain bool
 				continue // only lane events are live
 			}
 			o.cancel(victim)
-			cancels++
+			o.cancels++
 			o.audit("cancel")
 		}
 	}
@@ -360,12 +411,20 @@ func runQueueOracle(t *testing.T, seed int64, depth, ops, nLanes int, plain bool
 			t.Fatalf("seed %d: drain position %d is not event %d", seed, i, e.id)
 		}
 	}
-	if steps < ops/10 || cancels < ops/20 {
-		t.Fatalf("seed %d: only %d steps and %d cancels in %d operations", seed, steps, cancels, ops)
-	}
-	t.Logf("seed %d: depth ~%d, %d lanes, %d events, %d steps, %d cancels, %d parked",
-		seed, depth, nLanes, o.ids, steps, cancels, o.eng.Parked)
+	t.Logf("seed %d: depth ~%d, %d lanes, %d events, %d steps, %d cancels, %d parked, %d heaped, %+v",
+		seed, depth, nLanes, o.ids, o.steps, o.cancels, o.eng.Parked, o.eng.Heaped, o.tiers)
 	return o
+}
+
+// requireMix fails the test unless the script stepped in at least one
+// operation in ten and cancelled in one in twenty: a script that does
+// neither tests nothing. The fuzzer's scripts are exempt: at a depth of one
+// behind four lanes there is little to cancel.
+func (o *queueOracle) requireMix(seed int64, ops int) {
+	o.t.Helper()
+	if o.steps < ops/10 || o.cancels < ops/20 {
+		o.t.Fatalf("seed %d: only %d steps and %d cancels in %d operations", seed, o.steps, o.cancels, ops)
+	}
 }
 
 // TestQueueMatchesSortedReference is the queue's differential test: random
@@ -376,11 +435,16 @@ func runQueueOracle(t *testing.T, seed int64, depth, ops, nLanes int, plain bool
 // events by (at, seq) and against the old swap-based heap. The engine must
 // run exactly the events the reference names, in its order, and pass
 // CheckIntegrity after every operation. Each seed holds the queue near a
-// different depth: the shallow flow-fidelity regime, the few hundred
-// pending events of a packet-fidelity collective, and deeper.
+// different depth: the shallow regime the run serves alone (4, 24), the
+// run's capacity, where posts evict its tail and cancels hit both tiers,
+// and the heap's (100 to 520).
 func TestQueueMatchesSortedReference(t *testing.T) {
-	for seed, depth := range []int{4, 24, 100, 300, 520} {
-		runQueueOracle(t, int64(seed+1), depth, 20000, 0, false)
+	for seed, depth := range []int{4, 24, runCap + 4, 100, 300, 520} {
+		o := runQueueOracle(t, int64(seed+1), depth, 20000, 0, false)
+		o.requireMix(int64(seed+1), 20000)
+		if depth == runCap+4 {
+			o.requireBoundary(int64(seed + 1))
+		}
 	}
 }
 
@@ -393,13 +457,22 @@ func TestQueueMatchesSortedReference(t *testing.T) {
 // every lane post replaced by Engine.AtCall. The two runs must fire the
 // same events at the same Now() and Steps, event for event; both are also
 // held to the sorted reference and to CheckIntegrity, which audits the
-// parked chains, after every operation.
+// parked chains, after every operation. The last case holds the queue at
+// the run's capacity: of 2·runCap live events about half wait parked on
+// four lanes, so about runCap are queued, and chains hang off run slots
+// and heap slots alike.
 func TestLanesMatchPlainScheduling(t *testing.T) {
-	cases := []struct{ depth, lanes int }{{6, 1}, {24, 3}, {100, 8}, {300, 16}, {60, 2}}
+	cases := []struct{ depth, lanes int }{{6, 1}, {24, 3}, {100, 8}, {300, 16}, {60, 2}, {2 * runCap, 4}}
 	for i, c := range cases {
 		seed := int64(i + 1)
 		laned := runQueueOracle(t, seed, c.depth, 20000, c.lanes, false)
 		plain := runQueueOracle(t, seed, c.depth, 20000, c.lanes, true)
+		laned.requireMix(seed, 20000)
+		plain.requireMix(seed, 20000)
+		if c.depth == 2*runCap {
+			laned.requireBoundary(seed)
+			plain.requireBoundary(seed)
+		}
 		if plain.eng.Parked != 0 {
 			t.Fatalf("seed %d: the plain run parked %d events", seed, plain.eng.Parked)
 		}
@@ -415,4 +488,19 @@ func TestLanesMatchPlainScheduling(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzEngineQueue runs the differential oracle on a script the fuzzer
+// chooses: the script's seed, the depth the queue is held near (up to 300,
+// past the run's capacity into the heap), 0–16 lanes and whether lane
+// posts go through Engine.AtCall instead.
+func FuzzEngineQueue(f *testing.F) {
+	f.Add(int64(1), uint16(4), uint8(0), false)
+	f.Add(int64(2), uint16(runCap+4), uint8(0), false)
+	f.Add(int64(3), uint16(2*runCap), uint8(4), false)
+	f.Add(int64(3), uint16(2*runCap), uint8(4), true)
+	f.Add(int64(4), uint16(300), uint8(16), false)
+	f.Fuzz(func(t *testing.T, seed int64, depth uint16, lanes uint8, plain bool) {
+		runQueueOracle(t, seed, 1+int(depth)%300, 3000, int(lanes)%17, plain)
+	})
 }

@@ -136,8 +136,10 @@ func (c *Controller) Submit(user nsmodel.UID, group nsmodel.GID, nodeNames []str
 
 // rollbackLocked undoes a partially set-up job.
 func (c *Controller) rollbackLocked(job *Job) {
-	for name, id := range job.services {
-		_ = c.nodes[name].Device.SvcDestroy(c.root, id)
+	for _, name := range job.Nodes {
+		if id, ok := job.services[name]; ok {
+			_ = c.nodes[name].Device.SvcDestroy(c.root, id)
+		}
 	}
 	_ = c.db.Update(func(tx *vnidb.Tx) error {
 		return tx.Release(job.VNI, c.clock.Now())
@@ -147,7 +149,9 @@ func (c *Controller) rollbackLocked(job *Job) {
 // Complete finishes a job: services destroyed, VNI released (quarantined).
 // Destruction fails while application endpoints remain open, mirroring the
 // driver's refusal to remove busy services — Slurm epilogs handle this by
-// killing user processes first; callers here must close endpoints.
+// killing user processes first; callers here must close endpoints. Nodes
+// are torn down in submit order, so a refusal names the first busy node
+// and leaves exactly the services from that node on.
 func (c *Controller) Complete(id JobID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -155,7 +159,11 @@ func (c *Controller) Complete(id JobID) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchJob, id)
 	}
-	for name, svcID := range job.services {
+	for _, name := range job.Nodes {
+		svcID, ok := job.services[name]
+		if !ok {
+			continue // destroyed by an earlier, refused Complete
+		}
 		if err := c.nodes[name].Device.SvcDestroy(c.root, svcID); err != nil {
 			return fmt.Errorf("slurm: teardown on %s: %w", name, err)
 		}

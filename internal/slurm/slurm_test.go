@@ -2,6 +2,7 @@ package slurm
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,6 +118,49 @@ func TestCompleteRefusedWhileEndpointsOpen(t *testing.T) {
 	ep.Close()
 	if err := e.ctl.Complete(job.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompleteIsDeterministicOnBusyNodes: with endpoints open on both
+// nodes, Complete must name the same node and leave the same services
+// every time. Map iteration order once chose both at random, in about one
+// run in seven naming the second node.
+func TestCompleteIsDeterministicOnBusyNodes(t *testing.T) {
+	nodes := []string{"nid0001", "nid0002"}
+	var first string
+	for run := 0; run < 50; run++ {
+		e := newEnv(t)
+		job, err := e.ctl.Submit(1000, 1000, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, dev := range e.devs {
+			proc, _ := e.kern.Spawn("rank", 1000, 1000, 0, 0)
+			svc, _ := e.ctl.ServiceOn(job.ID, nodes[i])
+			if _, err := dev.EPAlloc(proc.PID, svc, job.VNI, fabric.TCDedicated); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err = e.ctl.Complete(job.ID)
+		if err == nil {
+			t.Fatal("complete succeeded with open endpoints")
+		}
+		if run == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("run %d: Complete failed with %q, run 0 with %q", run, err, first)
+		}
+		for i, node := range nodes {
+			if _, ok := e.ctl.ServiceOn(job.ID, node); !ok {
+				t.Fatalf("run %d: the job lost its service on %s", run, node)
+			}
+			if got := len(e.devs[i].SvcList()); got != 2 {
+				t.Fatalf("run %d: %s has %d services, want the default and the job's", run, node, got)
+			}
+		}
+	}
+	if !strings.Contains(first, "nid0001") {
+		t.Errorf("Complete failed with %q, want the first busy node, nid0001", first)
 	}
 }
 
