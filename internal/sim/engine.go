@@ -368,11 +368,11 @@ func (e *Engine) next() (Time, bool) {
 // 2005) with the heap as every rung above it.
 //
 // Invariant: the run is sorted and every entry sorts before the heap's
-// root. A post that sorts after the root goes to the heap; one that sorts
-// before it goes to the run, and a full run evicts its tail, which then
-// sorts before the old root and becomes the new one. Pops drain the run
-// first, so under a deep queue the run is mostly empty and a post is one
-// compare against the root away from the plain heap.
+// root. A post that sorts after the root, or after a full run's tail, goes
+// to the heap; any other enters the run, and a full run evicts its tail,
+// which sorts before the old root and becomes the new one. Pops drain the
+// run first, so under a deep queue the run is mostly empty and a post is
+// one compare against the root away from the plain heap.
 
 // runCap is the run's capacity: past the collectives' deepest queue (28),
 // and short enough that a post landing mid-run moves at most 63 indexes.
@@ -382,52 +382,36 @@ const runMask = runCap - 1
 
 // push queues slot idx, in the run or the heap as the invariant demands.
 func (e *Engine) push(idx int32) {
-	a := e.arena
-	at, seq := a[idx].at, a[idx].seq
 	n := e.runLen
-	if n > 0 {
+	if n == runCap {
 		tail := e.run[(e.runHead+n-1)&runMask]
-		te := &a[tail]
-		if te.at < at || (te.at == at && te.seq < seq) {
-			// After the run's tail: append if the run has room and idx
-			// still sorts before the heap's root.
-			if n == runCap || (len(e.heap) > 0 && !e.heapLess(idx, e.heap[0])) {
-				e.heapPush(idx)
-				return
-			}
-			e.run[(e.runHead+n)&runMask] = idx
-			a[idx].pos = inRun
-			e.runLen++
+		if e.heapLess(tail, idx) {
+			e.heapPush(idx)
 			return
 		}
-		if n == runCap {
-			// idx sorts before the tail, which leaves for the heap.
-			e.runLen--
-			n--
-			e.heapPush(tail)
-		}
-		// Scan in from the tail, moving every later entry up one.
-		i := n
-		for ; i > 0; i-- {
-			p := e.run[(e.runHead+i-1)&runMask]
-			pe := &a[p]
-			if pe.at < at || (pe.at == at && pe.seq < seq) {
-				break
-			}
-			e.run[(e.runHead+i)&runMask] = p
-		}
-		e.run[(e.runHead+i)&runMask] = idx
-		a[idx].pos = inRun
-		e.runLen++
-		return
-	}
-	if len(e.heap) > 0 && !e.heapLess(idx, e.heap[0]) {
+		// idx sorts before the tail, which leaves for the heap: it sorts
+		// before every heap entry, so it becomes the root.
+		e.runLen, n = n-1, n-1
+		e.heapPush(tail)
+	} else if len(e.heap) > 0 && e.heapLess(e.heap[0], idx) {
 		e.heapPush(idx)
 		return
 	}
-	e.run[e.runHead&runMask] = idx
+	// Scan in from the tail, moving every later entry up one.
+	a := e.arena
+	at, seq := a[idx].at, a[idx].seq
+	i := n
+	for ; i > 0; i-- {
+		p := e.run[(e.runHead+i-1)&runMask]
+		pe := &a[p]
+		if pe.at < at || (pe.at == at && pe.seq < seq) {
+			break
+		}
+		e.run[(e.runHead+i)&runMask] = p
+	}
+	e.run[(e.runHead+i)&runMask] = idx
 	a[idx].pos = inRun
-	e.runLen = 1
+	e.runLen++
 }
 
 // runRemove deletes slot idx from the run and closes the gap from the
@@ -476,8 +460,7 @@ func (e *Engine) runRemove(idx int32) {
 //     one 128-bit unsigned number, the borrow is the index offset.
 
 // heapLess is the order predicate in its plain form; the sifts and the
-// run's scans inline it, the run's test against the heap's root and the
-// integrity audit call it.
+// run's scan inline it, push's tests and the integrity audit call it.
 func (e *Engine) heapLess(a, b int32) bool {
 	ea, eb := &e.arena[a], &e.arena[b]
 	if ea.at != eb.at {

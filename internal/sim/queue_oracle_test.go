@@ -430,9 +430,9 @@ func (o *queueOracle) requireMix(seed int64, ops int) {
 // TestQueueMatchesSortedReference is the queue's differential test: random
 // At/After/AtCall/AfterCall/Cancel/Step traffic — drawn from a handful of
 // distinct instants so most compares are decided by seq, with cancels
-// aimed at the heap's root, its tail and its middle as well as at fired
-// and already-cancelled handles — against a reference that sorts the live
-// events by (at, seq) and against the old swap-based heap. The engine must
+// aimed at the queue's head, its last slot and its middle as well as at
+// fired and already-cancelled handles — against a reference that sorts the
+// live events by (at, seq) and against the old swap-based heap. The engine must
 // run exactly the events the reference names, in its order, and pass
 // CheckIntegrity after every operation. Each seed holds the queue near a
 // different depth: the shallow regime the run serves alone (4, 24), the
