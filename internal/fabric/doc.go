@@ -58,7 +58,7 @@
 // allocation once each owner's free list has filled, within the first
 // packets of a run. A link serialises, so its arrival events are posted in
 // time order; they go through the link's sim.Lane, which keeps all but the
-// earliest of them out of the event heap without changing the order in
+// earliest of them out of the event queue without changing the order in
 // which anything runs. Ports and address owners are slices indexed by
 // Addr (the allocator issues addresses densely from 1), so the per-packet
 // lookups are array reads. docs/performance.md records the measured
