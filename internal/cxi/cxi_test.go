@@ -489,6 +489,54 @@ func TestMessageToUnknownEndpointCounted(t *testing.T) {
 	}
 }
 
+// TestBadEndpointIndexFailsClosed feeds the receive demux frames whose
+// destination index names no open endpoint: negative, 0 (never an index),
+// past the table, and an endpoint since closed, each as a whole message
+// and as the first frame of a multi-frame one. Every frame must be counted
+// unrouted, deliver nothing, leave no reassembly record and not panic; a
+// frame for the live endpoint beside them still arrives.
+func TestBadEndpointIndexFailsClosed(t *testing.T) {
+	r := newRig(t)
+	pb, _ := r.kern.Spawn("b", 0, 0, 0, 0)
+	closed, err := r.devB.EPAlloc(pb.PID, DefaultSvcID, 1, fabric.TCDedicated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := r.devB.EPAlloc(pb.PID, DefaultSvcID, 1, fabric.TCDedicated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	closed.OnMessage(func(Message) { delivered++ })
+	closed.Close()
+	got := 0
+	live.OnMessage(func(Message) { got++ })
+
+	bad := []int{-1, -1 << 40, 0, live.Idx() + 1, 1 << 20, closed.Idx()}
+	var msg uint64
+	frame := func(idx int, last bool) *fabric.Packet {
+		msg++
+		return &fabric.Packet{Src: r.devA.Addr(), Dst: r.devB.Addr(), VNI: 1, TC: fabric.TCDedicated,
+			PayloadBytes: 64, Frames: 1, DstIdx: idx, SrcIdx: 1, MsgID: msg, Last: last}
+	}
+	for _, idx := range bad {
+		for _, last := range []bool{true, false} {
+			r.devB.ReceivePacket(frame(idx, last))
+		}
+	}
+	r.devB.ReceivePacket(frame(live.Idx(), true))
+	r.eng.Run()
+	if want := uint64(2 * len(bad)); r.devB.Stats().UnroutedPkts != want {
+		t.Errorf("unrouted = %d, want %d", r.devB.Stats().UnroutedPkts, want)
+	}
+	if delivered != 0 || len(r.devB.partial) != 0 {
+		t.Errorf("bad indexes delivered %d messages and left %d reassembly records", delivered, len(r.devB.partial))
+	}
+	if got != 1 {
+		t.Errorf("live endpoint received %d messages, want 1", got)
+	}
+}
+
 func TestZeroByteMessage(t *testing.T) {
 	r := newRig(t)
 	pa, _ := r.kern.Spawn("a", 0, 0, 0, 0)

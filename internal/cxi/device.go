@@ -77,7 +77,9 @@ type Device struct {
 	svcs    map[SvcID]*Svc
 	byName  map[string]SvcID // the named services of svcs: SvcAlloc's duplicate check without a scan
 	nextSvc SvcID
-	eps     map[int]*Endpoint // by local endpoint index
+	// eps[i] is the open endpoint with local index i, nil once closed (and
+	// at 0, never an index): len(eps) == nextEP.
+	eps     []*Endpoint
 	nextEP  int
 	nextMsg uint64
 	// vniRefs counts how many services reference each VNI, so the switch
@@ -133,7 +135,7 @@ func NewDevice(name string, eng *sim.Engine, kern *nsmodel.Kernel, sw *fabric.Sw
 		svcs:       make(map[SvcID]*Svc),
 		byName:     make(map[string]SvcID),
 		nextSvc:    DefaultSvcID,
-		eps:        make(map[int]*Endpoint),
+		eps:        make([]*Endpoint, 1),
 		nextEP:     1,
 		vniRefs:    make(map[fabric.VNI]int),
 		partial:    make(map[partialKey]*partialMsg),
@@ -400,8 +402,11 @@ func msgDeliverCall(a any) {
 // ReceivePacket implements fabric.Receiver: demultiplex by destination
 // endpoint index, reassemble, and deliver after the receive overhead.
 func (d *Device) ReceivePacket(p *fabric.Packet) {
-	ep, ok := d.eps[p.DstIdx]
-	if !ok || ep.closed || ep.vni != p.VNI {
+	var ep *Endpoint
+	if uint(p.DstIdx) < uint(len(d.eps)) { // a negative index wraps past the table
+		ep = d.eps[p.DstIdx]
+	}
+	if ep == nil || ep.closed || ep.vni != p.VNI {
 		d.stats.UnroutedPkts++
 		return
 	}
@@ -415,8 +420,11 @@ func (d *Device) ReceivePacket(p *fabric.Packet) {
 	pm := d.curPM
 	if pm == nil || key != d.curKey {
 		// The common case — a coalesced or single-frame message, no
-		// partial state — finds the reassembly map empty.
-		pm = d.partial[key]
+		// partial state — finds the reassembly map empty and skips it.
+		pm = nil
+		if len(d.partial) > 0 {
+			pm = d.partial[key]
+		}
 	}
 	switch {
 	case pm != nil && complete:

@@ -82,7 +82,7 @@ func (d *Device) EPAlloc(caller nsmodel.PID, svcID SvcID, vni fabric.VNI, tc fab
 	svc.refs++
 	ep := &Endpoint{dev: d, svcID: svcID, idx: d.nextEP, vni: vni, tc: tc}
 	d.nextEP++
-	d.eps[ep.idx] = ep
+	d.eps = append(d.eps, ep)
 	return ep, nil
 }
 
@@ -228,7 +228,7 @@ func (ep *Endpoint) Close() {
 	}
 	d := ep.dev
 	ep.closed = true
-	delete(d.eps, ep.idx)
+	d.eps[ep.idx] = nil
 	if svc, ok := d.svcs[ep.svcID]; ok {
 		svc.usedTXQs--
 		svc.usedEQs--

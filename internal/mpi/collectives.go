@@ -1,9 +1,10 @@
 // Event-driven collective algorithms over an N-rank communicator. Each
 // collective is continuation-passing: done fires once every rank has
-// finished its part. One collective runs at a time per communicator — the
-// layer has a single implicit tag, so interleaving two collectives would
-// cross their messages (the workload engine serializes iterations, as a
-// blocking MPI application would).
+// finished its part. One collective runs at a time per communicator, and
+// starting a second while one is in flight panics: the layer has a single
+// implicit tag, so two collectives would cross their messages (the
+// workload engine serializes iterations, as a blocking MPI application
+// would). done may start the next collective.
 //
 // The algorithms are the textbook ones MPI libraries select at these
 // message sizes (Thakur et al., "Optimization of Collective Communication
@@ -12,6 +13,10 @@
 // exchange. Only byte movement is simulated — reduction arithmetic is free
 // on the virtual clock, so measured cost is wire cost plus the per-call
 // software overhead.
+//
+// A collective allocates nothing: each rank runs its part on its one
+// round (below), whose completion callbacks were bound at Connect, and the
+// communicator counts the ranks still working.
 
 package mpi
 
@@ -28,50 +33,124 @@ func chunk(size, n, i int) int {
 // mod returns x mod n in [0, n).
 func mod(x, n int) int { return ((x % n) + n) % n }
 
-// fanIn invokes done once after n calls to the returned function.
-func fanIn(n int, done func()) func() {
-	remaining := n
-	return func() {
-		remaining--
-		if remaining == 0 && done != nil {
-			done()
-		}
-	}
-}
+// collOp names the algorithm a round advances.
+type collOp uint8
 
-// exchange is one rank's round state for one collective whose rounds each
-// pair a receive with a send: the round is over when both have completed,
-// and then the continuation runs. It is built once per rank per collective
-// and its two completion callbacks are bound then, so a round itself
-// allocates nothing — where a fanIn(2, …) plus an adapter closure per
-// round cost four allocations per message.
-type exchange struct {
-	r        *Rank
-	pending  int
-	next     func() // runs when the round's receive and send are both done
+const (
+	opRing     collOp = iota // ring allreduce: step counts the 2(n-1) steps
+	opDoubling               // recursive doubling: step is the distance, fold the rank to return the result to
+	opAlltoall               // pairwise exchange: step is the offset k
+	opHalo                   // one four-way join, then done
+)
+
+// round is one rank's state in the collective in flight. A phase posts
+// its receives and sends with recvDone and sendDone, which count waits
+// down; the last completion advances the rank to its next phase.
+type round struct {
+	r     *Rank
+	waits int // completions the current phase still waits for
+	step  int
+	fold  int // recursive doubling: the folded rank still owed the result, or -1
+	core  int // recursive doubling: the rank's id among the pow2 core ranks
+
 	recvDone func(size int)
 	sendDone func()
 }
 
-// newExchange binds the completion callbacks; the caller sets next, which
-// may then capture x itself by value.
-func newExchange(r *Rank) *exchange {
-	x := &exchange{r: r}
+// bind builds the completion callbacks once, for every collective the
+// rank will run.
+func (x *round) bind(r *Rank) {
+	x.r = r
 	x.sendDone = func() {
-		x.pending--
-		if x.pending == 0 {
-			x.next()
+		x.waits--
+		if x.waits == 0 {
+			x.advance()
 		}
 	}
 	x.recvDone = func(int) { x.sendDone() }
-	return x
 }
 
-// round posts one round: the receive first, then the send.
-func (x *exchange) round(from, to, size int) {
-	x.pending = 2
+// exchange posts one round that pairs a receive with a send: the receive
+// first, then the send.
+func (x *round) exchange(from, to, size int) {
+	x.waits = 2
 	x.r.RecvFrom(from, x.recvDone)
 	x.r.SendTo(to, size, x.sendDone)
+}
+
+// start claims the communicator for a collective and readies every rank's
+// round; the caller then starts each rank in rank order.
+func (c *Comm) start(op collOp, size int, done func()) {
+	if c.left > 0 {
+		panic("mpi: collective started while another is in flight on this communicator")
+	}
+	c.op, c.size, c.left, c.done = op, size, len(c.Ranks), done
+	for _, r := range c.Ranks {
+		r.round.step, r.round.fold = 0, -1
+	}
+}
+
+// finished retires one rank; the last one releases the communicator and
+// runs done, which may start the next collective.
+func (x *round) finished() {
+	c := x.r.comm
+	c.left--
+	if c.left > 0 {
+		return
+	}
+	done := c.done
+	c.done = nil
+	if done != nil {
+		done()
+	}
+}
+
+// advance runs when the rank's current phase is complete: it posts the
+// next phase of the collective in flight or retires the rank.
+func (x *round) advance() {
+	r, c := x.r, x.r.comm
+	n := len(c.Ranks)
+	switch c.op {
+	case opRing:
+		if x.step == 2*(n-1) {
+			break
+		}
+		// Reduce-scatter steps send chunk (id - step); allgather steps send
+		// the chunk received (and reduced) in the previous step.
+		var sendIdx int
+		if x.step < n-1 {
+			sendIdx = mod(r.id-x.step, n)
+		} else {
+			sendIdx = mod(r.id-(x.step-(n-1))+1, n)
+		}
+		x.step++
+		x.exchange(mod(r.id-1, n), mod(r.id+1, n), chunk(c.size, n, sendIdx))
+		return
+	case opDoubling:
+		pow2, rem := doublingCore(n)
+		if x.step < pow2 {
+			partner := coreRank(x.core^x.step, rem)
+			x.step *= 2
+			x.exchange(partner, partner, c.size)
+			return
+		}
+		if x.fold >= 0 {
+			// Return the result to the folded neighbor.
+			to := x.fold
+			x.fold, x.waits = -1, 1
+			r.SendTo(to, c.size, x.sendDone)
+			return
+		}
+	case opAlltoall:
+		if x.step == n {
+			break
+		}
+		from, to := mod(r.id-x.step, n), mod(r.id+x.step, n)
+		x.step++
+		x.exchange(from, to, c.size)
+		return
+	}
+	x.finished()
 }
 
 // AllreduceRing performs an allreduce of size bytes per rank with the
@@ -81,35 +160,28 @@ func (x *exchange) round(from, to, size int) {
 // communicator (AllreduceRingBytes); every byte crosses only neighbor
 // links, which is what makes placement matter on a dragonfly.
 func (c *Comm) AllreduceRing(size int, done func()) {
-	rankDone := fanIn(len(c.Ranks), done)
+	c.start(opRing, size, done)
 	for _, r := range c.Ranks {
-		r.ringAllreduce(size, rankDone)
+		r.round.advance()
 	}
 }
 
-func (r *Rank) ringAllreduce(size int, done func()) {
-	n := r.Size()
-	left, right := mod(r.id-1, n), mod(r.id+1, n)
-	total := 2 * (n - 1)
-	step := 0
-	x := newExchange(r)
-	x.next = func() {
-		if step == total {
-			done()
-			return
-		}
-		// Reduce-scatter steps send chunk (id - step); allgather steps send
-		// the chunk received (and reduced) in the previous step.
-		var sendIdx int
-		if step < n-1 {
-			sendIdx = mod(r.id-step, n)
-		} else {
-			sendIdx = mod(r.id-(step-(n-1))+1, n)
-		}
-		step++
-		x.round(left, right, chunk(size, n, sendIdx))
+// doublingCore returns the largest power of two pow2 ≤ n and the rem =
+// n - pow2 ranks beyond it.
+func doublingCore(n int) (pow2, rem int) {
+	pow2 = 1
+	for pow2*2 <= n {
+		pow2 *= 2
 	}
-	x.next()
+	return pow2, n - pow2
+}
+
+// coreRank maps a core id (0..pow2-1) to its real rank after the fold.
+func coreRank(id, rem int) int {
+	if id < rem {
+		return 2 * id
+	}
+	return id + rem
 }
 
 // AllreduceRecursiveDoubling performs an allreduce of size bytes per rank
@@ -120,56 +192,25 @@ func (r *Rank) ringAllreduce(size int, done func()) {
 // the result after. Distances double every round, so on a dragonfly the
 // later rounds are exactly the cross-group exchanges.
 func (c *Comm) AllreduceRecursiveDoubling(size int, done func()) {
-	n := len(c.Ranks)
-	pow2 := 1
-	for pow2*2 <= n {
-		pow2 *= 2
-	}
-	rem := n - pow2 // ranks beyond the power of two
-	// core maps a core id (0..pow2-1) to its real rank after the fold.
-	core := func(id int) int {
-		if id < rem {
-			return 2 * id
-		}
-		return id + rem
-	}
-	rankDone := fanIn(n, done)
+	c.start(opDoubling, size, done)
+	pow2, rem := doublingCore(len(c.Ranks))
 	for _, r := range c.Ranks {
-		r := r
+		x := &r.round
 		switch {
 		case r.id < 2*rem && r.id%2 == 1:
 			// Folded rank: contribute the vector, wait for the result.
-			next := fanIn(2, rankDone)
-			r.SendTo(r.id-1, size, next)
-			r.RecvFrom(r.id-1, func(int) { next() })
+			x.step, x.waits = pow2, 2
+			r.SendTo(r.id-1, size, x.sendDone)
+			r.RecvFrom(r.id-1, x.recvDone)
 		case r.id < 2*rem:
 			// Absorb the odd neighbor, run the rounds, return the result.
-			r.RecvFrom(r.id+1, func(int) {
-				r.doublingRounds(r.id/2, pow2, core, size, func() {
-					r.SendTo(r.id+1, size, rankDone)
-				})
-			})
+			x.step, x.core, x.fold, x.waits = 1, r.id/2, r.id+1, 1
+			r.RecvFrom(r.id+1, x.recvDone)
 		default:
-			r.doublingRounds(r.id-rem, pow2, core, size, rankDone)
+			x.step, x.core = 1, r.id-rem
+			x.advance()
 		}
 	}
-}
-
-// doublingRounds runs the log2(pow2) pairwise-exchange rounds for one core
-// rank.
-func (r *Rank) doublingRounds(coreID, pow2 int, core func(int) int, size int, done func()) {
-	dist := 1
-	x := newExchange(r)
-	x.next = func() {
-		if dist >= pow2 {
-			done()
-			return
-		}
-		partner := core(coreID ^ dist)
-		dist *= 2
-		x.round(partner, partner, size)
-	}
-	x.next()
 }
 
 // AlltoallPairwise performs a complete exchange — every rank sends a
@@ -179,22 +220,10 @@ func (r *Rank) doublingRounds(coreID, pow2 int, core func(int) int, size int, do
 // under group-spilled placement almost all of it crosses the global links,
 // which is the classic dragonfly hotspot.
 func (c *Comm) AlltoallPairwise(block int, done func()) {
-	n := len(c.Ranks)
-	rankDone := fanIn(n, done)
+	c.start(opAlltoall, block, done)
 	for _, r := range c.Ranks {
-		r := r
-		k := 1
-		x := newExchange(r)
-		x.next = func() {
-			if k == n {
-				rankDone()
-				return
-			}
-			from, to := mod(r.id-k, n), mod(r.id+k, n)
-			k++
-			x.round(from, to, block)
-		}
-		x.next()
+		r.round.step = 1
+		r.round.advance()
 	}
 }
 
@@ -204,16 +233,16 @@ func (c *Comm) AlltoallPairwise(block int, done func()) {
 // adjacent ranks — the pattern placement-aware scheduling keeps entirely
 // inside a dragonfly group.
 func (c *Comm) HaloExchange(halo int, done func()) {
+	c.start(opHalo, halo, done)
 	n := len(c.Ranks)
-	rankDone := fanIn(n, done)
 	for _, r := range c.Ranks {
-		r := r
+		x := &r.round
 		left, right := mod(r.id-1, n), mod(r.id+1, n)
-		next := fanIn(4, rankDone)
-		r.RecvFrom(left, func(int) { next() })
-		r.RecvFrom(right, func(int) { next() })
-		r.SendTo(left, halo, next)
-		r.SendTo(right, halo, next)
+		x.waits = 4
+		r.RecvFrom(left, x.recvDone)
+		r.RecvFrom(right, x.recvDone)
+		r.SendTo(left, halo, x.sendDone)
+		r.SendTo(right, halo, x.sendDone)
 	}
 }
 
@@ -232,12 +261,11 @@ func AllreduceRingBytes(n, size int) uint64 {
 // recursive-doubling allreduce: the fold contributes 2·(n-pow2) full
 // vectors, the rounds pow2·log2(pow2) of them.
 func AllreduceRecursiveDoublingBytes(n, size int) uint64 {
-	pow2, log := 1, 0
-	for pow2*2 <= n {
-		pow2 *= 2
+	pow2, rem := doublingCore(n)
+	log := 0
+	for p := pow2; p > 1; p /= 2 {
 		log++
 	}
-	rem := n - pow2
 	return uint64(2*rem+pow2*log) * uint64(size)
 }
 

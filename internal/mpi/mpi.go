@@ -65,6 +65,10 @@ type Rank struct {
 	// so per-pair ordering is preserved.
 	unexpected []inMsg
 	pending    []postedRecv
+
+	// round is the rank's part of the collective in flight, reused by
+	// every collective (collectives.go).
+	round round
 }
 
 // ID returns the rank number (0 .. Size-1).
@@ -81,12 +85,22 @@ type Comm struct {
 	eng *sim.Engine
 	// Ranks holds the members in rank order.
 	Ranks []*Rank
-	// addrs[i] is rank i's libfabric address; rankOf inverts it.
+	// addrs[i] is rank i's libfabric address. rankAt inverts it densely:
+	// rankAt[nic][ep] is rank+1 for the rank at libfabric.Addr{nic, ep},
+	// 0 for an address no rank holds (see rankOf).
 	addrs  []libfabric.Addr
-	rankOf map[libfabric.Addr]int
+	rankAt [][]int32
 	// bytes accumulates payload bytes pushed through SendTo/Isend, the
 	// basis for the closed-form cost checks in collectives_test.go.
 	bytes uint64
+
+	// The collective in flight (collectives.go): op and size are what
+	// every rank's round runs, left counts the ranks still working (0:
+	// none in flight) and done runs when it reaches 0.
+	op   collOp
+	size int
+	left int
+	done func()
 
 	// Free lists of the call-overhead event arguments. A communicator and
 	// its ranks run on one engine's goroutine, so the lists are its own.
@@ -102,28 +116,51 @@ func Connect(eng *sim.Engine, doms ...*libfabric.Domain) (*Comm, error) {
 	if len(doms) < 2 {
 		return nil, ErrRankCount
 	}
-	c := &Comm{eng: eng, rankOf: make(map[libfabric.Addr]int, len(doms))}
+	c := &Comm{eng: eng}
 	for i, d := range doms {
 		r := &Rank{eng: eng, dom: d, comm: c, id: i}
+		r.round.bind(r)
 		c.Ranks = append(c.Ranks, r)
 		addr := d.Addr()
-		if prev, dup := c.rankOf[addr]; dup {
+		if prev := c.rankOf(addr); prev != AnySource {
 			return nil, fmt.Errorf("mpi: ranks %d and %d share address %s", prev, i, addr)
 		}
 		c.addrs = append(c.addrs, addr)
-		c.rankOf[addr] = i
+		var eps []int32
+		if int(addr.NIC) < len(c.rankAt) {
+			eps = c.rankAt[addr.NIC]
+		}
+		c.rankAt = putAt(c.rankAt, int(addr.NIC), putAt(eps, addr.EP, int32(i+1)))
 	}
 	for i := range c.Ranks {
 		r := c.Ranks[i]
 		r.dom.OnRecv(func(src libfabric.Addr, size int) {
-			from, ok := c.rankOf[src]
-			if !ok {
-				from = AnySource // non-member: matched only by wildcard receives
-			}
-			r.deliver(from, size)
+			r.deliver(c.rankOf(src), size) // a non-member is AnySource: matched only by wildcard receives
 		})
 	}
 	return c, nil
+}
+
+// rankOf returns the rank at address a, or AnySource when no rank holds
+// it: two loads from the dense table, no hash.
+func (c *Comm) rankOf(a libfabric.Addr) int {
+	if int(a.NIC) < len(c.rankAt) {
+		if eps := c.rankAt[a.NIC]; uint(a.EP) < uint(len(eps)) {
+			return int(eps[a.EP]) - 1
+		}
+	}
+	return AnySource
+}
+
+// putAt stores v at table[i], growing the table with zero entries up to
+// it (the insert of fabric's Addr-indexed tables).
+func putAt[T any](table []T, i int, v T) []T {
+	for i >= len(table) {
+		var zero T
+		table = append(table, zero)
+	}
+	table[i] = v
+	return table
 }
 
 // Size returns the number of ranks.
@@ -222,6 +259,9 @@ func sendToCall(a any) {
 // RecvFrom posts a receive matching messages from rank src (or AnySource);
 // onMsg fires with the message size when matched.
 func (r *Rank) RecvFrom(src int, onMsg func(size int)) {
+	if src != AnySource && (src < 0 || src >= len(r.comm.Ranks)) {
+		panic(fmt.Sprintf("mpi: rank %d receiving from nonexistent rank %d", r.id, src))
+	}
 	for i, m := range r.unexpected {
 		if src != AnySource && m.src != src {
 			continue

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/caps-sim/shs-k8s/internal/cxi"
@@ -117,5 +118,85 @@ func TestIsendCompletionFires(t *testing.T) {
 	eng.Run()
 	if !completed {
 		t.Error("completion never fired")
+	}
+}
+
+// TestRecvFromNonexistentRankPanics: a receive naming a rank outside the
+// communicator can never match, so it panics as SendTo does instead of
+// hanging the rank; AnySource is not such a rank.
+func TestRecvFromNonexistentRankPanics(t *testing.T) {
+	_, comm := newCommN(t, 1, 3)
+	for _, src := range []int{-2, 3, 1 << 20} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RecvFrom(%d) on a 3-rank communicator did not panic", src)
+				}
+			}()
+			comm.Ranks[0].RecvFrom(src, func(int) {})
+		}()
+	}
+	comm.Ranks[0].RecvFrom(AnySource, func(int) {})
+	comm.Ranks[0].RecvFrom(2, func(int) {})
+}
+
+// TestRankLookupMatchesMap holds the dense rank table against the map it
+// replaced (address → rank, AnySource when absent), over every address
+// on a grid of NICs and endpoint indexes around the members. The
+// communicators are chosen so the grid has two ranks on one NIC, a
+// non-member endpoint between members of a NIC, indexes past a NIC's row,
+// a NIC past the table, and a member on the lowest endpoint index, as
+// rank 0 and as the last rank.
+func TestRankLookupMatchesMap(t *testing.T) {
+	eng := sim.NewEngine(1)
+	kern := nsmodel.NewKernel()
+	sw := fabric.NewSwitch("s", eng, fabric.DefaultConfig())
+	devA := cxi.NewDevice("cxi0", eng, kern, sw, cxi.DefaultDeviceConfig())
+	devB := cxi.NewDevice("cxi1", eng, kern, sw, cxi.DefaultDeviceConfig())
+	open := func(dev *cxi.Device) *libfabric.Domain {
+		p, err := kern.Spawn("rank", 0, 0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := libfabric.OpenDomain(eng, libfabric.Info{Device: dev, Caller: p.PID, VNI: 1, TC: fabric.TCDedicated})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	a1, a2, a3 := open(devA), open(devA), open(devA) // endpoint indexes 1, 2, 3 on devA
+	b1, b2 := open(devB), open(devB)
+	if a1.Addr().EP != 1 || b1.Addr().EP != 1 {
+		t.Fatalf("first endpoints at %v and %v, want index 1", a1.Addr(), b1.Addr())
+	}
+	maxNIC := max(devA.Addr(), devB.Addr())
+	for _, members := range [][]*libfabric.Domain{
+		{a1, b1, a3, b2}, // a2 a non-member between members of devA; rank 0 on index 1
+		{a3, b2, a1},     // the last rank on index 1; devB's index 1 a non-member
+		{b1, a2},
+	} {
+		c, err := Connect(eng, members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := make(map[libfabric.Addr]int)
+		for i, d := range members {
+			oracle[d.Addr()] = i
+		}
+		for nic := fabric.Addr(0); nic <= maxNIC+2; nic++ {
+			for ep := -2; ep <= 5; ep++ {
+				a := libfabric.Addr{NIC: nic, EP: ep}
+				want, ok := oracle[a]
+				if !ok {
+					want = AnySource
+				}
+				if got := c.rankOf(a); got != want {
+					t.Errorf("members %v: rank of %v = %d, the map says %d", c.addrs, a, got, want)
+				}
+			}
+		}
+	}
+	if _, err := Connect(eng, a1, b1, a1); err == nil || !strings.Contains(err.Error(), "ranks 0 and 2 share address") {
+		t.Errorf("a repeated address: err = %v, want ranks 0 and 2 named", err)
 	}
 }
