@@ -49,7 +49,7 @@ const (
 type round struct {
 	r     *Rank
 	waits int // completions the current phase still waits for
-	step  int
+	step  int // per algorithm: see collOp
 	fold  int // recursive doubling: the folded rank still owed the result, or -1
 	core  int // recursive doubling: the rank's id among the pow2 core ranks
 
