@@ -123,29 +123,29 @@ func (ep *Endpoint) Send(dst fabric.Addr, dstIdx int, size int, onComplete func(
 	msgID := d.nextMsg
 	d.stats.MsgsSent++
 	d.stats.BytesSent += uint64(size)
-
-	now := d.eng.Now()
-	issue := now
-	if ep.issueAt > issue {
-		issue = ep.issueAt
-	}
-	issue = issue.Add(d.eng.Jitter(d.msgIssueGap, 0.02))
-	ep.issueAt = issue
-
-	frames := (size + d.mtu - 1) / d.mtu
-	if frames == 0 {
-		frames = 1
-	}
-	start := issue.Add(d.eng.Jitter(d.sendOverhead, 0.02))
+	start := ep.issue()
 
 	// Field by field: sendCall zeroes the struct before returning it, and a
 	// composite literal here would build and copy all of it, pkt included.
 	sa := d.sends.Get()
 	sa.ep, sa.dst, sa.dstIdx, sa.size = ep, dst, dstIdx, size
-	sa.frames, sa.msgID, sa.onComplete = frames, msgID, onComplete
+	sa.frames, sa.msgID, sa.onComplete = d.frames(size), msgID, onComplete
 	d.eng.AtCall(start, sendCall, sa)
 	return nil
 }
+
+// issue takes the endpoint's next message-issue slot, one jittered issue
+// gap after the previous message's (or now), and returns when the
+// message's DMA starts: one jittered send overhead later.
+func (ep *Endpoint) issue() sim.Time {
+	d := ep.dev
+	at := max(d.eng.Now(), ep.issueAt).Add(d.eng.Jitter(d.msgIssueGap, 0.02))
+	ep.issueAt = at
+	return at.Add(d.eng.Jitter(d.sendOverhead, 0.02))
+}
+
+// frames is the wire frame count of an n-byte message, at least one.
+func (d *Device) frames(n int) int { return max((n+d.mtu-1)/d.mtu, 1) }
 
 // sendArg is the recycled bookkeeping of one in-flight send: the DMA-issue
 // event carries it instead of a closure, so the per-message transmit path

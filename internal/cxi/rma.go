@@ -101,19 +101,8 @@ func (ep *Endpoint) sendRMA(dst fabric.Addr, dstIdx int, wireBytes int, op rmaOp
 		d.rmaWaiters[msgID] = onComplete
 	}
 
-	now := d.eng.Now()
-	issue := now
-	if ep.issueAt > issue {
-		issue = ep.issueAt
-	}
-	issue = issue.Add(d.eng.Jitter(d.msgIssueGap, 0.02))
-	ep.issueAt = issue
-	start := issue.Add(d.eng.Jitter(d.sendOverhead, 0.02))
-
-	frames := (wireBytes + d.mtu - 1) / d.mtu
-	if frames == 0 {
-		frames = 1
-	}
+	start := ep.issue()
+	frames := d.frames(wireBytes)
 	opCopy := op
 	d.eng.At(start, func() {
 		d.link.Send(&fabric.Packet{
@@ -172,10 +161,7 @@ func (d *Device) handleRMA(p *fabric.Packet, ep *Endpoint) {
 	}
 	tc := p.TC
 	vni := p.VNI
-	frames := (size + d.mtu - 1) / d.mtu
-	if frames == 0 {
-		frames = 1
-	}
+	frames := d.frames(size)
 	d.eng.After(d.eng.Jitter(d.recvOverhead, 0.02), func() {
 		d.link.Send(&fabric.Packet{
 			Src: d.addr, Dst: src, VNI: vni, TC: tc,

@@ -1,26 +1,32 @@
 // Package fabric simulates an HPE Slingshot fabric: Cassini-style NIC ports
 // connected to Rosetta-style switches over 200 Gbps links, with strict
 // per-packet Virtual Network (VNI) enforcement at the switch and
-// priority-scheduled traffic classes. Switches assemble into multi-group
-// dragonfly topologies (see Topology) with minimal-path routing, per-link
-// congestion accounting and injectable trunk failures.
+// priority-scheduled traffic classes. Every switch is an edge of a
+// Topology — a multi-group dragonfly with minimal-path routing, per-link
+// congestion accounting and injectable trunk failures — which issues the
+// fabric's addresses and routes between its switches; NewSwitch builds the
+// one-switch topology of the paper's two-node pilot.
 //
 // The simulation is discrete-event (see internal/sim): link serialization,
 // propagation delay and switch forwarding latency are modelled explicitly,
 // so throughput and latency curves emerge from the model rather than being
 // table lookups. VNI filtering happens on the forwarding path exactly where
 // Rosetta enforces it — a packet is routed only if both the ingress and
-// egress ports have been granted the packet's VNI (paper §II-C).
+// egress ports have been granted the packet's VNI (paper §II-C). That
+// admission decision is written once, as Switch.ingress and Switch.egress:
+// the packet path charges the reason they return, and the flow fast path
+// (SendFlow) declines on it.
 //
 // # Threading contract
 //
 // The fabric is single-threaded by construction, inheriting the contract of
 // sim.Engine: every packet injection, route resolution, delivery, statistics
 // read and failure injection must happen on the goroutine driving the
-// owning engine's event loop. Nothing in this package takes a lock on the
-// packet path — the seed implementation serialized every hop through a
-// global Topology mutex, which measured as pure overhead because no second
-// goroutine ever exists per engine. Concurrency across *engines* (e.g.
+// owning engine's event loop. Nothing in this package takes a lock, the
+// Topology's address counter included — the seed implementation
+// serialized every hop through a global Topology mutex, which measured as
+// pure overhead because no second goroutine ever exists per engine.
+// Concurrency across *engines* (e.g.
 // `shssim run -workers N` executing independent scenarios in parallel) is
 // safe because engines share nothing: each scenario owns a private Engine,
 // Topology and NIC set, and the recycled event-argument structs live on
@@ -60,7 +66,7 @@
 // time order; they go through the link's sim.Lane, which keeps all but the
 // earliest of them out of the event queue without changing the order in
 // which anything runs. Ports and address owners are slices indexed by
-// Addr (the allocator issues addresses densely from 1), so the per-packet
+// Addr (the topology issues addresses densely from 1), so the per-packet
 // lookups are array reads. docs/performance.md records the measured
 // effect.
 package fabric

@@ -20,15 +20,17 @@ import (
 // is many (the packet path draws jitter per frame, the flow path per
 // stage, and sizes the last, shorter frame like the others), and orders of
 // magnitude cheaper to simulate. Hybrid is flow with a guard: a transfer
-// whose route shows
-// queueing (busy-until overlap) beyond Config.FlowCongestionThreshold falls
-// back to the packet path, so congestion dynamics, drop accounting and
-// reroute behavior stay packet-exact exactly where they matter.
+// whose route shows queueing (busy-until overlap) beyond
+// Config.FlowCongestionThreshold falls back to the packet path, so
+// congestion dynamics, drop accounting and reroute behavior stay
+// packet-exact exactly where they matter.
 //
-// Every fidelity falls back to the packet path on structural trouble — a
-// down port or link, a missing route, an ACL or partition miss — because
-// the packet path owns drop accounting; the fast path commits nothing
-// unless the whole transfer completes cleanly.
+// Every fidelity falls back to the packet path on structural trouble —
+// any reason the switch's admission checks (Switch.ingress and
+// Switch.egress, the ones Inject charges) would drop for, or a route with
+// no live minimal path — because the packet path owns drop accounting;
+// the fast path commits nothing unless the whole transfer completes
+// cleanly.
 type Fidelity uint8
 
 // The fidelity modes. The zero value is full packet fidelity, so existing
@@ -77,42 +79,20 @@ func ParseFidelity(s string) (Fidelity, error) {
 //
 // ok=false means the fast path declined and mutated nothing: the caller
 // must send through the packet path, which owns all drop accounting. That
-// happens when fid is FidelityPacket, when any admission check Inject
-// would drop on fails (invalid TC, ingress/egress ACL, down port,
-// partition, no live minimal route), or — hybrid only — when any stage of
-// the route would queue longer than Config.FlowCongestionThreshold.
+// happens when fid is FidelityPacket, when the switches' admission checks
+// (Switch.ingress at the source edge, Switch.egress at the destination
+// edge) name a drop reason, when no live minimal route exists, or —
+// hybrid only — when any stage of the route would queue longer than
+// Config.FlowCongestionThreshold.
 //
 // Counters are charged once per transfer (one Injected, one Forwarded per
 // link), as for a coalesced burst. Like Send, SendFlow must be called from
 // within the event loop.
 func (l *HostLink) SendFlow(p *Packet, fid Fidelity, packets int) (sim.Time, bool) {
-	if fid == FidelityPacket {
+	if fid == FidelityPacket || l.sw.ingress(p) != admitted {
 		return 0, false
 	}
-	if packets < 1 {
-		packets = 1
-	}
-	sw := l.sw
-	// Read-only mirror of Inject's admission checks: any condition the
-	// packet path would drop on declines the fast path instead, so drops
-	// are decided (and counted) in exactly one place.
-	if !p.TC.Valid() {
-		return 0, false
-	}
-	in := sw.port(p.Src)
-	if in == nil || !in.vnis[p.VNI] || in.down {
-		return 0, false
-	}
-	if sw.partition != nil && sw.partition[p.Src] != sw.partition[p.Dst] {
-		return 0, false
-	}
-	if out := sw.port(p.Dst); out != nil {
-		return l.flowLocal(p, out, fid, packets)
-	}
-	if sw.flowRoute == nil {
-		return 0, false // bare switch outside a Topology: no remote routes
-	}
-	return sw.flowRoute(p, l, fid, packets)
+	return l.sw.topo.flowSend(p, l, fid, max(packets, 1))
 }
 
 // burst is a flow-level transfer on its way through a route's stages —
@@ -147,70 +127,24 @@ func (b *burst) pass(start sim.Time, tx, prop sim.Duration) sim.Time {
 // last is when the last frame arrives at the stage after the last pass.
 func (b *burst) last() sim.Time { return b.head.Add(sim.Duration(b.n-1) * b.slow) }
 
-// flowLocal completes a same-switch transfer analytically: host-link
-// serialization, injection, and the shared delivery leg (flowDeliver),
-// with the same arithmetic and jitter-draw order as Send → Inject →
-// deliver on one coalesced packet.
-func (l *HostLink) flowLocal(p *Packet, out *port, fid Fidelity, packets int) (sim.Time, bool) {
-	sw := l.sw
-	if out.down || !out.vnis[p.VNI] {
-		return 0, false
-	}
-	now := l.eng.Now()
-	hostStart := now
-	if l.busyAt > hostStart {
-		hostStart = l.busyAt
-	}
-	if fid == FidelityHybrid {
-		thr := sw.cfg.FlowCongestionThreshold
-		if hostStart.Sub(now) > thr {
-			return 0, false
-		}
-		// Egress wait the delivery leg would see, planned without jitter
-		// (conservative for TCLowLatency, whose cut-in caps the real wait).
-		plan := burst{n: packets}
-		plan.pass(hostStart, sw.wireTime(p.WireBytes(sw.cfg.FrameHeaderBytes)), sw.cfg.PropagationDelay)
-		if out.egressAt.Sub(plan.head.Add(sw.cfg.SwitchLatency)) > thr {
-			return 0, false
-		}
-	}
-	b := burst{n: packets}
-	hostEnd := b.pass(hostStart, l.eng.Jitter(sw.wireTime(p.WireBytes(sw.cfg.FrameHeaderBytes)), sw.cfg.JitterFrac), sw.cfg.PropagationDelay)
-	l.busyAt = hostEnd
-	sw.stats.Injected++
-	sw.stats.InjectedBytes += uint64(p.PayloadBytes)
-	sw.flowDeliver(p, b, out)
-	// The packet path runs 2 events per local packet (host-link arrival +
-	// local delivery); the fast path scheduled exactly one.
-	l.eng.Elided += uint64(packets)*2 - 1
-	return hostEnd, true
-}
-
-// flowFrom builds the flow-route callback for one edge switch, the remote
-// half of SendFlow. Like routeFrom it is invoked on the engine goroutine
-// and touches only topology and engine state.
-func (t *Topology) flowFrom(sw *Switch) func(p *Packet, hl *HostLink, fid Fidelity, packets int) (sim.Time, bool) {
-	ci := sw.index
-	return func(p *Packet, hl *HostLink, fid Fidelity, packets int) (sim.Time, bool) {
-		return t.flowSend(ci, p, hl, fid, packets)
-	}
-}
-
-// flowSend is the topology half of the flow fast path: plan, then commit.
+// flowSend is the route half of the flow fast path: plan, then commit. A
+// same-switch transfer is a route of zero trunk links.
 //
-// The plan phase walks the minimal route from switch ci to the
-// destination's edge switch through peekNextLink — the same epoch-cached
-// resolution the packet path serves, minus its drop charging — and
-// accumulates unjittered stage times against each link's busy-until. It
-// mutates nothing, so any dead link, missing route, or (hybrid) queueing
-// wait beyond the congestion threshold abandons the transfer to the
-// packet path with the fabric untouched.
+// The plan phase checks the egress ACL at the destination's edge switch,
+// then walks the minimal route from the host link's switch to it through
+// peekNextLink — the same epoch-cached resolution the packet path serves,
+// minus its drop charging — and accumulates unjittered stage times
+// against each link's busy-until. It mutates nothing, so an egress drop
+// reason, a dead link, a missing route, or (hybrid) queueing wait beyond
+// the congestion threshold abandons the transfer to the packet path with
+// the fabric untouched.
 //
 // The commit phase replays the planned route with jitter draws in exactly
 // the order the packet path would draw them for one coalesced packet —
 // one per stage, where a frame-granular packet path draws one per frame —
-// and charges the same counters: source-switch Injected/TrunkForwarded, per-
-// link busy-until/utilization/Forwarded/Bytes, and the destination's
+// and charges the same counters: source-switch Injected (and
+// TrunkForwarded when the route has links), per-link
+// busy-until/utilization/Forwarded/Bytes, and the destination's
 // delivery leg via flowDeliver. Intermediate switches carry no SwitchStats
 // on the packet path either (transit is visible only in link stats), so
 // per-switch flow-balance conservation holds identically.
@@ -218,15 +152,14 @@ func (t *Topology) flowFrom(sw *Switch) func(p *Packet, hl *HostLink, fid Fideli
 // The route is frozen at send time — the packet path re-resolves per hop
 // mid-flight — which is the other fidelity caveat: a link failure while a
 // flow-level transfer is "on the wire" neither drops nor reroutes it.
-func (t *Topology) flowSend(ci int, p *Packet, hl *HostLink, fid Fidelity, packets int) (sim.Time, bool) {
-	src := t.switches[ci]
+func (t *Topology) flowSend(p *Packet, hl *HostLink, fid Fidelity, packets int) (sim.Time, bool) {
+	src := hl.sw
 	dsw, ok := t.SwitchFor(p.Dst)
-	if !ok || dsw == src {
+	if !ok {
 		return 0, false
 	}
-	di := dsw.index
 	out := dsw.port(p.Dst)
-	if out == nil || out.down || !out.vnis[p.VNI] {
+	if dsw.egress(out, p) != admitted {
 		return 0, false
 	}
 
@@ -247,8 +180,8 @@ func (t *Topology) flowSend(ci int, p *Packet, hl *HostLink, fid Fidelity, packe
 	wb := p.WireBytes(t.cfg.FrameHeaderBytes)
 	plan := burst{n: packets}
 	plan.pass(hostStart, src.wireTime(p.WireBytes(src.cfg.FrameHeaderBytes)), src.cfg.PropagationDelay)
-	for cur := ci; cur != di; {
-		l, _ := t.peekNextLink(cur, di)
+	for cur := src.index; cur != dsw.index; {
+		l, _ := t.peekNextLink(cur, dsw.index)
 		if l == nil || nLinks == len(route) {
 			return 0, false
 		}
@@ -279,7 +212,9 @@ func (t *Topology) flowSend(ci int, p *Packet, hl *HostLink, fid Fidelity, packe
 	hl.busyAt = hostEnd
 	src.stats.Injected++
 	src.stats.InjectedBytes += uint64(p.PayloadBytes)
-	src.stats.TrunkForwarded++
+	if nLinks > 0 {
+		src.stats.TrunkForwarded++
+	}
 	for i := 0; i < nLinks; i++ {
 		l := route[i]
 		start := b.head
@@ -301,7 +236,8 @@ func (t *Topology) flowSend(ci int, p *Packet, hl *HostLink, fid Fidelity, packe
 
 	// Per packet the packet path runs one host-link arrival, one trunk
 	// arrival per link, one forwarding event per intermediate switch and
-	// one local delivery: 2*links+1 events. The fast path scheduled one.
-	t.eng.Elided += uint64(packets)*uint64(2*nLinks+1) - 1
+	// one local delivery: 2*links+1 events, or 2 on a same-switch route.
+	// The fast path scheduled one.
+	t.eng.Elided += uint64(packets)*uint64(max(2*nLinks+1, 2)) - 1
 	return hostEnd, true
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -246,7 +247,12 @@ func TestFlowMatchesPacketBehindSlowGlobalLink(t *testing.T) {
 
 // TestFlowDeclinesStructuralFaults: every condition the packet path would
 // drop on must make SendFlow return ok=false with the fabric untouched —
-// no counters charged, no events scheduled, no busy-until moved.
+// no counters charged, no events scheduled, no busy-until moved — and the
+// same packet on a fresh fabric at packet fidelity must be dropped for
+// exactly the row's reason. Each row runs on a same-switch route (a0→a1)
+// and a cross-switch one (a0→b, one intra-group trunk). Deleting any one
+// check from Switch.ingress or Switch.egress (the partition case, say)
+// fails its row.
 func TestFlowDeclinesStructuralFaults(t *testing.T) {
 	assertUntouched := func(t *testing.T, f *flowFixture) {
 		t.Helper()
@@ -261,6 +267,9 @@ func TestFlowDeclinesStructuralFaults(t *testing.T) {
 				t.Errorf("declined SendFlow charged link %s->%s: %+v", l.From, l.To, l.Stats)
 			}
 		}
+		if f.link0.busyAt != 0 {
+			t.Errorf("declined SendFlow moved the host link to %v", f.link0.busyAt)
+		}
 	}
 
 	t.Run("packet fidelity", func(t *testing.T) {
@@ -271,40 +280,88 @@ func TestFlowDeclinesStructuralFaults(t *testing.T) {
 		assertUntouched(t, f)
 	})
 
-	t.Run("dest port down", func(t *testing.T) {
-		f := newFlowFixture(t, 1, testConfig())
-		if err := f.topo.SetPortDown(f.c, true); err != nil {
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := f.link0.SendFlow(f.packet(f.a0, f.c, 4096), FidelityFlow, 1); ok {
-			t.Fatal("SendFlow accepted a transfer to a down port")
-		}
-		assertUntouched(t, f)
-	})
-
-	t.Run("dest VNI revoked", func(t *testing.T) {
-		f := newFlowFixture(t, 1, testConfig())
-		if err := f.topo.RevokeVNI(f.c, 5); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := f.link0.SendFlow(f.packet(f.a0, f.c, 4096), FidelityFlow, 1); ok {
-			t.Fatal("SendFlow accepted a transfer without an egress VNI grant")
-		}
-		assertUntouched(t, f)
-	})
-
-	t.Run("trunk down", func(t *testing.T) {
-		f := newFlowFixture(t, 1, testConfig())
+	}
+	for _, row := range []struct {
+		name string
+		// fault breaks the fabric, or the packet p, for p's route.
+		fault func(t *testing.T, f *flowFixture, p *Packet)
+		want  DropReason
+		// trunk marks a fault on a trunk link, which a same-switch route
+		// does not cross: there both paths must deliver.
+		trunk bool
+	}{
+		{name: "invalid TC", want: DropInvalidTC,
+			fault: func(t *testing.T, f *flowFixture, p *Packet) { p.TC = numTrafficClasses }},
+		{name: "ingress VNI missing", want: DropVNIIngress,
+			fault: func(t *testing.T, f *flowFixture, p *Packet) { must(t, f.topo.RevokeVNI(p.Src, p.VNI)) }},
+		{name: "ingress port down", want: DropLinkDown,
+			fault: func(t *testing.T, f *flowFixture, p *Packet) { must(t, f.topo.SetPortDown(p.Src, true)) }},
+		{name: "partition", want: DropPartitioned,
+			fault: func(t *testing.T, f *flowFixture, p *Packet) { f.topo.SetPartition(map[Addr]int{p.Dst: 1}) }},
+		// No switch owns the address, so both routes send the same packet.
+		{name: "unknown destination", want: DropNoRoute,
+			fault: func(t *testing.T, f *flowFixture, p *Packet) { p.Dst = 1 << 20 }},
+		{name: "detached port", want: DropNoRoute,
+			fault: func(t *testing.T, f *flowFixture, p *Packet) {
+				sw, _ := f.topo.SwitchFor(p.Dst)
+				sw.Detach(p.Dst)
+			}},
+		{name: "dest port down", want: DropLinkDown,
+			fault: func(t *testing.T, f *flowFixture, p *Packet) { must(t, f.topo.SetPortDown(p.Dst, true)) }},
+		{name: "dest VNI revoked", want: DropVNIEgress,
+			fault: func(t *testing.T, f *flowFixture, p *Packet) { must(t, f.topo.RevokeVNI(p.Dst, p.VNI)) }},
 		// a0 (switch 1) → b (switch 0): the direct intra trunk is the only
 		// minimal path; with it down the plan walk dies.
-		if err := f.topo.SetTrunkDown(1, 0, true); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := f.link0.SendFlow(f.packet(f.a0, f.b, 4096), FidelityFlow, 1); ok {
-			t.Fatal("SendFlow accepted a transfer over a down trunk")
-		}
-		assertUntouched(t, f) // in particular: no blame drop charged by the peek
-	})
+		{name: "trunk down", want: DropLinkDown, trunk: true,
+			fault: func(t *testing.T, f *flowFixture, p *Packet) { must(t, f.topo.SetTrunkDown(1, 0, true)) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			for _, route := range []string{"same-switch", "cross-switch"} {
+				t.Run(route, func(t *testing.T) {
+					faulty := func() (*flowFixture, *Packet) {
+						f := newFlowFixture(t, 1, testConfig())
+						dst := f.b
+						if route == "same-switch" {
+							dst = f.a1
+						}
+						p := f.packet(f.a0, dst, 4096)
+						row.fault(t, f, p)
+						return f, p
+					}
+					delivers := row.trunk && route == "same-switch"
+
+					f, p := faulty()
+					_, ok := f.link0.SendFlow(p, FidelityFlow, 1)
+					switch {
+					case delivers && !ok:
+						t.Error("SendFlow declined a route the fault does not touch")
+					case !delivers && ok:
+						t.Errorf("SendFlow accepted a transfer the packet path drops for %v", row.want)
+					case !delivers:
+						assertUntouched(t, f) // in particular: no blame drop charged by the peek
+					}
+
+					f, p = faulty()
+					var reasons []DropReason
+					f.topo.OnDrop(func(_ *Packet, r DropReason) { reasons = append(reasons, r) })
+					f.link0.Send(p)
+					f.eng.Run()
+					want := []DropReason{row.want}
+					if delivers {
+						want = nil
+					}
+					if !slices.Equal(reasons, want) {
+						t.Errorf("packet path dropped for %v, want %v", reasons, want)
+					}
+				})
+			}
+		})
+	}
 }
 
 // TestHybridFallsBackOnCongestion: a hybrid transfer whose route queues

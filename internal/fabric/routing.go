@@ -5,22 +5,6 @@ import (
 	"time"
 )
 
-// routeVerdict is what a switch's remoteRoute callback reports back to
-// Inject, which must account the outcome.
-type routeVerdict int
-
-const (
-	// routeUnknown: the destination is not reachable through the fabric
-	// (not attached anywhere, or only to the asking switch itself); the
-	// caller drops with DropNoRoute.
-	routeUnknown routeVerdict = iota
-	// routeForwarded: the packet was serialized onto a trunk.
-	routeForwarded
-	// routeLinkDown: every minimal path's first link is down; the caller
-	// drops with DropLinkDown.
-	routeLinkDown
-)
-
 // routeEntry is one slot of the next-link cache, indexed by
 // (source switch, destination switch). An entry is valid while its epoch
 // matches the topology's; SetTrunkDown bumps the epoch, so a topology
@@ -59,18 +43,17 @@ func (t *Topology) cacheValid(e *routeEntry) bool {
 	return e.epoch == t.routeEpoch
 }
 
-// routeFrom builds the remoteRoute callback for one edge switch. The
-// callback is invoked from Switch.Inject on the engine goroutine; it
-// touches only topology and engine state.
-func (t *Topology) routeFrom(sw *Switch) func(p *Packet) routeVerdict {
-	ci := sw.index
-	return func(p *Packet) routeVerdict {
-		dst, ok := t.SwitchFor(p.Dst)
-		if !ok || dst == sw {
-			return routeUnknown
-		}
-		return t.hop(ci, dst.index, p)
+// route forwards p, admitted at edge switch s but bound for an address s
+// holds no port for, over a trunk toward the edge switch owning it. It
+// returns admitted once the packet is on the trunk, else the reason s
+// drops it for: DropNoRoute when no other switch owns the address,
+// DropLinkDown when every minimal path's first link is down.
+func (t *Topology) route(s *Switch, p *Packet) DropReason {
+	dst, ok := t.SwitchFor(p.Dst)
+	if !ok || dst == s {
+		return DropNoRoute
 	}
+	return t.hop(s.index, dst.index, p)
 }
 
 // nextLink resolves the first link of a minimal path from switch ci toward
@@ -182,11 +165,12 @@ func putTrunkHop(h *trunkHop) {
 // schedules its arrival at the far switch. Congestion is modelled per
 // directional link: a packet starts serializing when the link frees up
 // (busy-until), so competing flows queue behind each other exactly as on a
-// real trunk.
-func (t *Topology) hop(ci, di int, p *Packet) routeVerdict {
+// real trunk. It returns admitted, or DropLinkDown when no live minimal
+// path leaves switch ci.
+func (t *Topology) hop(ci, di int, p *Packet) DropReason {
 	l, ok := t.nextLink(ci, di)
 	if !ok {
-		return routeLinkDown
+		return DropLinkDown
 	}
 	now := t.eng.Now()
 	start := now
@@ -203,7 +187,7 @@ func (t *Topology) hop(ci, di int, p *Packet) routeVerdict {
 	h := t.hops.Get()
 	h.t, h.sw, h.dst, h.pkt = t, l.id.To, di, *p
 	l.arrivals.AtCall(end.Add(l.prop), trunkArriveCall, h)
-	return routeForwarded
+	return admitted
 }
 
 // trunkArriveCall lands a pooled packet at a switch on its path. At the
@@ -225,12 +209,8 @@ func trunkArriveCall(a any) {
 // trunkForwardCall takes the next hop after the switch forwarding latency.
 func trunkForwardCall(a any) {
 	h := a.(*trunkHop)
-	t := h.t
-	switch t.hop(h.sw, h.dst, &h.pkt) {
-	case routeLinkDown:
-		t.switches[h.sw].dropExternal(&h.pkt, DropLinkDown)
-	case routeUnknown:
-		t.switches[h.sw].dropExternal(&h.pkt, DropNoRoute)
+	if r := h.t.hop(h.sw, h.dst, &h.pkt); r != admitted {
+		h.t.switches[h.sw].drop(&h.pkt, r)
 	}
 	putTrunkHop(h)
 }

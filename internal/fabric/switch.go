@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/sim"
@@ -103,40 +102,26 @@ type port struct {
 	deliveries sim.Lane
 }
 
-// Switch is a single Rosetta-style switch. For the two-node OpenCUBE pilot
-// deployment the paper evaluates on, one switch is the whole fabric; larger
-// topologies assemble switches into a Topology. Like everything in this
-// package, a Switch is confined to its engine's goroutine (see the package
-// documentation for the threading contract), so the forwarding path is
-// lock-free.
+// Switch is one Rosetta-style edge switch of a Topology. For the two-node
+// OpenCUBE pilot deployment the paper evaluates on, one switch is the
+// whole fabric (NewSwitch); larger fabrics are built by NewTopology. Like
+// everything in this package, a Switch is confined to its engine's
+// goroutine (see the package documentation for the threading contract),
+// so the forwarding path is lock-free.
 type Switch struct {
 	eng *sim.Engine
 	cfg Config
-	// ports is indexed by Addr: the allocator issues addresses densely
+	// topo is the fabric this switch is an edge of: it issues addresses,
+	// records their owners and routes packets bound for other switches.
+	topo *Topology
+	// ports is indexed by Addr: the topology issues addresses densely
 	// from 1, so the per-packet lookups are array reads. Entries of
-	// addresses attached elsewhere in a topology, or detached, are nil.
+	// addresses attached elsewhere in the topology, or detached, are nil.
 	ports []*port
 	stats SwitchStats
 	name  string
-	// index is the switch's position in its Topology (0 standalone).
+	// index is the switch's position in its Topology.
 	index int
-	// addrAlloc issues fabric addresses; meshed switches share one so
-	// addresses stay globally unique.
-	addrAlloc *addrAllocator
-
-	// remoteRoute, when set (by a Topology), is consulted for
-	// destinations that are not local ports before dropping with
-	// no_route. The ingress ACL has already passed when it is called.
-	remoteRoute func(p *Packet) routeVerdict
-
-	// flowRoute, when set (by a Topology), carries a flow-level transfer
-	// (SendFlow) across trunks analytically. Nil on a standalone switch,
-	// where only same-switch flow transfers are possible.
-	flowRoute func(p *Packet, hl *HostLink, fid Fidelity, packets int) (sim.Time, bool)
-
-	// onAttach, when set (by a Topology), observes every port attachment
-	// so the fabric records which edge switch owns each address.
-	onAttach func(addr Addr, s *Switch)
 
 	// dropHook, when set, observes every dropped packet (used by tests and
 	// by the isolation examples to demonstrate enforcement).
@@ -155,36 +140,12 @@ type Switch struct {
 	drops    sim.FreeList[dropNotify]
 }
 
-// addrAllocator issues globally unique fabric addresses.
-type addrAllocator struct {
-	mu   sync.Mutex
-	next uint64
-}
-
-func (a *addrAllocator) alloc() Addr {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.next++
-	return Addr(a.next)
-}
-
-// NewSwitch creates a switch driven by eng.
+// NewSwitch creates a one-switch fabric driven by eng and returns its
+// switch, named name.
 func NewSwitch(name string, eng *sim.Engine, cfg Config) *Switch {
-	if cfg.MTU <= 0 {
-		panic("fabric: config MTU must be positive")
-	}
-	// Systemic per-run drift: one multiplicative factor for this
-	// instantiation of the fabric.
-	f := eng.RunDrift(cfg.RunSigma)
-	cfg.LinkBandwidthBits *= 1 + f
-	cfg.SwitchLatency = time.Duration(float64(cfg.SwitchLatency) * (1 - f))
-	return &Switch{
-		eng:       eng,
-		cfg:       cfg,
-		stats:     SwitchStats{Drops: make(map[DropReason]uint64)},
-		name:      name,
-		addrAlloc: &addrAllocator{},
-	}
+	sw := NewTopology(eng, cfg, TopologySpec{}).switches[0]
+	sw.name = name
+	return sw
 }
 
 // Config returns the switch's physical configuration.
@@ -219,13 +180,14 @@ func putAt[T any](table []T, addr Addr, v T) []T {
 	return table
 }
 
-// Attach connects a receiver to the switch and assigns it a fabric address.
+// Attach connects a receiver to the switch and assigns it the topology's
+// next fabric address, recording the switch as its owner.
 func (s *Switch) Attach(r Receiver) Addr {
-	addr := s.addrAlloc.alloc()
+	t := s.topo
+	t.lastAddr++
+	addr := t.lastAddr
 	s.ports = putAt(s.ports, addr, &port{addr: addr, recv: r, vnis: make(map[VNI]bool), deliveries: sim.NewLane(s.eng)})
-	if s.onAttach != nil {
-		s.onAttach(addr, s)
-	}
+	t.owner = putAt(t.owner, addr, s)
 	return addr
 }
 
@@ -354,10 +316,42 @@ func (s *Switch) drop(p *Packet, r DropReason) {
 	}
 }
 
-// dropExternal records a drop decided outside the switch's own forwarding
-// path — a topology hop whose trunk link went down mid-flight.
-func (s *Switch) dropExternal(p *Packet, r DropReason) {
-	s.drop(p, r)
+// admitted is the verdict of an admission check that found nothing to
+// drop the packet for.
+const admitted DropReason = -1
+
+// ingress is the source edge's half of the admission decision, checked in
+// order: traffic class, the ingress port's VNI grant, the ingress port's
+// state, and the partition. It returns the reason the packet path drops
+// on, or admitted. Inject charges the reason; SendFlow declines on it.
+func (s *Switch) ingress(p *Packet) DropReason {
+	if !p.TC.Valid() {
+		return DropInvalidTC
+	}
+	in := s.port(p.Src)
+	switch {
+	case in == nil || !in.vnis[p.VNI]:
+		return DropVNIIngress
+	case in.down:
+		return DropLinkDown
+	case s.partition != nil && s.partition[p.Src] != s.partition[p.Dst]:
+		return DropPartitioned
+	}
+	return admitted
+}
+
+// egress is the destination edge's half: the egress port out (nil when
+// the switch has none for p.Dst), its state, and its VNI grant.
+func (s *Switch) egress(out *port, p *Packet) DropReason {
+	switch {
+	case out == nil:
+		return DropNoRoute
+	case out.down:
+		return DropLinkDown
+	case !out.vnis[p.VNI]:
+		return DropVNIEgress
+	}
+	return admitted
 }
 
 // InjectFromTrunk delivers a packet arriving over an inter-switch trunk:
@@ -365,16 +359,8 @@ func (s *Switch) dropExternal(p *Packet, r DropReason) {
 // and local delivery apply here.
 func (s *Switch) InjectFromTrunk(p *Packet) {
 	out := s.port(p.Dst)
-	if out == nil {
-		s.drop(p, DropNoRoute)
-		return
-	}
-	if out.down {
-		s.drop(p, DropLinkDown)
-		return
-	}
-	if !out.vnis[p.VNI] {
-		s.drop(p, DropVNIEgress)
+	if r := s.egress(out, p); r != admitted {
+		s.drop(p, r)
 		return
 	}
 	s.deliver(p, out)
@@ -387,48 +373,23 @@ func (s *Switch) InjectFromTrunk(p *Packet) {
 func (s *Switch) Inject(p *Packet) {
 	s.stats.Injected++
 	s.stats.InjectedBytes += uint64(p.PayloadBytes)
-	if !p.TC.Valid() {
-		s.drop(p, DropInvalidTC)
-		return
-	}
-	in := s.port(p.Src)
-	if in == nil || !in.vnis[p.VNI] {
-		s.drop(p, DropVNIIngress)
-		return
-	}
-	if in.down {
-		s.drop(p, DropLinkDown)
-		return
-	}
-	if s.partition != nil && s.partition[p.Src] != s.partition[p.Dst] {
-		s.drop(p, DropPartitioned)
+	if r := s.ingress(p); r != admitted {
+		s.drop(p, r)
 		return
 	}
 	out := s.port(p.Dst)
 	if out == nil {
-		// Not local: a topology-member switch forwards over a trunk
-		// toward the owning edge switch (ingress ACL already passed; the
-		// egress ACL is enforced there). remoteRoute only touches
-		// topology and engine state.
-		if s.remoteRoute != nil {
-			switch s.remoteRoute(p) {
-			case routeForwarded:
-				s.stats.TrunkForwarded++
-				return
-			case routeLinkDown:
-				s.drop(p, DropLinkDown)
-				return
-			}
+		// Not local: forward over a trunk toward the owning edge switch,
+		// which enforces the egress ACL.
+		if r := s.topo.route(s, p); r != admitted {
+			s.drop(p, r)
+			return
 		}
-		s.drop(p, DropNoRoute)
+		s.stats.TrunkForwarded++
 		return
 	}
-	if out.down {
-		s.drop(p, DropLinkDown)
-		return
-	}
-	if !out.vnis[p.VNI] {
-		s.drop(p, DropVNIEgress)
+	if r := s.egress(out, p); r != admitted {
+		s.drop(p, r)
 		return
 	}
 	s.deliver(p, out)

@@ -148,7 +148,10 @@ type Topology struct {
 	// owner is indexed by Addr, like Switch.ports: the edge switch each
 	// address was attached to, nil for addresses never issued here.
 	owner []*Switch
-	links map[LinkID]*link
+	// lastAddr is the last address Switch.Attach issued; addresses are
+	// unique fabric-wide and dense from 1.
+	lastAddr Addr
+	links    map[LinkID]*link
 	// globals lists each ordered group pair's global links in dragonfly
 	// port order — the candidate set minimal routing chooses from.
 	globals map[[2]int][]LinkID
@@ -169,6 +172,9 @@ func NewTopology(eng *sim.Engine, cfg Config, spec TopologySpec) *Topology {
 	if err != nil {
 		panic(err)
 	}
+	if cfg.MTU <= 0 {
+		panic("fabric: config MTU must be positive")
+	}
 	t := &Topology{
 		eng:     eng,
 		cfg:     cfg,
@@ -181,10 +187,20 @@ func NewTopology(eng *sim.Engine, cfg Config, spec TopologySpec) *Topology {
 	n := spec.Groups * spec.SwitchesPerGroup
 	t.routes = make([]routeEntry, n*n)
 	for i := 0; i < n; i++ {
-		sw := NewSwitch(fmt.Sprintf("rosetta%d", i), eng, cfg)
-		sw.index = i
+		// Systemic per-run drift: one multiplicative factor per switch.
+		f := eng.RunDrift(cfg.RunSigma)
+		swCfg := cfg
+		swCfg.LinkBandwidthBits *= 1 + f
+		swCfg.SwitchLatency = time.Duration(float64(cfg.SwitchLatency) * (1 - f))
 		t.groupOf = append(t.groupOf, i/spec.SwitchesPerGroup)
-		t.switches = append(t.switches, sw)
+		t.switches = append(t.switches, &Switch{
+			eng:   eng,
+			cfg:   swCfg,
+			topo:  t,
+			stats: SwitchStats{Drops: make(map[DropReason]uint64)},
+			name:  fmt.Sprintf("rosetta%d", i),
+			index: i,
+		})
 	}
 	// Intra-group trunks: full mesh within each group, both directions.
 	for g := 0; g < spec.Groups; g++ {
@@ -211,16 +227,6 @@ func NewTopology(eng *sim.Engine, cfg Config, spec TopologySpec) *Topology {
 				t.globals[[2]int{b, a}] = append(t.globals[[2]int{b, a}], LinkID{swB, swA})
 			}
 		}
-	}
-	// Wire remote routing and attachment tracking; addresses must stay
-	// globally unique, so the switches share one allocator.
-	for _, sw := range t.switches {
-		sw.remoteRoute = t.routeFrom(sw)
-		sw.flowRoute = t.flowFrom(sw)
-		sw.onAttach = t.adopt
-	}
-	for _, sw := range t.switches[1:] {
-		sw.addrAlloc = t.switches[0].addrAlloc
 	}
 	return t
 }
@@ -264,16 +270,9 @@ func (t *Topology) SwitchForNode(i int) int {
 	return (i / t.spec.NodesPerSwitch) % len(t.switches)
 }
 
-// Attach connects a receiver to edge switch i and records ownership for
-// fabric-wide routing.
+// Attach connects a receiver to edge switch i (see Switch.Attach).
 func (t *Topology) Attach(i int, r Receiver) Addr {
-	return t.switches[i].Attach(r) // ownership recorded via onAttach
-}
-
-// adopt records addr as owned by sw; it runs on every switch attach, so
-// devices attaching through a *Switch directly are routable fabric-wide.
-func (t *Topology) adopt(addr Addr, sw *Switch) {
-	t.owner = putAt(t.owner, addr, sw)
+	return t.switches[i].Attach(r)
 }
 
 // SwitchFor returns the edge switch owning addr.
@@ -383,7 +382,7 @@ func (t *Topology) SetGlobalLinkDown(a, b, idx int, down bool) error {
 func (t *Topology) Stats() SwitchStats {
 	out := SwitchStats{Drops: make(map[DropReason]uint64)}
 	for _, sw := range t.switches {
-		st := sw.Stats()
+		st := &sw.stats
 		out.Injected += st.Injected
 		out.InjectedBytes += st.InjectedBytes
 		out.Forwarded += st.Forwarded

@@ -266,7 +266,7 @@ func TestTopologyRoutesAroundFarSideTrunkFailure(t *testing.T) {
 func TestTopologyAllGlobalLinksDownDropsAtGateway(t *testing.T) {
 	// With every global link down, a packet already inside the source
 	// group (heading for its gateway) dies at an intermediate switch —
-	// the dropExternal path — not silently.
+	// the trunk hop's drop path — not silently.
 	eng, topo := newTopo(t, TopologySpec{Groups: 2, SwitchesPerGroup: 2})
 	rx := &sink{}
 	a := topo.Attach(1, &sink{}) // non-gateway: first hop is intra-group

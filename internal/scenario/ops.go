@@ -394,7 +394,7 @@ func (r *Ops) eachPod(tenant, job string, fn func(*k8s.Pod) bool) {
 func (r *Ops) probeIsolation(*Event) error {
 	tenants := r.sc.Fleet.Tenants
 	if !r.rogueSet {
-		r.rogue = r.st.Switch.Attach(nullReceiver{})
+		r.rogue = r.st.Topo.Switches()[0].Attach(nullReceiver{})
 		r.rogueSet = true
 	}
 
@@ -416,7 +416,7 @@ func (r *Ops) probeIsolation(*Event) error {
 		}
 		outstanding[probe{pkt.Src, pkt.VNI}]++
 		sent++
-		link := fabric.NewHostLink(r.st.Eng, r.st.Switch)
+		link := fabric.NewHostLink(r.st.Eng, r.st.Topo.Switches()[0])
 		r.st.Eng.After(0, func() { link.Send(pkt) })
 	}
 	dropped := 0

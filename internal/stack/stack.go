@@ -70,10 +70,7 @@ type Stack struct {
 	Eng    *sim.Engine
 	Kernel *nsmodel.Kernel
 	// Topo is the fabric topology every NIC is attached to.
-	Topo *fabric.Topology
-	// Switch is the first edge switch, kept for single-switch callers
-	// (every node lives on it under the default topology).
-	Switch  *fabric.Switch
+	Topo    *fabric.Topology
 	Cluster *k8s.Cluster
 	Nodes   []*Node
 	DB      *vnidb.DB
@@ -96,7 +93,7 @@ func New(opts Options) *Stack {
 		panic(err) // fresh kernel: cannot fail
 	}
 
-	s := &Stack{Opts: opts, Eng: eng, Kernel: kern, Topo: topo, Switch: topo.Switches()[0], CNIRoot: root.PID}
+	s := &Stack{Opts: opts, Eng: eng, Kernel: kern, Topo: topo, CNIRoot: root.PID}
 	s.DB = vnidb.Open(opts.DB)
 
 	names := make([]string, opts.Nodes)
