@@ -5,7 +5,10 @@
 // terminal. Commands inspect state (nodes, jobs, links, metrics), inject
 // the same faults scenario files can (cordon, fail-nic, fail-link), run
 // collective traffic, and advance virtual time explicitly (step,
-// run-until-idle) — the clock never moves on its own.
+// run-until-idle) — the clock never moves on its own. Idle means nothing
+// pending but the ticks of background loops (sim.Ticker), and quit ends
+// those loops through scenario.Ops.Stop, which also writes the telemetry
+// sink.
 //
 // Every mutating command constructs a scenario.Event and executes it
 // through scenario.Ops, the same dispatch a YAML timeline runs through,
@@ -212,7 +215,7 @@ var commands = []command{
 	{"step", "<duration>", "advance the virtual clock (e.g. step 250ms)", (*Server).step},
 	{"run-until-idle", "", "run until no work is pending (60s cap)", (*Server).runUntilIdle},
 	{"metrics", "[dump|prom <path>]", "print the Prometheus exposition of the latest sample, or write the series as JSONL (dump) or the exposition (prom) to a file", (*Server).metrics},
-	{"quit", "", "flush telemetry and end the session", (*Server).quit},
+	{"quit", "", "stop background loops, flush telemetry and end the session", (*Server).quit},
 }
 
 // Execute runs one command line and reports whether the session should
@@ -265,7 +268,7 @@ func (s *Server) help(w io.Writer) {
 }
 
 func (s *Server) quit(w io.Writer, _ []string) error {
-	if err := s.ops.FlushTelemetry(); err != nil {
+	if err := s.ops.Stop(); err != nil {
 		fmt.Fprintf(w, "error: %v\n", err)
 	}
 	s.printLog(w)
@@ -464,27 +467,19 @@ func (s *Server) step(w io.Writer, args []string) error {
 	return nil
 }
 
-// runUntilIdle drains pending work. An attached telemetry sampler keeps
-// one perpetual tick event alive, and so does the control-plane gap
-// prober once a fault command armed it, so "idle" means nothing else
-// pending.
+// runUntilIdle drains pending work: it runs until nothing is pending but
+// the ticks of background loops (sim.Ticker: sampler, health daemon, gap
+// prober), which never drain.
 func (s *Server) runUntilIdle(w io.Writer, _ []string) error {
 	eng := s.ops.Stack().Eng
-	floor := 0
-	if sp := s.ops.Sampler(); sp != nil && sp.Attached() {
-		floor = 1
-	}
-	if s.ops.CPArmed() {
-		floor++
-	}
 	deadline := eng.Now().Add(60 * time.Second)
-	if eng.RunUntilDone(func() bool { return eng.Pending() <= floor }, deadline) {
+	if eng.RunUntilDone(func() bool { return eng.Pending() <= eng.Ticking() }, deadline) {
 		s.printLog(w)
 		fmt.Fprintf(w, "  idle, clock at %s\n", eng.Now())
 		return nil
 	}
 	s.printLog(w)
-	fmt.Fprintf(w, "  %d event(s) still pending after 60s, clock at %s\n", eng.Pending()-floor, eng.Now())
+	fmt.Fprintf(w, "  %d event(s) still pending after 60s, clock at %s\n", eng.Pending()-eng.Ticking(), eng.Now())
 	return nil
 }
 

@@ -128,6 +128,20 @@ func TestSessionDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunUntilIdleUnderHealthLoop boots a fleet whose health daemon ticks
+// forever: run-until-idle must discount its tick like the sampler's and
+// reach idle once the slow-drain cycle has run out.
+func TestRunUntilIdleUnderHealthLoop(t *testing.T) {
+	sc, err := scenario.ParseFile(filepath.Join("..", "..", "scenarios", "health-slow-drain-nic.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := runSession(t, sc, "run-until-idle\nquit\n")
+	if !strings.Contains(out, "idle, clock at") {
+		t.Errorf("run-until-idle did not reach idle under a health loop:\n%s", out)
+	}
+}
+
 // TestRunTrafficLifecycle checks one run-traffic command performs the full
 // submit → wait → drive → delete cycle and leaves the fleet idle.
 func TestRunTrafficLifecycle(t *testing.T) {

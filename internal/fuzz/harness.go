@@ -171,9 +171,10 @@ func runOnce(sc *scenario.Scenario, rep *Report) *fingerprint {
 				steps++
 			}
 			if st.Eng.Pending() > 0 {
+				// A running ticker here is a layer Ops.Stop forgot.
 				rep.add(Violation{Name: VioStuck, Detail: fmt.Sprintf(
-					"event queue still holds %d event(s) after %d drain steps at %s",
-					st.Eng.Pending(), steps, st.Eng.Now())})
+					"event queue still holds %d event(s), %d of them running tickers, after %d drain steps at %s",
+					st.Eng.Pending(), st.Eng.Ticking(), steps, st.Eng.Now())})
 				return
 			}
 			if v := checkSim(st); v != nil {

@@ -214,8 +214,7 @@ type Daemon struct {
 	links    map[string]*linkState
 	linkKeys []string
 	onEvent  func(Event)
-	tick     sim.Event
-	running  bool
+	tick     sim.Ticker
 }
 
 // New builds a daemon over the given nodes. It does not start ticking
@@ -244,34 +243,11 @@ func (d *Daemon) OnEvent(fn func(Event)) { d.onEvent = fn }
 // Interval returns the effective poll period.
 func (d *Daemon) Interval() sim.Duration { return d.cfg.Interval }
 
-// Start begins ticking on the virtual clock.
-func (d *Daemon) Start() {
-	if d.running {
-		return
-	}
-	d.running = true
-	d.tick = d.eng.AfterCall(d.cfg.Interval, daemonTick, d)
-}
+// Start begins polling every Interval on the virtual clock.
+func (d *Daemon) Start() { d.tick.Start(d.eng, d.cfg.Interval, d.poll) }
 
-// Stop cancels the tick.
-func (d *Daemon) Stop() {
-	if !d.running {
-		return
-	}
-	d.running = false
-	d.tick.Cancel()
-}
-
-// daemonTick is closure-free so the recurring tick reuses the engine's
-// pooled event arena (see internal/sim).
-func daemonTick(arg any) {
-	d := arg.(*Daemon)
-	if !d.running {
-		return
-	}
-	d.poll()
-	d.tick = d.eng.AfterCall(d.cfg.Interval, daemonTick, d)
-}
+// Stop ends the polling.
+func (d *Daemon) Stop() { d.tick.Stop() }
 
 func (d *Daemon) emit(kind EventKind, node, link, detail string) {
 	if d.onEvent == nil {

@@ -149,8 +149,8 @@ func TestFlapDetection(t *testing.T) {
 	half := sim.Duration(150 * time.Millisecond)
 	for i := 0; i < 3; i++ {
 		at := sim.Duration(2*i) * half
-		s.Eng.After(at, func() { s.FailTrunk(0, 1) })
-		s.Eng.After(at+half, func() { s.RecoverTrunk(0, 1) })
+		s.Eng.After(at, func() { s.Topo.SetTrunkDown(0, 1, true) })
+		s.Eng.After(at+half, func() { s.Topo.SetTrunkDown(0, 1, false) })
 	}
 	s.Eng.RunFor(sim.Duration(5 * time.Second))
 
@@ -177,7 +177,7 @@ func TestFlapDetection(t *testing.T) {
 		}
 	})
 	d2.Start()
-	s2.FailTrunk(0, 1)
+	s2.Topo.SetTrunkDown(0, 1, true)
 	s2.Eng.RunFor(sim.Duration(2 * time.Second))
 	if tripped {
 		t.Fatal("single clean failure flagged as flapping")

@@ -434,9 +434,9 @@ type Client struct {
 	// requests recycles the writes' records; one is off the list exactly
 	// while its write is in flight.
 	requests sim.FreeList[request]
-	// prober is the pending fault-recovery resync tick (ArmFaults); the
-	// handle is live exactly while the prober runs.
-	prober sim.Event
+	// prober is the fault-recovery resync tick, running from ArmFaults
+	// to StopFaultRecovery.
+	prober sim.Ticker
 	// rec, when a test or the fuzzer armed it, joins every new informer.
 	rec *CommitRecorder
 }
@@ -748,9 +748,7 @@ const resyncInterval = 100 * time.Millisecond
 // control-plane fault event executes, so fault-free runs schedule no tick.
 func (c *Client) ArmFaults() {
 	c.api.armFaults()
-	if c.prober.At() == 0 {
-		c.prober = c.api.eng.After(resyncInterval, c.probeTick)
-	}
+	c.prober.Start(c.api.eng, resyncInterval, c.probeTick)
 }
 
 // FaultsArmed reports whether the fault layer was ever armed, through
@@ -763,10 +761,10 @@ func (c *Client) FaultsArmed() bool { return c.api.faults != nil }
 // is relisted, so post-run drains converge deterministically. No-op unless
 // the prober is running.
 func (c *Client) StopFaultRecovery() {
-	if c.prober.At() == 0 {
+	if !c.prober.Running() {
 		return
 	}
-	c.prober.Cancel()
+	c.prober.Stop()
 	for _, kind := range c.sortedKinds() {
 		inf := c.informers[kind]
 		if inf.upstream.broken || c.api.kindSeq[kind] > inf.lastSeq {
@@ -806,7 +804,6 @@ func (c *Client) probeTick() {
 		}
 		inf.probeSeq = inf.lastSeq
 	}
-	c.prober = c.api.eng.After(resyncInterval, c.probeTick)
 }
 
 // VerifyCaches compares every informer cache against the live store: same

@@ -39,7 +39,7 @@ func cpWatchKindNames() string {
 // them never reaches this, so its timeline draws no fault-layer RNG and
 // stays byte-identical to a build without the subsystem.
 func (r *Ops) armCP() {
-	if r.CPArmed() {
+	if r.st.Cluster.Client.FaultsArmed() {
 		return
 	}
 	r.st.Cluster.Client.ArmFaults()
@@ -86,21 +86,4 @@ func (r *Ops) breakWatch(ev *Event) error {
 	n := r.st.Cluster.Client.API().BreakWatch(cpWatchKinds[ev.str("kind")])
 	r.logf("broke %d %s watch stream(s): caches drift silently until relisted", n, ev.str("kind"))
 	return nil
-}
-
-// CPArmed reports whether a control-plane fault event has armed the fault
-// layer this run (the gap prober keeps one perpetual event alive while
-// armed; interactive mode's run-until-idle accounts for it). The client
-// owns the answer; Ops keeps no copy.
-func (r *Ops) CPArmed() bool { return r.st != nil && r.st.Cluster.Client.FaultsArmed() }
-
-// StopCP halts the fault layer's recurring work — the client's gap
-// prober — after one final repair sweep that relists any informer still
-// broken or behind, so convergence assertions read repaired caches and an
-// embedding harness can drain the event queue to empty. No-op unless a
-// control-plane fault event armed the layer.
-func (r *Ops) StopCP() {
-	if r.st != nil {
-		r.st.Cluster.Client.StopFaultRecovery()
-	}
 }

@@ -86,23 +86,6 @@ func (r *Ops) RemediationStatus() ([]remediate.Status, bool) {
 	return r.remediator.Snapshot(), true
 }
 
-// StopHealth halts the health loop's recurring work: the daemon's poll
-// tick and any still-armed fault injectors. Remediations already in
-// flight keep their own timers and run to completion. RunHooked calls
-// this after the event timeline so an embedding harness (the fuzzer's
-// stuck detector) can drain the event queue to empty; interactive mode
-// never calls it, so an operator's health loop keeps ticking. No-op
-// without a health loop.
-func (r *Ops) StopHealth() {
-	if r.daemon != nil {
-		r.daemon.Stop()
-	}
-	for node, inj := range r.injectors {
-		inj.stop = true
-		delete(r.injectors, node)
-	}
-}
-
 // canonLinkKey spells a link fault key the way the health daemon does:
 // kind prefix plus the endpoint indices in ascending order.
 func canonLinkKey(kind string, a, b int) string {
@@ -221,6 +204,10 @@ func (r *Ops) slowDrainNIC(ev *Event) error {
 	r.injectors[node] = inj
 	r.markFault(node)
 	const step = 10 * time.Millisecond
+	// Not a sim.Ticker, unlike the loops Ops.Stop ends: the first tick is
+	// at +0, not +step, and stopping sets a flag, so the pending tick
+	// still fires once as a no-op. A Ticker would move both, and with
+	// them the event counts of every slow-drain scenario.
 	var tick func()
 	tick = func() {
 		if inj.stop {
@@ -254,8 +241,8 @@ func (r *Ops) flapTrunk(ev *Event) error {
 	half := period / 2
 	for c := 0; c < count; c++ {
 		at := time.Duration(c) * period
-		r.st.Eng.After(at, func() { _ = r.st.FailTrunk(i, j) })
-		r.st.Eng.After(at+half, func() { _ = r.st.RecoverTrunk(i, j) })
+		r.st.Eng.After(at, func() { _ = r.st.Topo.SetTrunkDown(i, j, true) })
+		r.st.Eng.After(at+half, func() { _ = r.st.Topo.SetTrunkDown(i, j, false) })
 	}
 	r.logf("flapping trunk %d-%d: %d cycle(s) of %s", i, j, count, period)
 	return nil

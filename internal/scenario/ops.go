@@ -26,7 +26,8 @@ import (
 // at the prompt and a fail_link event in a file run the same method.
 //
 // Lifecycle: NewOps, then Exec a start_fleet event (everything else
-// requires the booted stack), then any mix of Exec / Actual / TakeLog.
+// requires the booted stack), then any mix of Exec / Actual / TakeLog,
+// then Stop.
 type Ops struct {
 	sc  *Scenario
 	res *Result
@@ -168,7 +169,7 @@ func (r *Ops) partitionFabric(ev *Event) error {
 }
 
 func (r *Ops) healPartition(*Event) error {
-	r.st.HealPartition()
+	r.st.Topo.SetPartition(nil)
 	r.logf("fabric partition healed")
 	return nil
 }
@@ -209,9 +210,9 @@ func (r *Ops) setLink(ev *Event, down bool) error {
 					r.markFault(canonLinkKey("global", id.From, id.To))
 				}
 			}
-			return r.st.FailGlobalLinks(a, b, idx)
+			return r.st.Topo.SetGlobalLinkDown(a, b, idx, true)
 		}
-		return r.st.RecoverGlobalLinks(a, b, idx)
+		return r.st.Topo.SetGlobalLinkDown(a, b, idx, false)
 	}
 	i, j, err := r.sc.trunk(ev)
 	if err != nil {
@@ -220,9 +221,9 @@ func (r *Ops) setLink(ev *Event, down bool) error {
 	r.logf("%s trunk between switch %d and switch %d", verb, i, j)
 	if down {
 		r.markFault(canonLinkKey("trunk", i, j))
-		return r.st.FailTrunk(i, j)
+		return r.st.Topo.SetTrunkDown(i, j, true)
 	}
-	return r.st.RecoverTrunk(i, j)
+	return r.st.Topo.SetTrunkDown(i, j, false)
 }
 
 func (r *Ops) startFleet(*Event) error {
@@ -277,11 +278,26 @@ func (r *Ops) startFleet(*Event) error {
 	return nil
 }
 
-// FlushTelemetry detaches the sampler and writes the series to the
-// scenario's sink, if both are configured. Safe to call on a run without
-// telemetry; called by RunHooked after assertions and by interactive mode
-// on quit.
-func (r *Ops) FlushTelemetry() error {
+// Stop ends the run's background work: the gap prober, after its final
+// sweep relists any informer still broken or behind (so lister-backed
+// assertions read repaired caches); the health daemon and any slow-drain
+// injectors still armed; then the sampler, whose series goes to the
+// scenario's sink when one is set. Remediations in flight finish on their
+// own timers. Afterwards nothing but that finite work holds the engine,
+// so a harness can drain it to empty. RunHooked calls Stop once the
+// timeline ends, however it ends; interactive mode calls it on quit.
+func (r *Ops) Stop() error {
+	if r.st == nil {
+		return nil
+	}
+	r.st.Cluster.Client.StopFaultRecovery()
+	if r.daemon != nil {
+		r.daemon.Stop()
+	}
+	for node, inj := range r.injectors {
+		inj.stop = true
+		delete(r.injectors, node)
+	}
 	if r.sampler == nil {
 		return nil
 	}

@@ -109,33 +109,28 @@ func RunHooked(sc *Scenario, hooks Hooks) (res *Result) {
 		}
 		if err := r.Exec(ev); err != nil {
 			r.res.Err = sc.errAt(ev.Line, "%s: %v", ev.Action, err)
-			return r.res
+			break
 		}
 		if hooks.AfterEvent != nil {
 			if err := hooks.AfterEvent(r.st, ev); err != nil {
 				r.res.Err = sc.errAt(ev.Line, "after %s: %v", ev.Action, err)
-				return r.res
+				break
 			}
 		}
 	}
+	// The timeline is over, or an error cut it short: either way stop the
+	// background work and write the telemetry sink, keeping the first error.
+	failed := r.res.Err != nil
+	if err := r.Stop(); err != nil && !failed {
+		r.res.Err = err
+	}
+	if failed {
+		return r.res
+	}
 	r.res.SimTime = r.st.Eng.Now()
-	// Stop the control-plane gap prober before evaluating assertions: its
-	// final sweep relists any informer still broken or behind, so a
-	// cp_converged (or any lister-backed) assertion reads the repaired
-	// caches rather than racing the prober's next tick. No-op on runs that
-	// never armed the fault layer.
-	r.StopCP()
 	for _, a := range sc.Assertions {
 		r.res.Asserts = append(r.res.Asserts, r.evaluate(a))
 	}
-	if err := r.FlushTelemetry(); err != nil && r.res.Err == nil {
-		r.res.Err = err
-	}
-	// The timeline is over: stop the health daemon's perpetual tick (and
-	// any fault injectors still armed) so AfterRun harnesses can drain
-	// the event queue to empty. In-flight remediations finish on their
-	// own timers during that drain.
-	r.StopHealth()
 	if hooks.AfterRun != nil {
 		hooks.AfterRun(r.st, r.res)
 	}

@@ -116,8 +116,8 @@ func (t TrafficSpec) Workload() workload.Spec {
 
 // TelemetrySpec is the telemetry: section: when Interval is set, the run
 // attaches a virtual-clock sampler (internal/telemetry) at fleet boot and —
-// when Sink names a file — writes the collected series as JSONL after the
-// run. The zero value disables telemetry entirely, preserving the
+// when Sink names a file — writes the collected series as JSONL when the
+// run ends, failed or not. The zero value disables telemetry entirely, preserving the
 // zero-cost-when-unused contract.
 type TelemetrySpec struct {
 	// Config is the sampler's own: sampleEvery is its Interval (> 0

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/k8s"
+	"github.com/caps-sim/shs-k8s/internal/stack"
 	"github.com/caps-sim/shs-k8s/internal/telemetry"
 )
 
@@ -123,6 +124,49 @@ assertions:
 	}
 	if !sawRunning {
 		t.Error("no sample caught pods_running > 0")
+	}
+}
+
+// TestFailedRunStopsBackgroundWork runs a scenario whose timeline errors
+// with all three background loops running — sampler, health daemon and
+// gap prober — and checks the run still ends them and writes the series.
+func TestFailedRunStopsBackgroundWork(t *testing.T) {
+	sink := filepath.Join(t.TempDir(), "series.jsonl")
+	sc := mustParse(t, `
+name: failed-run
+fleet:
+  nodes: 2
+  tenants:
+    - name: a
+health:
+  checkEvery: 100ms
+telemetry:
+  sampleEvery: 100ms
+  sink: `+sink+`
+events:
+  - at: 0s
+    action: start_fleet
+  - at: 0s
+    action: break_watch
+    kind: pods
+  - at: 500ms
+    action: delete_job
+    tenant: a
+    name: never-submitted
+`)
+	var st *stack.Stack
+	res := RunHooked(sc, Hooks{AfterEvent: func(s *stack.Stack, _ *Event) error {
+		st = s
+		return nil
+	}})
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "job a/never-submitted was never submitted") {
+		t.Fatalf("Err = %v, want the delete_job error", res.Err)
+	}
+	if n := len(sampleField(t, sink)); n < 5 {
+		t.Errorf("sink holds %d samples, want >= 5", n)
+	}
+	if st.Eng.Ticking() != 0 {
+		t.Errorf("%d ticker(s) still running after a failed run", st.Eng.Ticking())
 	}
 }
 

@@ -7,6 +7,10 @@
 // This makes experiments deterministic for a given seed while still
 // exhibiting realistic jitter, and lets a multi-minute admission experiment
 // run in milliseconds of wall time.
+//
+// Perpetual background work (a sampler, a health poll, a resync prober)
+// runs on a Ticker. The engine counts running tickers, so "idle" has one
+// definition: Pending() <= Ticking(), nothing pending but ticks.
 package sim
 
 import (

@@ -150,8 +150,9 @@ type Engine struct {
 	// promotions the run could not take, and run tails evicted to make
 	// room. Heaped/Steps is about the share of events the heap served, the
 	// rest the run's.
-	Heaped uint64
-	run    [runCap]int32 // last: the hot fields above share cache lines
+	Heaped  uint64
+	run     [runCap]int32 // after the hot fields, which share cache lines
+	ticking int           // running Tickers (ticker.go); cold
 }
 
 // NewEngine returns an engine whose randomness derives from seed.

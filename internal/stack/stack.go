@@ -193,30 +193,10 @@ func (s *Stack) RecoverNIC(node string) error {
 	return s.Topo.SetPortDown(n.Device.Addr(), false)
 }
 
-// FailTrunk downs both directions of the trunk between two edge switches;
-// traffic needing that link reroutes over surviving minimal paths or is
-// dropped with fabric.DropLinkDown.
-func (s *Stack) FailTrunk(i, j int) error { return s.Topo.SetTrunkDown(i, j, true) }
-
-// RecoverTrunk restores a failed trunk.
-func (s *Stack) RecoverTrunk(i, j int) error { return s.Topo.SetTrunkDown(i, j, false) }
-
-// FailGlobalLinks downs global links between two dragonfly groups: the
-// idx-th link in routing-preference order, or all of them when idx < 0.
-func (s *Stack) FailGlobalLinks(a, b, idx int) error {
-	return s.Topo.SetGlobalLinkDown(a, b, idx, true)
-}
-
-// RecoverGlobalLinks restores global links between two groups (idx as in
-// FailGlobalLinks).
-func (s *Stack) RecoverGlobalLinks(a, b, idx int) error {
-	return s.Topo.SetGlobalLinkDown(a, b, idx, false)
-}
-
 // PartitionFabric splits the fabric in two: the named nodes form one
 // partition group, every other port (including rogue test ports) the other.
 // Cross-partition packets drop with fabric.DropPartitioned until
-// HealPartition.
+// Topo.SetPartition(nil) heals it.
 func (s *Stack) PartitionFabric(nodes []string) error {
 	groups := make(map[fabric.Addr]int, len(nodes))
 	for _, name := range nodes {
@@ -229,9 +209,6 @@ func (s *Stack) PartitionFabric(nodes []string) error {
 	s.Topo.SetPartition(groups)
 	return nil
 }
-
-// HealPartition removes any fabric partition.
-func (s *Stack) HealPartition() { s.Topo.SetPartition(nil) }
 
 // NodeByName returns the node bundle.
 func (s *Stack) NodeByName(name string) (*Node, bool) {

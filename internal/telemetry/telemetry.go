@@ -131,13 +131,12 @@ type Sampler struct {
 	eng  *sim.Engine
 	cfg  Config
 	src  Sources
-	tick sim.Event
+	tick sim.Ticker
 	// ring is the sample storage; len grows to cap then stays; head is the
 	// index of the oldest sample once the ring has wrapped.
-	ring     []Sample
-	head     int
-	wrapped  bool
-	attached bool
+	ring    []Sample
+	head    int
+	wrapped bool
 	// taken counts samples ever taken, including overwritten ones.
 	taken uint64
 }
@@ -151,33 +150,20 @@ func New(eng *sim.Engine, cfg Config) *Sampler {
 }
 
 // Attach points the sampler at its sources, takes an immediate sample, and
-// schedules the periodic tick. Attaching an attached sampler is a no-op.
+// starts the periodic tick. Attaching an attached sampler is a no-op.
 func (s *Sampler) Attach(src Sources) {
-	if s.attached {
+	if s.tick.Running() {
 		return
 	}
 	s.src = src
-	s.attached = true
 	s.sample()
-	s.schedule()
+	s.tick.Start(s.eng, s.cfg.Interval, s.sample)
 }
 
-// Detach cancels the periodic tick; the collected ring stays readable.
+// Detach stops the periodic tick; the collected ring stays readable.
 // After Detach the sampler contributes nothing to the engine — no events,
 // no allocations.
-func (s *Sampler) Detach() {
-	if !s.attached {
-		return
-	}
-	s.tick.Cancel()
-	s.attached = false
-}
-
-// Attached reports whether the periodic tick is live.
-func (s *Sampler) Attached() bool { return s.attached }
-
-// Interval returns the sampling period.
-func (s *Sampler) Interval() sim.Duration { return s.cfg.Interval }
+func (s *Sampler) Detach() { s.tick.Stop() }
 
 // Len returns the number of samples currently held (≤ capacity).
 func (s *Sampler) Len() int {
@@ -190,21 +176,6 @@ func (s *Sampler) Len() int {
 // Taken returns the number of samples ever taken, including ones the ring
 // has since overwritten.
 func (s *Sampler) Taken() uint64 { return s.taken }
-
-// tickFn is the shared top-level callback behind the periodic event (the
-// engine's closure-free AfterCall form); arg is the *Sampler.
-func tickFn(arg any) {
-	s := arg.(*Sampler)
-	if !s.attached {
-		return
-	}
-	s.sample()
-	s.schedule()
-}
-
-func (s *Sampler) schedule() {
-	s.tick = s.eng.AfterCall(s.cfg.Interval, tickFn, s)
-}
 
 // sample takes one snapshot now.
 func (s *Sampler) sample() {
