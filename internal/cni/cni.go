@@ -64,10 +64,29 @@ type CXIAttachment struct {
 }
 
 // Result is the accumulating chained-plugin result. The chain hands every
-// plugin the same Result in turn, which each extends in place.
+// plugin the same Result in turn, which each extends in place. Its first
+// interface and its CXI attachment live inside it (AddInterface, AttachCXI),
+// so a pod's result is one allocation: pass it by pointer, since a copy
+// would share that storage.
 type Result struct {
 	Interfaces []Interface
 	CXI        *CXIAttachment
+	iface      [1]Interface
+	cxi        CXIAttachment
+}
+
+// AddInterface appends iface to Interfaces.
+func (r *Result) AddInterface(iface Interface) {
+	if r.Interfaces == nil {
+		r.Interfaces = r.iface[:0]
+	}
+	r.Interfaces = append(r.Interfaces, iface)
+}
+
+// AttachCXI sets CXI to a.
+func (r *Result) AttachCXI(a CXIAttachment) {
+	r.cxi = a
+	r.CXI = &r.cxi
 }
 
 // Plugin is one CNI plugin. Execution is asynchronous in virtual time,

@@ -449,7 +449,7 @@ func (p *probePlugin) Add(args Args, prev *Result, done func(*Result, error)) {
 			names = append(names, iface.Name)
 		}
 		p.seen = append(p.seen, names)
-		prev.Interfaces = append(prev.Interfaces, Interface{Name: p.name, Sandbox: args.NetNS})
+		prev.AddInterface(Interface{Name: p.name, Sandbox: args.NetNS})
 		if p.fail {
 			done(nil, errors.New("injected failure"))
 			return

@@ -195,7 +195,7 @@ func cxiCreate(a any) {
 	}
 	p.services[args.ContainerID] = id
 	p.stats.AddsConfigured++
-	st.prev.CXI = &CXIAttachment{Device: p.dev.Name, SvcID: int(id), VNI: uint32(vni)}
+	st.prev.AttachCXI(CXIAttachment{Device: p.dev.Name, SvcID: int(id), VNI: uint32(vni)})
 	st.finishAdd(st.prev, nil)
 }
 

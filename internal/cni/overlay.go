@@ -89,7 +89,7 @@ func overlayAdd(a any) {
 	ip = append(strconv.AppendInt(ip, int64(o.nextIP), 10), "/24"...)
 	iface := Interface{Name: "eth0", Sandbox: args.NetNS, IP: string(ip)}
 	o.attachments[args.ContainerID] = iface
-	prev.Interfaces = append(prev.Interfaces, iface)
+	prev.AddInterface(iface)
 	done(prev, nil)
 }
 

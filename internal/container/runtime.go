@@ -78,57 +78,57 @@ func (r *Runtime) Sandboxes() int { return len(r.sandboxes) }
 // SetupPod implements k8s.Runtime: create namespaces, then run the CNI ADD
 // chain. On chain failure the partial attachment is cleaned up with DEL and
 // the error is surfaced (failing the pod launch).
-func (r *Runtime) SetupPod(pod *k8s.Pod, done func(error)) {
+func (r *Runtime) SetupPod(pod *k8s.Pod, done k8s.PodDone) {
 	key := pod.Meta.Key()
 	if _, exists := r.sandboxes[key]; exists {
-		done(fmt.Errorf("container: sandbox for %s already exists", key))
+		done.SetupDone(fmt.Errorf("container: sandbox for %s already exists", key))
 		return
 	}
-	st := r.step(pod)
-	st.key, st.setupDone = key, done
+	st := r.step(pod, done)
+	st.key = key
 	r.eng.AfterCall(r.eng.Jitter(sandboxSetup, jitter), createSandbox, st)
 }
 
 // TeardownPod implements k8s.Runtime: kill container processes, run the CNI
 // DEL chain, destroy namespaces.
-func (r *Runtime) TeardownPod(pod *k8s.Pod, done func()) {
+func (r *Runtime) TeardownPod(pod *k8s.Pod, done k8s.PodDone) {
 	key := pod.Meta.Key()
 	sb, ok := r.sandboxes[key]
 	if !ok {
-		done()
+		done.TornDown()
 		return
 	}
 	delete(r.sandboxes, key)
 	for _, pid := range sb.procs {
 		_ = r.kern.Exit(pid)
 	}
-	st := r.step(pod)
-	st.sb, st.teardownDone = sb, done
+	st := r.step(pod, done)
+	st.sb, st.teardown = sb, true
 	r.eng.AfterCall(r.eng.Jitter(sandboxTeardown, jitter), destroySandbox, st)
 }
 
 // podStep is one SetupPod or TeardownPod in flight: the pod, its sandbox,
-// the kubelet's continuation, the ADD error a cleanup DEL reports, and the
-// two callbacks the CNI chain takes — method values made once per record,
-// which finish recycles.
+// the kubelet's continuation and which of its calls ends the step, the ADD
+// error a cleanup DEL reports, and the two callbacks the CNI chain takes —
+// method values made once per record, which finish recycles.
 type podStep struct {
-	r            *Runtime
-	pod          *k8s.Pod
-	key          string
-	sb           *Sandbox
-	err          error
-	setupDone    func(error)
-	teardownDone func()
-	added        func(*cni.Result, error)
-	deleted      func(error)
+	r        *Runtime
+	pod      *k8s.Pod
+	key      string
+	sb       *Sandbox
+	err      error
+	done     k8s.PodDone
+	teardown bool
+	added    func(*cni.Result, error)
+	deleted  func(error)
 }
 
-func (r *Runtime) step(pod *k8s.Pod) *podStep {
+func (r *Runtime) step(pod *k8s.Pod, done k8s.PodDone) *podStep {
 	st := r.steps.Get()
 	if st.r == nil {
 		st.r, st.added, st.deleted = r, st.onAdded, st.onDeleted
 	}
-	st.pod = pod
+	st.pod, st.done = pod, done
 	return st
 }
 
@@ -211,13 +211,13 @@ func (st *podStep) onDeleted(error) {
 
 // finish recycles the record, then runs the kubelet's continuation.
 func (st *podStep) finish(err error) {
-	r, setupDone, teardownDone := st.r, st.setupDone, st.teardownDone
+	r, done, teardown := st.r, st.done, st.teardown
 	*st = podStep{r: r, added: st.added, deleted: st.deleted}
 	r.steps.Put(st)
-	if setupDone != nil {
-		setupDone(err)
+	if teardown {
+		done.TornDown()
 	} else {
-		teardownDone()
+		done.SetupDone(err)
 	}
 }
 

@@ -68,25 +68,34 @@ func (e *rtEnv) storeVNICRD(t *testing.T, jobName string, vni fabric.VNI) {
 	e.eng.RunFor(time.Second)
 }
 
+// podDone records how the runtime ended a call: the setup error and how
+// many calls ended.
+type podDone struct {
+	err   error
+	calls int
+}
+
+func (d *podDone) SetupDone(err error) { d.err = err; d.calls++ }
+func (d *podDone) TornDown()           { d.calls++ }
+
 func (e *rtEnv) setup(t *testing.T, pod *k8s.Pod) error {
 	t.Helper()
-	var err error
-	completed := false
-	e.rt.SetupPod(pod, func(e2 error) { err, completed = e2, true })
+	var d podDone
+	e.rt.SetupPod(pod, &d)
 	e.eng.RunFor(time.Minute)
-	if !completed {
-		t.Fatal("SetupPod never completed")
+	if d.calls != 1 {
+		t.Fatalf("SetupPod completed %d times", d.calls)
 	}
-	return err
+	return d.err
 }
 
 func (e *rtEnv) teardown(t *testing.T, pod *k8s.Pod) {
 	t.Helper()
-	completed := false
-	e.rt.TeardownPod(pod, func() { completed = true })
+	var d podDone
+	e.rt.TeardownPod(pod, &d)
 	e.eng.RunFor(time.Minute)
-	if !completed {
-		t.Fatal("TeardownPod never completed")
+	if d.calls != 1 {
+		t.Fatalf("TeardownPod completed %d times", d.calls)
 	}
 }
 
@@ -252,7 +261,7 @@ func (f *failingPlugin) Name() string { return "failing" }
 func (f *failingPlugin) Add(args cni.Args, prev *cni.Result, done func(*cni.Result, error)) {
 	f.eng.After(time.Millisecond, func() {
 		f.netns = args.NetNS
-		prev.Interfaces = append(prev.Interfaces, cni.Interface{Name: "net1", Sandbox: args.NetNS})
+		prev.AddInterface(cni.Interface{Name: "net1", Sandbox: args.NetNS})
 		done(nil, errors.New("injected failure"))
 	})
 }
@@ -295,12 +304,13 @@ func TestPluginFailingAfterItsInterfaceIsCleanedUp(t *testing.T) {
 
 // TestSandboxAllocations pins what one warm pod's network costs: a vni:true
 // pod's sandbox, CNI ADD through overlay and CXI plugin, and its teardown.
-// Each of the twelve objects an ADD allocates outlives it — they are the
+// Each of the ten objects an ADD allocates outlives it — they are the
 // pod's network, not the machinery that built it:
 //
 //	pod key, container ID, Sandbox, NetNamespace, UserNamespace  (runtime)
-//	Result, its Interfaces, the pod IP                           (chain, overlay)
-//	service name, Members, CXIAttachment, the cxi.Svc            (CXI plugin)
+//	Result, which holds its interface and CXI attachment         (chain)
+//	the pod IP                                                   (overlay)
+//	service name, Members, the cxi.Svc                           (CXI plugin)
 //
 // DEL allocates nothing. Chain steps, plugin steps and the runtime's own
 // continuation are recycled records: a count above the pin has put a
@@ -317,32 +327,30 @@ func TestSandboxAllocations(t *testing.T) {
 		e.api.Client().Create(pods[i], nil)
 	}
 	e.eng.RunFor(time.Second)
-	var setupErr error
-	setupDone := func(err error) { setupErr = err }
-	teardownDone := func() {}
+	done := &podDone{}
 	// Grow every map to its size in the measurement with the first half.
 	warm, measured := pods[:runs+1], pods[runs+1:]
 	for _, pod := range warm {
-		e.rt.SetupPod(pod, setupDone)
+		e.rt.SetupPod(pod, done)
 	}
 	e.eng.RunFor(time.Minute)
 	for _, pod := range warm {
-		e.rt.TeardownPod(pod, teardownDone)
+		e.rt.TeardownPod(pod, done)
 	}
 	e.eng.RunFor(time.Minute)
 
 	i := 0
 	add := testing.AllocsPerRun(runs, func() {
-		e.rt.SetupPod(measured[i], setupDone)
+		e.rt.SetupPod(measured[i], done)
 		e.eng.RunFor(time.Minute)
 		i++
 	})
-	if setupErr != nil || e.rt.Sandboxes() != runs+1 {
-		t.Fatalf("%d sandboxes after the measured ADDs (last error %v)", e.rt.Sandboxes(), setupErr)
+	if done.err != nil || e.rt.Sandboxes() != runs+1 {
+		t.Fatalf("%d sandboxes after the measured ADDs (last error %v)", e.rt.Sandboxes(), done.err)
 	}
 	i = 0
 	del := testing.AllocsPerRun(runs, func() {
-		e.rt.TeardownPod(measured[i], teardownDone)
+		e.rt.TeardownPod(measured[i], done)
 		e.eng.RunFor(time.Minute)
 		i++
 	})
@@ -354,4 +362,4 @@ func TestSandboxAllocations(t *testing.T) {
 	}
 }
 
-const wantSandboxAddAllocs = 12
+const wantSandboxAddAllocs = 10

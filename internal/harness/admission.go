@@ -196,9 +196,10 @@ func runAdmissionOnce(opts AdmissionOptions, seed int64) (*AdmissionRun, error) 
 	// Sampler: runs until all jobs are done and the cluster drained.
 	var sample func()
 	sample = func() {
+		running := st.Cluster.ActiveJobs()
 		run.Samples = append(run.Samples, Sample{
 			T:       st.Eng.Now(),
-			Running: st.Cluster.ActiveJobs(),
+			Running: running,
 			BatchSize: func() int {
 				if int(st.Eng.Now().Seconds()) < len(batches) {
 					return currentBatch
@@ -206,7 +207,7 @@ func runAdmissionOnce(opts AdmissionOptions, seed int64) (*AdmissionRun, error) 
 				return 0
 			}(),
 		})
-		if doneCount >= total && st.Cluster.ActiveJobs() == 0 {
+		if doneCount >= total && running == 0 {
 			return
 		}
 		st.Eng.After(samplePeriod, sample)

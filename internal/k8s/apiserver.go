@@ -1,10 +1,10 @@
 package k8s
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -195,6 +195,10 @@ type APIServer struct {
 	// owner's UID, so the garbage collector reads one bucket instead of
 	// scanning every store. Written only by own and unown.
 	owned map[UID]ownedBucket
+	// orphans recycles the garbage collector's delete records; reap is
+	// the buffer collectOrphans orders them in.
+	orphans sim.FreeList[orphan]
+	reap    []*orphan
 }
 
 // ownedRef addresses one stored object in the owner index.
@@ -596,14 +600,13 @@ func (a *APIServer) commit(r *request) error {
 	}
 }
 
-// newUID mints "uid-" and the next serial number, zero-padded to six digits
-// (what fmt's "uid-%06d" prints), as its one allocation.
-func (a *APIServer) newUID() UID {
-	a.nextUID++
-	var digits, buf [24]byte
-	d := strconv.AppendInt(digits[:0], int64(a.nextUID), 10)
-	b := append(buf[:0], "uid-000000"[:max(4, 10-len(d))]...)
-	return UID(append(b, d...))
+// appendUID appends "uid-" and serial, zero-padded to six digits (what
+// fmt's "uid-%06d" prints).
+func appendUID(b []byte, serial int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(serial), 10)
+	b = append(b, "uid-000000"[:max(4, 10-len(d))]...)
+	return append(b, d...)
 }
 
 func notFound(kind Kind, namespace, name string) error {
@@ -613,22 +616,27 @@ func notFound(kind Kind, namespace, name string) error {
 // commitCreate stores obj itself as a new object, stamping its UID, store
 // key, creation time and first resource version: the creator can still read
 // them (to link children, say), but from here on obj is a committed object,
-// read-only like every other.
+// read-only like every other. The key and the UID are built in one buffer
+// and converted once: they are two substrings of the object's one identity
+// string.
 func (a *APIServer) commitCreate(obj Object) error {
 	m := obj.GetMeta()
-	key := m.Namespace + "/" + m.Name
 	t := a.table(m.Kind)
-	r := t.recs[key]
+	var buf [64]byte
+	b := append(append(append(buf[:0], m.Namespace...), '/'), m.Name...)
+	r := t.recs[string(b)]
 	if r != nil && r.obj != nil {
-		return fmt.Errorf("%w: %s %s", ErrAlreadyExists, m.Kind, key)
+		return fmt.Errorf("%w: %s %s/%s", ErrAlreadyExists, m.Kind, m.Namespace, m.Name)
 	}
-	m.UID = a.newUID()
-	m.key = key
+	n := len(b)
+	a.nextUID++
+	id := string(appendUID(b, a.nextUID))
+	m.key, m.UID = id[:n], UID(id[n:])
 	m.Created = a.eng.Now()
 	a.rev++
 	m.ResourceVersion = a.rev
 	if r == nil { // else the informer still caches a deleted incarnation
-		r = t.add(key)
+		r = t.add(m.key)
 	}
 	r.obj = obj
 	t.stored++
@@ -724,43 +732,49 @@ func (a *APIServer) finalizeDelete(r *record) {
 // server-internal write: it carries exactly one request delay like any
 // delete, but bypasses the availability model — nobody is listening for its
 // outcome, so a GC write failed by an outage would leak the child forever.
+// The records come from the server's free list and are ordered in a kept
+// buffer, so a warm reap allocates nothing.
 func (a *APIServer) collectOrphans(owner UID) {
 	b, ok := a.owned[owner]
 	if owner == "" || !ok {
 		return
 	}
-	orphans := make([]orphan, 1, 1+len(b.more))
-	orphans[0] = orphan{a, b.first}
+	orphans := append(a.reap[:0], a.newOrphan(b.first))
 	for _, ref := range b.more {
-		orphans = append(orphans, orphan{a, ref})
+		orphans = append(orphans, a.newOrphan(ref))
 	}
-	sort.Slice(orphans, func(i, j int) bool {
-		x, y := &orphans[i].ref, &orphans[j].ref
-		if x.kind != y.kind {
-			return x.kind < y.kind
-		}
-		if x.ns != y.ns {
-			return x.ns < y.ns
-		}
-		return x.name < y.name
+	slices.SortFunc(orphans, func(x, y *orphan) int {
+		return cmp.Or(cmp.Compare(x.ref.kind, y.ref.kind),
+			cmp.Compare(x.ref.ns, y.ref.ns), cmp.Compare(x.ref.name, y.ref.name))
 	})
-	for i := range orphans {
-		a.eng.AfterCall(a.reqDelay(), collectCall, &orphans[i])
+	for _, o := range orphans {
+		a.eng.AfterCall(a.reqDelay(), collectCall, o)
 	}
+	clear(orphans)
+	a.reap = orphans[:0]
 }
 
 // orphan is one child collectOrphans deletes: the argument of its delete's
-// engine event.
+// engine event, recycled by collectCall.
 type orphan struct {
 	a   *APIServer
 	ref ownedRef
 }
 
+func (a *APIServer) newOrphan(ref ownedRef) *orphan {
+	o := a.orphans.Get()
+	o.a, o.ref = a, ref
+	return o
+}
+
 func collectCall(arg any) {
 	o := arg.(*orphan)
+	a, ref := o.a, o.ref
+	*o = orphan{}
+	a.orphans.Put(o)
 	// ErrNotFound is the only failure: something else already deleted the
 	// child.
-	_ = o.a.commitDelete(o.ref.kind, o.ref.ns, o.ref.name)
+	_ = a.commitDelete(ref.kind, ref.ns, ref.name)
 }
 
 // commitRemoveFinalizer commits a version of the object without f and

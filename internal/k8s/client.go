@@ -1,10 +1,10 @@
 package k8s
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -430,7 +430,10 @@ func (l Lister) Unchanged(mark *uint64) bool {
 type Client struct {
 	api       *APIServer
 	informers map[Kind]*Informer
-	stats     CPStats
+	// byKind holds the same informers in kind order, for the sweeps that
+	// must visit them deterministically.
+	byKind []*Informer
+	stats  CPStats
 	// requests recycles the writes' records; one is off the list exactly
 	// while its write is in flight.
 	requests sim.FreeList[request]
@@ -510,6 +513,8 @@ func (c *Client) Informer(kind Kind) *Informer {
 	if !ok {
 		inf = newInformer(c.api, kind)
 		c.informers[kind] = inf
+		i, _ := slices.BinarySearchFunc(c.byKind, kind, func(x *Informer, k Kind) int { return cmp.Compare(x.kind, k) })
+		c.byKind = slices.Insert(c.byKind, i, inf)
 		if c.rec != nil {
 			c.rec.attach(inf)
 		}
@@ -765,28 +770,17 @@ func (c *Client) StopFaultRecovery() {
 		return
 	}
 	c.prober.Stop()
-	for _, kind := range c.sortedKinds() {
-		inf := c.informers[kind]
-		if inf.upstream.broken || c.api.kindSeq[kind] > inf.lastSeq {
+	for _, inf := range c.byKind {
+		if inf.upstream.broken || c.api.kindSeq[inf.kind] > inf.lastSeq {
 			inf.relist()
 		}
 	}
 }
 
-func (c *Client) sortedKinds() []Kind {
-	kinds := make([]Kind, 0, len(c.informers))
-	for k := range c.informers {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	return kinds
-}
-
 func (c *Client) probeTick() {
 	now := c.api.eng.Now()
-	for _, kind := range c.sortedKinds() {
-		inf := c.informers[kind]
-		gap := c.api.kindSeq[kind] > inf.lastSeq
+	for _, inf := range c.byKind {
+		gap := c.api.kindSeq[inf.kind] > inf.lastSeq
 		switch {
 		case !gap:
 			inf.stale = false
@@ -813,8 +807,8 @@ func (c *Client) probeTick() {
 // cp_converged assertion. (Writes to a committed object are the
 // CommitRecorder's to catch: cache and store share them.)
 func (c *Client) VerifyCaches() error {
-	for _, kind := range c.sortedKinds() {
-		t := c.informers[kind].t
+	for _, inf := range c.byKind {
+		kind, t := inf.kind, inf.t
 		if t.cached != t.stored {
 			return fmt.Errorf("k8s: %s cache has %d objects, store has %d", kind, t.cached, t.stored)
 		}

@@ -3,6 +3,7 @@ package k8s
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -363,6 +364,45 @@ func TestOrphanGCDeterministicOrder(t *testing.T) {
 	}
 	if len(ordersSeen) != 1 {
 		t.Errorf("gc deletion order varies across identical runs: %v", ordersSeen)
+	}
+}
+
+// TestOrphanGCAllocatesNothing holds the garbage collector to recycled
+// records: once warm, reaping an owner of two children (the owner's delete
+// and both of theirs) allocates nothing. A fresh orphan slice per owner, or
+// sort.Slice in place of slices.SortFunc, fails it.
+func TestOrphanGCAllocatesNothing(t *testing.T) {
+	eng, api := newTestAPI()
+	cli := api.Client()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	reap := func() uint64 {
+		owner := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "owner"}}
+		mustCreate(t, eng, api, owner)
+		for _, name := range []string{"c2", "c1"} {
+			cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: name, OwnerUID: owner.Meta.UID}}, nil)
+		}
+		eng.Run()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		cli.Delete(KindJob, "ns", "owner", nil)
+		eng.Run()
+		runtime.ReadMemStats(&ms)
+		if n := len(api.List(KindPod, "ns")); n != 0 {
+			t.Fatalf("%d children outlive their owner", n)
+		}
+		return ms.Mallocs - before
+	}
+	for i := 0; i < 3; i++ {
+		reap()
+	}
+	for i := 0; i < 20; i++ {
+		if got := reap(); got != 0 {
+			t.Fatalf("reap %d allocates %d objects, want 0", i, got)
+		}
+	}
+	if n := api.orphans.Len(); n != 2 {
+		t.Errorf("the collector's free list holds %d records, want the 2 that were in flight", n)
 	}
 }
 

@@ -534,3 +534,25 @@ func TestLostWriteEscapesGapDetection(t *testing.T) {
 		t.Errorf("prober relisted %d times; the lost write should be invisible to gap detection", got)
 	}
 }
+
+// TestProbeTickAllocatesNothing: the prober visits the informers in kind
+// order from the list the client keeps sorted as it makes them, so a warm
+// tick allocates nothing. Sorting the kinds on every tick again fails it.
+func TestProbeTickAllocatesNothing(t *testing.T) {
+	eng, api := newTestAPI()
+	cli := api.Client()
+	for _, kind := range []Kind{KindPod, KindJob, "Child", KindNode} {
+		cli.Informer(kind)
+	}
+	mustCreate(t, eng, api, &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}})
+	var kinds []Kind
+	for _, inf := range cli.byKind {
+		kinds = append(kinds, inf.kind)
+	}
+	if want := []Kind{"Child", KindJob, KindNode, KindPod}; fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("the client visits the informers in the order %v, want %v", kinds, want)
+	}
+	if got := testing.AllocsPerRun(100, cli.probeTick); got != 0 {
+		t.Errorf("a warm probe tick allocates %v objects, want 0", got)
+	}
+}

@@ -19,21 +19,21 @@ type fakeRuntime struct {
 	teardowns int
 }
 
-func (f *fakeRuntime) SetupPod(pod *Pod, done func(error)) {
+func (f *fakeRuntime) SetupPod(pod *Pod, done PodDone) {
 	f.eng.After(f.setupCost, func() {
 		if f.failSetup != nil {
-			done(f.failSetup)
+			done.SetupDone(f.failSetup)
 			return
 		}
 		f.setups++
-		done(nil)
+		done.SetupDone(nil)
 	})
 }
 
-func (f *fakeRuntime) TeardownPod(pod *Pod, done func()) {
+func (f *fakeRuntime) TeardownPod(pod *Pod, done PodDone) {
 	f.eng.After(f.setupCost/2, func() {
 		f.teardowns++
-		done()
+		done.TornDown()
 	})
 }
 

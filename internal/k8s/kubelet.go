@@ -11,11 +11,20 @@ import (
 // simulated implementation with the CXI CNI plugin wired in.
 type Runtime interface {
 	// SetupPod creates the pod sandbox: network namespace plus the CNI
-	// ADD chain. done receives the setup error, if any (a failed CNI ADD
-	// fails the pod launch, per the paper).
-	SetupPod(pod *Pod, done func(error))
-	// TeardownPod destroys the sandbox, invoking the CNI DEL chain.
-	TeardownPod(pod *Pod, done func())
+	// ADD chain, then calls done.SetupDone with the setup error, if any (a
+	// failed CNI ADD fails the pod launch, per the paper).
+	SetupPod(pod *Pod, done PodDone)
+	// TeardownPod destroys the sandbox, invoking the CNI DEL chain, then
+	// calls done.TornDown.
+	TeardownPod(pod *Pod, done PodDone)
+}
+
+// PodDone is told when a Runtime call ends, exactly once per call. The
+// kubelet hands the runtime its pod task, which implements it: a call
+// makes no callback.
+type PodDone interface {
+	SetupDone(err error)
+	TornDown()
 }
 
 // The node agent's costs, calibrated so the end-to-end admission pipeline
@@ -107,9 +116,8 @@ func (k *Kubelet) Node() string { return k.node }
 // podTask is one pod's work on the node, queued for a worker slot: its
 // start — image pull, sandbox, container start, then the Running status and
 // the exit timer, which outlive the slot — or its teardown. It is the
-// argument of every engine event along the way, the runtime's callbacks are
-// method values made once per record, and whichever of its events finishes
-// last recycles it.
+// argument of every engine event along the way, the runtime reports back
+// to it (PodDone), and whichever of its events finishes last recycles it.
 type podTask struct {
 	k        *Kubelet
 	pod      *Pod
@@ -118,17 +126,12 @@ type podTask struct {
 	exit     sim.Event
 	// pending counts the started container's Running status and exit
 	// events still to fire (or, for the exit, to be cancelled).
-	pending   int
-	setupDone func(error)
-	tornDown  func()
+	pending int
 }
 
 func (k *Kubelet) submit(pod *Pod, teardown bool) {
 	t := k.tasks.Get()
-	if t.k == nil {
-		t.k, t.setupDone, t.tornDown = k, t.onSetup, t.onTornDown
-	}
-	t.pod, t.teardown = pod, teardown
+	t.k, t.pod, t.teardown = k, pod, teardown
 	k.queue.push(t)
 	k.pump()
 }
@@ -151,10 +154,10 @@ func (k *Kubelet) slotFreed() {
 	k.pump()
 }
 
-// recycle puts the task back on the free list, keeping its callbacks.
+// recycle puts the task back on the free list.
 func (t *podTask) recycle() {
 	k := t.k
-	*t = podTask{k: k, setupDone: t.setupDone, tornDown: t.tornDown}
+	*t = podTask{}
 	k.tasks.Put(t)
 }
 
@@ -178,10 +181,11 @@ func (k *Kubelet) startPod(t *podTask) {
 
 func pullImage(arg any) {
 	t := arg.(*podTask)
-	t.k.rt.SetupPod(t.pod, t.setupDone)
+	t.k.rt.SetupPod(t.pod, t)
 }
 
-func (t *podTask) onSetup(err error) {
+// SetupDone implements PodDone.
+func (t *podTask) SetupDone(err error) {
 	k := t.k
 	if err != nil {
 		k.setPhase(t.pod, PodFailed, err.Error())
@@ -240,10 +244,11 @@ func (k *Kubelet) teardownPod(t *podTask) {
 
 func tearDown(arg any) {
 	t := arg.(*podTask)
-	t.k.rt.TeardownPod(t.pod, t.tornDown)
+	t.k.rt.TeardownPod(t.pod, t)
 }
 
-func (t *podTask) onTornDown() {
+// TornDown implements PodDone.
+func (t *podTask) TornDown() {
 	k := t.k
 	t.recycle()
 	k.slotFreed()

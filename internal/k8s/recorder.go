@@ -30,8 +30,8 @@ type commitRecord struct {
 func (c *Client) RecordCommits() *CommitRecorder {
 	if c.rec == nil {
 		c.rec = &CommitRecorder{seen: make(map[Object]struct{})}
-		for _, kind := range c.sortedKinds() {
-			c.rec.attach(c.informers[kind])
+		for _, inf := range c.byKind {
+			c.rec.attach(inf)
 		}
 	}
 	return c.rec

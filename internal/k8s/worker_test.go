@@ -174,22 +174,17 @@ func TestExitTimerRecordRecycledOnce(t *testing.T) {
 // syncRuntime brings a sandbox up and down on the spot, allocating nothing.
 type syncRuntime struct{}
 
-func (syncRuntime) SetupPod(_ *Pod, done func(error)) { done(nil) }
-func (syncRuntime) TeardownPod(_ *Pod, done func())   { done() }
+func (syncRuntime) SetupPod(_ *Pod, done PodDone)    { done.SetupDone(nil) }
+func (syncRuntime) TeardownPod(_ *Pod, done PodDone) { done.TornDown() }
 
-// TestPodLifecycleAllocations pins what a warm kubelet allocates for one pod
-// from the binding that queues it to Succeeded: the two versions its status
-// writes commit (Running, Succeeded) and nothing else. The pod task and the
-// status writes are recycled records, the queue reuses its ring and the
-// status write's mutation is a method value made once: a count above the pin
-// has put a closure, a queue reallocation or a copy back on the path. Each
-// pod is created and deleted outside the measurement.
-func TestPodLifecycleAllocations(t *testing.T) {
-	const want = 2
+// podLifecycle makes a kubelet on syncRuntime and the function that runs
+// one pod through it, from the binding that queues it to Succeeded, and
+// returns what that allocated; the pod is created and deleted outside the
+// measurement. Three pods warm it up.
+func podLifecycle(t *testing.T) (*Kubelet, func() uint64) {
 	eng, api := newTestAPI()
 	cli := api.Client()
-	NewKubelet(cli, DefaultKubeletConfig(), "n0", syncRuntime{})
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	k := NewKubelet(cli, DefaultKubeletConfig(), "n0", syncRuntime{})
 	var ms runtime.MemStats
 	lifecycle := func() uint64 {
 		cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"},
@@ -213,9 +208,41 @@ func TestPodLifecycleAllocations(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		lifecycle()
 	}
+	return k, lifecycle
+}
+
+// TestPodLifecycleAllocations pins what a warm kubelet allocates for one pod
+// from the binding that queues it to Succeeded: the two versions its status
+// writes commit (Running, Succeeded) and nothing else. The pod task and the
+// status writes are recycled records, the queue reuses its ring and the
+// status write's mutation is a method value made once: a count above the pin
+// has put a closure, a queue reallocation or a copy back on the path.
+func TestPodLifecycleAllocations(t *testing.T) {
+	const want = 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, lifecycle := podLifecycle(t)
 	for i := 0; i < 20; i++ {
 		if got := lifecycle(); got != want {
 			t.Fatalf("lifecycle %d allocates %d objects, want %d", i, got, want)
+		}
+	}
+}
+
+// TestFreshPodTaskAllocatesOnlyItself: a pod started while the kubelet's
+// task free list is empty, as every pod of a burst is, costs its new task
+// on top of the two versions TestPodLifecycleAllocations pins, and nothing
+// else. The runtime reports to the task itself (PodDone), so no callback is
+// made for a new task: binding its methods as values again adds two.
+func TestFreshPodTaskAllocatesOnlyItself(t *testing.T) {
+	const want = 2 + 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	k, lifecycle := podLifecycle(t)
+	for i := 0; i < 20; i++ {
+		for k.tasks.Len() > 0 {
+			k.tasks.Get() // dropped: the next pod's task is a new one
+		}
+		if got := lifecycle(); got != want {
+			t.Fatalf("lifecycle %d on an empty task list allocates %d objects, want %d", i, got, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -123,5 +124,78 @@ events:
     action: run_for
     duration: 1s
 `)
+	}
+}
+
+// TestPingpongAllocationsFlatInRounds holds pingpong to one round record
+// per call, its callbacks bound once: a call of 400 rounds allocates what a
+// call of 20 does. The gang each call opens moves the count by a few objects
+// from call to call (its maps' history), so the bound is a slack far below
+// one object per round: a round that posts fresh receive callbacks adds 760.
+func TestPingpongAllocationsFlatInRounds(t *testing.T) {
+	sc := mustParse(t, `
+name: rounds
+fleet:
+  nodes: 2
+  tenants:
+    - name: a
+events:
+  - at: 0s
+    action: start_fleet
+  - at: 0s
+    action: submit_job
+    tenant: a
+    name: pp
+    pods: 2
+    runtime: 1h
+    vni: "true"
+  - at: 0s
+    action: wait_running
+    tenant: a
+    job: pp
+    pods: 2
+    timeout: 30s
+  - at: 0s
+    action: pingpong
+    tenant: a
+    job: pp
+    rounds: 400
+  - at: 0s
+    action: pingpong
+    tenant: a
+    job: pp
+    rounds: 20
+  - at: 0s
+    action: pingpong
+    tenant: a
+    job: pp
+    rounds: 400
+`)
+	r := NewOps(sc)
+	defer r.Stop()
+	for i := range sc.Events[:3] {
+		if err := r.Exec(&sc.Events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	allocs := func(ev *Event) uint64 {
+		r.latUs = r.latUs[:0] // the samples' buffer is the caller's, sized by the first call
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if err := r.Exec(ev); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs - before
+	}
+	allocs(&sc.Events[3])
+	const slack = 16
+	for i := 0; i < 3; i++ {
+		few, many := allocs(&sc.Events[4]), allocs(&sc.Events[5])
+		if many > few+slack {
+			t.Errorf("a pingpong of 20 rounds allocates %d objects and one of 400 %d; want at most %d more", few, many, slack)
+		}
 	}
 }

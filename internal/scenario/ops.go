@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
@@ -9,6 +10,7 @@ import (
 	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/libcxi"
 	"github.com/caps-sim/shs-k8s/internal/metrics"
+	"github.com/caps-sim/shs-k8s/internal/mpi"
 	"github.com/caps-sim/shs-k8s/internal/remediate"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 	"github.com/caps-sim/shs-k8s/internal/stack"
@@ -545,8 +547,13 @@ func (r *Ops) waitJobsComplete(ev *Event) error {
 			want++
 		}
 	}
+	// r.completed only grows: the count is retaken only when it moved.
+	seen, n := -1, 0
 	ok := r.st.Eng.RunUntilDone(func() bool {
-		return r.completedCount(tenant) >= want
+		if len(r.completed) != seen {
+			seen, n = len(r.completed), r.completedCount(tenant)
+		}
+		return n >= want
 	}, r.st.Eng.Now().Add(timeout))
 	if !ok {
 		return fmt.Errorf("timed out after %s: %d/%d jobs complete", timeout, r.completedCount(tenant), want)
@@ -593,41 +600,59 @@ func (r *Ops) pingpong(ev *Event) error {
 	}
 	defer gang.Close()
 	// Ranks 0 and 1 ping; any further pods of the job hold idle endpoints.
-	ping, pong := gang.Comm.Ranks[0], gang.Comm.Ranks[1]
-	done := 0
-	var roundStart sim.Time
-	var round func()
-	round = func() {
-		if done >= rounds {
-			return
-		}
-		roundStart = r.st.Eng.Now()
-		pong.Recv(func(sz int) { pong.SendTo(0, sz, nil) })
-		ping.SendTo(1, bytes, nil)
-		ping.RecvFrom(1, func(int) {
-			rtt := r.st.Eng.Now().Sub(roundStart)
-			r.latUs = append(r.latUs, float64(rtt)/float64(time.Microsecond)/2)
-			done++
-			round()
-		})
-	}
-	r.st.Eng.After(0, round)
+	p := &pingRound{r: r, ping: gang.Comm.Ranks[0], pong: gang.Comm.Ranks[1], bytes: bytes, rounds: rounds}
+	p.echo, p.back = p.onEcho, p.onBack
+	r.latUs = slices.Grow(r.latUs, rounds)
+	r.st.Eng.After(0, p.next)
 	deadline := r.st.Eng.Now().Add(timeout)
-	if ok := r.st.Eng.RunUntilDone(func() bool { return done >= rounds }, deadline); !ok {
+	if ok := r.st.Eng.RunUntilDone(func() bool { return p.done >= rounds }, deadline); !ok {
 		// Fault scenarios expect traffic to blackhole (NIC down, fabric
 		// partitioned); tolerate_stall turns the stall into a logged
 		// observation instead of a run error.
 		if ev.flag("tolerate_stall") {
 			r.logf("pingpong %s/%s stalled as expected: %d/%d rounds after %s",
-				tenant, jobName, done, rounds, timeout)
+				tenant, jobName, p.done, rounds, timeout)
 			return nil
 		}
-		return fmt.Errorf("pingpong stalled: %d/%d rounds after %s", done, rounds, timeout)
+		return fmt.Errorf("pingpong stalled: %d/%d rounds after %s", p.done, rounds, timeout)
 	}
 	s := metrics.Summarize(r.latUs[len(r.latUs)-rounds:])
 	r.logf("pingpong %s/%s: %d rounds of %d B, one-way p50 %.3f us",
 		tenant, jobName, rounds, bytes, s.P50)
 	return nil
+}
+
+// pingRound is one pingpong call: every round posts pong's receive, ping's
+// send and ping's receive, in that order, with callbacks bound once per
+// call, as mpi's collective round does.
+type pingRound struct {
+	r                   *Ops
+	ping, pong          *mpi.Rank
+	bytes, rounds, done int
+	start               sim.Time
+	echo, back          func(size int)
+}
+
+// next starts the next round, if one is left.
+func (p *pingRound) next() {
+	if p.done >= p.rounds {
+		return
+	}
+	p.start = p.r.st.Eng.Now()
+	p.pong.Recv(p.echo)
+	p.ping.SendTo(1, p.bytes, nil)
+	p.ping.RecvFrom(1, p.back)
+}
+
+// onEcho is pong's receive: it sends the message back.
+func (p *pingRound) onEcho(size int) { p.pong.SendTo(0, size, nil) }
+
+// onBack is ping's receive: the round trip is over.
+func (p *pingRound) onBack(int) {
+	rtt := p.r.st.Eng.Now().Sub(p.start)
+	p.r.latUs = append(p.r.latUs, float64(rtt)/float64(time.Microsecond)/2)
+	p.done++
+	p.next()
 }
 
 // runTraffic executes a named traffic spec over a job's gang: it waits for

@@ -167,10 +167,10 @@ func (l *lazyRuntime) resolve() *container.Runtime {
 }
 
 // SetupPod implements k8s.Runtime.
-func (l *lazyRuntime) SetupPod(pod *k8s.Pod, done func(error)) { l.resolve().SetupPod(pod, done) }
+func (l *lazyRuntime) SetupPod(pod *k8s.Pod, done k8s.PodDone) { l.resolve().SetupPod(pod, done) }
 
 // TeardownPod implements k8s.Runtime.
-func (l *lazyRuntime) TeardownPod(pod *k8s.Pod, done func()) { l.resolve().TeardownPod(pod, done) }
+func (l *lazyRuntime) TeardownPod(pod *k8s.Pod, done k8s.PodDone) { l.resolve().TeardownPod(pod, done) }
 
 // FailNIC administratively downs the named node's NIC port on the switch,
 // modelling a NIC or cable fault: all traffic to or from the node is dropped

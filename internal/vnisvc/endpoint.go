@@ -118,22 +118,27 @@ const (
 // values, no other key — the answer is that child itself, the committed
 // object the decorator passed in: apply semantics' own form of "nothing to
 // change", which is what every re-sync after a status write comes to.
-// Otherwise a new child is built and listed in the endpoint's slice.
+// Otherwise a new child is built and listed in the endpoint's slice; its
+// name and its SpecVNI value are two substrings of one string.
 func (e *Endpoint) desiredChild(req metactl.SyncRequest, prefix, parent string, vni fabric.VNI, kv ...string) metactl.SyncResponse {
-	var buf [20]byte // FormatUint would allocate from 100 up
-	digits := strconv.AppendUint(buf[:0], uint64(vni), 10)
+	var buf [64]byte
+	b := append(append(buf[:0], prefix...), parent...)
+	n := len(b)
+	b = strconv.AppendUint(b, uint64(vni), 10)
+	digits := b[n:]
 	for i, c := range req.Children {
 		if strings.HasPrefix(c.Meta.Name, prefix) && c.Meta.Name[len(prefix):] == parent &&
 			len(c.Spec) == 1+len(kv)/2 && c.Spec[vniapi.SpecVNI] == string(digits) && hasPairs(c.Spec, kv) {
 			return metactl.SyncResponse{Children: req.Children[i : i+1]}
 		}
 	}
+	id := string(b)
 	spec := make(map[string]string, 1+len(kv)/2)
-	spec[vniapi.SpecVNI] = string(digits)
+	spec[vniapi.SpecVNI] = id[n:]
 	for i := 0; i < len(kv); i += 2 {
 		spec[kv[i]] = kv[i+1]
 	}
-	e.child[0] = &k8s.Custom{Meta: k8s.Meta{Name: prefix + parent}, Spec: spec}
+	e.child[0] = &k8s.Custom{Meta: k8s.Meta{Name: id[:n]}, Spec: spec}
 	return metactl.SyncResponse{Children: e.child[:]}
 }
 
