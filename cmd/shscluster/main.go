@@ -87,7 +87,7 @@ func run(w io.Writer, cfg config) error {
 	for _, obj := range objs {
 		m := obj.GetMeta()
 		err := errors.New("no answer within a second")
-		st.Cluster.Client.Create(obj, func(e error) { err = e })
+		st.Cluster.Client.Create(obj, k8s.WroteFunc(func(e error) { err = e }))
 		st.Eng.RunFor(time.Second)
 		if err != nil {
 			return fmt.Errorf("creating %s %s: %w", m.Kind, m.Key(), err)

@@ -581,6 +581,9 @@ func TestFreeListsHoldEveryRecordAfterDrain(t *testing.T) {
 		t.Fatalf("%d of %d verbs completed", completed, 3*n)
 	}
 	if c, o, x := e.ch.ops.Len(), e.over.steps.Len(), e.cxip.steps.Len(); c != n || o != n || x != n {
-		t.Errorf("free lists hold chain %d, overlay %d, cxi %d records; want %d each", c, o, x, n)
+		t.Errorf("free lists made chain %d, overlay %d, cxi %d records; want %d each", c, o, x, n)
+	}
+	if !e.ch.ops.Idle() || !e.over.steps.Idle() || !e.cxip.steps.Idle() {
+		t.Error("a free list does not hold every record it made")
 	}
 }

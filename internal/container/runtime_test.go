@@ -297,8 +297,8 @@ func TestPluginFailingAfterItsInterfaceIsCleanedUp(t *testing.T) {
 	if _, ok := e.kern.NetNS(bad.netns); ok {
 		t.Error("netns of the failed pod survived")
 	}
-	if n := e.rt.steps.Len(); n != 1 {
-		t.Errorf("runtime free list holds %d records, want the 1 that was in flight", n)
+	if n := e.rt.steps.Len(); n != 1 || !e.rt.steps.Idle() {
+		t.Errorf("runtime free list made %d records (idle %v), want it to hold the 1 that was in flight", n, e.rt.steps.Idle())
 	}
 }
 

@@ -160,10 +160,10 @@ func TestInjectedBugsCaught(t *testing.T) {
 					return
 				}
 				patched = true
-				cli.Patch(k8s.KindPod, "t0", "anchor-0", func(obj k8s.Object) bool {
+				cli.Patch(k8s.KindPod, "t0", "anchor-0", k8s.MutateFunc(func(obj k8s.Object) bool {
 					obj.GetMeta().Labels["scribbled"] = "by a mutator"
 					return true
-				}, nil)
+				}))
 			})
 		}, VioImmutability, []string{anchorPod, "written after commit"}},
 	} {

@@ -309,7 +309,7 @@ func (d *Daemon) overDetail(st *nodeState, portDown bool) string {
 func (d *Daemon) cordon(st *nodeState, reason string) {
 	st.state = NodeCordonedState
 	name := st.info.Name
-	d.cli.Patch(k8s.KindNode, "", name, func(obj k8s.Object) bool {
+	d.cli.Patch(k8s.KindNode, "", name, k8s.MutateFunc(func(obj k8s.Object) bool {
 		n := obj.(*k8s.Node)
 		if n.Spec.Unschedulable {
 			return false
@@ -317,7 +317,7 @@ func (d *Daemon) cordon(st *nodeState, reason string) {
 		n.Spec.Unschedulable = true
 		n.Meta.SetAnnotation(AnnotationReason, reason)
 		return true
-	}, nil)
+	}))
 	d.emit(NodeCordoned, name, "", reason)
 }
 

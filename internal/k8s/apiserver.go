@@ -218,14 +218,13 @@ type ownedBucket struct {
 
 // table is one kind's objects, and the only index of them: one record per
 // key, which the store and the kind's shared informer both read and write.
-// Records come from slab chunks that grow with the table from 8 records to
-// 256, and go back to free once neither side holds a version of the key.
+// Records come from the table's free list, which makes them in chunks, and
+// go back to it once neither side holds a version of the key.
 type table struct {
 	recs map[string]*record
 	// stored and cached count the records whose obj, and whose cached, is set.
 	stored, cached int
-	slab           []record // the newest chunk's unused rest
-	free           []*record
+	free           sim.FreeList[record]
 	// informed is set once the kind's informer exists: a record has one
 	// cached slot, so one informer per kind per API server.
 	informed bool
@@ -240,15 +239,7 @@ type record struct{ obj, cached Object }
 
 // add makes the record of key, which has none.
 func (t *table) add(key string) *record {
-	var r *record
-	if n := len(t.free); n > 0 {
-		r, t.free = t.free[n-1], t.free[:n-1]
-	} else {
-		if len(t.slab) == 0 {
-			t.slab = make([]record, min(max(len(t.recs), 8), 256))
-		}
-		r, t.slab = &t.slab[0], t.slab[1:]
-	}
+	r := t.free.Get()
 	t.recs[key] = r
 	return r
 }
@@ -257,7 +248,7 @@ func (t *table) add(key string) *record {
 func (t *table) release(key string, r *record) {
 	if r.obj == nil && r.cached == nil {
 		delete(t.recs, key)
-		t.free = append(t.free, r)
+		t.free.Put(r)
 	}
 }
 
@@ -596,7 +587,7 @@ func (a *APIServer) commit(r *request) error {
 	case verbRemoveFinalizer:
 		return a.commitRemoveFinalizer(r.kind, r.ns, r.name, r.fin)
 	default:
-		return a.commitStatus(r.kind, r.ns, r.name, r.fn)
+		return a.commitStatus(r.kind, r.ns, r.name, r.w.(Mutation))
 	}
 }
 
@@ -791,15 +782,15 @@ func (a *APIServer) commitRemoveFinalizer(kind Kind, namespace, name, f string) 
 	return nil
 }
 
-// commitStatus applies fn to a Clone of the stored object and commits it
-// when fn reports a change (status writes from node agents are modelled as
+// commitStatus applies m to a Clone of the stored object and commits it
+// when m reports a change (status writes from node agents are modelled as
 // cheap: no request delay).
-func (a *APIServer) commitStatus(kind Kind, namespace, name string, fn func(Object) bool) error {
+func (a *APIServer) commitStatus(kind Kind, namespace, name string, m Mutation) error {
 	r := a.live(kind, namespace, name)
 	if r == nil {
 		return notFound(kind, namespace, name)
 	}
-	if cp := r.obj.Clone(); fn(cp) {
+	if cp := r.obj.Clone(); m.Mutate(cp) {
 		a.replace(r, cp)
 	}
 	return nil

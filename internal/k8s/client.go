@@ -546,15 +546,39 @@ func (c *Client) Get(kind Kind, namespace, name string) (Object, bool) {
 // are retried behind jittered exponential backoff until the budget is spent,
 // then surface as ErrRetriesExhausted wrapping the last one; any other error
 // passes through. On a never-armed server the loop is the identity: one
-// engine event, one RNG draw, no timer. Each verb takes done, which runs
-// exactly once with the outcome when the write completes — before the verb
+// engine event, one RNG draw, no timer. Each verb takes a Wrote last, which
+// hears the outcome exactly once when the write completes — before the verb
 // returns if it completes on the spot — or nil when nobody listens.
+
+// Wrote hears how a write ended. A caller writing from a recycled record
+// implements it on the record, as *podTask implements PodDone, so a write
+// binds no callback.
+type Wrote interface{ Wrote(err error) }
+
+// Mutation is UpdateStatus's and Patch's edit and Wrote in one value:
+// Mutate edits a Clone of the committed object, the stored version when it
+// returns true; false skips the write.
+type Mutation interface {
+	Wrote
+	Mutate(obj Object) bool
+}
+
+// WroteFunc adapts a function to Wrote.
+type WroteFunc func(err error)
+
+func (f WroteFunc) Wrote(err error) { f(err) }
+
+// MutateFunc adapts a function to a Mutation whose outcome nobody hears.
+type MutateFunc func(obj Object) bool
+
+func (f MutateFunc) Mutate(obj Object) bool { return f(obj) }
+func (MutateFunc) Wrote(error)              {}
 
 // Create submits obj and hands it to the store: the server stamps UID, key,
 // creation time and resource version on obj itself and keeps it, so from
 // the call on the creator only reads it.
-func (c *Client) Create(obj Object, done func(error)) {
-	c.do(request{verb: verbCreate, obj: obj, done: done})
+func (c *Client) Create(obj Object, w Wrote) {
+	c.do(request{verb: verbCreate, obj: obj, w: w})
 }
 
 // Update submits obj as a conflict-checked replacement and, like Create,
@@ -562,32 +586,32 @@ func (c *Client) Create(obj Object, done func(error)) {
 // go. A non-zero ResourceVersion that another writer has overtaken fails
 // with ErrConflict, which passes through (read-modify-write callers use
 // Patch); zero skips the precondition.
-func (c *Client) Update(obj Object, done func(error)) {
-	c.do(request{verb: verbUpdate, obj: obj, done: done})
+func (c *Client) Update(obj Object, w Wrote) {
+	c.do(request{verb: verbUpdate, obj: obj, w: w})
 }
 
 // Delete begins deletion of the named object: immediate without
 // finalizers, else the object turns terminating until the last finalizer
 // is removed. Children owned via OwnerUID are garbage-collected after it.
-func (c *Client) Delete(kind Kind, namespace, name string, done func(error)) {
-	c.do(request{verb: verbDelete, kind: kind, ns: namespace, name: name, done: done})
+func (c *Client) Delete(kind Kind, namespace, name string, w Wrote) {
+	c.do(request{verb: verbDelete, kind: kind, ns: namespace, name: name, w: w})
 }
 
 // RemoveFinalizer removes f from the named object, completing a pending
 // deletion when the list drains. Dropped to an outage it would wedge the
 // deletion forever, which is why no write skips the retry loop.
-func (c *Client) RemoveFinalizer(kind Kind, namespace, name, f string, done func(error)) {
-	c.do(request{verb: verbRemoveFinalizer, kind: kind, ns: namespace, name: name, fin: f, done: done})
+func (c *Client) RemoveFinalizer(kind Kind, namespace, name, f string, w Wrote) {
+	c.do(request{verb: verbRemoveFinalizer, kind: kind, ns: namespace, name: name, fin: f, w: w})
 }
 
-// UpdateStatus is the node agents' status write: fn runs against a Clone
-// of the live stored object — the version the store keeps when fn reports
-// a change. On a healthy server it commits synchronously, done running
-// before the call returns, and it queues behind backoff while the server is
-// unavailable. A missing object completes with ErrNotFound (it was
-// deleted; the write is moot).
-func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object) bool, done func(error)) {
-	c.do(request{verb: verbUpdateStatus, kind: kind, ns: namespace, name: name, fn: fn, done: done})
+// UpdateStatus is the node agents' status write: m.Mutate runs against a
+// Clone of the live stored object — the version the store keeps when it
+// reports a change. On a healthy server it commits synchronously, m.Wrote
+// running before the call returns, and it queues behind backoff while the
+// server is unavailable. A missing object completes with ErrNotFound (it
+// was deleted; the write is moot).
+func (c *Client) UpdateStatus(kind Kind, namespace, name string, m Mutation) {
+	c.do(request{verb: verbUpdateStatus, kind: kind, ns: namespace, name: name, w: m})
 }
 
 // Patch is the read-modify-write verb: it Gets the latest object, applies
@@ -595,14 +619,14 @@ func (c *Client) UpdateStatus(kind Kind, namespace, name string, fn func(Object)
 // re-reads and retries — immediately on the first conflict (the common
 // lost-race case), behind the jittered backoff on consecutive ones once
 // the fault layer is armed, and never more than maxConflicts times before
-// failing with ErrRetriesExhausted. mutate returning false skips the write
-// and completes it with nil (nothing to do). mutate may be called several
-// times and must therefore be idempotent against the object it is handed.
-// That object is a Clone of the committed one, and the very struct the
-// store will keep once the write commits: mutate edits its fields, replaces
-// (never writes into) its maps, and must not retain it.
-func (c *Client) Patch(kind Kind, namespace, name string, mutate func(Object) bool, done func(error)) {
-	c.do(request{verb: verbPatch, kind: kind, ns: namespace, name: name, fn: mutate, done: done})
+// failing with ErrRetriesExhausted. m.Mutate returning false skips the
+// write and completes it with nil (nothing to do). Mutate may be called
+// several times and must therefore be idempotent against the object it is
+// handed. That object is a Clone of the committed one, and the very struct
+// the store will keep once the write commits: Mutate edits its fields,
+// replaces (never writes into) its maps, and must not retain it.
+func (c *Client) Patch(kind Kind, namespace, name string, m Mutation) {
+	c.do(request{verb: verbPatch, kind: kind, ns: namespace, name: name, w: m})
 }
 
 type verb uint8
@@ -617,7 +641,7 @@ const (
 )
 
 // request is one client write from call to completion: the verb's operands,
-// the caller's done and the retry state the attempt loop spends. The commit,
+// the caller's Wrote and the retry state the attempt loop spends. The commit,
 // deadline and backoff events carry it through Engine.AfterCall; it comes
 // from the client's free list and goes back there when the write completes,
 // so the write path allocates nothing a commit does not keep.
@@ -629,8 +653,7 @@ type request struct {
 	obj               Object
 	kind              Kind // kind/ns/name address the keyed verbs' object
 	ns, name, fin     string
-	fn                func(Object) bool // UpdateStatus's or Patch's callback
-	done              func(error)
+	w                 Wrote        // a Mutation for UpdateStatus and Patch
 	budget, conflicts int          // transient retries left; Patch re-reads so far
 	backoff           sim.Duration // next retry delay, before jitter
 	// pending is the queued server commit, deadline the timer that drops it
@@ -646,15 +669,16 @@ func (c *Client) do(w request) {
 }
 
 // complete ends the write: the record goes back on the free list, zeroed,
-// before done runs, so a write done issues may take this very record — and
-// an engine event still holding it would act on that write instead. Every
-// path that completes has cancelled or spent both of its events first.
+// before the caller hears, so a write its Wrote issues may take this very
+// record — and an engine event still holding it would act on that write
+// instead. Every path that completes has cancelled or spent both of its
+// events first.
 func (r *request) complete(err error) {
-	c, done := r.c, r.done
+	c, w := r.c, r.w
 	*r = request{}
 	c.requests.Put(r)
-	if done != nil {
-		done(err)
+	if w != nil {
+		w.Wrote(err)
 	}
 }
 
@@ -675,11 +699,11 @@ func (r *request) attempt() {
 			return
 		}
 		cp := obj.Clone()
-		if !r.fn(cp) {
+		if !r.w.(Mutation).Mutate(cp) {
 			r.complete(nil)
 			return
 		}
-		r.obj = cp // handed on to the store once the write commits (mutate must not keep it)
+		r.obj = cp // handed on to the store once the write commits (Mutate must not keep it)
 	}
 	a.submit(r)
 	if a.faults != nil {

@@ -24,15 +24,25 @@ func editable[T Object](obj Object, ok bool) T {
 	return obj.Clone().(T)
 }
 
-// outcome is a test's end of one write: done is the callback the verb
-// takes, calls counts its runs (0 while the write is in flight) and err is
-// the outcome it was handed.
+// outcome is a test's end of one write: the Wrote the verb takes, calls
+// counts its runs (0 while the write is in flight) and err is the outcome it
+// was handed.
 type outcome struct {
 	calls int
 	err   error
 }
 
-func (o *outcome) done(err error) { o.calls++; o.err = err }
+func (o *outcome) Wrote(err error) { o.calls++; o.err = err }
+
+// mutation is the Mutation of a test's UpdateStatus or Patch: fn edits, w
+// hears the outcome.
+type mutation struct {
+	fn func(Object) bool
+	w  Wrote
+}
+
+func (m mutation) Mutate(obj Object) bool { return m.fn(obj) }
+func (m mutation) Wrote(err error)        { m.w.Wrote(err) }
 
 // completed is the predicate RunUntilDone polls.
 func (o *outcome) completed() bool { return o.calls > 0 }
@@ -40,7 +50,7 @@ func (o *outcome) completed() bool { return o.calls > 0 }
 func mustCreate(t *testing.T, eng *sim.Engine, api *APIServer, obj Object) {
 	t.Helper()
 	var res outcome
-	api.Client().Create(obj, res.done)
+	api.Client().Create(obj, &res)
 	eng.Run()
 	if res.calls != 1 || res.err != nil {
 		t.Fatalf("create %s: done ran %d time(s), err %v", obj.GetMeta().Key(), res.calls, res.err)
@@ -60,7 +70,7 @@ func TestStaleUpdateConflicts(t *testing.T) {
 
 	a.Spec.Parallelism = 2
 	var resA outcome
-	api.Client().Update(a, resA.done)
+	api.Client().Update(a, &resA)
 	eng.Run()
 	if resA.err != nil {
 		t.Fatalf("first update: %v", resA.err)
@@ -68,7 +78,7 @@ func TestStaleUpdateConflicts(t *testing.T) {
 
 	b.Spec.Parallelism = 9
 	var resB outcome
-	api.Client().Update(b, resB.done)
+	api.Client().Update(b, &resB)
 	eng.Run()
 	if !errors.Is(resB.err, ErrConflict) {
 		t.Fatalf("stale update err = %v, want ErrConflict", resB.err)
@@ -83,7 +93,7 @@ func TestStaleUpdateConflicts(t *testing.T) {
 	blind.Meta.ResourceVersion = 0
 	blind.Spec.Parallelism = 5
 	var resC outcome
-	api.Client().Update(blind, resC.done)
+	api.Client().Update(blind, &resC)
 	eng.Run()
 	if !resC.completed() || resC.err != nil {
 		t.Fatalf("blind update: completed %v, err %v", resC.completed(), resC.err)
@@ -114,7 +124,7 @@ func TestPatchConverges(t *testing.T) {
 
 	mutations := 0
 	var res outcome
-	cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
+	cli.Patch(KindJob, "ns", "j", mutation{func(obj Object) bool {
 		mutations++
 		m := obj.GetMeta()
 		if m.HasFinalizer("test/f") {
@@ -122,7 +132,7 @@ func TestPatchConverges(t *testing.T) {
 		}
 		m.AddFinalizer("test/f")
 		return true
-	}, res.done)
+	}, &res})
 	eng.Run()
 	if !res.completed() || res.err != nil {
 		t.Fatalf("patch: completed %v, err %v", res.completed(), res.err)
@@ -283,7 +293,7 @@ func TestGateResolvesDuringStalenessWindow(t *testing.T) {
 	})
 
 	committed := false
-	api.Client().Create(&Custom{Meta: Meta{Kind: kindCRD, Namespace: "ns", Name: "crd"}}, func(err error) {
+	api.Client().Create(&Custom{Meta: Meta{Kind: kindCRD, Namespace: "ns", Name: "crd"}}, WroteFunc(func(err error) {
 		if err != nil {
 			t.Errorf("create: %v", err)
 		}
@@ -294,7 +304,7 @@ func TestGateResolvesDuringStalenessWindow(t *testing.T) {
 		if gateOpen() {
 			t.Error("gate opened before the informer absorbed the commit")
 		}
-	})
+	}))
 	eng.Run()
 	if !committed {
 		t.Fatal("create never completed")
@@ -401,7 +411,7 @@ func TestOrphanGCAllocatesNothing(t *testing.T) {
 			t.Fatalf("reap %d allocates %d objects, want 0", i, got)
 		}
 	}
-	if n := api.orphans.Len(); n != 2 {
+	if n := len(held(t, "orphans", &api.orphans, 0)); n != 2 {
 		t.Errorf("the collector's free list holds %d records, want the 2 that were in flight", n)
 	}
 }
@@ -420,7 +430,7 @@ func TestDormantWritesAreIdentity(t *testing.T) {
 	touch := func(obj Object) bool { obj.(*Job).Status.Active++; return true }
 	cases := []struct {
 		name string
-		verb func(cli *Client, done func(error))
+		verb func(cli *Client, done Wrote)
 		// raw is the reference: the bare commit function behind one request
 		// delay, or on the spot for the synchronous status write.
 		raw func(eng *sim.Engine, api *APIServer)
@@ -430,7 +440,7 @@ func TestDormantWritesAreIdentity(t *testing.T) {
 		ceiling float64
 	}{
 		{name: "Create",
-			verb: func(cli *Client, done func(error)) { issueVerb("Create", cli, done) },
+			verb: func(cli *Client, done Wrote) { issueVerb("Create", cli, done) },
 			raw: func(eng *sim.Engine, api *APIServer) {
 				eng.After(api.reqDelay(), func() {
 					api.commitCreate(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}})
@@ -441,7 +451,7 @@ func TestDormantWritesAreIdentity(t *testing.T) {
 			},
 			ceiling: 14},
 		{name: "Update",
-			verb: func(cli *Client, done func(error)) { issueVerb("Update", cli, done) },
+			verb: func(cli *Client, done Wrote) { issueVerb("Update", cli, done) },
 			raw: func(eng *sim.Engine, api *APIServer) {
 				job := storedJob(api).Clone().(*Job)
 				widen(job)
@@ -452,32 +462,32 @@ func TestDormantWritesAreIdentity(t *testing.T) {
 			},
 			ceiling: 15},
 		{name: "Delete",
-			verb: func(cli *Client, done func(error)) { issueVerb("Delete", cli, done) },
+			verb: func(cli *Client, done Wrote) { issueVerb("Delete", cli, done) },
 			raw: func(eng *sim.Engine, api *APIServer) {
 				eng.After(api.reqDelay(), func() { api.commitDelete(KindPod, "ns", "victim") })
 			},
 			cheap:   func(cli *Client) { cli.Delete(KindPod, "ns", "nope", nil) },
 			ceiling: 13},
 		{name: "RemoveFinalizer",
-			verb: func(cli *Client, done func(error)) { issueVerb("RemoveFinalizer", cli, done) },
+			verb: func(cli *Client, done Wrote) { issueVerb("RemoveFinalizer", cli, done) },
 			raw: func(eng *sim.Engine, api *APIServer) {
 				eng.After(api.reqDelay(), func() { api.commitRemoveFinalizer(KindJob, "ns", "j", "test/f") })
 			},
 			cheap:   func(cli *Client) { cli.RemoveFinalizer(KindJob, "ns", "j", "absent", nil) },
 			ceiling: 15},
 		{name: "UpdateStatus",
-			verb:    func(cli *Client, done func(error)) { cli.UpdateStatus(KindJob, "ns", "j", touch, done) },
-			raw:     func(_ *sim.Engine, api *APIServer) { api.commitStatus(KindJob, "ns", "j", touch) },
-			cheap:   func(cli *Client) { cli.UpdateStatus(KindJob, "ns", "j", noop, nil) },
+			verb:    func(cli *Client, done Wrote) { cli.UpdateStatus(KindJob, "ns", "j", mutation{touch, done}) },
+			raw:     func(_ *sim.Engine, api *APIServer) { api.commitStatus(KindJob, "ns", "j", MutateFunc(touch)) },
+			cheap:   func(cli *Client) { cli.UpdateStatus(KindJob, "ns", "j", MutateFunc(noop)) },
 			ceiling: 6},
 		{name: "Patch",
-			verb: func(cli *Client, done func(error)) { issueVerb("Patch", cli, done) },
+			verb: func(cli *Client, done Wrote) { issueVerb("Patch", cli, done) },
 			raw: func(eng *sim.Engine, api *APIServer) {
 				job := storedJob(api).Clone().(*Job)
 				widen(job)
 				eng.After(api.reqDelay(), func() { api.commitUpdate(job) })
 			},
-			cheap:   func(cli *Client) { cli.Patch(KindJob, "ns", "j", noop, nil) },
+			cheap:   func(cli *Client) { cli.Patch(KindJob, "ns", "j", MutateFunc(noop)) },
 			ceiling: 5},
 	}
 	for _, tc := range cases {
@@ -492,7 +502,7 @@ func TestDormantWritesAreIdentity(t *testing.T) {
 			steps, twinSteps := eng.Steps, twinEng.Steps
 
 			var res outcome
-			tc.verb(cli, res.done)
+			tc.verb(cli, &res)
 			tc.raw(twinEng, twinAPI)
 			if got, want := eng.Pending(), twinEng.Pending(); got != want {
 				t.Errorf("verb queued %d event(s), raw commit %d", got, want)

@@ -54,7 +54,7 @@ func TestDeliveryOrderIsCommitOrderUnderTies(t *testing.T) {
 	const commits = 50
 	var want []string
 	for i := 0; i < commits; i++ {
-		api.Client().UpdateStatus(KindJob, "ns", "j", bumpActive, nil) // commits on the spot
+		api.Client().UpdateStatus(KindJob, "ns", "j", MutateFunc(bumpActive)) // commits on the spot
 		seq := api.KindSeq(KindJob)
 		eng.After(25*time.Millisecond, func() { got = append(got, fmt.Sprintf("x:%d", seq)) })
 		want = append(want, fmt.Sprintf("w1:%d", seq), fmt.Sprintf("w2:%d", seq), fmt.Sprintf("x:%d", seq))
@@ -84,12 +84,12 @@ func TestHandlerCommitsFromInsideDelivery(t *testing.T) {
 	api.Watch(KindJob, func(ev Event) {
 		got = append(got, ev.Seq)
 		if len(got) <= 3 { // the first three deliveries each commit once more
-			api.Client().UpdateStatus(KindJob, "ns", "j", bumpActive, nil)
+			api.Client().UpdateStatus(KindJob, "ns", "j", MutateFunc(bumpActive))
 		}
 	})
 	first := api.KindSeq(KindJob) + 1
 	for i := 0; i < 3; i++ {
-		api.Client().UpdateStatus(KindJob, "ns", "j", bumpActive, nil)
+		api.Client().UpdateStatus(KindJob, "ns", "j", MutateFunc(bumpActive))
 	}
 	eng.Run()
 	var want []uint64
@@ -111,13 +111,13 @@ func TestBrokenWatchDrainsWhatWasQueued(t *testing.T) {
 	mustCreate(t, eng, api, &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}})
 	var got []uint64
 	api.Watch(KindJob, func(ev Event) { got = append(got, ev.Seq) })
-	api.Client().UpdateStatus(KindJob, "ns", "j", bumpActive, nil)
-	api.Client().UpdateStatus(KindJob, "ns", "j", bumpActive, nil)
+	api.Client().UpdateStatus(KindJob, "ns", "j", MutateFunc(bumpActive))
+	api.Client().UpdateStatus(KindJob, "ns", "j", MutateFunc(bumpActive))
 	queuedSeq := api.KindSeq(KindJob)
 	if n := api.BreakWatch(KindJob); n != 1 {
 		t.Fatalf("BreakWatch severed %d streams, want 1", n)
 	}
-	api.Client().UpdateStatus(KindJob, "ns", "j", bumpActive, nil)
+	api.Client().UpdateStatus(KindJob, "ns", "j", MutateFunc(bumpActive))
 	if n := len(queued(api.watchers[0])); n != 2 {
 		t.Fatalf("queue holds %d deliveries after the break, want the 2 from before it", n)
 	}
@@ -139,7 +139,7 @@ func TestCancelPendingDeliveriesWalksTheQueues(t *testing.T) {
 	api.Watch(KindJob, func(Event) { delivered++ })
 	other := eng.After(time.Hour, func() {})
 	for i := 0; i < 4; i++ {
-		api.Client().UpdateStatus(KindJob, "ns", "j", bumpActive, nil)
+		api.Client().UpdateStatus(KindJob, "ns", "j", MutateFunc(bumpActive))
 	}
 	recs := append(queued(api.watchers[0]), queued(api.watchers[1])...)
 	if got := eng.Pending(); got != 9 {
@@ -157,7 +157,7 @@ func TestCancelPendingDeliveriesWalksTheQueues(t *testing.T) {
 	}
 	other.Cancel()
 	// The streams still work, and reuse the pooled records.
-	api.Client().UpdateStatus(KindJob, "ns", "j", bumpActive, nil)
+	api.Client().UpdateStatus(KindJob, "ns", "j", MutateFunc(bumpActive))
 	if d := api.watchers[0].head; !slices.Contains(recs[:4], d) {
 		t.Error("a delivery after the cancel did not come from the watcher's pool")
 	}

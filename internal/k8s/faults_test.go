@@ -13,7 +13,7 @@ import (
 // fires it with done, applied reports whether its effect reached the store.
 type verbCase struct {
 	name    string
-	issue   func(cli *Client, done func(error))
+	issue   func(cli *Client, done Wrote)
 	applied func(api *APIServer) bool
 	// sync marks UpdateStatus: it commits on the spot, so it spends no time
 	// on the wire for a deadline to cut short.
@@ -43,38 +43,38 @@ func widen(obj Object) bool {
 
 var verbCases = []verbCase{
 	{name: "Create",
-		issue: func(cli *Client, done func(error)) {
+		issue: func(cli *Client, done Wrote) {
 			cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}}, done)
 		},
 		applied: func(api *APIServer) bool { _, ok := api.Get(KindPod, "ns", "p"); return ok }},
 	{name: "Update",
-		issue: func(cli *Client, done func(error)) {
+		issue: func(cli *Client, done Wrote) {
 			job := storedJob(cli.API()).Clone().(*Job) // carries the stored ResourceVersion
 			widen(job)
 			cli.Update(job, done)
 		},
 		applied: func(api *APIServer) bool { return storedJob(api).Spec.Parallelism == 7 }},
 	{name: "Delete",
-		issue:   func(cli *Client, done func(error)) { cli.Delete(KindPod, "ns", "victim", done) },
+		issue:   func(cli *Client, done Wrote) { cli.Delete(KindPod, "ns", "victim", done) },
 		applied: func(api *APIServer) bool { _, ok := api.Get(KindPod, "ns", "victim"); return !ok }},
 	{name: "RemoveFinalizer",
-		issue:   func(cli *Client, done func(error)) { cli.RemoveFinalizer(KindJob, "ns", "j", "test/f", done) },
+		issue:   func(cli *Client, done Wrote) { cli.RemoveFinalizer(KindJob, "ns", "j", "test/f", done) },
 		applied: func(api *APIServer) bool { return !storedJob(api).Meta.HasFinalizer("test/f") }},
 	{name: "UpdateStatus", sync: true,
-		issue: func(cli *Client, done func(error)) {
-			cli.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
+		issue: func(cli *Client, done Wrote) {
+			cli.UpdateStatus(KindJob, "ns", "j", mutation{func(obj Object) bool {
 				obj.(*Job).Status.Active = 3
 				return true
-			}, done)
+			}, done})
 		},
 		applied: func(api *APIServer) bool { return storedJob(api).Status.Active == 3 }},
 	{name: "Patch",
-		issue:   func(cli *Client, done func(error)) { cli.Patch(KindJob, "ns", "j", widen, done) },
+		issue:   func(cli *Client, done Wrote) { cli.Patch(KindJob, "ns", "j", mutation{widen, done}) },
 		applied: func(api *APIServer) bool { return storedJob(api).Spec.Parallelism == 7 }},
 }
 
 // issueVerb fires the named verbCase.
-func issueVerb(name string, cli *Client, done func(error)) {
+func issueVerb(name string, cli *Client, done Wrote) {
 	for _, v := range verbCases {
 		if v.name == name {
 			v.issue(cli, done)
@@ -98,7 +98,7 @@ func TestWritePolicyUnderFaults(t *testing.T) {
 				t.Fatalf("availability = %v, want down", api.Availability())
 			}
 			var res outcome
-			v.issue(cli, res.done)
+			v.issue(cli, &res)
 			eng.RunFor(300 * time.Millisecond)
 			if res.completed() {
 				t.Fatalf("completed during the outage: %v", res.err)
@@ -119,7 +119,7 @@ func TestWritePolicyUnderFaults(t *testing.T) {
 			eng, api, cli := writeFixture(t)
 			api.FailAPIServer()
 			var res outcome
-			v.issue(cli, res.done)
+			v.issue(cli, &res)
 			eng.Run()
 			err := res.err
 			if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrUnavailable) {
@@ -138,7 +138,7 @@ func TestWritePolicyUnderFaults(t *testing.T) {
 			// deadline: every attempt times out and the budget drains.
 			api.DegradeAPIServer(1000, 0)
 			var res outcome
-			v.issue(cli, res.done)
+			v.issue(cli, &res)
 			if v.sync {
 				if res.calls != 1 || res.err != nil || !v.applied(api) || cli.Stats().Timeouts != 0 {
 					t.Fatalf("synchronous write: done ran %d time(s), err = %v, applied = %v, timeouts = %d",
@@ -171,10 +171,10 @@ func conflictStorm(eng *sim.Engine, cli *Client) (stop func()) {
 		if stopped {
 			return
 		}
-		cli.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
+		cli.UpdateStatus(KindJob, "ns", "j", MutateFunc(func(obj Object) bool {
 			obj.(*Job).Status.Failed++
 			return true
-		}, nil)
+		}))
 		eng.After(time.Millisecond, tick)
 	}
 	eng.After(time.Millisecond, tick)
@@ -190,7 +190,7 @@ func TestWritePolicyConflicts(t *testing.T) {
 		eng, _, cli := writeFixture(t)
 		stop := conflictStorm(eng, cli)
 		var res outcome
-		issueVerb("Update", cli, res.done)
+		issueVerb("Update", cli, &res)
 		eng.RunUntilDone(res.completed, eng.Now().Add(time.Hour))
 		stop()
 		if err := res.err; !errors.Is(err, ErrConflict) || errors.Is(err, ErrRetriesExhausted) {
@@ -205,10 +205,10 @@ func TestWritePolicyConflicts(t *testing.T) {
 		stop := conflictStorm(eng, cli)
 		mutations := 0
 		var res outcome
-		cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
+		cli.Patch(KindJob, "ns", "j", mutation{func(obj Object) bool {
 			mutations++
 			return widen(obj)
-		}, res.done)
+		}, &res})
 		eng.RunUntilDone(res.completed, eng.Now().Add(time.Hour))
 		stop()
 		if err := res.err; !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrConflict) {
@@ -236,7 +236,7 @@ func TestPatchBacksOffWhenArmed(t *testing.T) {
 		stop := conflictStorm(eng, cli)
 		start := eng.Now()
 		var res outcome
-		cli.Patch(KindJob, "ns", "j", widen, res.done)
+		cli.Patch(KindJob, "ns", "j", mutation{widen, &res})
 		eng.RunUntilDone(res.completed, eng.Now().Add(time.Hour))
 		stop()
 		if err := res.err; !errors.Is(err, ErrRetriesExhausted) {
@@ -266,12 +266,12 @@ func TestOrphanGCSurvivesOutage(t *testing.T) {
 			Name: fmt.Sprintf("child%d", i), OwnerUID: owner.Meta.UID}})
 	}
 
-	cli.Delete(KindJob, "ns", "owner", func(err error) {
+	cli.Delete(KindJob, "ns", "owner", WroteFunc(func(err error) {
 		if err != nil {
 			t.Errorf("owner delete: %v", err)
 		}
 		api.FailAPIServer()
-	})
+	}))
 	eng.RunFor(time.Second)
 	api.RecoverAPIServer()
 	eng.RunFor(10 * time.Second)
@@ -297,7 +297,7 @@ func TestDegradedModeErrorsAndLatency(t *testing.T) {
 	for i := range res {
 		cli.Create(&Pod{
 			Meta: Meta{Kind: KindPod, Namespace: "ns", Name: fmt.Sprintf("p%02d", i)},
-		}, res[i].done)
+		}, &res[i])
 	}
 	eng.Run()
 	for i, r := range res {
@@ -311,7 +311,7 @@ func TestDegradedModeErrorsAndLatency(t *testing.T) {
 
 	api.RecoverAPIServer()
 	var after outcome
-	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "after"}}, after.done)
+	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "after"}}, &after)
 	eng.Run()
 	if !after.completed() || after.err != nil {
 		t.Fatalf("write after recovery: completed %v, err %v", after.completed(), after.err)
@@ -461,10 +461,10 @@ func TestRelistRebuildsIndexesAtomically(t *testing.T) {
 	cli.Delete(KindPod, "ns", "b", nil)
 	cli.Create(pod("d", "j2", "n1", "uid-2"), nil)
 	eng.RunFor(30 * time.Millisecond)
-	cli.UpdateStatus(KindPod, "ns", "c", func(obj Object) bool {
+	cli.UpdateStatus(KindPod, "ns", "c", MutateFunc(func(obj Object) bool {
 		obj.(*Pod).Spec.NodeName = "n2"
 		return true
-	}, nil)
+	}))
 
 	eng.RunFor(time.Second)
 	if err := cli.VerifyCaches(); err != nil {
@@ -519,10 +519,10 @@ func TestLostWriteEscapesGapDetection(t *testing.T) {
 	cli.Create(&Pod{Meta: Meta{Kind: KindPod, Namespace: "ns", Name: "p"}}, nil)
 	eng.RunFor(60 * time.Millisecond)
 	api.SetDebugLoseWrite(KindPod, 1)
-	cli.UpdateStatus(KindPod, "ns", "p", func(obj Object) bool {
+	cli.UpdateStatus(KindPod, "ns", "p", MutateFunc(func(obj Object) bool {
 		obj.(*Pod).Status.Phase = PodRunning
 		return true
-	}, nil)
+	}))
 
 	// Give the prober plenty of time: no gap exists, so no relist repairs
 	// the divergence.

@@ -113,7 +113,7 @@ func checkInformerAgainstStore(t *testing.T, when string, api *APIServer, kind K
 // checkTable holds a converged kind's table to its lifecycle: every record
 // is held by the store or the informer (none leaked), the counts are the
 // records' and the informer caches as many objects as the store holds, and
-// no record on the free list holds an object.
+// every other record the table made is on its free list, holding no object.
 func checkTable(t *testing.T, when string, kind Kind, tab *table) {
 	t.Helper()
 	stored, cached := 0, 0
@@ -134,7 +134,7 @@ func checkTable(t *testing.T, when string, kind Kind, tab *table) {
 	if cached != stored {
 		t.Fatalf("%s: %s informer caches %d objects after the drain, the store holds %d", when, kind, cached, stored)
 	}
-	for _, r := range tab.free {
+	for _, r := range held(t, when+": "+string(kind)+" records", &tab.free, len(tab.recs)) {
 		if r.obj != nil || r.cached != nil {
 			t.Fatalf("%s: %s free list holds a record with an object: %+v", when, kind, *r)
 		}
@@ -231,7 +231,7 @@ func TestInformerMatchesStoreScan(t *testing.T) {
 				create(kind, ns, name)
 				return "create"
 			case op < 5:
-				cli.UpdateStatus(kind, ns, name, func(obj Object) bool {
+				cli.UpdateStatus(kind, ns, name, MutateFunc(func(obj Object) bool {
 					switch o := obj.(type) {
 					case *Pod:
 						o.Status.Message += "."
@@ -241,10 +241,10 @@ func TestInformerMatchesStoreScan(t *testing.T) {
 						o.Status = map[string]string{"n": fmt.Sprint(rng.Int())}
 					}
 					return true
-				}, nil)
+				}))
 				return "status"
 			case op < 7: // relabel, or remove the label: the object moves buckets or is unfiled
-				cli.Patch(kind, ns, name, func(obj Object) bool {
+				cli.Patch(kind, ns, name, MutateFunc(func(obj Object) bool {
 					switch o := obj.(type) {
 					case *Pod:
 						o.Meta.Labels = podLabels()
@@ -252,14 +252,14 @@ func TestInformerMatchesStoreScan(t *testing.T) {
 						o.Spec = map[string]string{"color": colors[rng.Intn(len(colors))]}
 					}
 					return true
-				}, nil)
+				}))
 				return "relabel"
 			case op < 8:
 				owner := pickOwner()
-				cli.Patch(kind, ns, name, func(obj Object) bool {
+				cli.Patch(kind, ns, name, MutateFunc(func(obj Object) bool {
 					obj.GetMeta().OwnerUID = owner
 					return kind != KindJob
-				}, nil)
+				}))
 				return "re-parent"
 			case op < 9:
 				cli.Delete(kind, ns, name, nil)
@@ -358,7 +358,7 @@ func TestIndexBucketTransitions(t *testing.T) {
 	step("2→3: the free inline slot is taken again", 3, create("a", "p3", "u1"))
 	step("3→2: a map entry leaves", 2, del("p1"))
 	step("re-parented: the pod changes owner buckets, not job buckets", 2, func() {
-		cli.Patch(KindPod, "a", "p2", func(obj Object) bool { obj.GetMeta().OwnerUID = "u2"; return true }, nil)
+		cli.Patch(KindPod, "a", "p2", MutateFunc(func(obj Object) bool { obj.GetMeta().OwnerUID = "u2"; return true }))
 	})
 	step("relist behind a broken watch", 3, func() {
 		api.BreakWatch(KindPod)
@@ -370,25 +370,25 @@ func TestIndexBucketTransitions(t *testing.T) {
 	// before the informer hears of it.
 	step("deleted and re-created: one record throughout", 3, func() {
 		r := inf.t.recs["a/p3"]
-		cli.Delete(KindPod, "a", "p3", func(error) {
+		cli.Delete(KindPod, "a", "p3", WroteFunc(func(error) {
 			if r.obj != nil || r.cached == nil || inf.t.recs["a/p3"] != r {
 				t.Error("the store's delete dropped a record the informer still caches")
 			}
-			cli.Create(pod("a", "p3", "u1"), func(error) {
+			cli.Create(pod("a", "p3", "u1"), WroteFunc(func(error) {
 				if inf.t.recs["a/p3"] != r || r.obj == nil || r.cached == nil || r.obj == r.cached {
 					t.Error("the re-create did not take the cached key's record")
 				}
-			})
-		})
+			}))
+		}))
 	})
 	step("created and deleted: the ADDED makes a record again", 3, func() {
-		cli.Create(pod("a", "p4", "u1"), func(error) {
-			cli.Delete(KindPod, "a", "p4", func(error) {
+		cli.Create(pod("a", "p4", "u1"), WroteFunc(func(error) {
+			cli.Delete(KindPod, "a", "p4", WroteFunc(func(error) {
 				if _, held := inf.t.recs["a/p4"]; held {
 					t.Error("a key neither the store nor the informer holds kept its record")
 				}
-			})
-		})
+			}))
+		}))
 	})
 	step("3→2", 2, del("p3"))
 	step("2→1", 1, del("p2"))

@@ -189,30 +189,25 @@ func (c *JobController) reconcile(key string) {
 	c.created[key] = n + 1
 	c.lastOp = c.cli.Engine().Now()
 	w := c.creates.Get()
-	if w.c == nil {
-		w.c, w.done = c, w.created
-	}
-	w.key = key
-	c.cli.Create(pod, w.done)
+	w.c, w.key = c, key
+	c.cli.Create(pod, w)
 	if c.created[key] < job.Spec.Parallelism+c.lost[key] {
 		c.enqueue(key)
 	}
 }
 
-// podCreate is one reconcile's pod Create in flight: the job key whose count
-// it raised, and the callback Create takes, a method value made once per
-// record.
+// podCreate is one reconcile's pod Create in flight, and hears its outcome:
+// the job key whose count it raised.
 type podCreate struct {
-	c    *JobController
-	key  string
-	done func(error)
+	c   *JobController
+	key string
 }
 
-// created recycles the record, then takes a failed create back off the
-// job's count.
-func (w *podCreate) created(err error) {
+// Wrote recycles the record, then takes a failed create back off the job's
+// count.
+func (w *podCreate) Wrote(err error) {
 	c, key := w.c, w.key
-	w.key = ""
+	*w = podCreate{}
 	c.creates.Put(w)
 	if err != nil {
 		c.created[key]--
@@ -254,32 +249,27 @@ func (c *JobController) onPodUpdate(pod *Pod) {
 		return
 	}
 	u := c.patches.Get()
-	if u.c == nil {
-		u.c, u.mutate, u.done = c, u.recount, u.finish
-	}
-	u.ns, u.job = pod.Meta.Namespace, job
-	c.cli.Patch(KindJob, u.ns, u.job, u.mutate, u.done)
+	u.c, u.ns, u.job = c, pod.Meta.Namespace, job
+	c.cli.Patch(KindJob, u.ns, u.job, u)
 }
 
-// statusPatch is one onPodUpdate in flight: the job it recounts, whether
-// the latest recount completed a job to delete ttl later, and the two
-// callbacks Patch takes — method values made once per record, which finish
-// recycles: a pod event allocates nothing beyond the version it commits.
+// statusPatch is one onPodUpdate in flight and the Mutation its Patch
+// takes: the job it recounts, and whether the latest recount completed a
+// job to delete ttl later. A pod event allocates nothing beyond the version
+// it commits.
 type statusPatch struct {
 	c       *JobController
 	ns, job string
 	expire  bool
 	ttl     sim.Duration
-	mutate  func(Object) bool
-	done    func(error)
 }
 
-// recount is the Patch mutation: O(pods of this job), read from the shared
+// Mutate is the recount: O(pods of this job), read from the shared
 // pod informer — which absorbed the triggering event before the handler ran
 // — through the pods-by-job index into the controller's buffer. Recounting
 // per attempt keeps a conflict-driven retry from committing counts captured
 // before a newer recount committed.
-func (u *statusPatch) recount(obj Object) bool {
+func (u *statusPatch) Mutate(obj Object) bool {
 	c, job := u.c, obj.(*Job)
 	u.expire, u.ttl = false, 0
 	if job.Status.Completed {
@@ -323,10 +313,10 @@ func (u *statusPatch) recount(obj Object) bool {
 	return true
 }
 
-// finish runs when the Patch completed, after which recount is not called
+// Wrote runs when the Patch completed, after which Mutate is not called
 // again: it recycles the record, or keeps it to delete the job it completed
 // ttl later.
-func (u *statusPatch) finish(err error) {
+func (u *statusPatch) Wrote(err error) {
 	if err == nil && u.expire {
 		u.c.cli.Engine().AfterCall(u.ttl, expireCall, u)
 		return

@@ -71,7 +71,7 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 
 	job := &Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}}
 	var createErr error
-	api.Client().Create(job, func(err error) { createErr = err })
+	api.Client().Create(job, WroteFunc(func(err error) { createErr = err }))
 	eng.Run()
 	if createErr != nil {
 		t.Fatal(createErr)
@@ -89,7 +89,7 @@ func TestAPIServerCRUDAndWatch(t *testing.T) {
 
 	// Duplicate create fails.
 	var dupErr error
-	api.Client().Create(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}}, func(err error) { dupErr = err })
+	api.Client().Create(&Job{Meta: Meta{Kind: KindJob, Namespace: "ns", Name: "j"}}, WroteFunc(func(err error) { dupErr = err }))
 	eng.Run()
 	if !errors.Is(dupErr, ErrAlreadyExists) {
 		t.Errorf("dup create: %v", dupErr)
@@ -181,14 +181,14 @@ func TestCommittedObjectsAreShared(t *testing.T) {
 func TestFinalizersBlockDeletion(t *testing.T) {
 	const fin = "vni.shs/finalizer"
 	strip := func(obj Object) bool { obj.GetMeta().Finalizers = nil; return true }
-	drains := map[string]func(cli *Client, done func(error)){
-		"RemoveFinalizer": func(cli *Client, done func(error)) { cli.RemoveFinalizer(KindJob, "ns", "j", fin, done) },
-		"Update": func(cli *Client, done func(error)) {
+	drains := map[string]func(cli *Client, done Wrote){
+		"RemoveFinalizer": func(cli *Client, done Wrote) { cli.RemoveFinalizer(KindJob, "ns", "j", fin, done) },
+		"Update": func(cli *Client, done Wrote) {
 			job := editable[*Job](cli.Get(KindJob, "ns", "j"))
 			strip(job)
 			cli.Update(job, done)
 		},
-		"Patch": func(cli *Client, done func(error)) { cli.Patch(KindJob, "ns", "j", strip, done) },
+		"Patch": func(cli *Client, done Wrote) { cli.Patch(KindJob, "ns", "j", mutation{strip, done}) },
 	}
 	for name, drain := range drains {
 		t.Run(name, func(t *testing.T) {
@@ -205,12 +205,12 @@ func TestFinalizersBlockDeletion(t *testing.T) {
 				t.Error("deletionTimestamp not set")
 			}
 			completed := false
-			drain(cli, func(err error) {
+			drain(cli, WroteFunc(func(err error) {
 				completed = true
 				if _, ok := api.Get(KindJob, "ns", "j"); err != nil || ok {
 					t.Errorf("at completion: err = %v, object still stored = %v", err, ok)
 				}
-			})
+			}))
 			eng.Run()
 			if !completed {
 				t.Fatal("draining write never completed")

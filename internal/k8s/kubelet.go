@@ -263,27 +263,22 @@ func (k *Kubelet) setPhase(pod *Pod, phase PodPhase, msg string) {
 // Transitions on already-deleted pods are ignored.
 func (k *Kubelet) setPhaseAt(pod *Pod, phase PodPhase, msg string, at sim.Time) {
 	w := k.writes.Get()
-	if w.k == nil {
-		w.k, w.mutate, w.done = k, w.apply, w.finish
-	}
-	w.pod, w.phase, w.msg, w.at = pod, phase, msg, at
-	k.cli.UpdateStatus(KindPod, pod.Meta.Namespace, pod.Meta.Name, w.mutate, w.done)
+	w.k, w.pod, w.phase, w.msg, w.at = k, pod, phase, msg, at
+	k.cli.UpdateStatus(KindPod, pod.Meta.Namespace, pod.Meta.Name, w)
 }
 
-// phaseWrite is one setPhaseAt in flight: the pod incarnation it reports
-// on, the transition, and the two callbacks UpdateStatus takes — method
-// values made once per record, which finish recycles.
+// phaseWrite is one setPhaseAt in flight and the Mutation its UpdateStatus
+// takes: the pod incarnation it reports on, and the transition.
 type phaseWrite struct {
-	k      *Kubelet
-	pod    *Pod
-	phase  PodPhase
-	msg    string
-	at     sim.Time
-	mutate func(Object) bool
-	done   func(error)
+	k     *Kubelet
+	pod   *Pod
+	phase PodPhase
+	msg   string
+	at    sim.Time
 }
 
-func (w *phaseWrite) apply(obj Object) bool {
+// Mutate applies the transition.
+func (w *phaseWrite) Mutate(obj Object) bool {
 	p := obj.(*Pod)
 	switch p.Status.Phase {
 	case PodSucceeded, PodFailed:
@@ -304,8 +299,9 @@ func (w *phaseWrite) apply(obj Object) bool {
 	return true
 }
 
-func (w *phaseWrite) finish(error) {
+// Wrote recycles the record.
+func (w *phaseWrite) Wrote(error) {
 	k := w.k
-	*w = phaseWrite{k: k, mutate: w.mutate, done: w.done}
+	*w = phaseWrite{}
 	k.writes.Put(w)
 }

@@ -11,15 +11,15 @@ import (
 // new object, so the pointer delivered before still hashes to its
 // commit-time content.
 func TestCommitsDoNotAliasPreviousVersion(t *testing.T) {
-	writes := map[string]func(cli *Client, done func(error)){
-		"status write": func(cli *Client, done func(error)) {
-			cli.UpdateStatus(KindJob, "ns", "j", func(obj Object) bool {
+	writes := map[string]func(cli *Client, done Wrote){
+		"status write": func(cli *Client, done Wrote) {
+			cli.UpdateStatus(KindJob, "ns", "j", mutation{func(obj Object) bool {
 				obj.(*Job).Status.Active = 3
 				return true
-			}, done)
+			}, done})
 		},
-		"delete mark": func(cli *Client, done func(error)) { cli.Delete(KindJob, "ns", "j", done) },
-		"finalizer removal": func(cli *Client, done func(error)) {
+		"delete mark": func(cli *Client, done Wrote) { cli.Delete(KindJob, "ns", "j", done) },
+		"finalizer removal": func(cli *Client, done Wrote) {
 			cli.RemoveFinalizer(KindJob, "ns", "j", "test/a", done)
 		},
 	}
@@ -36,7 +36,7 @@ func TestCommitsDoNotAliasPreviousVersion(t *testing.T) {
 			committed := contentHash(before)
 
 			var res outcome
-			write(cli, res.done)
+			write(cli, &res)
 			eng.Run()
 			if !res.completed() || res.err != nil {
 				t.Fatalf("write: completed %v, err %v", res.completed(), res.err)
@@ -118,7 +118,7 @@ func TestStatusCommitAllocations(t *testing.T) {
 		Finalizers:  []string{"f1", "f2"}}})
 	bump := func(obj Object) bool { obj.(*Job).Status.Active++; return true }
 	allocs := testing.AllocsPerRun(200, func() {
-		cli.UpdateStatus(KindJob, "ns", "j", bump, nil)
+		cli.UpdateStatus(KindJob, "ns", "j", MutateFunc(bump))
 		eng.Run()
 	})
 	const budget = 1

@@ -240,30 +240,26 @@ func (s *Scheduler) bind(key string) {
 	pod.Status.Phase = PodScheduled
 	s.assumed[key] = assumedBinding{node: node, job: PodJobIndex(pod)}
 	w := s.binds.Get()
-	if w.s == nil {
-		w.s, w.done = s, w.bound
-	}
-	w.key = key
-	s.cli.Update(pod, w.done)
+	w.s, w.key = s, key
+	s.cli.Update(pod, w)
 }
 
-// bindWrite is one binding Update in flight: the pod key it binds, and the
-// callback Update takes, a method value made once per record.
+// bindWrite is one binding Update in flight, and hears its outcome: the pod
+// key it binds.
 type bindWrite struct {
-	s    *Scheduler
-	key  string
-	done func(error)
+	s   *Scheduler
+	key string
 }
 
-// bound recycles the record, then handles a binding that did not commit:
+// Wrote recycles the record, then handles a binding that did not commit:
 // the pod changed or vanished under us, so the assumption goes and, on
 // conflict, a fresh read decides again. When the apiserver stayed
 // unavailable past the retry budget the pod is requeued too — the
 // scheduler keeps placing from its cache and the next attempt rebinds once
 // writes go through again.
-func (w *bindWrite) bound(err error) {
+func (w *bindWrite) Wrote(err error) {
 	s, key := w.s, w.key
-	w.key = ""
+	*w = bindWrite{}
 	s.binds.Put(w)
 	if err == nil {
 		return

@@ -120,13 +120,13 @@ func TestPatchEditsAClone(t *testing.T) {
 	before, _ := cli.Get(KindJob, "ns", "j")
 	var edited Object
 	var res outcome
-	cli.Patch(KindJob, "ns", "j", func(obj Object) bool {
+	cli.Patch(KindJob, "ns", "j", mutation{func(obj Object) bool {
 		edited = obj
 		job := obj.(*Job)
 		job.Spec.Parallelism = 7
 		job.Meta.SetAnnotation("k", "v")
 		return true
-	}, res.done)
+	}, &res})
 	eng.Run()
 	if !res.completed() || res.err != nil {
 		t.Fatalf("patch: completed %v, err %v", res.completed(), res.err)

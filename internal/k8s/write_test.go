@@ -78,7 +78,7 @@ func checkRequestsActOnce(t *testing.T, seed int64) {
 		all[i] = w
 		job := fmt.Sprint("j", rng.Intn(jobs))
 		eng.At(start.Add(sim.Duration(i)*10*time.Millisecond), func() {
-			done := func(err error) { inFlight--; w.res.done(err) }
+			done := WroteFunc(func(err error) { inFlight--; w.res.Wrote(err) })
 			if inFlight++; inFlight > peak {
 				peak = inFlight
 			}
@@ -118,11 +118,11 @@ func checkRequestsActOnce(t *testing.T, seed int64) {
 			case 4:
 				w.verb = "UpdateStatus"
 				w.landed = func() bool { return anyCommitted(w) }
-				cli.UpdateStatus(KindJob, "ns", job, fill, done)
+				cli.UpdateStatus(KindJob, "ns", job, mutation{fill, done})
 			case 5:
 				w.verb = "Patch"
 				w.landed = func() bool { return anyCommitted(w) }
-				cli.Patch(KindJob, "ns", job, fill, done)
+				cli.Patch(KindJob, "ns", job, mutation{fill, done})
 			}
 		})
 	}
@@ -145,7 +145,7 @@ func checkRequestsActOnce(t *testing.T, seed int64) {
 		}
 		outcomes[fmt.Sprint(w.verb, " ", w.res.err == nil)]++
 	}
-	if got := cli.requests.Len(); got != peak {
+	if got := len(held(t, "requests", &cli.requests, 0)); got < peak {
 		t.Errorf("free list holds %d records after the drain, %d writes were in flight at most", got, peak)
 	}
 	st := cli.Stats()
@@ -208,8 +208,8 @@ func TestWriteAllocations(t *testing.T) {
 	}{
 		{"Create", func(i int) { cli.Create(created[i], nil) }, 1},
 		{"Update", func(i int) { cli.Update(updates[i], nil) }, 0},
-		{"Patch", func(int) { cli.Patch(KindJob, "ns", "j", bump, nil) }, 1},
-		{"UpdateStatus", func(int) { cli.UpdateStatus(KindJob, "ns", "j", bump, nil) }, 1},
+		{"Patch", func(int) { cli.Patch(KindJob, "ns", "j", MutateFunc(bump)) }, 1},
+		{"UpdateStatus", func(int) { cli.UpdateStatus(KindJob, "ns", "j", MutateFunc(bump)) }, 1},
 		{"RemoveFinalizer", func(int) { cli.RemoveFinalizer(KindJob, "ns", "j", "test/f", nil) }, 1},
 		{"Delete", func(int) { cli.Delete(KindPod, "ns", names[deleted], nil); deleted++ }, 0},
 	}

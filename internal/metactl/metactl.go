@@ -121,8 +121,8 @@ type Decorator struct {
 // round is one parent's round in flight and the argument of the event that
 // starts it after the webhook latency; done recycles it. Between its steps
 // it waits for writes — the finalizer attach, the child writes, the
-// finalizer removal — and the callbacks those take are method values made
-// once per record, which done keeps.
+// finalizer removal — and hears each outcome itself: it is their Wrote, and
+// the attach's Mutation.
 type round struct {
 	d      *Decorator
 	key    string
@@ -130,8 +130,6 @@ type round struct {
 	parent k8s.Object // the version the round read
 	writes int        // writes still in flight
 	then   next       // what the round does once they completed
-	attach func(k8s.Object) bool
-	wrote  func(error)
 }
 
 // next is what a round does after the writes it waits for.
@@ -167,10 +165,7 @@ func (d *Decorator) schedule(key string) {
 		return
 	}
 	r := d.free.Get()
-	if r.d == nil {
-		r.d, r.attach, r.wrote = d, r.attachFinalizer, r.onWrote
-	}
-	r.key = key
+	r.d, r.key = d, key
 	d.rounds[key] = r
 	eng := d.cli.Engine()
 	eng.AfterCall(eng.Jitter(d.cfg.WebhookLatency, d.cfg.Jitter), reconcileCall, r)
@@ -186,7 +181,7 @@ func reconcileCall(arg any) {
 func (d *Decorator) done(r *round) {
 	key, again := r.key, r.again
 	delete(d.rounds, key)
-	*r = round{d: d, attach: r.attach, wrote: r.wrote}
+	*r = round{}
 	d.free.Put(r)
 	if again {
 		d.schedule(key)
@@ -217,11 +212,11 @@ func (d *Decorator) reconcile(r *round) {
 	}
 	// Whatever the Patch's outcome, the parent is synced as the round read it.
 	r.writes, r.then = 1, syncParent
-	d.cli.Patch(d.cfg.ParentKind, ns, name, r.attach, r.wrote)
+	d.cli.Patch(d.cfg.ParentKind, ns, name, r)
 }
 
-// attachFinalizer is the finalizer Patch's mutation.
-func (r *round) attachFinalizer(cur k8s.Object) bool {
+// Mutate is the finalizer Patch's mutation: it attaches the finalizer.
+func (r *round) Mutate(cur k8s.Object) bool {
 	m, d := cur.GetMeta(), r.d
 	switch {
 	case m.HasFinalizer(d.cfg.Finalizer):
@@ -336,19 +331,21 @@ func (d *Decorator) applyChildren(r *round, parent *k8s.Meta, observed, desired 
 	for _, w := range desired {
 		switch cur := child(observed, w.Meta.Name); {
 		case cur == nil:
-			d.cli.Create(w, r.wrote)
+			d.cli.Create(w, r)
 		case !maps.Equal(cur.Spec, w.Spec):
-			d.cli.Update(w, r.wrote)
+			d.cli.Update(w, r)
 		}
 	}
 	for _, c := range observed {
 		if !wants(desired, c.Meta.Name) {
-			d.cli.Delete(d.cfg.ChildKind, c.Meta.Namespace, c.Meta.Name, r.wrote)
+			d.cli.Delete(d.cfg.ChildKind, c.Meta.Namespace, c.Meta.Name, r)
 		}
 	}
 }
 
-func (r *round) onWrote(error) {
+// Wrote counts one of the round's writes done, and takes the next step after
+// the last.
+func (r *round) Wrote(error) {
 	if r.writes--; r.writes == 0 {
 		r.applied()
 	}
@@ -367,7 +364,7 @@ func (r *round) applied() {
 	case removeFinalizer:
 		m := r.parent.GetMeta()
 		r.writes, r.then = 1, endRound
-		d.cli.RemoveFinalizer(d.cfg.ParentKind, m.Namespace, m.Name, d.cfg.Finalizer, r.wrote)
+		d.cli.RemoveFinalizer(d.cfg.ParentKind, m.Namespace, m.Name, d.cfg.Finalizer, r)
 	}
 }
 

@@ -347,8 +347,11 @@ func TestRoundsHeldAfterDrain(t *testing.T) {
 	if left := len(api.List(k8s.KindJob, "ns")) + len(api.List(kindChild, "ns")) + d.InFlight(); left != 0 {
 		t.Fatalf("%d parents, children or rounds left after the drain", left)
 	}
+	if !d.free.Idle() {
+		t.Fatalf("the free list holds other than the %d rounds it made", d.free.Len())
+	}
 	rounds := make(map[*round]bool)
-	for d.free.Len() > 0 {
+	for range d.free.Len() {
 		r := d.free.Get()
 		if rounds[r] {
 			t.Fatal("a round is on the free list twice")

@@ -217,7 +217,7 @@ func (c *Controller) Remediate(node string) error {
 	if _, ok := c.cli.Get(k8s.KindNode, "", node); !ok {
 		return fmt.Errorf("remediate: unknown node %q", node)
 	}
-	c.cli.Patch(k8s.KindNode, "", node, func(obj k8s.Object) bool {
+	c.cli.Patch(k8s.KindNode, "", node, k8s.MutateFunc(func(obj k8s.Object) bool {
 		n := obj.(*k8s.Node)
 		if n.Spec.Unschedulable && n.Meta.Annotations[health.AnnotationReason] != "" {
 			return false
@@ -225,7 +225,7 @@ func (c *Controller) Remediate(node string) error {
 		n.Spec.Unschedulable = true
 		n.Meta.SetAnnotation(health.AnnotationReason, "manual")
 		return true
-	}, nil)
+	}))
 	return nil
 }
 
@@ -345,7 +345,7 @@ func (c *Controller) replace(r *nodeRun) {
 
 func (c *Controller) uncordon(r *nodeRun) {
 	r.phase = PhaseUncordoning
-	c.cli.Patch(k8s.KindNode, "", r.node, func(obj k8s.Object) bool {
+	c.cli.Patch(k8s.KindNode, "", r.node, k8s.MutateFunc(func(obj k8s.Object) bool {
 		n := obj.(*k8s.Node)
 		if !n.Spec.Unschedulable {
 			return false
@@ -353,7 +353,7 @@ func (c *Controller) uncordon(r *nodeRun) {
 		n.Spec.Unschedulable = false
 		n.Meta.DeleteAnnotation(health.AnnotationReason)
 		return true
-	}, nil)
+	}))
 	c.emit(NodeUncordoned, r.node, "")
 	c.finish(r, PhaseDone)
 }

@@ -539,7 +539,7 @@ func TestResyncEchoesMatchingChild(t *testing.T) {
 				}
 			},
 		} {
-			cli.Patch(vniapi.KindVNI, "t", tc.child, func(obj k8s.Object) bool { tamper(obj.(*k8s.Custom)); return true }, nil)
+			cli.Patch(vniapi.KindVNI, "t", tc.child, k8s.MutateFunc(func(obj k8s.Object) bool { tamper(obj.(*k8s.Custom)); return true }))
 			s.Eng.RunFor(5 * time.Second)
 			if fmt.Sprint(get().Spec) == fmt.Sprint(want.Spec) {
 				t.Fatalf("%s, %s: the tampering did not commit", tc.child, what)

@@ -8,10 +8,12 @@
 # binaries are built once, and each pair runs both at the benchmark's own
 # --seconds, the side that goes first flipped every pair. Every run is
 # printed as it finishes; then, per end-to-end metric, each side's median
-# and quartiles and the pairs the change won (ties count for neither). A
-# gain is claimed when the change wins nine pairs in ten and the medians
-# differ by more than the parent's own inter-quartile spread
-# (/opt/skills/guides/choosing-metrics §8, benchmarks/README.md).
+# and quartiles, the pairs the change won (ties count for neither) and the
+# verdict — gain, worse, unresolved or within bound — that
+# scripts/pairs-summary.awk reads off BENCHMARK.json's `better` and
+# `bound` (fetched with jq). A gain is claimed when the change wins nine
+# pairs in ten and the medians differ by more than the parent's own
+# inter-quartile spread (benchmarks/README.md).
 #
 # No network. Nothing is written under benchmarks/: each binary runs from a
 # scratch directory whose parent links to its checkout's scenarios/.
@@ -71,45 +73,5 @@ while [ "$i" -le "$pairs" ]; do
 	i=$((i + 1))
 done
 
-awk '
-function sorted(side, m, out,    n, i, j, v) {
-	n = 0
-	for (i = 1; i <= npairs; i++)
-		if ((i, side, m) in val) out[++n] = val[i, side, m]
-	for (i = 2; i <= n; i++) {
-		v = out[i]
-		for (j = i - 1; j >= 1 && out[j] > v; j--) out[j + 1] = out[j]
-		out[j + 1] = v
-	}
-	return n
-}
-function quantile(a, n, q,    h, lo) {
-	h = (n - 1) * q + 1
-	lo = int(h)
-	return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
-}
-{
-	val[$1, $2, $3] = $4
-	if ($1 > npairs) npairs = $1
-	if (!($3 in seen)) { seen[$3] = 1; order[++nm] = $3 }
-}
-END {
-	printf "\n%-18s %-6s %12s %12s %12s   %s\n", "metric", "side", "q1", "median", "q3", "change wins"
-	for (k = 1; k <= nm; k++) {
-		m = order[k]
-		higher = (m == "success_share")
-		wins = ties = 0
-		for (i = 1; i <= npairs; i++) {
-			p = val[i, "parent", m]; c = val[i, "change", m]
-			if (c == p) ties++
-			else if ((c < p) != higher) wins++
-		}
-		n = sorted("parent", m, a)
-		printf "%-18s %-6s %12.6g %12.6g %12.6g\n", m, "parent", quantile(a, n, .25), quantile(a, n, .5), quantile(a, n, .75)
-		pm = quantile(a, n, .5); iqr = quantile(a, n, .75) - quantile(a, n, .25)
-		n = sorted("change", m, a)
-		cm = quantile(a, n, .5)
-		printf "%-18s %-6s %12.6g %12.6g %12.6g   %d of %d (%d ties), median %+.2f%%, parent IQR %.6g\n", m, "change",
-			quantile(a, n, .25), cm, quantile(a, n, .75), wins, npairs, ties, pm ? (cm - pm) / pm * 100 : 0, iqr
-	}
-}' "$tmp/runs"
+jq -r '.end_to_end[] | "spec \(.name) \(.better) \(.bound)"' "$root/BENCHMARK.json" |
+	cat - "$tmp/runs" | awk -f "$root/scripts/pairs-summary.awk"
