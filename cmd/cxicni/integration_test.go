@@ -162,13 +162,13 @@ func TestFetchVNIMatchesInSimulationPlugin(t *testing.T) {
 			st.Eng.RunFor(time.Second)
 			binVNI, binErr := fetchVNI(srv.URL, tc.ns, pod)
 
-			var simRes *cni.Result
+			var simRes cni.Result
 			var simErr error
 			added := false
 			node.CXICNI.Add(cni.Args{ContainerID: "probe-" + pod, NetNS: st.Kernel.NewNetNS("probe-" + pod).Inode,
-				PodNamespace: tc.ns, PodName: pod}, &cni.Result{}, func(res *cni.Result, err error) {
-				simRes, simErr, added = res, err, true
-			})
+				PodNamespace: tc.ns, PodName: pod}, &simRes, k8s.WroteFunc(func(err error) {
+				simErr, added = err, true
+			}))
 			st.Eng.RunFor(5 * time.Second)
 			if !added {
 				t.Fatal("the plugin's ADD never completed")

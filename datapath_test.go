@@ -2,15 +2,17 @@ package shsk8s
 
 import (
 	"fmt"
-	"github.com/caps-sim/shs-k8s/internal/libfabric"
-	"github.com/caps-sim/shs-k8s/internal/sim"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/caps-sim/shs-k8s/internal/fabric"
+	"github.com/caps-sim/shs-k8s/internal/libfabric"
 	"github.com/caps-sim/shs-k8s/internal/mpi"
 	"github.com/caps-sim/shs-k8s/internal/perfsuite"
+	"github.com/caps-sim/shs-k8s/internal/sim"
 	"github.com/caps-sim/shs-k8s/internal/stack"
 	"github.com/caps-sim/shs-k8s/internal/workload"
 )
@@ -89,7 +91,15 @@ func TestPacketPathLanes(t *testing.T) {
 		steps   = 36969  // engine steps, the stack's 8 set-up events included
 		elapsed = 211000 // ns of virtual time for the two collectives
 		allocs  = 6      // per run of two collectives, once warm (91 while each rank built an exchange per collective)
-		parked  = 35000  // of the 35 840 host-link, trunk and egress-port arrivals
+		// allocBytes is what the allocs weigh, per run of the least of
+		// byteBatches batches of byteRuns warm runs; raceAllocBytes the
+		// same under the race detector, which gives each tiny object a
+		// 16-byte block of its own.
+		allocBytes     = 1577
+		raceAllocBytes = 1592
+		byteRuns       = 64
+		byteBatches    = 4
+		parked         = 35000 // of the 35 840 host-link, trunk and egress-port arrivals
 
 		heaped     = 0 // events that entered the heap, set-up included
 		flowHeaped = 0 // the same for two collectives at flow fidelity
@@ -135,6 +145,31 @@ func TestPacketPathLanes(t *testing.T) {
 	t.Logf("%.0f allocations per run of two collectives (budget %d)", got, allocs)
 	if got > allocs {
 		t.Errorf("two packet-fidelity collectives allocate %.0f objects, want at most %d", got, allocs)
+	}
+	// What those objects weigh: the heap bytes of byteRuns warm runs ÷
+	// byteRuns, rounded to the byte. Tiny objects share 16-byte blocks, so
+	// a run's bytes are only exact on average, and another goroutine's
+	// allocation can only add: the least of byteBatches batches is the
+	// figure.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	perRun := math.Inf(1)
+	for b := 0; b < byteBatches; b++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for i := 0; i < byteRuns; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&ms)
+		perRun = math.Min(perRun, math.Round(float64(ms.TotalAlloc-before)/byteRuns))
+	}
+	want := allocBytes
+	if raceEnabled {
+		want = raceAllocBytes
+	}
+	t.Logf("%.0f bytes per run of two collectives", perRun)
+	if perRun != float64(want) {
+		t.Errorf("two packet-fidelity collectives allocate %.0f bytes, want %d", perRun, want)
 	}
 }
 

@@ -8,6 +8,12 @@
 // deployed *chained* after the primary plugin so it can decorate the
 // container's network namespace with Slingshot access without interfering
 // with regular pod networking (paper §III-B).
+//
+// Every verb reports its error, and only that, to a k8s.Wrote, which a
+// recycled record implements: the runtime's pod step hears the chain, and
+// the chain's record hears each plugin. ADD's result is not reported: the
+// caller owns it — the container runtime keeps it in the pod's Sandbox —
+// and every plugin extends it in place.
 package cni
 
 import (
@@ -15,6 +21,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/nsmodel"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
@@ -63,11 +70,12 @@ type CXIAttachment struct {
 	VNI    uint32
 }
 
-// Result is the accumulating chained-plugin result. The chain hands every
-// plugin the same Result in turn, which each extends in place. Its first
-// interface and its CXI attachment live inside it (AddInterface, AttachCXI),
-// so a pod's result is one allocation: pass it by pointer, since a copy
-// would share that storage.
+// Result is the accumulating chained-plugin result. Its caller owns it —
+// the container runtime keeps it in the pod's Sandbox — and Chain.Add hands
+// it to every plugin in turn, which each extends in place. Its first
+// interface and its CXI attachment live inside it (AddInterface,
+// AttachCXI), so a pod's result needs no allocation of its own: pass it by
+// pointer, since a copy would share that storage.
 type Result struct {
 	Interfaces []Interface
 	CXI        *CXIAttachment
@@ -90,21 +98,22 @@ func (r *Result) AttachCXI(a CXIAttachment) {
 }
 
 // Plugin is one CNI plugin. Execution is asynchronous in virtual time,
-// standing in for the runtime exec()ing the plugin binary.
+// standing in for the runtime exec()ing the plugin binary. Each verb
+// reports its error, and only that, to done exactly once.
 type Plugin interface {
 	Name() string
-	// Add attaches networking for the container, extending prev (the
+	// Add attaches networking for the container, extending res (the
 	// result the plugins before it built, empty for the first) in place.
-	Add(args Args, prev *Result, done func(*Result, error))
+	Add(args Args, res *Result, done k8s.Wrote)
 	// Del removes the plugin's attachment. DEL must be idempotent and
 	// tolerant of partial state, per the CNI spec.
-	Del(args Args, done func(error))
+	Del(args Args, done k8s.Wrote)
 	// Check verifies the attachment is still in place.
-	Check(args Args, done func(error))
+	Check(args Args, done k8s.Wrote)
 }
 
 // Chain executes a plugin list according to chained-plugin semantics: ADD
-// runs plugins in order, each receiving the previous result; DEL runs in
+// runs plugins in order, each extending the caller's result; DEL runs in
 // reverse order and aggregates errors but always visits every plugin.
 type Chain struct {
 	eng     *sim.Engine
@@ -121,53 +130,43 @@ func NewChain(eng *sim.Engine, plugins ...Plugin) *Chain {
 	return &Chain{eng: eng, plugins: plugins}
 }
 
-// Add runs the ADD chain. On a plugin error it stops there and reports nil;
-// the runtime then cleans up with DEL, as the spec requires.
-func (c *Chain) Add(args Args, done func(*Result, error)) {
-	op := c.op(CmdAdd, args, 0)
-	op.res, op.addDone = &Result{}, done
+// Add runs the ADD chain, each plugin extending res in place. On a plugin
+// error it stops there, leaving res partial; the runtime then cleans up
+// with DEL, as the spec requires.
+func (c *Chain) Add(args Args, res *Result, done k8s.Wrote) {
+	op := c.op(CmdAdd, args, 0, done)
+	op.res = res
 	op.next()
 }
 
 // Del runs the DEL chain in reverse order, visiting every plugin even after
-// errors, and returns the first error.
-func (c *Chain) Del(args Args, done func(error)) {
-	op := c.op(CmdDel, args, len(c.plugins)-1)
-	op.done = done
-	op.next()
+// errors, and reports the first error.
+func (c *Chain) Del(args Args, done k8s.Wrote) {
+	c.op(CmdDel, args, len(c.plugins)-1, done).next()
 }
 
 // Check runs CHECK through the chain in order, stopping at the first error.
-func (c *Chain) Check(args Args, done func(error)) {
-	op := c.op(CmdCheck, args, 0)
-	op.done = done
-	op.next()
+func (c *Chain) Check(args Args, done k8s.Wrote) {
+	c.op(CmdCheck, args, 0, done).next()
 }
 
 // chainOp is one ADD, DEL or CHECK walking the plugin list: the plugin it
-// is at, the result ADD accumulates, DEL's first error, the caller's
-// callback, and the two callbacks a plugin takes — method values made once
-// per record, which finish recycles: a chain invocation allocates nothing
-// beyond the Result ADD returns.
+// is at, the caller's result ADD extends, DEL's first error and the
+// caller's Wrote. It is the Wrote every plugin reports to, so a chain
+// invocation allocates nothing.
 type chainOp struct {
-	c       *Chain
-	cmd     Command
-	i       int
-	args    Args
-	res     *Result
-	err     error
-	addDone func(*Result, error)
-	done    func(error)
-	added   func(*Result, error)
-	visited func(error)
+	c    *Chain
+	cmd  Command
+	i    int
+	args Args
+	res  *Result
+	err  error
+	done k8s.Wrote
 }
 
-func (c *Chain) op(cmd Command, args Args, i int) *chainOp {
+func (c *Chain) op(cmd Command, args Args, i int, done k8s.Wrote) *chainOp {
 	op := c.ops.Get()
-	if op.c == nil {
-		op.c, op.added, op.visited = c, op.onAdded, op.onVisited
-	}
-	op.cmd, op.args, op.i = cmd, args, i
+	op.c, op.cmd, op.args, op.i, op.done = c, cmd, args, i, done
 	return op
 }
 
@@ -186,11 +185,11 @@ func execPlugin(a any) {
 	p := op.c.plugins[op.i]
 	switch op.cmd {
 	case CmdAdd:
-		p.Add(op.args, op.res, op.added)
+		p.Add(op.args, op.res, op)
 	case CmdDel:
-		p.Del(op.args, op.visited)
+		p.Del(op.args, op)
 	default:
-		p.Check(op.args, op.visited)
+		p.Check(op.args, op)
 	}
 }
 
@@ -199,44 +198,28 @@ func (op *chainOp) pluginErr(err error) error {
 	return fmt.Errorf("%w: %s %s: %v", ErrPluginFailed, op.c.plugins[op.i].Name(), op.cmd, err)
 }
 
-func (op *chainOp) onAdded(res *Result, err error) {
-	if err != nil {
-		op.finish(op.pluginErr(err))
-		return
-	}
-	op.res = res
-	op.i++
-	op.next()
-}
-
-func (op *chainOp) onVisited(err error) {
-	if op.cmd == CmdCheck {
-		if err != nil {
-			op.finish(op.pluginErr(err))
-			return
-		}
-		op.i++
-	} else {
+// Wrote hears the plugin at i. ADD and CHECK advance, or stop at the first
+// error; DEL keeps the first error and walks back.
+func (op *chainOp) Wrote(err error) {
+	switch {
+	case op.cmd == CmdDel:
 		if err != nil && op.err == nil {
 			op.err = op.pluginErr(err)
 		}
 		op.i--
+	case err != nil:
+		op.finish(op.pluginErr(err))
+		return
+	default:
+		op.i++
 	}
 	op.next()
 }
 
-// finish recycles the record, then reports err and, to ADD, its result (nil
-// on error).
+// finish recycles the record, then reports err.
 func (op *chainOp) finish(err error) {
-	res, addDone, done := op.res, op.addDone, op.done
-	if err != nil {
-		res = nil
-	}
-	op.args, op.res, op.err, op.addDone, op.done = Args{}, nil, nil, nil, nil
-	op.c.ops.Put(op)
-	if addDone != nil {
-		addDone(res, err)
-	} else {
-		done(err)
-	}
+	c, done := op.c, op.done
+	*op = chainOp{}
+	c.ops.Put(op)
+	done.Wrote(err)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -72,29 +73,37 @@ func (e *cniEnv) createVNICRD(t *testing.T, jobName string, vni fabric.VNI) {
 	e.eng.RunFor(time.Second)
 }
 
+// outcome records how a verb ended: its last error and how many times it
+// completed.
+type outcome struct {
+	err   error
+	calls int
+}
+
+func (o *outcome) Wrote(err error) { o.err = err; o.calls++ }
+
+// add runs ADD over a fresh result and returns it, partial on error.
 func (e *cniEnv) add(t *testing.T, args Args) (*Result, error) {
 	t.Helper()
-	var res *Result
-	var err error
-	doneCh := false
-	e.ch.Add(args, func(r *Result, e2 error) { res, err, doneCh = r, e2, true })
+	var res Result
+	var o outcome
+	e.ch.Add(args, &res, &o)
 	e.eng.RunFor(time.Minute)
-	if !doneCh {
-		t.Fatal("ADD never completed")
+	if o.calls != 1 {
+		t.Fatalf("ADD completed %d times", o.calls)
 	}
-	return res, err
+	return &res, o.err
 }
 
 func (e *cniEnv) del(t *testing.T, args Args) error {
 	t.Helper()
-	var err error
-	doneCh := false
-	e.ch.Del(args, func(e2 error) { err, doneCh = e2, true })
+	var o outcome
+	e.ch.Del(args, &o)
 	e.eng.RunFor(time.Minute)
-	if !doneCh {
-		t.Fatal("DEL never completed")
+	if o.calls != 1 {
+		t.Fatalf("DEL completed %d times", o.calls)
 	}
-	return err
+	return o.err
 }
 
 func TestChainedAddConfiguresOverlayAndCXI(t *testing.T) {
@@ -167,11 +176,9 @@ func TestAddRetriesUntilCRDAppears(t *testing.T) {
 	e := newCNIEnv(t)
 	e.createPod(t, "late", map[string]string{vniapi.Annotation: "true"}, 0)
 	ns := e.kern.NewNetNS("late")
-	var res *Result
-	var err error
-	completed := false
-	e.ch.Add(Args{ContainerID: "c4", NetNS: ns.Inode, PodNamespace: "tenant", PodName: "late"},
-		func(r *Result, e2 error) { res, err, completed = r, e2, true })
+	var res Result
+	var o outcome
+	e.ch.Add(Args{ContainerID: "c4", NetNS: ns.Inode, PodNamespace: "tenant", PodName: "late"}, &res, &o)
 	// CRD appears after ~400 ms, within the retry budget.
 	e.eng.After(400*time.Millisecond, func() {
 		cr := &k8s.Custom{
@@ -181,11 +188,11 @@ func TestAddRetriesUntilCRDAppears(t *testing.T) {
 		e.api.Client().Create(cr, nil)
 	})
 	e.eng.RunFor(time.Minute)
-	if !completed {
-		t.Fatal("ADD never completed")
+	if o.calls != 1 {
+		t.Fatalf("ADD completed %d times", o.calls)
 	}
-	if err != nil {
-		t.Fatalf("ADD failed despite CRD arriving within retries: %v", err)
+	if o.err != nil {
+		t.Fatalf("ADD failed despite CRD arriving within retries: %v", o.err)
 	}
 	if res.CXI == nil || res.CXI.VNI != 777 {
 		t.Errorf("cxi = %+v", res.CXI)
@@ -261,21 +268,20 @@ func TestCheckDetectsVanishedService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var checkErr error
-	completed := false
-	e.ch.Check(args, func(err error) { checkErr, completed = err, true })
+	var o outcome
+	e.ch.Check(args, &o)
 	e.eng.RunFor(time.Second)
-	if !completed || checkErr != nil {
-		t.Fatalf("healthy CHECK: %v (completed=%v)", checkErr, completed)
+	if o.calls != 1 || o.err != nil {
+		t.Fatalf("healthy CHECK: %v (completed %d times)", o.err, o.calls)
 	}
 	// Destroy the service behind the plugin's back.
 	if err := e.dev.SvcDestroy(e.root.PID, cxi.SvcID(res.CXI.SvcID)); err != nil {
 		t.Fatal(err)
 	}
-	completed = false
-	e.ch.Check(args, func(err error) { checkErr, completed = err, true })
+	o = outcome{}
+	e.ch.Check(args, &o)
 	e.eng.RunFor(time.Second)
-	if !completed || checkErr == nil {
+	if o.calls != 1 || o.err == nil {
 		t.Error("CHECK missed vanished service")
 	}
 }
@@ -381,19 +387,19 @@ func TestQuickChainAddDelAccounting(t *testing.T) {
 				e.eng.RunFor(time.Second)
 				ns := e.kern.NewNetNS(name)
 				args := Args{ContainerID: "c-" + name, NetNS: ns.Inode, PodNamespace: "tenant", PodName: name}
-				okAdd := false
-				e.ch.Add(args, func(r *Result, err error) { okAdd = err == nil })
+				var o outcome
+				e.ch.Add(args, &Result{}, &o)
 				e.eng.RunFor(time.Minute)
-				if !okAdd {
+				if o.calls != 1 || o.err != nil {
 					return false
 				}
 				live[name] = args
 			} else {
 				for name, args := range live {
-					okDel := false
-					e.ch.Del(args, func(err error) { okDel = err == nil })
+					var o outcome
+					e.ch.Del(args, &o)
 					e.eng.RunFor(time.Minute)
-					if !okDel {
+					if o.calls != 1 || o.err != nil {
 						return false
 					}
 					delete(live, name)
@@ -430,7 +436,7 @@ func newCNIEnvQuick() *cniEnv {
 	return &cniEnv{eng: eng, kern: kern, api: api, sw: sw, dev: dev, cxip: cxip, over: over, ch: ch}
 }
 
-// probePlugin records the interfaces each ADD finds in prev, appends its
+// probePlugin records the interfaces each ADD finds in res, appends its
 // own, and fails after appending when told to.
 type probePlugin struct {
 	eng  *sim.Engine
@@ -442,28 +448,28 @@ type probePlugin struct {
 
 func (p *probePlugin) Name() string { return p.name }
 
-func (p *probePlugin) Add(args Args, prev *Result, done func(*Result, error)) {
+func (p *probePlugin) Add(args Args, res *Result, done k8s.Wrote) {
 	p.eng.After(time.Millisecond, func() {
 		var names []string
-		for _, iface := range prev.Interfaces {
+		for _, iface := range res.Interfaces {
 			names = append(names, iface.Name)
 		}
 		p.seen = append(p.seen, names)
-		prev.AddInterface(Interface{Name: p.name, Sandbox: args.NetNS})
+		res.AddInterface(Interface{Name: p.name, Sandbox: args.NetNS})
 		if p.fail {
-			done(nil, errors.New("injected failure"))
+			done.Wrote(errors.New("injected failure"))
 			return
 		}
-		done(prev, nil)
+		done.Wrote(nil)
 	})
 }
 
-func (p *probePlugin) Del(args Args, done func(error)) {
+func (p *probePlugin) Del(args Args, done k8s.Wrote) {
 	p.dels++
-	p.eng.After(time.Millisecond, func() { done(nil) })
+	p.eng.After(time.Millisecond, func() { done.Wrote(nil) })
 }
 
-func (p *probePlugin) Check(args Args, done func(error)) { done(nil) }
+func (p *probePlugin) Check(args Args, done k8s.Wrote) { done.Wrote(nil) }
 
 func TestEachPluginSeesThePreviousInterfaces(t *testing.T) {
 	e := newCNIEnv(t)
@@ -483,14 +489,21 @@ func TestEachPluginSeesThePreviousInterfaces(t *testing.T) {
 	}
 }
 
+// TestAddFailureReportsNoResult: ADD reports only its error, and on a
+// failure the caller's result holds what the plugins added up to and
+// including the failing one — the partial attachment DEL cleans up, which
+// the runtime drops with the sandbox it never stores.
 func TestAddFailureReportsNoResult(t *testing.T) {
 	e := newCNIEnv(t)
 	bad := &probePlugin{eng: e.eng, name: "bad", fail: true}
 	e.ch = NewChain(e.eng, e.over, bad)
 	ns := e.kern.NewNetNS("p")
 	res, err := e.add(t, Args{ContainerID: "c", NetNS: ns.Inode, PodNamespace: "tenant", PodName: "p"})
-	if err == nil || !errors.Is(err, ErrPluginFailed) || res != nil {
-		t.Fatalf("ADD through a failing plugin = %+v, %v; want nil, ErrPluginFailed", res, err)
+	if !errors.Is(err, ErrPluginFailed) {
+		t.Fatalf("ADD through a failing plugin reports %v, want ErrPluginFailed", err)
+	}
+	if len(res.Interfaces) != 2 || res.Interfaces[1].Name != "bad" || res.CXI != nil {
+		t.Errorf("partial result = %+v, want eth0 and bad", res)
 	}
 }
 
@@ -505,11 +518,9 @@ func TestAddFindsVNIAfterTwoRetries(t *testing.T) {
 	// then watches count down its retries.
 	st := e.cxip.steps.Get()
 	e.cxip.steps.Put(st)
-	calls := 0
-	var res *Result
-	var err error
-	e.ch.Add(Args{ContainerID: "c", NetNS: ns.Inode, PodNamespace: "tenant", PodName: "late"},
-		func(r *Result, e2 error) { res, err = r, e2; calls++ })
+	var res Result
+	var o outcome
+	e.ch.Add(Args{ContainerID: "c", NetNS: ns.Inode, PodNamespace: "tenant", PodName: "late"}, &res, &o)
 	for st.job == "" || st.retries > vniFetchRetries-2 {
 		if !e.eng.Step() {
 			t.Fatal("ADD finished before its second retry")
@@ -519,13 +530,13 @@ func TestAddFindsVNIAfterTwoRetries(t *testing.T) {
 		Meta: k8s.Meta{Kind: vniapi.KindVNI, Namespace: "tenant", Name: "vni-late"},
 		Spec: map[string]string{vniapi.SpecVNI: "777", vniapi.SpecJob: "job-late"},
 	}, nil)
-	for calls == 0 && e.eng.Step() {
+	for o.calls == 0 && e.eng.Step() {
 		if st.job != "" && st.retries != vniFetchRetries-2 {
 			t.Fatalf("ADD retried a third time (%d retries left)", st.retries)
 		}
 	}
-	if calls != 1 || err != nil || res == nil || res.CXI == nil || res.CXI.VNI != 777 {
-		t.Fatalf("ADD completed %d times with %+v, %v; want once with VNI 777", calls, res, err)
+	if o.calls != 1 || o.err != nil || res.CXI == nil || res.CXI.VNI != 777 {
+		t.Fatalf("ADD completed %d times with %+v, %v; want once with VNI 777", o.calls, res, o.err)
 	}
 	if s := e.cxip.Stats(); s.AddsTotal != 1 || s.AddsConfigured != 1 || s.AddsFailed != 0 {
 		t.Errorf("stats = %+v", s)
@@ -550,31 +561,23 @@ func TestFreeListsHoldEveryRecordAfterDrain(t *testing.T) {
 		args[i] = Args{ContainerID: "c-" + name, NetNS: e.kern.NewNetNS(name).Inode, PodNamespace: "tenant", PodName: name}
 	}
 	completed := 0
-	for _, a := range args {
-		e.ch.Add(a, func(_ *Result, err error) {
-			if err != nil {
-				t.Error(err)
-			}
-			completed++
-		})
+	done := k8s.WroteFunc(func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		completed++
+	})
+	var res [n]Result
+	for i, a := range args {
+		e.ch.Add(a, &res[i], done)
 	}
 	e.eng.RunFor(time.Minute)
 	for _, a := range args {
-		e.ch.Check(a, func(err error) {
-			if err != nil {
-				t.Error(err)
-			}
-			completed++
-		})
+		e.ch.Check(a, done)
 	}
 	e.eng.RunFor(time.Minute)
 	for _, a := range args {
-		e.ch.Del(a, func(err error) {
-			if err != nil {
-				t.Error(err)
-			}
-			completed++
-		})
+		e.ch.Del(a, done)
 	}
 	e.eng.RunFor(time.Minute)
 	if completed != 3*n {
@@ -586,4 +589,59 @@ func TestFreeListsHoldEveryRecordAfterDrain(t *testing.T) {
 	if !e.ch.ops.Idle() || !e.over.steps.Idle() || !e.cxip.steps.Idle() {
 		t.Error("a free list does not hold every record it made")
 	}
+}
+
+// syncPlugin reports every verb on the spot and allocates nothing.
+type syncPlugin struct{}
+
+func (syncPlugin) Name() string                          { return "sync" }
+func (syncPlugin) Add(_ Args, _ *Result, done k8s.Wrote) { done.Wrote(nil) }
+func (syncPlugin) Del(_ Args, done k8s.Wrote)            { done.Wrote(nil) }
+func (syncPlugin) Check(_ Args, done k8s.Wrote)          { done.Wrote(nil) }
+
+// TestFreshChainOpAllocatesOnlyItself: verbs started while the chain's free
+// list is empty, as every pod of a burst finds it, each cost at most one
+// allocation for their record, which the list makes alone or in a chunk of
+// several; the plugins here allocate nothing. Before each verb the test
+// takes the record the last one put back and keeps it out, so every verb
+// walks the chain on a fresh record. The record is the Wrote its plugins
+// report to: binding a method value per fresh record again adds one per
+// verb.
+func TestFreshChainOpAllocatesOnlyItself(t *testing.T) {
+	const verbs = 96
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	eng := sim.NewEngine(1)
+	ch := NewChain(eng, syncPlugin{}, syncPlugin{})
+	var res Result
+	var o outcome
+	verb := func(i int) {
+		switch i % 3 {
+		case 0:
+			ch.Add(Args{}, &res, &o)
+		case 1:
+			ch.Check(Args{}, &o)
+		default:
+			ch.Del(Args{}, &o)
+		}
+		eng.Run()
+	}
+	for i := 0; i < 3; i++ {
+		verb(i)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < verbs; i++ {
+		ch.ops.Get() // kept out: the next verb's record is a fresh one
+		verb(i)
+	}
+	runtime.ReadMemStats(&ms)
+	total := ms.Mallocs - before
+	if o.calls != verbs+3 || o.err != nil {
+		t.Fatalf("%d of %d verbs completed (last error %v)", o.calls, verbs+3, o.err)
+	}
+	if total > verbs {
+		t.Fatalf("%d verbs on an empty record list allocate %d objects, want at most %d", verbs, total, verbs)
+	}
+	t.Logf("%d verbs on an empty record list allocate %d objects", verbs, total)
 }

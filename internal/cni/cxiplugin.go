@@ -79,17 +79,16 @@ func (p *CXIPlugin) Stats() CXIPluginStats { return p.stats }
 type cxiStep struct {
 	p       *CXIPlugin
 	args    Args
-	prev    *Result
-	added   func(*Result, error)
-	done    func(error)
+	res     *Result // ADD's, nil for DEL and CHECK
+	done    k8s.Wrote
 	job     string
 	retries int
 	vni     fabric.VNI
 }
 
-func (p *CXIPlugin) after(d sim.Duration, fn func(any), args Args) *cxiStep {
+func (p *CXIPlugin) after(d sim.Duration, fn func(any), args Args, done k8s.Wrote) *cxiStep {
 	st := p.steps.Get()
-	st.p, st.args = p, args
+	st.p, st.args, st.done = p, args, done
 	p.eng.AfterCall(p.eng.Jitter(d, 0.3), fn, st)
 	return st
 }
@@ -101,23 +100,21 @@ func (st *cxiStep) recycle() {
 	p.steps.Put(st)
 }
 
-// finishAdd recycles st and completes its ADD, counting a failure.
-func (st *cxiStep) finishAdd(res *Result, err error) {
-	p, done := st.p, st.added
-	if err != nil {
+// finish recycles st and completes its verb, counting a failed ADD.
+func (st *cxiStep) finish(err error) {
+	p, done := st.p, st.done
+	if err != nil && st.res != nil {
 		p.stats.AddsFailed++
-		res = nil
 	}
 	st.recycle()
-	done(res, err)
+	done.Wrote(err)
 }
 
 // Add implements the ADD verb.
-func (p *CXIPlugin) Add(args Args, prev *Result, done func(*Result, error)) {
+func (p *CXIPlugin) Add(args Args, res *Result, done k8s.Wrote) {
 	p.stats.AddsTotal++
 	// Query the management plane for the pod's annotations.
-	st := p.after(apiQueryCost, cxiQuery, args)
-	st.prev, st.added = prev, done
+	p.after(apiQueryCost, cxiQuery, args, done).res = res
 }
 
 func cxiQuery(a any) {
@@ -125,7 +122,7 @@ func cxiQuery(a any) {
 	p, args := st.p, st.args
 	obj, ok := p.cli.Get(k8s.KindPod, args.PodNamespace, args.PodName)
 	if !ok {
-		st.finishAdd(nil, fmt.Errorf("pod %s/%s not found", args.PodNamespace, args.PodName))
+		st.finish(fmt.Errorf("pod %s/%s not found", args.PodNamespace, args.PodName))
 		return
 	}
 	pod := obj.(*k8s.Pod)
@@ -133,16 +130,16 @@ func cxiQuery(a any) {
 	if !requested {
 		// Not a Slingshot pod: do nothing, do not interfere.
 		p.stats.AddsPassthru++
-		st.finishAdd(st.prev, nil)
+		st.finish(nil)
 		return
 	}
 	if pod.Spec.TerminationGracePeriod > vniapi.MaxGracePeriod {
-		st.finishAdd(nil, fmt.Errorf("termination grace period %v exceeds enforced maximum %v",
+		st.finish(fmt.Errorf("termination grace period %v exceeds enforced maximum %v",
 			time.Duration(pod.Spec.TerminationGracePeriod), time.Duration(vniapi.MaxGracePeriod)))
 		return
 	}
 	if args.NetNS == nsmodel.InvalidInode {
-		st.finishAdd(nil, fmt.Errorf("container %s has no netns", args.ContainerID))
+		st.finish(fmt.Errorf("container %s has no netns", args.ContainerID))
 		return
 	}
 	st.job, st.retries = pod.Meta.Labels["job-name"], vniFetchRetries
@@ -167,9 +164,9 @@ func cxiFetch(a any) {
 	case err == vniapi.ErrNoInstance:
 		// No VNI could be fetched: the container fails to launch
 		// (paper §III-B).
-		st.finishAdd(nil, fmt.Errorf("no VNI CRD instance for job %q in namespace %q", st.job, st.args.PodNamespace))
+		st.finish(fmt.Errorf("no VNI CRD instance for job %q in namespace %q", st.job, st.args.PodNamespace))
 	case err != nil:
-		st.finishAdd(nil, err)
+		st.finish(err)
 	default:
 		st.vni = vni
 		p.eng.AfterCall(p.eng.Jitter(svcOpCost, 0.3), cxiCreate, st)
@@ -190,26 +187,25 @@ func cxiCreate(a any) {
 		VNIs:       []fabric.VNI{vni},
 	})
 	if err != nil {
-		st.finishAdd(nil, fmt.Errorf("svc alloc: %v", err))
+		st.finish(fmt.Errorf("svc alloc: %v", err))
 		return
 	}
 	p.services[args.ContainerID] = id
 	p.stats.AddsConfigured++
-	st.prev.AttachCXI(CXIAttachment{Device: p.dev.Name, SvcID: int(id), VNI: uint32(vni)})
-	st.finishAdd(st.prev, nil)
+	st.res.AttachCXI(CXIAttachment{Device: p.dev.Name, SvcID: int(id), VNI: uint32(vni)})
+	st.finish(nil)
 }
 
 // Del implements the DEL verb: destroy any CXI service associated with the
 // container. Idempotent.
-func (p *CXIPlugin) Del(args Args, done func(error)) {
+func (p *CXIPlugin) Del(args Args, done k8s.Wrote) {
 	p.stats.DelsTotal++
-	p.after(svcOpCost, cxiDel, args).done = done
+	p.after(svcOpCost, cxiDel, args, done)
 }
 
 func cxiDel(a any) {
 	st := a.(*cxiStep)
-	p, args, done := st.p, st.args, st.done
-	st.recycle()
+	p, args := st.p, st.args
 	var firstErr error
 	// Prefer the recorded binding; fall back to a member search so
 	// services survive plugin restarts.
@@ -229,26 +225,24 @@ func cxiDel(a any) {
 			}
 		}
 	}
-	done(firstErr)
+	st.finish(firstErr)
 }
 
 // Check verifies the recorded CXI service still exists for VNI pods.
-func (p *CXIPlugin) Check(args Args, done func(error)) {
-	p.after(apiQueryCost, cxiCheck, args).done = done
+func (p *CXIPlugin) Check(args Args, done k8s.Wrote) {
+	p.after(apiQueryCost, cxiCheck, args, done)
 }
 
 func cxiCheck(a any) {
 	st := a.(*cxiStep)
-	p, args, done := st.p, st.args, st.done
-	st.recycle()
-	id, ok := p.services[args.ContainerID]
+	id, ok := st.p.services[st.args.ContainerID]
 	if !ok {
-		done(nil) // passthrough pod
+		st.finish(nil) // passthrough pod
 		return
 	}
-	if _, exists := p.dev.SvcGet(id); !exists {
-		done(fmt.Errorf("cxi service %d for container %s vanished", id, args.ContainerID))
+	if _, exists := st.p.dev.SvcGet(id); !exists {
+		st.finish(fmt.Errorf("cxi service %d for container %s vanished", id, st.args.ContainerID))
 		return
 	}
-	done(nil)
+	st.finish(nil)
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/caps-sim/shs-k8s/internal/k8s"
 	"github.com/caps-sim/shs-k8s/internal/nsmodel"
 	"github.com/caps-sim/shs-k8s/internal/sim"
 )
@@ -44,16 +45,15 @@ func (o *OverlayPlugin) Name() string { return "overlay" }
 // verb's event copies out what it needs and recycles the record before it
 // acts.
 type overlayStep struct {
-	o     *OverlayPlugin
-	args  Args
-	prev  *Result
-	added func(*Result, error)
-	done  func(error)
+	o    *OverlayPlugin
+	args Args
+	res  *Result
+	done k8s.Wrote
 }
 
-func (o *OverlayPlugin) after(d sim.Duration, fn func(any), args Args) *overlayStep {
+func (o *OverlayPlugin) after(d sim.Duration, fn func(any), args Args, done k8s.Wrote) *overlayStep {
 	st := o.steps.Get()
-	st.o, st.args = o, args
+	st.o, st.args, st.done = o, args, done
 	o.eng.AfterCall(o.eng.Jitter(d, 0.3), fn, st)
 	return st
 }
@@ -66,21 +66,20 @@ func (st *overlayStep) recycle() {
 }
 
 // Add creates the veth pair and assigns the pod IP.
-func (o *OverlayPlugin) Add(args Args, prev *Result, done func(*Result, error)) {
-	st := o.after(o.SetupCost, overlayAdd, args)
-	st.prev, st.added = prev, done
+func (o *OverlayPlugin) Add(args Args, res *Result, done k8s.Wrote) {
+	o.after(o.SetupCost, overlayAdd, args, done).res = res
 }
 
 func overlayAdd(a any) {
 	st := a.(*overlayStep)
-	o, args, prev, done := st.o, st.args, st.prev, st.added
+	o, args, res, done := st.o, st.args, st.res, st.done
 	st.recycle()
 	if args.NetNS == nsmodel.InvalidInode {
-		done(nil, fmt.Errorf("no netns for container %s", args.ContainerID))
+		done.Wrote(fmt.Errorf("no netns for container %s", args.ContainerID))
 		return
 	}
 	if _, dup := o.attachments[args.ContainerID]; dup {
-		done(nil, fmt.Errorf("container %s already attached", args.ContainerID))
+		done.Wrote(fmt.Errorf("container %s already attached", args.ContainerID))
 		return
 	}
 	o.nextIP++
@@ -89,13 +88,13 @@ func overlayAdd(a any) {
 	ip = append(strconv.AppendInt(ip, int64(o.nextIP), 10), "/24"...)
 	iface := Interface{Name: "eth0", Sandbox: args.NetNS, IP: string(ip)}
 	o.attachments[args.ContainerID] = iface
-	prev.AddInterface(iface)
-	done(prev, nil)
+	res.AddInterface(iface)
+	done.Wrote(nil)
 }
 
 // Del removes the attachment. Idempotent per the CNI spec.
-func (o *OverlayPlugin) Del(args Args, done func(error)) {
-	o.after(o.SetupCost/2, overlayDel, args).done = done
+func (o *OverlayPlugin) Del(args Args, done k8s.Wrote) {
+	o.after(o.SetupCost/2, overlayDel, args, done)
 }
 
 func overlayDel(a any) {
@@ -103,12 +102,12 @@ func overlayDel(a any) {
 	o, args, done := st.o, st.args, st.done
 	st.recycle()
 	delete(o.attachments, args.ContainerID)
-	done(nil)
+	done.Wrote(nil)
 }
 
 // Check verifies the attachment exists.
-func (o *OverlayPlugin) Check(args Args, done func(error)) {
-	o.after(o.SetupCost/4, overlayCheck, args).done = done
+func (o *OverlayPlugin) Check(args Args, done k8s.Wrote) {
+	o.after(o.SetupCost/4, overlayCheck, args, done)
 }
 
 func overlayCheck(a any) {
@@ -116,10 +115,10 @@ func overlayCheck(a any) {
 	o, args, done := st.o, st.args, st.done
 	st.recycle()
 	if _, ok := o.attachments[args.ContainerID]; !ok {
-		done(fmt.Errorf("container %s not attached", args.ContainerID))
+		done.Wrote(fmt.Errorf("container %s not attached", args.ContainerID))
 		return
 	}
-	done(nil)
+	done.Wrote(nil)
 }
 
 // Attachments returns the number of live attachments (for tests).

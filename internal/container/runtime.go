@@ -35,7 +35,9 @@ type Sandbox struct {
 	ContainerID  string
 	NetNS        nsmodel.Inode
 	UserNS       nsmodel.Inode
-	Result       *cni.Result
+	// Result is what the CNI ADD chain built, kept here: the runtime owns
+	// it and hands the chain a pointer to it.
+	Result cni.Result
 	// procs are the container processes, killed at teardown.
 	procs []nsmodel.PID
 }
@@ -78,10 +80,10 @@ func (r *Runtime) Sandboxes() int { return len(r.sandboxes) }
 // SetupPod implements k8s.Runtime: create namespaces, then run the CNI ADD
 // chain. On chain failure the partial attachment is cleaned up with DEL and
 // the error is surfaced (failing the pod launch).
-func (r *Runtime) SetupPod(pod *k8s.Pod, done k8s.PodDone) {
+func (r *Runtime) SetupPod(pod *k8s.Pod, done k8s.Wrote) {
 	key := pod.Meta.Key()
 	if _, exists := r.sandboxes[key]; exists {
-		done.SetupDone(fmt.Errorf("container: sandbox for %s already exists", key))
+		done.Wrote(fmt.Errorf("container: sandbox for %s already exists", key))
 		return
 	}
 	st := r.step(pod, done)
@@ -90,12 +92,13 @@ func (r *Runtime) SetupPod(pod *k8s.Pod, done k8s.PodDone) {
 }
 
 // TeardownPod implements k8s.Runtime: kill container processes, run the CNI
-// DEL chain, destroy namespaces.
-func (r *Runtime) TeardownPod(pod *k8s.Pod, done k8s.PodDone) {
+// DEL chain, destroy namespaces. It reports nil: DEL's errors are the
+// plugins' to log, and the sandbox is gone either way.
+func (r *Runtime) TeardownPod(pod *k8s.Pod, done k8s.Wrote) {
 	key := pod.Meta.Key()
 	sb, ok := r.sandboxes[key]
 	if !ok {
-		done.TornDown()
+		done.Wrote(nil)
 		return
 	}
 	delete(r.sandboxes, key)
@@ -103,32 +106,27 @@ func (r *Runtime) TeardownPod(pod *k8s.Pod, done k8s.PodDone) {
 		_ = r.kern.Exit(pid)
 	}
 	st := r.step(pod, done)
-	st.sb, st.teardown = sb, true
+	st.sb = sb
 	r.eng.AfterCall(r.eng.Jitter(sandboxTeardown, jitter), destroySandbox, st)
 }
 
 // podStep is one SetupPod or TeardownPod in flight: the pod, its sandbox,
-// the kubelet's continuation and which of its calls ends the step, the ADD
-// error a cleanup DEL reports, and the two callbacks the CNI chain takes —
-// method values made once per record, which finish recycles.
+// the kubelet's Wrote, the ADD error a cleanup DEL reports, and whether the
+// chain is running DEL. It is the Wrote the CNI chain reports to, so a step
+// allocates nothing.
 type podStep struct {
 	r        *Runtime
 	pod      *k8s.Pod
 	key      string
 	sb       *Sandbox
 	err      error
-	done     k8s.PodDone
-	teardown bool
-	added    func(*cni.Result, error)
-	deleted  func(error)
+	done     k8s.Wrote
+	deleting bool
 }
 
-func (r *Runtime) step(pod *k8s.Pod, done k8s.PodDone) *podStep {
+func (r *Runtime) step(pod *k8s.Pod, done k8s.Wrote) *podStep {
 	st := r.steps.Get()
-	if st.r == nil {
-		st.r, st.added, st.deleted = r, st.onAdded, st.onDeleted
-	}
-	st.pod, st.done = pod, done
+	st.r, st.pod, st.done = r, pod, done
 	return st
 }
 
@@ -158,7 +156,7 @@ func createSandbox(a any) {
 	r.nextShift += 65536
 	sb.UserNS = r.kern.NewUserNS(cid, nsmodel.MapOne[nsmodel.UID](0, shift),
 		nsmodel.MapOne(0, nsmodel.GID(shift))).Inode
-	r.chain.Add(sb.cniArgs(), st.added)
+	r.chain.Add(sb.cniArgs(), &sb.Result, st)
 }
 
 // cniArgs is what the runtime hands the CNI chain for the sandbox.
@@ -182,43 +180,45 @@ func containerID(node string, seq int) string {
 	return string(append(id, d...))
 }
 
-func (st *podStep) onAdded(res *cni.Result, err error) {
-	if err != nil {
-		// CNI spec: clean up partial attachments with DEL.
-		st.err = err
-		st.r.chain.Del(st.sb.cniArgs(), st.deleted)
-		return
-	}
-	st.sb.Result = res
-	st.r.sandboxes[st.key] = st.sb
-	st.finish(nil)
-}
-
 func destroySandbox(a any) {
 	st := a.(*podStep)
 	if st.pod.Spec.HostNetwork {
 		st.finish(nil)
 		return
 	}
-	st.r.chain.Del(st.sb.cniArgs(), st.deleted)
+	st.del()
 }
 
-// onDeleted ends a teardown's DEL, or the cleanup DEL of a failed setup.
-func (st *podStep) onDeleted(error) {
-	st.r.destroyNamespaces(st.sb)
-	st.finish(st.err)
+// del runs the DEL chain over the sandbox, reporting to st.
+func (st *podStep) del() {
+	st.deleting = true
+	st.r.chain.Del(st.sb.cniArgs(), st)
 }
 
-// finish recycles the record, then runs the kubelet's continuation.
-func (st *podStep) finish(err error) {
-	r, done, teardown := st.r, st.done, st.teardown
-	*st = podStep{r: r, added: st.added, deleted: st.deleted}
-	r.steps.Put(st)
-	if teardown {
-		done.TornDown()
-	} else {
-		done.SetupDone(err)
+// Wrote hears the CNI chain. A failed ADD is cleaned up with DEL, as the
+// CNI spec requires, and the sandbox, its partial result with it, is never
+// stored; a DEL — a teardown's, or that cleanup — ends in destroying the
+// namespaces and reports the ADD error, if any.
+func (st *podStep) Wrote(err error) {
+	switch {
+	case st.deleting:
+		st.r.destroyNamespaces(st.sb)
+		st.finish(st.err)
+	case err != nil:
+		st.err = err
+		st.del()
+	default:
+		st.r.sandboxes[st.key] = st.sb
+		st.finish(nil)
 	}
+}
+
+// finish recycles the record, then reports err to the kubelet.
+func (st *podStep) finish(err error) {
+	r, done := st.r, st.done
+	*st = podStep{}
+	r.steps.Put(st)
+	done.Wrote(err)
 }
 
 func (r *Runtime) destroyNamespaces(sb *Sandbox) {

@@ -150,9 +150,16 @@ func runAdmissionOnce(opts AdmissionOptions, seed int64) (*AdmissionRun, error) 
 	sopts.Seed = seed
 	st := stack.New(sopts)
 	st.Cluster.CreateNamespace("load")
+	t0 := st.Eng.Now()
 
-	run := &AdmissionRun{}
-	records := make(map[string]*JobRecord)
+	batches := batchSizes(opts)
+	total := 0
+	for _, n := range batches {
+		total += n
+	}
+	// The jobs in submission order, and each one's index there by name.
+	run := &AdmissionRun{Jobs: make([]JobRecord, 0, total)}
+	index := make(map[string]int, total)
 	doneCount := 0
 
 	// Track completions via job status updates.
@@ -161,12 +168,11 @@ func runAdmissionOnce(opts AdmissionOptions, seed int64) (*AdmissionRun, error) 
 			return
 		}
 		job := ev.Object.(*k8s.Job)
-		rec, ok := records[job.Meta.Name]
-		if !ok || rec.Done || !job.Status.Completed {
+		i, ok := index[job.Meta.Name]
+		if !ok || run.Jobs[i].Done || !job.Status.Completed {
 			return
 		}
-		rec.Done = true
-		rec.DoneAt = st.Eng.Now()
+		run.Jobs[i].Done, run.Jobs[i].DoneAt = true, st.Eng.Now()
 		doneCount++
 	})
 
@@ -175,59 +181,41 @@ func runAdmissionOnce(opts AdmissionOptions, seed int64) (*AdmissionRun, error) 
 		ann = map[string]string{vniapi.Annotation: vniapi.AnnotationValueTrue}
 	}
 
-	batches := batchSizes(opts)
-	total := 0
-	currentBatch := 0
 	for b, n := range batches {
-		b, n := b, n
-		st.Eng.At(st.Eng.Now().Add(sim.Duration(b)*time.Second), func() {
-			currentBatch = n
+		st.Eng.At(t0.Add(sim.Duration(b)*time.Second), func() {
 			for i := 0; i < n; i++ {
 				name := fmt.Sprintf("job-b%02d-%03d", b, i)
-				rec := &JobRecord{Name: name, Batch: b, SubmitAt: st.Eng.Now()}
-				records[name] = rec
-				job := k8s.EchoJob("load", name, ann)
-				st.Cluster.SubmitJob(job)
+				index[name] = len(run.Jobs)
+				run.Jobs = append(run.Jobs, JobRecord{Name: name, Batch: b, SubmitAt: st.Eng.Now()})
+				st.Cluster.SubmitJob(k8s.EchoJob("load", name, ann))
 			}
 		})
-		total += n
 	}
 
-	// Sampler: runs until all jobs are done and the cluster drained.
-	var sample func()
-	sample = func() {
-		running := st.Cluster.ActiveJobs()
-		run.Samples = append(run.Samples, Sample{
-			T:       st.Eng.Now(),
-			Running: running,
-			BatchSize: func() int {
-				if int(st.Eng.Now().Seconds()) < len(batches) {
-					return currentBatch
-				}
-				return 0
-			}(),
-		})
-		if doneCount >= total && running == 0 {
-			return
+	// Sampler: from t0 until all jobs are done and the cluster drained. A
+	// sample's batch is the one submitted in its period.
+	var sampler sim.Ticker
+	sample := func() {
+		s := Sample{T: st.Eng.Now(), Running: st.Cluster.ActiveJobs()}
+		if b := int(s.T.Sub(t0) / samplePeriod); b < len(batches) {
+			s.BatchSize = batches[b]
 		}
-		st.Eng.After(samplePeriod, sample)
+		run.Samples = append(run.Samples, s)
+		if doneCount >= total && s.Running == 0 {
+			sampler.Stop()
+		}
 	}
-	st.Eng.After(0, sample)
+	st.Eng.After(0, func() {
+		sampler.Start(st.Eng, samplePeriod, sample)
+		sample()
+	})
 
 	// Drive with a hard ceiling so a stuck run fails loudly.
-	ceiling := st.Eng.Now().Add(2 * time.Hour)
-	for doneCount < total && st.Eng.Now() < ceiling {
-		if !st.Eng.Step() {
-			break
-		}
-	}
-	if doneCount < total {
+	allDone := func() bool { return doneCount >= total }
+	if !st.Eng.RunUntilDone(allDone, t0.Add(2*time.Hour)) {
 		return nil, fmt.Errorf("only %d/%d jobs completed", doneCount, total)
 	}
 	// Let teardown and the sampler drain.
 	st.Eng.RunFor(time.Minute)
-	for _, rec := range records {
-		run.Jobs = append(run.Jobs, *rec)
-	}
 	return run, nil
 }

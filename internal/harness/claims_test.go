@@ -152,6 +152,32 @@ func spikeLeftRunning(fig *AdmissionFigure) float64 {
 	return float64(left)
 }
 
+// batchColumnGap is the largest gap, over every run of both patterns in
+// both modes, between the "# jobs" column's sum and the jobs the run
+// submitted: each batch must show in exactly one sample.
+func batchColumnGap(figs ...*AdmissionFigure) float64 {
+	gap := 0
+	for _, fig := range figs {
+		for _, res := range []*AdmissionResult{fig.VNITrue, fig.VNIFalse} {
+			for _, run := range res.Runs {
+				sum := 0
+				for _, s := range run.Samples {
+					sum += s.BatchSize
+				}
+				gap = max(gap, abs(sum-len(run.Jobs)))
+			}
+		}
+	}
+	return float64(gap)
+}
+
+func abs(n int) int {
+	if n < 0 {
+		return -n
+	}
+	return n
+}
+
 // medianOverheadPct is Figure 12's headline: the vni:true median
 // admission delay's overhead over the vni:false median.
 func medianOverheadPct(fig *AdmissionFigure) float64 {
@@ -197,6 +223,8 @@ var claims = []struct {
 		"—", atLeast(300), " jobs", func(r *seedRun) float64 { return spikeBacklog(r.spike) }},
 	{"fig11_spike_drained", "Fig 11", "spike: jobs running at the last sample, every run",
 		"—", exactly(0), " jobs", func(r *seedRun) float64 { return spikeLeftRunning(r.spike) }},
+	{"fig9_11_batch_column", "Figs 9, 11", "# jobs column's sum − jobs submitted, every run of both patterns",
+		"—", exactly(0), " jobs", func(r *seedRun) float64 { return batchColumnGap(r.ramp, r.spike) }},
 	{"fig12_ramp_overhead", "Fig 12", "ramp: median admission overhead",
 		"3.5 %", between(0, 10), " %", func(r *seedRun) float64 { return medianOverheadPct(r.ramp) }},
 	{"fig12_spike_overhead", "Fig 12", "spike: median admission overhead",

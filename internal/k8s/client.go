@@ -551,8 +551,9 @@ func (c *Client) Get(kind Kind, namespace, name string) (Object, bool) {
 // returns if it completes on the spot — or nil when nobody listens.
 
 // Wrote hears how a write ended. A caller writing from a recycled record
-// implements it on the record, as *podTask implements PodDone, so a write
-// binds no callback.
+// implements it on the record, so a write binds no callback. It is the one
+// completion interface of the pod-admission path: the container runtime and
+// the CNI chain report to a Wrote too.
 type Wrote interface{ Wrote(err error) }
 
 // Mutation is UpdateStatus's and Patch's edit and Wrote in one value:

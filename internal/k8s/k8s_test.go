@@ -19,21 +19,21 @@ type fakeRuntime struct {
 	teardowns int
 }
 
-func (f *fakeRuntime) SetupPod(pod *Pod, done PodDone) {
+func (f *fakeRuntime) SetupPod(pod *Pod, done Wrote) {
 	f.eng.After(f.setupCost, func() {
 		if f.failSetup != nil {
-			done.SetupDone(f.failSetup)
+			done.Wrote(f.failSetup)
 			return
 		}
 		f.setups++
-		done.SetupDone(nil)
+		done.Wrote(nil)
 	})
 }
 
-func (f *fakeRuntime) TeardownPod(pod *Pod, done PodDone) {
+func (f *fakeRuntime) TeardownPod(pod *Pod, done Wrote) {
 	f.eng.After(f.setupCost/2, func() {
 		f.teardowns++
-		done.TornDown()
+		done.Wrote(nil)
 	})
 }
 

@@ -8,23 +8,17 @@ import (
 
 // Runtime is the container runtime a kubelet drives. The real stack is
 // containerd invoking the CNI chain; internal/container provides the
-// simulated implementation with the CXI CNI plugin wired in.
+// simulated implementation with the CXI CNI plugin wired in. Each call
+// reports to done exactly once: the kubelet hands it its pod task, which
+// implements Wrote, so a call makes no callback.
 type Runtime interface {
 	// SetupPod creates the pod sandbox: network namespace plus the CNI
-	// ADD chain, then calls done.SetupDone with the setup error, if any (a
-	// failed CNI ADD fails the pod launch, per the paper).
-	SetupPod(pod *Pod, done PodDone)
+	// ADD chain, then reports the setup error, if any (a failed CNI ADD
+	// fails the pod launch, per the paper).
+	SetupPod(pod *Pod, done Wrote)
 	// TeardownPod destroys the sandbox, invoking the CNI DEL chain, then
-	// calls done.TornDown.
-	TeardownPod(pod *Pod, done PodDone)
-}
-
-// PodDone is told when a Runtime call ends, exactly once per call. The
-// kubelet hands the runtime its pod task, which implements it: a call
-// makes no callback.
-type PodDone interface {
-	SetupDone(err error)
-	TornDown()
+	// reports nil.
+	TeardownPod(pod *Pod, done Wrote)
 }
 
 // The node agent's costs, calibrated so the end-to-end admission pipeline
@@ -117,7 +111,8 @@ func (k *Kubelet) Node() string { return k.node }
 // start — image pull, sandbox, container start, then the Running status and
 // the exit timer, which outlive the slot — or its teardown. It is the
 // argument of every engine event along the way, the runtime reports back
-// to it (PodDone), and whichever of its events finishes last recycles it.
+// to it (it is the runtime's Wrote), and whichever of its events finishes
+// last recycles it.
 type podTask struct {
 	k        *Kubelet
 	pod      *Pod
@@ -184,17 +179,22 @@ func pullImage(arg any) {
 	t.k.rt.SetupPod(t.pod, t)
 }
 
-// SetupDone implements PodDone.
-func (t *podTask) SetupDone(err error) {
+// Wrote hears how the runtime's SetupPod or, for a teardown, TeardownPod
+// ended. A teardown's slot is free whatever it reports; a failed setup
+// fails the pod.
+func (t *podTask) Wrote(err error) {
 	k := t.k
-	if err != nil {
+	switch {
+	case t.teardown:
+	case err != nil:
 		k.setPhase(t.pod, PodFailed, err.Error())
 		delete(k.livePods, t.pod.Meta.Key())
-		t.recycle()
-		k.slotFreed()
+	default:
+		k.cli.Engine().AfterCall(k.jit(containerStart), startContainer, t)
 		return
 	}
-	k.cli.Engine().AfterCall(k.jit(containerStart), startContainer, t)
+	t.recycle()
+	k.slotFreed()
 }
 
 // startContainer reports Running after the status lag and arms the
@@ -245,13 +245,6 @@ func (k *Kubelet) teardownPod(t *podTask) {
 func tearDown(arg any) {
 	t := arg.(*podTask)
 	t.k.rt.TeardownPod(t.pod, t)
-}
-
-// TornDown implements PodDone.
-func (t *podTask) TornDown() {
-	k := t.k
-	t.recycle()
-	k.slotFreed()
 }
 
 func (k *Kubelet) setPhase(pod *Pod, phase PodPhase, msg string) {

@@ -179,8 +179,8 @@ func TestExitTimerRecordRecycledOnce(t *testing.T) {
 // syncRuntime brings a sandbox up and down on the spot, allocating nothing.
 type syncRuntime struct{}
 
-func (syncRuntime) SetupPod(_ *Pod, done PodDone)    { done.SetupDone(nil) }
-func (syncRuntime) TeardownPod(_ *Pod, done PodDone) { done.TornDown() }
+func (syncRuntime) SetupPod(_ *Pod, done Wrote)    { done.Wrote(nil) }
+func (syncRuntime) TeardownPod(_ *Pod, done Wrote) { done.Wrote(nil) }
 
 // podLifecycle makes a kubelet on syncRuntime and the function that runs
 // one pod through it, from the binding that queues it to Succeeded, and
@@ -239,9 +239,9 @@ func TestPodLifecycleAllocations(t *testing.T) {
 // their task, which the list makes alone or in a chunk of several. Each
 // lifecycle first takes the task the last one put back and keeps it out,
 // as the earlier pods of a burst keep theirs, so every pod's task is a
-// fresh record. The runtime reports to the task itself (PodDone), so no
-// callback is made for a new task: binding its methods as values again
-// adds two per pod.
+// fresh record. The runtime reports to the task itself (Wrote), so no
+// callback is made for a new task: binding its Wrote as a method value
+// again adds one per pod.
 func TestFreshPodTaskAllocatesOnlyItself(t *testing.T) {
 	const pods, want = 64, 64 * (2 + 1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
