@@ -69,7 +69,8 @@ func (j JobRecord) Delay() float64 { return j.DoneAt.Sub(j.SubmitAt).Seconds() }
 
 // Sample is one point of the running-jobs time series.
 type Sample struct {
-	T       sim.Time
+	// T is the time since t0, when the first batch was submitted.
+	T       sim.Duration
 	Running int
 	// BatchSize is the number of jobs submitted in the most recent batch
 	// (the green line of Figures 9/10).
@@ -196,8 +197,8 @@ func runAdmissionOnce(opts AdmissionOptions, seed int64) (*AdmissionRun, error) 
 	// sample's batch is the one submitted in its period.
 	var sampler sim.Ticker
 	sample := func() {
-		s := Sample{T: st.Eng.Now(), Running: st.Cluster.ActiveJobs()}
-		if b := int(s.T.Sub(t0) / samplePeriod); b < len(batches) {
+		s := Sample{T: st.Eng.Now().Sub(t0), Running: st.Cluster.ActiveJobs()}
+		if b := int(s.T / samplePeriod); b < len(batches) {
 			s.BatchSize = batches[b]
 		}
 		run.Samples = append(run.Samples, s)

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/caps-sim/shs-k8s/internal/metrics"
@@ -171,6 +173,42 @@ func batchColumnGap(figs ...*AdmissionFigure) float64 {
 	return float64(gap)
 }
 
+// tableRow is one data row of the Figure 9 / 11 table: its second and its
+// "# jobs" value.
+type tableRow struct{ sec, batch int }
+
+// renderedRows reads the rows RenderRunningJobs prints for fig.
+func renderedRows(fig *AdmissionFigure) []tableRow {
+	var buf bytes.Buffer
+	RenderRunningJobs(&buf, fig)
+	var rows []tableRow
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] {
+		f := strings.Fields(line)
+		var m, sec, batch int
+		fmt.Sscanf(f[0], "%d:%d", &m, &sec)
+		fmt.Sscanf(f[len(f)-1], "%d", &batch)
+		rows = append(rows, tableRow{60*m + sec, batch})
+	}
+	return rows
+}
+
+// firstRowLead is, over both patterns, how many seconds the printed table
+// opens before the earliest sample of any run: a lead of 0 means its first
+// row is backed by a sample.
+func firstRowLead(figs ...*AdmissionFigure) float64 {
+	lead := 0
+	for _, fig := range figs {
+		first := math.MaxInt
+		for _, res := range []*AdmissionResult{fig.VNITrue, fig.VNIFalse} {
+			for _, run := range res.Runs {
+				first = min(first, int(run.Samples[0].T.Seconds()))
+			}
+		}
+		lead = max(lead, first-renderedRows(fig)[0].sec)
+	}
+	return float64(lead)
+}
+
 func abs(n int) int {
 	if n < 0 {
 		return -n
@@ -225,6 +263,10 @@ var claims = []struct {
 		"—", exactly(0), " jobs", func(r *seedRun) float64 { return spikeLeftRunning(r.spike) }},
 	{"fig9_11_batch_column", "Figs 9, 11", "# jobs column's sum − jobs submitted, every run of both patterns",
 		"—", exactly(0), " jobs", func(r *seedRun) float64 { return batchColumnGap(r.ramp, r.spike) }},
+	{"fig9_11_first_row", "Figs 9, 11", "seconds the table opens before its first sample, both patterns",
+		"—", exactly(0), " s", func(r *seedRun) float64 { return firstRowLead(r.ramp, r.spike) }},
+	{"fig11_spike_at_zero", "Fig 11", "spike: # jobs on the table's 00:00 row",
+		"—", exactly(500), " jobs", func(r *seedRun) float64 { return float64(renderedRows(r.spike)[0].batch) }},
 	{"fig12_ramp_overhead", "Fig 12", "ramp: median admission overhead",
 		"3.5 %", between(0, 10), " %", func(r *seedRun) float64 { return medianOverheadPct(r.ramp) }},
 	{"fig12_spike_overhead", "Fig 12", "spike: median admission overhead",

@@ -27,7 +27,11 @@ var ErrSyntax = yamlsub.ErrSyntax
 // Supported kinds: Job (batch/v1, paper Listings 1 and 3) and VniClaim
 // (paper Listing 2).
 func Parse(r io.Reader) ([]k8s.Object, error) {
-	docs, err := yamlsub.ParseDocs(r)
+	src, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("manifest: %w", err)
+	}
+	docs, err := yamlsub.ParseDocs(src)
 	if err != nil {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}

@@ -78,6 +78,8 @@ type Ops struct {
 	rogueSet   bool
 	// logMark is the TakeLog high-water mark into res.Log.
 	logMark int
+	// line is the buffer logf builds each narration line in.
+	line []byte
 }
 
 // NewOps prepares an executor for the scenario. No stack exists until a
@@ -108,12 +110,16 @@ func (r *Ops) TakeLog() []string {
 	return out
 }
 
+// logf appends one narration line, "[mm:ss.mmm] message" at the virtual
+// time, built in r.line so the line's string is its only allocation.
 func (r *Ops) logf(format string, args ...any) {
 	at := sim.Time(0)
 	if r.st != nil {
 		at = r.st.Eng.Now()
 	}
-	r.res.Log = append(r.res.Log, fmt.Sprintf("[%s] %s", at, fmt.Sprintf(format, args...)))
+	b := at.AppendClock(append(r.line[:0], '['))
+	r.line = fmt.Appendf(append(b, "] "...), format, args...)
+	r.res.Log = append(r.res.Log, string(r.line))
 }
 
 // Exec executes one event against the stack. Events must have passed

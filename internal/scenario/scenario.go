@@ -218,20 +218,25 @@ func (sc *Scenario) where(line int) string {
 }
 
 // Parse reads and validates a scenario from r.
-func Parse(r io.Reader) (*Scenario, error) { return parse(r, "") }
-
-// ParseFile reads and validates a scenario file.
-func ParseFile(path string) (*Scenario, error) {
-	f, err := os.Open(path)
+func Parse(r io.Reader) (*Scenario, error) {
+	src, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return parse(f, path)
+	return parse(src, "")
 }
 
-func parse(r io.Reader, path string) (*Scenario, error) {
-	docs, err := yamlsub.ParseDocs(r)
+// ParseFile reads and validates a scenario file.
+func ParseFile(path string) (*Scenario, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parse(src, path)
+}
+
+func parse(src []byte, path string) (*Scenario, error) {
+	docs, err := yamlsub.ParseDocs(src)
 	switch {
 	case err != nil:
 	case len(docs) == 0:

@@ -28,6 +28,26 @@ func mustParse(t *testing.T, src string) *Scenario {
 	return sc
 }
 
+// TestLogfAllocatesOnlyItsLine pins a narration line's cost: the line's
+// own string and nothing else — no formatted message or timestamp beside it,
+// and no boxing of the clock. The caller's arguments come boxed, as a call
+// site boxes them.
+func TestLogfAllocatesOnlyItsLine(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not constants under the race detector")
+	}
+	r := NewOps(mustParse(t, minimal))
+	r.res.Log = make([]string, 0, 1000)
+	args := []any{"node-1", 3, "ok"}
+	r.logf("health: cordoned %s after %d probes (%s)", args...)
+	if got := r.res.Log[0]; got != "[00:00.000] health: cordoned node-1 after 3 probes (ok)" {
+		t.Fatalf("line = %q", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { r.logf("health: cordoned %s after %d probes (%s)", args...) }); got != 1 {
+		t.Errorf("a narration line costs %.0f allocations, want 1", got)
+	}
+}
+
 func TestParseFullScenario(t *testing.T) {
 	sc := mustParse(t, `
 # comment

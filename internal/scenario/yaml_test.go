@@ -54,7 +54,7 @@ func TestYAMLSyntaxErrors(t *testing.T) {
 // quotes stripped, trailing comments cut, and colons without a following
 // space left alone (durations like "00:05" are scalars, not mappings).
 func TestYAMLScalarHandling(t *testing.T) {
-	docs, err := yamlsub.ParseDocs(strings.NewReader(strings.Join([]string{
+	docs, err := yamlsub.ParseDocs([]byte(strings.Join([]string{
 		`a: "quoted value"`,
 		`b: 'single # not a comment'`,
 		`c: plain # comment`,

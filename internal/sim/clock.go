@@ -14,7 +14,7 @@
 package sim
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -40,8 +40,35 @@ func (t Time) Duration() Duration { return Duration(t) }
 
 // String formats the virtual time like a stopwatch reading.
 func (t Time) String() string {
+	var buf [16]byte
+	return string(t.AppendClock(buf[:0]))
+}
+
+// AppendClock appends the stopwatch reading String returns: minutes,
+// seconds and milliseconds as fmt's "%02d:%02d.%03d" prints them, a
+// negative time included.
+func (t Time) AppendClock(b []byte) []byte {
 	d := time.Duration(t)
-	return fmt.Sprintf("%02d:%02d.%03d", int(d.Minutes()), int(d.Seconds())%60, d.Milliseconds()%1000)
+	b = appendPadded(b, int64(d.Minutes()), 2)
+	b = append(b, ':')
+	b = appendPadded(b, int64(d.Seconds())%60, 2)
+	b = append(b, '.')
+	return appendPadded(b, d.Milliseconds()%1000, 3)
+}
+
+// appendPadded appends v zero-padded to width, the sign counted in it.
+func appendPadded(b []byte, v int64, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		b = append(b, '-')
+		u, width = -u, width-1
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // Clock exposes the current virtual time. Components hold a Clock rather

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -198,6 +199,19 @@ func TestTimeString(t *testing.T) {
 	got := Time(65*time.Second + 250*time.Millisecond).String()
 	if got != "01:05.250" {
 		t.Errorf("String() = %q, want 01:05.250", got)
+	}
+	// String and AppendClock print what the fmt form they replaced
+	// printed, past 99 minutes and below zero too.
+	for _, d := range []time.Duration{0, 999 * time.Millisecond, 59999 * time.Millisecond,
+		100 * time.Minute, 123*time.Minute + 4*time.Second + 5*time.Millisecond,
+		-5 * time.Millisecond, -1500 * time.Millisecond, -61*time.Second - 7*time.Millisecond, -100 * time.Minute} {
+		want := fmt.Sprintf("%02d:%02d.%03d", int(d.Minutes()), int(d.Seconds())%60, d.Milliseconds()%1000)
+		if got := Time(d).String(); got != want {
+			t.Errorf("Time(%v).String() = %q, want %q", d, got, want)
+		}
+		if got := string(Time(d).AppendClock([]byte("at "))); got != "at "+want {
+			t.Errorf("Time(%v).AppendClock = %q, want %q", d, got, "at "+want)
+		}
 	}
 }
 

@@ -6,13 +6,17 @@
 // what it does not understand rather than guessing (no flow syntax,
 // anchors, multi-line scalars or tabs). Every node carries the 1-based
 // source line it came from, and every error names one.
+//
+// ParseDocs copies its input into one string and cuts every key and scalar
+// out of it, and each document's nodes, fields and items live in a few
+// slabs sized by its line count: a parsed tree retains that one source
+// string and its own slabs, whatever its size, and nothing else.
 package yamlsub
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -84,34 +88,36 @@ func syntaxErr(line int, format string, args ...any) error {
 	return fmt.Errorf("%w: line %d: %s", ErrSyntax, line, fmt.Sprintf(format, args...))
 }
 
-// ParseDocs reads the stream and returns one tree per "---"-separated
-// document, skipping documents that hold nothing but blanks and comments.
-func ParseDocs(r io.Reader) ([]*Node, error) {
-	sc := bufio.NewScanner(r)
+// ParseDocs parses src and returns one tree per "---"-separated document,
+// skipping documents that hold nothing but blanks and comments. Lines end
+// in "\n" or "\r\n", and a line of bufio.MaxScanTokenSize bytes or more,
+// a "\r" counted, is an error, as it is to a bufio.Scanner.
+func ParseDocs(src []byte) ([]*Node, error) {
+	text := string(src)
 	var docs []*Node
-	var lines []rawLine
+	lines := make([]rawLine, 0, strings.Count(text, "\n")+1)
 	flush := func() error {
 		if len(lines) == 0 {
 			return nil
 		}
-		if lines[0].indent != 0 {
-			return syntaxErr(lines[0].line, "document must start at column 0")
-		}
-		root, rest, err := parseBlock(lines, 0)
+		root, err := parseDoc(lines)
 		if err != nil {
 			return err
-		}
-		if len(rest) != 0 {
-			return syntaxErr(rest[0].line, "unexpected dedent")
 		}
 		docs = append(docs, root)
 		lines = lines[:0]
 		return nil
 	}
 	lineNo := 0
-	for sc.Scan() {
+	for rest := text; rest != ""; {
+		var raw string
+		raw, rest, _ = strings.Cut(rest, "\n")
 		lineNo++
-		raw := sc.Text()
+		if len(raw) >= bufio.MaxScanTokenSize {
+			return nil, syntaxErr(lineNo, "line too long")
+		}
+		// A CRLF line's "\r" is whitespace to TrimSpace, the only reader
+		// of a line's end, so it needs no trimming of its own.
 		trimmed := strings.TrimSpace(raw)
 		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
 			continue
@@ -131,38 +137,78 @@ func ParseDocs(r io.Reader) ([]*Node, error) {
 		}
 		lines = append(lines, rawLine{indent: indent, text: trimmed, line: lineNo})
 	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return nil, syntaxErr(lineNo+1, "line too long")
-		}
-		return nil, err
-	}
 	if err := flush(); err != nil {
 		return nil, err
 	}
 	return docs, nil
 }
 
-// parseBlock parses lines at exactly `indent` as a mapping or sequence,
-// returning the remaining (shallower) lines.
-func parseBlock(lines []rawLine, indent int) (*Node, []rawLine, error) {
-	if isDashItem(lines[0].text) {
-		return parseSeq(lines, indent)
+// parser hands out one document's nodes, fields and items from slabs sized
+// by its line counts. A mapping's fields (a sequence's items) collect on an
+// open stack while nested blocks parse above them, and move to the slab as
+// one contiguous run when it closes.
+type parser struct {
+	nodes              []Node
+	fields, openFields []Field
+	items, openItems   []*Node
+}
+
+// parseDoc parses one document's lines. Each node is a key's value, a
+// sequence item or the root, and each field a key line, so a document of n
+// lines, d of them dash items, needs at most n+d+1 nodes, n fields and d
+// items; every slab holds that many, so none grows.
+func parseDoc(lines []rawLine) (*Node, error) {
+	if lines[0].indent != 0 {
+		return nil, syntaxErr(lines[0].line, "document must start at column 0")
 	}
-	return parseMap(lines, indent)
+	n, dashes := len(lines), 0
+	for _, l := range lines {
+		if isDashItem(l.text) {
+			dashes++
+		}
+	}
+	fields := make([]Field, 2*n)
+	p := parser{nodes: make([]Node, 0, n+dashes+1), fields: fields[:0:n], openFields: fields[n:n]}
+	if dashes > 0 {
+		items := make([]*Node, 2*dashes)
+		p.items, p.openItems = items[:0:dashes], items[dashes:dashes]
+	}
+	root, rest, err := p.block(lines, 0)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, syntaxErr(rest[0].line, "unexpected dedent")
+	}
+	return root, nil
+}
+
+func (p *parser) node(kind Kind, line int, scalar string) *Node {
+	p.nodes = append(p.nodes, Node{Kind: kind, Line: line, Scalar: scalar})
+	return &p.nodes[len(p.nodes)-1]
+}
+
+// block parses lines at exactly `indent` as a mapping or sequence,
+// returning the remaining (shallower) lines.
+func (p *parser) block(lines []rawLine, indent int) (*Node, []rawLine, error) {
+	if isDashItem(lines[0].text) {
+		return p.seq(lines, indent)
+	}
+	return p.mapping(lines, indent)
 }
 
 func isDashItem(text string) bool {
 	return text == "-" || strings.HasPrefix(text, "- ")
 }
 
-// parseSeq consumes "- " items at `indent`.
-func parseSeq(lines []rawLine, indent int) (*Node, []rawLine, error) {
-	seq := &Node{Kind: Seq, Line: lines[0].line}
+// seq consumes "- " items at `indent`.
+func (p *parser) seq(lines []rawLine, indent int) (*Node, []rawLine, error) {
+	seq := p.node(Seq, lines[0].line, "")
+	open := len(p.openItems)
 	for len(lines) > 0 {
 		l := lines[0]
 		if l.indent < indent {
-			return seq, lines, nil
+			break
 		}
 		if l.indent > indent {
 			return nil, nil, syntaxErr(l.line, "unexpected indent")
@@ -195,11 +241,11 @@ func parseSeq(lines []rawLine, indent int) (*Node, []rawLine, error) {
 		// A single inline value with no "key:" shape is a scalar item.
 		if n == 1 {
 			if _, _, ok := splitKV(inline); !ok {
-				seq.Items = append(seq.Items, &Node{Line: l.line, Scalar: cleanScalar(inline)})
+				p.openItems = append(p.openItems, p.node(Scalar, l.line, cleanScalar(inline)))
 				continue
 			}
 		}
-		item, rest, err := parseMap(itemLines, itemIndent)
+		item, rest, err := p.mapping(itemLines, itemIndent)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -207,18 +253,23 @@ func parseSeq(lines []rawLine, indent int) (*Node, []rawLine, error) {
 			return nil, nil, syntaxErr(rest[0].line, "unexpected dedent")
 		}
 		item.Line = l.line
-		seq.Items = append(seq.Items, item)
+		p.openItems = append(p.openItems, item)
 	}
+	start := len(p.items)
+	p.items = append(p.items, p.openItems[open:]...)
+	seq.Items = p.items[start:len(p.items):len(p.items)]
+	p.openItems = p.openItems[:open]
 	return seq, lines, nil
 }
 
-// parseMap consumes "key: value" / "key:" lines at exactly `indent`.
-func parseMap(lines []rawLine, indent int) (*Node, []rawLine, error) {
-	m := &Node{Kind: Map, Line: lines[0].line}
+// mapping consumes "key: value" / "key:" lines at exactly `indent`.
+func (p *parser) mapping(lines []rawLine, indent int) (*Node, []rawLine, error) {
+	m := p.node(Map, lines[0].line, "")
+	open := len(p.openFields)
 	for len(lines) > 0 {
 		l := lines[0]
 		if l.indent < indent {
-			return m, lines, nil
+			break
 		}
 		if l.indent > indent {
 			return nil, nil, syntaxErr(l.line, "unexpected indent")
@@ -227,22 +278,28 @@ func parseMap(lines []rawLine, indent int) (*Node, []rawLine, error) {
 		if !ok {
 			return nil, nil, syntaxErr(l.line, "expected \"key: value\" or \"key:\", got %q", l.text)
 		}
-		if m.Get(key) != nil {
-			return nil, nil, syntaxErr(l.line, "duplicate key %q", key)
+		for _, f := range p.openFields[open:] {
+			if f.Key == key {
+				return nil, nil, syntaxErr(l.line, "duplicate key %q", key)
+			}
 		}
 		lines = lines[1:]
 		// "key:" — block child if deeper lines follow, else empty scalar.
 		var child *Node
 		if val == "" && len(lines) > 0 && lines[0].indent > indent {
 			var err error
-			if child, lines, err = parseBlock(lines, lines[0].indent); err != nil {
+			if child, lines, err = p.block(lines, lines[0].indent); err != nil {
 				return nil, nil, err
 			}
 		} else {
-			child = &Node{Line: l.line, Scalar: val}
+			child = p.node(Scalar, l.line, val)
 		}
-		m.Fields = append(m.Fields, Field{Key: key, Val: child})
+		p.openFields = append(p.openFields, Field{Key: key, Val: child})
 	}
+	start := len(p.fields)
+	p.fields = append(p.fields, p.openFields[open:]...)
+	m.Fields = p.fields[start:len(p.fields):len(p.fields)]
+	p.openFields = p.openFields[:open]
 	return m, lines, nil
 }
 
